@@ -182,9 +182,9 @@ def run_scale_gate(seed: int) -> dict:
     lp_row = None
     if scipy_available():
         started = time.perf_counter()
-        lp = LPPacking(
-            alpha=1.0, lp_backend="scipy", lp_presolve=False, cache_lp=False
-        ).solve(instance, seed=seed)
+        lp = LPPacking(alpha=1.0, lp_backend="scipy", cache_lp=False).solve(
+            instance, seed=seed
+        )
         lp_seconds = time.perf_counter() - started
         assert lp.arrangement.is_feasible()
         lp_row = {
@@ -397,9 +397,9 @@ def _columnar_gate_impl(seed: int) -> dict:
     lp_row = None
     if scipy_available():
         started = time.perf_counter()
-        lp = LPPacking(
-            alpha=1.0, lp_backend="scipy", lp_presolve=False, cache_lp=False
-        ).solve(instance, seed=seed)
+        lp = LPPacking(alpha=1.0, lp_backend="scipy", cache_lp=False).solve(
+            instance, seed=seed
+        )
         lp_seconds = time.perf_counter() - started
         assert lp.arrangement.is_feasible()
         lp_row = {

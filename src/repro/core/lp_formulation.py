@@ -17,7 +17,11 @@ arrangements.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +32,20 @@ from repro.core.admissible import (
 )
 from repro.model.instance import IGEPAInstance
 from repro.solver.problem import LinearProgram, Sense
+
+
+def sum_in_order(weights: Iterable[float]) -> float:
+    """``w(u, S)`` from its members' ``w(u, v)``: added left to right from
+    0.0, the one summation rule for every objective of the benchmark LP.
+
+    Builtin ``sum()`` is not that rule everywhere: from Python 3.12 on it
+    compensates float sums (Neumaier), which can round differently from
+    :func:`build_benchmark_lp`'s position-by-position array sums.  Objectives
+    built here and patched in by
+    :class:`~repro.core.lp_incremental.IncrementalBenchmarkLP` all go through
+    this rule, so one set carries the same bits on every Python.
+    """
+    return functools.reduce(operator.add, weights, 0.0)
 
 
 @dataclass
@@ -48,7 +66,7 @@ class BenchmarkLP:
 
     def set_weight(self, instance: IGEPAInstance, user_id: int, events: tuple[int, ...]) -> float:
         """``w(u, S)`` for a decoded variable."""
-        return sum(instance.weight(user_id, event_id) for event_id in events)
+        return sum_in_order(instance.weight(user_id, event_id) for event_id in events)
 
     def pairs_from_solution(self, x, threshold: float = 0.5) -> list[tuple[int, int]]:
         """Decode an *integral* solution into ``(event_id, user_id)`` pairs.
@@ -96,110 +114,97 @@ def build_benchmark_lp(
     if admissible is None:
         admissible = enumerate_all_admissible_sets(instance, max_sets_per_user)
 
-    instance_index = instance.index
+    index = instance.index
     users = instance.users
+    events = instance.events
+    num_events = len(events)
+    # Variables run user by user (instance order), each user's sets in A_u
+    # order, so user u's variables are one contiguous range.
+    user_sets = [admissible.get(user.user_id, []) for user in users]
+    counts = np.fromiter(map(len, user_sets), dtype=np.int64, count=len(users))
+    sets: list[tuple[int, ...]] = list(itertools.chain.from_iterable(user_sets))
+    num_vars = len(sets)
+    ends = np.cumsum(counts).tolist()
+    by_user = {
+        user.user_id: list(range(end - count, end))
+        for user, count, end in zip(users, counts.tolist(), ends)
+    }
+    var_upos = np.repeat(np.arange(len(users), dtype=np.int64), counts)
+    var_user_ids = index.user_ids[var_upos].tolist()
+    assignments = list(zip(var_user_ids, sets))
+
+    # One entry per (variable, event) membership, variables in order.
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=num_vars)
+    member_var = np.repeat(np.arange(num_vars, dtype=np.int64), sizes)
+    member_upos = var_upos[member_var]
+    member_ids = np.fromiter(
+        itertools.chain.from_iterable(sets), dtype=np.int64, count=member_var.size
+    )
+    member_vpos = np.fromiter(
+        map(index.event_pos.__getitem__, member_ids.tolist()),
+        dtype=np.int64,
+        count=member_ids.size,
+    )
+
+    # w(u, S) = Σ_{v∈S} w(u, v) over the CSR weights, added position by
+    # position over all sets at once: left to right from 0.0 per set, the
+    # rule of sum_in_order.  Caller-supplied admissible sets may reach
+    # outside the bid list; those pairs take the scalar accessor.
+    member_weights = index.pair_weights(member_upos, member_vpos)
+    for k in np.flatnonzero(~index.pair_bid_mask(member_upos, member_vpos)).tolist():
+        member_weights[k] = instance.weight(
+            var_user_ids[member_var[k]], int(member_ids[k])
+        )
+    weights = np.zeros(num_vars)
+    first_member = np.cumsum(sizes) - sizes
+    for position in range(int(sizes.max()) if num_vars else 0):
+        longer = np.flatnonzero(sizes > position)
+        weights[longer] += member_weights[first_member[longer] + position]
+
     lp = LinearProgram(name=f"benchmark-lp[{instance.name}]", maximize=True)
-    assignments: list[tuple[int, tuple[int, ...]]] = []
-    by_user: dict[int, list[int]] = {}
-    # Constraint rows are accumulated as sparse column-index lists and turned
-    # into COO triplets — the wide LP's matrix never exists in any denser
-    # form than (rows, cols, vals) arrays.  Assembly is shard-major over the
-    # index's user shards: each shard converts its (2)-row column lists into
-    # one triplet chunk as soon as its users are done (rows numbered
-    # globally in creation order, so the emitted triplets are identical to a
-    # single flat emission), and the chunks plus the trailing event-row
-    # chunk are concatenated once at the end.  (3) needs, per event, the
-    # variables whose set contains it — a shared accumulator across shards,
-    # the event-side sync point.
-    event_cols: dict[int, list[int]] = {e.event_id: [] for e in instance.events}
-    chunk_rows: list[np.ndarray] = []
-    chunk_cols: list[np.ndarray] = []
-    num_rows = 0
+    # Users share many sets, so each distinct set is spelled out once.
+    labels = {events_: ",".join(map(str, events_)) for events_ in set(sets)}
+    lp.add_variables(
+        [f"x[{user_id},{labels[events_]}]" for user_id, events_ in assignments],
+        objective=weights,
+        lower=0.0,
+        upper=math.inf if implied_upper else 1.0,
+        is_integer=integer,
+    )
 
-    def emit_chunk(rows: list[list[int]]) -> None:
-        nonlocal num_rows
-        if not rows:
-            return
-        lengths = np.fromiter((len(r) for r in rows), dtype=np.int64, count=len(rows))
-        chunk_rows.append(
-            np.repeat(
-                np.arange(num_rows, num_rows + len(rows), dtype=np.int64), lengths
-            )
-        )
-        chunk_cols.append(
-            np.concatenate([np.asarray(r, dtype=np.int64) for r in rows])
-        )
-        num_rows += len(rows)
+    # (3) counts each variable once per event, so repeats of an event inside
+    # a caller-supplied set collapse to their first occurrence.  Enumerated
+    # sets are strictly increasing, which rules repeats out.
+    in_set = member_var[1:] == member_var[:-1]
+    if np.any(in_set & (member_ids[1:] <= member_ids[:-1])):
+        keys = member_var * max(1, num_events) + member_vpos
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        member_var, member_vpos = member_var[first], member_vpos[first]
 
-    for shard in instance_index.iter_shards():
-        shard_rows: list[list[int]] = []
-        for upos in shard.positions:
-            user = users[upos]
-            indices: list[int] = []
-            user_sets = admissible.get(user.user_id, [])
-            if not user_sets:
-                by_user[user.user_id] = indices
-                continue
-            # CSR-backed weight row: w(u, S) sums the same doubles the scalar
-            # accessor returns, without per-pair lookups through the instance.
-            # Caller-supplied admissible sets may reach outside the bid list;
-            # those pairs fall back to the scalar accessor.
-            weight_of = instance_index.user_weight_by_event_id(upos)
-            for events in user_sets:
-                weight = sum(
-                    weight_of[event_id]
-                    if event_id in weight_of
-                    else instance.weight(user.user_id, event_id)
-                    for event_id in events
-                )
-                index = lp.add_variable(
-                    f"x[{user.user_id},{','.join(map(str, events))}]",
-                    lower=0.0,
-                    upper=math.inf if implied_upper else 1.0,
-                    objective=weight,
-                    is_integer=integer,
-                )
-                assignments.append((user.user_id, events))
-                indices.append(index)
-                # dict.fromkeys dedupes (caller-supplied sets may repeat an
-                # event) while keeping the order deterministic, so membership
-                # matches the constraint dicts the COO cache is checked
-                # against.
-                for event_id in dict.fromkeys(events):
-                    event_cols[event_id].append(index)
-            by_user[user.user_id] = indices
-            if indices:
-                # (2): at most one admissible set per user.
-                lp.add_constraint(
-                    dict.fromkeys(indices, 1.0),
-                    Sense.LE,
-                    1.0,
-                    name=f"user[{user.user_id}]",
-                )
-                shard_rows.append(indices)
-        emit_chunk(shard_rows)
-
-    event_rows: list[list[int]] = []
-    for event in instance.events:
-        cols = event_cols[event.event_id]
-        if cols:
-            # (3): event capacity over all sets containing it.
-            lp.add_constraint(
-                dict.fromkeys(cols, 1.0),
-                Sense.LE,
-                float(event.capacity),
-                name=f"event[{event.event_id}]",
-            )
-            event_rows.append(cols)
-    emit_chunk(event_rows)
-
-    # Concatenate the per-shard chunks (every coefficient of (2)-(3) is 1.0)
-    # and prime the LP's cache so to_standard_form never re-walks the row
-    # dicts.
-    if chunk_cols:
-        coo_rows = np.concatenate(chunk_rows)
-        coo_cols = np.concatenate(chunk_cols)
-        lp.set_constraints_coo(coo_rows, coo_cols, np.ones(coo_cols.size))
+    # (2): at most one admissible set per user, over the user's contiguous
+    # variable range.  (3): event capacity over all sets containing the
+    # event, variables ascending (a stable sort of the variable-ordered
+    # memberships by event).  Every coefficient is 1.0.
+    user_rows = np.flatnonzero(counts)
+    event_counts = np.bincount(member_vpos, minlength=num_events)
+    event_rows = np.flatnonzero(event_counts)
+    row_lengths = np.concatenate([counts[user_rows], event_counts[event_rows]])
+    cols = np.concatenate(
+        [
+            np.arange(num_vars, dtype=np.int64),
+            member_var[np.argsort(member_vpos, kind="stable")],
+        ]
+    )
+    lp.add_constraints(
+        [f"user[{users[p].user_id}]" for p in user_rows.tolist()]
+        + [f"event[{events[p].event_id}]" for p in event_rows.tolist()],
+        Sense.LE,
+        [1.0] * user_rows.size
+        + [float(events[p].capacity) for p in event_rows.tolist()],
+        np.repeat(np.arange(row_lengths.size, dtype=np.int64), row_lengths),
+        cols,
+        np.ones(cols.size),
+    )
 
     return BenchmarkLP(
         lp=lp, assignments=assignments, by_user=by_user, admissible=admissible

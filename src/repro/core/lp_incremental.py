@@ -42,7 +42,7 @@ from repro.core.admissible import (
     DEFAULT_MAX_SETS_PER_USER,
     enumerate_admissible_sets,
 )
-from repro.core.lp_formulation import BenchmarkLP, build_benchmark_lp
+from repro.core.lp_formulation import BenchmarkLP, build_benchmark_lp, sum_in_order
 from repro.model.delta import Delta
 from repro.model.instance import IGEPAInstance
 from repro.solver.patch import (
@@ -229,7 +229,7 @@ class IncrementalBenchmarkLP:
             upos = new_index.user_pos[user_id]
             weight_of = new_index.user_weight_by_event_id(upos)
             for events in sets:
-                weight = sum(
+                weight = sum_in_order(
                     weight_of[event_id]
                     if event_id in weight_of
                     else successor.weight(user_id, event_id)
@@ -286,7 +286,7 @@ class IncrementalBenchmarkLP:
             weight_of = new_index.user_weight_by_event_id(upos)
             for idx in benchmark.by_user[user_id]:
                 _uid, events = benchmark.assignments[idx]
-                weight = sum(
+                weight = sum_in_order(
                     weight_of[event_id]
                     if event_id in weight_of
                     else successor.weight(user_id, event_id)

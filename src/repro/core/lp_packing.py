@@ -29,6 +29,7 @@ pair survives when an event is oversubscribed.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 
 import numpy as np
@@ -41,12 +42,38 @@ from repro.model.arrangement import Arrangement
 from repro.model.delta import Delta
 from repro.model.instance import IGEPAInstance
 from repro.solver.api import solve_lp
+from repro.solver.result import LPSolution
 
 REPAIR_ORDERS = ("user", "random", "weight")
 
 
 class LPPackingError(RuntimeError):
     """The benchmark LP could not be solved to optimality."""
+
+    @classmethod
+    def from_solution(cls, solution: LPSolution) -> "LPPackingError":
+        """The error for a non-optimal solve, its diagnostics in the message."""
+        message = f"benchmark LP solve failed with status {solution.status.value}"
+        if solution.diagnostics:
+            details = ", ".join(f"{k}={v!r}" for k, v in solution.diagnostics.items())
+            message = f"{message} ({details})"
+        return cls(message)
+
+
+def _running_sums(
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """``np.cumsum`` of each segment ``values[start : start + length]``.
+
+    Segments of one length are stacked into the rows of one 2-D array and
+    accumulated along the rows, left to right as the 1-D ``np.cumsum`` of
+    each segment alone — one NumPy call per distinct length.
+    """
+    cumulative = np.empty_like(values)
+    for length in np.unique(lengths).tolist():
+        cells = starts[lengths == length][:, None] + np.arange(length)
+        cumulative[cells] = np.cumsum(values[cells], axis=1)
+    return cumulative
 
 
 class LPPacking(ArrangementAlgorithm):
@@ -76,10 +103,6 @@ class LPPacking(ArrangementAlgorithm):
             instances differ by one small delta and most of the basis
             carries over.  Only the revised-simplex backends consume the
             hint; it never changes the optimum, only the pivot count.
-        lp_presolve: run this library's presolve before the backend (the
-            default).  HiGHS presolves internally, so large scipy-backed
-            solves can skip the duplicate pass — and its O(nnz) program
-            rebuild — by passing False.
         incremental: maintain one delta-patched benchmark LP across churn
             (:class:`~repro.core.lp_incremental.IncrementalBenchmarkLP`)
             instead of rebuilding per instance.  Feed each churn batch in
@@ -88,7 +111,7 @@ class LPPacking(ArrangementAlgorithm):
             the previous optimal basis (dual simplex for capacity shocks,
             warm primal otherwise).  Solving an instance the chain was not
             advanced onto rebases the chain with a fresh build.  Overrides
-            ``lp_backend``/``warm_start``/``lp_presolve`` for the benchmark
+            ``lp_backend``/``warm_start`` for the benchmark
             solve — the incremental solver owns its own standard form,
             basis and factorization.
 
@@ -107,7 +130,6 @@ class LPPacking(ArrangementAlgorithm):
         max_sets_per_user: int = DEFAULT_MAX_SETS_PER_USER,
         cache_lp: bool = True,
         warm_start: bool = False,
-        lp_presolve: bool = True,
         incremental: bool = False,
     ):
         super().__init__(seed=seed)
@@ -123,7 +145,6 @@ class LPPacking(ArrangementAlgorithm):
         self.max_sets_per_user = max_sets_per_user
         self.cache_lp = cache_lp
         self.warm_start = warm_start
-        self.lp_presolve = lp_presolve
         self.incremental = incremental
         self._incremental_lp: IncrementalBenchmarkLP | None = None
         self._lp_diagnostics: dict | None = None
@@ -148,27 +169,52 @@ class LPPacking(ArrangementAlgorithm):
         """Sample ``S_u`` per user with probability ``α·x*_{u,S}``.
 
         Returns only users that drew a set.  Sampling is independent across
-        users, exactly as the analysis of Theorem 2 requires.
+        users, exactly as the analysis of Theorem 2 requires.  All users are
+        drawn at once: one ``rng.random`` call makes the per-user draws (the
+        same stream as one scalar draw per user with sets, in ``by_user``
+        order), and every sum below is accumulated in the order the scalar
+        ``np.sum``/``np.cumsum`` over the user's own probabilities uses, so
+        the result is bit for bit that of a per-user loop.
         """
-        sampled: dict[int, tuple[int, ...]] = {}
-        for user_id, indices in benchmark.by_user.items():
-            if not indices:
-                continue
-            probabilities = self.alpha * np.clip(x_star[indices], 0.0, 1.0)
-            total = float(probabilities.sum())
-            if total > 1.0:
-                # Constraint (2) bounds the exact sum by 1; anything above is
-                # solver noise, so rescale rather than crash.
-                probabilities /= total
-            draw = rng.random()
-            # First offset whose running sum strictly exceeds the draw —
-            # np.cumsum accumulates left to right, exactly like the scalar
-            # loop it replaces.
-            cumulative = np.cumsum(probabilities)
-            offset = int(np.searchsorted(cumulative, draw, side="right"))
-            if offset < len(indices):
-                sampled[user_id] = benchmark.assignments[indices[offset]][1]
-        return sampled
+        users = [user_id for user_id, indices in benchmark.by_user.items() if indices]
+        if not users:
+            return {}
+        groups = [benchmark.by_user[user_id] for user_id in users]
+        lengths = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        flat = np.fromiter(
+            itertools.chain.from_iterable(groups), dtype=np.int64, count=int(ends[-1])
+        )
+        probabilities = self.alpha * np.clip(x_star[flat], 0.0, 1.0)
+        cumulative = _running_sums(probabilities, starts, lengths)
+        totals = cumulative[ends - 1]
+        # np.sum adds pairwise from 8 elements on, so its total can differ
+        # from the running sum in the last bits — unless at most two entries
+        # are nonzero, when every order adds the same two numbers.  Those
+        # few users take np.sum over a fresh array, as the per-user loop did.
+        nonzero = np.add.reduceat((probabilities != 0.0).astype(np.int64), starts)
+        for k in np.flatnonzero((lengths >= 8) & (nonzero >= 3)).tolist():
+            totals[k] = float(probabilities[starts[k] : ends[k]].copy().sum())
+        over = totals > 1.0
+        if over.any():
+            # Constraint (2) bounds the exact sum by 1; anything above is
+            # solver noise, so rescale rather than crash (x / 1.0 is x).
+            probabilities /= np.repeat(np.where(over, totals, 1.0), lengths)
+            cumulative = _running_sums(probabilities, starts, lengths)
+        draws = rng.random(len(users))
+        # First offset whose running sum strictly exceeds the draw, i.e. the
+        # count of running sums at or below it (they never decrease).
+        offsets = np.add.reduceat(
+            (cumulative <= np.repeat(draws, lengths)).astype(np.int64), starts
+        )
+        drew = np.flatnonzero(offsets < lengths)
+        chosen = flat[starts[drew] + offsets[drew]].tolist()
+        assignments = benchmark.assignments
+        return {
+            users[k]: assignments[index][1]
+            for k, index in zip(drew.tolist(), chosen)
+        }
 
     # ------------------------------------------------------------------
     # Algorithm 1, lines 4-7: capacity repair
@@ -269,9 +315,7 @@ class LPPacking(ArrangementAlgorithm):
             return incremental.benchmark, np.empty(0), 0.0, 0, "none"
         solution = incremental.solve()
         if not solution.is_optimal:
-            raise LPPackingError(
-                f"benchmark LP solve failed with status {solution.status.value}"
-            )
+            raise LPPackingError.from_solution(solution)
         self._lp_diagnostics = solution.diagnostics
         return (
             incremental.benchmark,
@@ -307,13 +351,10 @@ class LPPacking(ArrangementAlgorithm):
             solution = solve_lp(
                 benchmark.lp,
                 backend=self.lp_backend,
-                presolve=self.lp_presolve,
                 warm_start=self._warm_labels if self.warm_start else None,
             )
             if not solution.is_optimal:
-                raise LPPackingError(
-                    f"benchmark LP solve failed with status {solution.status.value}"
-                )
+                raise LPPackingError.from_solution(solution)
             x_star = solution.x
             objective = solution.objective_value
             iterations = solution.iterations

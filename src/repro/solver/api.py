@@ -14,6 +14,11 @@ Backends:
 * ``"scipy"`` — HiGHS via ``scipy.optimize.linprog``.
 * ``"auto"`` — scipy when importable, otherwise revised simplex.
 
+Presolve (:mod:`repro.solver.presolve`) runs only in front of the in-repo
+simplex backends.  HiGHS gets the program as built: it presolves itself and
+handles variable bounds natively, so the in-repo pass would only rebuild the
+program and drop bounds HiGHS solves faster with.
+
 Algorithm-level callers select a backend by name, e.g.
 ``LPPacking(lp_backend="revised-simplex-sparse")`` or
 ``ExactILP(lp_backend="revised-simplex")``.
@@ -88,10 +93,12 @@ def solve_lp(
     Args:
         lp: the program to solve (never mutated).
         backend: one of :data:`BACKENDS`.
-        presolve: run the reduction passes first (recommended; fixed
-            variables and singleton rows are common in branch-and-bound
-            subproblems, and the implied-bound pass is what keeps the wide
-            benchmark LP at ``|U| + |V|`` standard-form rows).
+        presolve: run the reduction passes before an in-repo simplex
+            backend (recommended; fixed variables and singleton rows are
+            common in branch-and-bound subproblems, and the implied-bound
+            pass is what keeps the wide benchmark LP at ``|U| + |V|``
+            standard-form rows).  Ignored when the backend resolves to
+            ``"scipy"``: HiGHS presolves the unchanged program itself.
         warm_start: ``basis_labels`` from a previous solution of a
             structurally similar program; the revised-simplex backends use
             matching labels as a crash basis (presolve keeps variable and
@@ -102,8 +109,9 @@ def solve_lp(
         An :class:`LPSolution` whose ``x`` is aligned with ``lp``'s variables
         and whose objective is in ``lp``'s own sense.
     """
-    solver = _solver_for(backend, warm_start)
-    if not presolve:
+    name = resolve_backend(backend)
+    solver = _solver_for(name, warm_start)
+    if name == "scipy" or not presolve:
         return solver(lp)
 
     reduction = run_presolve(lp)

@@ -1,4 +1,9 @@
-"""LP presolve: cheap reductions applied before any backend runs.
+"""LP presolve: cheap reductions applied before the in-repo simplex backends.
+
+:func:`repro.solver.api.solve_lp` runs these passes only in front of the
+tableau and revised simplex.  The HiGHS backend gets the program unchanged:
+HiGHS presolves internally, and it solves the benchmark LP faster with the
+``x <= 1`` bounds that pass 5 would drop.
 
 Implemented reductions (applied to a fixed point):
 

@@ -13,7 +13,9 @@ benchmark LP touches each variable in at most ``1 + |S|`` rows.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -94,7 +96,7 @@ class LinearProgram:
     constraints: list[Constraint] = field(default_factory=list)
     _names: set[str] = field(default_factory=set, repr=False)
     # Cached COO triplets of the constraint matrix (rows, cols, vals);
-    # invalidated by add_constraint, primed in bulk by set_constraints_coo.
+    # invalidated by add_constraint, primed by add_constraints.
     _coo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
@@ -184,36 +186,123 @@ class LinearProgram:
                 self._var_rows.setdefault(idx, set()).add(row)
         return row
 
-    def set_constraints_coo(
-        self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+    def add_variables(
+        self,
+        names: list[str],
+        *,
+        objective: Sequence[float] | np.ndarray,
+        lower: float = 0.0,
+        upper: float = math.inf,
+        is_integer: bool = False,
     ) -> None:
-        """Prime the COO triplet cache of the constraint matrix.
+        """Fill a program that has no variables yet with one variable per
+        name, all with the same bounds.
 
-        Bulk builders (:func:`repro.core.lp_formulation.build_benchmark_lp`)
-        already hold the constraint matrix as triplet arrays; installing them
-        here lets :func:`~repro.solver.standard_form.to_standard_form` skip
-        re-iterating every coefficient dict.  The triplets must describe
-        exactly the current constraints (checked cheaply by nonzero count).
+        The bulk form of :meth:`add_variable` for builders that hold the
+        objective as an array; variable ``i`` gets ``names[i]`` and
+        ``objective[i]``.
 
         Raises:
-            ValueError: when the triplet count disagrees with the constraints.
+            ValueError: if the program already has variables, on a duplicate
+                name, an objective of another length, or ``lower > upper``.
         """
+        if self.variables:
+            raise ValueError("add_variables fills a program without variables")
+        if lower > upper:
+            raise ValueError(f"variables: lower {lower} > upper {upper}")
+        objective_list = np.asarray(objective, dtype=float).tolist()
+        count = len(names)
+        if len(objective_list) != count:
+            raise ValueError(
+                f"{len(objective_list)} objective entries for {count} variables"
+            )
+        fresh = set(names)
+        if len(fresh) != count:
+            seen: set[str] = set()
+            for name in names:
+                if name in seen:
+                    raise ValueError(f"duplicate variable name {name!r}")
+                seen.add(name)
+        self.variables = list(
+            map(
+                Variable,
+                names,
+                range(count),
+                itertools.repeat(lower, count),
+                itertools.repeat(upper, count),
+                objective_list,
+                itertools.repeat(is_integer, count),
+            )
+        )
+        self._names = fresh
+        self._var_index = None
+        self._var_rows = None
+
+    def add_constraints(
+        self,
+        names: list[str],
+        sense: Sense,
+        rhs: Sequence[float] | np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
+    ) -> None:
+        """Give a program that has no constraints yet one constraint of
+        ``sense`` per name, its nonzero coefficients as COO triplets.
+
+        ``rows`` numbers the constraints in ``names`` order and must be
+        sorted; a ``(row, col)`` pair may appear once.  The triplets also
+        prime the COO cache, so
+        :func:`~repro.solver.standard_form.to_standard_form` and the HiGHS
+        backend never re-read the row dicts.
+
+        Raises:
+            IndexError: if a triplet references an unknown variable.
+            ValueError: if the program already has constraints, on unsorted
+                or out-of-range ``rows``, a zero coefficient, a repeated
+                ``(row, col)`` pair, or lengths that disagree.
+        """
+        if self.constraints:
+            raise ValueError("add_constraints fills a program without constraints")
+        count = len(names)
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
-        nnz = sum(len(c.coefficients) for c in self.constraints)
-        if not (rows.size == cols.size == vals.size == nnz):
-            raise ValueError(
-                f"COO cache has {vals.size} entries; constraints hold {nnz}"
-            )
+        rhs_list = np.asarray(rhs, dtype=float).tolist()
+        if not (rows.size == cols.size == vals.size) or len(rhs_list) != count:
+            raise ValueError("names, rhs and the COO triplets disagree in length")
+        if cols.size:
+            bad = cols[(cols < 0) | (cols >= len(self.variables))]
+            if bad.size:
+                raise IndexError(
+                    f"constraint references unknown variable index {int(bad[0])}"
+                )
+            if rows[0] < 0 or rows[-1] >= count or np.any(np.diff(rows) < 0):
+                raise ValueError(f"rows must be sorted and within [0, {count})")
+            if not vals.all():
+                raise ValueError("coefficients must be nonzero")
+        bounds = np.searchsorted(rows, np.arange(count + 1)).tolist()
+        col_list = cols.tolist()
+        val_list = vals.tolist()
+        coefficients = [
+            dict(zip(col_list[lo:hi], val_list[lo:hi]))
+            for lo, hi in itertools.pairwise(bounds)
+        ]
+        if sum(map(len, coefficients)) != len(col_list):
+            raise ValueError("a (row, col) pair appears more than once")
+        self.constraints = list(
+            map(Constraint, names, coefficients, itertools.repeat(sense, count), rhs_list)
+        )
         self._coo = (rows, cols, vals)
         self._coo_order = None
+        self._con_index = None
+        self._var_rows = None
 
     def constraints_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The constraint matrix as COO triplets ``(rows, cols, vals)``.
 
         Assembled from the per-row coefficient dicts on first use and cached;
-        bulk builders can prime the cache via :meth:`set_constraints_coo`.
+        bulk builders prime the cache through :meth:`add_constraints`.
         """
         if self._coo is None:
             row_arrays: list[np.ndarray] = []

@@ -16,6 +16,9 @@ class SolveStatus(Enum):
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
     NODE_LIMIT = "node_limit"
+    #: The backend stopped without a verdict for another reason (HiGHS
+    #: numerical difficulties); its ``diagnostics`` say why.
+    ERROR = "error"
 
     @property
     def is_optimal(self) -> bool:
@@ -41,7 +44,8 @@ class LPSolution:
         diagnostics: backend-reported solve telemetry (e.g. warm-start label
             match/stale counts and whether the solve fell back to a cold
             start, dual/primal pivot and refactorization counts on the
-            incremental path).  None when the backend reports nothing.
+            incremental path, linprog's ``status`` and ``message`` on the
+            HiGHS backend).  None when the backend reports nothing.
     """
 
     status: SolveStatus

@@ -5,6 +5,12 @@ sweep (|U| = 10000 in Fig. 1b) produces benchmark LPs with tens of thousands
 of columns, where a sparse interior-point/dual-simplex code is the practical
 choice.  This mirrors the paper's use of Gurobi for the same role.
 
+HiGHS receives the program exactly as built: :func:`repro.solver.api.solve_lp`
+runs no in-repo presolve in front of this backend, because HiGHS presolves
+internally and takes variable bounds natively.  Objective, bounds, senses and
+right-hand sides go to ``linprog`` as arrays, and the constraint matrix as
+sparse matrices assembled from the program's COO triplet cache.
+
 scipy is an optional dependency: :func:`scipy_available` reports whether the
 backend can be used, and callers fall back to the from-scratch simplex.
 """
@@ -15,6 +21,14 @@ import numpy as np
 
 from repro.solver.problem import LinearProgram, Sense
 from repro.solver.result import LPSolution, SolveStatus
+
+#: ``linprog`` status codes with a verdict of their own; every other
+#: unsuccessful code (4, numerical difficulties) maps to ``ERROR``.
+_STATUS = {
+    1: SolveStatus.ITERATION_LIMIT,
+    2: SolveStatus.INFEASIBLE,
+    3: SolveStatus.UNBOUNDED,
+}
 
 
 def scipy_available() -> bool:
@@ -28,6 +42,9 @@ def scipy_available() -> bool:
 
 def solve_lp_scipy(lp: LinearProgram) -> LPSolution:
     """Solve ``lp`` with HiGHS via ``scipy.optimize.linprog``.
+
+    The solution's ``diagnostics`` carry linprog's ``status`` code and
+    ``message`` whatever the outcome, so a failure says why HiGHS stopped.
 
     Raises:
         ImportError: when scipy is not installed (check
@@ -75,10 +92,11 @@ def solve_lp_scipy(lp: LinearProgram) -> LPSolution:
     factor = np.where(senses < 0, -1.0, 1.0)
     a_ub, b_ub = build(senses != 0, factor)
     a_eq, b_eq = build(senses == 0, factor)
-    bounds = [
-        (v.lower if np.isfinite(v.lower) else None, v.upper if np.isfinite(v.upper) else None)
-        for v in lp.variables
-    ]
+    # An (n, 2) array with +-inf for absent bounds: linprog's native form,
+    # which skips its per-tuple conversion of a list of (lower, upper) pairs.
+    bounds = np.empty((n, 2), dtype=float)
+    bounds[:, 0] = np.fromiter((v.lower for v in lp.variables), dtype=float, count=n)
+    bounds[:, 1] = np.fromiter((v.upper for v in lp.variables), dtype=float, count=n)
 
     result = linprog(
         c,
@@ -91,13 +109,16 @@ def solve_lp_scipy(lp: LinearProgram) -> LPSolution:
     )
 
     iterations = int(getattr(result, "nit", 0) or 0)
-    if result.status == 2:
-        return LPSolution(SolveStatus.INFEASIBLE, iterations=iterations, backend="scipy-highs")
-    if result.status == 3:
-        return LPSolution(SolveStatus.UNBOUNDED, iterations=iterations, backend="scipy-highs")
+    diagnostics = {
+        "linprog_status": int(result.status),
+        "linprog_message": str(result.message),
+    }
     if not result.success:
         return LPSolution(
-            SolveStatus.ITERATION_LIMIT, iterations=iterations, backend="scipy-highs"
+            _STATUS.get(int(result.status), SolveStatus.ERROR),
+            iterations=iterations,
+            backend="scipy-highs",
+            diagnostics=diagnostics,
         )
     objective = sign * float(result.fun)
     return LPSolution(
@@ -106,4 +127,5 @@ def solve_lp_scipy(lp: LinearProgram) -> LPSolution:
         x=np.asarray(result.x, dtype=float),
         iterations=iterations,
         backend="scipy-highs",
+        diagnostics=diagnostics,
     )

@@ -7,6 +7,7 @@ from repro.core import LPPacking, build_benchmark_lp, lp_upper_bound
 from repro.core.lp_packing import REPAIR_ORDERS, LPPackingError
 from repro.model import Event, IGEPAInstance, MatrixConflict, TabulatedInterest, User
 from repro.social import Graph
+from repro.solver import scipy_available
 from tests.util import random_instance, tiny_instance
 
 
@@ -279,6 +280,25 @@ class TestDiagnostics:
                 algorithm.solve(instance, seed=0)
         finally:
             module.solve_lp = original
+
+
+    @pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
+    def test_highs_numerical_failure_names_linprog_status(self, monkeypatch):
+        import scipy.optimize
+
+        def failing_linprog(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(
+                status=4, success=False, message="Numerical difficulties", nit=3
+            )
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+        algorithm = LPPacking(lp_backend="scipy")
+        with pytest.raises(LPPackingError) as caught:
+            algorithm.solve(random_instance(seed=2, num_users=30, num_events=10), seed=0)
+        message = str(caught.value)
+        assert "status error" in message
+        assert "linprog_status=4" in message
+        assert "Numerical difficulties" in message
 
 
 class TestQuality:

@@ -67,14 +67,27 @@ class TestSolveLP:
         assert solution.status is SolveStatus.INFEASIBLE
         assert solution.backend == "presolve"
 
-    def test_fully_presolved_program(self):
+    @staticmethod
+    def _fixed_variable_lp():
         lp = LinearProgram(maximize=True)
         lp.add_variable("x", lower=2.0, upper=2.0, objective=3.0)
-        solution = solve_lp(lp)
+        return lp
+
+    def test_fully_presolved_program(self):
+        # Presolve runs in front of the in-repo simplex backends only.
+        solution = solve_lp(self._fixed_variable_lp(), backend="simplex")
         assert solution.is_optimal
         assert solution.objective_value == pytest.approx(6.0)
         assert solution.x == pytest.approx([2.0])
         assert solution.backend == "presolve"
+
+    @pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
+    def test_fully_presolved_program_goes_to_highs_unchanged(self):
+        solution = solve_lp(self._fixed_variable_lp(), backend="scipy")
+        assert solution.is_optimal
+        assert solution.objective_value == pytest.approx(6.0)
+        assert solution.x == pytest.approx([2.0])
+        assert solution.backend == "scipy-highs"
 
     def test_solution_x_aligned_with_original_variables(self):
         lp = LinearProgram(maximize=True)
@@ -143,3 +156,40 @@ class TestScipyCrossCheck:
             assert ours.objective_value == pytest.approx(
                 reference.objective_value, abs=1e-6
             )
+
+
+@pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
+class TestHighsFailureReporting:
+    """Each linprog failure code keeps its own meaning, and linprog's status
+    and message ride along in the solution's diagnostics."""
+
+    @pytest.mark.parametrize(
+        "code, status",
+        [
+            (1, SolveStatus.ITERATION_LIMIT),
+            (2, SolveStatus.INFEASIBLE),
+            (3, SolveStatus.UNBOUNDED),
+            (4, SolveStatus.ERROR),
+        ],
+    )
+    def test_linprog_status_mapping(self, monkeypatch, code, status):
+        import scipy.optimize
+
+        def failing_linprog(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(
+                status=code, success=False, message="stub message", nit=7
+            )
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+        solution = solve_lp(_sample_lp(), backend="scipy")
+        assert solution.status is status
+        assert solution.iterations == 7
+        assert solution.diagnostics == {
+            "linprog_status": code,
+            "linprog_message": "stub message",
+        }
+
+    def test_success_carries_linprog_status(self):
+        solution = solve_lp(_sample_lp(), backend="scipy")
+        assert solution.is_optimal
+        assert solution.diagnostics["linprog_status"] == 0

@@ -87,6 +87,85 @@ class TestConstraints:
         assert not c.is_satisfied(np.array([1.1]))
 
 
+class TestBulkConstruction:
+    """add_variables / add_constraints build what the one-at-a-time calls
+    build, with the same checks."""
+
+    def _one_at_a_time(self):
+        lp = LinearProgram()
+        for name, weight in (("a", 1.5), ("b", 2.0), ("c", 0.25)):
+            lp.add_variable(name, upper=1.0, objective=weight)
+        lp.add_constraint({0: 1.0, 2: 3.0}, Sense.LE, 1.0, name="r0")
+        lp.add_constraint({1: 2.0}, Sense.LE, 4.0, name="r1")
+        return lp
+
+    def _bulk(self):
+        lp = LinearProgram()
+        lp.add_variables(["a", "b", "c"], objective=np.array([1.5, 2.0, 0.25]), upper=1.0)
+        lp.add_constraints(
+            ["r0", "r1"],
+            Sense.LE,
+            [1.0, 4.0],
+            rows=np.array([0, 0, 1]),
+            cols=np.array([0, 2, 1]),
+            vals=np.array([1.0, 3.0, 2.0]),
+        )
+        return lp
+
+    def test_same_program_as_one_at_a_time(self):
+        bulk, single = self._bulk(), self._one_at_a_time()
+        assert bulk.variables == single.variables
+        assert bulk.constraints == single.constraints
+        assert bulk._names == single._names
+        assert bulk.variable_index() == single.variable_index()
+        assert bulk.constraint_index() == single.constraint_index()
+        assert bulk.variable_rows() == single.variable_rows()
+
+    def test_constraints_prime_the_coo_cache(self):
+        lp = self._bulk()
+        assert lp._coo is not None
+        for ours, theirs in zip(lp.constraints_coo(), self._one_at_a_time().constraints_coo()):
+            assert np.array_equal(ours, theirs)
+
+    def test_only_fills_an_empty_program(self):
+        lp = self._bulk()
+        with pytest.raises(ValueError, match="without variables"):
+            lp.add_variables(["d"], objective=[1.0])
+        with pytest.raises(ValueError, match="without constraints"):
+            lp.add_constraints(["r2"], Sense.LE, [1.0], [0], [0], [1.0])
+
+    def test_duplicate_name_raises(self):
+        with pytest.raises(ValueError, match="duplicate variable name 'y'"):
+            LinearProgram().add_variables(["x", "y", "y"], objective=[0.0, 0.0, 0.0])
+
+    def test_objective_length_must_match_names(self):
+        lp = LinearProgram()
+        with pytest.raises(ValueError, match="2 objective entries for 3 variables"):
+            lp.add_variables(["x", "y", "z"], objective=[1.0, 2.0])
+        assert lp.variables == [] and lp._names == set()
+
+    def test_inverted_bounds_raise(self):
+        with pytest.raises(ValueError, match="lower"):
+            LinearProgram().add_variables(["x"], objective=[0.0], lower=2.0, upper=1.0)
+
+    def test_bad_triplets_raise(self):
+        def fresh():
+            lp = LinearProgram()
+            lp.add_variables(["a", "b"], objective=[1.0, 1.0])
+            return lp
+
+        with pytest.raises(IndexError, match="unknown variable"):
+            fresh().add_constraints(["r"], Sense.LE, [1.0], [0], [7], [1.0])
+        with pytest.raises(ValueError, match="sorted"):
+            fresh().add_constraints(["r", "s"], Sense.LE, [1.0, 1.0], [1, 0], [0, 1], [1.0, 1.0])
+        with pytest.raises(ValueError, match="nonzero"):
+            fresh().add_constraints(["r"], Sense.LE, [1.0], [0, 0], [0, 1], [1.0, 0.0])
+        with pytest.raises(ValueError, match="more than once"):
+            fresh().add_constraints(["r"], Sense.LE, [1.0], [0, 0], [1, 1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="length"):
+            fresh().add_constraints(["r"], Sense.LE, [1.0, 2.0], [0], [1], [1.0])
+
+
 class TestProgramQueries:
     def _small_lp(self):
         lp = LinearProgram(maximize=True)
