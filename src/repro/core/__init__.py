@@ -26,7 +26,7 @@ from repro.core.analysis import (
 from repro.core.base import ArrangementAlgorithm
 from repro.core.baselines import GGGreedy, RandomU, RandomV
 from repro.core.exact import ExactILP, ExactSolveError
-from repro.core.local_search import LocalSearch, improve
+from repro.core.local_search import LocalSearch, improve, iter_passes
 from repro.core.lp_formulation import BenchmarkLP, build_benchmark_lp
 from repro.core.lp_packing import REPAIR_ORDERS, LPPacking, LPPackingError
 from repro.core.metrics import (
@@ -56,6 +56,7 @@ __all__ = [
     "ExactSolveError",
     "LocalSearch",
     "improve",
+    "iter_passes",
     "repair",
     "apply_with_repair",
     "parallel_repair",

@@ -9,7 +9,9 @@ subset of an admissible set is admissible.
 
 Enumeration is exact: a depth-first walk over the user's bids in sorted order
 that extends only by non-conflicting events, which visits every independent
-set of the bid-conflict graph of size ``≤ c_u`` exactly once.  The paper
+set of the bid-conflict graph of size ``≤ c_u`` exactly once.  The walk
+carries the chosen events as a bitmask over event positions, so each
+extension is one ``conflict_bits[v] & chosen`` test on the index.  The paper
 "assume[s] that a user will not bid for too many events, so the number of
 admissible event sets will be reasonable"; :data:`DEFAULT_MAX_SETS_PER_USER`
 turns a violation of that assumption into a clear error instead of a hang.
@@ -18,8 +20,6 @@ turns a violation of that assumption into a clear error instead of a hang.
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-import numpy as np
 
 from repro.model.entities import User
 from repro.model.instance import IGEPAInstance
@@ -65,25 +65,24 @@ def enumerate_admissible_sets(
         return results
 
     index = instance.index
-    conflict = index.conflict_matrix
+    conflict_bits = index.conflict_bits
     positions = [index.event_pos[event_id] for event_id in bids]
+    masks = [conflict_bits[p] for p in positions]
+    flags = [1 << p for p in positions]
 
-    def extend(start: int, current: list[int], chosen_positions: list[int]) -> None:
+    def extend(start: int, current: list[int], chosen: int) -> None:
         for offset in range(start, len(bids)):
-            row = conflict[positions[offset]]
-            if any(row[p] for p in chosen_positions):
+            if masks[offset] & chosen:
                 continue
             current.append(bids[offset])
-            chosen_positions.append(positions[offset])
             results.append(tuple(current))
             if len(results) > max_sets:
                 raise AdmissibleSetExplosion(user.user_id, max_sets)
             if len(current) < capacity:
-                extend(offset + 1, current, chosen_positions)
+                extend(offset + 1, current, chosen | flags[offset])
             current.pop()
-            chosen_positions.pop()
 
-    extend(0, [], [])
+    extend(0, [], 0)
     return results
 
 
@@ -114,6 +113,9 @@ def is_admissible(
     if not set(events) <= user.bid_set:
         return False
     index = instance.index
+    conflict_bits = index.conflict_bits
     positions = [index.event_pos[event_id] for event_id in events]
-    conflict = index.conflict_matrix
-    return not conflict[np.ix_(positions, positions)].any()
+    chosen = 0
+    for p in positions:
+        chosen |= 1 << p
+    return not any(conflict_bits[p] & chosen for p in positions)

@@ -114,8 +114,9 @@ class GGGreedy(ArrangementAlgorithm):
         load = [0] * index.num_users
         event_cap = index.event_capacity.tolist()
         user_cap = index.user_capacity.tolist()
-        assigned_events: list[list[int]] = [[] for _ in range(index.num_users)]
-        conflict = index.conflict_matrix
+        # Assigned event positions per user, as conflict-bitmask operands.
+        assigned_bits = [0] * index.num_users
+        conflict_bits = index.conflict_bits
         upos_list = upos.tolist()
         vpos_list = vpos.tolist()
         survivors: list[tuple[int, int]] = []
@@ -124,12 +125,11 @@ class GGGreedy(ArrangementAlgorithm):
             j = vpos_list[k]
             if attendance[j] >= event_cap[j] or load[i] >= user_cap[i]:
                 continue
-            row = conflict[j]
-            if any(row[p] for p in assigned_events[i]):
+            if conflict_bits[j] & assigned_bits[i]:
                 continue
             attendance[j] += 1
             load[i] += 1
-            assigned_events[i].append(j)
+            assigned_bits[i] |= 1 << j
             survivors.append((int(event_ids[k]), int(user_ids[k])))
         arrangement = Arrangement.from_pairs(instance, survivors, check=False)
         return arrangement, {"candidate_pairs": index.num_bids}

@@ -17,17 +17,27 @@ search terminates; a pass cap bounds the worst case.  Wrapped as
 
     LocalSearch(RandomU()).solve(instance)   # name: "random-u+ls"
 
-The move scans run on a :class:`_SearchState` snapshot of the instance's
-:class:`~repro.model.index.InstanceIndex` — bid weights, capacities and the
-conflict matrix unpacked into plain Python lists once per ``improve`` call —
-so feasibility probes are scalar lookups instead of the remove/`can_add`/
-re-add cycles of the naive implementation.  Selection order is unchanged:
-first maximum feasible gain in bid order (upgrade) or bidder order (evict).
+The move scans run on a :class:`_SearchState`: capacities and live
+attendance/load mirrors as plain Python lists, plus one bitmask per user of
+the event positions they attend.  Every feasibility probe is
+``conflict_bits[v] & mask`` against the index's per-event conflict bitmasks
+(:attr:`~repro.model.index.BaseInstanceIndex.conflict_bits`), one integer
+operation however many events the user attends.  Each scan first screens
+all of its candidates in one NumPy batch against the state at the start of
+the scan, and only the survivors are probed live, in scan order; on a clean
+arrangement the evict scan also computes every full event's lightest
+attendee and candidate order in that batch.  Selection order is unchanged:
+first feasible bid in bid order (add), first maximum feasible gain in bid
+order (upgrade) or bidder order (evict).
+
+:func:`iter_passes` yields each pass's move counts from one search state,
+so a caller that stops between passes (the serving loop's cancellable
+defrag) keeps the state for the whole search; :func:`improve` drains it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -36,24 +46,22 @@ from repro.model.arrangement import Arrangement
 from repro.model.instance import IGEPAInstance
 
 _MIN_GAIN = 1e-9
+_MOVE_KEYS = ("adds", "refills", "upgrades", "evictions")
 
 
 class _SearchState:
-    """Index data unpacked to Python lists plus live attendance/load mirrors.
+    """The search's view of one arrangement, kept in step with every move.
 
-    ``user_scope`` limits the per-user bid-list unpacking to the users the
-    caller will actually scan (targeted churn repair touches a handful of
-    users out of thousands); the remaining snapshots — ids, capacities, the
-    conflict rows — stay whole because move candidates (evict bidders,
-    upgrade targets) range over the full platform.
+    Holds ids, capacities and live attendance/load mirrors as Python lists,
+    and two per-user caches filled on first use: the user's bid positions
+    and weights, and a bitmask of the event positions assigned to them
+    (built from :meth:`Arrangement.assigned_event_positions`).  The
+    ``apply_*`` moves update the mirrors and masks along with the
+    arrangement, so the state must be the arrangement's only writer while
+    it lives.
     """
 
-    def __init__(
-        self,
-        instance: IGEPAInstance,
-        arrangement: Arrangement,
-        user_scope: Sequence[int] | None = None,
-    ):
+    def __init__(self, instance: IGEPAInstance, arrangement: Arrangement):
         index = instance.index
         self.instance = instance
         self.arrangement = arrangement
@@ -62,34 +70,43 @@ class _SearchState:
         self.event_ids = index.event_ids.tolist()
         self.user_cap = index.user_capacity.tolist()
         self.event_cap = index.event_capacity.tolist()
-        # list when unpacking every user, dict when scoped — both are
-        # indexed as ``user_bid_positions[upos]`` by the move scans.  The
-        # scoped branch slices the CSR arrays per user so cost stays
-        # O(scope's bids), not O(total bids).
-        if user_scope is None:
-            indptr = index.bid_indptr.tolist()
-            positions = index.bid_indices.tolist()
-            weights = index.bid_weights.tolist()
-            self.user_bid_positions = [
-                positions[indptr[i] : indptr[i + 1]] for i in range(index.num_users)
-            ]
-            self.user_bid_weights = [
-                weights[indptr[i] : indptr[i + 1]] for i in range(index.num_users)
-            ]
-        else:
-            indptr = index.bid_indptr
-            self.user_bid_positions = {
-                i: index.bid_indices[indptr[i] : indptr[i + 1]].tolist()
-                for i in user_scope
-            }
-            self.user_bid_weights = {
-                i: index.bid_weights[indptr[i] : indptr[i + 1]].tolist()
-                for i in user_scope
-            }
-        self.conflict_rows = index.conflict_matrix.tolist()
+        self.conflict_bits = index.conflict_bits
         # Mirrors of the arrangement counters, updated at each accepted move.
         self.attendance = arrangement.attendance_counts.tolist()
         self.load = arrangement.load_counts.tolist()
+        self._bids: dict[int, tuple[list[int], list[float]]] = {}
+        self._masks: dict[int, int] = {}
+        self._conflict_words: np.ndarray | None = None
+
+    @property
+    def conflict_words(self) -> np.ndarray:
+        """σ rows as uint64 words (:func:`_packed_words`), for the screens."""
+        if self._conflict_words is None:
+            self._conflict_words = _packed_words(self.index.conflict_matrix)
+        return self._conflict_words
+
+    def bids_of(self, upos: int) -> tuple[list[int], list[float]]:
+        """The user's bid positions and ``w(u, v)``, in bid-list order."""
+        bids = self._bids.get(upos)
+        if bids is None:
+            index = self.index
+            lo, hi = index.bid_indptr[upos], index.bid_indptr[upos + 1]
+            bids = (
+                index.bid_indices[lo:hi].tolist(),
+                index.bid_weights[lo:hi].tolist(),
+            )
+            self._bids[upos] = bids
+        return bids
+
+    def bits_of(self, upos: int) -> int:
+        """Bitmask of the event positions assigned to the user."""
+        mask = self._masks.get(upos)
+        if mask is None:
+            mask = 0
+            for vpos in self.arrangement.assigned_event_positions(upos):
+                mask |= 1 << vpos
+            self._masks[upos] = mask
+        return mask
 
     def pair_weight(self, upos: int, vpos: int) -> float:
         """``w(u, v)`` of an *assigned* pair, tolerating non-bid assignments."""
@@ -98,10 +115,14 @@ class _SearchState:
             return index.weight_at(upos, vpos)
         return self.instance.weight(self.user_ids[upos], self.event_ids[vpos])
 
+    # Each move mutates the arrangement first; ``bits_of`` then either
+    # rebuilds the mask from the updated arrangement or returns the cached
+    # one, and the bit edits below are correct on both.
     def apply_add(self, upos: int, vpos: int) -> None:
         self.arrangement.add(self.event_ids[vpos], self.user_ids[upos], check=False)
         self.attendance[vpos] += 1
         self.load[upos] += 1
+        self._masks[upos] = self.bits_of(upos) | (1 << vpos)
 
     def apply_swap(self, upos: int, old_vpos: int, new_vpos: int) -> None:
         user_id = self.user_ids[upos]
@@ -109,6 +130,7 @@ class _SearchState:
         self.arrangement.add(self.event_ids[new_vpos], user_id, check=False)
         self.attendance[old_vpos] -= 1
         self.attendance[new_vpos] += 1
+        self._masks[upos] = (self.bits_of(upos) & ~(1 << old_vpos)) | (1 << new_vpos)
 
     def apply_evict(self, vpos: int, out_upos: int, in_upos: int) -> None:
         event_id = self.event_ids[vpos]
@@ -116,36 +138,98 @@ class _SearchState:
         self.arrangement.add(event_id, self.user_ids[in_upos], check=False)
         self.load[out_upos] -= 1
         self.load[in_upos] += 1
+        self._masks[out_upos] = self.bits_of(out_upos) & ~(1 << vpos)
+        self._masks[in_upos] = self.bits_of(in_upos) | (1 << vpos)
 
 
-def _try_add_moves(state: _SearchState, user_scan: Sequence[int]) -> int:
+# ----------------------------------------------------------------------
+# Batched screening.  Each scan first screens all of its candidates at once
+# with NumPy against the state at the start of the scan, then probes the
+# survivors live, in the scan's order, with the scalar checks.  A screen
+# only drops candidates that the scalar check would reject when the loop
+# reaches them (the upgrade screen, until the user's first swap), so the
+# moves are the scalar scan's moves.
+# ----------------------------------------------------------------------
+def _csr_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of CSR ``rows``, row by row: each entry's rank in
+    ``rows`` and its index into the CSR entry arrays."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(rows.size), lengths)
+    entries = np.arange(owner.size) + np.repeat(
+        starts - (np.cumsum(lengths) - lengths), lengths
+    )
+    return owner, entries
+
+
+def _packed_words(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows as uint64 words: bit ``p`` of row ``i`` is ``rows[i, p]``."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    words = np.zeros((rows.shape[0], -(-rows.shape[1] // 64)), dtype="<u8")
+    words.view(np.uint8)[:, : packed.shape[1]] = packed
+    return words
+
+
+def _conflicting(
+    state: _SearchState, users: np.ndarray, events: np.ndarray
+) -> np.ndarray:
+    """Whether each user already attends an event conflicting with the
+    paired event — the ``conflict_bits[v] & bits_of(u)`` probe, batched."""
+    if not users.size:
+        return np.zeros(0, dtype=bool)
+    rows, inverse = np.unique(users, return_inverse=True)
+    assigned = _packed_words(state.arrangement.assignment_matrix[rows])
+    return (assigned[inverse] & state.conflict_words[events]).any(axis=1)
+
+
+def _add_screened(
+    state: _SearchState, users: np.ndarray, events: np.ndarray, weights: np.ndarray
+) -> int:
+    """Seat ``(users[k], events[k])`` candidates in order, each if still
+    feasible when reached.
+
+    Screened first, all at once: non-positive weights, users at their load
+    cap, full events, pairs already held and events conflicting with the
+    user's.  Adds only fill seats and loads and only grow users' event
+    sets, so a screened-out pair would be rejected when reached; survivors
+    are probed live.
+    """
     arrangement = state.arrangement
+    index = state.index
+    kept = np.flatnonzero(
+        (weights > _MIN_GAIN)
+        & (arrangement.load_counts[users] < index.user_capacity[users])
+        & (arrangement.attendance_counts[events] < index.event_capacity[events])
+        & ~arrangement.assignment_matrix[users, events]
+    )
+    kept = kept[~_conflicting(state, users[kept], events[kept])]
+
     attendance = state.attendance
     load = state.load
     event_cap = state.event_cap
-    conflict_rows = state.conflict_rows
+    user_cap = state.user_cap
+    conflict_bits = state.conflict_bits
     accepted = 0
-    for upos in user_scan:
-        capacity = state.user_cap[upos]
-        if load[upos] >= capacity:
+    for upos, vpos in zip(users[kept].tolist(), events[kept].tolist()):
+        if load[upos] >= user_cap[upos] or attendance[vpos] >= event_cap[vpos]:
             continue
-        assigned = arrangement.assigned_event_positions(upos)  # live view
-        weights = state.user_bid_weights[upos]
-        for offset, vpos in enumerate(state.user_bid_positions[upos]):
-            if load[upos] >= capacity:
-                break
-            if weights[offset] <= _MIN_GAIN:
-                continue
-            if vpos in assigned:
-                continue
-            if attendance[vpos] >= event_cap[vpos]:
-                continue
-            row = conflict_rows[vpos]
-            if any(row[p] for p in assigned):
-                continue
-            state.apply_add(upos, vpos)
-            accepted += 1
+        mask = state.bits_of(upos)
+        if mask >> vpos & 1 or conflict_bits[vpos] & mask:
+            continue
+        state.apply_add(upos, vpos)
+        accepted += 1
     return accepted
+
+
+def _try_add_moves(state: _SearchState, user_scan: Sequence[int]) -> int:
+    """User-major add moves: each scanned user's bids, in bid-list order."""
+    index = state.index
+    users = np.asarray(user_scan, dtype=np.int64)
+    users = users[state.arrangement.load_counts[users] < index.user_capacity[users]]
+    owner, entries = _csr_entries(index.bid_indptr, users)
+    return _add_screened(
+        state, users[owner], index.bid_indices[entries], index.bid_weights[entries]
+    )
 
 
 def _try_refill_moves(state: _SearchState, event_scan: Sequence[int]) -> int:
@@ -159,72 +243,146 @@ def _try_refill_moves(state: _SearchState, event_scan: Sequence[int]) -> int:
     already covers every candidate (keeping move order — and therefore
     fixed-seed results — unchanged).
     """
-    arrangement = state.arrangement
-    index = state.index
     attendance = state.attendance
-    load = state.load
-    conflict_rows = state.conflict_rows
-    accepted = 0
-    for vpos in event_scan:
-        capacity = state.event_cap[vpos]
-        if attendance[vpos] >= capacity:
+    event_cap = state.event_cap
+    open_events = [vpos for vpos in event_scan if attendance[vpos] < event_cap[vpos]]
+    if not open_events:
+        return 0
+    index = state.index
+    positions = np.asarray(open_events, dtype=np.int64)
+    group, entries = _csr_entries(index.bidder_indptr, positions)
+    return _add_screened(
+        state,
+        index.bidder_indices[entries],
+        positions[group],
+        index.bidder_weights[entries],
+    )
+
+
+def _upgrade_candidates(
+    state: _SearchState, users: np.ndarray
+) -> dict[tuple[int, int], list[int]]:
+    """Screened upgrade targets per ``(user, assigned event)`` pair.
+
+    For each event a user holds, the bids with gain above ``_MIN_GAIN`` that
+    the user does not hold and that conflict with none of the user's other
+    events — in stable descending-gain order, so the first one with a free
+    seat is the scalar scan's first maximum-gain feasible bid.  Pairs with
+    no such bid are left out.  The screen reads only the user's own events,
+    which only the user's own swaps change.
+    """
+    if not users.size:
+        return {}
+    index = state.index
+    assigned = state.arrangement.assignment_matrix
+    rows = assigned[users]
+    row_of_pair, current = np.nonzero(rows)
+    pair_user = users[row_of_pair]
+    # w(u, current): the bid weight, or the instance's weight off the bids.
+    current_weight = index.pair_weights(pair_user, current)
+    for k in np.flatnonzero(~index.pair_bid_mask(pair_user, current)).tolist():
+        current_weight[k] = state.pair_weight(int(pair_user[k]), int(current[k]))
+
+    pair, entries = _csr_entries(index.bid_indptr, pair_user)
+    candidate = index.bid_indices[entries]
+    gain = index.bid_weights[entries] - current_weight[pair]
+    kept = np.flatnonzero(
+        (gain > _MIN_GAIN) & ~assigned[pair_user[pair], candidate]
+    )
+    # The user's other events: the held set with the pair's own event cleared.
+    others = _packed_words(rows)[row_of_pair]
+    others[np.arange(current.size), current >> 6] &= ~(
+        np.uint64(1) << (current & 63).astype(np.uint64)
+    )
+    conflicts = state.conflict_words[candidate[kept]]
+    kept = kept[~(others[pair[kept]] & conflicts).any(axis=1)]
+    kept = kept[np.lexsort((-gain[kept], pair[kept]))]
+
+    pairs = pair[kept]
+    heads = (
+        np.flatnonzero(np.r_[True, pairs[1:] != pairs[:-1]]) if pairs.size else pairs
+    )
+    bounds = heads.tolist() + [pairs.size]
+    targets = candidate[kept].tolist()
+    users_of = pair_user[pairs[heads]].tolist()
+    events_of = current[pairs[heads]].tolist()
+    return {
+        (users_of[k], events_of[k]): targets[bounds[k] : bounds[k + 1]]
+        for k in range(len(users_of))
+    }
+
+
+def _best_upgrade(state: _SearchState, upos: int, current: int) -> int | None:
+    """The scalar upgrade probe: the first bid (in bid-list order) with the
+    maximum gain over ``current`` that is feasible after the swap."""
+    bids, weights = state.bids_of(upos)
+    try:
+        current_weight = weights[bids.index(current)]
+    except ValueError:  # non-bid assignment
+        current_weight = state.pair_weight(upos, current)
+    mask = state.bits_of(upos)
+    others = mask & ~(1 << current)
+    attendance = state.attendance
+    event_cap = state.event_cap
+    conflict_bits = state.conflict_bits
+    best = None
+    best_gain = _MIN_GAIN
+    for offset, candidate in enumerate(bids):
+        gain = weights[offset] - current_weight
+        if gain <= best_gain:
             continue
-        assigned_column = arrangement.assignment_matrix[:, vpos]
-        bidder_weights = index.event_bidder_weights(vpos).tolist()
-        row = conflict_rows[vpos]
-        for offset, bidder in enumerate(index.event_bidder_positions(vpos).tolist()):
-            if attendance[vpos] >= capacity:
-                break
-            if assigned_column[bidder]:
-                continue
-            if bidder_weights[offset] <= _MIN_GAIN:
-                continue
-            if load[bidder] >= state.user_cap[bidder]:
-                continue
-            if any(row[p] for p in arrangement.assigned_event_positions(bidder)):
-                continue
-            state.apply_add(bidder, vpos)
-            accepted += 1
-    return accepted
+        if mask >> candidate & 1:
+            continue
+        if attendance[candidate] >= event_cap[candidate]:
+            continue
+        if conflict_bits[candidate] & others:
+            continue
+        best = candidate
+        best_gain = gain
+    return best
 
 
 def _try_upgrade_moves(state: _SearchState, user_scan: Sequence[int]) -> int:
+    """Upgrade moves, user by user, each user's events in event-id order.
+
+    Targets come from :func:`_upgrade_candidates`, probed live for a free
+    seat (swaps by other users move attendance both ways).  Once a user has
+    swapped, the screen no longer describes their events, and their later
+    events go through the scalar probe.
+    """
+    index = state.index
+    load = state.arrangement.load_counts
+    users = np.unique(np.asarray(user_scan, dtype=np.int64))
+    # Users holding an event and not overloaded (no swap can fix overload).
+    users = users[(load[users] > 0) & (load[users] - 1 < index.user_capacity[users])]
+    ranked = _upgrade_candidates(state, users)
+    screened = {upos for upos, _ in ranked}
+
     arrangement = state.arrangement
     attendance = state.attendance
     event_cap = state.event_cap
-    conflict_rows = state.conflict_rows
     event_ids = state.event_ids
+    swapped: set[int] = set()
     accepted = 0
     for upos in user_scan:
-        assigned = arrangement.assigned_event_positions(upos)  # live view
-        if not assigned:
+        if upos not in screened and upos not in swapped:
             continue
-        if state.load[upos] - 1 >= state.user_cap[upos]:
-            continue  # overloaded user: no swap can be feasible
-        # Scan in event-id order, as the scalar pass did.
-        snapshot = sorted(assigned, key=event_ids.__getitem__)
-        bids = state.user_bid_positions[upos]
-        weights = state.user_bid_weights[upos]
-        for current in snapshot:
-            current_weight = state.pair_weight(upos, current)
-            best = None
-            best_gain = _MIN_GAIN
-            others = [p for p in assigned if p != current]
-            for offset, candidate in enumerate(bids):
-                gain = weights[offset] - current_weight
-                if gain <= best_gain:
-                    continue
-                if candidate in assigned:
-                    continue
-                if attendance[candidate] >= event_cap[candidate]:
-                    continue
-                row = conflict_rows[candidate]
-                if any(row[p] for p in others):
-                    continue
-                best = candidate
-                best_gain = gain
+        assigned = arrangement.assigned_event_positions(upos)  # live view
+        for current in sorted(assigned, key=event_ids.__getitem__):
+            if upos in swapped:
+                best = _best_upgrade(state, upos, current)
+            else:
+                best = next(
+                    (
+                        target
+                        for target in ranked.get((upos, current), ())
+                        if attendance[target] < event_cap[target]
+                    ),
+                    None,
+                )
             if best is not None:
                 state.apply_swap(upos, current, best)
+                swapped.add(upos)
                 accepted += 1
     return accepted
 
@@ -236,61 +394,68 @@ def _try_evict_moves(state: _SearchState, event_scan: Sequence[int]) -> int:
 
 
 def _try_evict_moves_clean(state: _SearchState, event_scan: Sequence[int]) -> int:
-    """Vectorized evict scan for clean arrangements (every pair a bid pair).
+    """Batched evict scan for clean arrangements (every pair a bid pair).
 
     Selects the same moves as the scalar scan: the lightest attendee by
     ``(w(u, v), user_id)`` and the first bidder (in bidder order) carrying
-    the maximum feasible gain — realized here as a stable descending-gain
-    sort probed until the first conflict-feasible candidate.
-    """
-    arrangement = state.arrangement
-    index = state.index
-    conflict_rows = state.conflict_rows
-    assigned = arrangement.assignment_matrix
-    load = arrangement.load_counts
-    user_capacity = index.user_capacity
-    user_ids = index.user_ids
-    # Per-event attendee groups from one nonzero pass: column slices of the
-    # big assignment matrix are strided reads, so gathering them per event
-    # costs O(|U|) each — grouping once is O(pairs).  An eviction only
-    # rewrites its own event's column, and no event repeats within a pass,
-    # so the snapshot stays exact for every event still to scan.
-    pair_rows, pair_cols = np.nonzero(assigned)
-    order = np.argsort(pair_cols, kind="stable")
-    grouped_rows = pair_rows[order]
-    boundaries = np.searchsorted(pair_cols[order], np.arange(index.num_events + 1))
-    accepted = 0
-    for vpos in event_scan:
-        if state.attendance[vpos] < state.event_cap[vpos]:
-            continue  # not full: add moves already cover it
-        if state.attendance[vpos] - 1 >= state.event_cap[vpos]:
-            continue  # over capacity: even after an eviction the event is full
-        attendees = grouped_rows[boundaries[vpos] : boundaries[vpos + 1]]
-        if not attendees.size:
-            continue
-        weights = index.pair_weights(attendees, vpos)
-        order = np.lexsort((user_ids[attendees], weights))
-        lightest = int(attendees[order[0]])
-        lightest_weight = float(weights[order[0]])
+    the maximum feasible gain — realized as a stable descending-gain order
+    probed until the first candidate with a free load slot and no conflict.
 
-        bidders = index.event_bidder_positions(vpos)
-        gains = index.event_bidder_weights(vpos) - lightest_weight
-        mask = (
-            (gains > _MIN_GAIN)
-            & ~assigned[bidders, vpos]
-            & (load[bidders] < user_capacity[bidders])
-        )
-        candidates = bidders[mask]
-        if not candidates.size:
-            continue
-        row = conflict_rows[vpos]
-        # Stable descending-gain order: the first conflict-feasible probe is
-        # the first maximum-feasible-gain bidder of the scalar scan.
-        for k in np.argsort(-gains[mask], kind="stable").tolist():
-            bidder = int(candidates[k])
-            if any(row[p] for p in arrangement.assigned_event_positions(bidder)):
+    Everything but those probes is computed once, up front, for all full
+    events, from the bidder incidence (a clean arrangement seats only
+    bidders).  That is exact: an eviction only rewrites its own event's
+    column, and no event repeats within a pass, so each event's attendees,
+    lightest attendee and candidate gains are the same when the loop
+    reaches it as they were at the start.  Loads and users' assigned
+    events do change, so they are probed live.
+    """
+    attendance = state.attendance
+    event_cap = state.event_cap
+    # Full (and not over capacity): attendance == capacity, with attendees.
+    full = [
+        vpos
+        for vpos in event_scan
+        if attendance[vpos] == event_cap[vpos] and attendance[vpos] > 0
+    ]
+    if not full:
+        return 0
+    index = state.index
+    positions = np.asarray(full, dtype=np.int64)
+    group, entries = _csr_entries(index.bidder_indptr, positions)
+    bidders = index.bidder_indices[entries]
+    weights = index.bidder_weights[entries]
+    attending = state.arrangement.assignment_matrix[bidders, positions[group]]
+
+    # Lightest attendee per event: first of each group in (w, user_id) order.
+    seated = np.flatnonzero(attending)
+    seated = seated[
+        np.lexsort((index.user_ids[bidders[seated]], weights[seated], group[seated]))
+    ]
+    heads = np.ones(seated.size, dtype=bool)
+    heads[1:] = group[seated[1:]] != group[seated[:-1]]
+    lightest_entry = seated[heads]
+    lightest = bidders[lightest_entry].tolist()
+
+    # Candidates per event in stable descending-gain order (lexsort is
+    # stable, so equal gains keep bidder order).
+    gains = weights - weights[lightest_entry][group]
+    candidates = np.flatnonzero(~attending & (gains > _MIN_GAIN))
+    candidates = candidates[np.lexsort((-gains[candidates], group[candidates]))]
+    bounds = np.searchsorted(group[candidates], np.arange(len(full) + 1)).tolist()
+    ranked = bidders[candidates].tolist()
+
+    load = state.load
+    user_cap = state.user_cap
+    conflict_bits = state.conflict_bits
+    accepted = 0
+    for rank, vpos in enumerate(full):
+        conflicts = conflict_bits[vpos]
+        for bidder in ranked[bounds[rank] : bounds[rank + 1]]:
+            if load[bidder] >= user_cap[bidder]:
                 continue
-            state.apply_evict(vpos, lightest, bidder)
+            if conflicts & state.bits_of(bidder):
+                continue
+            state.apply_evict(vpos, lightest[rank], bidder)
             accepted += 1
             break
     return accepted
@@ -300,7 +465,6 @@ def _try_evict_moves_scalar(state: _SearchState, event_scan: Sequence[int]) -> i
     """Reference evict scan; tolerates non-bid pairs via ``pair_weight``."""
     arrangement = state.arrangement
     index = state.index
-    conflict_rows = state.conflict_rows
     accepted = 0
     for vpos in event_scan:
         if state.attendance[vpos] < state.event_cap[vpos]:
@@ -316,18 +480,18 @@ def _try_evict_moves_scalar(state: _SearchState, event_scan: Sequence[int]) -> i
             key=lambda item: (item[1], state.user_ids[item[0]]),
         )
         column = index.weight_column(vpos)
+        flag = 1 << vpos
+        conflicts = state.conflict_bits[vpos]
         best = None
         best_gain = _MIN_GAIN
         for bidder in index.event_bidder_positions(vpos).tolist():
-            if arrangement.assignment_matrix[bidder, vpos]:
-                continue
             gain = float(column[bidder]) - lightest_weight
             if gain <= best_gain:
                 continue
             if state.load[bidder] >= state.user_cap[bidder]:
                 continue
-            row = conflict_rows[vpos]
-            if any(row[p] for p in arrangement.assigned_event_positions(bidder)):
+            mask = state.bits_of(bidder)
+            if mask & flag or conflicts & mask:
                 continue
             best = bidder
             best_gain = gain
@@ -337,15 +501,21 @@ def _try_evict_moves_scalar(state: _SearchState, event_scan: Sequence[int]) -> i
     return accepted
 
 
-def improve(
+def iter_passes(
     instance: IGEPAInstance,
     arrangement: Arrangement,
     max_passes: int = 20,
     user_positions: Sequence[int] | None = None,
     event_positions: Sequence[int] | None = None,
     refill_events: bool = False,
-) -> dict:
-    """Run add/upgrade/evict passes in place until a local optimum.
+) -> Iterator[dict[str, int]]:
+    """Run add/upgrade/evict passes in place, yielding each pass's counts.
+
+    All passes share one :class:`_SearchState`, built when the first pass
+    starts.  The iteration ends after ``max_passes`` passes or after the
+    first pass that moved nothing (that pass is still yielded).  Every pass
+    leaves the arrangement feasible, so a caller may stop between passes;
+    it must not modify the arrangement while the iteration is suspended.
 
     Args:
         instance: the instance the arrangement belongs to.
@@ -360,41 +530,64 @@ def improve(
             ``event_positions`` (see :func:`_try_refill_moves`).  Needed by
             scoped repair; redundant — and off — for full-scope searches.
 
-    Returns:
-        Move counts: ``{"adds": ..., "refills": ..., "upgrades": ...,
-        "evictions": ..., "passes": ...}``.
+    Yields:
+        ``{"adds": ..., "refills": ..., "upgrades": ..., "evictions": ...}``
+        for each pass.
     """
     user_scan = (
         range(instance.index.num_users)
         if user_positions is None
         else sorted(user_positions)
     )
-    state = _SearchState(
-        instance,
-        arrangement,
-        user_scope=None if user_positions is None else user_scan,
-    )
+    state = _SearchState(instance, arrangement)
     event_scan = (
         range(instance.index.num_events)
         if event_positions is None
         else sorted(event_positions)
     )
-    totals = {"adds": 0, "refills": 0, "upgrades": 0, "evictions": 0, "passes": 0}
     for _ in range(max_passes):
-        adds = _try_add_moves(state, user_scan)
-        refills = (
-            _try_refill_moves(state, event_scan) if refill_events else 0
-        )
-        upgrades = _try_upgrade_moves(state, user_scan)
-        evictions = _try_evict_moves(state, event_scan)
-        moved = adds + refills + upgrades + evictions
-        totals["adds"] += adds
-        totals["refills"] += refills
-        totals["upgrades"] += upgrades
-        totals["evictions"] += evictions
+        counts = {
+            "adds": _try_add_moves(state, user_scan),
+            "refills": (
+                _try_refill_moves(state, event_scan) if refill_events else 0
+            ),
+            "upgrades": _try_upgrade_moves(state, user_scan),
+            "evictions": _try_evict_moves(state, event_scan),
+        }
+        yield counts
+        if not any(counts.values()):
+            return
+
+
+def improve(
+    instance: IGEPAInstance,
+    arrangement: Arrangement,
+    max_passes: int = 20,
+    user_positions: Sequence[int] | None = None,
+    event_positions: Sequence[int] | None = None,
+    refill_events: bool = False,
+) -> dict:
+    """Run add/upgrade/evict passes in place until a local optimum.
+
+    Drains :func:`iter_passes` (same arguments) and sums its counts.
+
+    Returns:
+        Move counts: ``{"adds": ..., "refills": ..., "upgrades": ...,
+        "evictions": ..., "passes": ...}``.
+    """
+    totals = dict.fromkeys(_MOVE_KEYS, 0)
+    totals["passes"] = 0
+    for counts in iter_passes(
+        instance,
+        arrangement,
+        max_passes=max_passes,
+        user_positions=user_positions,
+        event_positions=event_positions,
+        refill_events=refill_events,
+    ):
+        for key in _MOVE_KEYS:
+            totals[key] += counts[key]
         totals["passes"] += 1
-        if moved == 0:
-            break
     return totals
 
 

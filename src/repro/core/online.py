@@ -165,8 +165,9 @@ class OnlineGreedy(_OnlineAlgorithm):
 
     The admissible-set enumeration — the exponential part of an arrival —
     is cached per user behind a content fingerprint of everything the
-    enumeration reads: the user's capacity, their bid list, and the
-    conflict submatrix over their bid events.  Any churn that changes the
+    enumeration reads: the user's capacity, their bid list, their bid
+    events' positions and the conflict bitmasks restricted to those
+    positions.  Any churn that changes the
     enumeration (re-bids, capacity shocks, conflict toggles among the
     user's events) changes the fingerprint and misses the cache, so no
     explicit invalidation wiring is needed for correctness;
@@ -208,11 +209,16 @@ class OnlineGreedy(_OnlineAlgorithm):
             )
         index = instance.index
         event_pos = index.event_pos
-        positions = [event_pos[event_id] for event_id in user.bids]
+        conflict_bits = index.conflict_bits
+        positions = tuple(event_pos[event_id] for event_id in user.bids)
+        bid_mask = 0
+        for p in positions:
+            bid_mask |= 1 << p
         fingerprint = (
             user.capacity,
             user.bids,
-            index.conflict_matrix[np.ix_(positions, positions)].tobytes(),
+            positions,
+            tuple(conflict_bits[p] & bid_mask for p in positions),
         )
         cached = self._set_cache.get(user.user_id)
         if cached is not None and cached[0] == fingerprint:

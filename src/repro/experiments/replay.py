@@ -65,7 +65,8 @@ def index_parity_mismatches(
     Bit-identity is checked with ``np.array_equal`` on equal dtypes — for
     float arrays that is IEEE-754 equality, which the delta layer guarantees
     by copying surviving entries and recomputing new ones with the
-    constructor's own expressions.
+    constructor's own expressions.  The conflict bitmasks (a tuple of
+    Python ints, not an array) are compared as ``"conflict_bits"``.
     """
     if type(patched) is not type(fresh):
         return ["__class__"]
@@ -75,6 +76,8 @@ def index_parity_mismatches(
         b = getattr(fresh, name)
         if a.dtype != b.dtype or a.shape != b.shape or not np.array_equal(a, b):
             mismatches.append(name)
+    if patched.conflict_bits != fresh.conflict_bits:
+        mismatches.append("conflict_bits")
     return mismatches
 
 

@@ -186,9 +186,9 @@ class Arrangement:
                 if explain
                 else ""
             )
-        row = index.conflict_matrix[vpos]
+        conflicts = index.conflict_bits[vpos]
         for assigned in self._user_events[upos]:
-            if row[assigned]:
+            if conflicts >> assigned & 1:
                 return (
                     f"conflict constraint: events {event_id} and "
                     f"{int(index.event_ids[assigned])} conflict for user {user_id}"

@@ -29,7 +29,10 @@ Everything position-based is common to both:
 * ``bidder_indptr`` / ``bidder_indices`` / ``bidder_weights`` — the
   transposed incidence by event, in instance user order (matching
   ``IGEPAInstance.bidders``);
-* ``conflict_matrix`` — boolean σ over event positions (zero diagonal);
+* ``conflict_matrix`` — boolean σ over event positions (zero diagonal),
+  and ``conflict_bits``, the same relation as one Python int per event
+  position (bit ``p`` of ``conflict_bits[v]`` is σ(v, p)), which scalar
+  feasibility probes test against a set of positions in one ``&``;
 * ``degrees``, ``user_capacity``, ``event_capacity`` — per-entity vectors;
 * the pair accessors (:meth:`BaseInstanceIndex.is_bid_pair`,
   :meth:`~BaseInstanceIndex.pair_weights`, ...) and the shard iterator
@@ -56,6 +59,7 @@ enforces this end to end).
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Iterator
 
@@ -128,6 +132,17 @@ def validated_interest(
             "requires [0, 1]"
         )
     return value
+
+
+def conflict_bitmasks(conflict_matrix: np.ndarray) -> tuple[int, ...]:
+    """σ rows as Python ints: bit ``p`` of entry ``v`` is σ(v, p).
+
+    A set of event positions is then an int too, and "does ``v`` conflict
+    with any of them" is one ``conflict_bits[v] & mask`` instead of a scan
+    over the set.
+    """
+    packed = np.packbits(conflict_matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 class IndexShard:
@@ -219,7 +234,7 @@ class BaseInstanceIndex:
         "bidder_weights",
     )
 
-    instance: "IGEPAInstance"
+    _instance_ref: "weakref.ref[IGEPAInstance]"
     user_ids: np.ndarray
     event_ids: np.ndarray
     user_pos: dict[int, int]
@@ -231,6 +246,26 @@ class BaseInstanceIndex:
     bid_indptr: np.ndarray
     bid_indices: np.ndarray
     bid_si: np.ndarray
+    conflict_bits: tuple[int, ...]
+
+    @property
+    def instance(self) -> "IGEPAInstance":
+        """The indexed instance.
+
+        Held through a weak reference: the instance caches its index, so a
+        strong one back would put every instance and its index — dense
+        arrays included — in a reference cycle that only the cyclic garbage
+        collector frees, and superseded instances would pile up between its
+        runs.
+        """
+        instance = self._instance_ref()
+        if instance is None:
+            raise ReferenceError("the indexed instance no longer exists")
+        return instance
+
+    @instance.setter
+    def instance(self, instance: "IGEPAInstance") -> None:
+        self._instance_ref = weakref.ref(instance)
 
     # ------------------------------------------------------------------
     # Shared construction
@@ -329,6 +364,9 @@ class BaseInstanceIndex:
         num_users = self.user_ids.size
         # float32 copy for the BLAS-backed bulk conflict audit.
         self.conflict_f32 = self.conflict_matrix.astype(np.float32)
+        #: σ per event position as a bitmask over event positions
+        #: (:func:`conflict_bitmasks`) — the scalar probes' representation.
+        self.conflict_bits = conflict_bitmasks(self.conflict_matrix)
         beta = self.instance.beta
         #: Row expansion of the CSR: the user position of each bid pair,
         #: aligned with ``bid_indices``.
@@ -416,12 +454,14 @@ class BaseInstanceIndex:
         vpos = np.asarray(vpos, dtype=np.int64)
         keys = upos * np.int64(max(1, self.num_events)) + vpos
         sorted_keys = self._pair_sorted_keys
+        if not sorted_keys.size:  # no bids: no pair is a bid pair
+            return (
+                np.zeros(keys.shape, dtype=np.int64),
+                np.zeros(keys.shape, dtype=bool),
+            )
         slots = np.searchsorted(sorted_keys, keys)
-        slots_clipped = np.minimum(slots, max(0, sorted_keys.size - 1))
-        if sorted_keys.size:
-            found = sorted_keys[slots_clipped] == keys
-        else:
-            found = np.zeros(keys.shape, dtype=bool)
+        slots_clipped = np.minimum(slots, sorted_keys.size - 1)
+        found = sorted_keys[slots_clipped] == keys
         entries = np.where(found, self._pair_sorted_entries[slots_clipped], 0)
         return entries, found
 

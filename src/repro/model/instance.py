@@ -404,7 +404,8 @@ class IGEPAInstance:
         ) * self.degree(user_id)
 
     def conflicts(self, event_id: int, other_id: int) -> bool:
-        """σ between two events by id — a conflict-matrix lookup."""
+        """σ between two events by id — one bit of the index's conflict
+        bitmasks."""
         if event_id == other_id:
             return False
         index = self.index
@@ -414,7 +415,7 @@ class IGEPAInstance:
         second = index.event_pos.get(other_id)
         if second is None:
             raise KeyError(other_id)
-        return bool(index.conflict_matrix[first, second])
+        return bool(index.conflict_bits[first] >> second & 1)
 
     def bidders(self, event_id: int) -> list[int]:
         """``N_v``: ids of users who bid for the event, in instance order."""
@@ -428,14 +429,14 @@ class IGEPAInstance:
         """Conflicting pairs among the user's bids (the graph whose
         independent sets are the admissible event sets)."""
         index = self.index
-        matrix = index.conflict_matrix
+        conflict_bits = index.conflict_bits
         positions = [index.event_pos[event_id] for event_id in user.bids]
         bids = user.bids
         edges = []
         for i, first in enumerate(bids):
-            row = matrix[positions[i]]
+            row = conflict_bits[positions[i]]
             for j in range(i + 1, len(bids)):
-                if row[positions[j]]:
+                if row >> positions[j] & 1:
                     edges.append((first, bids[j]))
         return edges
 

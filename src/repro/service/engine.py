@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.base import ArrangementAlgorithm
 from repro.core.baselines import GGGreedy
-from repro.core.local_search import LocalSearch, improve
+from repro.core.local_search import LocalSearch, improve, iter_passes
 from repro.core.lp_packing import LPPacking
 from repro.core.online import OnlineGreedy, _OnlineAlgorithm
 from repro.core.repair import repair as targeted_repair
@@ -253,26 +253,20 @@ class TickEngine:
     def iter_defrag_passes(self, result: DeltaResult) -> Iterator[dict]:
         """Full-scope improvement, one pass per iteration.
 
-        Yields each pass's move counts so the asyncio loop can insert a
-        cancellation point between passes; every pass leaves the
-        arrangement feasible (all moves are feasibility-checked), so
-        abandoning the generator mid-defrag is always safe.  Driving it to
-        exhaustion selects exactly the moves of one
-        ``improve(max_passes=N)`` call: the pass scans depend only on the
-        arrangement state, which each pass leaves exactly where a combined
-        run's pass would.
+        Yields each pass's move counts from
+        :func:`~repro.core.local_search.iter_passes` — one search state for
+        the whole defrag — so the asyncio loop can insert a cancellation
+        point between passes; every pass leaves the arrangement feasible
+        (all moves are feasibility-checked), so abandoning the iteration
+        mid-defrag is always safe.  Driving it to exhaustion selects
+        exactly the moves of one ``improve(max_passes=N)`` call.  The
+        search state mirrors the arrangement, so nothing else may modify
+        it while the iteration is suspended: the serving loop settles its
+        background pipeline before a new tick touches the arrangement.
         """
-        for _ in range(self.max_passes):
-            counts = improve(result.instance, self.arrangement, max_passes=1)
-            moved = (
-                counts["adds"]
-                + counts["refills"]
-                + counts["upgrades"]
-                + counts["evictions"]
-            )
-            yield counts
-            if moved == 0:
-                break
+        return iter_passes(
+            result.instance, self.arrangement, max_passes=self.max_passes
+        )
 
     def adopt_lp(
         self,

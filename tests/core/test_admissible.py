@@ -2,7 +2,9 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     AdmissibleSetExplosion,
@@ -172,3 +174,117 @@ class TestIsAdmissible:
         instance = tiny_instance()
         assert is_admissible(instance, instance.user_by_id[11], [1, 3])
         assert is_admissible(instance, instance.user_by_id[11], [3])
+
+
+# ----------------------------------------------------------------------
+# The bitmask walk against the row-scan walk it replaced
+# ----------------------------------------------------------------------
+def _row_scan_sets(instance, user, max_sets):
+    """The earlier enumeration: each extension scans σ rows over the
+    chosen positions.  Raises like the real one, on the same set."""
+    bids = sorted(user.bids)
+    results = []
+    if user.capacity == 0 or not bids:
+        return results
+    conflict = instance.index.conflict_matrix
+    positions = [instance.index.event_pos[event_id] for event_id in bids]
+
+    def extend(start, current, chosen):
+        for offset in range(start, len(bids)):
+            row = conflict[positions[offset]]
+            if any(row[p] for p in chosen):
+                continue
+            current.append(bids[offset])
+            chosen.append(positions[offset])
+            results.append(tuple(current))
+            if len(results) > max_sets:
+                raise AdmissibleSetExplosion(user.user_id, max_sets)
+            if len(current) < user.capacity:
+                extend(offset + 1, current, chosen)
+            current.pop()
+            chosen.pop()
+
+    extend(0, [], [])
+    return results
+
+
+@st.composite
+def conflict_graphs(draw):
+    """One user over a random conflict graph (event ids out of position
+    order, bids in random order)."""
+    num_events = draw(st.integers(min_value=1, max_value=70))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    event_ids = [int(e) for e in rng.permutation(num_events) * 5 + 2]
+    density = draw(st.sampled_from((0.0, 0.1, 0.3, 0.7, 1.0)))
+    conflicts = [
+        pair for pair in itertools.combinations(event_ids, 2) if rng.random() < density
+    ]
+    count = draw(st.integers(min_value=0, max_value=min(12, num_events)))
+    bids = tuple(int(e) for e in rng.permutation(event_ids)[:count])
+    user = User(
+        user_id=9, capacity=draw(st.integers(min_value=0, max_value=6)), bids=bids
+    )
+    instance = IGEPAInstance(
+        [Event(event_id=e, capacity=1) for e in event_ids],
+        [user],
+        MatrixConflict(conflicts),
+        TabulatedInterest({}, default=0.5),
+        Graph(nodes=[9]),
+    )
+    return instance, user
+
+
+class TestAgainstRowScan:
+    @settings(max_examples=150, deadline=None)
+    @given(conflict_graphs())
+    def test_same_sets_in_the_same_order(self, graph):
+        instance, user = graph
+        cap = 10**6
+        expected = _row_scan_sets(instance, user, cap)
+        assert enumerate_admissible_sets(instance, user, cap) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(conflict_graphs(), st.integers(min_value=0, max_value=300))
+    def test_explosion_trips_on_the_same_set(self, graph, cap):
+        """Both walks visit the same sets in the same order and raise right
+        after appending set number ``cap + 1``: raising at exactly the same
+        caps means they trip on the same set."""
+        instance, user = graph
+        total = len(_row_scan_sets(instance, user, 10**6))
+        for max_sets in {cap, max(0, total - 1), total}:
+            if max_sets < total:
+                with pytest.raises(AdmissibleSetExplosion):
+                    _row_scan_sets(instance, user, max_sets)
+                with pytest.raises(AdmissibleSetExplosion, match="user 9"):
+                    enumerate_admissible_sets(instance, user, max_sets)
+            else:
+                assert enumerate_admissible_sets(
+                    instance, user, max_sets
+                ) == _row_scan_sets(instance, user, max_sets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(conflict_graphs())
+    def test_scalar_probes_match_the_matrix(self, graph):
+        """``is_admissible`` and ``bid_conflict_edges`` read the bitmasks;
+        check them against σ read straight off the matrix."""
+        instance, user = graph
+        index = instance.index
+        matrix = index.conflict_matrix
+        pos = index.event_pos
+        bids = user.bids
+        assert instance.bid_conflict_edges(user) == [
+            (a, b)
+            for i, a in enumerate(bids)
+            for b in bids[i + 1 :]
+            if matrix[pos[a], pos[b]]
+        ]
+        for size in range(0, min(len(bids), 3) + 1):
+            for combo in itertools.combinations(bids, size):
+                positions = [pos[e] for e in combo]
+                expected = (
+                    0 < size <= user.capacity
+                    and not matrix[np.ix_(positions, positions)].any()
+                )
+                assert is_admissible(instance, user, combo) == expected
+                for a, b in itertools.combinations(combo, 2):
+                    assert instance.conflicts(a, b) == bool(matrix[pos[a], pos[b]])

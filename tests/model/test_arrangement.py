@@ -81,6 +81,37 @@ class TestConflictConstraint:
         with pytest.raises(ArrangementError, match="conflict constraint"):
             arrangement.add(2, 5)
 
+    def test_conflict_message_names_the_first_assigned_conflict(self):
+        """Several assigned events conflict: the message names the one the
+        user was given first."""
+        from repro.model import (
+            Event,
+            IGEPAInstance,
+            MatrixConflict,
+            TabulatedInterest,
+            User,
+        )
+        from repro.social import Graph
+
+        events = [Event(event_id=e, capacity=1) for e in (1, 2, 3, 4)]
+        users = [User(user_id=5, capacity=4, bids=(1, 2, 3, 4))]
+        instance = IGEPAInstance(
+            events,
+            users,
+            MatrixConflict([(4, 3), (4, 2)]),
+            TabulatedInterest({}, default=0.5),
+            Graph(nodes=[5]),
+        )
+        arrangement = Arrangement(instance)
+        for event_id in (3, 1, 2):
+            arrangement.add(event_id, 5)
+        with pytest.raises(
+            ArrangementError,
+            match="conflict constraint: events 4 and 3 conflict for user 5",
+        ):
+            arrangement.add(4, 5)
+        assert not arrangement.can_add(4, 5)
+
 
 class TestMutationBookkeeping:
     def test_duplicate_pair_rejected(self, instance):

@@ -24,6 +24,28 @@ class TestConstruction:
         assert isinstance(index, InstanceIndex)
         assert instance.index is index
 
+    def test_index_does_not_keep_its_instance_alive(self):
+        """The back-reference is weak: dropping the instance frees it and
+        its index at once, without waiting for the cycle collector."""
+        import gc
+        import weakref
+
+        instance = random_instance(seed=1)
+        index = instance.index
+        assert index.instance is instance
+        instance_ref = weakref.ref(instance)
+        gc.disable()
+        try:
+            del instance
+            assert instance_ref() is None
+            with pytest.raises(ReferenceError):
+                index.instance
+            index_ref = weakref.ref(index)
+            del index
+            assert index_ref() is None
+        finally:
+            gc.enable()
+
     def test_shapes(self):
         index = tiny_instance().index
         assert index.num_users == 4
@@ -187,3 +209,72 @@ class TestRandomizedProperties:
         assert np.array_equal(
             index.bid_weights, index.W[upos, index.bid_indices]
         )
+
+
+class TestConflictBits:
+    """``conflict_bits``: σ as one Python int per event position."""
+
+    @staticmethod
+    def _assert_matches_matrix(index):
+        matrix = index.conflict_matrix
+        assert len(index.conflict_bits) == index.num_events
+        for v, bits in enumerate(index.conflict_bits):
+            assert bits >> index.num_events == 0
+            assert [bool(bits >> p & 1) for p in range(index.num_events)] == (
+                matrix[v].tolist()
+            )
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_bits_match_the_matrix(self, sharded):
+        for seed in range(4):
+            instance = random_instance(seed=seed, num_events=70)
+            instance.configure_index(sharded=sharded, shard_size=3)
+            self._assert_matches_matrix(instance.index)
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_patched_bits_equal_a_fresh_build_after_churn(self, sharded):
+        """Conflict toggles, event openings and closings, batch after batch."""
+        from repro.datagen import (
+            ChurnConfig,
+            SyntheticConfig,
+            generate_churn_trace,
+            generate_synthetic,
+        )
+        from repro.experiments.replay import fresh_index_like, index_parity_mismatches
+        from repro.model.delta import apply_delta
+
+        instance = generate_synthetic(
+            SyntheticConfig(num_users=120, num_events=24), seed=5
+        )
+        instance.configure_index(sharded=sharded, shard_size=17)
+        trace = generate_churn_trace(
+            instance,
+            ChurnConfig(
+                num_batches=6,
+                event_open_rate=2.0,
+                event_close_rate=2.0,
+                conflict_toggle_rate=6.0,
+            ),
+            seed=6,
+        )
+        toggled = opened_or_closed = 0
+        for delta in trace.deltas:
+            toggled += len(delta.add_conflicts) + len(delta.remove_conflicts)
+            opened_or_closed += len(delta.add_events) + len(delta.remove_events)
+            instance = apply_delta(instance, delta).instance
+            patched = instance.index
+            fresh = fresh_index_like(patched, instance)
+            assert patched.conflict_bits == fresh.conflict_bits
+            assert index_parity_mismatches(patched, fresh) == []
+            self._assert_matches_matrix(patched)
+        assert toggled and opened_or_closed
+
+    def test_parity_check_reports_a_flipped_bit(self):
+        from repro.experiments.replay import fresh_index_like, index_parity_mismatches
+
+        instance = random_instance(seed=2)
+        patched = fresh_index_like(instance.index, instance)
+        bits = list(patched.conflict_bits)
+        bits[1] ^= 1 << 3
+        patched.conflict_bits = tuple(bits)
+        assert index_parity_mismatches(patched, instance.index) == ["conflict_bits"]

@@ -149,3 +149,18 @@ def test_empty_instance_sharded_index():
     assert index.num_shards == 1
     assert list(index.iter_shards())[0].num_users == 0
     assert index.pair_weights(np.empty(0, dtype=int), np.empty(0, dtype=int)).size == 0
+
+
+def test_pair_lookups_without_bids():
+    """With no bid entries at all, every pair is a non-bid pair."""
+    instance = IGEPAInstance(
+        events=[Event(event_id=1, capacity=1)],
+        users=[User(user_id=7, capacity=1, bids=())],
+        conflict=MatrixConflict([]),
+        interest=TabulatedInterest({}),
+        social=empty_graph([7]),
+    )
+    index = ShardedInstanceIndex(instance)
+    assert not index.is_bid_pair(0, 0)
+    assert index.weight_at(0, 0) == 0.0
+    assert index.pair_weights(np.array([0]), np.array([0])).tolist() == [0.0]
