@@ -12,13 +12,13 @@ import time
 from benchmarks.conftest import BENCH_SEED, write_report
 from repro.core import build_benchmark_lp
 from repro.datagen import SyntheticConfig, generate_synthetic
-from repro.solver import scipy_available, solve_lp
+from repro.solver import solve_lp
 
 #: Sized so the dense tableau stays in memory: ~60 users yield a few hundred
 #: LP columns.  Production sweeps use HiGHS on tens of thousands of columns.
 CONFIG = SyntheticConfig(num_events=25, num_users=60)
 
-BACKENDS = ["simplex", "revised-simplex"] + (["scipy"] if scipy_available() else [])
+BACKENDS = ["simplex", "revised-simplex", "scipy"]
 
 
 def _run_ablation():

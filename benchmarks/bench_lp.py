@@ -2,7 +2,7 @@
 
 Times every from-scratch backend on a fixed-seed ladder of benchmark LPs
 (1)-(4) plus a wide random packing LP, cross-checks all optimal objectives
-against each other (and scipy when available) to 1e-6, and records the
+against each other and scipy (HiGHS) to 1e-6, and records the
 results as ``benchmarks/output/BENCH_lp.json`` so the perf trajectory
 accumulates across PRs.
 
@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.lp_formulation import build_benchmark_lp
 from repro.datagen import SyntheticConfig, generate_synthetic
 from repro.experiments.persistence import write_bench_artifact
-from repro.solver import LinearProgram, Sense, scipy_available, solve_lp
+from repro.solver import LinearProgram, Sense, solve_lp
 
 #: Backends timed on every instance.  ``simplex`` is the dense tableau — the
 #: reference dense backend the sparse revised simplex is gated against.
@@ -103,15 +103,14 @@ def run_bench(
                 "iterations": solution.iterations,
             }
             objectives[backend] = solution.objective_value
-        if scipy_available():
-            start = time.perf_counter()
-            reference = solve_lp(lp, backend="scipy")
-            row["scipy"] = {
-                "seconds": round(time.perf_counter() - start, 4),
-                "objective": reference.objective_value,
-                "iterations": reference.iterations,
-            }
-            objectives["scipy"] = reference.objective_value
+        start = time.perf_counter()
+        reference = solve_lp(lp, backend="scipy")
+        row["scipy"] = {
+            "seconds": round(time.perf_counter() - start, 4),
+            "objective": reference.objective_value,
+            "iterations": reference.iterations,
+        }
+        objectives["scipy"] = reference.objective_value
         spread = max(objectives.values()) - min(objectives.values())
         assert spread < 1e-6 * max(1.0, abs(max(objectives.values()))), (
             f"objective mismatch on {name}: {objectives}"
@@ -139,7 +138,6 @@ def run_bench(
     report = {
         "seed": seed,
         "quick": quick,
-        "scipy_available": scipy_available(),
         "instances": rows,
         "largest_benchmark_instance": largest["instance"],
         "largest_speedup_vs_tableau": largest["speedup_vs_tableau"],

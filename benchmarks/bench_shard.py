@@ -82,7 +82,6 @@ from repro.model import (
     ShardedInstanceIndex,
     User,
 )
-from repro.solver.scipy_backend import scipy_available
 
 NUM_USERS = 50_000
 NUM_EVENTS = 500
@@ -179,20 +178,16 @@ def run_scale_gate(seed: int) -> dict:
     gg_ls_seconds = time.perf_counter() - started
     assert gg_ls.arrangement.is_feasible()
 
-    lp_row = None
-    if scipy_available():
-        started = time.perf_counter()
-        lp = LPPacking(alpha=1.0, lp_backend="scipy", cache_lp=False).solve(
-            instance, seed=seed
-        )
-        lp_seconds = time.perf_counter() - started
-        assert lp.arrangement.is_feasible()
-        lp_row = {
-            "seconds": lp_seconds,
-            "utility": lp.utility,
-            "lp_variables": lp.details["num_variables"],
-            "lp_backend": lp.details["lp_backend"],
-        }
+    started = time.perf_counter()
+    lp = LPPacking(alpha=1.0, cache_lp=False).solve(instance, seed=seed)
+    lp_seconds = time.perf_counter() - started
+    assert lp.arrangement.is_feasible()
+    lp_row = {
+        "seconds": lp_seconds,
+        "utility": lp.utility,
+        "lp_variables": lp.details["num_variables"],
+        "lp_backend": lp.details["lp_backend"],
+    }
 
     peak_mb = _rss_mb()
     dense_matrix_mb = DENSE_BYTES_PER_CELL * NUM_USERS * NUM_EVENTS / 1e6
@@ -219,7 +214,7 @@ def run_scale_gate(seed: int) -> dict:
     print(
         f"scale: |U|={NUM_USERS} |V|={NUM_EVENTS} shards="
         f"{index.num_shards}x{index.shard_size} gg+ls={gg_ls_seconds:.1f}s "
-        f"lp={'skipped' if lp_row is None else format(lp_row['seconds'], '.1f') + 's'} "
+        f"lp={lp_seconds:.1f}s "
         f"peak delta {peak_delta_mb:.0f}MB < gate {gate_delta_mb:.0f}MB "
         f"(instance {instance_mb:.0f}MB + dense matrices {dense_matrix_mb:.0f}MB)"
     )
@@ -394,21 +389,17 @@ def _columnar_gate_impl(seed: int) -> dict:
     # The budget is read here: everything the columnar layer owns has run.
     peak_delta_mb = _rss_mb() - baseline_mb
 
-    lp_row = None
-    if scipy_available():
-        started = time.perf_counter()
-        lp = LPPacking(alpha=1.0, lp_backend="scipy", cache_lp=False).solve(
-            instance, seed=seed
-        )
-        lp_seconds = time.perf_counter() - started
-        assert lp.arrangement.is_feasible()
-        lp_row = {
-            "seconds": lp_seconds,
-            "utility": lp.utility,
-            "lp_variables": lp.details["num_variables"],
-            "lp_backend": lp.details["lp_backend"],
-            "peak_with_lp_mb": _rss_mb() - baseline_mb,
-        }
+    started = time.perf_counter()
+    lp = LPPacking(alpha=1.0, cache_lp=False).solve(instance, seed=seed)
+    lp_seconds = time.perf_counter() - started
+    assert lp.arrangement.is_feasible()
+    lp_row = {
+        "seconds": lp_seconds,
+        "utility": lp.utility,
+        "lp_variables": lp.details["num_variables"],
+        "lp_backend": lp.details["lp_backend"],
+        "peak_with_lp_mb": _rss_mb() - baseline_mb,
+    }
 
     row = {
         "num_users": COLUMNAR_USERS,
@@ -433,7 +424,7 @@ def _columnar_gate_impl(seed: int) -> dict:
     print(
         f"columnar: |U|={COLUMNAR_USERS} build={build_seconds:.1f}s "
         f"gg+ls={gg_ls_seconds:.1f}s replay={replay_seconds:.1f}s "
-        f"lp={'skipped' if lp_row is None else format(lp_row['seconds'], '.1f') + 's'} "
+        f"lp={lp_seconds:.1f}s "
         f"spilled={spilled_bytes / 1e6:.0f}MB peak delta {peak_delta_mb:.0f}MB "
         f"< budget {COLUMNAR_BUDGET_MB:.0f}MB < objects-first floor "
         f"{extrapolated_object_mb:.0f}MB"

@@ -27,7 +27,8 @@ Subpackages
 ``repro.social``
     Social-network substrate (graphs, generators, metrics).
 ``repro.solver``
-    From-scratch LP/ILP solver substrate plus an optional scipy backend.
+    LP/ILP solver substrate: HiGHS (via scipy) by default, plus the
+    from-scratch simplex backends.
 ``repro.datagen``
     Synthetic (Table I) and Meetup-like dataset generators.
 ``repro.experiments``

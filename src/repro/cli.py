@@ -18,6 +18,13 @@ Subcommands:
 * ``metrics`` — the perf-trajectory pipeline: ingest report artifacts
   into the cross-run JSONL history, render trend reports, and gate CI on
   regression rules (see ``repro.metrics``).
+
+``replay``, ``simulate`` and ``serve`` share their flags through parent
+parsers: the platform and churn flags are declared once for all three, the
+engine and dynamics flags once for ``simulate`` and ``serve``.  One helper
+builds the platform and its churn trace (:func:`_churn_trace`), and one
+builds the :class:`~repro.service.engine.TickEngine` options
+(:func:`_engine_options`).
 """
 
 from __future__ import annotations
@@ -31,9 +38,10 @@ from repro.core.exact import ExactILP
 from repro.core.local_search import LocalSearch
 from repro.core.lp_packing import LPPacking
 from repro.core.online import OnlineGreedy, OnlineRandom
-from repro.datagen.churn import ChurnConfig, generate_churn_trace
+from repro.datagen.churn import ChurnConfig, ChurnTrace, generate_churn_trace
 from repro.datagen.meetup import MeetupConfig, generate_meetup
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
+from repro.experiments.persistence import save_report
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.replay import format_replay_table, replay_trace
 from repro.experiments.simulate import (
@@ -52,6 +60,36 @@ ALGORITHMS = {
     "random-u": lambda args: RandomU(),
     "random-v": lambda args: RandomV(),
     "exact": lambda args: ExactILP(),
+}
+
+REPLAY_ALGORITHMS = {
+    "gg": lambda: GGGreedy(),
+    "gg+ls": lambda: LocalSearch(GGGreedy()),
+    "random-u": lambda: RandomU(),
+    "random-u+ls": lambda: LocalSearch(RandomU()),
+    # LP-packing as the full re-solve baseline.
+    "lp-packing": lambda: LPPacking(alpha=1.0),
+}
+
+ONLINE_ALGORITHMS = {
+    "online-greedy": lambda: OnlineGreedy(),
+    "online-random": lambda: OnlineRandom(),
+}
+
+ADMISSION_POLICIES = ["admit-all", "reject", "degrade", "queue"]
+
+#: Churn flag destination -> :class:`ChurnConfig` field.  A subcommand that
+#: does not declare a flag keeps the config's default for that field.
+_CHURN_FLAGS = {
+    "batches": "num_batches",
+    "arrival_rate": "user_arrival_rate",
+    "departure_rate": "user_departure_rate",
+    "rebid_rate": "rebid_rate",
+    "drift_rate": "drift_rate",
+    "capacity_shock_rate": "capacity_shock_rate",
+    "user_capacity_shock_rate": "user_capacity_shock_rate",
+    "burst_every": "burst_every",
+    "burst_shrink": "burst_capacity_shrink_fraction",
 }
 
 
@@ -114,21 +152,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-REPLAY_ALGORITHMS = {
-    "gg": lambda: GGGreedy(),
-    "gg+ls": lambda: LocalSearch(GGGreedy()),
-    "random-u": lambda: RandomU(),
-    "random-u+ls": lambda: LocalSearch(RandomU()),
-    # LP-packing as the full re-solve baseline; the warm variant threads
-    # each batch's final simplex basis into the next re-solve.
-    "lp-packing": lambda: LPPacking(alpha=1.0),
-    "lp-packing-warm": lambda: LPPacking(
-        alpha=1.0, lp_backend="revised-simplex", warm_start=True
-    ),
-}
+def _churn_trace(args: argparse.Namespace) -> ChurnTrace:
+    """The synthetic platform and churn trace the flags describe.
 
-
-def _cmd_replay(args: argparse.Namespace) -> int:
+    ``--shards`` is applied to the initial instance before the trace is
+    generated from it.
+    """
     synthetic = SyntheticConfig(
         num_events=args.events,
         num_users=args.users,
@@ -137,42 +166,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     instance = generate_synthetic(synthetic, seed=args.seed)
     _configure_shards(instance, args.shards)
     config = ChurnConfig(
-        num_batches=args.batches,
-        user_arrival_rate=args.arrival_rate,
-        user_departure_rate=args.departure_rate,
-        rebid_rate=args.rebid_rate,
         event_open_rate=args.event_rate,
         event_close_rate=args.event_rate,
-        burst_every=args.burst_every,
         # Churned entities (new events' conflicts, new users' bid shapes)
         # sample from the same config as the initial instance.
         base=synthetic,
+        **{
+            field: getattr(args, dest)
+            for dest, field in _CHURN_FLAGS.items()
+            if hasattr(args, dest)
+        },
     )
-    trace = generate_churn_trace(instance, config, seed=args.seed + 1)
-    report = replay_trace(
-        trace,
-        algorithm=REPLAY_ALGORITHMS[args.algorithm](),
-        seed=args.seed,
-        compare_full=not args.no_full,
-        check_parity=args.check_parity,
-        workers=args.workers,
-    )
-    print(format_replay_table(report))
-    if args.check_parity:
-        print(f"index parity (bit-identical): {report.all_parity}")
-    if args.out:
-        from repro.experiments.persistence import save_report
-
-        save_report(report, args.out)
-        print(f"report written to {args.out}")
-    # A failed parity check must fail the command, not just print False.
-    return 0 if (not args.check_parity or report.all_parity) else 1
-
-
-ONLINE_ALGORITHMS = {
-    "online-greedy": lambda: OnlineGreedy(),
-    "online-random": lambda: OnlineRandom(),
-}
+    return generate_churn_trace(instance, config, seed=args.seed + 1)
 
 
 def _build_defrag(args: argparse.Namespace) -> DefragSchedule:
@@ -183,55 +188,50 @@ def _build_defrag(args: argparse.Namespace) -> DefragSchedule:
     return DefragSchedule()
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    synthetic = SyntheticConfig(
-        num_events=args.events,
-        num_users=args.users,
-        conflict_probability=args.pcf,
-    )
-    instance = generate_synthetic(synthetic, seed=args.seed)
-    _configure_shards(instance, args.shards)
-    config = ChurnConfig(
-        num_batches=args.batches,
-        user_arrival_rate=args.arrival_rate,
-        user_departure_rate=args.departure_rate,
-        rebid_rate=args.rebid_rate,
-        event_open_rate=args.event_rate,
-        event_close_rate=args.event_rate,
-        drift_rate=args.drift_rate,
-        capacity_shock_rate=args.capacity_shock_rate,
-        user_capacity_shock_rate=args.user_capacity_shock_rate,
-        burst_every=args.burst_every,
-        burst_capacity_shrink_fraction=args.burst_shrink,
-        base=synthetic,
-    )
-    trace = generate_churn_trace(instance, config, seed=args.seed + 1)
-    report = simulate(
-        trace,
-        online=ONLINE_ALGORITHMS[args.algorithm](),
-        seed=args.seed,
-        defrag=_build_defrag(args),
-        oracle=REPLAY_ALGORITHMS[args.oracle](),
-        oracle_every=args.oracle_every,
-        defrag_lp=not args.no_defrag_lp,
-        defrag_lp_backend=args.defrag_lp_backend,
-        defrag_lp_incremental=args.defrag_lp_incremental,
-        workers=args.workers,
-        check_parity=args.check_parity,
-    )
-    print(format_simulation_table(report))
+def _engine_options(args: argparse.Namespace) -> dict:
+    """``TickEngine`` keyword options from the simulate/serve flags."""
+    return {
+        "online": ONLINE_ALGORITHMS[args.algorithm](),
+        "seed": args.seed,
+        "defrag": _build_defrag(args),
+        "oracle": REPLAY_ALGORITHMS[args.oracle](),
+        "oracle_every": args.oracle_every,
+        "defrag_lp": not args.no_defrag_lp,
+        "defrag_lp_incremental": args.defrag_lp_incremental,
+        "check_parity": args.check_parity,
+    }
+
+
+def _finish(args: argparse.Namespace, report) -> int:
+    """Print the parity verdict, write ``--out``; the parity exit code."""
     if args.check_parity:
         print(f"index parity (bit-identical): {report.all_parity}")
     if args.out:
-        from repro.experiments.persistence import save_report
-
         save_report(report, args.out)
         print(f"report written to {args.out}")
     # A failed parity check must fail the command, not just print False.
     return 0 if (not args.check_parity or report.all_parity) else 1
 
 
-ADMISSION_POLICIES = ["admit-all", "reject", "degrade", "queue"]
+def _cmd_replay(args: argparse.Namespace) -> int:
+    report = replay_trace(
+        _churn_trace(args),
+        algorithm=REPLAY_ALGORITHMS[args.algorithm](),
+        seed=args.seed,
+        compare_full=not args.no_full,
+        check_parity=args.check_parity,
+        workers=args.workers,
+    )
+    print(format_replay_table(report))
+    return _finish(args, report)
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    report = simulate(
+        _churn_trace(args), workers=args.workers, **_engine_options(args)
+    )
+    print(format_simulation_table(report))
+    return _finish(args, report)
 
 
 def _build_admission(args: argparse.Namespace):
@@ -255,7 +255,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # Lazy: the service stack (asyncio loop, wire format) is only needed
     # here.
     from repro.datagen.churn import generate_request_trace
-    from repro.experiments.persistence import save_report
     from repro.experiments.reporting import format_serve_table
     from repro.service import ServiceConfig, TickEngine, VirtualClock, serve_requests
     from repro.service.wire import request_from_dict, response_to_dict
@@ -267,21 +266,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         defrag_grace=args.defrag_grace,
     )
 
-    def build_engine(initial):
-        _configure_shards(initial, args.shards)
+    def build_engine(initial: IGEPAInstance) -> TickEngine:
         return TickEngine(
             initial,
-            online=ONLINE_ALGORITHMS[args.algorithm](),
-            seed=args.seed,
-            defrag=_build_defrag(args),
-            oracle=REPLAY_ALGORITHMS[args.oracle](),
-            oracle_every=args.oracle_every,
-            defrag_lp=not args.no_defrag_lp,
-            defrag_lp_backend=args.defrag_lp_backend,
-            defrag_lp_incremental=args.defrag_lp_incremental,
-            check_parity=args.check_parity,
             clock=VirtualClock(),
             switching_penalty=args.switching_penalty,
+            **_engine_options(args),
         )
 
     if args.stdin:
@@ -289,6 +279,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("--stdin requires --instance INSTANCE.json", file=sys.stderr)
             return 2
         instance = IGEPAInstance.load(args.instance)
+        _configure_shards(instance, args.shards)
         requests = (
             request_from_dict(json.loads(line))
             for line in sys.stdin
@@ -301,27 +292,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(json.dumps(response_to_dict(response)))
         print(format_serve_table(report), file=sys.stderr)
     else:
-        synthetic = SyntheticConfig(
-            num_events=args.events,
-            num_users=args.users,
-            conflict_probability=args.pcf,
-        )
-        instance = generate_synthetic(synthetic, seed=args.seed)
-        churn = ChurnConfig(
-            num_batches=args.batches,
-            user_arrival_rate=args.arrival_rate,
-            user_departure_rate=args.departure_rate,
-            rebid_rate=args.rebid_rate,
-            event_open_rate=args.event_rate,
-            event_close_rate=args.event_rate,
-            drift_rate=args.drift_rate,
-            capacity_shock_rate=args.capacity_shock_rate,
-            burst_every=args.burst_every,
-            base=synthetic,
-        )
-        trace = generate_churn_trace(instance, churn, seed=args.seed + 1)
         request_trace = generate_request_trace(
-            trace, batch_seconds=args.batch_seconds, seed=args.seed + 2
+            _churn_trace(args), batch_seconds=args.batch_seconds, seed=args.seed + 2
         )
         report, _responses = serve_requests(
             build_engine(request_trace.initial),
@@ -329,14 +301,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             config=config,
         )
         print(format_serve_table(report))
-    if args.check_parity:
-        print(f"index parity (bit-identical): {report.all_parity}")
-    if args.out:
-        save_report(report, args.out)
-        print(f"report written to {args.out}")
-    if not report.all_feasible:
-        return 1
-    return 0 if (not args.check_parity or report.all_parity) else 1
+    code = _finish(args, report)
+    return code if report.all_feasible else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -356,6 +322,108 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(forwarded)
 
 
+def _platform_flags(shards: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The synthetic platform and its churn: replay, simulate and serve."""
+    group = argparse.ArgumentParser(add_help=False, parents=[shards])
+    group.add_argument("--users", type=int, default=2000, help="initial |U|")
+    group.add_argument("--events", type=int, default=200, help="initial |V|")
+    group.add_argument("--seed", type=int, default=0)
+    group.add_argument("--pcf", type=float, default=0.3, help="conflict probability")
+    group.add_argument(
+        "--arrival-rate", type=float, default=20.0, help="user arrivals/batch"
+    )
+    group.add_argument(
+        "--departure-rate", type=float, default=20.0, help="user departures/batch"
+    )
+    group.add_argument("--rebid-rate", type=float, default=40.0, help="re-bids/batch")
+    group.add_argument(
+        "--event-rate", type=float, default=1.0, help="event opens and closes/batch"
+    )
+    group.add_argument(
+        "--burst-every",
+        type=int,
+        default=0,
+        help="every k-th batch is an adversarial burst (0: never)",
+    )
+    group.add_argument(
+        "--check-parity",
+        action="store_true",
+        help="verify the patched index equals a from-scratch build per batch",
+    )
+    group.add_argument("--out", help="also write the report as JSON")
+    return group
+
+
+def _engine_flags() -> argparse.ArgumentParser:
+    """The tick engine and the platform dynamics: simulate and serve."""
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument(
+        "--batches", type=int, default=20, help="churn batches (simulation ticks)"
+    )
+    group.add_argument(
+        "--algorithm",
+        choices=sorted(ONLINE_ALGORITHMS),
+        default="online-greedy",
+        help="online policy serving each tick's arrivals",
+    )
+    group.add_argument(
+        "--oracle",
+        choices=sorted(REPLAY_ALGORITHMS),
+        default="gg+ls",
+        help="full re-solve algorithm behind the retention curve",
+    )
+    group.add_argument(
+        "--oracle-every",
+        type=int,
+        default=5,
+        help="run the oracle every k-th tick (0: never)",
+    )
+    group.add_argument(
+        "--defrag",
+        choices=["none", "periodic", "retention"],
+        default="none",
+        help="defragmentation schedule",
+    )
+    group.add_argument(
+        "--defrag-period",
+        type=int,
+        default=10,
+        help="ticks between periodic defrags",
+    )
+    group.add_argument(
+        "--defrag-threshold",
+        type=float,
+        default=0.95,
+        help="retention fraction that trips the retention schedule",
+    )
+    group.add_argument(
+        "--no-defrag-lp",
+        action="store_true",
+        help="skip the LP-packing re-solve during defrag passes",
+    )
+    group.add_argument(
+        "--defrag-lp-incremental",
+        action="store_true",
+        help=(
+            "maintain the defrag LP as one delta-patched program re-solved "
+            "from the previous basis (dual simplex for capacity shocks)"
+        ),
+    )
+    group.add_argument(
+        "--drift-rate",
+        type=float,
+        default=20.0,
+        help="existing bid pairs re-sampling their SI value per batch",
+    )
+    group.add_argument(
+        "--capacity-shock-rate",
+        type=float,
+        default=2.0,
+        help="events re-sampling their capacity per batch",
+    )
+    return group
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="igepa",
@@ -365,6 +433,24 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    # Parent parsers: each flag on them is declared once and shared by the
+    # subcommands built with them.
+    shards = argparse.ArgumentParser(add_help=False)
+    shards.add_argument(
+        "--shards",
+        type=int,
+        default=0,
+        help="partition users into N index shards (0: size heuristic)",
+    )
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="shard-parallel repair across N worker processes (0: serial)",
+    )
+    platform = _platform_flags(shards)
+    engine = _engine_flags()
 
     sub = subparsers.add_parser("list", help="list registered experiments")
     sub.set_defaults(func=_cmd_list)
@@ -386,29 +472,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--pdeg", type=float, default=0.5, help="friend probability")
     sub.set_defaults(func=_cmd_generate)
 
-    sub = subparsers.add_parser("solve", help="run one algorithm on a saved instance")
+    sub = subparsers.add_parser(
+        "solve", parents=[shards], help="run one algorithm on a saved instance"
+    )
     sub.add_argument("instance", help="instance JSON written by 'generate'")
     sub.add_argument(
         "--algorithm", choices=sorted(ALGORITHMS), default="lp-packing"
     )
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--alpha", type=float, default=1.0, help="LP-packing alpha")
-    sub.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="partition users into N index shards (0: size heuristic)",
-    )
     sub.set_defaults(func=_cmd_solve)
 
     sub = subparsers.add_parser(
         "replay",
+        parents=[platform, workers],
         help="churn a synthetic instance: incremental repair vs full recompute",
     )
-    sub.add_argument("--users", type=int, default=2000, help="initial |U|")
-    sub.add_argument("--events", type=int, default=200, help="initial |V|")
     sub.add_argument("--batches", type=int, default=10, help="churn batches")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument(
         "--algorithm",
         choices=sorted(REPLAY_ALGORITHMS),
@@ -416,136 +496,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="base solver (initial arrangement + full-recompute side)",
     )
     sub.add_argument(
-        "--arrival-rate", type=float, default=20.0, help="user arrivals/batch"
-    )
-    sub.add_argument(
-        "--departure-rate", type=float, default=20.0, help="user departures/batch"
-    )
-    sub.add_argument("--rebid-rate", type=float, default=40.0, help="re-bids/batch")
-    sub.add_argument(
-        "--event-rate", type=float, default=1.0, help="event opens and closes/batch"
-    )
-    sub.add_argument(
-        "--burst-every",
-        type=int,
-        default=0,
-        help="every k-th batch is an adversarial burst (0: never)",
-    )
-    sub.add_argument("--pcf", type=float, default=0.3, help="conflict probability")
-    sub.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="partition users into N index shards (0: size heuristic)",
-    )
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard-parallel repair across N worker processes (0: serial)",
-    )
-    sub.add_argument(
         "--no-full",
         action="store_true",
         help="skip the full-recompute comparison side",
     )
-    sub.add_argument(
-        "--check-parity",
-        action="store_true",
-        help="verify the patched index equals a from-scratch build per batch",
-    )
-    sub.add_argument("--out", help="also write the report as JSON")
     sub.set_defaults(func=_cmd_replay)
 
     sub = subparsers.add_parser(
         "simulate",
+        parents=[platform, engine, workers],
         help=(
             "dynamic platform: online arrivals under churn, capacity/interest "
             "deltas and a defragmentation schedule"
         ),
-    )
-    sub.add_argument("--users", type=int, default=2000, help="initial |U|")
-    sub.add_argument("--events", type=int, default=200, help="initial |V|")
-    sub.add_argument("--batches", type=int, default=20, help="simulation ticks")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument(
-        "--algorithm",
-        choices=sorted(ONLINE_ALGORITHMS),
-        default="online-greedy",
-        help="online policy serving each tick's arrivals",
-    )
-    sub.add_argument(
-        "--oracle",
-        choices=sorted(REPLAY_ALGORITHMS),
-        default="gg+ls",
-        help="full re-solve algorithm behind the retention curve",
-    )
-    sub.add_argument(
-        "--oracle-every",
-        type=int,
-        default=5,
-        help="run the oracle every k-th tick (0: never)",
-    )
-    sub.add_argument(
-        "--defrag",
-        choices=["none", "periodic", "retention"],
-        default="none",
-        help="defragmentation schedule",
-    )
-    sub.add_argument(
-        "--defrag-period",
-        type=int,
-        default=10,
-        help="ticks between periodic defrags",
-    )
-    sub.add_argument(
-        "--defrag-threshold",
-        type=float,
-        default=0.95,
-        help="retention fraction that trips the retention schedule",
-    )
-    sub.add_argument(
-        "--no-defrag-lp",
-        action="store_true",
-        help="skip the warm-started LP re-solve during defrag passes",
-    )
-    sub.add_argument(
-        "--defrag-lp-backend",
-        default="auto",
-        help=(
-            "LP backend for the defrag re-solve (auto prefers scipy/HiGHS; "
-            "revised-simplex consumes the warm-start basis)"
-        ),
-    )
-    sub.add_argument(
-        "--defrag-lp-incremental",
-        action="store_true",
-        help=(
-            "maintain the defrag LP as one delta-patched program re-solved "
-            "from the previous basis (dual simplex for capacity shocks)"
-        ),
-    )
-    sub.add_argument(
-        "--arrival-rate", type=float, default=20.0, help="user arrivals/tick"
-    )
-    sub.add_argument(
-        "--departure-rate", type=float, default=20.0, help="user departures/tick"
-    )
-    sub.add_argument("--rebid-rate", type=float, default=40.0, help="re-bids/tick")
-    sub.add_argument(
-        "--event-rate", type=float, default=1.0, help="event opens and closes/tick"
-    )
-    sub.add_argument(
-        "--drift-rate",
-        type=float,
-        default=20.0,
-        help="existing bid pairs re-sampling their SI value per tick",
-    )
-    sub.add_argument(
-        "--capacity-shock-rate",
-        type=float,
-        default=2.0,
-        help="events re-sampling their capacity per tick",
     )
     sub.add_argument(
         "--user-capacity-shock-rate",
@@ -554,100 +517,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="users re-sampling their capacity per tick",
     )
     sub.add_argument(
-        "--burst-every",
-        type=int,
-        default=0,
-        help="every k-th tick is an adversarial burst (0: never)",
-    )
-    sub.add_argument(
         "--burst-shrink",
         type=float,
         default=0.2,
         help="fraction of events a burst halves the capacity of",
     )
-    sub.add_argument("--pcf", type=float, default=0.3, help="conflict probability")
-    sub.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="partition users into N index shards (0: size heuristic)",
-    )
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard-parallel repair across N worker processes (0: serial)",
-    )
-    sub.add_argument(
-        "--check-parity",
-        action="store_true",
-        help="verify the patched index equals a from-scratch build per tick",
-    )
-    sub.add_argument("--out", help="also write the report as JSON")
     sub.set_defaults(func=_cmd_simulate)
 
     sub = subparsers.add_parser(
         "serve",
+        parents=[platform, engine],
         help=(
             "arrangement as a service: asyncio loop with micro-batching, "
             "admission control and latency SLOs"
-        ),
-    )
-    sub.add_argument("--users", type=int, default=2000, help="initial |U|")
-    sub.add_argument("--events", type=int, default=200, help="initial |V|")
-    sub.add_argument(
-        "--batches", type=int, default=20, help="churn batches behind the trace"
-    )
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument(
-        "--algorithm",
-        choices=sorted(ONLINE_ALGORITHMS),
-        default="online-greedy",
-        help="online policy serving admitted arrivals",
-    )
-    sub.add_argument(
-        "--oracle",
-        choices=sorted(REPLAY_ALGORITHMS),
-        default="gg+ls",
-        help="full re-solve algorithm behind the retention curve",
-    )
-    sub.add_argument(
-        "--oracle-every",
-        type=int,
-        default=5,
-        help="run the oracle every k-th tick (0: never)",
-    )
-    sub.add_argument(
-        "--defrag",
-        choices=["none", "periodic", "retention"],
-        default="none",
-        help="defragmentation schedule (background, cancellable)",
-    )
-    sub.add_argument(
-        "--defrag-period", type=int, default=10, help="ticks between defrags"
-    )
-    sub.add_argument(
-        "--defrag-threshold",
-        type=float,
-        default=0.95,
-        help="retention fraction that trips the retention schedule",
-    )
-    sub.add_argument(
-        "--no-defrag-lp",
-        action="store_true",
-        help="skip the warm-started LP re-solve during defrag passes",
-    )
-    sub.add_argument(
-        "--defrag-lp-backend",
-        default="auto",
-        help="LP backend for the defrag re-solve",
-    )
-    sub.add_argument(
-        "--defrag-lp-incremental",
-        action="store_true",
-        help=(
-            "maintain the defrag LP as one delta-patched program re-solved "
-            "from the previous basis (dual simplex for capacity shocks)"
         ),
     )
     sub.add_argument(
@@ -702,46 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="decision-time window of one generated churn batch",
     )
     sub.add_argument(
-        "--arrival-rate", type=float, default=20.0, help="user arrivals/batch"
-    )
-    sub.add_argument(
-        "--departure-rate", type=float, default=20.0, help="user departures/batch"
-    )
-    sub.add_argument("--rebid-rate", type=float, default=40.0, help="re-bids/batch")
-    sub.add_argument(
-        "--event-rate", type=float, default=1.0, help="event opens and closes/batch"
-    )
-    sub.add_argument(
-        "--drift-rate",
-        type=float,
-        default=20.0,
-        help="existing bid pairs re-sampling their SI value per batch",
-    )
-    sub.add_argument(
-        "--capacity-shock-rate",
-        type=float,
-        default=2.0,
-        help="events re-sampling their capacity per batch",
-    )
-    sub.add_argument(
-        "--burst-every",
-        type=int,
-        default=0,
-        help="every k-th batch is an adversarial burst (0: never)",
-    )
-    sub.add_argument("--pcf", type=float, default=0.3, help="conflict probability")
-    sub.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="partition users into N index shards (0: size heuristic)",
-    )
-    sub.add_argument(
-        "--check-parity",
-        action="store_true",
-        help="verify the patched index equals a from-scratch build per tick",
-    )
-    sub.add_argument(
         "--stdin",
         action="store_true",
         help=(
@@ -753,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--instance",
         help="instance JSON written by 'generate' (required with --stdin)",
     )
-    sub.add_argument("--out", help="also write the serve report as JSON")
     sub.set_defaults(func=_cmd_serve)
 
     sub = subparsers.add_parser(

@@ -21,14 +21,13 @@ from repro.solver.api import solve_lp
 
 def lp_upper_bound(
     instance: IGEPAInstance,
-    backend: str = "auto",
     max_sets_per_user: int = DEFAULT_MAX_SETS_PER_USER,
 ) -> float:
     """The benchmark-LP optimum — a valid upper bound on OPT (Lemma 1)."""
     benchmark = build_benchmark_lp(instance, max_sets_per_user=max_sets_per_user)
     if benchmark.lp.num_variables == 0:
         return 0.0
-    solution = solve_lp(benchmark.lp, backend=backend)
+    solution = solve_lp(benchmark.lp)
     if not solution.is_optimal:
         raise RuntimeError(
             f"benchmark LP solve failed with status {solution.status.value}"

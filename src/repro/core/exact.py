@@ -29,7 +29,6 @@ class ExactILP(ArrangementAlgorithm):
     """Optimal IGEPA arrangements by branch-and-bound (small instances only).
 
     Args:
-        lp_backend: LP backend for the relaxations.
         max_nodes: branch-and-bound node cap; exceeding it raises
             :class:`ExactSolveError` unless ``allow_gap`` is set.
         allow_gap: return the incumbent (with its gap in ``details``) instead
@@ -41,13 +40,11 @@ class ExactILP(ArrangementAlgorithm):
 
     def __init__(
         self,
-        lp_backend: str = "auto",
         max_nodes: int = 200_000,
         allow_gap: bool = False,
         max_sets_per_user: int = DEFAULT_MAX_SETS_PER_USER,
     ):
         super().__init__(seed=None)
-        self.lp_backend = lp_backend
         self.max_nodes = max_nodes
         self.allow_gap = allow_gap
         self.max_sets_per_user = max_sets_per_user
@@ -62,7 +59,7 @@ class ExactILP(ArrangementAlgorithm):
             return Arrangement(instance), {"nodes_explored": 0, "gap": 0.0}
         solution = solve_ilp(
             benchmark.lp,
-            BranchAndBoundOptions(max_nodes=self.max_nodes, lp_backend=self.lp_backend),
+            BranchAndBoundOptions(max_nodes=self.max_nodes),
         )
         if solution.status is SolveStatus.INFEASIBLE:
             # The empty arrangement is always feasible, so the ILP cannot be

@@ -83,13 +83,6 @@ class LPPacking(ArrangementAlgorithm):
         alpha: sampling scale ``α ∈ (0, 1]``.  ``1.0`` is the paper's
             empirical setting; ``0.5`` gives the proven 1/4 guarantee.
         seed: default RNG seed (overridable per ``solve`` call).
-        lp_backend: backend for the benchmark LP (see
-            :data:`repro.solver.BACKENDS`): ``"auto"`` prefers scipy/HiGHS
-            and falls back to the from-scratch revised simplex, which picks
-            its dense or sparse constraint representation by problem size;
-            ``"revised-simplex-sparse"`` / ``"revised-simplex-dense"``
-            force the representation, ``"simplex"`` is the reference dense
-            tableau.
         repair_order: one of :data:`REPAIR_ORDERS`.
         max_sets_per_user: admissible-set explosion guard.
         cache_lp: reuse the solved benchmark LP across ``solve`` calls on the
@@ -97,12 +90,6 @@ class LPPacking(ArrangementAlgorithm):
             deterministic per instance; only sampling and repair (lines 3-7)
             depend on the seed, so repeated-run experiments — the paper
             averages 50 repetitions — only pay the solve once.
-        warm_start: thread each solve's final basis (``basis_labels``) into
-            the next solve on a *different* instance as a crash-basis hint
-            — the churn replay's full re-solve baseline, where successive
-            instances differ by one small delta and most of the basis
-            carries over.  Only the revised-simplex backends consume the
-            hint; it never changes the optimum, only the pivot count.
         incremental: maintain one delta-patched benchmark LP across churn
             (:class:`~repro.core.lp_incremental.IncrementalBenchmarkLP`)
             instead of rebuilding per instance.  Feed each churn batch in
@@ -110,10 +97,11 @@ class LPPacking(ArrangementAlgorithm):
             successor instance then re-solves the *patched* program from
             the previous optimal basis (dual simplex for capacity shocks,
             warm primal otherwise).  Solving an instance the chain was not
-            advanced onto rebases the chain with a fresh build.  Overrides
-            ``lp_backend``/``warm_start`` for the benchmark
-            solve — the incremental solver owns its own standard form,
-            basis and factorization.
+            advanced onto rebases the chain with a fresh build.
+
+    Without ``incremental`` the benchmark LP is built per instance and
+    solved by :func:`~repro.solver.api.solve_lp`'s default backend
+    (HiGHS, the role Gurobi plays in the paper).
 
     Raises:
         ValueError: on out-of-range ``alpha`` or unknown ``repair_order``.
@@ -125,11 +113,9 @@ class LPPacking(ArrangementAlgorithm):
         self,
         alpha: float = 1.0,
         seed: int | None = None,
-        lp_backend: str = "auto",
         repair_order: str = "user",
         max_sets_per_user: int = DEFAULT_MAX_SETS_PER_USER,
         cache_lp: bool = True,
-        warm_start: bool = False,
         incremental: bool = False,
     ):
         super().__init__(seed=seed)
@@ -140,15 +126,12 @@ class LPPacking(ArrangementAlgorithm):
                 f"unknown repair_order {repair_order!r}; expected one of {REPAIR_ORDERS}"
             )
         self.alpha = alpha
-        self.lp_backend = lp_backend
         self.repair_order = repair_order
         self.max_sets_per_user = max_sets_per_user
         self.cache_lp = cache_lp
-        self.warm_start = warm_start
         self.incremental = incremental
         self._incremental_lp: IncrementalBenchmarkLP | None = None
         self._lp_diagnostics: dict | None = None
-        self._warm_labels: tuple[str, ...] | None = None
         # Keyed by the live instance object (identity semantics).  A weak
         # mapping — not id() — because CPython reuses the ids of collected
         # objects, which would silently serve one instance another
@@ -348,19 +331,13 @@ class LPPacking(ArrangementAlgorithm):
             iterations = 0
             backend = "none"
         else:
-            solution = solve_lp(
-                benchmark.lp,
-                backend=self.lp_backend,
-                warm_start=self._warm_labels if self.warm_start else None,
-            )
+            solution = solve_lp(benchmark.lp)
             if not solution.is_optimal:
                 raise LPPackingError.from_solution(solution)
             x_star = solution.x
             objective = solution.objective_value
             iterations = solution.iterations
             backend = solution.backend
-            if self.warm_start:
-                self._warm_labels = solution.basis_labels
         if self.cache_lp:
             self._lp_cache[instance] = (benchmark, x_star, objective, iterations)
         return benchmark, x_star, objective, iterations, backend

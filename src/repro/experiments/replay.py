@@ -435,7 +435,7 @@ def lp_resolve_comparison(
     * **warm rebuild** — the pre-incremental baseline: rebuild the
       benchmark LP for each successor from scratch and re-solve with the
       previous solution's ``basis_labels`` as a crash hint
-      (``LPPacking(warm_start=True)``'s path).
+      (``solve_lp(..., warm_start=labels)`` on ``backend``).
 
     Both sides must agree on the optimum to ``tolerance`` every batch —
     the comparison doubles as an end-to-end correctness check.  Returns a

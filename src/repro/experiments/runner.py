@@ -21,13 +21,13 @@ InstanceFactory = Callable[[int], IGEPAInstance]
 AlgorithmFactory = Callable[[], list[ArrangementAlgorithm]]
 
 
-def default_algorithms(lp_backend: str = "auto") -> list[ArrangementAlgorithm]:
+def default_algorithms() -> list[ArrangementAlgorithm]:
     """The paper's four algorithms in its Table II order.
 
     LP-packing uses ``α = 1`` ("We empirically set α = 1 in LP-packing").
     """
     return [
-        LPPacking(alpha=1.0, lp_backend=lp_backend),
+        LPPacking(alpha=1.0),
         RandomU(),
         RandomV(),
         GGGreedy(),

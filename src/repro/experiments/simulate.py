@@ -24,8 +24,8 @@ module closes that gap with a clocked loop over a churn trace:
    re-seat (or displace) an arrival the way a real venue reshuffle would;
 4. **defragmentation** — a pluggable :class:`DefragSchedule` decides when
    the platform pays for a full-scope pass: ``parallel_repair(...,
-   full_scope=True)`` (or a full local-search sweep when serial) plus a
-   warm-started LP re-solve whose arrangement is adopted when it beats the
+   full_scope=True)`` (or a full local-search sweep when serial) plus an
+   LP-packing re-solve whose arrangement is adopted when it beats the
    repaired one.  :class:`PeriodicDefrag` runs every k-th tick;
    :class:`RetentionDefrag` triggers when utility falls below a fraction of
    the last oracle re-solve;
@@ -56,7 +56,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.core.base import ArrangementAlgorithm
 from repro.core.online import _OnlineAlgorithm
 from repro.datagen.churn import ChurnTrace
 from repro.experiments.persistence import report_to_dict
@@ -310,56 +309,23 @@ def simulate(
     trace: ChurnTrace,
     online: _OnlineAlgorithm | None = None,
     *,
-    seed: int = 0,
-    defrag: DefragSchedule | None = None,
-    oracle: ArrangementAlgorithm | None = None,
-    oracle_every: int = 0,
-    defrag_lp: bool = True,
-    defrag_lp_backend: str = "auto",
-    defrag_lp_incremental: bool = False,
-    max_passes: int = 20,
     workers: int | None = None,
-    check_parity: bool = False,
+    **engine_options,
 ) -> SimulationReport:
     """Run the dynamic-platform loop over a churn trace.
 
     Args:
         trace: the initial instance and delta batches; each delta's
             ``add_users`` are this tick's online arrivals.
-        online: the arrival-serving policy (default:
-            :class:`~repro.core.online.OnlineGreedy`).  Also produces the
-            initial arrangement — the pre-trace population arrived online
-            too.
-        seed: RNG seed (initial solve, randomized serving, oracle and
-            defrag re-solves derive decorrelated per-tick seeds from it).
-        defrag: the defragmentation schedule (default: never).
-        oracle: full re-solve algorithm for the retention curve (default:
-            ``gg+ls``, the strongest non-LP combination).
-        oracle_every: run the oracle every k-th tick, plus on the final
-            tick (0: never — retention/debt fields stay None and
-            :class:`RetentionDefrag` never triggers).
-        defrag_lp: during defrag, also run a warm-started LP-packing
-            re-solve and adopt its arrangement when it beats the repaired
-            one.
-        defrag_lp_backend: LP backend for that re-solve.  The default
-            ``"auto"`` prefers scipy/HiGHS (fastest at scale; the warm
-            hint is ignored there) and falls back to the from-scratch
-            revised simplex, which consumes the basis threaded across
-            defrags; force ``"revised-simplex"`` to exercise the warm
-            start explicitly on small platforms.
-        defrag_lp_incremental: maintain that resolver's LP as one
-            delta-patched program — every churn batch is folded in via
-            ``observe_delta`` and each defrag re-solve starts from the
-            previous optimal basis (sublinear in platform size for small
-            deltas) instead of rebuilding.  Same LP optimum; the sampled
-            arrangement may sit on a different optimal vertex than the
-            ``defrag_lp_backend`` solver's.
-        max_passes: local-search pass cap for repair and defrag sweeps.
+        online: the arrival-serving policy; it also produces the initial
+            arrangement (the pre-trace population arrived online too).
         workers: shard-parallel repair across this many worker processes
             (None/0: serial).
-        check_parity: rebuild the index from scratch per tick and compare
-            against the patched one (adds the fresh build's cost — leave
-            off when timing, on when verifying).
+        **engine_options: the remaining
+            :class:`~repro.service.engine.TickEngine` options (``seed``,
+            ``defrag``, ``oracle``, ``oracle_every``, ``defrag_lp``, ...),
+            with its defaults.  The oracle also runs on the final tick;
+            with ``oracle_every=0`` retention and debt fields stay None.
 
     Returns:
         A :class:`SimulationReport` with per-tick records.
@@ -376,18 +342,7 @@ def simulate(
         executor = ProcessPoolExecutor(max_workers=workers)
     try:
         engine = TickEngine(
-            trace.initial,
-            online,
-            seed=seed,
-            defrag=defrag,
-            oracle=oracle,
-            oracle_every=oracle_every,
-            defrag_lp=defrag_lp,
-            defrag_lp_backend=defrag_lp_backend,
-            defrag_lp_incremental=defrag_lp_incremental,
-            max_passes=max_passes,
-            executor=executor,
-            check_parity=check_parity,
+            trace.initial, online, executor=executor, **engine_options
         )
         return _simulate(trace, engine)
     finally:

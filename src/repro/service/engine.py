@@ -3,7 +3,7 @@
 PR 5's :func:`repro.experiments.simulate.simulate` ran churn → arrivals →
 repair → defragmentation → oracle as one closed loop.  :class:`TickEngine`
 extracts those stages into methods over explicit live state (instance,
-arrangement, RNG, warm LP basis, oracle reference), so two drivers can
+arrangement, RNG, defrag LP resolver, oracle reference), so two loops can
 share them without re-implementing the invariants:
 
 * the **synchronous driver** (``experiments.simulate``) calls the stages
@@ -18,10 +18,9 @@ share them without re-implementing the invariants:
 Determinism contract (unchanged from PR 5): the engine's RNG is consumed
 *only* by ``serve`` calls in arrival order; the oracle re-solve derives
 ``seed + 1 + tick`` and the defrag LP ``seed + 100_003 + tick``; the
-warm-started LP resolver is one object across the horizon so each defrag's
-final simplex basis warm-starts the next.  All timing goes through the
-injected :class:`~repro.service.clock.Clock`'s ``perf()`` — measurement
-only, never a decision input.
+defrag LP resolver is one object across the horizon.  All timing goes
+through the injected :class:`~repro.service.clock.Clock`'s ``perf()`` —
+measurement only, never a decision input.
 
 **Revocable assignments** ride on defragmentation: re-seating an
 already-served arrival pays ``switching_penalty`` per changed (user, event)
@@ -60,17 +59,17 @@ class TickEngine:
         defrag: defragmentation schedule (default: never).
         oracle: full re-solve algorithm for retention (default ``gg+ls``).
         oracle_every: oracle cadence in ticks (0: never).
-        defrag_lp: run the warm-started LP re-solve during defrag and adopt
-            its arrangement on net gain.
-        defrag_lp_backend: backend for that re-solve (see ``simulate``).
+        defrag_lp: run an LP-packing re-solve during defrag and adopt its
+            arrangement on net gain.  The benchmark LP is rebuilt per defrag
+            and solved by :func:`~repro.solver.api.solve_lp`'s default
+            backend (HiGHS).
         defrag_lp_incremental: maintain the defrag LP incrementally —
             :meth:`apply_churn` feeds every delta into the resolver's
             delta-patched program, so each defrag re-solve starts from the
             previous optimal basis instead of rebuilding (dual simplex for
-            capacity shocks, warm primal otherwise).  Overrides
-            ``defrag_lp_backend`` for the benchmark solve.  The LP optimum
-            is identical either way; the sampled arrangement may differ
-            (the solvers can land on different optimal vertices).
+            capacity shocks, warm primal otherwise).  The LP optimum is
+            identical either way; the sampled arrangement may differ (the
+            solvers can land on different optimal vertices).
         max_passes: local-search pass cap for repair and defrag sweeps.
         executor: process pool for shard-parallel repair (None: serial).
         check_parity: rebuild the index from scratch in :meth:`audit` and
@@ -91,7 +90,6 @@ class TickEngine:
         oracle: ArrangementAlgorithm | None = None,
         oracle_every: int = 0,
         defrag_lp: bool = True,
-        defrag_lp_backend: str = "auto",
         defrag_lp_incremental: bool = False,
         max_passes: int = 20,
         executor=None,
@@ -115,17 +113,10 @@ class TickEngine:
         self.clock: Clock = clock if clock is not None else MonotonicClock()
         self.switching_penalty = switching_penalty
         self.rng = np.random.default_rng(seed)
-        # One resolver across the horizon: each defrag's final simplex basis
-        # warm-starts the next (when a revised-simplex backend runs); in
-        # incremental mode the basis persists inside the resolver's
-        # delta-patched program instead of riding label hints.
+        # One resolver across the horizon; in incremental mode it carries
+        # the delta-patched program and its basis from defrag to defrag.
         self.lp_resolver = (
-            LPPacking(
-                alpha=1.0,
-                lp_backend=defrag_lp_backend,
-                warm_start=True,
-                incremental=defrag_lp_incremental,
-            )
+            LPPacking(alpha=1.0, incremental=defrag_lp_incremental)
             if defrag_lp
             else None
         )
@@ -276,7 +267,7 @@ class TickEngine:
         utility: float,
         snapshot: dict[int, frozenset[int]] | None = None,
     ) -> float:
-        """Defrag's LP step: warm-started re-solve, adopted on net gain.
+        """Defrag's LP step: LP-packing re-solve, adopted on net gain.
 
         With a switching ``snapshot``, each candidate's utility is charged
         ``switching_penalty`` per re-seated pair before comparison; the

@@ -6,7 +6,8 @@ rationale):
 
 * :class:`LinearProgram` — the backend-neutral model.
 * :func:`solve_lp` — unified entry point with presolve and backend selection
-  (``simplex`` / ``revised-simplex`` / ``scipy`` / ``auto``).
+  (``simplex`` / ``revised-simplex`` / ``scipy`` / ``auto``, which is
+  HiGHS through scipy).
 * :func:`solve_ilp` — LP-based branch-and-bound for exact integral optima.
 """
 
@@ -20,7 +21,7 @@ from repro.solver.revised_simplex import (
     RevisedSimplexOptions,
     solve_lp_revised_simplex,
 )
-from repro.solver.scipy_backend import scipy_available, solve_lp_scipy
+from repro.solver.scipy_backend import solve_lp_scipy
 from repro.solver.simplex import SimplexOptions, solve_lp_simplex
 from repro.solver.sparse import CSCMatrix, DenseMatrix
 from repro.solver.standard_form import StandardForm, prefer_sparse, to_standard_form
@@ -45,7 +46,6 @@ __all__ = [
     "solve_lp_simplex",
     "RevisedSimplexOptions",
     "solve_lp_revised_simplex",
-    "scipy_available",
     "solve_lp_scipy",
     "StandardForm",
     "to_standard_form",

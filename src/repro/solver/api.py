@@ -12,16 +12,15 @@ Backends:
 * ``"revised-simplex-dense"`` / ``"revised-simplex-sparse"`` — the revised
   simplex with the representation forced (benchmarking, parity tests).
 * ``"scipy"`` — HiGHS via ``scipy.optimize.linprog``.
-* ``"auto"`` — scipy when importable, otherwise revised simplex.
+* ``"auto"`` — scipy (HiGHS), a core dependency.
 
 Presolve (:mod:`repro.solver.presolve`) runs only in front of the in-repo
 simplex backends.  HiGHS gets the program as built: it presolves itself and
 handles variable bounds natively, so the in-repo pass would only rebuild the
 program and drop bounds HiGHS solves faster with.
 
-Algorithm-level callers select a backend by name, e.g.
-``LPPacking(lp_backend="revised-simplex-sparse")`` or
-``ExactILP(lp_backend="revised-simplex")``.
+The algorithm layer calls ``solve_lp(lp)`` and so always gets HiGHS; the
+other backends are chosen by name here, for tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from repro.solver.presolve import PresolveStatus, presolve as run_presolve
 from repro.solver.problem import LinearProgram
 from repro.solver.result import LPSolution, SolveStatus
 from repro.solver.revised_simplex import RevisedSimplexOptions, solve_lp_revised_simplex
-from repro.solver.scipy_backend import scipy_available, solve_lp_scipy
+from repro.solver.scipy_backend import solve_lp_scipy
 from repro.solver.simplex import SimplexOptions, solve_lp_simplex
 
 BACKENDS = (
@@ -56,7 +55,7 @@ def resolve_backend(backend: str) -> str:
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if backend == "auto":
-        return "scipy" if scipy_available() else "revised-simplex"
+        return "scipy"
     return backend
 
 

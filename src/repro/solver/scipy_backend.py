@@ -11,8 +11,8 @@ internally and takes variable bounds natively.  Objective, bounds, senses and
 right-hand sides go to ``linprog`` as arrays, and the constraint matrix as
 sparse matrices assembled from the program's COO triplet cache.
 
-scipy is an optional dependency: :func:`scipy_available` reports whether the
-backend can be used, and callers fall back to the from-scratch simplex.
+scipy is a core dependency, imported on first use so that importing the
+package stays cheap.
 """
 
 from __future__ import annotations
@@ -31,24 +31,11 @@ _STATUS = {
 }
 
 
-def scipy_available() -> bool:
-    """Whether ``scipy.optimize.linprog`` can be imported."""
-    try:
-        from scipy.optimize import linprog  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def solve_lp_scipy(lp: LinearProgram) -> LPSolution:
     """Solve ``lp`` with HiGHS via ``scipy.optimize.linprog``.
 
     The solution's ``diagnostics`` carry linprog's ``status`` code and
     ``message`` whatever the outcome, so a failure says why HiGHS stopped.
-
-    Raises:
-        ImportError: when scipy is not installed (check
-            :func:`scipy_available` first, or use the ``auto`` backend).
     """
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix

@@ -23,7 +23,7 @@ from repro.datagen import (
     hotspot,
 )
 from repro.model.delta import apply_delta
-from repro.solver import LinearProgram, Sense, scipy_available, solve_lp
+from repro.solver import LinearProgram, Sense, solve_lp
 from repro.solver.presolve import presolve
 from repro.solver.scipy_backend import solve_lp_scipy
 
@@ -180,7 +180,6 @@ class TestOneSummationRule:
         assert patched == rebuilt
 
 
-@pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
 class TestHighsAsBuilt:
     @pytest.mark.parametrize("name", sorted(INSTANCES))
     def test_same_x_as_presolve_then_highs(self, name):
@@ -280,7 +279,6 @@ class TestVectorizedSampling:
         # Same stream consumed: later draws line up too.
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
-    @pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
     @pytest.mark.parametrize("name", sorted(INSTANCES))
     def test_matches_scalar_loop_on_lp_optima(self, name):
         benchmark = build_benchmark_lp(INSTANCES[name]())

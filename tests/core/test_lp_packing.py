@@ -7,7 +7,6 @@ from repro.core import LPPacking, build_benchmark_lp, lp_upper_bound
 from repro.core.lp_packing import REPAIR_ORDERS, LPPackingError
 from repro.model import Event, IGEPAInstance, MatrixConflict, TabulatedInterest, User
 from repro.social import Graph
-from repro.solver import scipy_available
 from tests.util import random_instance, tiny_instance
 
 
@@ -259,9 +258,7 @@ class TestDiagnostics:
 
     def test_unsolvable_backend_raises_lp_packing_error(self):
         instance = random_instance(seed=2, num_users=30, num_events=10)
-        from repro.solver.simplex import SimplexOptions
-
-        algorithm = LPPacking(lp_backend="simplex")
+        algorithm = LPPacking()
 
         # Force an iteration-limit failure by monkeypatching options through
         # a tiny backend wrapper.
@@ -282,7 +279,6 @@ class TestDiagnostics:
             module.solve_lp = original
 
 
-    @pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
     def test_highs_numerical_failure_names_linprog_status(self, monkeypatch):
         import scipy.optimize
 
@@ -292,7 +288,7 @@ class TestDiagnostics:
             )
 
         monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
-        algorithm = LPPacking(lp_backend="scipy")
+        algorithm = LPPacking()
         with pytest.raises(LPPackingError) as caught:
             algorithm.solve(random_instance(seed=2, num_users=30, num_events=10), seed=0)
         message = str(caught.value)

@@ -1,10 +1,32 @@
 """Unit tests for the command-line interface."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.baselines import GGGreedy
+from repro.core.local_search import LocalSearch
+from repro.core.online import OnlineGreedy
+from repro.datagen import (
+    ChurnConfig,
+    SyntheticConfig,
+    generate_churn_trace,
+    generate_synthetic,
+)
+from repro.datagen.churn import generate_request_trace
+from repro.experiments.replay import replay_trace
+from repro.experiments.simulate import PeriodicDefrag, simulate
+from repro.service import (
+    AdmitAll,
+    ServiceConfig,
+    TickEngine,
+    VirtualClock,
+    serve_requests,
+)
 
 
 class TestParser:
@@ -19,6 +41,94 @@ class TestParser:
     def test_generate_requires_out(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate", "synthetic"])
+
+
+# Every flag and default of the churn subcommands, pinned.  replay keeps
+# its own batch count and base solver; serve has no --burst-shrink,
+# --user-capacity-shock-rate or --workers (its bursts never shrink
+# capacities: ChurnConfig's 0.0).
+PLATFORM_DEFAULTS = {
+    "users": 2000,
+    "events": 200,
+    "seed": 0,
+    "pcf": 0.3,
+    "arrival_rate": 20.0,
+    "departure_rate": 20.0,
+    "rebid_rate": 40.0,
+    "event_rate": 1.0,
+    "burst_every": 0,
+    "shards": 0,
+    "check_parity": False,
+    "out": None,
+}
+ENGINE_DEFAULTS = {
+    "batches": 20,
+    "algorithm": "online-greedy",
+    "oracle": "gg+ls",
+    "oracle_every": 5,
+    "defrag": "none",
+    "defrag_period": 10,
+    "defrag_threshold": 0.95,
+    "no_defrag_lp": False,
+    "defrag_lp_incremental": False,
+    "drift_rate": 20.0,
+    "capacity_shock_rate": 2.0,
+}
+PARSED_DEFAULTS = {
+    "replay": {
+        **PLATFORM_DEFAULTS,
+        "command": "replay",
+        "batches": 10,
+        "algorithm": "gg+ls",
+        "workers": 0,
+        "no_full": False,
+    },
+    "simulate": {
+        **PLATFORM_DEFAULTS,
+        **ENGINE_DEFAULTS,
+        "command": "simulate",
+        "workers": 0,
+        "user_capacity_shock_rate": 0.0,
+        "burst_shrink": 0.2,
+    },
+    "serve": {
+        **PLATFORM_DEFAULTS,
+        **ENGINE_DEFAULTS,
+        "command": "serve",
+        "max_batch": 64,
+        "max_wait": 1.0,
+        "admission": "admit-all",
+        "max_serve": 32,
+        "deadline": 2.0,
+        "switching_penalty": 0.0,
+        "defrag_grace": None,
+        "batch_seconds": 1.0,
+        "stdin": False,
+        "instance": None,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+def test_churn_subcommand_flags_and_defaults(command):
+    parsed = vars(build_parser().parse_args([command]))
+    parsed.pop("func")
+    assert parsed == PARSED_DEFAULTS[command]
+
+
+NIGHTLY = Path(__file__).resolve().parents[2] / ".github/workflows/nightly.yml"
+
+
+def test_nightly_command_lines_parse():
+    """The soak jobs' igepa command lines (continuations joined) parse."""
+    text = NIGHTLY.read_text().replace("\\\n", " ")
+    commands = [
+        shlex.split(line)
+        for line in re.findall(r"igepa (?:simulate|serve) [^\n]+", text)
+    ]
+    assert sorted(argv[1] for argv in commands) == ["serve", "simulate"]
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 class TestListCommand:
@@ -223,3 +333,139 @@ class TestExperimentCommand:
         assert "stub report for fig1a reps=2" in output
         assert "ranking" in output
         assert out.read_text().startswith("stub report")
+
+
+# ----------------------------------------------------------------------
+# CLI <-> library equivalence: a tiny sharded platform, defrag and oracle
+# every tick.  The library side spells out every default the CLI applies.
+# ----------------------------------------------------------------------
+TINY = [
+    "--users", "120", "--events", "15", "--batches", "3",
+    "--shards", "2", "--seed", "4", "--check-parity",
+]
+TINY_ENGINE = [
+    "--defrag", "periodic", "--defrag-period", "1", "--oracle-every", "1",
+]
+
+
+def _tiny_trace(**dynamics):
+    synthetic = SyntheticConfig(
+        num_events=15, num_users=120, conflict_probability=0.3
+    )
+    instance = generate_synthetic(synthetic, seed=4)
+    instance.configure_index(sharded=True, shard_size=60)
+    config = ChurnConfig(
+        num_batches=3,
+        user_arrival_rate=20.0,
+        user_departure_rate=20.0,
+        rebid_rate=40.0,
+        event_open_rate=1.0,
+        event_close_rate=1.0,
+        burst_every=0,
+        base=synthetic,
+        **dynamics,
+    )
+    return generate_churn_trace(instance, config, seed=5)
+
+
+def _tiny_engine_options():
+    return {
+        "seed": 4,
+        "defrag": PeriodicDefrag(1),
+        "oracle": LocalSearch(GGGreedy()),
+        "oracle_every": 1,
+        "check_parity": True,
+    }
+
+
+def _run_cli(argv, out):
+    assert main([*argv, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _decisions(payload):
+    """The payload without provenance and wall-clock-derived fields."""
+    if isinstance(payload, dict):
+        return {
+            key: _decisions(value)
+            for key, value in payload.items()
+            if key != "provenance" and not key.endswith(("seconds", "speedup"))
+        }
+    if isinstance(payload, list):
+        return [_decisions(value) for value in payload]
+    return payload
+
+
+class TestCliMatchesLibrary:
+    def test_simulate(self, tmp_path, capsys):
+        payload = _run_cli(["simulate", *TINY, *TINY_ENGINE], tmp_path / "sim.json")
+        trace = _tiny_trace(
+            drift_rate=20.0,
+            capacity_shock_rate=2.0,
+            burst_capacity_shrink_fraction=0.2,
+        )
+        report = simulate(trace, OnlineGreedy(), **_tiny_engine_options())
+        assert report.defrag_count == 3
+        assert [(t["utility"], t["num_pairs"]) for t in payload["ticks"]] == [
+            (r.utility, r.num_pairs) for r in report.records
+        ]
+        assert payload["all_parity"] is True
+
+    def test_serve(self, tmp_path, capsys):
+        payload = _run_cli(["serve", *TINY, *TINY_ENGINE], tmp_path / "serve.json")
+        requests = generate_request_trace(
+            _tiny_trace(drift_rate=20.0, capacity_shock_rate=2.0),
+            batch_seconds=1.0,
+            seed=6,
+        )
+        engine = TickEngine(
+            requests.initial,
+            OnlineGreedy(),
+            clock=VirtualClock(),
+            switching_penalty=0.0,
+            **_tiny_engine_options(),
+        )
+        config = ServiceConfig(max_batch=64, max_wait=1.0, admission=AdmitAll())
+        report, _ = serve_requests(engine, requests.requests, config=config)
+        assert report.defrag_count > 0
+        outcome_keys = (
+            "accepted", "degraded", "rejected", "expired", "empty", "requeued",
+        )
+        fingerprint = {
+            "ticks": [
+                {
+                    "tick": t["tick"],
+                    "decision_time": t["decision_time"],
+                    "batch_size": t["batch_size"],
+                    "operations": t["operations"],
+                    "outcomes": [t[key] for key in outcome_keys],
+                    "utility": t["utility"],
+                    "defrag": t["defrag"],
+                    "switching_pairs": t["switching_pairs"],
+                    "switching_spend": t["switching_spend"],
+                }
+                for t in payload["ticks"]
+            ],
+            "arrivals": [
+                {
+                    key: arrival[key]
+                    for key in ("user_id", "tick", "outcome", "events", "requeues")
+                }
+                for arrival in payload["arrivals"]
+            ],
+        }
+        expected = json.loads(json.dumps(report.determinism_fingerprint()))
+        assert fingerprint == expected
+
+    def test_replay(self, tmp_path, capsys):
+        payload = _run_cli(["replay", *TINY], tmp_path / "replay.json")
+        report = replay_trace(
+            _tiny_trace(),
+            algorithm=LocalSearch(GGGreedy()),
+            seed=4,
+            compare_full=True,
+            check_parity=True,
+            workers=0,
+        )
+        expected = json.loads(json.dumps(report.to_dict()))
+        assert _decisions(payload) == _decisions(expected)

@@ -80,7 +80,7 @@ def test_store_arrays_shared_with_index():
     [
         lambda: GGGreedy(),
         lambda: LocalSearch(GGGreedy()),
-        lambda: LPPacking(alpha=1.0, lp_backend="revised-simplex"),
+        lambda: LPPacking(alpha=1.0),
     ],
     ids=["gg", "gg+ls", "lp-packing"],
 )

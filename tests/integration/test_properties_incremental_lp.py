@@ -124,23 +124,18 @@ def test_lp_packing_incremental_matches_reference_across_churn():
     )
     trace = generate_churn_trace(instance, ChurnConfig(num_batches=4), seed=13)
     packing = LPPacking(alpha=1.0, incremental=True, seed=3)
-    reference = LPPacking(
-        alpha=1.0, lp_backend="revised-simplex-sparse", seed=3
-    )
     current = instance
     for index, delta in enumerate(trace.deltas):
         solved = packing.solve(current, seed=100 + index)
-        expected = reference.solve(current, seed=100 + index)
         assert solved.details["lp_objective"] == pytest.approx(
-            expected.details["lp_objective"], abs=TOLERANCE
+            _reference_objective(current), abs=TOLERANCE
         )
         successor = apply_delta(current, delta).instance
         packing.observe_delta(delta, successor)
         current = successor
     final = packing.solve(current, seed=999)
     assert final.details["lp_objective"] == pytest.approx(
-        reference.solve(current, seed=999).details["lp_objective"],
-        abs=TOLERANCE,
+        _reference_objective(current), abs=TOLERANCE
     )
     assert final.details["lp_backend"] == "incremental-revised-simplex"
     assert "mode" in final.details["lp_diagnostics"]

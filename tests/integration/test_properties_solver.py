@@ -9,7 +9,6 @@ from repro.solver import (
     Sense,
     SolveStatus,
     presolve,
-    scipy_available,
     solve_lp,
     solve_lp_revised_simplex,
     solve_lp_simplex,
@@ -123,7 +122,6 @@ class TestPackingLPProperties:
         assert solution.objective_value <= cap + 1e-6
 
 
-@pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
 class TestGeneralLPAgainstHiGHS:
     @given(general_lps())
     @settings(max_examples=40, deadline=None)

@@ -76,7 +76,7 @@ def test_shard_slabs_match_dense_rows(shard_size):
     [
         lambda: GGGreedy(),
         lambda: LocalSearch(GGGreedy()),
-        lambda: LPPacking(alpha=1.0, lp_backend="revised-simplex"),
+        lambda: LPPacking(alpha=1.0),
         lambda: RandomU(),
         lambda: RandomV(),
     ],

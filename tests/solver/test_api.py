@@ -9,7 +9,6 @@ from repro.solver import (
     Sense,
     SolveStatus,
     resolve_backend,
-    scipy_available,
     solve_lp,
 )
 
@@ -18,7 +17,8 @@ CONCRETE_BACKENDS = [
     "revised-simplex",
     "revised-simplex-dense",
     "revised-simplex-sparse",
-] + (["scipy"] if scipy_available() else [])
+    "scipy",
+]
 
 
 def _sample_lp():
@@ -37,7 +37,7 @@ class TestBackendSelection:
             resolve_backend("gurobi")
 
     def test_auto_resolves_to_concrete(self):
-        assert resolve_backend("auto") in ("scipy", "revised-simplex")
+        assert resolve_backend("auto") == "scipy"
 
     def test_concrete_names_pass_through(self):
         for name in BACKENDS:
@@ -81,7 +81,6 @@ class TestSolveLP:
         assert solution.x == pytest.approx([2.0])
         assert solution.backend == "presolve"
 
-    @pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
     def test_fully_presolved_program_goes_to_highs_unchanged(self):
         solution = solve_lp(self._fixed_variable_lp(), backend="scipy")
         assert solution.is_optimal
@@ -99,7 +98,6 @@ class TestSolveLP:
         assert solution.x[free] == pytest.approx(2.0)
 
 
-@pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
 class TestScipyCrossCheck:
     """The from-scratch backends must match HiGHS on random LPs."""
 
@@ -158,7 +156,6 @@ class TestScipyCrossCheck:
             )
 
 
-@pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
 class TestHighsFailureReporting:
     """Each linprog failure code keeps its own meaning, and linprog's status
     and message ride along in the solution's diagnostics."""

@@ -129,10 +129,6 @@ End
             parse_lp_format("3 x + 2 y\nMaximize\n obj: x\nEnd\n")
 
     def test_scipy_agrees_on_parsed_program(self):
-        from repro.solver import scipy_available
-
-        if not scipy_available():
-            pytest.skip("scipy not installed")
         text = write_lp_format(_sample_lp())
         lp = parse_lp_format(text)
         simplex = solve_lp(lp, backend="simplex")

@@ -11,7 +11,6 @@ from repro.solver import (
     RevisedSimplexOptions,
     Sense,
     prefer_sparse,
-    scipy_available,
     solve_lp,
     solve_lp_revised_simplex,
     to_standard_form,
@@ -211,11 +210,10 @@ class TestDenseSparseParity:
         assert sparse.objective_value == pytest.approx(
             tableau.objective_value, abs=1e-6
         )
-        if scipy_available():
-            reference = solve_lp(bench.lp, backend="scipy")
-            assert sparse.objective_value == pytest.approx(
-                reference.objective_value, abs=1e-6
-            )
+        reference = solve_lp(bench.lp, backend="scipy")
+        assert sparse.objective_value == pytest.approx(
+            reference.objective_value, abs=1e-6
+        )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_partial_pricing_toggle_reaches_same_optimum(self, seed):

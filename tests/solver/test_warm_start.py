@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.lp_formulation import build_benchmark_lp
-from repro.core.lp_packing import LPPacking
 from repro.datagen import ChurnConfig, SyntheticConfig, generate_churn_trace, generate_synthetic
 from repro.model.delta import apply_delta
 from repro.solver.api import solve_lp
@@ -138,27 +137,3 @@ def test_warm_start_on_infeasible_successor_still_detects_infeasible():
     )
     assert not result.is_optimal
 
-
-def test_lp_packing_warm_start_threads_basis(instance):
-    algorithm = LPPacking(
-        alpha=1.0, lp_backend="revised-simplex", warm_start=True, cache_lp=False
-    )
-    baseline = LPPacking(alpha=1.0, lp_backend="revised-simplex", cache_lp=False)
-    first = algorithm.solve(instance, seed=0)
-    assert algorithm._warm_labels  # captured after the first solve
-    churn = ChurnConfig(
-        num_batches=1, user_arrival_rate=4.0, user_departure_rate=4.0,
-        rebid_rate=8.0, base=CONFIG,
-    )
-    trace = generate_churn_trace(instance, churn, seed=9)
-    successor = apply_delta(instance, trace.deltas[0]).instance
-    warm = algorithm.solve(successor, seed=0)
-    cold = baseline.solve(successor, seed=0)
-    # Warm start never changes the optimum; the sampled arrangement can
-    # only differ through alternate optimal vertices, so compare the LP
-    # objective, not the sampled pairs.
-    assert warm.details["lp_objective"] == pytest.approx(
-        cold.details["lp_objective"], abs=1e-7
-    )
-    assert warm.details["lp_iterations"] <= cold.details["lp_iterations"]
-    assert first.arrangement.is_feasible() and warm.arrangement.is_feasible()
