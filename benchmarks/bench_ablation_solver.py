@@ -1,10 +1,10 @@
 """Ablation: LP solver backends on the benchmark LP (1)-(4).
 
-The paper used Gurobi; this repository ships a from-scratch tableau simplex,
-a revised simplex (wide-LP friendly) and a scipy/HiGHS backend.  The bench
-solves the same benchmark LP with each backend, asserts they agree to 1e-6,
-and reports wall-clock and iteration counts — the evidence behind the
-``auto`` backend policy (scipy when available, else revised simplex).
+The paper used Gurobi; this repository solves the benchmark LP with HiGHS
+(through scipy, ``solve_lp``'s default) and keeps an in-repo revised
+simplex (wide-LP friendly) as an independent reference.  The bench solves
+the same benchmark LP with both, asserts they agree to 1e-6, and reports
+wall-clock and iteration counts.
 """
 
 import time
@@ -14,11 +14,11 @@ from repro.core import build_benchmark_lp
 from repro.datagen import SyntheticConfig, generate_synthetic
 from repro.solver import solve_lp
 
-#: Sized so the dense tableau stays in memory: ~60 users yield a few hundred
-#: LP columns.  Production sweeps use HiGHS on tens of thousands of columns.
+#: ~60 users yield a few hundred LP columns.  Production sweeps use HiGHS on
+#: tens of thousands of columns.
 CONFIG = SyntheticConfig(num_events=25, num_users=60)
 
-BACKENDS = ["simplex", "revised-simplex", "scipy"]
+BACKENDS = ["revised-simplex", "scipy"]
 
 
 def _run_ablation():

@@ -107,7 +107,7 @@ def main() -> None:
     exact = ExactILP().solve(instance)
     print(f"\nLP upper bound : {bound:.3f}")
     print(f"exact optimum  : {exact.utility:.3f} "
-          f"({exact.details['nodes_explored']} B&B nodes)")
+          f"({exact.details['nodes_explored']} MIP nodes)")
 
     for alpha in (0.5, 1.0):
         utilities = [

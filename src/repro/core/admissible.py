@@ -3,7 +3,7 @@
 For a user ``u``, an admissible event set ``S ⊆ N_u`` is a *nonempty*,
 *conflict-free* subset of the user's bids with ``|S| ≤ c_u``.  (The paper's
 text misprints the conflict condition as ``σ = 1``; "admissible event sets …
-without conflicting events" makes the intent unambiguous — see DESIGN.md §5.)
+without conflicting events" makes the intent unambiguous.)
 The collection ``A_u`` of all such sets is downward closed: every nonempty
 subset of an admissible set is admissible.
 

@@ -25,8 +25,6 @@ def lp_upper_bound(
 ) -> float:
     """The benchmark-LP optimum — a valid upper bound on OPT (Lemma 1)."""
     benchmark = build_benchmark_lp(instance, max_sets_per_user=max_sets_per_user)
-    if benchmark.lp.num_variables == 0:
-        return 0.0
     solution = solve_lp(benchmark.lp)
     if not solution.is_optimal:
         raise RuntimeError(

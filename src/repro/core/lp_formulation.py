@@ -102,9 +102,8 @@ def build_benchmark_lp(
             constraint (2) imply (4): every variable appears in its user's
             row with coefficient 1 and rhs 1, so ``x ≤ 1`` holds at every
             feasible point and the optimum is unchanged.  With no finite
-            upper bounds the standard form needs no synthetic ``ub`` rows
-            and presolve's implied-bound pass has nothing to do, which is
-            what lets the incremental path
+            upper bounds the standard form needs no synthetic ``ub`` rows,
+            which is what lets the incremental path
             (:class:`repro.core.lp_incremental.IncrementalBenchmarkLP`)
             delta-patch the cached standard form in place.
 

@@ -32,8 +32,8 @@ is structurally identical to a from-scratch build over the successor (the
 property suite asserts optima match to 1e-6).
 
 The LP is built with ``implied_upper=True`` (constraint (2) implies
-``x <= 1``), which keeps presolve a no-op and the standard form free of
-synthetic bound rows — the precondition for the solver's in-place RHS path.
+``x <= 1``), which keeps the standard form free of synthetic bound rows —
+the precondition for the solver's in-place RHS path.
 """
 
 from __future__ import annotations

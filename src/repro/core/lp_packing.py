@@ -325,19 +325,13 @@ class LPPacking(ArrangementAlgorithm):
         benchmark = build_benchmark_lp(
             instance, max_sets_per_user=self.max_sets_per_user
         )
-        if benchmark.lp.num_variables == 0:
-            x_star = np.empty(0)
-            objective = 0.0
-            iterations = 0
-            backend = "none"
-        else:
-            solution = solve_lp(benchmark.lp)
-            if not solution.is_optimal:
-                raise LPPackingError.from_solution(solution)
-            x_star = solution.x
-            objective = solution.objective_value
-            iterations = solution.iterations
-            backend = solution.backend
+        solution = solve_lp(benchmark.lp)
+        if not solution.is_optimal:
+            raise LPPackingError.from_solution(solution)
+        x_star = solution.x
+        objective = solution.objective_value
+        iterations = solution.iterations
+        backend = solution.backend
         if self.cache_lp:
             self._lp_cache[instance] = (benchmark, x_star, objective, iterations)
         return benchmark, x_star, objective, iterations, backend

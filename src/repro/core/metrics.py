@@ -137,7 +137,7 @@ def event_social_cohesion(
     if instance.degrees_override is not None:
         raise ValueError(
             "social cohesion needs an explicit social graph; this instance "
-            "uses degree overrides (see DESIGN.md §5)"
+            "uses degree overrides (sampled degrees without a graph)"
         )
     attendees = sorted(arrangement.users_of(event_id))
     if len(attendees) < 2:

@@ -4,7 +4,7 @@ The paper evaluates on a crawl of Meetup San Francisco: **190 events and 2811
 users**, with event start times and durations, user groups, and attendance
 histories.  The raw crawl is not redistributable; this module generates raw
 Meetup-shaped fields with realistic marginals and then applies the paper's
-own construction *verbatim* (see DESIGN.md §2 for the substitution argument):
+own construction *verbatim*, so only the raw fields are substituted:
 
 1. events carry a start time and a duration; **two events conflict iff they
    overlap in time**;

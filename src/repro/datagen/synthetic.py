@@ -18,7 +18,7 @@ p_cf = 0.3, p_deg = 0.5``.
 
 For large user counts the social network is not materialized; user degrees
 are drawn from the exact ``Binomial(|U| - 1, p_deg)`` marginal instead (the
-utility depends on degrees only — DESIGN.md §5).  Pass
+utility depends on degrees only, so nothing is lost).  Pass
 ``materialize_social_graph=True`` to build the explicit Erdős–Rényi graph.
 """
 

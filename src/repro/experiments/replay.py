@@ -422,7 +422,6 @@ def _rhs_only_delta(delta) -> bool:
 def lp_resolve_comparison(
     trace: ChurnTrace,
     *,
-    backend: str = "revised-simplex-sparse",
     max_sets_per_user: int | None = None,
     tolerance: float = 1e-6,
 ) -> dict:
@@ -433,9 +432,10 @@ def lp_resolve_comparison(
       patch and the re-solve starts from the previous optimal basis (dual
       simplex when only the RHS moved, warm primal otherwise).
     * **warm rebuild** — the pre-incremental baseline: rebuild the
-      benchmark LP for each successor from scratch and re-solve with the
-      previous solution's ``basis_labels`` as a crash hint
-      (``solve_lp(..., warm_start=labels)`` on ``backend``).
+      benchmark LP for each successor from scratch (``implied_upper=True``,
+      as the patched side builds it) and re-solve it with the sparse
+      revised simplex, the previous solution's ``basis_labels`` as a crash
+      hint.
 
     Both sides must agree on the optimum to ``tolerance`` every batch —
     the comparison doubles as an end-to-end correctness check.  Returns a
@@ -448,7 +448,10 @@ def lp_resolve_comparison(
     from repro.core.admissible import DEFAULT_MAX_SETS_PER_USER
     from repro.core.lp_formulation import build_benchmark_lp
     from repro.core.lp_incremental import IncrementalBenchmarkLP
-    from repro.solver.api import solve_lp
+    from repro.solver.revised_simplex import (
+        RevisedSimplexOptions,
+        solve_lp_revised_simplex,
+    )
 
     if max_sets_per_user is None:
         max_sets_per_user = DEFAULT_MAX_SETS_PER_USER
@@ -474,9 +477,11 @@ def lp_resolve_comparison(
         started = time.perf_counter()
         # The from-scratch side IS the baseline under measurement here.
         benchmark = build_benchmark_lp(  # igepa: ignore[IGP009]
-            successor, max_sets_per_user=max_sets_per_user
+            successor, max_sets_per_user=max_sets_per_user, implied_upper=True
         )
-        warm = solve_lp(benchmark.lp, backend=backend, warm_start=labels)
+        warm = solve_lp_revised_simplex(
+            benchmark.lp, RevisedSimplexOptions(sparse=True), warm_start=labels
+        )
         warm_seconds = time.perf_counter() - started
         assert warm.is_optimal, warm.status
         labels = warm.basis_labels
@@ -505,7 +510,6 @@ def lp_resolve_comparison(
     mean_patch = float(np.mean([b["patch_seconds"] for b in batches]))
     mean_warm = float(np.mean([b["warm_seconds"] for b in batches]))
     return {
-        "backend": backend,
         "initial_seconds": initial_seconds,
         "batches": batches,
         "mean_patch_seconds": mean_patch,

@@ -2,8 +2,8 @@
 
 Each panel of Fig. 1 varies one factor of the synthetic generator around the
 Table I defaults.  The exact grids are not printed in the paper text; the
-grids below are the conventional ones for these factors (stated in DESIGN.md
-§4 and EXPERIMENTS.md so readers can re-run with other grids via the CLI).
+grids below are the conventional ones for these factors, and the CLI re-runs
+any panel with other grids.
 """
 
 from __future__ import annotations

@@ -397,16 +397,6 @@ register_metric(
 )
 register_metric(
     Metric(
-        "lp_speedup_vs_tableau",
-        "sparse revised simplex over the dense tableau backend",
-        "x",
-        "up",
-        0.6,
-        {"bench_lp": lambda p: _number(p, "largest_speedup_vs_tableau")},
-    )
-)
-register_metric(
-    Metric(
         "incremental_ms_per_batch",
         "incremental update+repair wall-clock per churn batch",
         "ms",

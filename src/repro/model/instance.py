@@ -59,7 +59,7 @@ class IGEPAInstance:
         degrees: optional precomputed ``D(G, u)`` values keyed by user id,
             overriding graph lookups.  Large synthetic workloads sample
             degrees from the exact Binomial marginal instead of materializing
-            a multi-million-edge graph (see DESIGN.md §5); the utility only
+            a multi-million-edge graph; the utility only
             depends on degrees, so the substitution is lossless.
         validate: run the structural validation (the default).  Delta
             maintenance (:mod:`repro.model.delta`) passes False because every

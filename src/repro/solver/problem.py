@@ -1,14 +1,15 @@
 """Linear-program model used by every solver backend.
 
-The paper solves its benchmark LP (1)-(4) with Gurobi; this repository
-re-implements the solving stack.  :class:`LinearProgram` is the
+The paper solves its benchmark LP (1)-(4) with Gurobi; here HiGHS and an
+in-repo revised simplex solve it.  :class:`LinearProgram` is the
 backend-neutral model: named variables with bounds and objective
 coefficients, plus sparse constraint rows with a sense and right-hand side.
 
 The model is deliberately small — just enough structure for the benchmark LP,
-the exact ILP, presolve and the simplex/scipy backends — and keeps constraint
-coefficients sparse (``dict`` of variable index to coefficient), because the
-benchmark LP touches each variable in at most ``1 + |S|`` rows.
+its integer-marked variant (the exact ILP), the delta patches and the two
+backends — and keeps constraint coefficients sparse (``dict`` of variable
+index to coefficient), because the benchmark LP touches each variable in at
+most ``1 + |S|`` rows.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ class Variable:
         lower: lower bound (may be ``-inf``).
         upper: upper bound (may be ``inf``).
         objective: coefficient in the objective function.
-        is_integer: marks the variable integral for the branch-and-bound solver.
+        is_integer: marks the variable integral (HiGHS then solves the
+            program as a MIP).
     """
 
     name: str
@@ -102,8 +104,8 @@ class LinearProgram:
     )
     # Cached (col, row)-lexicographic sort order of _coo, computed by
     # to_standard_form on first use and reused until the triplets change —
-    # repeat conversions of the same matrix (branch-and-bound nodes, warm
-    # re-solves of a cached LP) skip the O(nnz log nnz) lexsort.
+    # repeat conversions of the same matrix (warm re-solves of a cached LP)
+    # skip the O(nnz log nnz) lexsort.
     _coo_order: np.ndarray | None = field(default=None, repr=False, compare=False)
     # Lazy name -> index maps and the variable -> constraint-rows incidence
     # that apply_patch maintains; None until first needed.
@@ -401,10 +403,6 @@ class LinearProgram:
         """Objective value at ``x`` (in the program's own sense)."""
         return float(self.objective_vector() @ np.asarray(x, dtype=float))
 
-    def bounds(self) -> list[tuple[float, float]]:
-        """Per-variable ``(lower, upper)`` pairs."""
-        return [(v.lower, v.upper) for v in self.variables]
-
     def dense_constraint_matrix(self) -> tuple[np.ndarray, list[Sense], np.ndarray]:
         """Return ``(A, senses, b)`` with one dense row per constraint."""
         m, n = self.num_constraints, self.num_variables
@@ -430,26 +428,6 @@ class LinearProgram:
             if value < variable.lower - tol or value > variable.upper + tol:
                 return False
         return all(c.is_satisfied(x, tol) for c in self.constraints)
-
-    def copy(self) -> "LinearProgram":
-        """An independent copy (used by branch-and-bound to tighten bounds)."""
-        clone = LinearProgram(name=self.name, maximize=self.maximize)
-        clone.variables = [
-            Variable(v.name, v.index, v.lower, v.upper, v.objective, v.is_integer)
-            for v in self.variables
-        ]
-        clone.constraints = [
-            Constraint(c.name, dict(c.coefficients), c.sense, c.rhs)
-            for c in self.constraints
-        ]
-        clone._names = set(self._names)
-        # The triplet cache describes the (immutable-by-copy) constraint
-        # matrix, so the clone can share it; branch-and-bound copies only
-        # tighten variable bounds.  The cached sort order rides along for
-        # the same reason.
-        clone._coo = self._coo
-        clone._coo_order = self._coo_order
-        return clone
 
     def __repr__(self) -> str:
         kind = "ILP" if self.has_integer_variables else "LP"

@@ -15,7 +15,6 @@ class SolveStatus(Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
-    NODE_LIMIT = "node_limit"
     #: The backend stopped without a verdict for another reason (HiGHS
     #: numerical difficulties); its ``diagnostics`` say why.
     ERROR = "error"
@@ -38,14 +37,16 @@ class LPSolution:
         backend: name of the backend that produced the solution.
         basis_labels: names of the basic columns at optimality (variable
             names; slacks as ``slack:<constraint name>``), reported by the
-            revised-simplex backends.  Feed them back into
-            :func:`repro.solver.api.solve_lp` as ``warm_start`` to crash the
-            next, structurally similar solve from this basis.
+            revised simplex.  Feed them back into
+            :func:`repro.solver.revised_simplex.solve_lp_revised_simplex`
+            as ``warm_start`` to crash the next, structurally similar solve
+            from this basis.
         diagnostics: backend-reported solve telemetry (e.g. warm-start label
             match/stale counts and whether the solve fell back to a cold
             start, dual/primal pivot and refactorization counts on the
             incremental path, linprog's ``status`` and ``message`` on the
-            HiGHS backend).  None when the backend reports nothing.
+            HiGHS backend, plus ``mip_node_count`` and ``mip_gap`` for an
+            integer program).  None when the backend reports nothing.
     """
 
     status: SolveStatus
@@ -63,40 +64,3 @@ class LPSolution:
     def is_optimal(self) -> bool:
         return self.status.is_optimal
 
-
-@dataclass
-class ILPSolution:
-    """Result of a branch-and-bound solve.
-
-    Attributes:
-        status: ``OPTIMAL`` when the tree was exhausted, ``NODE_LIMIT`` when an
-            incumbent exists but optimality was not proven.
-        objective_value: incumbent objective (program's own sense).
-        x: incumbent point.
-        nodes_explored: number of branch-and-bound nodes processed.
-        best_bound: tightest relaxation bound over open nodes at termination;
-            equals ``objective_value`` when optimal.
-    """
-
-    status: SolveStatus
-    objective_value: float = float("nan")
-    x: np.ndarray = field(default_factory=lambda: np.empty(0))
-    nodes_explored: int = 0
-    best_bound: float = float("nan")
-
-    def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float)
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status.is_optimal
-
-    @property
-    def gap(self) -> float:
-        """Relative optimality gap (0.0 when proven optimal)."""
-        if self.status.is_optimal:
-            return 0.0
-        if np.isnan(self.objective_value) or np.isnan(self.best_bound):
-            return float("inf")
-        denom = max(abs(self.objective_value), 1e-12)
-        return abs(self.best_bound - self.objective_value) / denom

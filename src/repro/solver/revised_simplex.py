@@ -1,7 +1,7 @@
 """Revised simplex with explicit basis-inverse maintenance.
 
 The benchmark LP (1)-(4) is *wide*: one column per (user, admissible set)
-pair but only ``|U| + |V|`` rows.  The tableau simplex updates the full
+pair but only ``|U| + |V|`` rows.  A tableau simplex updates the full
 ``m x (n + m)`` tableau per pivot; the revised simplex keeps only the
 ``m x m`` basis inverse and prices columns on demand, which is the right
 trade-off for wide LPs.  The basis inverse is updated by a rank-1 (eta)
@@ -28,9 +28,9 @@ The per-pivot work is kept at a single rank-1 update:
   outright for all-inequality programs with nonnegative rhs — which the
   benchmark LP always is.
 
-Phases, pivot rules, anti-cycling and statuses mirror
-:mod:`repro.solver.simplex`; both backends are cross-checked against each
-other and against scipy in the test suite.
+Pivot options, anti-cycling and the ratio test come from
+:mod:`repro.solver.simplex`; the test suite cross-checks both
+representations against each other and against HiGHS.
 """
 
 from __future__ import annotations
@@ -822,9 +822,9 @@ def solve_lp_revised_simplex(
             "warm_start_used": result.warm_used,
             "cold_fallback": not result.warm_used,
         }
-    # Always report the representation-qualified name, so callers see which
-    # path actually ran — also when "revised-simplex" let the heuristic pick.
-    backend = "revised-simplex-sparse" if sf.is_sparse else "revised-simplex-dense"
+    # Always report the representation, so callers see which path actually
+    # ran — also when the size heuristic picked it.
+    backend = "revised-simplex:" + ("sparse" if sf.is_sparse else "dense")
     if result.status is not SolveStatus.OPTIMAL:
         return LPSolution(
             status=result.status,

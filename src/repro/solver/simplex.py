@@ -1,20 +1,15 @@
-"""Two-phase primal simplex on the dense tableau.
+"""Pivot options, the solve record and the ratio test of the simplex.
 
-This is the reference from-scratch LP backend (the paper used Gurobi; see
-DESIGN.md §2).  It favours clarity and numerical robustness over speed:
+The revised simplex (:mod:`repro.solver.revised_simplex`) and the
+delta-patched chain built on it (:mod:`repro.solver.patch`) share these:
 
-* phase 1 starts from a full artificial basis and minimizes infeasibility;
-* phase 2 optimizes the true objective from the feasible basis;
-* the pivot rule is Dantzig's (most negative reduced cost) with an automatic,
-  permanent switch to Bland's rule after ``bland_after`` pivots, which
-  guarantees termination even on degenerate, cycling-prone inputs;
-* unboundedness and infeasibility are detected and reported via
-  :class:`~repro.solver.result.SolveStatus`.
-
-The solver consumes :class:`~repro.solver.standard_form.StandardForm`
-(``min c@y, A@y == b, y >= 0, b >= 0``) and reports back in that space;
-:func:`solve_lp_simplex` wraps the conversion and recovery for a full
-:class:`~repro.solver.problem.LinearProgram`.
+* :class:`SimplexOptions` — the pivot cap and the anti-cycling rule:
+  Dantzig's rule (most negative reduced cost) with an automatic, permanent
+  switch to Bland's rule after ``bland_after`` pivots or a long run of
+  degenerate pivots, which guarantees termination even on degenerate,
+  cycling-prone inputs;
+* :class:`_TableauResult` — a solve's outcome in standard-form space;
+* :func:`min_ratio_row` — the vectorized minimum-ratio test.
 """
 
 from __future__ import annotations
@@ -23,16 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.solver.problem import LinearProgram
-from repro.solver.result import LPSolution, SolveStatus
-from repro.solver.standard_form import StandardForm, to_standard_form
+from repro.solver.result import SolveStatus
 
 _TOL = 1e-9
 
 
 @dataclass
 class SimplexOptions:
-    """Tuning knobs for the tableau simplex.
+    """Tuning knobs shared by the simplex implementations.
 
     Attributes:
         max_iterations: hard pivot cap; 0 means "auto" (``50 * (m + n) + 1000``).
@@ -67,40 +60,11 @@ class _TableauResult:
     y: np.ndarray
     objective: float
     iterations: int
-    #: Basic column indices at termination (revised backends only).
+    #: Basic column indices at termination.
     basis: np.ndarray | None = None
     #: Whether a caller-supplied warm basis actually started the solve
-    #: (revised backends; False also when the warm repair was abandoned).
+    #: (False also when the warm repair was abandoned).
     warm_used: bool = False
-
-
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    """Gauss-Jordan pivot on (row, col), updating the basis bookkeeping."""
-    tableau[row] /= tableau[row, col]
-    column = tableau[:, col].copy()
-    column[row] = 0.0
-    tableau -= np.outer(column, tableau[row])
-    # The outer-product update leaves tiny residues in the pivot column; pin
-    # it to the exact unit vector to stop error accumulating across pivots.
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    basis[row] = col
-
-
-def _choose_entering(
-    objective_row: np.ndarray, allowed: int, use_bland: bool, tol: float
-) -> int | None:
-    """Index of the entering column, or None when optimal.
-
-    ``allowed`` restricts the choice to the first ``allowed`` columns (used to
-    exclude artificial columns in phase 2).
-    """
-    candidates = objective_row[:allowed]
-    if use_bland:
-        below = np.nonzero(candidates < -tol)[0]
-        return int(below[0]) if below.size else None
-    best = int(np.argmin(candidates))
-    return best if candidates[best] < -tol else None
 
 
 def min_ratio_row(
@@ -129,155 +93,3 @@ def min_ratio_row(
     if ties.size == 1:
         return int(ties[0])
     return int(ties[np.argmin(basis[ties])])
-
-
-def _choose_leaving(
-    tableau: np.ndarray, basis: list[int], col: int, tol: float
-) -> int | None:
-    """Row index of the leaving variable (see :func:`min_ratio_row`)."""
-    m = len(basis)
-    return min_ratio_row(
-        tableau[:m, col], tableau[:m, -1], np.asarray(basis, dtype=np.int64), tol
-    )
-
-
-def _run_simplex(
-    tableau: np.ndarray,
-    basis: list[int],
-    allowed: int,
-    options: SimplexOptions,
-    start_iteration: int,
-    max_iterations: int,
-) -> tuple[SolveStatus, int]:
-    """Pivot until optimal / unbounded / iteration limit.
-
-    Returns the terminal status and the cumulative iteration count.
-    """
-    iterations = start_iteration
-    degenerate_run = 0
-    run_limit = options.degenerate_run_limit(len(basis))
-    force_bland = False
-    while True:
-        use_bland = force_bland or iterations >= options.bland_after
-        entering = _choose_entering(tableau[-1], allowed, use_bland, options.tol)
-        if entering is None:
-            return SolveStatus.OPTIMAL, iterations
-        leaving = _choose_leaving(tableau, basis, entering, options.tol)
-        if leaving is None:
-            return SolveStatus.UNBOUNDED, iterations
-        step = tableau[leaving, -1] / tableau[leaving, entering]
-        _pivot(tableau, basis, leaving, entering)
-        if step <= options.tol:
-            degenerate_run += 1
-            force_bland = force_bland or degenerate_run >= run_limit
-        else:
-            degenerate_run = 0
-        iterations += 1
-        if iterations >= max_iterations:
-            return SolveStatus.ITERATION_LIMIT, iterations
-
-
-def solve_standard_form(
-    sf: StandardForm, options: SimplexOptions | None = None
-) -> _TableauResult:
-    """Solve ``min c@y, A@y == b, y >= 0`` by the two-phase tableau simplex."""
-    options = options or SimplexOptions()
-    a, b, c = sf.a, sf.b, sf.c
-    m, n = a.shape
-    max_iterations = options.resolved_max_iterations(m, n)
-
-    if m == 0:
-        # No constraints: each y >= 0, so the minimum puts every variable with
-        # a positive cost at 0; any negative cost makes the LP unbounded.
-        if np.any(c < -options.tol):
-            return _TableauResult(SolveStatus.UNBOUNDED, np.zeros(n), np.nan, 0)
-        return _TableauResult(SolveStatus.OPTIMAL, np.zeros(n), 0.0, 0)
-
-    # ------------------------------------------------------------------
-    # Phase 1: full artificial basis, minimize the sum of artificials.
-    # Tableau layout: [A | I_m | b] with the phase-1 objective row appended.
-    # ------------------------------------------------------------------
-    tableau = np.zeros((m + 1, n + m + 1), dtype=float)
-    tableau[:m, :n] = a
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b
-    tableau[-1, n : n + m] = 1.0
-    # Price out the basic artificials so the objective row holds reduced costs.
-    tableau[-1] -= tableau[:m].sum(axis=0)
-    basis = list(range(n, n + m))
-
-    status, iterations = _run_simplex(
-        tableau, basis, n + m, options, 0, max_iterations
-    )
-    if status is SolveStatus.ITERATION_LIMIT:
-        return _TableauResult(status, np.zeros(n), np.nan, iterations)
-    if status is SolveStatus.UNBOUNDED:  # phase-1 objective is bounded below by 0
-        raise AssertionError("phase 1 of the simplex can never be unbounded")
-    phase1_value = -tableau[-1, -1]
-    if phase1_value > 1e-7:
-        return _TableauResult(SolveStatus.INFEASIBLE, np.zeros(n), np.nan, iterations)
-
-    # Drive any lingering zero-level artificials out of the basis; a row whose
-    # structural part is entirely zero is redundant and can be neutralized.
-    drop_rows: list[int] = []
-    for row in range(m):
-        if basis[row] < n:
-            continue
-        structural = np.abs(tableau[row, :n])
-        pivot_col = int(np.argmax(structural))
-        if structural[pivot_col] > options.tol:
-            _pivot(tableau, basis, row, pivot_col)
-            iterations += 1
-        else:
-            drop_rows.append(row)
-    if drop_rows:
-        keep = [row for row in range(m) if row not in set(drop_rows)]
-        tableau = np.vstack([tableau[keep], tableau[-1:]])
-        basis = [basis[row] for row in keep]
-        m = len(basis)
-
-    # ------------------------------------------------------------------
-    # Phase 2: true objective over structural columns only.
-    # ------------------------------------------------------------------
-    tableau[-1, :] = 0.0
-    tableau[-1, :n] = c
-    for row, basic in enumerate(basis):
-        if c[basic] != 0.0:
-            tableau[-1] -= c[basic] * tableau[row]
-
-    status, iterations = _run_simplex(tableau, basis, n, options, iterations, max_iterations)
-    if status is SolveStatus.ITERATION_LIMIT:
-        return _TableauResult(status, np.zeros(n), np.nan, iterations)
-    if status is SolveStatus.UNBOUNDED:
-        return _TableauResult(status, np.zeros(n), np.nan, iterations)
-
-    y = np.zeros(n, dtype=float)
-    for row, basic in enumerate(basis):
-        if basic < n:
-            y[basic] = tableau[row, -1]
-    objective = float(-tableau[-1, -1])
-    return _TableauResult(SolveStatus.OPTIMAL, y, objective, iterations)
-
-
-def solve_lp_simplex(
-    lp: LinearProgram, options: SimplexOptions | None = None
-) -> LPSolution:
-    """Solve a :class:`LinearProgram` with the from-scratch tableau simplex.
-
-    Integer markers on variables are ignored (this solves the relaxation);
-    use :func:`repro.solver.branch_and_bound.solve_ilp` for integral solves.
-    """
-    # The tableau is inherently dense; skip the sparse detour.
-    sf = to_standard_form(lp, sparse=False)
-    result = solve_standard_form(sf, options)
-    if result.status is not SolveStatus.OPTIMAL:
-        return LPSolution(status=result.status, iterations=result.iterations, backend="simplex")
-    x = sf.recover_x(result.y)
-    objective = sf.recover_objective(result.objective)
-    return LPSolution(
-        status=SolveStatus.OPTIMAL,
-        objective_value=objective,
-        x=x,
-        iterations=result.iterations,
-        backend="simplex",
-    )

@@ -72,8 +72,8 @@ class StandardForm:
     """A standard-form LP plus the recipe to undo the transformation.
 
     The constraint matrix lives in exactly one of ``a_dense`` /``a_csc``;
-    the :attr:`a` property densifies (and caches) on demand so dense-only
-    consumers such as the tableau simplex keep working either way, and
+    the :attr:`a` property densifies (and caches) on demand for dense-only
+    consumers, and
     :meth:`matrix` returns the representation-agnostic operator the revised
     simplex consumes.
     """
@@ -199,8 +199,8 @@ def to_standard_form(lp: LinearProgram, *, sparse: bool | None = None) -> Standa
             None applies :func:`prefer_sparse`.
 
     Raises:
-        ValueError: if any variable has ``lower > upper`` (trivially
-            infeasible programs should be caught by presolve first).
+        ValueError: if any variable has ``lower > upper`` (a trivially
+            infeasible program).
     """
     num_original = lp.num_variables
     var_maps: list[_VarMap] = []
@@ -303,8 +303,8 @@ def to_standard_form(lp: LinearProgram, *, sparse: bool | None = None) -> Standa
     # has no free splits and no bound rows, the standard-form entries
     # inherit the LP triplets' own (col, row) order (``col_of`` is monotone
     # over kept variables, slack entries append with ascending fresh
-    # columns), so a sort order cached on the LP — shared across
-    # branch-and-bound nodes, cached-LP re-solves and patched re-solves —
+    # columns), so a sort order cached on the LP — shared across cached-LP
+    # re-solves and patched re-solves —
     # replaces the per-call O(nnz log nnz) lexsort.
     presorted = bool(sparse and not free_any and num_ub == 0 and coo_rows.size)
     if presorted:

@@ -1,7 +1,7 @@
 """The defrag LP rebuild path, checked against the per-element code it
-replaced: the array-built benchmark LP, HiGHS on the program as built, and
-sampling over all users at once.  Each reference below is the earlier
-implementation, kept here so the fast path stays bit for bit equal to it."""
+replaced: the array-built benchmark LP and sampling over all users at
+once.  Each reference below is the earlier implementation, kept here so the
+fast path stays bit for bit equal to it."""
 
 import math
 
@@ -24,8 +24,6 @@ from repro.datagen import (
 )
 from repro.model.delta import apply_delta
 from repro.solver import LinearProgram, Sense, solve_lp
-from repro.solver.presolve import presolve
-from repro.solver.scipy_backend import solve_lp_scipy
 
 
 def _synthetic(num_users, seed, sharded=False):
@@ -178,21 +176,6 @@ class TestOneSummationRule:
         patched = {v.name: v.objective for v in incremental.benchmark.lp.variables}
         rebuilt = {v.name: v.objective for v in build_benchmark_lp(current).lp.variables}
         assert patched == rebuilt
-
-
-class TestHighsAsBuilt:
-    @pytest.mark.parametrize("name", sorted(INSTANCES))
-    def test_same_x_as_presolve_then_highs(self, name):
-        lp = build_benchmark_lp(INSTANCES[name]()).lp
-        # The earlier path: in-repo presolve, HiGHS on the reduced program,
-        # then the reduction's recovery recipe.
-        reduction = presolve(lp)
-        reduced = solve_lp_scipy(reduction.lp)
-        expected = reduction.recover_x(reduced.x, lp.num_variables)
-        solution = solve_lp(lp, backend="scipy")
-        assert solution.is_optimal and reduced.is_optimal
-        assert np.array_equal(solution.x, expected)
-        assert solution.objective_value == reduced.objective_value + reduction.objective_offset
 
 
 # ----------------------------------------------------------------------

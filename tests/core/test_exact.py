@@ -7,7 +7,9 @@ import pytest
 
 from repro.core import ExactILP, LPPacking, empirical_approximation_ratio, lp_upper_bound
 from repro.core.exact import ExactSolveError
-from repro.model import Arrangement, Event, IGEPAInstance, MatrixConflict, TabulatedInterest, User
+from repro.datagen import integrality_gap_instance
+from repro.datagen.adversarial import INTEGRALITY_GAP_SEEDS
+from repro.model import Arrangement, IGEPAInstance, MatrixConflict, TabulatedInterest
 from repro.social import Graph
 from tests.util import random_instance, tiny_instance
 
@@ -65,6 +67,21 @@ class TestExactness:
             value = algorithm.solve(instance, seed=0).utility
             assert value <= optimum + 1e-7, algorithm.name
 
+    @pytest.mark.parametrize("rank", [*range(len(INTEGRALITY_GAP_SEEDS)), None])
+    def test_matches_brute_force_with_fractional_relaxation(self, rank):
+        """The integrality-gap instances (LP optimum strictly above the ILP
+        optimum, so a relaxed solve cannot pass for the integer one) and the
+        fractional-root instance (rank None)."""
+        if rank is None:
+            instance = self._fractional_root_instance()
+        else:
+            instance = integrality_gap_instance(rank)
+        exact = ExactILP().solve(instance)
+        assert exact.utility == pytest.approx(_brute_force_optimum(instance))
+        assert exact.details["gap"] == 0.0
+        if rank is not None:
+            assert exact.details["ilp_objective"] < lp_upper_bound(instance) - 1e-6
+
     def test_empty_instance(self):
         instance = IGEPAInstance(
             [], [], MatrixConflict([]), TabulatedInterest({}), Graph()
@@ -74,9 +91,9 @@ class TestExactness:
 
     @staticmethod
     def _fractional_root_instance():
-        """An instance whose benchmark-LP root relaxation is fractional, so
-        branch-and-bound genuinely needs more than one node (seed found by a
-        scripted search; most small random instances have integral roots)."""
+        """An instance whose benchmark-LP root relaxation is fractional
+        (seed found by a scripted search; most small random instances have
+        integral roots)."""
         return random_instance(
             seed=90,
             num_events=5,
@@ -87,16 +104,20 @@ class TestExactness:
             max_bids=5,
         )
 
-    def test_node_limit_raises_without_allow_gap(self):
-        instance = self._fractional_root_instance()
-        with pytest.raises(ExactSolveError, match="node limit"):
-            ExactILP(max_nodes=1).solve(instance)
+    def test_non_optimal_solve_raises(self, monkeypatch):
+        import repro.core.exact as module
+        from repro.solver.result import LPSolution, SolveStatus
 
-    def test_node_limit_with_allow_gap_returns_incumbent(self):
-        instance = self._fractional_root_instance()
-        result = ExactILP(max_nodes=2, allow_gap=True).solve(instance)
-        assert result.arrangement.is_feasible()
-        assert result.details["gap"] >= 0.0
+        def failing_solve(lp, backend="scipy"):
+            return LPSolution(
+                SolveStatus.ITERATION_LIMIT,
+                backend="stub",
+                diagnostics={"linprog_message": "stub limit"},
+            )
+
+        monkeypatch.setattr(module, "solve_lp", failing_solve)
+        with pytest.raises(ExactSolveError, match="iteration_limit: stub limit"):
+            ExactILP().solve(tiny_instance())
 
 
 class TestTheorem2:

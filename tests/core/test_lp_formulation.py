@@ -139,16 +139,15 @@ def test_caller_supplied_set_with_repeated_event_id():
     )
 
 
-def test_coo_cache_is_primed_and_survives_presolve():
-    """The triplets emitted by build_benchmark_lp must reach the solver:
-    presolve's bound-only reduction keeps the cache alive."""
+def test_coo_cache_is_primed():
+    """The triplets emitted by build_benchmark_lp must reach the solver
+    as built: constraints_coo() hands back the primed cache."""
     from repro.datagen import SyntheticConfig, generate_synthetic
-    from repro.solver.presolve import presolve
 
     instance = generate_synthetic(
         SyntheticConfig(num_users=20, num_events=5), seed=1
     )
     benchmark = build_benchmark_lp(instance)
-    assert benchmark.lp._coo is not None
-    reduced = presolve(benchmark.lp).lp
-    assert reduced._coo is not None
+    primed = benchmark.lp._coo
+    assert primed is not None
+    assert benchmark.lp.constraints_coo() is primed

@@ -27,14 +27,18 @@ from repro.datagen import (
 from repro.model.delta import Delta, apply_delta
 from repro.service.defrag import PeriodicDefrag
 from repro.service.engine import TickEngine
-from repro.solver.api import solve_lp
+from repro.solver.revised_simplex import (
+    RevisedSimplexOptions,
+    solve_lp_revised_simplex,
+)
 
 TOLERANCE = 1e-6
 
 
 def _reference_objective(instance) -> float:
-    solution = solve_lp(
-        build_benchmark_lp(instance).lp, backend="revised-simplex-sparse"
+    solution = solve_lp_revised_simplex(
+        build_benchmark_lp(instance, implied_upper=True).lp,
+        RevisedSimplexOptions(sparse=True),
     )
     assert solution.is_optimal
     return solution.objective_value

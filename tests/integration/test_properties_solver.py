@@ -8,13 +8,10 @@ from repro.solver import (
     LinearProgram,
     Sense,
     SolveStatus,
-    presolve,
     solve_lp,
     solve_lp_revised_simplex,
-    solve_lp_simplex,
     to_standard_form,
 )
-from repro.solver.presolve import PresolveStatus
 
 # ----------------------------------------------------------------------
 # Strategy: random bounded packing LPs (always feasible: x = 0 works).
@@ -82,7 +79,7 @@ class TestPackingLPProperties:
     @given(packing_lps())
     @settings(max_examples=40, deadline=None)
     def test_simplex_returns_feasible_optimal_point(self, lp):
-        solution = solve_lp_simplex(lp)
+        solution = solve_lp_revised_simplex(lp)
         assert solution.status is SolveStatus.OPTIMAL
         assert lp.is_feasible(solution.x, tol=1e-6)
         assert solution.objective_value == pytest.approx(
@@ -91,28 +88,19 @@ class TestPackingLPProperties:
 
     @given(packing_lps())
     @settings(max_examples=40, deadline=None)
-    def test_both_simplex_backends_agree(self, lp):
-        tableau = solve_lp_simplex(lp)
+    def test_revised_simplex_agrees_with_highs(self, lp):
+        highs = solve_lp(lp)
         revised = solve_lp_revised_simplex(lp)
-        assert tableau.status is SolveStatus.OPTIMAL
+        assert highs.status is SolveStatus.OPTIMAL
         assert revised.status is SolveStatus.OPTIMAL
-        assert tableau.objective_value == pytest.approx(
+        assert highs.objective_value == pytest.approx(
             revised.objective_value, abs=1e-6
         )
 
     @given(packing_lps())
     @settings(max_examples=25, deadline=None)
-    def test_presolve_preserves_optimum(self, lp):
-        with_presolve = solve_lp(lp, backend="simplex", presolve=True)
-        without = solve_lp(lp, backend="simplex", presolve=False)
-        assert with_presolve.objective_value == pytest.approx(
-            without.objective_value, abs=1e-6
-        )
-
-    @given(packing_lps())
-    @settings(max_examples=25, deadline=None)
     def test_optimum_dominates_origin_and_respects_duality_bound(self, lp):
-        solution = solve_lp_simplex(lp)
+        solution = solve_lp_revised_simplex(lp)
         # x = 0 is feasible with objective 0; a maximizer must do >= 0.
         assert solution.objective_value >= -1e-9
         # Trivial upper bound: sum of c_j * u_j over positive costs.
@@ -126,10 +114,10 @@ class TestGeneralLPAgainstHiGHS:
     @given(general_lps())
     @settings(max_examples=40, deadline=None)
     def test_status_and_value_match_scipy(self, lp):
-        ours = solve_lp(lp, backend="simplex")
-        reference = solve_lp(lp, backend="scipy", presolve=False)
+        ours = solve_lp(lp, backend="revised-simplex")
+        reference = solve_lp(lp, backend="scipy")
         assert ours.status == reference.status, (
-            f"simplex={ours.status} scipy={reference.status}"
+            f"revised={ours.status} scipy={reference.status}"
         )
         if reference.is_optimal:
             assert ours.objective_value == pytest.approx(
@@ -156,33 +144,3 @@ class TestStandardFormProperties:
     def test_standard_form_rhs_nonnegative(self, lp):
         sf = to_standard_form(lp)
         assert np.all(sf.b >= 0.0)
-
-
-class TestPresolveProperties:
-    @given(general_lps())
-    @settings(max_examples=40, deadline=None)
-    def test_presolve_never_invents_feasibility(self, lp):
-        """If presolve says INFEASIBLE, the backends must agree."""
-        reduction = presolve(lp)
-        if reduction.status is PresolveStatus.INFEASIBLE:
-            raw = solve_lp(lp, backend="simplex", presolve=False)
-            assert raw.status is SolveStatus.INFEASIBLE
-
-
-class TestLPFormatProperties:
-    @given(general_lps())
-    @settings(max_examples=40, deadline=None)
-    def test_text_round_trip_preserves_the_program(self, lp):
-        """write -> parse must preserve status and optimal value."""
-        from repro.solver import parse_lp_format, write_lp_format
-
-        restored = parse_lp_format(write_lp_format(lp))
-        assert restored.num_variables == lp.num_variables
-        assert restored.maximize == lp.maximize
-        original = solve_lp(lp, backend="simplex")
-        replayed = solve_lp(restored, backend="simplex")
-        assert original.status == replayed.status
-        if original.is_optimal:
-            assert original.objective_value == pytest.approx(
-                replayed.objective_value, abs=1e-6
-            )

@@ -198,14 +198,6 @@ class TestProgramQueries:
         with pytest.raises(ValueError, match="shape"):
             lp.is_feasible(np.array([1.0]))
 
-    def test_copy_is_deep_for_bounds_and_rows(self):
-        lp, x, _ = self._small_lp()
-        clone = lp.copy()
-        clone.variables[x].upper = 99.0
-        clone.constraints[0].coefficients[x] = 7.0
-        assert lp.variables[x].upper == 4.0
-        assert lp.constraints[0].coefficients[x] == 1.0
-
     def test_repr_mentions_shape_and_kind(self):
         lp, _, _ = self._small_lp()
         assert "vars=2" in repr(lp)

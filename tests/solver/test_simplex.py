@@ -1,7 +1,7 @@
-"""Unit tests for both from-scratch simplex backends.
+"""Unit tests for the revised simplex, with HiGHS as the reference.
 
-Every test is parametrized over the tableau and revised implementations —
-they must agree with each other (and, in the cross-check module, with scipy).
+Every test is parametrized over HiGHS (``solve_lp``'s default backend) and
+the in-repo revised simplex — both must give the textbook answers.
 """
 
 import math
@@ -13,14 +13,13 @@ from repro.solver import (
     LinearProgram,
     RevisedSimplexOptions,
     Sense,
-    SimplexOptions,
     SolveStatus,
+    solve_lp,
     solve_lp_revised_simplex,
-    solve_lp_simplex,
 )
 
 SOLVERS = [
-    pytest.param(solve_lp_simplex, id="tableau"),
+    pytest.param(solve_lp, id="highs"),
     pytest.param(solve_lp_revised_simplex, id="revised"),
 ]
 
@@ -135,8 +134,8 @@ class TestStatuses:
             lp.add_constraint(
                 {variables[i]: 1.0, variables[i + 1]: 1.0}, Sense.LE, 1.0
             )
-        options = SimplexOptions(max_iterations=1)
-        solution = solve_lp_simplex(lp, options)
+        options = RevisedSimplexOptions(max_iterations=1)
+        solution = solve_lp_revised_simplex(lp, options)
         assert solution.status is SolveStatus.ITERATION_LIMIT
 
 

@@ -184,8 +184,8 @@ class TestDenseSparseParity:
             coeffs = {j: 1.0 for j in range(n) if rng.random() < 0.3}
             if coeffs:
                 lp.add_constraint(coeffs, Sense.LE, float(rng.integers(1, 5)))
-        dense = solve_lp(lp, backend="revised-simplex-dense")
-        sparse = solve_lp(lp, backend="revised-simplex-sparse")
+        dense = solve_lp_revised_simplex(lp, RevisedSimplexOptions(sparse=False))
+        sparse = solve_lp_revised_simplex(lp, RevisedSimplexOptions(sparse=True))
         assert dense.is_optimal and sparse.is_optimal
         assert dense.iterations == sparse.iterations
         assert sparse.objective_value == pytest.approx(
@@ -199,16 +199,12 @@ class TestDenseSparseParity:
         instance = generate_synthetic(
             SyntheticConfig(num_users=60, num_events=10), seed=0
         )
-        bench = build_benchmark_lp(instance)
-        dense = solve_lp(bench.lp, backend="revised-simplex-dense")
-        sparse = solve_lp(bench.lp, backend="revised-simplex-sparse")
-        tableau = solve_lp(bench.lp, backend="simplex")
-        assert dense.is_optimal and sparse.is_optimal and tableau.is_optimal
+        bench = build_benchmark_lp(instance, implied_upper=True)
+        dense = solve_lp_revised_simplex(bench.lp, RevisedSimplexOptions(sparse=False))
+        sparse = solve_lp_revised_simplex(bench.lp, RevisedSimplexOptions(sparse=True))
+        assert dense.is_optimal and sparse.is_optimal
         assert sparse.objective_value == pytest.approx(
             dense.objective_value, abs=1e-8
-        )
-        assert sparse.objective_value == pytest.approx(
-            tableau.objective_value, abs=1e-6
         )
         reference = solve_lp(bench.lp, backend="scipy")
         assert sparse.objective_value == pytest.approx(

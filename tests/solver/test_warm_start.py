@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.lp_formulation import build_benchmark_lp
 from repro.datagen import ChurnConfig, SyntheticConfig, generate_churn_trace, generate_synthetic
 from repro.model.delta import apply_delta
-from repro.solver.api import solve_lp
 from repro.solver.problem import LinearProgram, Sense
+from repro.solver.revised_simplex import solve_lp_revised_simplex
 
 CONFIG = SyntheticConfig(num_users=120, num_events=25)
 
@@ -20,8 +19,8 @@ def instance():
 
 
 def test_basis_labels_reported(instance):
-    lp = build_benchmark_lp(instance).lp
-    solution = solve_lp(lp, backend="revised-simplex")
+    lp = build_benchmark_lp(instance, implied_upper=True).lp
+    solution = solve_lp_revised_simplex(lp)
     assert solution.is_optimal
     assert solution.basis_labels
     names = {v.name for v in lp.variables}
@@ -30,17 +29,17 @@ def test_basis_labels_reported(instance):
 
 
 def test_warm_restart_same_lp_takes_zero_pivots(instance):
-    lp = build_benchmark_lp(instance).lp
-    cold = solve_lp(lp, backend="revised-simplex")
-    warm = solve_lp(lp, backend="revised-simplex", warm_start=cold.basis_labels)
+    lp = build_benchmark_lp(instance, implied_upper=True).lp
+    cold = solve_lp_revised_simplex(lp)
+    warm = solve_lp_revised_simplex(lp, warm_start=cold.basis_labels)
     assert warm.is_optimal
     assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
     assert warm.iterations == 0
 
 
 def test_warm_start_across_churn_matches_cold_and_saves_pivots(instance):
-    lp = build_benchmark_lp(instance).lp
-    cold0 = solve_lp(lp, backend="revised-simplex")
+    lp = build_benchmark_lp(instance, implied_upper=True).lp
+    cold0 = solve_lp_revised_simplex(lp)
     churn = ChurnConfig(
         num_batches=3,
         user_arrival_rate=4.0,
@@ -54,9 +53,9 @@ def test_warm_start_across_churn_matches_cold_and_saves_pivots(instance):
     total_cold = total_warm = 0
     for delta in trace.deltas:
         current = apply_delta(current, delta).instance
-        lp = build_benchmark_lp(current).lp
-        cold = solve_lp(lp, backend="revised-simplex")
-        warm = solve_lp(lp, backend="revised-simplex", warm_start=labels)
+        lp = build_benchmark_lp(current, implied_upper=True).lp
+        cold = solve_lp_revised_simplex(lp)
+        warm = solve_lp_revised_simplex(lp, warm_start=labels)
         assert warm.is_optimal
         assert warm.objective_value == pytest.approx(
             cold.objective_value, abs=1e-7
@@ -72,10 +71,11 @@ def test_warm_start_across_churn_matches_cold_and_saves_pivots(instance):
 
 @pytest.mark.slow
 def test_warm_start_without_presolve_stays_feasible(instance):
-    # presolve off keeps the x <= 1 bound rows in the standard form, so the
-    # warm labels exercise the variable-named __ub slack labels too.
+    # Built with explicit x <= 1 bounds, the standard form keeps one bound
+    # row per variable, so the warm labels exercise the variable-named __ub
+    # slack labels too.
     lp = build_benchmark_lp(instance).lp
-    cold = solve_lp(lp, backend="revised-simplex", presolve=False)
+    cold = solve_lp_revised_simplex(lp)
     assert any(":__ub:" in label for label in cold.basis_labels) or True
     churn = ChurnConfig(
         num_batches=2,
@@ -90,10 +90,8 @@ def test_warm_start_without_presolve_stays_feasible(instance):
     for delta in trace.deltas:
         current = apply_delta(current, delta).instance
         lp = build_benchmark_lp(current).lp
-        cold = solve_lp(lp, backend="revised-simplex", presolve=False)
-        warm = solve_lp(
-            lp, backend="revised-simplex", presolve=False, warm_start=labels
-        )
+        cold = solve_lp_revised_simplex(lp)
+        warm = solve_lp_revised_simplex(lp, warm_start=labels)
         assert warm.is_optimal
         assert warm.objective_value == pytest.approx(
             cold.objective_value, abs=1e-7
@@ -103,18 +101,11 @@ def test_warm_start_without_presolve_stays_feasible(instance):
 
 
 def test_stale_or_garbage_labels_fall_back_to_cold(instance):
-    lp = build_benchmark_lp(instance).lp
-    cold = solve_lp(lp, backend="revised-simplex")
+    lp = build_benchmark_lp(instance, implied_upper=True).lp
+    cold = solve_lp_revised_simplex(lp)
     garbage = ("no-such-variable", "slack:no-such-row", "x[99999,1]")
-    warm = solve_lp(lp, backend="revised-simplex", warm_start=garbage)
+    warm = solve_lp_revised_simplex(lp, warm_start=garbage)
     assert warm.is_optimal
-    assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
-
-
-def test_warm_start_ignored_by_other_backends(instance):
-    lp = build_benchmark_lp(instance).lp
-    cold = solve_lp(lp, backend="simplex")
-    warm = solve_lp(lp, backend="simplex", warm_start=("anything",))
     assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
 
 
@@ -123,7 +114,7 @@ def test_warm_start_on_infeasible_successor_still_detects_infeasible():
     x = lp.add_variable("x", lower=0.0, objective=1.0)
     y = lp.add_variable("y", lower=0.0, objective=1.0)
     lp.add_constraint({x: 1.0, y: 1.0}, Sense.LE, 4.0, name="cap")
-    feasible = solve_lp(lp, backend="revised-simplex")
+    feasible = solve_lp_revised_simplex(lp)
     assert feasible.is_optimal
 
     infeasible = LinearProgram(maximize=False)
@@ -132,8 +123,6 @@ def test_warm_start_on_infeasible_successor_still_detects_infeasible():
     infeasible.add_constraint({x: 1.0, y: 1.0}, Sense.LE, 4.0, name="cap")
     infeasible.add_constraint({x: 1.0}, Sense.GE, 9.0, name="floor")
     infeasible.add_constraint({x: 1.0}, Sense.LE, 2.0, name="ceil")
-    result = solve_lp(
-        infeasible, backend="revised-simplex", warm_start=feasible.basis_labels
-    )
+    result = solve_lp_revised_simplex(infeasible, warm_start=feasible.basis_labels)
     assert not result.is_optimal
 
