@@ -23,7 +23,8 @@ Four gates, all on fixed seeds:
 3. **Parity** — at a dense-buildable size, GG / GG+LS / LP-packing must
    produce bit-identical arrangements on the sharded and the dense index
    (hard gate; the property suite covers more shard sizes, and
-   ``tests/integration/test_columnar_parity.py`` the columnar/object axis).
+   ``tests/integration/test_columnar_parity.py`` the store-built vs
+   entity-built constructor axis).
 4. **Shard-parallel replay** — replay a churn trace over the 50k instance
    with the shard-parallel repair engine at 1 worker and at
    ``max(4, ...)`` workers; on machines with 4+ cores the per-batch
@@ -77,9 +78,12 @@ from repro.experiments.persistence import write_bench_artifact
 from repro.experiments.replay import replay_trace
 from repro.model import (
     Delta,
+    Event,
+    IGEPAInstance,
     IndexCapacityError,
     InstanceIndex,
     ShardedInstanceIndex,
+    TabulatedInterest,
     User,
 )
 
@@ -101,11 +105,10 @@ COLUMNAR_USERS = 500_000
 #: the largest single block at 250 MB); each replay batch transiently
 #: holds the successor's matrix, store components and index shards
 #: alongside the predecessor's, for a region peak of ~745 MB.  The 50k
-#: objects-first probe extrapolates to ~970 MB of *instance alone* at
-#: 500k — asserted above this budget, so the object layer cannot meet the
-#: gate before any algorithm runs.  (LP-packing runs after the gate is
-#: read: its peak is the LP backend's internal arena — identical for
-#: either entity layer — and is recorded, not budget-gated.)
+#: objects-first probe is extrapolated to 500k and asserted above this
+#: budget, so an object layer could not meet the gate before any
+#: algorithm runs.  (LP-packing runs after the gate is read: its peak is
+#: the LP backend's internal arena and is recorded, not budget-gated.)
 COLUMNAR_BUDGET_MB = 860.0
 #: Resident-bytes budget handed to the stream generator; small enough that
 #: the per-user/per-bid columns always spill, exercising the mmap path.
@@ -316,11 +319,12 @@ def _columnar_gate_impl(seed: int) -> dict:
     """Gate body — runs inside the fresh child process."""
     baseline_mb = _rss_mb()
 
-    # Objects-first floor: measure a 50k entity-mode instance (same config,
-    # same draws) and extrapolate linearly.  The object layer's footprint
-    # scales with |U| by construction — dataclass + __dict__ + bid tuple per
-    # user, dict entries per bid — so the extrapolation is a lower bound on
-    # what objects-first would hold resident at 500k before any solve.
+    # Objects-first floor: measure a 50k stream instance (same config, same
+    # draws) together with the entity objects unpacked from its arrays, and
+    # extrapolate linearly.  The object layer's footprint scales with |U| by
+    # construction — dataclass + __dict__ + bid tuple per user, dict entries
+    # per bid — so the extrapolation is a lower bound on what objects-first
+    # would hold resident at 500k before any solve.
     probe_config = SyntheticConfig(
         num_users=OBJECT_PROBE_USERS,
         num_events=NUM_EVENTS,
@@ -329,11 +333,11 @@ def _columnar_gate_impl(seed: int) -> dict:
     )
     gc.collect()
     probe_resident_mb = _current_rss_mb()
-    probe = generate_synthetic_stream(probe_config, seed=seed, columnar=False)
-    assert not probe.is_columnar
+    probe = generate_synthetic_stream(probe_config, seed=seed)
+    probe_objects = _entity_objects(probe)
     probe_mb = _current_rss_mb() - probe_resident_mb
     extrapolated_object_mb = probe_mb * (COLUMNAR_USERS / OBJECT_PROBE_USERS)
-    del probe
+    del probe, probe_objects
     gc.collect()
 
     config = SyntheticConfig(
@@ -347,7 +351,6 @@ def _columnar_gate_impl(seed: int) -> dict:
         config, seed=seed, spill_budget_bytes=COLUMNAR_SPILL_BUDGET_BYTES
     )
     build_seconds = time.perf_counter() - started
-    assert instance.is_columnar
     store = instance.store
     assert store.spilled_bytes > 0, "spill path did not engage"
     store_resident_mb = store.nbytes / 1e6
@@ -380,7 +383,6 @@ def _columnar_gate_impl(seed: int) -> dict:
         delta, next_user_id = _hand_built_delta(instance, rng, next_user_id)
         result, _moves = apply_with_repair(instance, delta, arrangement)
         instance, arrangement = result.instance, result.arrangement
-        assert instance.is_columnar
         del result
         gc.collect()
     replay_seconds = time.perf_counter() - started
@@ -441,13 +443,49 @@ def _columnar_gate_impl(seed: int) -> dict:
     return row
 
 
+def _entity_objects(instance: IGEPAInstance) -> dict:
+    """The entity constructor's inputs, unpacked from a stream instance's
+    store arrays: ``User``/``Event`` objects, a tabulated interest dict and
+    an id-keyed degree dict."""
+    store = instance.store
+    user_ids = store.user_ids.tolist()
+    entry_users = np.repeat(store.user_ids, np.diff(store.bid_indptr)).tolist()
+    entry_events = store.event_ids[store.bid_event_pos].tolist()
+    return {
+        "events": [
+            Event(event_id=event_id, capacity=capacity)
+            for event_id, capacity in zip(
+                store.event_ids.tolist(), store.event_capacity.tolist()
+            )
+        ],
+        "users": [
+            User(user_id=user_id, capacity=capacity, bids=tuple(bids))
+            for user_id, capacity, bids in zip(
+                user_ids, store.user_capacity.tolist(), store.bid_lists()
+            )
+        ],
+        "interest": TabulatedInterest(
+            dict(zip(zip(entry_events, entry_users), store.bid_si.tolist()))
+        ),
+        "degrees": dict(zip(user_ids, store.degrees.tolist())),
+    }
+
+
 def run_columnar_parity_gate(seed: int) -> dict:
-    """Columnar-built vs object-built indexes: identical bits, identical
-    decisions (hard gate; runs in PR CI too — it is cheap)."""
+    """Store-built (``IGEPAInstance.from_store``) vs entity-built
+    (``IGEPAInstance(events, users, ...)``) instances of the same content:
+    identical index bits, identical decisions (hard gate; runs in PR CI
+    too — it is cheap)."""
     config = SyntheticConfig(num_users=3000, num_events=200)
     columnar = generate_synthetic_stream(config, seed=seed)
-    entity = generate_synthetic_stream(config, seed=seed, columnar=False)
-    assert columnar.is_columnar and not entity.is_columnar
+    entity = IGEPAInstance(
+        conflict=columnar.conflict,
+        social=columnar.social,
+        beta=columnar.beta,
+        name=columnar.name,
+        **_entity_objects(columnar),
+    )
+    assert entity.store is not columnar.store
     ci, ei = columnar.index, entity.index
     assert type(ci) is type(ei), (type(ci).__name__, type(ei).__name__)
     mismatched = [
@@ -455,14 +493,14 @@ def run_columnar_parity_gate(seed: int) -> dict:
         for name in type(ci).PARITY_ARRAYS
         if not np.array_equal(getattr(ci, name), getattr(ei, name))
     ]
-    assert mismatched == [], f"columnar/object index arrays differ: {mismatched}"
+    assert mismatched == [], f"store/entity-built index arrays differ: {mismatched}"
     a = LocalSearch(GGGreedy()).solve(columnar, seed=seed)
     b = LocalSearch(GGGreedy()).solve(entity, seed=seed)
     assert a.arrangement.pairs == b.arrangement.pairs
     assert a.utility == b.utility
     print(
-        "columnar parity: index arrays + GG+LS arrangement bit-identical "
-        "across entity layers"
+        "constructor parity: index arrays + GG+LS arrangement bit-identical "
+        "for store- and entity-built instances"
     )
     return {"identical_arrays": True, "identical_pairs": True, "utility": a.utility}
 

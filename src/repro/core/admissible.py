@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.model.entities import User
+from repro.model.index import BaseInstanceIndex
 from repro.model.instance import IGEPAInstance
 
 DEFAULT_MAX_SETS_PER_USER = 100_000
@@ -58,13 +59,29 @@ def enumerate_admissible_sets(
     Raises:
         AdmissibleSetExplosion: when the collection exceeds ``max_sets``.
     """
-    bids = sorted(user.bids)
-    capacity = user.capacity
+    return enumerate_bid_sets(
+        instance.index, user.user_id, user.bids, user.capacity, max_sets
+    )
+
+
+def enumerate_bid_sets(
+    index: BaseInstanceIndex,
+    user_id: int,
+    bids: Sequence[int],
+    capacity: int,
+    max_sets: int = DEFAULT_MAX_SETS_PER_USER,
+) -> list[tuple[int, ...]]:
+    """:func:`enumerate_admissible_sets` on a user's already-read fields.
+
+    Callers that hold the bid list and capacity (read once from a user
+    view, or sliced from the store's columns) enumerate without reading
+    them again.
+    """
+    bids = sorted(bids)
     results: list[tuple[int, ...]] = []
     if capacity == 0 or not bids:
         return results
 
-    index = instance.index
     conflict_bits = index.conflict_bits
     positions = [index.event_pos[event_id] for event_id in bids]
     masks = [conflict_bits[p] for p in positions]
@@ -77,7 +94,7 @@ def enumerate_admissible_sets(
             current.append(bids[offset])
             results.append(tuple(current))
             if len(results) > max_sets:
-                raise AdmissibleSetExplosion(user.user_id, max_sets)
+                raise AdmissibleSetExplosion(user_id, max_sets)
             if len(current) < capacity:
                 extend(offset + 1, current, chosen | flags[offset])
             current.pop()
@@ -90,10 +107,22 @@ def enumerate_all_admissible_sets(
     instance: IGEPAInstance,
     max_sets_per_user: int = DEFAULT_MAX_SETS_PER_USER,
 ) -> dict[int, list[tuple[int, ...]]]:
-    """``A_u`` for every user of the instance, keyed by user id."""
+    """``A_u`` for every user of the instance, keyed by user id.
+
+    Bid lists are sliced from the store's CSR in one pass rather than read
+    user by user through views.
+    """
+    index = instance.index
+    store = instance.store
     return {
-        user.user_id: enumerate_admissible_sets(instance, user, max_sets_per_user)
-        for user in instance.users
+        user_id: enumerate_bid_sets(
+            index, user_id, bids, capacity, max_sets_per_user
+        )
+        for user_id, capacity, bids in zip(
+            store.user_ids.tolist(),
+            store.user_capacity.tolist(),
+            store.bid_lists(),
+        )
     }
 
 

@@ -114,21 +114,21 @@ def build_benchmark_lp(
         admissible = enumerate_all_admissible_sets(instance, max_sets_per_user)
 
     index = instance.index
-    users = instance.users
-    events = instance.events
-    num_events = len(events)
+    user_ids = index.user_ids.tolist()
+    event_ids = index.event_ids.tolist()
+    num_events = len(event_ids)
     # Variables run user by user (instance order), each user's sets in A_u
     # order, so user u's variables are one contiguous range.
-    user_sets = [admissible.get(user.user_id, []) for user in users]
-    counts = np.fromiter(map(len, user_sets), dtype=np.int64, count=len(users))
+    user_sets = [admissible.get(user_id, []) for user_id in user_ids]
+    counts = np.fromiter(map(len, user_sets), dtype=np.int64, count=len(user_ids))
     sets: list[tuple[int, ...]] = list(itertools.chain.from_iterable(user_sets))
     num_vars = len(sets)
     ends = np.cumsum(counts).tolist()
     by_user = {
-        user.user_id: list(range(end - count, end))
-        for user, count, end in zip(users, counts.tolist(), ends)
+        user_id: list(range(end - count, end))
+        for user_id, count, end in zip(user_ids, counts.tolist(), ends)
     }
-    var_upos = np.repeat(np.arange(len(users), dtype=np.int64), counts)
+    var_upos = np.repeat(np.arange(len(user_ids), dtype=np.int64), counts)
     var_user_ids = index.user_ids[var_upos].tolist()
     assignments = list(zip(var_user_ids, sets))
 
@@ -195,11 +195,11 @@ def build_benchmark_lp(
         ]
     )
     lp.add_constraints(
-        [f"user[{users[p].user_id}]" for p in user_rows.tolist()]
-        + [f"event[{events[p].event_id}]" for p in event_rows.tolist()],
+        [f"user[{user_ids[p]}]" for p in user_rows.tolist()]
+        + [f"event[{event_ids[p]}]" for p in event_rows.tolist()],
         Sense.LE,
         [1.0] * user_rows.size
-        + [float(events[p].capacity) for p in event_rows.tolist()],
+        + index.event_capacity[event_rows].astype(np.float64).tolist(),
         np.repeat(np.arange(row_lengths.size, dtype=np.int64), row_lengths),
         cols,
         np.ones(cols.size),

@@ -134,7 +134,7 @@ def event_social_cohesion(
     (large-scale generators) have no edge structure to measure, in which
     case this raises ``ValueError``.
     """
-    if instance.degrees_override is not None:
+    if instance.has_degree_overrides:
         raise ValueError(
             "social cohesion needs an explicit social graph; this instance "
             "uses degree overrides (sampled degrees without a graph)"

@@ -31,10 +31,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.admissible import DEFAULT_MAX_SETS_PER_USER, enumerate_admissible_sets
+from repro.core.admissible import DEFAULT_MAX_SETS_PER_USER, enumerate_bid_sets
 from repro.core.analysis import lp_upper_bound
 from repro.core.base import ArrangementAlgorithm
 from repro.model.arrangement import Arrangement
+from repro.model.index import BaseInstanceIndex
 from repro.model.instance import IGEPAInstance
 
 
@@ -200,35 +201,40 @@ class OnlineGreedy(_OnlineAlgorithm):
             self._set_cache.pop(user_id, None)
 
     def _admissible_sets(
-        self, instance: IGEPAInstance, user
+        self,
+        index: BaseInstanceIndex,
+        user_id: int,
+        bids: tuple[int, ...],
+        capacity: int,
     ) -> tuple[tuple[int, ...], ...]:
         """The user's admissible sets, memoized behind a content key."""
         if not self.cache_admissible:
             return tuple(
-                enumerate_admissible_sets(instance, user, self.max_sets_per_user)
+                enumerate_bid_sets(
+                    index, user_id, bids, capacity, self.max_sets_per_user
+                )
             )
-        index = instance.index
         event_pos = index.event_pos
         conflict_bits = index.conflict_bits
-        positions = tuple(event_pos[event_id] for event_id in user.bids)
+        positions = tuple(event_pos[event_id] for event_id in bids)
         bid_mask = 0
         for p in positions:
             bid_mask |= 1 << p
         fingerprint = (
-            user.capacity,
-            user.bids,
+            capacity,
+            bids,
             positions,
             tuple(conflict_bits[p] & bid_mask for p in positions),
         )
-        cached = self._set_cache.get(user.user_id)
+        cached = self._set_cache.get(user_id)
         if cached is not None and cached[0] == fingerprint:
             self.cache_hits += 1
             return cached[1]
         self.cache_misses += 1
         sets = tuple(
-            enumerate_admissible_sets(instance, user, self.max_sets_per_user)
+            enumerate_bid_sets(index, user_id, bids, capacity, self.max_sets_per_user)
         )
-        self._set_cache[user.user_id] = (fingerprint, sets)
+        self._set_cache[user_id] = (fingerprint, sets)
         return sets
 
     def _serve(
@@ -238,7 +244,6 @@ class OnlineGreedy(_OnlineAlgorithm):
         user_id: int,
         rng: np.random.Generator,
     ) -> None:
-        user = instance.user_by_id[user_id]
         index = instance.index
         upos = index.user_pos[user_id]
         weight_of = index.user_weight_by_event_id(upos)
@@ -247,7 +252,10 @@ class OnlineGreedy(_OnlineAlgorithm):
         event_capacity = index.event_capacity
         best_set: tuple[int, ...] | None = None
         best_weight = 0.0
-        for events in self._admissible_sets(instance, user):
+        # The user's row read straight from the store, not through a view.
+        bids = instance.store.user_bids(upos)
+        capacity = int(index.user_capacity[upos])
+        for events in self._admissible_sets(index, user_id, bids, capacity):
             if any(
                 attendance[event_pos[event_id]] >= event_capacity[event_pos[event_id]]
                 for event_id in events
@@ -275,10 +283,11 @@ class OnlineRandom(_OnlineAlgorithm):
         rng: np.random.Generator,
     ) -> None:
         user = instance.user_by_id[user_id]
+        capacity = user.capacity
         bids = list(user.bids)
         rng.shuffle(bids)
         for event_id in bids:
-            if arrangement.load(user_id) >= user.capacity:
+            if arrangement.load(user_id) >= capacity:
                 break
             if arrangement.can_add(event_id, user_id):
                 arrangement.add(event_id, user_id, check=False)
@@ -314,9 +323,10 @@ def serve_greedy_walk(
     weight_of = index.user_weight_by_event_id(upos)
     # Heaviest bid first; event id breaks ties so the walk is deterministic.
     bids = sorted(user.bids, key=lambda event_id: (-weight_of[event_id], event_id))
+    capacity = user.capacity
     added: list[int] = []
     for event_id in bids:
-        if arrangement.load(user_id) >= user.capacity:
+        if arrangement.load(user_id) >= capacity:
             break
         if arrangement.can_add(event_id, user_id):
             arrangement.add(event_id, user_id, check=False)

@@ -157,16 +157,16 @@ class _MirrorState:
     the model."""
 
     def __init__(self, instance: IGEPAInstance):
-        self.bids: dict[int, list[int]] = {
-            user.user_id: list(user.bids) for user in instance.users
-        }
-        self.events: list[int] = [event.event_id for event in instance.events]
-        self.event_capacity: dict[int, int] = {
-            event.event_id: event.capacity for event in instance.events
-        }
-        self.user_capacity: dict[int, int] = {
-            user.user_id: user.capacity for user in instance.users
-        }
+        store = instance.store
+        user_ids = store.user_ids.tolist()
+        self.bids: dict[int, list[int]] = dict(zip(user_ids, store.bid_lists()))
+        self.events: list[int] = store.event_ids.tolist()
+        self.event_capacity: dict[int, int] = dict(
+            zip(self.events, store.event_capacity.tolist())
+        )
+        self.user_capacity: dict[int, int] = dict(
+            zip(user_ids, store.user_capacity.tolist())
+        )
         conflict = instance.conflict
         if not isinstance(conflict, MatrixConflict):
             raise TypeError(
@@ -183,7 +183,7 @@ class _MirrorState:
         }
         self.next_user_id = max(self.bids, default=-1) + 1
         self.next_event_id = max(self.events, default=-1) + 1
-        self.uses_degree_overrides = instance.degrees_override is not None
+        self.uses_degree_overrides = instance.has_degree_overrides
 
     def user_ids(self) -> list[int]:
         return list(self.bids)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.model.columnar import ColumnarInterest, ColumnarStore, EventColumn
+from repro.model.columnar import ColumnarInterest, ColumnarStore
 from repro.model.conflicts import MatrixConflict
 from repro.model.entities import Event, User
 from repro.model.instance import IGEPAInstance
@@ -287,7 +287,6 @@ def generate_synthetic_stream(
     seed: int | None = None,
     *,
     chunk_size: int = 8192,
-    columnar: bool = True,
     spill_budget_bytes: int | None = None,
     spill_dir: str | None = None,
     **overrides,
@@ -301,19 +300,14 @@ def generate_synthetic_stream(
     * users are generated ``chunk_size`` at a time with bulk RNG draws —
       no per-user ``Generator`` calls, so a 50k-user instance builds in a
       fraction of the per-user generator's time;
-    * with ``columnar=True`` (default) the chunks flow straight into a
+    * the chunks flow straight into a
       :class:`~repro.model.columnar.ColumnarStore` — no ``User`` object, no
       per-bid tuple and no interest dict is ever materialized, so peak
       memory is a handful of flat arrays plus O(|V|² + chunk);
     * degrees always come from the exact Binomial marginal (the explicit
       Erdős–Rényi graph at 500k users would hold ~6·10¹⁰ edges).
 
-    ``columnar=False`` assembles classic entity lists from the *same* array
-    chunks; both modes consume one RNG draw sequence, so for a fixed seed
-    they produce content-identical instances (bit-equal SI values, degrees,
-    bids) — only the storage representation differs.
-
-    ``spill_budget_bytes`` (columnar mode only) caps the store's resident
+    ``spill_budget_bytes`` caps the store's resident
     array bytes: beyond it, the large per-user/per-bid columns are rewritten
     as memory-mapped ``.npy`` files under ``spill_dir`` (a fresh temporary
     directory when omitted).
@@ -334,8 +328,6 @@ def generate_synthetic_stream(
         )
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if spill_budget_bytes is not None and not columnar:
-        raise ValueError("spill_budget_bytes requires columnar=True")
     rng = np.random.default_rng(seed)
 
     event_ids = list(range(config.num_events))
@@ -388,62 +380,29 @@ def generate_synthetic_stream(
         f"pcf={config.conflict_probability},pdeg={config.friend_probability})"
     )
 
-    if columnar:
-        store = ColumnarStore(
-            user_ids=np.arange(num_users, dtype=np.int64),
-            user_capacity=user_capacity,
-            event_ids=np.arange(config.num_events, dtype=np.int64),
-            event_capacity=np.fromiter(
-                (e.capacity for e in events), dtype=np.int64, count=len(events)
-            ),
-            bid_indptr=bid_indptr,
-            bid_event_pos=bid_event_pos,
-            bid_si=bid_si,
-            degrees=degree_vector,
-            conflict_matrix=conflict.matrix(events),
-        )
-        if spill_budget_bytes is not None:
-            directory = spill_dir or tempfile.mkdtemp(prefix="igepa-spill-")
-            store.maybe_spill(spill_budget_bytes, directory)
-        return IGEPAInstance.from_store(
-            store,
-            conflict=conflict,
-            interest=ColumnarInterest(store),
-            social=empty_graph(store.user_ids.tolist()),
-            beta=config.beta,
-            name=name,
-        )
-
-    # Entity mode: the same arrays, unpacked into classic User objects and a
-    # tabulated interest dict (exact backward compatibility path).
-    caps_list = user_capacity.tolist()
-    indptr_list = bid_indptr.tolist()
-    flat_list = bid_event_pos.tolist()
-    si_list = bid_si.tolist()
-    users = [
-        User(
-            user_id=user_id,
-            capacity=caps_list[user_id],
-            bids=tuple(flat_list[indptr_list[user_id] : indptr_list[user_id + 1]]),
-        )
-        for user_id in range(num_users)
-    ]
-    interest_values = {
-        (flat_list[entry], user_id): si_list[entry]
-        for user_id in range(num_users)
-        for entry in range(indptr_list[user_id], indptr_list[user_id + 1])
-    }
-    degrees = dict(enumerate(degree_vector.tolist()))
-
-    return IGEPAInstance(
-        events=events,
-        users=users,
+    store = ColumnarStore(
+        user_ids=np.arange(num_users, dtype=np.int64),
+        user_capacity=user_capacity,
+        event_ids=np.arange(config.num_events, dtype=np.int64),
+        event_capacity=np.fromiter(
+            (e.capacity for e in events), dtype=np.int64, count=len(events)
+        ),
+        bid_indptr=bid_indptr,
+        bid_event_pos=bid_event_pos,
+        bid_si=bid_si,
+        degrees=degree_vector,
+        conflict_matrix=conflict.matrix(events),
+    )
+    if spill_budget_bytes is not None:
+        directory = spill_dir or tempfile.mkdtemp(prefix="igepa-spill-")
+        store.maybe_spill(spill_budget_bytes, directory)
+    return IGEPAInstance.from_store(
+        store,
         conflict=conflict,
-        interest=TabulatedInterest(interest_values),
-        social=empty_graph(list(range(num_users))),
+        interest=ColumnarInterest(store),
+        social=empty_graph(store.user_ids.tolist()),
         beta=config.beta,
         name=name,
-        degrees=degrees,
     )
 
 

@@ -175,19 +175,17 @@ class InstanceBuilder:
             )
         # One packing pass replaces the per-entity generator scans: the
         # temporal check is the presence of the store's start column, the
-        # social node list is the id column, and the instance reuses the
-        # store instead of packing a second time.
+        # social node list is the id column, and the instance wraps the
+        # store.
         store = ColumnarStore.from_entities(self._users, self._events)
         social = Graph(nodes=store.user_ids.tolist())
         for first, second in self._edges:
             social.add_edge(first, second)
-        return IGEPAInstance(
-            events=self._events,
-            users=self._users,
+        return IGEPAInstance.from_store(
+            store,
             conflict=self._conflict_function(store.event_start is not None),
             interest=interest,
             social=social,
             beta=self._beta,
             name=self._name,
-            store=store,
         )

@@ -1,11 +1,10 @@
 """The columnar instance store: entities as contiguous arrays, not objects.
 
-The object layer (:mod:`repro.model.entities`) prices every user at a Python
-object plus a ``__dict__``, an attribute array, a bid tuple and — through
-:class:`~repro.model.interest.TabulatedInterest` — several dict entries.
-At |U| ≥ 500k that layer alone costs hundreds of megabytes and dominates
-build time before any algorithm runs.  :class:`ColumnarStore` replaces it
-with the arrays-first representation the indexes already want:
+Every :class:`~repro.model.instance.IGEPAInstance` is backed by one
+:class:`ColumnarStore`.  Entity objects (:mod:`repro.model.entities`) cost a
+Python object plus a ``__dict__``, an attribute array and a bid tuple per
+user; at |U| ≥ 500k such a layer alone costs hundreds of megabytes.  The
+store holds the arrays-first representation the indexes already want:
 
 * ``user_ids`` / ``user_capacity`` — contiguous ``int64`` vectors;
 * ``bid_indptr`` / ``bid_event_pos`` — the bid relation as a CSR over user
@@ -28,9 +27,8 @@ The public entity API survives through **lazily materialized views**:
 offset — ~56 bytes each, created on demand and never retained by the store —
 that duck-type :class:`~repro.model.entities.User` / ``Event`` (same fields,
 same equality and hashing).  :class:`UserColumn` / :class:`EventColumn` are
-the sequences ``IGEPAInstance.users`` / ``.events`` expose on store-backed
-instances; indexing or iterating them creates views, holding one never costs
-``O(|U|)``.
+the sequences ``IGEPAInstance.users`` / ``.events`` expose; indexing or
+iterating them creates views, holding one never costs ``O(|U|)``.
 
 Columns beyond a caller-set budget can **spill** to memory-mapped ``.npy``
 files (:meth:`ColumnarStore.maybe_spill`): the large per-user and per-bid
@@ -363,7 +361,7 @@ class _ViewColumn(Sequence):
 
 
 class UserColumn(_ViewColumn):
-    """``instance.users`` on store-backed instances: lazy :class:`UserView` rows."""
+    """``instance.users``: lazy :class:`UserView` rows."""
 
     __slots__ = ()
     _view = UserView
@@ -371,7 +369,7 @@ class UserColumn(_ViewColumn):
 
 
 class EventColumn(_ViewColumn):
-    """``instance.events`` on store-backed instances: lazy :class:`EventView` rows."""
+    """``instance.events``: lazy :class:`EventView` rows."""
 
     __slots__ = ()
     _view = EventView
@@ -379,7 +377,7 @@ class EventColumn(_ViewColumn):
 
 
 class IdViewMap(Mapping):
-    """``user_by_id`` / ``event_by_id`` on store-backed instances.
+    """``IGEPAInstance.user_by_id`` / ``event_by_id``.
 
     A read-only mapping from entity id to a freshly created view — O(1)
     memory, O(1) lookup through the store's position map, never an O(|U|)
@@ -439,8 +437,7 @@ class ColumnarStore:
         bid_event_pos: event *positions* per bid entry, in each user's
             bid-list order.
         bid_si: optional SI value per bid entry (in ``[0, 1]``).
-        degrees: optional ``D(G, u)`` override vector (replaces the
-            id-keyed override dict of the object path).
+        degrees: optional ``D(G, u)`` override vector.
         user_attributes / event_attributes: ``None``, a 2-D float array, or
             a list of 1-D arrays (ragged).
         user_categories / event_categories: ``None`` or a sequence of
@@ -553,8 +550,9 @@ class ColumnarStore:
 
         Bids are mapped to event positions with a sort + binary search over
         the event ids — no per-bid dict lookups.  Bids referencing unknown
-        events raise :class:`InstanceValidationError` with the same message
-        ``IGEPAInstance._validate`` has always used.
+        events raise :class:`InstanceValidationError` ("user U bids for
+        unknown events [...]").  ``degrees`` keys of unknown users are
+        dropped; users without a key get 0.0.
         """
         users = list(users) if not isinstance(users, (list, tuple)) else users
         events = list(events) if not isinstance(events, (list, tuple)) else events
@@ -692,9 +690,15 @@ class ColumnarStore:
 
     def user_bids(self, row: int) -> tuple[int, ...]:
         """The user's bid list as event ids, in stored (bid-list) order."""
-        lo = int(self.bid_indptr[row])
-        hi = int(self.bid_indptr[row + 1])
+        lo, hi = self.bid_indptr[row : row + 2].tolist()
         return tuple(self.event_ids[self.bid_event_pos[lo:hi]].tolist())
+
+    def bid_lists(self) -> list[list[int]]:
+        """Every user's bid list as event ids, row by row — one CSR pass
+        for callers that read all users' bids."""
+        bid_ids = self.event_ids[self.bid_event_pos].tolist()
+        bounds = self.bid_indptr.tolist()
+        return [bid_ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def _aux_vector(
         self, column: np.ndarray | list[np.ndarray] | None, row: int
@@ -727,10 +731,9 @@ class ColumnarStore:
     def validate(self) -> None:
         """Structural checks as single vectorized passes.
 
-        Mirrors the per-entity checks of ``IGEPAInstance._validate`` and the
-        entity constructors: unique ids, non-negative capacities, bid
-        positions in range, no duplicate bids per user, SI/degree values in
-        ``[0, 1]``, temporal columns well-formed.
+        The structural checks of every instance: unique ids, non-negative
+        capacities, bid positions in range, no duplicate bids per user,
+        SI/degree values in ``[0, 1]``, temporal columns well-formed.
 
         Raises:
             InstanceValidationError: on the first violated check.

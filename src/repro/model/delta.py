@@ -382,58 +382,6 @@ def _check_delta(instance: IGEPAInstance, delta: Delta) -> None:
                 )
 
 
-def _successor_users(instance: IGEPAInstance, delta: Delta) -> list[User]:
-    """Surviving users (bid lists rewritten where they churned) + additions.
-
-    A rewritten bid tuple keeps surviving bids in the old order and appends
-    added bids in delta order — the exact order the CSR patcher splices, so
-    a from-scratch index build over the successor users agrees entry for
-    entry.
-    """
-    removed_users = set(delta.remove_users)
-    removed_events = set(delta.remove_events)
-    drops: dict[int, set[int]] = {}
-    for user_id, event_id in delta.remove_bids:
-        drops.setdefault(user_id, set()).add(event_id)
-    adds: dict[int, list[int]] = {}
-    for user_id, event_id in delta.add_bids:
-        adds.setdefault(user_id, []).append(event_id)
-    capacities = dict(delta.set_user_capacity)
-
-    # Only users whose bid list or capacity actually changes need a rewrite;
-    # everyone else carries their (immutable) User object over untouched.
-    affected: set[int] = set(drops) | set(adds) | set(capacities)
-    if removed_events:
-        index = instance.index
-        for event_id in removed_events:
-            vpos = index.event_pos[event_id]
-            affected.update(
-                int(u) for u in index.user_ids[index.event_bidder_positions(vpos)]
-            )
-
-    users: list[User] = []
-    for user in instance.users:
-        if user.user_id in removed_users:
-            continue
-        if user.user_id in affected:
-            dropped = drops.get(user.user_id, set())
-            new_bids = tuple(
-                event_id
-                for event_id in user.bids
-                if event_id not in dropped and event_id not in removed_events
-            ) + tuple(adds.get(user.user_id, ()))
-            user = User(
-                user_id=user.user_id,
-                capacity=capacities.get(user.user_id, user.capacity),
-                attributes=user.attributes,
-                bids=new_bids,
-                categories=user.categories,
-            )
-        users.append(user)
-    users.extend(delta.add_users)
-    return users
-
-
 def _successor_conflict(
     instance: IGEPAInstance, delta: Delta
 ) -> ConflictFunction:
@@ -537,9 +485,8 @@ def _patch_components(
     Every surviving entry is copied bit for bit; new entries run the same
     expressions the from-scratch build would (``validated_interest`` for SI,
     the conflict function for new rows).  The caller supplies the successor's
-    conflict/interest machinery — as objects on the entity path, as
-    view/delta-backed closures on the columnar path — so this function never
-    needs the successor instance itself.
+    conflict/interest machinery as view- and delta-backed closures, so this
+    function never needs the successor instance itself.
 
     The patch is expressed at the CSR-entry level (``bid_indices`` /
     ``bid_si`` splicing), so its cost is O(bids + delta + |V|²) regardless
@@ -762,39 +709,17 @@ def _index_from_components(
     return patched
 
 
-def _patch_index(
-    instance: IGEPAInstance,
-    successor: IGEPAInstance,
-    delta: Delta,
-    maps: _PositionMaps,
-) -> BaseInstanceIndex:
-    """Derive the successor's index from the predecessor's by array patching
-    (entity-path wiring around :func:`_patch_components`)."""
-    components = _patch_components(
-        instance,
-        delta,
-        maps,
-        conflict_fn=successor.conflict,
-        successor_events=successor.events,
-        interest_fn=successor.interest.interest,
-        event_lookup=successor.event_by_id.__getitem__,
-        user_lookup=successor.user_by_id.__getitem__,
-    )
-    components["degrees"] = _successor_degrees(instance, successor, delta)
-    return _index_from_components(instance.index, successor, components)
-
-
-def _columnar_successor(
+def _successor(
     instance: IGEPAInstance, delta: Delta, maps: _PositionMaps
 ) -> tuple[IGEPAInstance, dict]:
-    """Build the successor of a store-backed instance by patching columns.
+    """Build the successor instance by patching the predecessor's columns.
 
     No per-entity object is touched for surviving users: the successor's
     store is assembled from the patched component arrays (which double as
     the index's primary arrays), added entities come straight from the
     delta, and interest evaluation for spliced bids resolves through the
-    predecessor's CSR — overlaid with the delta's interest entries exactly
-    as the entity path's merged table would.
+    predecessor's interest — overlaid with the delta's interest entries
+    exactly as the successor's merged table holds them.
 
     Returns the successor instance plus the patched components (sans
     degrees) for the caller to attach an index from.
@@ -825,10 +750,10 @@ def _columnar_successor(
         return added if added is not None else pred_event_by_id[event_id]
 
     # SI for spliced bids: the delta's interest entries take precedence
-    # (they would sit on top of the merged table a from-scratch entity
-    # build reads), then the predecessor's interest — for ColumnarInterest
-    # a CSR/extra lookup, so withdrawn-and-re-added pairs resurrect their
-    # stored value exactly as the unpruned dict table does.
+    # (they sit on top of the successor's merged table), then the
+    # predecessor's interest — for ColumnarInterest a CSR/extra lookup, so
+    # withdrawn-and-re-added pairs resurrect their stored value exactly as
+    # the unpruned dict table does.
     base_interest = instance.interest.interest
     delta_map = {
         (event_id, user_id): value
@@ -854,8 +779,8 @@ def _columnar_successor(
         user_lookup=user_lookup,
     )
 
-    # Degree-override column: splice the vector (same dict.get(., 0.0)
-    # semantics per added user as the entity path's merged override dict).
+    # Degree-override column: splice the vector (added users the delta
+    # gives no degree get 0.0, as in ColumnarStore.from_entities).
     store_degrees = None
     if store.degrees is not None:
         delta_degrees = dict(delta.degrees)
@@ -1283,75 +1208,22 @@ def apply_delta(
         raise DeltaError("arrangement belongs to a different instance")
     _check_delta(instance, delta)
 
-    if instance.is_columnar:
-        # Store-backed path: patch the columns, never materialize entity
-        # objects for surviving users.  The patched components double as the
-        # successor store and (with degrees added) the index's primary
-        # arrays, so incremental=False still hands the successor a store a
-        # from-scratch index build reproduces bit for bit.
-        maps = _position_maps(instance.index, delta)
-        successor, components = _columnar_successor(instance, delta, maps)
-        successor._index_config = instance._index_config
-        if incremental:
-            components["degrees"] = _successor_degrees(
-                instance, successor, delta
-            )
-            successor._index = _index_from_components(
-                instance.index, successor, components
-            )
-    else:
-        users = _successor_users(instance, delta)
-        removed_events = set(delta.remove_events)
-        event_capacities = dict(delta.set_event_capacity)
-        events = [
-            event
-            if event.event_id not in event_capacities
-            else replace(event, capacity=event_capacities[event.event_id])
-            for event in instance.events
-            if event.event_id not in removed_events
-        ]
-        events.extend(delta.add_events)
-
-        degrees_override = None
-        if instance.degrees_override is not None:
-            if delta.remove_users:
-                removed_users = set(delta.remove_users)
-                degrees_override = {
-                    user_id: value
-                    for user_id, value in instance.degrees_override.items()
-                    if user_id not in removed_users
-                }
-            else:
-                degrees_override = dict(instance.degrees_override)
-            degrees_override.update(delta.degrees)
-
-        # _check_delta already validated every operation incrementally, so
-        # the successor skips the full structural re-validation.
-        successor = IGEPAInstance(
-            events=events,
-            users=users,
-            conflict=_successor_conflict(instance, delta),
-            interest=_successor_interest(instance, delta),
-            social=_successor_social(instance, delta),
-            beta=instance.beta,
-            name=instance.name,
-            degrees=degrees_override,
-            validate=False,
+    # Patch the columns, never materialize entity objects for surviving
+    # users.  The patched components double as the successor store and
+    # (with degrees added) the index's primary arrays, so incremental=False
+    # still hands the successor a store a from-scratch index build
+    # reproduces bit for bit.
+    maps = _position_maps(instance.index, delta)
+    successor, components = _successor(instance, delta, maps)
+    # The successor inherits the index configuration (sharded/dense, shard
+    # size), so the full-rebuild comparison path builds the same kind of
+    # index the predecessor used.
+    successor._index_config = instance._index_config
+    if incremental:
+        components["degrees"] = _successor_degrees(instance, successor, delta)
+        successor._index = _index_from_components(
+            instance.index, successor, components
         )
-        # The successor inherits the index configuration (sharded/dense,
-        # shard size), so the full-rebuild comparison path builds the same
-        # kind of index the predecessor used.
-        successor._index_config = instance._index_config
-        # The maps feed the index patch and the carryover; the plain
-        # content-rebuild path (incremental=False, no arrangement) skips
-        # them.
-        maps = (
-            _position_maps(instance.index, delta)
-            if incremental or arrangement is not None
-            else None
-        )
-        if incremental:
-            successor._index = _patch_index(instance, successor, delta, maps)
 
     result = DeltaResult(
         instance=successor, arrangement=None, incremental=incremental

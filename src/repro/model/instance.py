@@ -11,8 +11,9 @@ provides the derived quantities every algorithm needs:
 * the conflict relation restricted to each user's bids,
 * bidder sets ``N_v``.
 
-Instances are validated on construction and immutable by convention: all
-derived quantities are cached.
+Every instance is stored as one :class:`~repro.model.columnar.ColumnarStore`,
+whichever constructor built it.  Instances are validated on construction and
+immutable by convention: all derived quantities are cached.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ AUTO_SHARD_CELLS = DENSE_CELL_CAP
 class IGEPAInstance:
     """All inputs of the IGEPA problem, validated and cached.
 
+    Every instance is backed by one
+    :class:`~repro.model.columnar.ColumnarStore`: the constructor packs the
+    given entities into columns once, and from then on ``users``/``events``
+    are lazy view columns over the store, ``user_by_id``/``event_by_id``
+    are O(1) view mappings, and degree overrides live in the store's
+    ``degrees`` vector.  :meth:`from_store` wraps an already-built store.
+
     Args:
         events: the event set ``V``.
         users: the user set ``U`` (bids reference event ids).
@@ -57,20 +65,16 @@ class IGEPAInstance:
         beta: balance between interest and interaction terms, in ``[0, 1]``.
         name: optional label used in reports.
         degrees: optional precomputed ``D(G, u)`` values keyed by user id,
-            overriding graph lookups.  Large synthetic workloads sample
-            degrees from the exact Binomial marginal instead of materializing
-            a multi-million-edge graph; the utility only
-            depends on degrees, so the substitution is lossless.
-        validate: run the structural validation (the default).  Delta
-            maintenance (:mod:`repro.model.delta`) passes False because every
-            operation was already validated incrementally against the
-            predecessor — re-validating the whole successor would put an
-            O(|U| + bids) pass on the churn hot path.
+            overriding graph lookups (users absent from the dict get 0.0).
+            Large synthetic workloads sample degrees from the exact Binomial
+            marginal instead of materializing a multi-million-edge graph;
+            the utility only depends on degrees, so the substitution is
+            lossless.
 
     Raises:
         InstanceValidationError: on duplicate ids, dangling bids, an invalid
             ``beta``, social-network nodes that are not users, or degree
-            overrides outside ``[0, 1]``.
+            overrides for non-users or outside ``[0, 1]``.
     """
 
     def __init__(
@@ -82,29 +86,19 @@ class IGEPAInstance:
         social: Graph,
         beta: float = 0.5,
         name: str = "",
-        degrees: dict[int, float] | None = None,
-        validate: bool = True,
-        store: ColumnarStore | None = None,
+        degrees: Mapping[int, float] | None = None,
     ) -> None:
-        self.events = list(events)
-        self.users = list(users)
-        self.conflict = conflict
-        self.interest = interest
-        self.social = social
-        self.beta = float(beta)
-        self.name = name
-        self._degrees_override = dict(degrees) if degrees is not None else None
-        self._degrees_dict: dict[int, float] | None = None
-        # Callers that already packed these entities into columns (the
-        # builder) pass the store to skip a second packing pass; it must
-        # describe exactly the given entities and degrees.
-        self._store: ColumnarStore | None = store
-        self._columnar = False
-
-        if validate:
-            self._validate()
-
-        self._finish_init()
+        store = ColumnarStore.from_entities(users, events, degrees=degrees)
+        if degrees:
+            # The packed column silently drops keys of unknown users.
+            keys = np.fromiter(degrees.keys(), dtype=np.int64, count=len(degrees))
+            present = np.isin(keys, store.user_ids)
+            if not present.all():
+                alien_degrees = sorted(set(keys[~present].tolist()))
+                raise InstanceValidationError(
+                    f"degree overrides for non-users {alien_degrees[:5]}"
+                )
+        self._init(store, conflict, interest, social, beta, name, validate=True)
 
     @classmethod
     def from_store(
@@ -119,34 +113,41 @@ class IGEPAInstance:
     ) -> "IGEPAInstance":
         """Wrap a :class:`~repro.model.columnar.ColumnarStore` directly.
 
-        The arrays-first constructor: ``users``/``events`` become lazy view
-        columns over the store, ``user_by_id``/``event_by_id`` become O(1)
-        view mappings, and no per-entity object is created.  Degree
-        overrides live in the store's ``degrees`` vector.
+        The arrays-first constructor: no per-entity object is created.
+        ``validate=False`` skips the structural checks — delta maintenance
+        (:mod:`repro.model.delta`) passes it because every operation was
+        already validated incrementally against the predecessor.
         """
         self = cls.__new__(cls)
-        self._store = store
+        self._init(store, conflict, interest, social, beta, name, validate)
+        return self
+
+    def _init(
+        self,
+        store: ColumnarStore,
+        conflict: ConflictFunction,
+        interest: InterestFunction,
+        social: Graph,
+        beta: float,
+        name: str,
+        validate: bool,
+    ) -> None:
         sanitize_store(store)
-        self._columnar = True
+        self.store = store
         self.users = UserColumn(store)
         self.events = EventColumn(store)
+        self.user_by_id: Mapping[int, User] = IdViewMap(store, "user")
+        self.event_by_id: Mapping[int, Event] = IdViewMap(store, "event")
         self.conflict = conflict
         self.interest = interest
         self.social = social
         self.beta = float(beta)
         self.name = name
-        self._degrees_override = None
-        self._degrees_dict = None
+        self._degrees_dict: dict[int, float] | None = None
 
         if validate:
             self._validate()
 
-        self._finish_init()
-        return self
-
-    def _finish_init(self) -> None:
-        self._user_by_id = None
-        self._event_by_id = None
         # Fallback cache for SI on non-bid pairs only; bid pairs live in the
         # index's SI storage.
         self._interest_cache: dict[tuple[int, int], float] = {}
@@ -155,136 +156,48 @@ class IGEPAInstance:
         # heuristic (dense below AUTO_SHARD_CELLS, sharded at or above).
         self._index_config: tuple[bool, int | None] | None = None
 
-    # ------------------------------------------------------------------
-    # Columnar backing
-    # ------------------------------------------------------------------
-    @property
-    def store(self) -> ColumnarStore:
-        """The columnar store backing this instance, built lazily.
-
-        Store-backed instances return their store; object-built instances
-        pack their entities into columns on first access (validation and
-        index construction both route through it).
-        """
-        if self._store is None:
-            self._store = ColumnarStore.from_entities(
-                self.users, self.events, degrees=self._degrees_override
-            )
-            sanitize_store(self._store)
-        return self._store
-
     @property
     def is_columnar(self) -> bool:
-        """True when entities live only as columns (no object round-trip)."""
-        return self._columnar
+        """Always True: every instance is backed by its store.
 
-    @property
-    def user_by_id(self) -> Mapping[int, User]:
-        if self._user_by_id is None:
-            if self._columnar:
-                self._user_by_id = IdViewMap(self._store, "user")
-            else:
-                self._user_by_id = {u.user_id: u for u in self.users}
-        return self._user_by_id
-
-    @property
-    def event_by_id(self) -> Mapping[int, Event]:
-        if self._event_by_id is None:
-            if self._columnar:
-                self._event_by_id = IdViewMap(self._store, "event")
-            else:
-                self._event_by_id = {e.event_id: e for e in self.events}
-        return self._event_by_id
+        Kept because the benchmark driver reports it with each run.
+        """
+        return True
 
     @property
     def degrees_override(self) -> dict[int, float] | None:
         """Precomputed ``D(G, u)`` values keyed by user id, or None.
 
-        Store-backed instances materialize the dict lazily from the
-        ``degrees`` column (and only for callers that ask); use
-        :attr:`has_degree_overrides` for a cheap existence check.
+        Materialized lazily from the store's ``degrees`` column, with an
+        entry for every user (0.0 for users a partial override dict
+        omitted); use :attr:`has_degree_overrides` for a cheap existence
+        check.
         """
-        if not self._columnar:
-            return self._degrees_override
-        if self._store.degrees is None:
+        if self.store.degrees is None:
             return None
         if self._degrees_dict is None:
             self._degrees_dict = dict(
-                zip(self._store.user_ids.tolist(), self._store.degrees.tolist())
+                zip(self.store.user_ids.tolist(), self.store.degrees.tolist())
             )
         return self._degrees_dict
 
     @property
     def has_degree_overrides(self) -> bool:
         """Whether degree overrides exist — O(1), never materializes a dict."""
-        if self._columnar:
-            return self._store.degrees is not None
-        return self._degrees_override is not None
+        return self.store.degrees is not None
 
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
     def _validate(self) -> None:
-        if self._columnar:
-            self._store.validate()
-            if not 0.0 <= self.beta <= 1.0:
-                raise InstanceValidationError(
-                    f"beta must be in [0, 1], got {self.beta}"
-                )
-            self._validate_social(self._store.user_ids)
-            return
-        event_ids = np.fromiter(
-            (e.event_id for e in self.events), dtype=np.int64, count=len(self.events)
-        )
-        if np.unique(event_ids).size != event_ids.size:
-            raise InstanceValidationError("duplicate event ids")
-        user_ids = np.fromiter(
-            (u.user_id for u in self.users), dtype=np.int64, count=len(self.users)
-        )
-        if np.unique(user_ids).size != user_ids.size:
-            raise InstanceValidationError("duplicate user ids")
+        self.store.validate()
         if not 0.0 <= self.beta <= 1.0:
             raise InstanceValidationError(f"beta must be in [0, 1], got {self.beta}")
-        # Packing the columns maps every bid to an event position in one
-        # vectorized pass — a dangling bid raises from there with the same
-        # message this method always produced.  (A pre-seeded store already
-        # ran that mapping when it was packed.)
-        if self._store is None:
-            self._store = ColumnarStore.from_entities(
-                self.users, self.events, degrees=self._degrees_override
-            )
-            sanitize_store(self._store)
-        self._validate_social(user_ids)
-        if self._degrees_override is not None:
-            count = len(self._degrees_override)
-            keys = np.fromiter(
-                self._degrees_override.keys(), dtype=np.int64, count=count
-            )
-            present = np.isin(keys, user_ids)
-            if not present.all():
-                alien_degrees = sorted(set(keys[~present].tolist()))
-                raise InstanceValidationError(
-                    f"degree overrides for non-users {alien_degrees[:5]}"
-                )
-            values = np.fromiter(
-                self._degrees_override.values(), dtype=np.float64, count=count
-            )
-            bad_mask = (values < 0.0) | (values > 1.0)
-            if bad_mask.any():
-                offenders = np.flatnonzero(bad_mask)[:3]
-                bad = {
-                    int(keys[i]): float(values[i]) for i in offenders.tolist()
-                }
-                raise InstanceValidationError(
-                    f"degree overrides outside [0, 1]: {bad}"
-                )
-
-    def _validate_social(self, user_ids: np.ndarray) -> None:
         nodes = list(self.social.nodes())
         if not nodes:
             return
         node_ids = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
-        present = np.isin(node_ids, user_ids)
+        present = np.isin(node_ids, self.store.user_ids)
         if not present.all():
             alien = sorted(set(node_ids[~present].tolist()))
             raise InstanceValidationError(
@@ -430,8 +343,8 @@ class IGEPAInstance:
         independent sets are the admissible event sets)."""
         index = self.index
         conflict_bits = index.conflict_bits
-        positions = [index.event_pos[event_id] for event_id in user.bids]
         bids = user.bids
+        positions = [index.event_pos[event_id] for event_id in bids]
         edges = []
         for i, first in enumerate(bids):
             row = conflict_bits[positions[i]]
@@ -445,10 +358,7 @@ class IGEPAInstance:
     # ------------------------------------------------------------------
     def statistics(self) -> dict:
         """Summary statistics used by reports and sanity tests."""
-        if self._store is not None:
-            total_bids = self._store.num_bids
-        else:
-            total_bids = sum(len(u.bids) for u in self.users)
+        total_bids = self.store.num_bids
         n = self.num_events
         conflict_pairs = self.index.conflict_pair_count()
         return {
@@ -456,7 +366,7 @@ class IGEPAInstance:
             "num_events": self.num_events,
             "num_users": self.num_users,
             "total_bids": total_bids,
-            "mean_bids_per_user": total_bids / self.num_users if self.users else 0.0,
+            "mean_bids_per_user": total_bids / self.num_users if self.num_users else 0.0,
             "conflict_density": (
                 conflict_pairs / (n * (n - 1) / 2) if n >= 2 else 0.0
             ),

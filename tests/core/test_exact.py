@@ -16,7 +16,10 @@ from tests.util import random_instance, tiny_instance
 
 def _brute_force_optimum(instance) -> float:
     """Exhaustive search over all assignments (tiny instances only)."""
-    users = instance.users
+    # Materialized once: the product loop below reads every user per combo.
+    users = list(instance.users)
+    user_ids = [user.user_id for user in users]
+    event_capacity = {event.event_id: event.capacity for event in instance.events}
     from repro.core import enumerate_admissible_sets
 
     options_per_user = []
@@ -26,15 +29,15 @@ def _brute_force_optimum(instance) -> float:
     best = 0.0
     for combo in itertools.product(*options_per_user):
         pairs = [
-            (event_id, user.user_id)
-            for user, events in zip(users, combo)
+            (event_id, user_id)
+            for user_id, events in zip(user_ids, combo)
             for event_id in events
         ]
         counts = {}
         for event_id, _ in pairs:
             counts[event_id] = counts.get(event_id, 0) + 1
         if any(
-            count > instance.event_by_id[event_id].capacity
+            count > event_capacity[event_id]
             for event_id, count in counts.items()
         ):
             continue

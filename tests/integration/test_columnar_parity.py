@@ -1,10 +1,12 @@
-"""Columnar vs object parity: one store, identical bits everywhere.
+"""Constructor parity: one store, identical bits everywhere.
 
-The tentpole guarantee of the columnar layer: for a fixed seed, an index
-built from a :class:`~repro.model.columnar.ColumnarStore`-backed instance is
-bit-identical to one built from classic entity objects — across shard sizes
-— and churn deltas patch the columnar store (and its index) to the same bits
-a from-scratch rebuild produces.
+Every instance is backed by a :class:`~repro.model.columnar.ColumnarStore`,
+whichever constructor built it.  For a fixed seed, an instance built by
+``IGEPAInstance.from_store`` (the synthetic stream generator) and the same
+content handed to the entity constructor ``IGEPAInstance(events, users,
+...)`` give bit-identical indexes — across shard sizes — and identical
+fixed-seed arrangements, and churn deltas patch either store (and its
+index) to the same bits a from-scratch rebuild produces.
 """
 
 from __future__ import annotations
@@ -20,17 +22,21 @@ from repro.datagen import (
     generate_synthetic_stream,
 )
 from repro.experiments.replay import fresh_index_like, index_parity_mismatches
-from repro.model import ColumnarStore, InstanceIndex, ShardedInstanceIndex
+from repro.model import InstanceIndex, ShardedInstanceIndex
+from repro.model.columnar import ColumnarInterest
 from repro.model.delta import apply_delta
+from tests.util import entity_built_twin
 
 CONFIG = SyntheticConfig(num_users=240, num_events=40)
 SHARD_SIZES = (1, 7, None)  # None -> one shard covering all users
 
 
 def _pair(seed: int):
-    columnar = generate_synthetic_stream(CONFIG, seed=seed, columnar=True)
-    entity = generate_synthetic_stream(CONFIG, seed=seed, columnar=False)
-    assert columnar.is_columnar and not entity.is_columnar
+    columnar = generate_synthetic_stream(CONFIG, seed=seed)
+    entity = entity_built_twin(columnar)
+    assert isinstance(columnar.interest, ColumnarInterest)
+    assert not isinstance(entity.interest, ColumnarInterest)
+    assert entity.store is not columnar.store
     return columnar, entity
 
 
@@ -94,9 +100,7 @@ def test_fixed_seed_arrangements_identical(factory):
 
 def test_object_built_store_matches_stream_store():
     columnar, entity = _pair(7)
-    packed = ColumnarStore.from_entities(
-        list(entity.users), list(entity.events), degrees=entity.degrees_override
-    )
+    packed = entity.store  # ColumnarStore.from_entities in the constructor
     native = columnar.store
     np.testing.assert_array_equal(packed.user_ids, native.user_ids)
     np.testing.assert_array_equal(packed.user_capacity, native.user_capacity)
@@ -122,23 +126,25 @@ def _trace(instance, seed):
 
 @pytest.mark.parametrize("shard_size", SHARD_SIZES)
 def test_churn_deltas_patch_columnar_store_bit_identical(shard_size):
-    columnar, _ = _pair(8)
     size = CONFIG.num_users if shard_size is None else shard_size
-    columnar.configure_index(sharded=True, shard_size=size)
-    trace = _trace(columnar, seed=9)
-    instance = trace.initial
-    for delta in trace.deltas:
-        result = apply_delta(instance, delta)
-        successor = result.instance
-        assert successor.is_columnar
-        patched = successor.index
-        assert patched.shard_size == instance.index.shard_size
-        assert index_parity_mismatches(patched, fresh_index_like(patched, successor)) == []
-        # The successor's store must itself rebuild to the same index bits:
-        # its columns double as the patched index's primary arrays.
-        rebuilt = ShardedInstanceIndex(successor, shard_size=patched.shard_size)
-        _assert_index_parity(patched, rebuilt)
-        instance = successor
+    for built in _pair(8):
+        built.configure_index(sharded=True, shard_size=size)
+        trace = _trace(built, seed=9)
+        instance = trace.initial
+        for delta in trace.deltas:
+            result = apply_delta(instance, delta)
+            successor = result.instance
+            assert successor.store is not instance.store
+            patched = successor.index
+            assert patched.shard_size == instance.index.shard_size
+            assert index_parity_mismatches(
+                patched, fresh_index_like(patched, successor)
+            ) == []
+            # The successor's store must itself rebuild to the same index
+            # bits: its columns double as the patched index's primary arrays.
+            rebuilt = ShardedInstanceIndex(successor, shard_size=patched.shard_size)
+            _assert_index_parity(patched, rebuilt)
+            instance = successor
 
 
 def test_churn_deltas_on_spilled_store(tmp_path):

@@ -1,8 +1,8 @@
 """ColumnarStore unit tests: columns, views, spill, interest, validation.
 
 The columnar layer's contract is twofold: (1) the arrays describe exactly
-the entities an object-built instance would hold — ``from_entities``
-round-trips through views bit-perfectly — and (2) the façade views cost
+the entities the instance was built from — ``from_entities`` round-trips
+through views bit-perfectly — and (2) the façade views cost
 O(1) memory each (``__slots__``, no ``__dict__``), so holding a handful of
 them never re-creates the object layer the store exists to avoid.
 """

@@ -294,7 +294,7 @@ class TestApplySemantics:
                 interest=((1, 77, 0.9),),
             ),
         )
-        assert instance.users == before_users
+        assert list(instance.users) == before_users
         assert instance.index is before_index
         assert instance.social.has_node(10)
 

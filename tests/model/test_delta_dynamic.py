@@ -79,9 +79,10 @@ class TestSuccessor:
         successor = result.instance
         assert successor.user_by_id[11].capacity == 5
         assert successor.event_by_id[2].capacity == 7
-        # Untouched entities carry their objects over unchanged.
-        assert successor.user_by_id[10] is instance.user_by_id[10]
-        assert successor.event_by_id[1] is instance.event_by_id[1]
+        # Untouched entities carry over unchanged.  (Equality, not
+        # identity: entities are views over each instance's own store.)
+        assert successor.user_by_id[10] == instance.user_by_id[10]
+        assert successor.event_by_id[1] == instance.event_by_id[1]
         # The patched index agrees.
         index = successor.index
         assert int(index.user_capacity[index.user_pos[11]]) == 5

@@ -53,6 +53,23 @@ class TestValidation:
             IGEPAInstance([], users, NoConflict(), TabulatedInterest({}), graph)
 
 
+    def test_degree_overrides_for_non_users_rejected(self):
+        users = [User(user_id=1, capacity=1)]
+        with pytest.raises(InstanceValidationError, match="non-users \\[7\\]"):
+            IGEPAInstance(
+                [], users, NoConflict(), TabulatedInterest({}), Graph(nodes=[1]),
+                degrees={1: 0.5, 7: 0.5},
+            )
+
+    def test_degree_overrides_outside_unit_interval_rejected(self):
+        users = [User(user_id=1, capacity=1)]
+        with pytest.raises(InstanceValidationError, match="outside \\[0, 1\\]"):
+            IGEPAInstance(
+                [], users, NoConflict(), TabulatedInterest({}), Graph(nodes=[1]),
+                degrees={1: 1.5},
+            )
+
+
 class TestDerivedQuantities:
     def test_degree_normalization(self):
         instance = tiny_instance()
@@ -194,6 +211,36 @@ class TestSerialization:
         restored = IGEPAInstance.load(path)
         assert restored.conflicts(1, 2)
         assert restored.event_by_id[1].end_time == pytest.approx(2.0)
+
+    def test_round_trip_with_partial_degree_overrides(self):
+        # Overrides for two of four users: the rest read 0.0, and to_dict
+        # writes the full column, which loads back to the same bits.
+        base = tiny_instance()
+        instance = IGEPAInstance(
+            list(base.events),
+            list(base.users),
+            base.conflict,
+            base.interest,
+            base.social,
+            beta=base.beta,
+            degrees={10: 0.5, 12: 0.25},
+        )
+        assert instance.degrees_override == {10: 0.5, 11: 0.0, 12: 0.25, 13: 0.0}
+        assert instance.degree(11) == 0.0
+        restored = IGEPAInstance.from_dict(instance.to_dict())
+        assert restored.degrees_override == instance.degrees_override
+        for name in type(instance.index).PARITY_ARRAYS:
+            left = getattr(instance.index, name)
+            right = getattr(restored.index, name)
+            assert left.dtype == right.dtype, name
+            assert np.array_equal(left, right), name
+        from repro.core import GGGreedy, LPPacking
+
+        for algorithm in (GGGreedy(), LPPacking(alpha=1.0)):
+            first = algorithm.solve(instance, seed=3)
+            second = algorithm.solve(restored, seed=3)
+            assert first.arrangement.pairs == second.arrangement.pairs
+            assert first.utility == second.utility
 
     def test_repr(self):
         assert "tiny" in repr(tiny_instance())

@@ -14,6 +14,46 @@ from repro.model import (
 from repro.social import Graph, erdos_renyi_graph
 
 
+def entity_built_twin(instance: IGEPAInstance) -> IGEPAInstance:
+    """The same instance through the entity constructor.
+
+    Unpacks a :func:`~repro.datagen.generate_synthetic_stream` instance's
+    store arrays into ``User``/``Event`` objects, a tabulated interest dict
+    and an id-keyed degree dict, and hands them to ``IGEPAInstance(...)`` —
+    the counterpart the constructor-parity tests compare against
+    ``IGEPAInstance.from_store``.
+    """
+    store = instance.store
+    user_ids = store.user_ids.tolist()
+    events = [
+        Event(event_id=event_id, capacity=capacity)
+        for event_id, capacity in zip(
+            store.event_ids.tolist(), store.event_capacity.tolist()
+        )
+    ]
+    users = [
+        User(user_id=user_id, capacity=capacity, bids=tuple(bids))
+        for user_id, capacity, bids in zip(
+            user_ids, store.user_capacity.tolist(), store.bid_lists()
+        )
+    ]
+    entry_users = np.repeat(store.user_ids, np.diff(store.bid_indptr)).tolist()
+    entry_events = store.event_ids[store.bid_event_pos].tolist()
+    interest = TabulatedInterest(
+        dict(zip(zip(entry_events, entry_users), store.bid_si.tolist()))
+    )
+    return IGEPAInstance(
+        events=events,
+        users=users,
+        conflict=instance.conflict,
+        interest=interest,
+        social=Graph(nodes=user_ids),
+        beta=instance.beta,
+        name=instance.name,
+        degrees=dict(zip(user_ids, store.degrees.tolist())),
+    )
+
+
 def tiny_instance(beta: float = 0.5) -> IGEPAInstance:
     """A 3-event / 4-user instance with one conflict, fully hand-checkable.
 
