@@ -78,14 +78,12 @@ from repro.experiments.persistence import write_bench_artifact
 from repro.experiments.replay import replay_trace
 from repro.model import (
     Delta,
-    Event,
-    IGEPAInstance,
     IndexCapacityError,
     InstanceIndex,
     ShardedInstanceIndex,
-    TabulatedInterest,
     User,
 )
+from tests.util import entity_built_twin, entity_inputs
 
 NUM_USERS = 50_000
 NUM_EVENTS = 500
@@ -130,21 +128,6 @@ def _rss_mb() -> float:
             if line.startswith("VmHWM:"):
                 return int(line.split()[1]) / 1024.0
     raise RuntimeError("VmHWM not found in /proc/self/status")
-
-
-def _current_rss_mb() -> float:
-    """Currently-resident RSS in MB (``VmRSS``), not the lifetime peak.
-
-    Used where a *footprint* is measured (bytes held resident by a live
-    allocation) rather than a watermark: a ``ru_maxrss`` delta reads zero
-    whenever the allocation stays below an earlier transient peak — e.g.
-    import-time — no matter how large the object being measured is.
-    """
-    with open("/proc/self/status") as handle:
-        for line in handle:
-            if line.startswith("VmRSS:"):
-                return int(line.split()[1]) / 1024.0
-    raise RuntimeError("VmRSS not found in /proc/self/status")
 
 
 def run_scale_gate(seed: int) -> dict:
@@ -319,12 +302,15 @@ def _columnar_gate_impl(seed: int) -> dict:
     """Gate body — runs inside the fresh child process."""
     baseline_mb = _rss_mb()
 
-    # Objects-first floor: measure a 50k stream instance (same config, same
-    # draws) together with the entity objects unpacked from its arrays, and
-    # extrapolate linearly.  The object layer's footprint scales with |U| by
-    # construction — dataclass + __dict__ + bid tuple per user, dict entries
-    # per bid — so the extrapolation is a lower bound on what objects-first
-    # would hold resident at 500k before any solve.
+    # Objects-first floor: build a 50k stream instance (same config, same
+    # draws) and unpack its arrays into the entity objects an object layer
+    # holds — dataclass + __dict__ + bid tuple per user, dict entries per
+    # bid — then extrapolate linearly.  The probe is read as a peak-RSS
+    # delta, the same watermark the budget is read as below: the build
+    # peak is what an objects-first pipeline pays before any solve.  It
+    # runs first in this fresh process, so the high-water mark it starts
+    # from is the interpreter baseline; any import-time transient above
+    # the current RSS only shrinks the delta, keeping it a lower bound.
     probe_config = SyntheticConfig(
         num_users=OBJECT_PROBE_USERS,
         num_events=NUM_EVENTS,
@@ -332,10 +318,10 @@ def _columnar_gate_impl(seed: int) -> dict:
         max_user_capacity=2,
     )
     gc.collect()
-    probe_resident_mb = _current_rss_mb()
+    probe_start_mb = _rss_mb()
     probe = generate_synthetic_stream(probe_config, seed=seed)
-    probe_objects = _entity_objects(probe)
-    probe_mb = _current_rss_mb() - probe_resident_mb
+    probe_objects = entity_inputs(probe)
+    probe_mb = _rss_mb() - probe_start_mb
     extrapolated_object_mb = probe_mb * (COLUMNAR_USERS / OBJECT_PROBE_USERS)
     del probe, probe_objects
     gc.collect()
@@ -443,34 +429,6 @@ def _columnar_gate_impl(seed: int) -> dict:
     return row
 
 
-def _entity_objects(instance: IGEPAInstance) -> dict:
-    """The entity constructor's inputs, unpacked from a stream instance's
-    store arrays: ``User``/``Event`` objects, a tabulated interest dict and
-    an id-keyed degree dict."""
-    store = instance.store
-    user_ids = store.user_ids.tolist()
-    entry_users = np.repeat(store.user_ids, np.diff(store.bid_indptr)).tolist()
-    entry_events = store.event_ids[store.bid_event_pos].tolist()
-    return {
-        "events": [
-            Event(event_id=event_id, capacity=capacity)
-            for event_id, capacity in zip(
-                store.event_ids.tolist(), store.event_capacity.tolist()
-            )
-        ],
-        "users": [
-            User(user_id=user_id, capacity=capacity, bids=tuple(bids))
-            for user_id, capacity, bids in zip(
-                user_ids, store.user_capacity.tolist(), store.bid_lists()
-            )
-        ],
-        "interest": TabulatedInterest(
-            dict(zip(zip(entry_events, entry_users), store.bid_si.tolist()))
-        ),
-        "degrees": dict(zip(user_ids, store.degrees.tolist())),
-    }
-
-
 def run_columnar_parity_gate(seed: int) -> dict:
     """Store-built (``IGEPAInstance.from_store``) vs entity-built
     (``IGEPAInstance(events, users, ...)``) instances of the same content:
@@ -478,13 +436,7 @@ def run_columnar_parity_gate(seed: int) -> dict:
     too — it is cheap)."""
     config = SyntheticConfig(num_users=3000, num_events=200)
     columnar = generate_synthetic_stream(config, seed=seed)
-    entity = IGEPAInstance(
-        conflict=columnar.conflict,
-        social=columnar.social,
-        beta=columnar.beta,
-        name=columnar.name,
-        **_entity_objects(columnar),
-    )
+    entity = entity_built_twin(columnar)
     assert entity.store is not columnar.store
     ci, ei = columnar.index, entity.index
     assert type(ci) is type(ei), (type(ci).__name__, type(ei).__name__)

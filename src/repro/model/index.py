@@ -66,7 +66,6 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from repro.model.errors import IndexCapacityError, InstanceValidationError
-from repro.model.interest import TabulatedInterest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.model.entities import Event, User
@@ -301,21 +300,15 @@ class BaseInstanceIndex:
         """CSR bid incidence with per-entry SI values.
 
         The structure (``indptr`` / event positions) is the store's CSR,
-        shared zero-copy.  SI values take one of three routes:
-
-        * when the instance's interest *is* the store's ``bid_si`` column
-          (:class:`~repro.model.columnar.ColumnarInterest`), the column is
-          shared directly;
-        * a plain :class:`~repro.model.interest.TabulatedInterest` is read
-          by ``(event_id, user_id)`` keys zipped from the id columns — the
-          lookups its ``interest`` method runs, without a view per pair;
-        * any other interest function is evaluated per pair exactly as the
-          scalar ``IGEPAInstance.interest_of`` does, user by user in
-          bid-list order.
-
-        The two table routes are range-checked in one vectorized pass.  All
-        three give the same values in the same order on both index
-        implementations.
+        shared zero-copy.  SI values: when the instance's interest *is* the
+        store's ``bid_si`` column (:class:`~repro.model.columnar.
+        ColumnarInterest`), the column is range-checked in one vectorized
+        pass and shared directly — no per-pair Python call.  Any other
+        interest function is evaluated per pair exactly as the scalar
+        ``IGEPAInstance.interest_of`` does, user by user in bid-list order —
+        the same evaluation order on both index implementations, and the
+        same values either way (the column holds what the tabulated
+        function would return).
         """
         from repro.model.columnar import ColumnarInterest
 
@@ -325,35 +318,24 @@ class BaseInstanceIndex:
         indices = store.bid_event_pos
 
         interest_obj = instance.interest
-        si_values = None
         if (
             isinstance(interest_obj, ColumnarInterest)
             and interest_obj._store is store
             and store.bid_si is not None
         ):
             si_values = store.bid_si
-        elif type(interest_obj).interest is TabulatedInterest.interest:
-            lookup = interest_obj._values.get
-            default = interest_obj.default
-            entry_users = np.repeat(self.user_ids, np.diff(indptr)).tolist()
-            entry_events = self.event_ids[indices].tolist()
-            si_values = np.fromiter(
-                (lookup(key, default) for key in zip(entry_events, entry_users)),
-                dtype=np.float64,
-                count=indices.size,
-            )
-        if si_values is not None:
-            bad = np.flatnonzero((si_values < 0.0) | (si_values > 1.0))
-            if bad.size:
-                entry = int(bad[0])
-                row = int(np.searchsorted(indptr, entry, side="right")) - 1
-                col = int(indices[entry])
-                raise InstanceValidationError(
-                    f"interest function returned {float(si_values[entry])} "
-                    f"for event {int(self.event_ids[col])}, user "
-                    f"{int(self.user_ids[row])}; Definition 5 "
-                    "requires [0, 1]"
-                )
+            if si_values.size:
+                bad = np.flatnonzero((si_values < 0.0) | (si_values > 1.0))
+                if bad.size:
+                    entry = int(bad[0])
+                    row = int(np.searchsorted(indptr, entry, side="right")) - 1
+                    col = int(indices[entry])
+                    raise InstanceValidationError(
+                        f"interest function returned {float(si_values[entry])} "
+                        f"for event {int(self.event_ids[col])}, user "
+                        f"{int(self.user_ids[row])}; Definition 5 "
+                        "requires [0, 1]"
+                    )
             return indptr, indices, si_values
 
         interest = interest_obj.interest

@@ -132,7 +132,6 @@ class IGEPAInstance:
         name: str,
         validate: bool,
     ) -> None:
-        sanitize_store(store)
         self.store = store
         self.users = UserColumn(store)
         self.events = EventColumn(store)
@@ -147,6 +146,9 @@ class IGEPAInstance:
 
         if validate:
             self._validate()
+        # After validation, so malformed input reports as
+        # InstanceValidationError whether or not the sanitizers are on.
+        sanitize_store(store)
 
         # Fallback cache for SI on non-bid pairs only; bid pairs live in the
         # index's SI storage.

@@ -15,6 +15,14 @@ from repro.analysis_tools.sanitize import (
     sanitize_enabled,
 )
 from repro.datagen import SyntheticConfig, generate_synthetic
+from repro.model import (
+    IGEPAInstance,
+    InstanceValidationError,
+    NoConflict,
+    TabulatedInterest,
+    User,
+)
+from repro.social import Graph
 
 CONFIG = SyntheticConfig(num_users=40, num_events=12)
 
@@ -103,6 +111,14 @@ class TestEnvGating:
         inst = generate_synthetic(CONFIG, seed=4)
         assert not inst.store.bid_indptr.flags.writeable
         assert not inst.index.bid_weights.flags.writeable
+
+    def test_validation_errors_reported_before_store_checks(self, monkeypatch):
+        # Malformed input is the caller's error, not a broken invariant:
+        # it raises the same error with the sanitizers on as with them off.
+        monkeypatch.setenv(sanitize.ENV_FLAG, "1")
+        users = [User(user_id=1, capacity=1), User(user_id=1, capacity=2)]
+        with pytest.raises(InstanceValidationError, match="duplicate user"):
+            IGEPAInstance([], users, NoConflict(), TabulatedInterest({}), Graph())
 
     def test_disabled_leaves_arrays_writeable(self, monkeypatch):
         monkeypatch.delenv(sanitize.ENV_FLAG, raising=False)

@@ -14,43 +14,50 @@ from repro.model import (
 from repro.social import Graph, erdos_renyi_graph
 
 
-def entity_built_twin(instance: IGEPAInstance) -> IGEPAInstance:
-    """The same instance through the entity constructor.
+def entity_inputs(instance: IGEPAInstance) -> dict:
+    """The entity constructor's inputs, unpacked from a store's arrays.
 
-    Unpacks a :func:`~repro.datagen.generate_synthetic_stream` instance's
-    store arrays into ``User``/``Event`` objects, a tabulated interest dict
-    and an id-keyed degree dict, and hands them to ``IGEPAInstance(...)`` —
-    the counterpart the constructor-parity tests compare against
-    ``IGEPAInstance.from_store``.
+    Returns ``events`` (``Event`` objects), ``users`` (``User`` objects), a
+    tabulated ``interest`` dict and an id-keyed ``degrees`` dict for a
+    :func:`~repro.datagen.generate_synthetic_stream` instance — keyword
+    arguments for ``IGEPAInstance(...)``.
     """
     store = instance.store
     user_ids = store.user_ids.tolist()
-    events = [
-        Event(event_id=event_id, capacity=capacity)
-        for event_id, capacity in zip(
-            store.event_ids.tolist(), store.event_capacity.tolist()
-        )
-    ]
-    users = [
-        User(user_id=user_id, capacity=capacity, bids=tuple(bids))
-        for user_id, capacity, bids in zip(
-            user_ids, store.user_capacity.tolist(), store.bid_lists()
-        )
-    ]
     entry_users = np.repeat(store.user_ids, np.diff(store.bid_indptr)).tolist()
     entry_events = store.event_ids[store.bid_event_pos].tolist()
-    interest = TabulatedInterest(
-        dict(zip(zip(entry_events, entry_users), store.bid_si.tolist()))
-    )
+    return {
+        "events": [
+            Event(event_id=event_id, capacity=capacity)
+            for event_id, capacity in zip(
+                store.event_ids.tolist(), store.event_capacity.tolist()
+            )
+        ],
+        "users": [
+            User(user_id=user_id, capacity=capacity, bids=tuple(bids))
+            for user_id, capacity, bids in zip(
+                user_ids, store.user_capacity.tolist(), store.bid_lists()
+            )
+        ],
+        "interest": TabulatedInterest(
+            dict(zip(zip(entry_events, entry_users), store.bid_si.tolist()))
+        ),
+        "degrees": dict(zip(user_ids, store.degrees.tolist())),
+    }
+
+
+def entity_built_twin(instance: IGEPAInstance) -> IGEPAInstance:
+    """The same instance through the entity constructor.
+
+    Hands :func:`entity_inputs` to ``IGEPAInstance(...)`` — the counterpart
+    the constructor-parity tests compare against ``IGEPAInstance.from_store``.
+    """
     return IGEPAInstance(
-        events=events,
-        users=users,
         conflict=instance.conflict,
-        interest=interest,
-        social=Graph(nodes=user_ids),
+        social=Graph(nodes=instance.store.user_ids.tolist()),
         beta=instance.beta,
         name=instance.name,
-        degrees=dict(zip(user_ids, store.degrees.tolist())),
+        **entity_inputs(instance),
     )
 
 
