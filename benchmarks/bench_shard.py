@@ -17,7 +17,7 @@ Four gates, all on fixed seeds:
    ``.npy`` files under a small resident budget, and stream-build → GG+LS
    → LP-packing → hand-built churn-delta replay must finish under
    ``COLUMNAR_BUDGET_MB`` of peak RSS above baseline.  A 50k objects-first
-   probe is measured and extrapolated linearly; the gate asserts the
+   probe's peak-RSS delta is extrapolated linearly; the gate asserts the
    extrapolation *exceeds* the budget — the object layer provably cannot
    meet it before solving anything.
 3. **Parity** — at a dense-buildable size, GG / GG+LS / LP-packing must
