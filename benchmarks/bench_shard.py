@@ -1,6 +1,6 @@
 """Sharded-index benchmark: 50k and 500k users end-to-end under memory gates.
 
-Four gates, all on fixed seeds:
+Three gates, all on fixed seeds:
 
 1. **Scale + memory** — stream-generate a |U| = 50_000, |V| = 500 instance,
    build its :class:`~repro.model.sharded_index.ShardedInstanceIndex` and
@@ -21,17 +21,11 @@ Four gates, all on fixed seeds:
    extrapolation *exceeds* the budget — the object layer provably cannot
    meet it before solving anything.
 3. **Parity** — at a dense-buildable size, GG / GG+LS / LP-packing must
-   produce bit-identical arrangements on the sharded and the dense index
-   (hard gate; the property suite covers more shard sizes, and
-   ``tests/integration/test_columnar_parity.py`` the store-built vs
-   entity-built constructor axis).
-4. **Shard-parallel replay** — replay a churn trace over the 50k instance
-   with the shard-parallel repair engine at 1 worker and at
-   ``max(4, ...)`` workers; on machines with 4+ cores the per-batch
-   wall-clock speedup must reach ``--min-speedup`` (default 2x; CI passes
-   a looser floor because shared runners add noise — the measured ratio
-   lands in the JSON artifact either way).  On smaller machines the ratio
-   is recorded but not gated.
+   produce bit-identical arrangements on the sharded and the dense index,
+   and store-built and entity-built instances of the same content must
+   give identical index bits and GG+LS decisions (hard gates; the
+   property suite and ``tests/integration/test_columnar_parity.py`` cover
+   more shard sizes).
 
 Results land in ``benchmarks/output/BENCH_shard.json`` so the scaling
 trajectory accumulates across PRs, like the LP and churn benches.  The
@@ -68,14 +62,11 @@ import numpy as np
 from repro.core import GGGreedy, LPPacking, LocalSearch
 from repro.core.repair import apply_with_repair
 from repro.datagen import (
-    ChurnConfig,
     SyntheticConfig,
-    generate_churn_trace,
     generate_synthetic,
     generate_synthetic_stream,
 )
 from repro.experiments.persistence import write_bench_artifact
-from repro.experiments.replay import replay_trace
 from repro.model import (
     Delta,
     IndexCapacityError,
@@ -92,8 +83,6 @@ NUM_EVENTS = 500
 #: gate is ``measured instance footprint + this``: a dense-index pipeline
 #: exceeds that the moment its matrices are allocated, before any solve.
 DENSE_BYTES_PER_CELL = 17.0
-MIN_PARALLEL_SPEEDUP = 2.0
-PARALLEL_WORKERS = 4
 
 COLUMNAR_USERS = 500_000
 #: Peak-RSS budget (MB above interpreter baseline) for the gated region of
@@ -484,63 +473,8 @@ def run_parity_gate(seed: int) -> dict:
     return rows
 
 
-def run_parallel_gate(seed: int, min_speedup: float, workers: int) -> dict:
-    """Shard-parallel replay speedup over the single-worker baseline."""
-    config = SyntheticConfig(num_users=NUM_USERS, num_events=NUM_EVENTS)
-    instance = generate_synthetic_stream(config, seed=seed)
-    churn = ChurnConfig(
-        num_batches=3,
-        user_arrival_rate=NUM_USERS / 1000,
-        user_departure_rate=NUM_USERS / 1000,
-        rebid_rate=NUM_USERS / 25,
-        event_open_rate=1.0,
-        event_close_rate=1.0,
-        base=config,
-    )
-    trace = generate_churn_trace(instance, churn, seed=seed + 1)
-
-    single = replay_trace(trace, seed=seed, compare_full=False, workers=1)
-    assert single.all_feasible
-    parallel = replay_trace(trace, seed=seed, compare_full=False, workers=workers)
-    assert parallel.all_feasible
-
-    speedup = (
-        single.mean_incremental_seconds / parallel.mean_incremental_seconds
-        if parallel.mean_incremental_seconds > 0
-        else None
-    )
-    cores = os.cpu_count() or 1
-    gated = cores >= 4
-    row = {
-        "workers": workers,
-        "cpu_cores": cores,
-        "single_mean_batch_seconds": single.mean_incremental_seconds,
-        "parallel_mean_batch_seconds": parallel.mean_incremental_seconds,
-        "speedup": speedup,
-        "gated": gated,
-        "min_required_speedup": min_speedup if gated else None,
-        "single_utilities": [r.incremental_utility for r in single.records],
-        "parallel_utilities": [r.incremental_utility for r in parallel.records],
-    }
-    print(
-        f"parallel replay: 1 worker {single.mean_incremental_seconds:.2f}s/batch, "
-        f"{workers} workers {parallel.mean_incremental_seconds:.2f}s/batch -> "
-        f"{speedup:.2f}x ({'gated' if gated else f'not gated, {cores} core(s)'})"
-    )
-    if gated:
-        assert speedup is not None and speedup >= min_speedup, (
-            f"shard-parallel replay reached only {speedup:.2f}x over the "
-            f"single-worker baseline at {workers} workers "
-            f"(required: {min_speedup}x on {cores} cores)"
-        )
-    return row
-
-
 def run_bench(
     seed: int = 0,
-    min_speedup: float = MIN_PARALLEL_SPEEDUP,
-    workers: int = PARALLEL_WORKERS,
-    skip_parallel: bool = False,
     skip_columnar: bool = False,
 ) -> dict:
     report = {
@@ -551,16 +485,13 @@ def run_bench(
     }
     if not skip_columnar:
         report["columnar"] = run_columnar_gate(seed)
-    if not skip_parallel:
-        report["parallel_replay"] = run_parallel_gate(seed, min_speedup, workers)
     return report
 
 
 def bench_shard_scale(bench_once):
-    """pytest-benchmark entry: scale + parity gates (the parallel gate is
-    hardware-dependent and the columnar 500k gate too slow for the pytest
-    path; both run in the script/CI path)."""
-    report = bench_once(run_bench, seed=0, skip_parallel=True, skip_columnar=True)
+    """pytest-benchmark entry: scale + parity gates (the columnar 500k gate
+    is too slow for the pytest path; it runs in the script path)."""
+    report = bench_once(run_bench, seed=0, skip_columnar=True)
     scale = report["scale"]
     assert scale["peak_delta_mb"] < scale["memory_gate_delta_mb"]
 
@@ -568,20 +499,6 @@ def bench_shard_scale(bench_once):
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=MIN_PARALLEL_SPEEDUP,
-        help="floor on the shard-parallel replay speedup (4+ core machines)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=PARALLEL_WORKERS, help="parallel worker count"
-    )
-    parser.add_argument(
-        "--skip-parallel",
-        action="store_true",
-        help="skip the shard-parallel replay measurement",
-    )
     parser.add_argument(
         "--skip-columnar",
         action="store_true",
@@ -605,13 +522,7 @@ def main() -> None:
         # the parent inlines this row into the enveloped report below.
         args.out.write_text(json.dumps(row) + "\n")
         return
-    report = run_bench(
-        seed=args.seed,
-        min_speedup=args.min_speedup,
-        workers=args.workers,
-        skip_parallel=args.skip_parallel,
-        skip_columnar=args.skip_columnar,
-    )
+    report = run_bench(seed=args.seed, skip_columnar=args.skip_columnar)
     write_bench_artifact("bench_shard", report, path=args.out)
     print(f"[written to {args.out}]")
 

@@ -2,10 +2,9 @@
 
 The last five PRs made correctness depend on unwritten contracts — the
 zero-copy index build off :class:`~repro.model.columnar.ColumnarStore`,
-bit-identical delta patches, CSR invariants, seeded-RNG determinism, the
-propose/commit discipline of shard workers.  Integration parity tests catch
-violations only after the damage is done; this engine enforces them at
-review time, on the source itself.
+bit-identical delta patches, CSR invariants, seeded-RNG determinism.
+Integration parity tests catch violations only after the damage is done;
+this engine enforces them at review time, on the source itself.
 
 The moving parts:
 

@@ -3,7 +3,8 @@
 Each rule encodes one contract the array/columnar architecture depends on.
 Every finding carries a fix hint; sanctioned exceptions are marked per line
 with ``# igepa: ignore[CODE]`` at the violation site — there are no
-file-level escapes.
+file-level escapes.  IGP006 is retired and its code is not reused:
+suppressions and CI's JSON findings key on the codes.
 
 +--------+--------------------------------------------------------------+
 | IGP001 | no Python-level loops over users/events/bids in hot modules  |
@@ -13,7 +14,6 @@ file-level escapes.
 | IGP004 | delta purity: successor construction must not mutate         |
 |        | predecessor-reachable arrays                                 |
 | IGP005 | RNG discipline: all draws through a seeded Generator         |
-| IGP006 | shard workers may not touch closure/global index state       |
 | IGP007 | no wall-clock reads in deterministic logic                   |
 | IGP008 | public API functions must be fully type-annotated            |
 | IGP009 | no from-scratch benchmark-LP rebuilds in tick-loop modules   |
@@ -25,7 +25,6 @@ file-level escapes.
 from __future__ import annotations
 
 import ast
-import builtins
 from typing import Sequence
 
 from repro.analysis_tools.engine import (
@@ -760,173 +759,6 @@ class RngDisciplineRule(Rule):
         return findings
 
 
-#: Parameter names a worker function must not take: these objects carry
-#: index/arrangement state the serial commit owns.
-_WORKER_FORBIDDEN_PARAMS = frozenset({"instance", "index", "arrangement", "self"})
-
-
-class ShardWorkerRule(Rule):
-    """IGP006: shard workers see payloads, nothing else.
-
-    Functions dispatched through the executor in ``core/parallel.py`` run
-    in other processes: closure or module-global index/arrangement state
-    would be a *stale pickle copy* there — reads are silently wrong, writes
-    silently lost.  Workers take explicit payload arguments, read only
-    locals/module constants, and never write through their parameters
-    (commit happens serially in the main process).
-    """
-
-    code = "IGP006"
-    name = "shard-worker-discipline"
-    hint = (
-        "pass everything the worker needs inside its payload argument "
-        "(arrays and small lists); return proposals and let the serial "
-        "commit apply them"
-    )
-    module_suffixes = ("repro/core/parallel.py",)
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        worker_names = self._dispatched_functions(ctx.tree)
-        if not worker_names:
-            return []
-        module_names = self._module_level_names(ctx.tree)
-        findings: list[Finding] = []
-        # Walk the whole tree: workers defined inside a dispatch helper are
-        # the ones most likely to close over state by accident.
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name in worker_names
-            ):
-                self._check_worker(ctx, node, module_names, findings)
-        return findings
-
-    def _dispatched_functions(self, tree: ast.Module) -> set[str]:
-        """Names passed as the callable to ``<executor>.map`` / ``.submit``."""
-        names: set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in {"map", "submit"}:
-                receiver = root_name(func.value) or ""
-                if "executor" in receiver.lower() or "pool" in receiver.lower():
-                    if node.args and isinstance(node.args[0], ast.Name):
-                        names.add(node.args[0].id)
-        return names
-
-    def _module_level_names(self, tree: ast.Module) -> set[str]:
-        names: set[str] = set()
-        for node in tree.body:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    names.add((alias.asname or alias.name).split(".")[0])
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    names.add(alias.asname or alias.name)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names.add(node.name)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-            elif isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Name
-            ):
-                names.add(node.target.id)
-        return names
-
-    def _check_worker(
-        self,
-        ctx: FileContext,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-        module_names: set[str],
-        findings: list[Finding],
-    ) -> None:
-        args = func.args
-        params = {
-            a.arg
-            for a in (
-                *args.posonlyargs,
-                *args.args,
-                *args.kwonlyargs,
-                *([args.vararg] if args.vararg else []),
-                *([args.kwarg] if args.kwarg else []),
-            )
-        }
-        for param in sorted(params & _WORKER_FORBIDDEN_PARAMS):
-            findings.append(
-                self.finding(
-                    ctx,
-                    func,
-                    f"worker '{func.name}' takes '{param}': index/arrangement "
-                    "state must not cross the process boundary",
-                )
-            )
-        local_names = set(params)
-        for node in ast.walk(func):
-            if isinstance(node, (ast.Global, ast.Nonlocal)):
-                findings.append(
-                    self.finding(
-                        ctx,
-                        node,
-                        f"worker '{func.name}' declares "
-                        f"{'global' if isinstance(node, ast.Global) else 'nonlocal'}"
-                        " state",
-                    )
-                )
-            elif isinstance(node, ast.Name) and isinstance(
-                node.ctx, (ast.Store,)
-            ):
-                local_names.add(node.id)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                for target in ast.walk(node.target):
-                    if isinstance(target, ast.Name):
-                        local_names.add(target.id)
-            elif isinstance(node, ast.comprehension):
-                for target in ast.walk(node.target):
-                    if isinstance(target, ast.Name):
-                        local_names.add(target.id)
-        builtin_names = set(dir(builtins))
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Name)
-                and isinstance(node.ctx, ast.Load)
-                and node.id not in local_names
-                and node.id not in module_names
-                and node.id not in builtin_names
-            ):
-                findings.append(
-                    self.finding(
-                        ctx,
-                        node,
-                        f"worker '{func.name}' reads '{node.id}' from an "
-                        "enclosing scope: workers may only touch their "
-                        "payload, locals and module-level constants",
-                    )
-                )
-            # Writing through a parameter leaks state the main process
-            # will never see (and under spawn semantics is silently lost).
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Subscript) and (
-                        isinstance(target.value, ast.Name)
-                        and target.value.id in params
-                    ):
-                        findings.append(
-                            self.finding(
-                                ctx,
-                                node,
-                                f"worker '{func.name}' writes into its "
-                                f"payload parameter '{target.value.id}': "
-                                "results must be returned, not written back",
-                            )
-                        )
-
-
 #: Modules sanctioned to read monotonic timers for timing *reports*.
 #: ``service/clock.py`` is the serving loop's *only* timer access: every
 #: other service module takes time through the injected Clock, so decision
@@ -1232,7 +1064,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     StoreCopyRule,
     DeltaPurityRule,
     RngDisciplineRule,
-    ShardWorkerRule,
     WallClockRule,
     PublicApiAnnotationRule,
     LPRebuildRule,

@@ -220,16 +220,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         seed=args.seed,
         compare_full=not args.no_full,
         check_parity=args.check_parity,
-        workers=args.workers,
     )
     print(format_replay_table(report))
     return _finish(args, report)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    report = simulate(
-        _churn_trace(args), workers=args.workers, **_engine_options(args)
-    )
+    report = simulate(_churn_trace(args), **_engine_options(args))
     print(format_simulation_table(report))
     return _finish(args, report)
 
@@ -442,13 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="partition users into N index shards (0: size heuristic)",
     )
-    workers = argparse.ArgumentParser(add_help=False)
-    workers.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard-parallel repair across N worker processes (0: serial)",
-    )
     platform = _platform_flags(shards)
     engine = _engine_flags()
 
@@ -485,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser(
         "replay",
-        parents=[platform, workers],
+        parents=[platform],
         help="churn a synthetic instance: incremental repair vs full recompute",
     )
     sub.add_argument("--batches", type=int, default=10, help="churn batches")
@@ -504,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser(
         "simulate",
-        parents=[platform, engine, workers],
+        parents=[platform, engine],
         help=(
             "dynamic platform: online arrivals under churn, capacity/interest "
             "deltas and a defragmentation schedule"

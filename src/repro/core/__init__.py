@@ -7,8 +7,6 @@
 * :mod:`repro.core.exact` — exact ILP solver (Lemma 1).
 * :mod:`repro.core.analysis` — LP bounds and empirical approximation ratios.
 * :mod:`repro.core.repair` — targeted arrangement repair after churn deltas.
-* :mod:`repro.core.parallel` — shard-parallel repair (propose in workers,
-  commit serially at the event-side sync).
 """
 
 from repro.core.admissible import (
@@ -39,7 +37,6 @@ from repro.core.metrics import (
     user_utilities,
 )
 from repro.core.online import OnlineGreedy, OnlineRandom, competitive_ratio
-from repro.core.parallel import parallel_repair
 from repro.core.repair import apply_with_repair, repair
 from repro.core.result import ArrangementResult
 
@@ -59,7 +56,6 @@ __all__ = [
     "iter_passes",
     "repair",
     "apply_with_repair",
-    "parallel_repair",
     "OnlineGreedy",
     "OnlineRandom",
     "competitive_ratio",

@@ -267,7 +267,6 @@ def replay_trace(
     compare_full: bool = True,
     check_parity: bool = False,
     max_passes: int = 20,
-    workers: int | None = None,
 ) -> ReplayReport:
     """Replay a churn trace, timing incremental repair against full recompute.
 
@@ -283,11 +282,6 @@ def replay_trace(
             against the patched one (adds the fresh build's cost — leave off
             when timing, on when verifying).
         max_passes: local-search pass cap for the targeted repair.
-        workers: run the per-batch repair shard-parallel across this many
-            worker processes (:func:`repro.core.parallel.parallel_repair`);
-            None/0 keeps the serial targeted repair.  ``workers=1`` runs
-            the identical propose/commit path on a single-process pool —
-            the baseline the shard bench measures speedup against.
 
     Returns:
         A :class:`ReplayReport` with per-batch records.
@@ -299,38 +293,6 @@ def replay_trace(
     """
     if algorithm is None:
         algorithm = LocalSearch(GGGreedy())
-    executor = None
-    if workers:
-        from concurrent.futures import ProcessPoolExecutor
-
-        executor = ProcessPoolExecutor(max_workers=workers)
-    try:
-        return _replay_trace(
-            trace,
-            algorithm,
-            seed=seed,
-            compare_full=compare_full,
-            check_parity=check_parity,
-            max_passes=max_passes,
-            executor=executor,
-        )
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
-
-def _replay_trace(
-    trace: ChurnTrace,
-    algorithm: ArrangementAlgorithm,
-    *,
-    seed: int,
-    compare_full: bool,
-    check_parity: bool,
-    max_passes: int,
-    executor,
-) -> ReplayReport:
-    if executor is not None:
-        from repro.core.parallel import parallel_repair
     started = time.perf_counter()
     initial = algorithm.solve(trace.initial, seed=seed)
     initial_seconds = time.perf_counter() - started
@@ -345,10 +307,7 @@ def _replay_trace(
     for batch, delta in enumerate(trace.deltas):
         started = time.perf_counter()
         result = apply_delta(instance, delta, arrangement)
-        if executor is not None:
-            moves = parallel_repair(result, executor, max_passes=max_passes)
-        else:
-            moves = repair(result, max_passes=max_passes)
+        moves = repair(result, max_passes=max_passes)
         incremental_seconds = time.perf_counter() - started
 
         full_seconds = None

@@ -15,20 +15,19 @@ module closes that gap with a clocked loop over a churn trace:
    order through :meth:`repro.core.online._OnlineAlgorithm.serve` against
    the capacities remaining right now, and the tick records its arrival
    acceptance rate (measured at arrival time);
-3. **repair** — the targeted repair (:func:`repro.core.repair.repair`, or
-   the shard-parallel :func:`repro.core.parallel.parallel_repair` when
-   workers are configured) re-optimizes the churned scope.  Arrivals are
-   excluded from the user-side scan, so the online policy's choice is
-   never *improved upon* on their behalf; the event-side refill/evict
-   moves still treat them like any other bidder, so the platform may later
-   re-seat (or displace) an arrival the way a real venue reshuffle would;
+3. **repair** — the targeted repair (:func:`repro.core.repair.repair`)
+   re-optimizes the churned scope.  Arrivals are excluded from the
+   user-side scan, so the online policy's choice is never *improved upon*
+   on their behalf; the event-side refill/evict moves still treat them
+   like any other bidder, so the platform may later re-seat (or displace)
+   an arrival the way a real venue reshuffle would;
 4. **defragmentation** — a pluggable :class:`DefragSchedule` decides when
-   the platform pays for a full-scope pass: ``parallel_repair(...,
-   full_scope=True)`` (or a full local-search sweep when serial) plus an
-   LP-packing re-solve whose arrangement is adopted when it beats the
-   repaired one.  :class:`PeriodicDefrag` runs every k-th tick;
-   :class:`RetentionDefrag` triggers when utility falls below a fraction of
-   the last oracle re-solve;
+   the platform pays for a full-scope pass: a full local-search sweep
+   (:func:`repro.core.local_search.improve`) plus an LP-packing re-solve
+   whose arrangement is adopted when it beats the repaired one.
+   :class:`PeriodicDefrag` runs every k-th tick; :class:`RetentionDefrag`
+   triggers when utility falls below a fraction of the last oracle
+   re-solve;
 5. **oracle** — every ``oracle_every``-th tick a full re-solve of the
    current instance measures what a from-scratch optimizer would achieve;
    the quotient is the **retention curve**, and its running reference turns
@@ -308,8 +307,6 @@ def format_simulation_table(report: SimulationReport) -> str:
 def simulate(
     trace: ChurnTrace,
     online: _OnlineAlgorithm | None = None,
-    *,
-    workers: int | None = None,
     **engine_options,
 ) -> SimulationReport:
     """Run the dynamic-platform loop over a churn trace.
@@ -319,8 +316,6 @@ def simulate(
             ``add_users`` are this tick's online arrivals.
         online: the arrival-serving policy; it also produces the initial
             arrangement (the pre-trace population arrived online too).
-        workers: shard-parallel repair across this many worker processes
-            (None/0: serial).
         **engine_options: the remaining
             :class:`~repro.service.engine.TickEngine` options (``seed``,
             ``defrag``, ``oracle``, ``oracle_every``, ``defrag_lp``, ...),
@@ -335,22 +330,7 @@ def simulate(
             feasibility audit (never expected; a delta/repair invariant
             would be broken).  The partial report rides on the exception.
     """
-    executor = None
-    if workers:
-        from concurrent.futures import ProcessPoolExecutor
-
-        executor = ProcessPoolExecutor(max_workers=workers)
-    try:
-        engine = TickEngine(
-            trace.initial, online, executor=executor, **engine_options
-        )
-        return _simulate(trace, engine)
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
-
-def _simulate(trace: ChurnTrace, engine: TickEngine) -> SimulationReport:
+    engine = TickEngine(trace.initial, online, **engine_options)
     initial_utility, initial_seconds = engine.bootstrap()
     report = SimulationReport(
         online_algorithm=engine.online.name,

@@ -446,16 +446,6 @@ register_metric(
 )
 register_metric(
     Metric(
-        "parallel_speedup",
-        "shard-parallel replay over the single-worker baseline",
-        "x",
-        "up",
-        0.6,
-        {"bench_shard": lambda p: _number(p, "parallel_replay", "speedup")},
-    )
-)
-register_metric(
-    Metric(
         "smoke_runtime_ms",
         "mean per-algorithm solve time at the smoke ladder's largest size",
         "ms",

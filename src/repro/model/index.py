@@ -60,7 +60,7 @@ enforces this end to end).
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -581,22 +581,6 @@ class BaseInstanceIndex:
     def num_shards(self) -> int:
         size = self.shard_size
         return max(1, -(-self.num_users // size)) if self.num_users else 1
-
-    def shard_of(self, upos: int) -> int:
-        """Shard id of a user position."""
-        return upos // self.shard_size
-
-    def touched_shards(
-        self, user_positions: np.ndarray | Sequence[int]
-    ) -> list[int]:
-        """Sorted shard ids containing any of the given user positions.
-
-        Delta maintenance and the shard-parallel replay use this to route
-        work to the shards a churn batch actually touched (on the dense
-        index — one all-covering shard — any touched user yields shard 0).
-        """
-        size = self.shard_size
-        return sorted({int(p) // size for p in user_positions})
 
     def shard_bounds(self, shard_id: int) -> tuple[int, int]:
         """``[start, stop)`` user positions of a shard."""

@@ -71,7 +71,6 @@ class TickEngine:
             identical either way; the sampled arrangement may differ (the
             solvers can land on different optimal vertices).
         max_passes: local-search pass cap for repair and defrag sweeps.
-        executor: process pool for shard-parallel repair (None: serial).
         check_parity: rebuild the index from scratch in :meth:`audit` and
             compare against the patched one.
         clock: time source; ``perf()`` is used for measurements only.
@@ -92,7 +91,6 @@ class TickEngine:
         defrag_lp: bool = True,
         defrag_lp_incremental: bool = False,
         max_passes: int = 20,
-        executor=None,
         check_parity: bool = False,
         clock: Clock | None = None,
         switching_penalty: float = 0.0,
@@ -108,7 +106,6 @@ class TickEngine:
         self.seed = seed
         self.oracle_every = oracle_every
         self.max_passes = max_passes
-        self.executor = executor
         self.check_parity = check_parity
         self.clock: Clock = clock if clock is not None else MonotonicClock()
         self.switching_penalty = switching_penalty
@@ -190,11 +187,7 @@ class TickEngine:
     # Stage 3: targeted repair
     # ------------------------------------------------------------------
     def repair(self, result: DeltaResult) -> dict:
-        """Re-optimize the churned scope (shard-parallel when configured)."""
-        if self.executor is not None:
-            from repro.core.parallel import parallel_repair
-
-            return parallel_repair(result, self.executor, max_passes=self.max_passes)
+        """Re-optimize the churned scope with the targeted serial repair."""
         return targeted_repair(result, max_passes=self.max_passes)
 
     # ------------------------------------------------------------------
@@ -323,18 +316,9 @@ class TickEngine:
             if self.switching_penalty > 0.0
             else None
         )
-        if self.executor is not None:
-            from repro.core.parallel import parallel_repair
-
-            moves = dict(
-                parallel_repair(
-                    result, self.executor, max_passes=self.max_passes, full_scope=True
-                )
-            )
-        else:
-            moves = dict(
-                improve(result.instance, self.arrangement, max_passes=self.max_passes)
-            )
+        moves = dict(
+            improve(result.instance, self.arrangement, max_passes=self.max_passes)
+        )
         utility = self.arrangement.utility()
         utility = self.adopt_lp(result, tick, moves, utility, snapshot)
         return moves, utility

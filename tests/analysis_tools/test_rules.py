@@ -211,39 +211,6 @@ class TestRngDiscipline:
         assert codes(src, COLD) == []
 
 
-class TestShardWorkerDiscipline:
-    PARALLEL = "src/repro/core/parallel.py"
-
-    def test_worker_with_index_param_flagged(self):
-        src = (
-            "def run(executor, index, payloads):\n"
-            "    def worker(index):\n"
-            "        return index\n"
-            "    return list(executor.map(worker, payloads))\n"
-        )
-        assert "IGP006" in codes(src, self.PARALLEL)
-
-    def test_worker_closing_over_state_flagged(self):
-        src = (
-            "def run(executor, payloads):\n"
-            "    state = {}\n"
-            "    def worker(payload):\n"
-            "        return state\n"
-            "    return list(executor.map(worker, payloads))\n"
-        )
-        assert "IGP006" in codes(src, self.PARALLEL)
-
-    def test_pure_payload_worker_allowed(self):
-        src = (
-            "import numpy as np\n"
-            "def scan_shard(payload):\n"
-            "    return float(np.sum(payload[0]))\n"
-            "def run(executor, payloads):\n"
-            "    return list(executor.map(scan_shard, payloads))\n"
-        )
-        assert codes(src, self.PARALLEL) == []
-
-
 class TestWallClock:
     def test_time_time_flagged_everywhere(self):
         src = (

@@ -572,7 +572,7 @@ class TestAgainstListSearch:
     @settings(max_examples=60, deadline=None)
     @given(search_cases())
     def test_event_side_only_scope(self, case):
-        """The shape the shard-parallel repair uses: no users, some events."""
+        """An event-side-only scope: no users, some events."""
         instance, pairs, rng = case
         events = rng.integers(0, instance.index.num_events, size=3)
         _assert_same_search(

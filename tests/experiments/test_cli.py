@@ -44,9 +44,9 @@ class TestParser:
 
 
 # Every flag and default of the churn subcommands, pinned.  replay keeps
-# its own batch count and base solver; serve has no --burst-shrink,
-# --user-capacity-shock-rate or --workers (its bursts never shrink
-# capacities: ChurnConfig's 0.0).
+# its own batch count and base solver; serve has no --burst-shrink or
+# --user-capacity-shock-rate (its bursts never shrink capacities:
+# ChurnConfig's 0.0).
 PLATFORM_DEFAULTS = {
     "users": 2000,
     "events": 200,
@@ -80,14 +80,12 @@ PARSED_DEFAULTS = {
         "command": "replay",
         "batches": 10,
         "algorithm": "gg+ls",
-        "workers": 0,
         "no_full": False,
     },
     "simulate": {
         **PLATFORM_DEFAULTS,
         **ENGINE_DEFAULTS,
         "command": "simulate",
-        "workers": 0,
         "user_capacity_shock_rate": 0.0,
         "burst_shrink": 0.2,
     },
@@ -465,7 +463,6 @@ class TestCliMatchesLibrary:
             seed=4,
             compare_full=True,
             check_parity=True,
-            workers=0,
         )
         expected = json.loads(json.dumps(report.to_dict()))
         assert _decisions(payload) == _decisions(expected)

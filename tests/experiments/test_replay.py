@@ -118,7 +118,7 @@ class TestReplayCLI:
         assert payload["all_parity"] is True
         assert len(payload["batches"]) == 2
 
-    def test_replay_subcommand_sharded_parallel(self, tmp_path, capsys):
+    def test_replay_subcommand_sharded(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "replay.json"
@@ -132,7 +132,6 @@ class TestReplayCLI:
                 "--departure-rate", "3",
                 "--rebid-rate", "4",
                 "--shards", "4",
-                "--workers", "2",
                 "--check-parity",
                 "--out", str(out),
             ]

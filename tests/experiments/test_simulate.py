@@ -116,10 +116,6 @@ class TestSimulate:
         assert report.online_algorithm == "online-random"
         assert report.all_feasible
 
-    def test_workers_path_feasible(self):
-        report = simulate(_trace(), seed=0, workers=2)
-        assert report.all_feasible
-
     def test_to_dict_shares_replay_envelope(self):
         from repro.experiments.replay import replay_trace
 
