@@ -28,8 +28,8 @@ Hard gates, independent of machine speed:
   at least the retention with it off;
 * an ungated context row repeats the defrag-on run with the resolver's
   benchmark LP maintained incrementally (``defrag_lp_incremental=True``:
-  churn deltas patch the program in place and each defrag re-solve starts
-  from the previous basis) — feasibility and parity are still asserted;
+  churn deltas patch the program in place and each defrag solves the
+  patched program) — feasibility and parity are still asserted;
 * **long-horizon retention** (full mode only, |U| = 4000 over ≥ 50
   batches) — the defrag-on platform retains ≥ 95% of the periodic full
   re-solve oracle.
@@ -105,7 +105,7 @@ def run_bench(
     )
     # Context row (ungated): the same defrag-on run with the resolver's LP
     # maintained incrementally — every churn batch delta-patches the
-    # program and each defrag re-solve starts from the previous basis.
+    # program and each defrag solves the patched program.
     on_incremental = simulate(
         trace,
         OnlineGreedy(),

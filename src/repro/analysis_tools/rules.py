@@ -944,7 +944,7 @@ class LPRebuildRule(Rule):
     O(instance) work per tick that the incremental layer
     (:class:`~repro.core.lp_incremental.IncrementalBenchmarkLP`, or
     ``LPPacking(incremental=True)`` fed via ``observe_delta``) replaces
-    with a delta-sized patch and a warm re-solve.  Explicit from-scratch
+    with a delta-sized patch.  Explicit from-scratch
     baselines (speedup comparisons) are sanctioned per line.
     """
 

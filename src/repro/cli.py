@@ -402,8 +402,8 @@ def _engine_flags() -> argparse.ArgumentParser:
         "--defrag-lp-incremental",
         action="store_true",
         help=(
-            "maintain the defrag LP as one delta-patched program re-solved "
-            "from the previous basis (dual simplex for capacity shocks)"
+            "maintain the defrag LP as one delta-patched program instead of "
+            "rebuilding it per defrag (HiGHS solves it either way)"
         ),
     )
     group.add_argument(

@@ -103,9 +103,9 @@ def build_benchmark_lp(
             row with coefficient 1 and rhs 1, so ``x ≤ 1`` holds at every
             feasible point and the optimum is unchanged.  With no finite
             upper bounds the standard form needs no synthetic ``ub`` rows,
-            which is what lets the incremental path
+            and the incremental path
             (:class:`repro.core.lp_incremental.IncrementalBenchmarkLP`)
-            delta-patch the cached standard form in place.
+            has no column bounds to maintain across its patches.
 
     Raises:
         AdmissibleSetExplosion: propagated from enumeration.

@@ -5,9 +5,10 @@ BenchmarkLP` alive across a churn stream.  Each :class:`~repro.model.delta.
 Delta` is translated into an :class:`~repro.solver.patch.LPPatch` — columns
 for the *dirty* users' (user, admissible-set) pairs are removed and
 re-enumerated, event rows follow their column counts, capacity shocks become
-RHS edits, re-weightings become objective edits — and the patched program is
-re-solved from the previous optimal basis by the
-:class:`~repro.solver.patch.IncrementalLPSolver`.
+RHS edits, re-weightings become objective edits — applied in place with
+:func:`~repro.solver.patch.apply_lp_patch`, and the patched program is solved
+by HiGHS through :func:`~repro.solver.api.solve_lp`, the solver every other
+LP of the library goes to.
 
 Dirty users — whose admissible-set collection may have changed, so their
 columns are re-enumerated against the successor:
@@ -32,8 +33,9 @@ is structurally identical to a from-scratch build over the successor (the
 property suite asserts optima match to 1e-6).
 
 The LP is built with ``implied_upper=True`` (constraint (2) implies
-``x <= 1``), which keeps the standard form free of synthetic bound rows —
-the precondition for the solver's in-place RHS path.
+``x <= 1``), so no column carries an upper bound the patches would have to
+maintain; the from-scratch builds the chain is compared against use the
+same setting.
 """
 
 from __future__ import annotations
@@ -45,15 +47,15 @@ from repro.core.admissible import (
 from repro.core.lp_formulation import BenchmarkLP, build_benchmark_lp, sum_in_order
 from repro.model.delta import Delta
 from repro.model.instance import IGEPAInstance
+from repro.solver.api import solve_lp
 from repro.solver.patch import (
-    IncrementalLPSolver,
     LPPatch,
     PatchConstraint,
     PatchVariable,
+    apply_lp_patch,
 )
 from repro.solver.problem import Sense
 from repro.solver.result import LPSolution
-from repro.solver.revised_simplex import RevisedSimplexOptions
 
 
 def _user_row(user_id: int) -> str:
@@ -69,20 +71,17 @@ def _column_name(user_id: int, events: tuple[int, ...]) -> str:
 
 
 class IncrementalBenchmarkLP:
-    """One benchmark LP, delta-patched and warm re-solved across churn.
+    """One benchmark LP, delta-patched across churn and solved by HiGHS.
 
     Args:
         instance: the initial instance; the LP is built from scratch once.
         max_sets_per_user: admissible-set explosion guard (must match the
             from-scratch builds it is compared against).
-        options: revised-simplex options for the incremental solver.
 
     Attributes:
         benchmark: the live :class:`BenchmarkLP` — its ``lp`` is patched in
             place, its ``assignments`` / ``by_user`` / ``admissible`` side
             tables are mirrored after every patch.
-        solver: the :class:`IncrementalLPSolver` owning basis and
-            factorization state.
         instance: the instance the program currently describes.
     """
 
@@ -91,7 +90,6 @@ class IncrementalBenchmarkLP:
         instance: IGEPAInstance,
         *,
         max_sets_per_user: int = DEFAULT_MAX_SETS_PER_USER,
-        options: RevisedSimplexOptions | None = None,
     ):
         self.instance = instance
         self.max_sets_per_user = max_sets_per_user
@@ -100,7 +98,6 @@ class IncrementalBenchmarkLP:
             max_sets_per_user=max_sets_per_user,
             implied_upper=True,
         )
-        self.solver = IncrementalLPSolver(self.benchmark.lp, options)
         self.deltas_observed = 0
         # Live column count per event id — an event row exists iff > 0.
         self._event_columns: dict[int, int] = {}
@@ -196,8 +193,7 @@ class IncrementalBenchmarkLP:
 
         # Every dirty or leaving user sheds all their columns (dirty ones
         # get fresh columns below); their (2)-row goes with the columns and
-        # is re-added when new sets exist — same name, so basis labels and
-        # the slack crash hint survive the round trip.
+        # is re-added under the same name when new sets exist.
         for user_id in sorted(dirty | removed_users):
             indices = benchmark.by_user.get(user_id)
             if not indices:
@@ -251,8 +247,7 @@ class IncrementalBenchmarkLP:
                 added_records.append((user_id, events))
 
         # Event-row lifecycle: rows follow their column counts; capacity
-        # changes on persisting rows are pure RHS edits (the dual-simplex
-        # path when nothing else rode along).
+        # changes on persisting rows are pure RHS edits.
         removed_events = set(delta.remove_events)
         capacity_updates = dict(delta.set_event_capacity)
         event_capacity = new_index.event_capacity
@@ -311,9 +306,9 @@ class IncrementalBenchmarkLP:
         """Patch the program from ``self.instance`` to ``successor``.
 
         ``successor`` must be the result of applying ``delta`` to the
-        current instance (:func:`repro.model.delta.apply_delta`).  The LP,
-        its standard form, the solver basis and the benchmark side tables
-        are all updated in place; the next :meth:`solve` re-solves warm.
+        current instance (:func:`repro.model.delta.apply_delta`).  The LP
+        and the benchmark side tables are updated in place; the next
+        :meth:`solve` solves the patched program.
         """
         (
             patch,
@@ -325,7 +320,7 @@ class IncrementalBenchmarkLP:
         benchmark = self.benchmark
 
         if not patch.is_empty:
-            application = self.solver.apply_patch(patch)
+            application = apply_lp_patch(benchmark.lp, patch)
             # Mirror the assignments list through the swap-with-last journal,
             # then append the new columns in emission order.
             assignments = benchmark.assignments
@@ -364,9 +359,9 @@ class IncrementalBenchmarkLP:
         return patch
 
     def solve(self) -> LPSolution:
-        """Warm re-solve of the current program (see the solver's dispatch
-        table); ``solution.x`` aligns with ``benchmark.assignments``."""
-        return self.solver.solve()
+        """Solve the current program with HiGHS; ``solution.x`` aligns with
+        ``benchmark.assignments``."""
+        return solve_lp(self.benchmark.lp)
 
     # ------------------------------------------------------------------
     # Invariant check (tests / debugging)

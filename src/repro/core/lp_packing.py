@@ -94,14 +94,13 @@ class LPPacking(ArrangementAlgorithm):
             (:class:`~repro.core.lp_incremental.IncrementalBenchmarkLP`)
             instead of rebuilding per instance.  Feed each churn batch in
             via :meth:`observe_delta`; a subsequent ``solve`` on the
-            successor instance then re-solves the *patched* program from
-            the previous optimal basis (dual simplex for capacity shocks,
-            warm primal otherwise).  Solving an instance the chain was not
-            advanced onto rebases the chain with a fresh build.
+            successor instance then solves the *patched* program.  Solving
+            an instance the chain was not advanced onto rebases the chain
+            with a fresh build.
 
-    Without ``incremental`` the benchmark LP is built per instance and
-    solved by :func:`~repro.solver.api.solve_lp`'s default backend
-    (HiGHS, the role Gurobi plays in the paper).
+    Either way the benchmark LP is solved by
+    :func:`~repro.solver.api.solve_lp`'s default backend (HiGHS, the role
+    Gurobi plays in the paper).
 
     Raises:
         ValueError: on out-of-range ``alpha`` or unknown ``repair_order``.
@@ -131,7 +130,6 @@ class LPPacking(ArrangementAlgorithm):
         self.cache_lp = cache_lp
         self.incremental = incremental
         self._incremental_lp: IncrementalBenchmarkLP | None = None
-        self._lp_diagnostics: dict | None = None
         # Keyed by the live instance object (identity semantics).  A weak
         # mapping — not id() — because CPython reuses the ids of collected
         # objects, which would silently serve one instance another
@@ -265,8 +263,8 @@ class LPPacking(ArrangementAlgorithm):
         Call right after :func:`repro.model.delta.apply_delta` with the
         delta and the instance it produced — ``successor`` must descend
         from the chain's current instance.  The next ``solve`` on
-        ``successor`` then re-solves the patched program from the previous
-        basis instead of rebuilding.  A no-op when ``incremental`` is off
+        ``successor`` then solves the patched program instead of a
+        rebuild.  A no-op when ``incremental`` is off
         or no LP has been built yet (the first solve anchors the chain).
         """
         if not self.incremental:
@@ -282,59 +280,38 @@ class LPPacking(ArrangementAlgorithm):
     # ------------------------------------------------------------------
     # Full solve
     # ------------------------------------------------------------------
-    def _solved_incremental(
-        self, instance: IGEPAInstance
-    ) -> tuple[BenchmarkLP, np.ndarray, float, int, str]:
-        """Warm re-solve of the delta-patched LP (``incremental=True``)."""
-        incremental = self._incremental_lp
-        if incremental is None or incremental.instance is not instance:
-            # First solve, or the chain was never advanced onto this
-            # instance via observe_delta: rebase with a fresh build.
-            incremental = IncrementalBenchmarkLP(
-                instance, max_sets_per_user=self.max_sets_per_user
-            )
-            self._incremental_lp = incremental
-        if incremental.benchmark.lp.num_variables == 0:
-            return incremental.benchmark, np.empty(0), 0.0, 0, "none"
-        solution = incremental.solve()
-        if not solution.is_optimal:
-            raise LPPackingError.from_solution(solution)
-        self._lp_diagnostics = solution.diagnostics
-        return (
-            incremental.benchmark,
-            solution.x,
-            solution.objective_value,
-            solution.iterations,
-            solution.backend,
-        )
-
     def _solved_benchmark(
         self, instance: IGEPAInstance
     ) -> tuple[BenchmarkLP, np.ndarray, float, int, str]:
-        """Build and solve the benchmark LP, consulting the per-instance cache."""
+        """Build (or patch) and solve the benchmark LP, consulting the
+        per-instance cache."""
         if self.cache_lp and instance in self._lp_cache:
             benchmark, x_star, objective, iterations = self._lp_cache[instance]
             return benchmark, x_star, objective, iterations, "cache"
         if self.incremental:
-            benchmark, x_star, objective, iterations, backend = (
-                self._solved_incremental(instance)
+            incremental = self._incremental_lp
+            if incremental is None or incremental.instance is not instance:
+                # First solve, or the chain was never advanced onto this
+                # instance via observe_delta: rebase with a fresh build.
+                incremental = IncrementalBenchmarkLP(
+                    instance, max_sets_per_user=self.max_sets_per_user
+                )
+                self._incremental_lp = incremental
+            benchmark = incremental.benchmark
+            solution = incremental.solve()
+        else:
+            benchmark = build_benchmark_lp(
+                instance, max_sets_per_user=self.max_sets_per_user
             )
-            if self.cache_lp:
-                self._lp_cache[instance] = (benchmark, x_star, objective, iterations)
-            return benchmark, x_star, objective, iterations, backend
-        benchmark = build_benchmark_lp(
-            instance, max_sets_per_user=self.max_sets_per_user
-        )
-        solution = solve_lp(benchmark.lp)
+            solution = solve_lp(benchmark.lp)
         if not solution.is_optimal:
             raise LPPackingError.from_solution(solution)
         x_star = solution.x
         objective = solution.objective_value
         iterations = solution.iterations
-        backend = solution.backend
         if self.cache_lp:
             self._lp_cache[instance] = (benchmark, x_star, objective, iterations)
-        return benchmark, x_star, objective, iterations, backend
+        return benchmark, x_star, objective, iterations, solution.backend
 
     def _solve(
         self, instance: IGEPAInstance, rng: np.random.Generator
@@ -359,8 +336,4 @@ class LPPacking(ArrangementAlgorithm):
             "alpha": self.alpha,
             "repair_order": self.repair_order,
         }
-        if self._lp_diagnostics is not None:
-            # Incremental re-solves report their dispatch mode and pivot
-            # counts (see IncrementalLPSolver._finish).
-            details["lp_diagnostics"] = self._lp_diagnostics
         return arrangement, details

@@ -388,8 +388,7 @@ def lp_resolve_comparison(
 
     * **patched** — one :class:`~repro.core.lp_incremental.
       IncrementalBenchmarkLP` across the trace: each delta becomes an LP
-      patch and the re-solve starts from the previous optimal basis (dual
-      simplex when only the RHS moved, warm primal otherwise).
+      patch applied in place, and HiGHS solves the patched program.
     * **warm rebuild** — the pre-incremental baseline: rebuild the
       benchmark LP for each successor from scratch (``implied_upper=True``,
       as the patched side builds it) and re-solve it with the sparse
@@ -398,11 +397,8 @@ def lp_resolve_comparison(
 
     Both sides must agree on the optimum to ``tolerance`` every batch —
     the comparison doubles as an end-to-end correctness check.  Returns a
-    JSON-ready dict with per-batch timings and solver diagnostics
-    (``mode`` / ``dual_pivots`` / ``refactorizations`` — see
-    :meth:`repro.solver.patch.IncrementalLPSolver.solve`); ``rhs_only``
-    marks pure capacity-shock batches, which must ride the in-place dual
-    path (no phase 1, zero refactorizations).
+    JSON-ready dict with per-batch timings and HiGHS's ``iterations`` for
+    the patched solve; ``rhs_only`` marks pure capacity-shock batches.
     """
     from repro.core.admissible import DEFAULT_MAX_SETS_PER_USER
     from repro.core.lp_formulation import build_benchmark_lp
@@ -450,7 +446,6 @@ def lp_resolve_comparison(
             f"patched optimum {patched.objective_value!r} diverged from "
             f"from-scratch {warm.objective_value!r} (|diff|={difference:g})"
         )
-        diagnostics = dict(patched.diagnostics or {})
         batches.append(
             {
                 "patch_seconds": patch_seconds,
@@ -458,11 +453,7 @@ def lp_resolve_comparison(
                 "objective": patched.objective_value,
                 "objective_diff": difference,
                 "rhs_only": _rhs_only_delta(delta),
-                "mode": diagnostics.get("mode"),
-                "dual_pivots": diagnostics.get("dual_pivots", 0),
-                "primal_pivots": diagnostics.get("primal_pivots", 0),
-                "phase1": diagnostics.get("phase1", False),
-                "refactorizations": diagnostics.get("refactorizations", 0),
+                "iterations": patched.iterations,
             }
         )
         instance = successor
@@ -474,8 +465,7 @@ def lp_resolve_comparison(
         "mean_patch_seconds": mean_patch,
         "mean_warm_seconds": mean_warm,
         "speedup": mean_warm / mean_patch if mean_patch > 0 else float("inf"),
-        "dual_pivots": int(sum(b["dual_pivots"] for b in batches)),
-        "refactorizations": int(sum(b["refactorizations"] for b in batches)),
+        "iterations": int(sum(b["iterations"] for b in batches)),
         "max_objective_diff": max(
             (b["objective_diff"] for b in batches), default=0.0
         ),

@@ -16,7 +16,7 @@ raise, so partially populated artifacts (quick CI runs, skipped gates)
 ingest cleanly.
 
 Thresholds encode noise expectations: decision-derived metrics (retention,
-acceptance, pivot counts) are bit-stable per seed and carry tight
+acceptance) are bit-stable per seed and carry tight
 ``max_relative_drop`` values; wall-clock metrics (speedups, latencies)
 swing with runner load and carry loose ones — the point bench gates keep
 their hard floors either way.
@@ -31,7 +31,7 @@ from typing import Callable, Literal, Mapping
 Extractor = Callable[[Mapping], "float | None"]
 
 #: ``up``: a drop is a regression (retention, speedup, throughput).
-#: ``down``: a rise is a regression (latency, memory, pivots).
+#: ``down``: a rise is a regression (latency, memory).
 Direction = Literal["up", "down"]
 
 
@@ -176,22 +176,6 @@ def repair_debt_mean(payload: Mapping) -> float | None:
     return sum(debts) / len(debts)
 
 
-def lp_pivots_per_resolve(payload: Mapping) -> float | None:
-    """Mean simplex pivots per delta-patched LP re-solve (largest ladder rung)."""
-    row = _largest_instance(payload)
-    batches = _get(row, "lp_resolve", "batches") if row else None
-    if not isinstance(batches, list) or not batches:
-        return None
-    pivots = [
-        float(b.get("dual_pivots", 0)) + float(b.get("primal_pivots", 0))
-        for b in batches
-        if isinstance(b, Mapping)
-    ]
-    if not pivots:
-        return None
-    return sum(pivots) / len(pivots)
-
-
 def _largest_instance(payload: Mapping) -> Mapping | None:
     """The biggest ladder rung of a bench artifact's ``instances`` list."""
     rows = _get(payload, "instances")
@@ -311,16 +295,6 @@ register_metric(
             "replay": lambda p: _number(p, "utility_retention"),
             "bench_churn": lambda p: _number(p, "largest_utility_retention"),
         },
-    )
-)
-register_metric(
-    Metric(
-        "lp_pivots_per_resolve",
-        "mean simplex pivots per delta-patched LP re-solve",
-        "pivots",
-        "down",
-        0.5,
-        {"bench_churn": lp_pivots_per_resolve},
     )
 )
 register_metric(

@@ -65,11 +65,12 @@ class TickEngine:
             backend (HiGHS).
         defrag_lp_incremental: maintain the defrag LP incrementally —
             :meth:`apply_churn` feeds every delta into the resolver's
-            delta-patched program, so each defrag re-solve starts from the
-            previous optimal basis instead of rebuilding (dual simplex for
-            capacity shocks, warm primal otherwise).  The LP optimum is
-            identical either way; the sampled arrangement may differ (the
-            solvers can land on different optimal vertices).
+            delta-patched program, so each defrag solve patches the
+            previous program instead of rebuilding it; HiGHS solves it
+            either way.  The LP optimum is identical either way; the
+            sampled arrangement may differ (the patched program orders its
+            columns differently, so HiGHS can land on another optimal
+            vertex).
         max_passes: local-search pass cap for repair and defrag sweeps.
         check_parity: rebuild the index from scratch in :meth:`audit` and
             compare against the patched one.

@@ -1,8 +1,9 @@
 """LP / ILP solver substrate.
 
 The paper solves its benchmark LP with Gurobi; here HiGHS (through scipy)
-takes that role, and an in-repo revised simplex is kept for the warm-started
-and delta-patched re-solves of the incremental LP chain:
+takes that role for every LP and ILP the library builds, the delta-patched
+chain's included.  An in-repo revised simplex is kept as an independent
+reference for tests and benches:
 
 * :class:`LinearProgram` — the backend-neutral model.
 * :func:`solve_lp` — the one entry point: HiGHS for LPs and for programs

@@ -1,8 +1,8 @@
-"""Delta-patchable linear programs and the incremental re-solver.
+"""Delta-patchable linear programs.
 
 The churn loop used to rebuild the benchmark LP from scratch every tick —
-O(|columns|) work to re-enumerate, re-sort and re-factorize a matrix that a
-1% churn batch barely touched.  This module makes the LP an *incrementally
+O(|columns|) work to re-enumerate and re-sort a matrix that a 1% churn
+batch barely touched.  This module makes the LP an *incrementally
 maintained object* instead:
 
 * :class:`LPPatch` — a declarative edit batch against a
@@ -17,32 +17,9 @@ maintained object* instead:
   the coefficient dicts.  The returned :class:`PatchApplication` journals
   every index move so callers can mirror side tables (assignments,
   per-user column lists) in O(delta).
-* :class:`IncrementalLPSolver` — re-solves the patched program from the
-  previous optimal basis over a persistent factorization
-  (:mod:`repro.solver.factorization`), dispatching on the patch shape:
 
-  ========================  =============================================
-  patch shape               re-solve path
-  ========================  =============================================
-  RHS-only                  dual simplex from the same basis — the basis
-                            stays dual feasible, the factorization is
-                            reused untouched, no phase 1, typically zero
-                            refactorizations.
-  objective-only            primal phase 2 from the same basis — the basis
-                            stays primal feasible, factorization reused.
-  structural (add/remove)   basis labels remapped onto the new standard
-                            form; vanished basic columns are repaired by
-                            the slack of their factorization pivot row;
-                            one refactorization, then primal phase 2 (or
-                            the single-artificial warm repair when the
-                            carried basis is primal infeasible).
-  anything unusable         explicit cold start (slack crash) — a stale
-                            basis can cost pivots, never correctness.
-  ========================  =============================================
-
-Presolve is intentionally skipped: the incremental path expects programs
-built with ``implied_upper=True`` (no redundant bound rows to strip), and
-parity of the two pipelines is asserted by the property suite.
+The patched program is solved like any other: :func:`repro.solver.api.
+solve_lp` hands HiGHS the maintained COO triplets directly.
 """
 
 from __future__ import annotations
@@ -52,15 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.solver.factorization import SingularBasisError, make_factorization
 from repro.solver.problem import Constraint, LinearProgram, Sense, Variable
-from repro.solver.result import LPSolution, SolveStatus
-from repro.solver.revised_simplex import (
-    RevisedSimplexOptions,
-    _FactorizedCore,
-    _warm_start_core,
-)
-from repro.solver.standard_form import StandardForm, _VarKind, to_standard_form
 
 
 # ----------------------------------------------------------------------
@@ -371,558 +340,3 @@ def apply_lp_patch(lp: LinearProgram, patch: LPPatch) -> PatchApplication:
         variable.upper = float(upper)
 
     return application
-
-
-# ----------------------------------------------------------------------
-# Incremental re-solver
-# ----------------------------------------------------------------------
-def _refresh_costs(sf: StandardForm, lp: LinearProgram) -> None:
-    """Rewrite ``sf.c`` / ``sf.objective_offset`` from ``lp``'s current
-    objective coefficients — the objective-only patch path, where the
-    matrix, bounds and variable mapping are untouched."""
-    sign = -1.0 if lp.maximize else 1.0
-    offset = 0.0
-    for variable, mapping in zip(lp.variables, sf._var_maps):
-        cost = sign * variable.objective
-        if mapping.kind is _VarKind.FIXED:
-            offset += cost * mapping.offset
-        elif mapping.kind is _VarKind.SHIFTED:
-            sf.c[mapping.columns[0]] = cost
-            offset += cost * mapping.offset
-        elif mapping.kind is _VarKind.MIRRORED:
-            sf.c[mapping.columns[0]] = -cost
-            offset += cost * mapping.offset
-        else:  # FREE
-            pos, neg = mapping.columns
-            sf.c[pos] = cost
-            sf.c[neg] = -cost
-    sf.objective_offset = offset
-
-
-class IncrementalLPSolver:
-    """Re-solve one :class:`LinearProgram` across a stream of patches.
-
-    Owns the program's standard form, the optimal basis of the last solve
-    and a persistent basis factorization; :meth:`solve` (optionally taking
-    the patch to apply first) picks the cheapest sound re-solve path for
-    the edit shape — see the module docstring's dispatch table.
-
-    Cumulative counters (``dual_pivots``, ``primal_pivots``,
-    ``refactorizations``, ``phase1_repairs``, ``cold_starts``) and the
-    per-solve ``LPSolution.diagnostics`` expose what each re-solve
-    actually did, which the churn bench gates on (no phase 1 and no
-    refactorization on pure capacity-shock batches).
-    """
-
-    def __init__(
-        self,
-        lp: LinearProgram,
-        options: RevisedSimplexOptions | None = None,
-    ):
-        self.lp = lp
-        self.options = options or RevisedSimplexOptions(sparse=True)
-        if self.options.sparse is None:
-            # The incremental paths maintain CSC state; pin the representation
-            # so a patch cannot silently flip it mid-stream.
-            self.options.sparse = True
-        self.factorization = make_factorization()
-        self.dual_pivots = 0
-        self.primal_pivots = 0
-        self.phase1_repairs = 0
-        self.cold_starts = 0
-        self.patches_applied = 0
-        self._sf: StandardForm | None = None
-        self._labels: list[str] | None = None
-        self._core: _FactorizedCore | None = None
-        # After a structural patch the cached standard form describes the
-        # *pre-patch* program; it is kept (stale) so the next structural
-        # re-solve can read the old row names and basis labels for the
-        # remap, and rebuilt there.
-        self._sf_stale = False
-        # Shape of the patches applied since the last solve; lets callers
-        # apply_patch() eagerly (to read the move journal) and still get the
-        # cheap dispatch when they solve() later.
-        self._pending_structural = False
-        self._pending_rhs = False
-        self._pending_objective = False
-
-    @property
-    def refactorizations(self) -> int:
-        return self.factorization.refactorizations
-
-    # -- patch entry ----------------------------------------------------
-    def apply_patch(self, patch: LPPatch) -> PatchApplication:
-        """Apply ``patch`` to the program and stage the matching re-solve
-        path for the next :meth:`solve` call."""
-        application = apply_lp_patch(self.lp, patch)
-        self.patches_applied += 1
-        if application.structural:
-            self._sf_stale = True  # rebuilt (cheaply) on the next solve
-        self._pending_structural |= application.structural
-        self._pending_rhs |= bool(patch.set_rhs)
-        self._pending_objective |= bool(patch.set_objective)
-        return application
-
-    def solve(self, patch: LPPatch | None = None) -> LPSolution:
-        """Apply ``patch`` (if any) and re-solve from the previous basis.
-
-        Patches staged earlier through :meth:`apply_patch` are folded into
-        the dispatch; a solve with no staged edits at all re-solves from
-        scratch (the conservative default — the program may have been edited
-        behind the solver's back).
-        """
-        if patch is not None:
-            self.apply_patch(patch)
-        had_pending = (
-            self._pending_structural
-            or self._pending_rhs
-            or self._pending_objective
-            or patch is not None
-        )
-        structural = self._pending_structural
-        rhs = self._pending_rhs
-        objective = self._pending_objective
-        self._pending_structural = False
-        self._pending_rhs = False
-        self._pending_objective = False
-        if self._core is None or self._sf is None:
-            return self._solve_structural(initial=True)
-        if structural or self._sf_stale or not had_pending:
-            return self._solve_structural()
-        if rhs and objective:
-            # Mixed in-place edits (rhs + objective): the basis is neither
-            # provably primal nor dual feasible — refresh both sides and go
-            # through the warm primal path (artificial repair if needed).
-            return self._solve_structural(rebuild=False)
-        if rhs:
-            return self._solve_rhs_only()
-        if objective:
-            return self._solve_objective_only()
-        # A solved empty patch: nothing changed, but re-verify from the
-        # carried basis (zero pivots when the basis is still optimal).
-        return self._solve_structural(rebuild=False)
-
-    # -- dispatch paths -------------------------------------------------
-    def _refreshed_b(self, sf: StandardForm) -> np.ndarray | None:
-        """The new ``b`` vector for an in-place RHS update, or None when the
-        update cannot be done in place (synthetic bound rows, sign flips)."""
-        if sf.b.size != self.lp.num_constraints:
-            return None  # bound rows present: rhs rows are not 1:1
-        if sf.row_signs is not None and bool(np.any(sf.row_signs < 0.0)):
-            return None  # a flipped row also flipped its matrix entries
-        b_new = np.fromiter(
-            (c.rhs for c in self.lp.constraints), dtype=float, count=sf.b.size
-        )
-        if np.any(b_new < 0.0):
-            return None  # would need a flip now
-        return b_new
-
-    def _solve_rhs_only(self) -> LPSolution:
-        sf, core = self._sf, self._core
-        assert sf is not None and core is not None
-        b_new = self._refreshed_b(sf)
-        if b_new is None:
-            # Not an in-place update (flips / bound rows): rebuild instead —
-            # still warm via the label remap.
-            self._sf = None
-            self._labels = None
-            return self._solve_structural()
-        sf.b[:] = b_new
-        core.b = sf.b
-        core.x_basic = core._ftran(sf.b)
-        core.x_basic[np.abs(core.x_basic) < self.options.tol] = 0.0
-        before = self.refactorizations
-        max_iterations = self.options.resolved_max_iterations(core.m, core.n)
-        status, iterations = core.run_dual(sf.c, sf.num_columns, 0, max_iterations)
-        self.dual_pivots += iterations
-        return self._finish(
-            status,
-            iterations,
-            mode="rhs_dual",
-            dual_pivots=iterations,
-            refactorizations=self.refactorizations - before,
-        )
-
-    def _solve_objective_only(self) -> LPSolution:
-        sf, core = self._sf, self._core
-        assert sf is not None and core is not None
-        _refresh_costs(sf, self.lp)
-        before = self.refactorizations
-        max_iterations = self.options.resolved_max_iterations(core.m, core.n)
-        status, iterations = core.run(sf.c, sf.num_columns, 0, max_iterations)
-        self.primal_pivots += iterations
-        return self._finish(
-            status,
-            iterations,
-            mode="objective_primal",
-            primal_pivots=iterations,
-            refactorizations=self.refactorizations - before,
-        )
-
-    def _solve_structural(
-        self, *, initial: bool = False, rebuild: bool = True
-    ) -> LPSolution:
-        drove_out = False
-        if self._sf_stale and self._core is not None:
-            try:
-                drove_out = self._drive_out_vanished()
-            except (np.linalg.LinAlgError, SingularBasisError):
-                drove_out = False  # the remap/warm fallbacks below still apply
-        previous_labels: tuple[str, ...] | None = None
-        previous_slot_rows: np.ndarray | None = None
-        old_constraint_names: list[str] | None = None
-        if self._core is not None and self._labels is not None:
-            previous_labels = tuple(
-                self._labels[j] for j in self._core.basis.tolist()
-                if j < len(self._labels)
-            )
-            # After a successful drive-out every vanished basic label is a
-            # removed-row slack that must simply be dropped; the slot-row
-            # substitution would re-cover rows that surviving columns
-            # already span (and the pairing is stale after the drive-out's
-            # eta updates anyway).  It remains the fallback repair when the
-            # drive-out could not run.
-            if not drove_out:
-                previous_slot_rows = self.factorization.slot_rows()
-            if self._sf is not None:
-                old_constraint_names = self._old_row_names()
-        if rebuild or self._sf is None or self._sf_stale:
-            self._sf = to_standard_form(self.lp, sparse=self.options.sparse)
-            self._labels = self._sf.column_labels(self.lp)
-            self._sf_stale = False
-        else:
-            _refresh_costs(self._sf, self.lp)
-            b_new = self._refreshed_b(self._sf)
-            if b_new is None:
-                self._sf = None
-                self._labels = None
-                return self._solve_structural()
-            self._sf.b[:] = b_new
-        sf, labels = self._sf, self._labels
-        assert sf is not None and labels is not None
-        matrix = sf.matrix()
-        max_iterations = self.options.resolved_max_iterations(
-            sf.num_rows, sf.num_columns
-        )
-        before_refactor = self.refactorizations
-        mode = "structural_cold"
-        phase1 = False
-        iterations = 0
-
-        candidate = self._remap_basis(
-            sf, labels, previous_labels, previous_slot_rows, old_constraint_names
-        )
-        core: _FactorizedCore | None = None
-        costs2 = sf.c
-        if candidate is not None:
-            warm = _warm_start_core(
-                matrix,
-                sf.b,
-                sf.c,
-                candidate,
-                self.options,
-                max_iterations,
-                core_factory=self._make_core,
-            )
-            if warm is not None:
-                core, costs2, iterations = warm
-                phase1 = iterations > 0
-                mode = "structural_warm"
-        if core is None:
-            hint = sf.basis_hint
-            if hint is None or not bool((hint >= 0).all()):
-                # No full slack crash (e.g. equality rows): delegate the
-                # phase-1 construction to the cold two-phase solver.
-                return self._solve_cold_two_phase()
-            core = self._make_core(matrix, sf.b, self.options)
-            try:
-                core.set_basis(hint)
-            except SingularBasisError:  # pragma: no cover - identity basis
-                return self._solve_cold_two_phase()
-            self.cold_starts += 1
-        if phase1:
-            self.phase1_repairs += 1
-        status, iterations = core.run(
-            costs2, sf.num_columns, iterations, max_iterations
-        )
-        self.primal_pivots += iterations
-        self._core = core
-        return self._finish(
-            status,
-            iterations,
-            mode="initial" if initial else mode,
-            primal_pivots=iterations,
-            phase1=phase1,
-            refactorizations=self.refactorizations - before_refactor,
-        )
-
-    # -- helpers --------------------------------------------------------
-    def _make_core(self, matrix, b, options) -> _FactorizedCore:
-        return _FactorizedCore(matrix, b, options, factorization=self.factorization)
-
-    def _drive_out_vanished(self) -> bool:
-        """Pivot vanished columns out of the *old* basis before a rebuild.
-
-        A structural patch removes columns and rows; a carried basis that
-        still holds them must be repaired, and doing it on the old core —
-        whose factorization is valid — turns a guess into real pivots:
-
-        1. every removed *row* gets its own slack into the basis (deleting
-           a row together with its basic slack column preserves
-           nonsingularity — cofactor expansion along the unit column);
-        2. every other vanished basic column is swapped for the slack of a
-           surviving row chosen by the largest ``|B^-1[slot, row]|``
-           (a genuine pivot, so the updated basis provably still inverts).
-
-        Afterwards the basis consists of surviving labels plus removed-row
-        slacks; restricted to the surviving rows it is nonsingular, and
-        since surviving columns never touch rows added by the patch, the
-        remapped candidate (survivors + added-row slacks) is block
-        triangular — :meth:`_remap_basis` cannot produce a singular basis.
-
-        Returns False when the old state cannot be repaired (equality rows
-        without slacks, or no usable pivot); the caller then falls through
-        to the slack-crash / cold paths.
-        """
-        core, sf, labels = self._core, self._sf, self._labels
-        if core is None or sf is None or labels is None:
-            return True
-        if sf.slack_rows is None or sf.slack_rows.size != sf.num_rows:
-            return False  # a slack-less (equality) row cannot cover removals
-        tol = self.options.tol
-        new_names = {v.name for v in self.lp.variables}
-        new_names.update(f"slack:{c.name}" for c in self.lp.constraints)
-        current_rows = {c.name for c in self.lp.constraints}
-        old_row_names = self._old_row_names()
-        num_structural = sf.num_columns - sf.slack_rows.size
-        slack_of_row = np.empty(sf.num_rows, dtype=np.int64)
-        slack_of_row[sf.slack_rows] = np.arange(
-            num_structural, sf.num_columns, dtype=np.int64
-        )
-        removed_rows = [
-            r
-            for r, name in enumerate(old_row_names)
-            if not name or name not in current_rows
-        ]
-        removed_slacks = {int(slack_of_row[r]) for r in removed_rows}
-
-        def pivot_in(column: int, slots: list[int]) -> bool:
-            col = core.matrix.gather_dense(
-                np.asarray([column], dtype=np.int64)
-            )[:, 0]
-            direction = core._ftran(col)
-            best, best_mag = -1, tol
-            for s in slots:
-                mag = abs(float(direction[s]))
-                if mag > best_mag:
-                    best, best_mag = s, mag
-            if best < 0:
-                return False
-            core._pivot(column, best, direction, None)
-            return True
-
-        def vanished_slots() -> list[int]:
-            return [
-                s
-                for s, j in enumerate(core.basis.tolist())
-                if labels[j] not in new_names and j not in removed_slacks
-            ]
-
-        # 1) removed rows take their own slack (prefer evicting a column
-        # that is vanishing anyway; evict a survivor only when forced).
-        for r in removed_rows:
-            slack = int(slack_of_row[r])
-            if core.in_basis[slack]:
-                continue
-            if not pivot_in(slack, vanished_slots()) and not pivot_in(
-                slack, list(range(core.m))
-            ):
-                return False
-
-        # 2) remaining vanished columns swap for a surviving row's slack.
-        for s in vanished_slots():
-            rho = core._rho(s)
-            order = np.argsort(-np.abs(rho))
-            done = False
-            for r in order.tolist():
-                if abs(float(rho[r])) <= tol:
-                    break
-                if r in removed_rows:
-                    continue
-                slack = int(slack_of_row[r])
-                if core.in_basis[slack]:
-                    continue
-                if pivot_in(slack, [s]):
-                    done = True
-                    break
-            if not done:
-                return False
-        return True
-
-    def _old_row_names(self) -> list[str]:
-        # The previous standard form's rows are the previous constraints in
-        # order; the labels list still holds their slack names.
-        assert self._sf is not None and self._labels is not None
-        num_structural = self._sf.num_columns - (
-            self._sf.slack_rows.size if self._sf.slack_rows is not None else 0
-        )
-        names = [""] * self._sf.num_rows
-        if self._sf.slack_rows is not None:
-            for offset, row in enumerate(self._sf.slack_rows.tolist()):
-                label = self._labels[num_structural + offset]
-                names[row] = label[len("slack:"):]
-        return names
-
-    def _remap_basis(
-        self,
-        sf: StandardForm,
-        labels: list[str],
-        previous_labels: tuple[str, ...] | None,
-        previous_slot_rows: np.ndarray | None,
-        old_constraint_names: list[str] | None,
-    ) -> np.ndarray | None:
-        """Carry the previous optimal basis onto the new standard form.
-
-        Surviving labels keep their slot.  A *vanished* basic label (its
-        column was removed by the patch) is repaired locally: the slot's
-        factorization pivot row identifies the constraint whose slack can
-        stand in (Sherman-Morrison: the substitution is nonsingular iff
-        ``B^-1[slot, row] != 0``, which the pivot pairing makes typical).
-        Rows the carried labels leave uncovered — newly added constraints —
-        get their own slack.  Returns None when no full candidate exists;
-        a candidate that still fails to factorize falls back later.
-        """
-        if not previous_labels:
-            return None
-        if sf.basis_hint is None:
-            return None
-        m = sf.num_rows
-        position = {label: j for j, label in enumerate(labels)}
-        row_of_constraint: dict[str, int] = {}
-        if old_constraint_names is not None:
-            for r in range(min(m, self.lp.num_constraints)):
-                row_of_constraint[self.lp.constraints[r].name] = r
-        chosen: list[int] = []
-        used: set[int] = set()
-        for slot, label in enumerate(previous_labels):
-            j = position.get(label)
-            if j is None and previous_slot_rows is not None and old_constraint_names:
-                # Vanished basic column: substitute the slack of this
-                # slot's pivot row (mapped through the row renames).
-                old_row = int(previous_slot_rows[slot]) if slot < len(
-                    previous_slot_rows
-                ) else -1
-                if 0 <= old_row < len(old_constraint_names):
-                    new_row = row_of_constraint.get(old_constraint_names[old_row], -1)
-                    if 0 <= new_row < m:
-                        slack = int(sf.basis_hint[new_row])
-                        if slack >= 0:
-                            j = slack
-            if j is not None and j not in used:
-                chosen.append(j)
-                used.add(j)
-        if len(chosen) > m:
-            return None
-        if len(chosen) < m:
-            # Pad with slacks, preferring rows the patch *added* (surviving
-            # columns never touch them, so the completion stays block
-            # triangular — see _drive_out_vanished), then any remaining row,
-            # lowest rows first — deterministic completion.
-            old_names = set(old_constraint_names or ())
-            added_rows = [
-                row
-                for row in range(min(m, self.lp.num_constraints))
-                if self.lp.constraints[row].name not in old_names
-            ]
-            for row in (*added_rows, *range(m)):
-                if len(chosen) == m:
-                    break
-                slack = int(sf.basis_hint[row])
-                if slack >= 0 and slack not in used:
-                    chosen.append(slack)
-                    used.add(slack)
-        if len(chosen) != m:
-            return None
-        return np.asarray(chosen, dtype=np.int64)
-
-    def _solve_cold_two_phase(self) -> LPSolution:
-        """Last-resort cold start through the stock two-phase solver."""
-        from repro.solver.revised_simplex import solve_lp_revised_simplex
-
-        self.cold_starts += 1
-        solution = solve_lp_revised_simplex(self.lp, self.options)
-        self.primal_pivots += solution.iterations
-        # Rebuild the incremental state from the reported basis so the next
-        # patch is warm again.
-        self._sf = to_standard_form(self.lp, sparse=self.options.sparse)
-        self._labels = self._sf.column_labels(self.lp)
-        self._sf_stale = False
-        if solution.basis_labels:
-            from repro.solver.revised_simplex import resolve_warm_basis
-
-            resolution = resolve_warm_basis(
-                self._sf, self._labels, solution.basis_labels
-            )
-            if resolution.basis is not None:
-                core = self._make_core(
-                    self._sf.matrix(), self._sf.b, self.options
-                )
-                try:
-                    core.set_basis(resolution.basis)
-                    self._core = core
-                except SingularBasisError:  # pragma: no cover - defensive
-                    self._core = None
-        diagnostics = dict(solution.diagnostics or {})
-        diagnostics.update(mode="cold_two_phase", cold=True)
-        solution.diagnostics = diagnostics
-        return solution
-
-    def _finish(
-        self,
-        status: SolveStatus,
-        iterations: int,
-        *,
-        mode: str,
-        dual_pivots: int = 0,
-        primal_pivots: int = 0,
-        phase1: bool = False,
-        refactorizations: int = 0,
-    ) -> LPSolution:
-        sf, core = self._sf, self._core
-        assert sf is not None and core is not None
-        diagnostics = {
-            "mode": mode,
-            "dual_pivots": dual_pivots,
-            "primal_pivots": primal_pivots,
-            "phase1": phase1,
-            "refactorizations": refactorizations,
-            "total_refactorizations": self.refactorizations,
-        }
-        backend = "incremental-revised-simplex"
-        if status is not SolveStatus.OPTIMAL:
-            if status is not SolveStatus.ITERATION_LIMIT:
-                # The carried basis is useless after INFEASIBLE/UNBOUNDED;
-                # drop it so the next solve restarts cleanly.
-                self._core = None
-            return LPSolution(
-                status=status,
-                iterations=iterations,
-                backend=backend,
-                diagnostics=diagnostics,
-            )
-        n = sf.num_columns
-        y = core.solution()[:n]
-        objective = sf.recover_objective(float(sf.c @ y))
-        labels = self._labels or []
-        basis_labels = tuple(
-            labels[j] for j in core.basis.tolist() if j < len(labels)
-        )
-        return LPSolution(
-            status=SolveStatus.OPTIMAL,
-            objective_value=objective,
-            x=sf.recover_x(y),
-            iterations=iterations,
-            backend=backend,
-            basis_labels=basis_labels,
-            diagnostics=diagnostics,
-        )

@@ -108,7 +108,7 @@ class LinearProgram:
     # skip the O(nnz log nnz) lexsort.
     _coo_order: np.ndarray | None = field(default=None, repr=False, compare=False)
     # Lazy name -> index maps and the variable -> constraint-rows incidence
-    # that apply_patch maintains; None until first needed.
+    # that apply_lp_patch maintains; None until first needed.
     _var_index: dict[str, int] | None = field(default=None, repr=False, compare=False)
     _con_index: dict[str, int] | None = field(default=None, repr=False, compare=False)
     _var_rows: dict[int, set[int]] | None = field(
@@ -339,7 +339,7 @@ class LinearProgram:
     # Incremental patching (see repro.solver.patch)
     # ------------------------------------------------------------------
     def variable_index(self) -> dict[str, int]:
-        """Name -> index map of the variables (lazy; apply_patch keeps it
+        """Name -> index map of the variables (lazy; apply_lp_patch keeps it
         consistent afterwards)."""
         if self._var_index is None:
             self._var_index = {v.name: v.index for v in self.variables}
@@ -365,20 +365,6 @@ class LinearProgram:
                     incidence[idx].add(row)
             self._var_rows = incidence
         return self._var_rows
-
-    def apply_patch(self, patch) -> "object":
-        """Apply an :class:`~repro.solver.patch.LPPatch` in place.
-
-        Columns and rows for removed (user, admissible-set) pairs leave by
-        swap-with-last, additions append, RHS updates are in place, and the
-        COO triplet cache is revalidated incrementally (mask + remap +
-        append) — never rebuilt from the coefficient dicts.  Returns the
-        :class:`~repro.solver.patch.PatchApplication` journal so callers
-        mirroring per-variable side tables can replay the index moves.
-        """
-        from repro.solver.patch import apply_lp_patch
-
-        return apply_lp_patch(self, patch)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -43,8 +43,7 @@ class LPSolution:
             from this basis.
         diagnostics: backend-reported solve telemetry (e.g. warm-start label
             match/stale counts and whether the solve fell back to a cold
-            start, dual/primal pivot and refactorization counts on the
-            incremental path, linprog's ``status`` and ``message`` on the
+            start, linprog's ``status`` and ``message`` on the
             HiGHS backend, plus ``mip_node_count`` and ``mip_gap`` for an
             integer program).  None when the backend reports nothing.
     """

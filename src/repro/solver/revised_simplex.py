@@ -36,11 +36,10 @@ representations against each other and against HiGHS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.solver.factorization import SingularBasisError, make_factorization
 from repro.solver.problem import LinearProgram
 from repro.solver.result import LPSolution, SolveStatus
 from repro.solver.simplex import SimplexOptions, _TableauResult, min_ratio_row
@@ -72,13 +71,10 @@ class RevisedSimplexOptions(SimplexOptions):
 class _RevisedCore:
     """One phase of the revised simplex over ``min c@x, A@x == b, x >= 0``.
 
-    Basis algebra goes through four hook methods — :meth:`_direction`,
-    :meth:`_ftran`, :meth:`_rho` and :meth:`_compute_duals` — implemented
-    here against the explicit dense inverse, and overridden by
-    :class:`_FactorizedCore` against a persistent LU factorization.  The
-    pivot loops (:meth:`run`, :meth:`run_dual`) and the warm-start repair
-    only ever touch the hooks, so both representations share one set of
-    pivot rules, tolerances and anti-cycling guarantees.
+    Basis algebra goes through four methods — :meth:`_direction`,
+    :meth:`_ftran`, :meth:`_rho` and :meth:`_compute_duals` — against an
+    explicit dense basis inverse; the pivot loop (:meth:`run`) and the
+    warm-start repair only ever touch those.
     """
 
     def __init__(
@@ -105,7 +101,7 @@ class _RevisedCore:
         self._rank1 = np.empty((self.m, self.m))  # reused eta-update buffer
 
     # ------------------------------------------------------------------
-    # Basis-algebra hooks (overridden by _FactorizedCore)
+    # Basis algebra
     # ------------------------------------------------------------------
     def _direction(self, j: int) -> np.ndarray:
         """``B^-1 A[:, j]`` — the pivot direction of column ``j``."""
@@ -181,81 +177,6 @@ class _RevisedCore:
             step = self.x_basic[leaving_row] / direction[leaving_row]
             self._pivot(entering, leaving_row, direction, costs)
             if step <= tol:
-                degenerate_run += 1
-                force_bland = force_bland or degenerate_run >= run_limit
-            else:
-                degenerate_run = 0
-            iterations += 1
-            if iterations >= max_iterations:
-                return SolveStatus.ITERATION_LIMIT, iterations
-
-    def run_dual(
-        self,
-        costs: np.ndarray,
-        allowed: int,
-        start_iteration: int,
-        max_iterations: int,
-    ) -> tuple[SolveStatus, int]:
-        """Dual simplex over columns ``[0, allowed)``: restore ``x_B >= 0``.
-
-        Requires a *dual-feasible* start — every nonbasic reduced cost
-        nonnegative — which is exactly what the optimal basis of the
-        pre-patch LP provides after an RHS/bound change.  Each pivot picks
-        the most negative basic value as the leaving row, prices that row
-        of the tableau (one btran + one pricing pass), and enters the
-        column with the minimum dual ratio ``reduced_j / -alpha_j`` over
-        ``alpha_j < 0``, so dual feasibility is invariant and primal
-        feasibility improves monotonically — no phase-1 recovery.
-
-        Anti-cycling mirrors the primal loop's ratchet: a run of
-        zero-progress (degenerate) dual steps switches permanently to
-        Bland's dual rule — leaving row with the smallest basis label,
-        entering column with the smallest index among the minimum-ratio
-        ties.  Returns ``INFEASIBLE`` when a negative row prices to no
-        negative entry (a Farkas certificate for the patched rhs).
-
-        The standard form has no finite upper bounds on structural columns
-        (two-sided bounds become extra rows, see ``to_standard_form``), so
-        the textbook bounded-variable flip step has no work to do here and
-        the nonbasic partition is "at lower bound" throughout.
-        """
-        tol = self.options.tol
-        iterations = start_iteration
-        degenerate_run = 0
-        run_limit = self.options.degenerate_run_limit(self.m)
-        force_bland = False
-        self.duals = self._compute_duals(costs)
-        while True:
-            negative = np.flatnonzero(self.x_basic < -tol)
-            if negative.size == 0:
-                return SolveStatus.OPTIMAL, iterations
-            use_bland = force_bland or iterations >= self.options.bland_after
-            if use_bland:
-                # Bland's dual rule: smallest basis *label* among the
-                # infeasible rows — that is what the termination proof needs.
-                row = int(negative[np.argmin(self.basis[negative])])
-            else:
-                row = int(negative[np.argmin(self.x_basic[negative])])
-            alpha = self.matrix.price(self._rho(row), allowed)
-            alpha[self.in_basis[:allowed]] = 0.0
-            candidates = np.flatnonzero(alpha < -tol)
-            if candidates.size == 0:
-                # Row `row` reads  (nonneg coefficients) @ x == negative:
-                # unsatisfiable with x >= 0.
-                return SolveStatus.INFEASIBLE, iterations
-            reduced = costs[:allowed] - self.matrix.price(self.duals, allowed)
-            # Dual feasibility can drift a hair below zero numerically;
-            # clamp so ratios stay nonnegative and the invariant holds.
-            ratios = np.maximum(reduced[candidates], 0.0) / -alpha[candidates]
-            best = float(ratios.min())
-            if use_bland:
-                ties = candidates[ratios <= best + tol]
-                entering = int(ties[0])
-            else:
-                entering = int(candidates[np.argmin(ratios)])
-            direction = self._direction(entering)
-            self._pivot(entering, row, direction, costs)
-            if best <= tol:
                 degenerate_run += 1
                 force_bland = force_bland or degenerate_run >= run_limit
             else:
@@ -374,118 +295,11 @@ class _RevisedCore:
         return x
 
 
-class _FactorizedCore(_RevisedCore):
-    """Revised-simplex core over a persistent basis factorization.
-
-    Same pivot loops, rules and tolerances as :class:`_RevisedCore`, but the
-    basis algebra goes through a :class:`~repro.solver.factorization`
-    backend (sparse LU + eta file when scipy is available) instead of an
-    explicit ``m x m`` inverse: no O(m^2) memory, no O(m^3) refactorization
-    on the scipy path, and — the point of the incremental LP — the
-    factorization **object outlives the core**, so a patched re-solve
-    reuses the previous solve's LU instead of rebuilding it.
-    """
-
-    def __init__(
-        self,
-        matrix: CSCMatrix | DenseMatrix,
-        b: np.ndarray,
-        options: RevisedSimplexOptions,
-        factorization=None,
-    ):
-        self.factorization = (
-            factorization if factorization is not None else make_factorization()
-        )
-        super().__init__(matrix, b, options)
-
-    def _allocate_inverse(self) -> None:
-        pass  # no m x m inverse: self.factorization owns the basis algebra
-
-    def _direction(self, j: int) -> np.ndarray:
-        rows, vals = self.matrix.column(j)
-        column = np.zeros(self.m)
-        column[rows] = vals
-        return self.factorization.ftran(column)
-
-    def _ftran(self, v: np.ndarray) -> np.ndarray:
-        return self.factorization.ftran(v)
-
-    def _rho(self, row: int) -> np.ndarray:
-        unit = np.zeros(self.m)
-        unit[row] = 1.0
-        return self.factorization.btran(unit)
-
-    def _compute_duals(self, costs: np.ndarray) -> np.ndarray:
-        return self.factorization.btran(costs[self.basis])
-
-    def set_basis(self, basis: np.ndarray | list[int], *, identity: bool = False) -> None:
-        """Install a basis.  ``identity`` is accepted for interface parity
-        but a factorization is built regardless (an identity basis matrix
-        factorizes in O(m)); a basis the current factorization already
-        describes (same labels, e.g. across an RHS-only patch) skips the
-        rebuild entirely."""
-        basis = np.asarray(basis, dtype=np.int64)
-        if (
-            not self.factorization.needs_refactor
-            and self.basis.size == basis.size
-            and bool(np.array_equal(self.basis, basis))
-        ):
-            self.basis = basis.copy()
-            self.in_basis[:] = False
-            self.in_basis[self.basis] = True
-            self.x_basic = self.factorization.ftran(self.b)
-            self.x_basic[np.abs(self.x_basic) < self.options.tol] = 0.0
-            self.pivots_since_refactor = 0
-            return
-        self.basis = basis.copy()
-        self.in_basis[:] = False
-        self.in_basis[self.basis] = True
-        self.refactor()
-
-    def refactor(self) -> None:
-        self.factorization.refactor(self.matrix, self.basis)
-        self.x_basic = self.factorization.ftran(self.b)
-        self.x_basic[np.abs(self.x_basic) < self.options.tol] = 0.0
-        self.pivots_since_refactor = 0
-
-    def adopt(self, other: "_FactorizedCore") -> None:
-        self.basis = other.basis.copy()
-        self.in_basis[:] = False
-        self.in_basis[self.basis] = True
-        self.factorization = other.factorization
-        self.x_basic = other.x_basic
-
-    def _pivot(
-        self,
-        entering: int,
-        row: int,
-        direction: np.ndarray,
-        costs: np.ndarray | None,
-    ) -> None:
-        pivot_value = direction[row]
-        step = self.x_basic[row] / pivot_value
-        self.x_basic -= step * direction
-        self.x_basic[row] = step
-        self.x_basic[np.abs(self.x_basic) < self.options.tol] = 0.0
-        refactor_due = self.factorization.update(row, direction)
-        self.in_basis[self.basis[row]] = False
-        self.in_basis[entering] = True
-        self.basis[row] = entering
-        self.pivots_since_refactor += 1
-        if refactor_due or self.pivots_since_refactor >= self.options.refactor_every:
-            self.refactor()
-        # One btran per pivot instead of the dense path's incremental dual
-        # update — the same O(nnz(LU) + k*m) the next pricing pass pays
-        # anyway, and always exact after a refactorization.
-        self.duals = self._compute_duals(costs) if costs is not None else None
-
-
 def _try_warm_core(
     matrix: CSCMatrix | DenseMatrix,
     b: np.ndarray,
     warm_basis: np.ndarray,
     options: RevisedSimplexOptions,
-    core_factory: Callable[..., _RevisedCore] = _RevisedCore,
 ) -> _RevisedCore | None:
     """Install a caller-supplied crash basis, or None when it is unusable.
 
@@ -502,10 +316,10 @@ def _try_warm_core(
         return None
     if basis.min(initial=0) < 0 or basis.max(initial=-1) >= n:
         return None
-    core = core_factory(matrix, b, options)
+    core = _RevisedCore(matrix, b, options)
     try:
         core.set_basis(basis)
-    except (np.linalg.LinAlgError, SingularBasisError):
+    except np.linalg.LinAlgError:
         return None
     if not np.isfinite(core.x_basic).all():
         return None
@@ -519,7 +333,6 @@ def _warm_start_core(
     warm_basis: np.ndarray,
     options: RevisedSimplexOptions,
     max_iterations: int,
-    core_factory: Callable[..., _RevisedCore] = _RevisedCore,
 ) -> tuple[_RevisedCore, np.ndarray, int] | None:
     """Set up phase 2 from a warm basis; None means fall back to cold start.
 
@@ -537,7 +350,7 @@ def _warm_start_core(
     prices it, and a residual basic artificial sits harmlessly at zero,
     exactly like residual phase-1 artificials on the cold path).
     """
-    core = _try_warm_core(matrix, b, warm_basis, options, core_factory)
+    core = _try_warm_core(matrix, b, warm_basis, options)
     if core is None:
         return None
     if not np.any(core.x_basic < 0.0):
@@ -549,7 +362,7 @@ def _warm_start_core(
     artificial = -basis_columns.sum(axis=1)
     extended = matrix.with_column(artificial)
 
-    ext_core = core_factory(extended, b, options)
+    ext_core = _RevisedCore(extended, b, options)
     ext_core.adopt(core)
     row = int(np.argmin(ext_core.x_basic))
     direction = ext_core._ftran(artificial)

@@ -1,7 +1,6 @@
 """Pivot options, the solve record and the ratio test of the simplex.
 
-The revised simplex (:mod:`repro.solver.revised_simplex`) and the
-delta-patched chain built on it (:mod:`repro.solver.patch`) share these:
+The revised simplex (:mod:`repro.solver.revised_simplex`) builds on these:
 
 * :class:`SimplexOptions` — the pivot cap and the anti-cycling rule:
   Dantzig's rule (most negative reduced cost) with an automatic, permanent

@@ -148,29 +148,6 @@ class CSCMatrix:
             out[rows, k] = vals
         return out
 
-    def gather_csc(
-        self, cols: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSC arrays ``(indptr, indices, data)`` of the selected columns.
-
-        The O(nnz-of-selection) sparse sibling of :meth:`gather_dense`,
-        sized for handing a 4200-column basis matrix to a sparse LU without
-        ever materializing the ``m x m`` dense form.
-        """
-        cols = np.asarray(cols, dtype=np.int64)
-        starts = self.indptr[cols]
-        counts = self.indptr[cols + 1] - starts
-        indptr = np.zeros(cols.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        # Entry t of the output comes from self position
-        # starts[k] + (t - indptr[k]) for its column k — one vectorized
-        # gather over all selected columns.
-        positions = np.repeat(starts - indptr[:-1], counts) + np.arange(
-            total, dtype=np.int64
-        )
-        return indptr, self.indices[positions], self.data[positions]
-
     def with_identity(self) -> "CSCMatrix":
         """``[A | I_m]`` — the phase-1 extension with artificial columns."""
         m, n = self.shape
@@ -230,16 +207,6 @@ class DenseMatrix:
 
     def gather_dense(self, cols: np.ndarray) -> np.ndarray:
         return self.a[:, np.asarray(cols, dtype=np.int64)]
-
-    def gather_csc(
-        self, cols: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        dense = self.gather_dense(cols)
-        nz_col, nz_row = np.nonzero(dense.T)  # transpose: column-major walk
-        indptr = np.zeros(dense.shape[1] + 1, dtype=np.int64)
-        np.add.at(indptr, nz_col + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return indptr, nz_row.astype(np.int64), dense[nz_row, nz_col]
 
     def with_identity(self) -> "DenseMatrix":
         return DenseMatrix(np.hstack([self.a, np.eye(self.shape[0])]))

@@ -98,10 +98,6 @@ class StandardForm:
     #: structural column it bounds — so ub-slack labels can name the bounded
     #: *variable* instead of a row position that shifts between re-builds.
     ub_columns: np.ndarray | None = None
-    #: Per row, +1/-1 for whether the conversion flipped its sign to make
-    #: ``b`` nonnegative.  The incremental RHS patch path may update ``b``
-    #: in place only for unflipped rows (a flip changes matrix signs too).
-    row_signs: np.ndarray | None = None
     _shape: tuple[int, int] = field(default=(0, 0))
 
     def __post_init__(self) -> None:
@@ -304,8 +300,7 @@ def to_standard_form(lp: LinearProgram, *, sparse: bool | None = None) -> Standa
     # inherit the LP triplets' own (col, row) order (``col_of`` is monotone
     # over kept variables, slack entries append with ascending fresh
     # columns), so a sort order cached on the LP — shared across cached-LP
-    # re-solves and patched re-solves —
-    # replaces the per-call O(nnz log nnz) lexsort.
+    # re-solves — replaces the per-call O(nnz log nnz) lexsort.
     presorted = bool(sparse and not free_any and num_ub == 0 and coo_rows.size)
     if presorted:
         order = lp._coo_order
@@ -377,5 +372,4 @@ def to_standard_form(lp: LinearProgram, *, sparse: bool | None = None) -> Standa
         basis_hint=basis_hint,
         slack_rows=ineq,
         ub_columns=np.asarray(ub_cols, dtype=np.int64),
-        row_signs=row_sign,
     )

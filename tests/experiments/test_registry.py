@@ -33,7 +33,8 @@ class TestFigureExperiments:
         assert report.experiment_id == "fig1c"
         assert "varying pcf" in report.text
         assert "lp-packing" in report.text
-        assert "ranking" is not None
+        assert report.ranking
+        assert "lp-packing" in report.ranking
         sweep = report.data
         assert sweep.values == [0.1, 0.2, 0.3, 0.4, 0.5]
 

@@ -3,9 +3,11 @@
 Across generated churn traces, the delta-patched LP
 (:class:`~repro.core.lp_incremental.IncrementalBenchmarkLP`) must stay a
 faithful image of the from-scratch build on every successor: identical
-optima to 1e-6, consistent decode tables, and — on pure capacity-shock
-batches — the in-place dual path with the basis reused as-is (no phase 1,
-zero refactorizations).  The same contract is asserted one layer up
+optima to 1e-6 and consistent decode tables; a pure capacity-shock batch
+is an RHS-only patch that leaves the program's shape alone.  The patched
+program is solved by HiGHS and checked against the in-repo revised simplex
+on a fresh build, an independent solver.  The same contract is asserted
+one layer up
 (``LPPacking(incremental=True)``) and at the engine seam
 (``TickEngine(defrag_lp_incremental=True)``).
 """
@@ -78,7 +80,7 @@ def test_patched_optima_match_from_scratch_across_churn(seed, sharded):
     assert incremental.deltas_observed == len(trace.deltas)
 
 
-def test_capacity_shocks_reuse_basis_without_phase1():
+def test_capacity_shocks_are_rhs_only_patches():
     instance = generate_synthetic(
         SyntheticConfig(num_users=80, num_events=16), seed=3
     )
@@ -109,13 +111,13 @@ def test_capacity_shocks_reuse_basis_without_phase1():
         )
         delta = Delta(set_event_capacity=updates)
         successor = apply_delta(current, delta).instance
-        incremental.observe_delta(delta, successor)
+        lp = incremental.benchmark.lp
+        shape = (lp.num_variables, lp.num_constraints)
+        patch = incremental.observe_delta(delta, successor)
+        assert patch.rhs_only
+        assert (lp.num_variables, lp.num_constraints) == shape
         patched = incremental.solve()
         assert patched.is_optimal
-        diagnostics = patched.diagnostics
-        assert diagnostics["mode"] == "rhs_dual"
-        assert not diagnostics["phase1"]
-        assert diagnostics["refactorizations"] == 0
         assert patched.objective_value == pytest.approx(
             _reference_objective(successor), abs=TOLERANCE
         )
@@ -141,8 +143,7 @@ def test_lp_packing_incremental_matches_reference_across_churn():
     assert final.details["lp_objective"] == pytest.approx(
         _reference_objective(current), abs=TOLERANCE
     )
-    assert final.details["lp_backend"] == "incremental-revised-simplex"
-    assert "mode" in final.details["lp_diagnostics"]
+    assert final.details["lp_backend"] == "scipy-highs"
     packing._incremental_lp.check_tables()
 
 

@@ -39,7 +39,6 @@ class TestRegistryShape:
         expected = {
             "retention_auc",
             "repair_debt_mean",
-            "lp_pivots_per_resolve",
             "serve_p99_ms",
             "peak_rss_mb",
             "answered_per_sec",
@@ -97,33 +96,18 @@ class TestExtraction:
         assert values["retention_auc"] == pytest.approx(0.9375)
         assert values["arrival_acceptance"] == 0.75
 
-    def test_bench_churn_largest_rung_pivots(self):
+    def test_bench_churn_reads_largest_rung(self):
         payload = {
             "kind": "bench_churn",
             "largest_speedup": 9.0,
             "instances": [
-                {
-                    "num_users": 1000,
-                    "lp_resolve": {
-                        "batches": [
-                            {"dual_pivots": 1, "primal_pivots": 1},
-                        ]
-                    },
-                },
-                {
-                    "num_users": 4000,
-                    "lp_resolve": {
-                        "batches": [
-                            {"dual_pivots": 4, "primal_pivots": 2},
-                            {"dual_pivots": 2, "primal_pivots": 0},
-                        ]
-                    },
-                },
+                {"num_users": 1000, "mean_incremental_seconds": 0.002},
+                {"num_users": 4000, "mean_incremental_seconds": 0.008},
             ],
         }
         values = extract_metrics(payload)
-        # Largest rung only: (4+2 + 2+0) / 2.
-        assert values["lp_pivots_per_resolve"] == pytest.approx(4.0)
+        # Per-rung fields come from the largest rung only.
+        assert values["incremental_ms_per_batch"] == pytest.approx(8.0)
         assert values["churn_speedup"] == 9.0
 
     def test_bench_shard_prefers_columnar_gate(self):

@@ -1,12 +1,11 @@
-"""LP patches: swap-with-last journals, COO cache integrity, dispatch.
+"""LP patches: swap-with-last journals, COO cache integrity, solves.
 
 :func:`apply_lp_patch` edits a :class:`LinearProgram` in place — removals
 swap with the last element, additions append — and keeps the primed COO
 triplet cache in sync, so ``to_standard_form`` after a patch must agree
 coefficient for coefficient with a program rebuilt from the patched row
-dicts.  :class:`IncrementalLPSolver` then dispatches on the patch shape;
-the mode strings are pinned here (the dual path has its own suite in
-``test_dual_simplex.py``).
+dicts, and HiGHS (which reads the cache) must find the rebuilt program's
+optimum.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import pytest
 
 from repro.solver.api import solve_lp
 from repro.solver.patch import (
-    IncrementalLPSolver,
     LPPatch,
     PatchConstraint,
     PatchError,
@@ -24,7 +22,6 @@ from repro.solver.patch import (
     apply_lp_patch,
 )
 from repro.solver.problem import LinearProgram, Sense
-from repro.solver.result import SolveStatus
 from repro.solver.standard_form import to_standard_form
 
 
@@ -174,22 +171,15 @@ def test_coo_cache_matches_row_dicts_after_patches():
     np.testing.assert_array_equal(c, clone_c)
 
 
-def test_dispatch_modes_and_optima():
+def test_highs_on_patched_program_matches_rebuild():
+    # HiGHS assembles its matrix from the patch-maintained COO cache; each
+    # patch shape must leave it describing the same program as a rebuild,
+    # solved here by the in-repo revised simplex as an independent check.
     lp = _lp()
-    solver = IncrementalLPSolver(lp)
-    first = solver.solve()
-    assert first.status is SolveStatus.OPTIMAL
-    assert first.diagnostics["mode"] == "initial"
-
-    solver.apply_patch(LPPatch(set_objective=(("c", 10.0),)))
-    objective_only = solver.solve()
-    assert objective_only.diagnostics["mode"] == "objective_primal"
-    assert objective_only.diagnostics["refactorizations"] == 0
-    assert objective_only.objective_value == pytest.approx(
-        solve_lp(lp, backend="revised-simplex").objective_value, abs=1e-9
-    )
-
-    solver.apply_patch(
+    assert solve_lp(lp).is_optimal
+    patches = [
+        LPPatch(set_objective=(("c", 10.0),)),
+        LPPatch(set_rhs=(("r1", 1.0),)),
         LPPatch(
             add_variables=(
                 PatchVariable(
@@ -198,37 +188,16 @@ def test_dispatch_modes_and_optima():
                     coefficients=(("r1", 1.0), ("r2", 1.0)),
                 ),
             )
+        ),
+        LPPatch(remove_variables=("a",), remove_constraints=("r3",)),
+        LPPatch(set_rhs=(("r2", 2.0),), set_objective=(("d", 1.0),)),
+    ]
+    for patch in patches:
+        apply_lp_patch(lp, patch)
+        patched = solve_lp(lp)
+        assert patched.is_optimal
+        assert patched.backend == "scipy-highs"
+        rebuilt = solve_lp(_clone_from_rows(lp), backend="revised-simplex")
+        assert patched.objective_value == pytest.approx(
+            rebuilt.objective_value, abs=1e-9
         )
-    )
-    structural = solver.solve()
-    assert structural.diagnostics["mode"] == "structural_warm"
-    assert not structural.diagnostics["phase1"]
-    assert structural.objective_value == pytest.approx(
-        solve_lp(lp, backend="revised-simplex").objective_value, abs=1e-9
-    )
-
-    # Mixed rhs+objective: non-structural, but not a single-shape fast path
-    # either — re-runs primal from the kept basis without a rebuild.
-    solver.apply_patch(
-        LPPatch(set_rhs=(("r3", 2.0),), set_objective=(("a", 1.0),))
-    )
-    mixed = solver.solve()
-    assert mixed.diagnostics["mode"].startswith("structural")
-    assert mixed.objective_value == pytest.approx(
-        solve_lp(lp, backend="revised-simplex").objective_value, abs=1e-9
-    )
-
-
-def test_eager_patch_then_solve_keeps_fast_dispatch():
-    # apply_patch called eagerly (for the move journal) must not forfeit
-    # the RHS fast path at the next solve().
-    lp = _lp()
-    solver = IncrementalLPSolver(lp)
-    assert solver.solve().status is SolveStatus.OPTIMAL
-    application = solver.apply_patch(LPPatch(set_rhs=(("r1", 1.0),)))
-    assert application.rhs_only
-    patched = solver.solve()
-    assert patched.diagnostics["mode"] == "rhs_dual"
-    assert patched.objective_value == pytest.approx(
-        solve_lp(lp, backend="revised-simplex").objective_value, abs=1e-9
-    )
