@@ -171,15 +171,32 @@ def test_coo_cache_matches_row_dicts_after_patches():
     np.testing.assert_array_equal(c, clone_c)
 
 
-def test_highs_on_patched_program_matches_rebuild():
-    # HiGHS assembles its matrix from the patch-maintained COO cache; each
-    # patch shape must leave it describing the same program as a rebuild,
-    # solved here by the in-repo revised simplex as an independent check.
+def _assert_matches_rebuild(lp: LinearProgram) -> None:
+    # HiGHS assembles its matrix from the patch-maintained COO cache; the
+    # in-repo revised simplex on a program rebuilt from the row dicts is the
+    # independent check.
+    patched = solve_lp(lp)
+    assert patched.is_optimal
+    assert patched.backend == "scipy-highs"
+    rebuilt = solve_lp(_clone_from_rows(lp), backend="revised-simplex")
+    assert patched.objective_value == pytest.approx(
+        rebuilt.objective_value, abs=1e-9
+    )
+
+
+def test_dispatch_modes_and_optima():
+    # Each patch shape is classified on the journal, and every shape leaves
+    # the program HiGHS solves equal to a rebuild.
     lp = _lp()
     assert solve_lp(lp).is_optimal
-    patches = [
-        LPPatch(set_objective=(("c", 10.0),)),
-        LPPatch(set_rhs=(("r1", 1.0),)),
+
+    objective_only = apply_lp_patch(lp, LPPatch(set_objective=(("c", 10.0),)))
+    assert objective_only.objective_only
+    assert not objective_only.rhs_only and not objective_only.structural
+    _assert_matches_rebuild(lp)
+
+    structural = apply_lp_patch(
+        lp,
         LPPatch(
             add_variables=(
                 PatchVariable(
@@ -189,15 +206,37 @@ def test_highs_on_patched_program_matches_rebuild():
                 ),
             )
         ),
-        LPPatch(remove_variables=("a",), remove_constraints=("r3",)),
-        LPPatch(set_rhs=(("r2", 2.0),), set_objective=(("d", 1.0),)),
-    ]
-    for patch in patches:
-        apply_lp_patch(lp, patch)
-        patched = solve_lp(lp)
-        assert patched.is_optimal
-        assert patched.backend == "scipy-highs"
-        rebuilt = solve_lp(_clone_from_rows(lp), backend="revised-simplex")
-        assert patched.objective_value == pytest.approx(
-            rebuilt.objective_value, abs=1e-9
-        )
+    )
+    assert structural.structural
+    assert not structural.rhs_only and not structural.objective_only
+    _assert_matches_rebuild(lp)
+
+    removal = apply_lp_patch(
+        lp, LPPatch(remove_variables=("a",), remove_constraints=("r3",))
+    )
+    assert removal.structural
+    _assert_matches_rebuild(lp)
+
+    # Mixed rhs+objective: non-structural, but neither single-shape flag.
+    mixed = apply_lp_patch(
+        lp, LPPatch(set_rhs=(("r2", 2.0),), set_objective=(("d", 1.0),))
+    )
+    assert not mixed.structural
+    assert not mixed.rhs_only and not mixed.objective_only
+    _assert_matches_rebuild(lp)
+
+
+def test_eager_patch_then_solve_keeps_fast_dispatch():
+    # An RHS patch applied eagerly (for the move journal) must leave the
+    # primed COO triplets and their sort order in place, so the next solve
+    # reuses them instead of re-walking the row dicts.
+    lp = _lp()
+    assert solve_lp(lp).is_optimal
+    to_standard_form(lp, sparse=True)
+    coo, order = lp._coo, lp._coo_order
+    assert coo is not None and order is not None
+    application = apply_lp_patch(lp, LPPatch(set_rhs=(("r1", 1.0),)))
+    assert application.rhs_only
+    assert lp._coo is coo
+    assert lp._coo_order is order
+    _assert_matches_rebuild(lp)
