@@ -24,9 +24,9 @@ the event positions they attend.  Every feasibility probe is
 (:attr:`~repro.model.index.BaseInstanceIndex.conflict_bits`), one integer
 operation however many events the user attends.  Each scan first screens
 all of its candidates in one NumPy batch against the state at the start of
-the scan, and only the survivors are probed live, in scan order; on a clean
-arrangement the evict scan also computes every full event's lightest
-attendee and candidate order in that batch.  Selection order is unchanged:
+the scan, and only the survivors are probed live, in scan order; the evict
+scan also computes every full event's lightest attendee and candidate order
+in that batch.  Selection order is unchanged:
 first feasible bid in bid order (add), first maximum feasible gain in bid
 order (upgrade) or bidder order (evict).
 
@@ -63,7 +63,6 @@ class _SearchState:
 
     def __init__(self, instance: IGEPAInstance, arrangement: Arrangement):
         index = instance.index
-        self.instance = instance
         self.arrangement = arrangement
         self.index = index
         self.user_ids = index.user_ids.tolist()
@@ -107,13 +106,6 @@ class _SearchState:
                 mask |= 1 << vpos
             self._masks[upos] = mask
         return mask
-
-    def pair_weight(self, upos: int, vpos: int) -> float:
-        """``w(u, v)`` of an *assigned* pair, tolerating non-bid assignments."""
-        index = self.index
-        if index.is_bid_pair(upos, vpos):
-            return index.weight_at(upos, vpos)
-        return self.instance.weight(self.user_ids[upos], self.event_ids[vpos])
 
     # Each move mutates the arrangement first; ``bits_of`` then either
     # rebuilds the mask from the updated arrangement or returns the cached
@@ -278,10 +270,7 @@ def _upgrade_candidates(
     rows = assigned[users]
     row_of_pair, current = np.nonzero(rows)
     pair_user = users[row_of_pair]
-    # w(u, current): the bid weight, or the instance's weight off the bids.
     current_weight = index.pair_weights(pair_user, current)
-    for k in np.flatnonzero(~index.pair_bid_mask(pair_user, current)).tolist():
-        current_weight[k] = state.pair_weight(int(pair_user[k]), int(current[k]))
 
     pair, entries = _csr_entries(index.bid_indptr, pair_user)
     candidate = index.bid_indices[entries]
@@ -316,10 +305,7 @@ def _best_upgrade(state: _SearchState, upos: int, current: int) -> int | None:
     """The scalar upgrade probe: the first bid (in bid-list order) with the
     maximum gain over ``current`` that is feasible after the swap."""
     bids, weights = state.bids_of(upos)
-    try:
-        current_weight = weights[bids.index(current)]
-    except ValueError:  # non-bid assignment
-        current_weight = state.pair_weight(upos, current)
+    current_weight = weights[bids.index(current)]
     mask = state.bits_of(upos)
     others = mask & ~(1 << current)
     attendance = state.attendance
@@ -388,26 +374,20 @@ def _try_upgrade_moves(state: _SearchState, user_scan: Sequence[int]) -> int:
 
 
 def _try_evict_moves(state: _SearchState, event_scan: Sequence[int]) -> int:
-    if state.arrangement.is_clean():
-        return _try_evict_moves_clean(state, event_scan)
-    return _try_evict_moves_scalar(state, event_scan)
+    """Batched evict scan over the full events of ``event_scan``.
 
-
-def _try_evict_moves_clean(state: _SearchState, event_scan: Sequence[int]) -> int:
-    """Batched evict scan for clean arrangements (every pair a bid pair).
-
-    Selects the same moves as the scalar scan: the lightest attendee by
+    Selects the same moves as a scalar scan: the lightest attendee by
     ``(w(u, v), user_id)`` and the first bidder (in bidder order) carrying
     the maximum feasible gain — realized as a stable descending-gain order
     probed until the first candidate with a free load slot and no conflict.
 
     Everything but those probes is computed once, up front, for all full
-    events, from the bidder incidence (a clean arrangement seats only
-    bidders).  That is exact: an eviction only rewrites its own event's
-    column, and no event repeats within a pass, so each event's attendees,
-    lightest attendee and candidate gains are the same when the loop
-    reaches it as they were at the start.  Loads and users' assigned
-    events do change, so they are probed live.
+    events, from the bidder incidence (an arrangement seats only bidders).
+    That is exact: an eviction only rewrites its own event's column, and no
+    event repeats within a pass, so each event's attendees, lightest
+    attendee and candidate gains are the same when the loop reaches it as
+    they were at the start.  Loads and users' assigned events do change, so
+    they are probed live.
     """
     attendance = state.attendance
     event_cap = state.event_cap
@@ -458,46 +438,6 @@ def _try_evict_moves_clean(state: _SearchState, event_scan: Sequence[int]) -> in
             state.apply_evict(vpos, lightest[rank], bidder)
             accepted += 1
             break
-    return accepted
-
-
-def _try_evict_moves_scalar(state: _SearchState, event_scan: Sequence[int]) -> int:
-    """Reference evict scan; tolerates non-bid pairs via ``pair_weight``."""
-    arrangement = state.arrangement
-    index = state.index
-    accepted = 0
-    for vpos in event_scan:
-        if state.attendance[vpos] < state.event_cap[vpos]:
-            continue  # not full: add moves already cover it
-        if state.attendance[vpos] - 1 >= state.event_cap[vpos]:
-            continue  # over capacity: even after an eviction the event is full
-        attendees = np.flatnonzero(arrangement.assignment_matrix[:, vpos]).tolist()
-        if not attendees:
-            continue
-        # min by (weight, user_id), as the scalar scan ordered it.
-        lightest, lightest_weight = min(
-            ((u, state.pair_weight(u, vpos)) for u in attendees),
-            key=lambda item: (item[1], state.user_ids[item[0]]),
-        )
-        column = index.weight_column(vpos)
-        flag = 1 << vpos
-        conflicts = state.conflict_bits[vpos]
-        best = None
-        best_gain = _MIN_GAIN
-        for bidder in index.event_bidder_positions(vpos).tolist():
-            gain = float(column[bidder]) - lightest_weight
-            if gain <= best_gain:
-                continue
-            if state.load[bidder] >= state.user_cap[bidder]:
-                continue
-            mask = state.bits_of(bidder)
-            if mask & flag or conflicts & mask:
-                continue
-            best = bidder
-            best_gain = gain
-        if best is not None:
-            state.apply_evict(vpos, lightest, best)
-            accepted += 1
     return accepted
 
 

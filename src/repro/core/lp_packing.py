@@ -233,14 +233,8 @@ class LPPacking(ArrangementAlgorithm):
                 vpos = np.fromiter(
                     (index.event_pos[e] for e in event_ids), dtype=np.int64
                 )
-                weights = np.array(index.pair_weights(upos, vpos), dtype=np.float64)
-                # Sampled sets are admissible, hence bid pairs — but caller-
-                # supplied admissible sets may reach outside the bid list,
-                # where the masked weight is 0; patch those from the scalar
-                # path.
-                off_bid = ~index.pair_bid_mask(upos, vpos)
-                for k in np.flatnonzero(off_bid).tolist():
-                    weights[k] = instance.weight(pairs[k][1], pairs[k][0])
+                # Sampled sets are admissible, hence bid pairs.
+                weights = index.pair_weights(upos, vpos)
                 order = np.lexsort((event_ids, upos, -weights))
             pairs = [pairs[k] for k in order.tolist()]
 

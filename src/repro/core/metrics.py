@@ -23,13 +23,7 @@ def event_fill_rates(
     """Per event: assigned attendance / capacity (0.0 for capacity-0 events)."""
     index = instance.index
     capacity = index.event_capacity
-    if arrangement.is_clean():
-        attendance = arrangement.attendance_counts.astype(np.float64)
-    else:
-        attendance = np.array(
-            [arrangement.attendance(event_id) for event_id in index.event_ids.tolist()],
-            dtype=np.float64,
-        )
+    attendance = arrangement.attendance_counts.astype(np.float64)
     rates = np.divide(
         attendance,
         capacity,
@@ -55,14 +49,7 @@ def user_coverage(instance: IGEPAInstance, arrangement: Arrangement) -> float:
     """Fraction of users assigned to at least one event."""
     if instance.num_users == 0:
         return 0.0
-    if arrangement.is_clean():
-        served = int((arrangement.load_counts > 0).sum())
-    else:
-        served = sum(
-            1
-            for user_id in instance.index.user_ids.tolist()
-            if arrangement.load(user_id) > 0
-        )
+    served = int((arrangement.load_counts > 0).sum())
     return served / instance.num_users
 
 
@@ -71,35 +58,13 @@ def user_utilities(
 ) -> dict[int, float]:
     """Per user: the utility contributed by that user's assignments."""
     index = instance.index
-    if arrangement.is_clean():
-        assigned = arrangement.assignment_matrix
-        totals = np.zeros(index.num_users, dtype=np.float64)
-        for shard in index.iter_shards():
-            totals[shard.start : shard.stop] = (
-                shard.W * assigned[shard.start : shard.stop]
-            ).sum(axis=1)
-        return dict(zip(index.user_ids.tolist(), totals.tolist()))
-    pair_list = sorted(arrangement.pairs)
-    dirty_totals = np.zeros(index.num_users, dtype=np.float64)
-    if pair_list:
-        upos = np.fromiter(
-            (index.user_pos[user_id] for _, user_id in pair_list),
-            dtype=np.int64,
-            count=len(pair_list),
-        )
-        vpos = np.fromiter(
-            (index.event_pos[event_id] for event_id, _ in pair_list),
-            dtype=np.int64,
-            count=len(pair_list),
-        )
-        weights = index.pair_weights(upos, vpos)
-        # Pairs assigned with check=False may sit off the bid relation,
-        # where the gather reads 0.0; only those take the scalar fallback.
-        for slot in np.flatnonzero(~index.pair_bid_mask(upos, vpos)).tolist():
-            event_id, user_id = pair_list[slot]
-            weights[slot] = instance.weight(user_id, event_id)
-        np.add.at(dirty_totals, upos, weights)
-    return dict(zip(index.user_ids.tolist(), dirty_totals.tolist()))
+    assigned = arrangement.assignment_matrix
+    totals = np.zeros(index.num_users, dtype=np.float64)
+    for shard in index.iter_shards():
+        totals[shard.start : shard.stop] = (
+            shard.W * assigned[shard.start : shard.stop]
+        ).sum(axis=1)
+    return dict(zip(index.user_ids.tolist(), totals.tolist()))
 
 
 def jain_fairness(instance: IGEPAInstance, arrangement: Arrangement) -> float:
@@ -111,8 +76,8 @@ def jain_fairness(instance: IGEPAInstance, arrangement: Arrangement) -> float:
     """
     index = instance.index
     utilities = user_utilities(instance, arrangement)
-    # Both user_utilities branches key their dict in index user order, so the
-    # bid-count filter is one vectorized mask instead of a per-user lookup.
+    # user_utilities keys its dict in index user order, so the bid-count
+    # filter is one vectorized mask instead of a per-user lookup.
     totals = np.fromiter(
         utilities.values(), dtype=np.float64, count=len(utilities)
     )
@@ -159,14 +124,10 @@ def interaction_lift(instance: IGEPAInstance, arrangement: Arrangement) -> float
     users — the behaviour the interaction term is designed to induce.
     Returns 1.0 when either mean is degenerate (no users / zero degrees).
     """
-    if not arrangement.pairs or instance.num_users == 0:
+    if not len(arrangement) or instance.num_users == 0:
         return 1.0
     degrees = instance.index.degrees
-    if arrangement.is_clean():
-        assigned_mean = float(degrees[arrangement.load_counts > 0].mean())
-    else:
-        assigned = {user_id for _, user_id in arrangement.pairs}
-        assigned_mean = float(np.mean([instance.degree(u) for u in assigned]))
+    assigned_mean = float(degrees[arrangement.load_counts > 0].mean())
     population_mean = float(degrees.mean())
     if population_mean == 0.0:
         return 1.0

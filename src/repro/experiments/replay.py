@@ -31,9 +31,12 @@ from repro.core.baselines import GGGreedy
 from repro.core.local_search import LocalSearch
 from repro.core.repair import repair
 from repro.datagen.churn import ChurnTrace
-from repro.model.delta import apply_delta
-from repro.model.index import BaseInstanceIndex, InstanceIndex
-from repro.model.sharded_index import ShardedInstanceIndex
+from repro.model.delta import (
+    apply_delta,
+    fresh_index_like,
+    index_parity_mismatches,
+)
+
 
 class ReplayInfeasibleError(RuntimeError):
     """A repaired arrangement failed its feasibility audit during replay.
@@ -46,39 +49,6 @@ class ReplayInfeasibleError(RuntimeError):
     def __init__(self, message: str, report: "ReplayReport"):
         super().__init__(message)
         self.report = report
-
-
-def fresh_index_like(index: BaseInstanceIndex, instance) -> BaseInstanceIndex:
-    """A from-scratch index of the same implementation (and shard size)."""
-    if isinstance(index, ShardedInstanceIndex):
-        return ShardedInstanceIndex(instance, shard_size=index.shard_size)
-    return InstanceIndex(instance)
-
-
-def index_parity_mismatches(
-    patched: BaseInstanceIndex, fresh: BaseInstanceIndex
-) -> list[str]:
-    """Names of index arrays where a patched and a fresh build disagree.
-
-    The arrays compared are the implementation's ``PARITY_ARRAYS`` (the
-    dense index adds ``SI``/``bid_mask``/``W`` to the common CSR set).
-    Bit-identity is checked with ``np.array_equal`` on equal dtypes — for
-    float arrays that is IEEE-754 equality, which the delta layer guarantees
-    by copying surviving entries and recomputing new ones with the
-    constructor's own expressions.  The conflict bitmasks (a tuple of
-    Python ints, not an array) are compared as ``"conflict_bits"``.
-    """
-    if type(patched) is not type(fresh):
-        return ["__class__"]
-    mismatches = []
-    for name in type(patched).PARITY_ARRAYS:
-        a = getattr(patched, name)
-        b = getattr(fresh, name)
-        if a.dtype != b.dtype or a.shape != b.shape or not np.array_equal(a, b):
-            mismatches.append(name)
-    if patched.conflict_bits != fresh.conflict_bits:
-        mismatches.append("conflict_bits")
-    return mismatches
 
 
 @dataclass

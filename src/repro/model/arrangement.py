@@ -11,13 +11,18 @@ reject violations:
   user);
 * **Conflict** — no user attends two conflicting events.
 
-State is array-backed through the instance's
-:class:`~repro.model.index.InstanceIndex`: a boolean assignment matrix plus
-per-event attendance and per-user load counters, so membership, capacity and
-conflict checks are array lookups and ``utility()`` / the feasibility audit
-are vectorized.  Pairs whose ids are unknown to the instance (only reachable
-via ``add(..., check=False)``) are kept in a small side set so the audit can
-still report them.
+The bid constraint is part of the type: every pair is a known
+(event, user) pair of the instance's bid relation, however it was added.
+``add(..., check=False)`` skips only the capacity and conflict probes, so an
+arrangement can still be over capacity or hold conflicting events — which
+:meth:`Arrangement.violations` reports.
+
+State lives in one store, indexed by the instance's
+:class:`~repro.model.index.InstanceIndex` positions: a boolean assignment
+matrix, per-event attendance and per-user load counters, and each user's
+assigned event positions in insertion order.  Membership, capacity and
+conflict checks are array lookups, ``utility()`` and the feasibility audit
+are vectorized, and the pair set is derived from the per-user lists.
 """
 
 from __future__ import annotations
@@ -32,17 +37,17 @@ from repro.model.instance import IGEPAInstance
 
 
 class Arrangement:
-    """A feasible (by construction) collection of event-user pairs.
+    """A collection of bid pairs, feasible by construction when checked.
 
-    Use ``add(..., check=False)`` only when the caller guarantees
-    feasibility; ``is_feasible()`` / ``violations()`` re-verify from scratch.
+    Use ``add(..., check=False)`` only when the caller guarantees capacity
+    and conflict feasibility; ``is_feasible()`` / ``violations()`` re-verify
+    from scratch.
     """
 
     def __init__(self, instance: IGEPAInstance) -> None:
         self.instance = instance
         index = instance.index
         self._idx = index
-        self._pairs: set[tuple[int, int]] = set()
         # Sanctioned dense storage: 1 byte/cell bool, the arrangement's own
         # representation (mirrors the LP variable grid, not a weight slab).
         self._assigned = np.zeros(  # igepa: ignore[IGP002]
@@ -52,68 +57,92 @@ class Arrangement:
         self._load = np.zeros(index.num_users, dtype=np.int64)
         # Assigned event positions per user position, in insertion order.
         self._user_events: list[list[int]] = [[] for _ in range(index.num_users)]
-        # Pairs referencing ids the instance does not know (check=False only).
-        self._extra_pairs: set[tuple[int, int]] = set()
-        # Count of assigned known pairs that violate the bid constraint.
-        self._nonbid_count = 0
+
+    @classmethod
+    def from_positions(
+        cls, instance: IGEPAInstance, upos: np.ndarray, vpos: np.ndarray
+    ) -> "Arrangement":
+        """Build an arrangement from parallel arrays of distinct
+        (user position, event position) pairs, without capacity or conflict
+        checks.
+
+        Each user's events are listed in ascending position order.
+
+        Raises:
+            ArrangementError: if a pair is not a bid pair.
+        """
+        arrangement = cls(instance)
+        upos = np.asarray(upos, dtype=np.int64)
+        vpos = np.asarray(vpos, dtype=np.int64)
+        index = arrangement._idx
+        if not index.pair_bid_mask(upos, vpos).all():
+            raise ArrangementError("bid constraint: a pair is not a bid pair")
+        arrangement._assigned[upos, vpos] = True
+        arrangement._attendance += np.bincount(vpos, minlength=index.num_events)
+        arrangement._load += np.bincount(upos, minlength=index.num_users)
+        order = np.lexsort((vpos, upos))
+        user_events = arrangement._user_events
+        for u, v in zip(upos[order].tolist(), vpos[order].tolist()):
+            user_events[u].append(v)
+        return arrangement
 
     # ------------------------------------------------------------------
     # Content
     # ------------------------------------------------------------------
     @property
     def pairs(self) -> set[tuple[int, int]]:
-        """All ``(event_id, user_id)`` pairs (copy)."""
-        return set(self._pairs)
+        """All ``(event_id, user_id)`` pairs (a fresh set)."""
+        return set(self)
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return int(self._load.sum())
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self._pairs
+        event_id, user_id = pair
+        index = self._idx
+        vpos = index.event_pos.get(event_id)
+        upos = index.user_pos.get(user_id)
+        if vpos is None or upos is None:
+            return False
+        return bool(self._assigned[upos, vpos])
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._pairs)
+        """Pairs user position by user position, each user's in insertion
+        order."""
+        event_ids = self._idx.event_ids.tolist()
+        user_ids = self._idx.user_ids
+        for upos in np.flatnonzero(self._load).tolist():
+            user_id = int(user_ids[upos])
+            for vpos in self._user_events[upos]:
+                yield event_ids[vpos], user_id
 
     def events_of(self, user_id: int) -> set[int]:
         """Events currently assigned to the user."""
         index = self._idx
         upos = index.user_pos.get(user_id)
-        result: set[int] = set()
-        if upos is not None:
-            event_ids = index.event_ids
-            result = {int(event_ids[p]) for p in self._user_events[upos]}
-        if self._extra_pairs:
-            result |= {e for e, u in self._extra_pairs if u == user_id}
-        return result
+        if upos is None:
+            return set()
+        event_ids = index.event_ids
+        return {int(event_ids[p]) for p in self._user_events[upos]}
 
     def users_of(self, event_id: int) -> set[int]:
         """Users currently assigned to the event."""
         index = self._idx
         vpos = index.event_pos.get(event_id)
-        result: set[int] = set()
-        if vpos is not None:
-            result = {
-                int(u) for u in index.user_ids[np.flatnonzero(self._assigned[:, vpos])]
-            }
-        if self._extra_pairs:
-            result |= {u for e, u in self._extra_pairs if e == event_id}
-        return result
+        if vpos is None:
+            return set()
+        attendees = np.flatnonzero(self._assigned[:, vpos])
+        return {int(u) for u in index.user_ids[attendees]}
 
     def attendance(self, event_id: int) -> int:
         """Number of users assigned to the event."""
         vpos = self._idx.event_pos.get(event_id)
-        count = 0 if vpos is None else int(self._attendance[vpos])
-        if self._extra_pairs:
-            count += sum(1 for e, _ in self._extra_pairs if e == event_id)
-        return count
+        return 0 if vpos is None else int(self._attendance[vpos])
 
     def load(self, user_id: int) -> int:
         """Number of events assigned to the user."""
         upos = self._idx.user_pos.get(user_id)
-        count = 0 if upos is None else int(self._load[upos])
-        if self._extra_pairs:
-            count += sum(1 for _, u in self._extra_pairs if u == user_id)
-        return count
+        return 0 if upos is None else int(self._load[upos])
 
     # ------------------------------------------------------------------
     # Array views (positions are InstanceIndex coordinates)
@@ -137,11 +166,6 @@ class Arrangement:
         """Assigned event positions of a user position, in insertion order —
         live view, do not mutate."""
         return self._user_events[upos]
-
-    def is_clean(self) -> bool:
-        """All pairs are known bid pairs — the array views cover everything
-        and the vectorized totals are exact."""
-        return not self._extra_pairs and not self._nonbid_count
 
     # ------------------------------------------------------------------
     # Mutation
@@ -209,27 +233,31 @@ class Arrangement:
     def add(self, event_id: int, user_id: int, check: bool = True) -> None:
         """Add a pair.
 
+        ``check=False`` skips the duplicate, capacity and conflict checks
+        (an unchecked re-add is a no-op); the ids and the bid constraint are
+        checked either way.
+
         Raises:
-            ArrangementError: when ``check`` and the pair violates a
-                constraint of Definition 4 (or is already present).
+            ArrangementError: for an unknown id or a non-bid pair; when
+                ``check``, also for a pair that is already present or would
+                break a capacity or conflict constraint of Definition 4.
         """
         if check:
             self._check_addition(event_id, user_id)
         index = self._idx
         vpos = index.event_pos.get(event_id)
         upos = index.user_pos.get(user_id)
-        self._pairs.add((event_id, user_id))
-        if vpos is None or upos is None:
-            self._extra_pairs.add((event_id, user_id))
-            return
+        if vpos is None or upos is None or not index.is_bid_pair(upos, vpos):
+            # Unchecked add of an unknown id or a non-bid pair.
+            raise ArrangementError(
+                self._addition_violation(event_id, user_id, explain=True)
+            )
         if self._assigned[upos, vpos]:
             return  # unchecked re-add: keep set semantics, counters untouched
         self._assigned[upos, vpos] = True
         self._attendance[vpos] += 1
         self._load[upos] += 1
         self._user_events[upos].append(vpos)
-        if not index.is_bid_pair(upos, vpos):
-            self._nonbid_count += 1
 
     def remove(self, event_id: int, user_id: int) -> None:
         """Remove a pair.
@@ -237,21 +265,15 @@ class Arrangement:
         Raises:
             ArrangementError: if the pair is not present.
         """
-        if (event_id, user_id) not in self._pairs:
-            raise ArrangementError(f"pair ({event_id}, {user_id}) not in arrangement")
-        self._pairs.discard((event_id, user_id))
-        if (event_id, user_id) in self._extra_pairs:
-            self._extra_pairs.discard((event_id, user_id))
-            return
         index = self._idx
-        vpos = index.event_pos[event_id]
-        upos = index.user_pos[user_id]
+        vpos = index.event_pos.get(event_id)
+        upos = index.user_pos.get(user_id)
+        if vpos is None or upos is None or not self._assigned[upos, vpos]:
+            raise ArrangementError(f"pair ({event_id}, {user_id}) not in arrangement")
         self._assigned[upos, vpos] = False
         self._attendance[vpos] -= 1
         self._load[upos] -= 1
         self._user_events[upos].remove(vpos)
-        if not index.is_bid_pair(upos, vpos):
-            self._nonbid_count -= 1
 
     @classmethod
     def from_pairs(
@@ -271,8 +293,6 @@ class Arrangement:
     # ------------------------------------------------------------------
     def _has_violation(self) -> bool:
         """Vectorized any-violation probe over the array state."""
-        if self._extra_pairs or self._nonbid_count:
-            return True
         index = self._idx
         if np.any(self._attendance > index.event_capacity):
             return True
@@ -291,43 +311,32 @@ class Arrangement:
         return False
 
     def violations(self) -> list[str]:
-        """All constraint violations in the current pair set."""
+        """All capacity and conflict violations in the current pair set
+        (the bid constraint holds by construction)."""
         if not self._has_violation():
             return []
         instance = self.instance
         problems: list[str] = []
-        for event_id, user_id in sorted(self._pairs):
-            user = instance.user_by_id.get(user_id)
-            if user is None:
-                problems.append(f"unknown user {user_id}")
-                continue
-            if event_id not in instance.event_by_id:
-                problems.append(f"unknown event {event_id}")
-                continue
-            if event_id not in user.bid_set:
-                problems.append(
-                    f"bid: user {user_id} assigned to non-bid event {event_id}"
-                )
         by_event: dict[int, set[int]] = {}
         by_user: dict[int, set[int]] = {}
-        for event_id, user_id in self._pairs:
+        for event_id, user_id in self:
             by_event.setdefault(event_id, set()).add(user_id)
             by_user.setdefault(user_id, set()).add(event_id)
         for event_id, users in sorted(by_event.items()):
-            event = instance.event_by_id.get(event_id)
-            if event is not None and len(users) > event.capacity:
+            event = instance.event_by_id[event_id]
+            if len(users) > event.capacity:
                 problems.append(
                     f"capacity: event {event_id} has {len(users)} attendees, "
                     f"c_v = {event.capacity}"
                 )
         for user_id, events in sorted(by_user.items()):
-            user = instance.user_by_id.get(user_id)
-            if user is not None and len(events) > user.capacity:
+            user = instance.user_by_id[user_id]
+            if len(events) > user.capacity:
                 problems.append(
                     f"capacity: user {user_id} attends {len(events)} events, "
                     f"c_u = {user.capacity}"
                 )
-            ordered = sorted(e for e in events if e in instance.event_by_id)
+            ordered = sorted(events)
             for i, first in enumerate(ordered):
                 for second in ordered[i + 1 :]:
                     if instance.conflicts(first, second):
@@ -347,55 +356,29 @@ class Arrangement:
     def utility(self) -> float:
         """``β·Σ SI + (1-β)·Σ D`` over all assigned pairs.
 
-        The clean path gathers the pair weights from the index and sums them
-        with :func:`math.fsum` — correctly rounded and independent of pair
+        Gathers the pair weights from the index and sums them with
+        :func:`math.fsum` — correctly rounded and independent of pair
         insertion order, so equal arrangements always report equal utility.
         """
-        if not self._pairs:
-            return 0.0
-        if self.is_clean():
-            return math.fsum(self._idx.assigned_weight_total(self._assigned))
-        return sum(
-            self.instance.weight(user_id, event_id)
-            for event_id, user_id in self._pairs
-        )
+        return math.fsum(self._idx.assigned_weight_total(self._assigned))
 
     def interest_total(self) -> float:
         """The Σ SI part of the utility (before the β weighting)."""
-        if not self._pairs:
-            return 0.0
-        if self.is_clean():
-            return math.fsum(self._idx.assigned_si_total(self._assigned))
-        return sum(
-            self.instance.interest_of(event_id, user_id)
-            for event_id, user_id in self._pairs
-        )
+        return math.fsum(self._idx.assigned_si_total(self._assigned))
 
     def interaction_total(self) -> float:
         """The Σ D part of the utility (before the 1-β weighting)."""
-        if not self._pairs:
-            return 0.0
-        if self.is_clean():
-            return float(self._idx.degrees @ self._load)
-        return sum(
-            self.instance.degree(user_id) for _, user_id in self._pairs
-        )
+        return float(self._idx.degrees @ self._load)
 
     def copy(self) -> "Arrangement":
         clone = Arrangement.__new__(Arrangement)
         clone.instance = self.instance
         clone._idx = self._idx
-        clone._pairs = set(self._pairs)
         clone._assigned = self._assigned.copy()
         clone._attendance = self._attendance.copy()
         clone._load = self._load.copy()
         clone._user_events = [list(events) for events in self._user_events]
-        clone._extra_pairs = set(self._extra_pairs)
-        clone._nonbid_count = self._nonbid_count
         return clone
 
     def __repr__(self) -> str:
-        return (
-            f"Arrangement(pairs={len(self._pairs)}, "
-            f"utility={self.utility():.4f})"
-        )
+        return f"Arrangement(pairs={len(self)}, utility={self.utility():.4f})"

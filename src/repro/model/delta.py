@@ -709,6 +709,41 @@ def _index_from_components(
     return patched
 
 
+def fresh_index_like(
+    index: BaseInstanceIndex, instance: IGEPAInstance
+) -> BaseInstanceIndex:
+    """A from-scratch index of the same implementation (and shard size)."""
+    if isinstance(index, ShardedInstanceIndex):
+        return ShardedInstanceIndex(instance, shard_size=index.shard_size)
+    return InstanceIndex(instance)
+
+
+def index_parity_mismatches(
+    patched: BaseInstanceIndex, fresh: BaseInstanceIndex
+) -> list[str]:
+    """Names of index arrays where a patched and a fresh build disagree.
+
+    The arrays compared are the implementation's ``PARITY_ARRAYS`` (the
+    dense index adds ``SI``/``bid_mask``/``W`` to the common CSR set).
+    Bit-identity is checked with ``np.array_equal`` on equal dtypes — for
+    float arrays that is IEEE-754 equality, which the delta layer guarantees
+    by copying surviving entries and recomputing new ones with the
+    constructor's own expressions.  The conflict bitmasks (a tuple of
+    Python ints, not an array) are compared as ``"conflict_bits"``.
+    """
+    if type(patched) is not type(fresh):
+        return ["__class__"]
+    mismatches = []
+    for name in type(patched).PARITY_ARRAYS:
+        a = getattr(patched, name)
+        b = getattr(fresh, name)
+        if a.dtype != b.dtype or a.shape != b.shape or not np.array_equal(a, b):
+            mismatches.append(name)
+    if patched.conflict_bits != fresh.conflict_bits:
+        mismatches.append("conflict_bits")
+    return mismatches
+
+
 def _successor(
     instance: IGEPAInstance, delta: Delta, maps: _PositionMaps
 ) -> tuple[IGEPAInstance, dict]:
@@ -874,15 +909,12 @@ def _carry_arrangement(
     tighten a Definition 4 constraint is resolved here, so repair always
     starts from a feasible arrangement.
 
-    The survivor transfer is pure array work on the assignment matrix: old
-    pair positions are remapped through ``maps`` and invalidated against the
-    successor's ``bid_mask``, so carry cost scales with the pair count, not
-    with re-running per-pair feasibility checks.
+    The survivor transfer is pure array work: old pair positions are
+    remapped through ``maps``, invalidated against the successor's bid
+    relation and handed to :meth:`Arrangement.from_positions`, so carry cost
+    scales with the pair count, not with re-running per-pair feasibility
+    checks.
     """
-    if not arrangement.is_clean():
-        raise DeltaError(
-            "cannot carry over an arrangement with unknown or non-bid pairs"
-        )
     old_index = instance.index
     index = successor.index
 
@@ -900,9 +932,12 @@ def _carry_arrangement(
         )
     )
 
-    carried = Arrangement(successor)
-    assigned = carried.assignment_matrix  # live view
-    assigned[new_upos[keep], new_vpos[keep]] = True
+    carried = Arrangement.from_positions(successor, new_upos[keep], new_vpos[keep])
+    assigned = carried.assignment_matrix  # live view, read only
+
+    def drop(event_id: int, user_id: int) -> None:
+        carried.remove(event_id, user_id)
+        dropped.append((event_id, user_id))
 
     if delta.add_conflicts:
         event_pos = index.event_pos
@@ -915,18 +950,17 @@ def _carry_arrangement(
                 if w_first < w_second or (
                     w_first == w_second and first > second
                 ):
-                    victim_id, victim_pos = first, pa
+                    victim_id = first
                 else:
-                    victim_id, victim_pos = second, pb
-                assigned[upos, victim_pos] = False
-                dropped.append((victim_id, int(index.user_ids[upos])))
+                    victim_id = second
+                drop(victim_id, int(index.user_ids[upos]))
 
     # Capacity shrinks shed the lightest pairs until the tightened budgets
     # hold.  Event side first — it only lowers user loads, so the user-side
     # pass afterwards cannot re-create an event overflow.
     for event_id, _capacity in delta.set_event_capacity:
         vpos = index.event_pos[event_id]
-        over = int(assigned[:, vpos].sum()) - int(index.event_capacity[vpos])
+        over = int(carried.attendance_counts[vpos]) - int(index.event_capacity[vpos])
         if over <= 0:
             continue
         attendees = np.flatnonzero(assigned[:, vpos])
@@ -938,11 +972,10 @@ def _carry_arrangement(
         # conflict-drop tie rule above).
         order = np.lexsort((-attendee_ids, weights))
         for k in order[:over].tolist():
-            assigned[int(attendees[k]), vpos] = False
-            dropped.append((event_id, int(attendee_ids[k])))
+            drop(event_id, int(attendee_ids[k]))
     for user_id, _capacity in delta.set_user_capacity:
         upos = index.user_pos[user_id]
-        over = int(assigned[upos].sum()) - int(index.user_capacity[upos])
+        over = int(carried.load_counts[upos]) - int(index.user_capacity[upos])
         if over <= 0:
             continue
         attended = np.flatnonzero(assigned[upos])
@@ -952,23 +985,7 @@ def _carry_arrangement(
         attended_ids = index.event_ids[attended]
         order = np.lexsort((-attended_ids, weights))
         for k in order[:over].tolist():
-            assigned[upos, int(attended[k])] = False
-            dropped.append((int(attended_ids[k]), user_id))
-
-    carried.attendance_counts[:] = assigned.sum(axis=0)
-    carried.load_counts[:] = assigned.sum(axis=1)
-    rows, cols = np.nonzero(assigned)
-    if rows.size:
-        boundaries = np.searchsorted(rows, np.arange(index.num_users + 1))
-        cols_list = cols.tolist()
-        user_events = carried._user_events
-        for upos in range(index.num_users):
-            start, stop = boundaries[upos], boundaries[upos + 1]
-            if stop > start:
-                user_events[upos] = cols_list[start:stop]
-        carried._pairs = set(
-            zip(index.event_ids[cols].tolist(), index.user_ids[rows].tolist())
-        )
+            drop(int(attended_ids[k]), user_id)
 
     touched_users = {user_id for _event_id, user_id in dropped}
     touched_events = {event_id for event_id, _user_id in dropped}
@@ -1190,7 +1207,7 @@ def apply_delta(
         instance: the predecessor instance (not mutated).
         delta: the churn batch; validated against the predecessor.
         arrangement: optional current arrangement to carry over; must belong
-            to ``instance`` and be clean (all pairs known bid pairs).
+            to ``instance``.
         incremental: patch the predecessor's index arrays (the default).
             When False the successor instance is returned without an index —
             its first use builds one from scratch (the "full rebuild"

@@ -517,8 +517,9 @@ class BaseInstanceIndex:
     def assigned_weight_total(self, assigned: np.ndarray) -> list[float]:
         """``w(u, v)`` of every True cell of a boolean assignment matrix.
 
-        Only valid when every assigned cell is a bid pair (clean
-        arrangements); the dense index overrides this with a masked gather.
+        Only valid when every assigned cell is a bid pair, as in every
+        :class:`~repro.model.arrangement.Arrangement`; the dense index
+        overrides this with a masked gather.
         """
         rows, cols = np.nonzero(assigned)
         return self.pair_weights(rows, cols).tolist()

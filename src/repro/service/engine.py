@@ -42,7 +42,13 @@ from repro.core.lp_packing import LPPacking
 from repro.core.online import OnlineGreedy, _OnlineAlgorithm
 from repro.core.repair import repair as targeted_repair
 from repro.model.arrangement import Arrangement
-from repro.model.delta import Delta, DeltaResult, apply_delta
+from repro.model.delta import (
+    Delta,
+    DeltaResult,
+    apply_delta,
+    fresh_index_like,
+    index_parity_mismatches,
+)
 from repro.model.instance import IGEPAInstance
 from repro.service.clock import Clock, MonotonicClock
 from repro.service.defrag import DefragSchedule
@@ -112,7 +118,7 @@ class TickEngine:
         self.switching_penalty = switching_penalty
         self.rng = np.random.default_rng(seed)
         # One resolver across the horizon; in incremental mode it carries
-        # the delta-patched program and its basis from defrag to defrag.
+        # the delta-patched program from defrag to defrag.
         self.lp_resolver = (
             LPPacking(alpha=1.0, incremental=defrag_lp_incremental)
             if defrag_lp
@@ -352,11 +358,6 @@ class TickEngine:
         ``check_parity``) patched-vs-fresh index parity."""
         parity: list[str] | None = None
         if self.check_parity:
-            from repro.experiments.replay import (
-                fresh_index_like,
-                index_parity_mismatches,
-            )
-
             parity = index_parity_mismatches(
                 result.instance.index,
                 fresh_index_like(result.instance.index, result.instance),

@@ -2,8 +2,10 @@
 
 The differential tests at the end check the bitmask search against the
 list-based implementation it replaced (kept below as the reference): the
-same move counts and the same final pairs, on clean and non-clean
-arrangements, full and scoped searches, dense and sharded indexes.
+same move counts and the same final pairs, on feasible arrangements and on
+bid-pair arrangements pushed over capacity or into conflicts (every
+arrangement holds only bid pairs), full and scoped searches, dense and
+sharded indexes.
 """
 
 import numpy as np
@@ -23,8 +25,6 @@ from repro.core.local_search import (
     _SearchState,
     _try_add_moves,
     _try_evict_moves,
-    _try_evict_moves_clean,
-    _try_evict_moves_scalar,
     _try_upgrade_moves,
     iter_passes,
 )
@@ -187,11 +187,8 @@ class _RefSearchState:
         self.load = arrangement.load_counts.tolist()
 
     def pair_weight(self, upos, vpos):
-        """``w(u, v)`` of an *assigned* pair, tolerating non-bid assignments."""
-        index = self.index
-        if index.is_bid_pair(upos, vpos):
-            return index.weight_at(upos, vpos)
-        return self.instance.weight(self.user_ids[upos], self.event_ids[vpos])
+        """``w(u, v)`` of an assigned (hence bid) pair."""
+        return self.index.weight_at(upos, vpos)
 
     def apply_add(self, upos, vpos):
         self.arrangement.add(self.event_ids[vpos], self.user_ids[upos], check=False)
@@ -315,13 +312,7 @@ def ref_try_upgrade_moves(state, user_scan):
 
 
 def ref_try_evict_moves(state, event_scan):
-    if state.arrangement.is_clean():
-        return ref_try_evict_moves_clean(state, event_scan)
-    return ref_try_evict_moves_scalar(state, event_scan)
-
-
-def ref_try_evict_moves_clean(state, event_scan):
-    """The per-event vectorized evict scan (clean arrangements)."""
+    """The per-event vectorized evict scan."""
     arrangement = state.arrangement
     index = state.index
     conflict_rows = state.conflict_rows
@@ -376,7 +367,7 @@ def ref_try_evict_moves_clean(state, event_scan):
 
 
 def ref_try_evict_moves_scalar(state, event_scan):
-    """The scalar evict scan; tolerates non-bid pairs."""
+    """The scalar evict scan."""
     arrangement = state.arrangement
     index = state.index
     conflict_rows = state.conflict_rows
@@ -464,7 +455,7 @@ _TIED_VALUES = (0.0, 0.25, 0.5, 1.0)
 
 @st.composite
 def search_cases(draw):
-    """A random instance (dense or sharded index), a feasible, clean
+    """A random instance (dense or sharded index), a feasible
     arrangement on it as sorted pairs, and the RNG for further draws."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -511,14 +502,12 @@ def search_cases(draw):
 
 
 def _unchecked_extras(instance, rng, count):
-    """Random pairs added past the checks: non-bid pairs, full events and
-    users over capacity, conflicting events."""
-    event_ids = [event.event_id for event in instance.events]
-    user_ids = [user.user_id for user in instance.users]
-    return [
-        (int(rng.choice(event_ids)), int(rng.choice(user_ids)))
-        for _ in range(count)
-    ]
+    """Random bid pairs added past the capacity and conflict checks: full
+    events and users over capacity, conflicting events."""
+    bid_pairs = [(e, user.user_id) for user in instance.users for e in user.bids]
+    if not bid_pairs:
+        return []
+    return [bid_pairs[k] for k in rng.integers(len(bid_pairs), size=count).tolist()]
 
 
 def _copies(instance, pairs):
@@ -545,7 +534,7 @@ class TestAgainstListSearch:
     @settings(max_examples=80, deadline=None)
     @given(search_cases(), st.integers(min_value=1, max_value=12))
     def test_unchecked_pairs_full_scope(self, case, extras):
-        """Non-bid pairs, over-capacity events and users, conflicts."""
+        """Over-capacity events and users, conflicting events."""
         instance, pairs, rng = case
         pairs = sorted(set(pairs) | set(_unchecked_extras(instance, rng, extras)))
         _assert_same_search(instance, pairs)
@@ -589,12 +578,13 @@ class TestAgainstListSearch:
     def test_batched_clean_evict_matches_scalar_scan(self, case):
         instance, pairs, rng = case
         batched, scalar = _copies(instance, pairs)
-        assert batched.is_clean()
         events = range(instance.index.num_events)
         if rng.random() < 0.5:
             events = sorted(set(rng.integers(0, len(events), size=4).tolist()))
-        moved = _try_evict_moves_clean(_SearchState(instance, batched), events)
-        assert moved == _try_evict_moves_scalar(_SearchState(instance, scalar), events)
+        moved = _try_evict_moves(_SearchState(instance, batched), events)
+        assert moved == ref_try_evict_moves_scalar(
+            _RefSearchState(instance, scalar), events
+        )
         assert sorted(batched.pairs) == sorted(scalar.pairs)
 
     @settings(max_examples=40, deadline=None)

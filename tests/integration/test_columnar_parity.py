@@ -21,10 +21,13 @@ from repro.datagen import (
     generate_churn_trace,
     generate_synthetic_stream,
 )
-from repro.experiments.replay import fresh_index_like, index_parity_mismatches
 from repro.model import InstanceIndex, ShardedInstanceIndex
 from repro.model.columnar import ColumnarInterest
-from repro.model.delta import apply_delta
+from repro.model.delta import (
+    apply_delta,
+    fresh_index_like,
+    index_parity_mismatches,
+)
 from tests.util import entity_built_twin
 
 CONFIG = SyntheticConfig(num_users=240, num_events=40)

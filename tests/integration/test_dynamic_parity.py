@@ -23,12 +23,13 @@ from repro.datagen import (
     generate_churn_trace,
     generate_synthetic,
 )
-from repro.experiments.replay import (
+from repro.experiments.replay import replay_trace
+from repro.model.delta import (
+    Delta,
+    apply_delta,
     fresh_index_like,
     index_parity_mismatches,
-    replay_trace,
 )
-from repro.model.delta import Delta, apply_delta
 
 CONFIG = SyntheticConfig(num_users=160, num_events=30)
 #: (sharded, shard_size) per the acceptance matrix; None = all users.

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import GGGreedy, LPPacking, RandomU, improve
-from repro.model import Arrangement
+from repro.model import Arrangement, ArrangementError
 from tests.util import random_instance, tiny_instance
 
 
@@ -116,8 +116,9 @@ class TestFeasibilityAuditParity:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_violation_detection_matches_scalar_audit(self, seed):
-        """Unchecked random pair dumps: the vectorized probe and the scalar
-        audit must agree on whether anything is wrong."""
+        """Unchecked random pair dumps: non-bid pairs are refused, and on the
+        rest the vectorized probe and the scalar audit must agree on whether
+        anything is wrong."""
         rng = np.random.default_rng(seed)
         instance = random_instance(seed=seed, conflict_probability=0.4)
         pairs = set()
@@ -125,8 +126,17 @@ class TestFeasibilityAuditParity:
             event = instance.events[rng.integers(instance.num_events)]
             user = instance.users[rng.integers(instance.num_users)]
             pairs.add((event.event_id, user.user_id))
-        arrangement = Arrangement.from_pairs(instance, pairs, check=False)
-        expected = bool(scalar_violations(instance, pairs))
+        arrangement = Arrangement(instance)
+        kept = set()
+        for event_id, user_id in sorted(pairs):
+            if event_id in instance.user_by_id[user_id].bid_set:
+                arrangement.add(event_id, user_id, check=False)
+                kept.add((event_id, user_id))
+            else:
+                with pytest.raises(ArrangementError, match="bid constraint"):
+                    arrangement.add(event_id, user_id, check=False)
+        assert arrangement.pairs == kept
+        expected = bool(scalar_violations(instance, kept))
         assert (not arrangement.is_feasible()) == expected
         assert bool(arrangement.violations()) == expected
 
@@ -208,32 +218,6 @@ class TestPathologicalInputs:
         moves = improve(instance, arrangement)
         assert moves["evictions"] == 0
         assert arrangement.pairs == {(1, 1), (1, 2)}
-
-    def test_weight_repair_uses_true_weight_for_out_of_bid_pairs(self):
-        """Caller-supplied admissible sets may reach outside the bid list;
-        the 'weight' repair order must rank those by their real w(u, v),
-        not the masked-to-zero W entry."""
-        from repro.model import Event, IGEPAInstance, MatrixConflict, TabulatedInterest, User
-        from repro.social import Graph
-
-        events = [Event(event_id=1, capacity=1)]
-        users = [
-            User(user_id=1, capacity=1, bids=()),  # did not bid for event 1
-            User(user_id=2, capacity=1, bids=(1,)),
-        ]
-        # User 1's true interest in event 1 dominates user 2's.
-        instance = IGEPAInstance(
-            events,
-            users,
-            MatrixConflict([]),
-            TabulatedInterest({(1, 2): 0.1}, default=0.9),
-            Graph(nodes=[1, 2]),
-        )
-        algorithm = LPPacking(repair_order="weight")
-        survivors = algorithm.repair(
-            instance, {1: (1,), 2: (1,)}, np.random.default_rng(0)
-        )
-        assert survivors == [(1, 1)]  # the heavier out-of-bid pair wins
 
 
 class TestLocalSearchParity:

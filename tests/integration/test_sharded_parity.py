@@ -18,13 +18,13 @@ from repro.datagen import (
     generate_churn_trace,
     generate_synthetic,
 )
-from repro.experiments.replay import (
+from repro.experiments.replay import replay_trace
+from repro.model import InstanceIndex, ShardedInstanceIndex
+from repro.model.delta import (
+    apply_delta,
     fresh_index_like,
     index_parity_mismatches,
-    replay_trace,
 )
-from repro.model import InstanceIndex, ShardedInstanceIndex
-from repro.model.delta import apply_delta
 
 CONFIG = SyntheticConfig(num_users=240, num_events=40)
 SHARD_SIZES = (1, 7, None)  # None -> one shard covering all users

@@ -1,9 +1,13 @@
-"""Unit tests for Arrangement: feasibility constraints and utility."""
+"""Unit tests for Arrangement: feasibility constraints, utility, and the
+agreement of every derived view with the assignment matrix."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.model import Arrangement, ArrangementError
-from tests.util import tiny_instance
+from repro.datagen import ChurnConfig, generate_churn_trace
+from repro.model import Arrangement, ArrangementError, apply_delta
+from tests.util import random_instance, tiny_instance
 
 
 @pytest.fixture
@@ -127,6 +131,34 @@ class TestMutationBookkeeping:
         with pytest.raises(ArrangementError, match="unknown user"):
             arrangement.add(1, 999)
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ((3, 10), "bid constraint"),
+            ((99, 10), "unknown event"),
+            ((1, 999), "unknown user"),
+        ],
+    )
+    def test_unchecked_add_keeps_the_bid_contract(self, instance, pair, message):
+        """``check=False`` skips only the capacity and conflict probes: an
+        unknown id or a non-bid pair is rejected and changes nothing."""
+        arrangement = Arrangement.from_pairs(instance, [(1, 11), (3, 13)])
+        before = (
+            arrangement.pairs,
+            len(arrangement),
+            arrangement.attendance_counts.tolist(),
+            arrangement.load_counts.tolist(),
+            arrangement.assignment_matrix.copy(),
+        )
+        with pytest.raises(ArrangementError, match=message):
+            arrangement.add(*pair, check=False)
+        assert arrangement.pairs == before[0]
+        assert len(arrangement) == before[1]
+        assert arrangement.attendance_counts.tolist() == before[2]
+        assert arrangement.load_counts.tolist() == before[3]
+        assert (arrangement.assignment_matrix == before[4]).all()
+        assert pair not in arrangement
+
     def test_remove_missing_pair_raises(self, instance):
         with pytest.raises(ArrangementError, match="not in arrangement"):
             Arrangement(instance).remove(1, 10)
@@ -168,10 +200,13 @@ class TestFeasibilityAudit:
         assert arrangement.violations() == []
 
     def test_unchecked_bid_violation_detected(self, instance):
+        """The bid constraint holds even unchecked: the pair is refused, so
+        the audit never sees one."""
         arrangement = Arrangement(instance)
-        arrangement.add(3, 10, check=False)  # 10 did not bid for 3
-        assert not arrangement.is_feasible()
-        assert any("bid" in v for v in arrangement.violations())
+        with pytest.raises(ArrangementError, match="bid constraint"):
+            arrangement.add(3, 10, check=False)  # 10 did not bid for 3
+        assert arrangement.is_feasible()
+        assert arrangement.violations() == []
 
     def test_unchecked_capacity_violation_detected(self, instance):
         arrangement = Arrangement(instance)
@@ -221,3 +256,87 @@ class TestUtility:
     def test_repr_contains_utility(self, instance):
         arrangement = Arrangement.from_pairs(instance, [(1, 10)])
         assert "pairs=1" in repr(arrangement)
+
+
+def assert_views_match_matrix(arrangement):
+    """Every derived view agrees with the boolean assignment matrix."""
+    index = arrangement.instance.index
+    matrix = arrangement.assignment_matrix
+    rows, cols = np.nonzero(matrix)
+    expected = set(
+        zip(index.event_ids[cols].tolist(), index.user_ids[rows].tolist())
+    )
+    assert arrangement.pairs == expected
+    assert len(arrangement) == len(expected)
+    listed = list(arrangement)
+    assert len(listed) == len(expected) and set(listed) == expected
+    np.testing.assert_array_equal(arrangement.attendance_counts, matrix.sum(axis=0))
+    np.testing.assert_array_equal(arrangement.load_counts, matrix.sum(axis=1))
+    event_ids = index.event_ids.tolist()
+    for upos, user_id in enumerate(index.user_ids.tolist()):
+        row = matrix[upos]
+        assert arrangement.events_of(user_id) == set(index.event_ids[row].tolist())
+        assert arrangement.load(user_id) == int(row.sum())
+        assert sorted(arrangement.assigned_event_positions(upos)) == (
+            np.flatnonzero(row).tolist()
+        )
+        for vpos, event_id in enumerate(event_ids):
+            assert ((event_id, user_id) in arrangement) == bool(row[vpos])
+    for vpos, event_id in enumerate(event_ids):
+        column = matrix[:, vpos]
+        assert arrangement.users_of(event_id) == set(index.user_ids[column].tolist())
+        assert arrangement.attendance(event_id) == int(column.sum())
+
+
+class TestViewsAgreeWithMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        shard_size=st.sampled_from((None, 1, 3)),
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=10**6)),
+            max_size=40,
+        ),
+    )
+    def test_after_mutation_copy_and_carry(self, seed, shard_size, ops):
+        """Random adds and removes (checked, and unchecked past capacity and
+        conflicts), then ``copy()`` and one ``apply_delta`` carry, on dense
+        and sharded indexes."""
+        instance = random_instance(
+            seed=seed, num_users=12, num_events=6, conflict_probability=0.4
+        )
+        if shard_size is not None:
+            instance.configure_index(sharded=True, shard_size=shard_size)
+        bid_pairs = [(e, user.user_id) for user in instance.users for e in user.bids]
+        arrangement = Arrangement(instance)
+        for checked, k in ops:
+            pair = bid_pairs[k % len(bid_pairs)]
+            if pair in arrangement:
+                arrangement.remove(*pair)
+            elif not checked:
+                arrangement.add(*pair, check=False)
+            elif arrangement.can_add(*pair):
+                arrangement.add(*pair)
+        assert_views_match_matrix(arrangement)
+
+        clone = arrangement.copy()
+        snapshot = arrangement.pairs
+        for pair in sorted(snapshot)[::2]:
+            clone.remove(*pair)
+        assert arrangement.pairs == snapshot
+        assert_views_match_matrix(arrangement)
+        assert_views_match_matrix(clone)
+
+        config = ChurnConfig(
+            num_batches=1,
+            user_arrival_rate=2.0,
+            user_departure_rate=2.0,
+            rebid_rate=3.0,
+            conflict_toggle_rate=2.0,
+            capacity_shock_rate=1.0,
+            user_capacity_shock_rate=1.0,
+        )
+        delta = generate_churn_trace(instance, config, seed=seed).deltas[0]
+        carried = apply_delta(instance, delta, arrangement).arrangement
+        assert arrangement.pairs == snapshot
+        assert_views_match_matrix(carried)

@@ -240,7 +240,7 @@ class TestConflictBits:
             generate_churn_trace,
             generate_synthetic,
         )
-        from repro.experiments.replay import fresh_index_like, index_parity_mismatches
+        from repro.model.delta import fresh_index_like, index_parity_mismatches
         from repro.model.delta import apply_delta
 
         instance = generate_synthetic(
@@ -270,7 +270,7 @@ class TestConflictBits:
         assert toggled and opened_or_closed
 
     def test_parity_check_reports_a_flipped_bit(self):
-        from repro.experiments.replay import fresh_index_like, index_parity_mismatches
+        from repro.model.delta import fresh_index_like, index_parity_mismatches
 
         instance = random_instance(seed=2)
         patched = fresh_index_like(instance.index, instance)
