@@ -87,15 +87,16 @@ DENSE_BYTES_PER_CELL = 17.0
 COLUMNAR_USERS = 500_000
 #: Peak-RSS budget (MB above interpreter baseline) for the gated region of
 #: the 500k pipeline: objects-first probe, columnar stream-build (+spill),
-#: sharded index, GG+LS and the churn-delta replay.  Measured: build +
-#: index + GG+LS peak ~590 MB (the arrangement's |U|x|V| bool matrix is
-#: the largest single block at 250 MB); each replay batch transiently
-#: holds the successor's matrix, store components and index shards
-#: alongside the predecessor's, for a region peak of ~745 MB.  The 50k
-#: objects-first probe is extrapolated to 500k and asserted above this
-#: budget, so an object layer could not meet the gate before any
-#: algorithm runs.  (LP-packing runs after the gate is read: its peak is
-#: the LP backend's internal arena and is recorded, not budget-gated.)
+#: sharded index, GG+LS and the churn-delta replay.  Measured at seed 0 on
+#: a 2-vCPU x86 host: build + index + GG+LS peak ~390 MB (the arrangement
+#: is a 32 MB word grid, one bit per user-by-event cell); each replay batch
+#: transiently holds the successor's store components, index shards and
+#: arrangement alongside the predecessor's, for a region peak of ~690 MB
+#: (first batch ~630 MB).  The 50k objects-first probe is extrapolated to
+#: 500k and asserted above this budget, so an object layer could not meet
+#: the gate before any algorithm runs.  (LP-packing runs after the gate is
+#: read: its peak is the LP backend's internal arena and is recorded, not
+#: budget-gated.)
 COLUMNAR_BUDGET_MB = 860.0
 #: Resident-bytes budget handed to the stream generator; small enough that
 #: the per-user/per-bid columns always spill, exercising the mmap path.
@@ -347,7 +348,7 @@ def _columnar_gate_impl(seed: int) -> dict:
     # Each successor supersedes its predecessor, so only the rolling
     # (instance, arrangement) pair is kept: the solver result and the
     # original store/index handles would otherwise pin the predecessor's
-    # assignment matrix and shard arrays across every batch.
+    # assignment words and shard arrays across every batch.
     rng = np.random.default_rng(seed + 1)
     arrangement = gg_ls.arrangement
     del gg_ls, store, index

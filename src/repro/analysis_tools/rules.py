@@ -430,7 +430,7 @@ class _FreshnessTracker:
             # Advanced indexing (mask/fancy/scalar tuple): a copy in NumPy.
             return True
         if isinstance(node, ast.Attribute):
-            # ``carried.assignment_matrix`` where ``carried`` was freshly
+            # ``carried.assignment_words`` where ``carried`` was freshly
             # constructed here: the object owns its arrays, so views of its
             # attributes are function-owned too.
             root = root_name(node)

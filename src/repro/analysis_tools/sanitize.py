@@ -66,7 +66,7 @@ INDEX_ARRAY_ATTRS = (
     "event_capacity",
     "degrees",
     "conflict_matrix",
-    "conflict_f32",
+    "conflict_words",
     "bid_indptr",
     "bid_indices",
     "bid_si",

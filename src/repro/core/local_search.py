@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.core.base import ArrangementAlgorithm
 from repro.model.arrangement import Arrangement
+from repro.model.index import mask_positions, word_positions
 from repro.model.instance import IGEPAInstance
 
 _MIN_GAIN = 1e-9
@@ -55,7 +56,7 @@ class _SearchState:
     Holds ids, capacities and live attendance/load mirrors as Python lists,
     and two per-user caches filled on first use: the user's bid positions
     and weights, and a bitmask of the event positions assigned to them
-    (built from :meth:`Arrangement.assigned_event_positions`).  The
+    (the user's row of :attr:`Arrangement.assignment_words` as one int).  The
     ``apply_*`` moves update the mirrors and masks along with the
     arrangement, so the state must be the arrangement's only writer while
     it lives.
@@ -75,14 +76,6 @@ class _SearchState:
         self.load = arrangement.load_counts.tolist()
         self._bids: dict[int, tuple[list[int], list[float]]] = {}
         self._masks: dict[int, int] = {}
-        self._conflict_words: np.ndarray | None = None
-
-    @property
-    def conflict_words(self) -> np.ndarray:
-        """σ rows as uint64 words (:func:`_packed_words`), for the screens."""
-        if self._conflict_words is None:
-            self._conflict_words = _packed_words(self.index.conflict_matrix)
-        return self._conflict_words
 
     def bids_of(self, upos: int) -> tuple[list[int], list[float]]:
         """The user's bid positions and ``w(u, v)``, in bid-list order."""
@@ -101,9 +94,8 @@ class _SearchState:
         """Bitmask of the event positions assigned to the user."""
         mask = self._masks.get(upos)
         if mask is None:
-            mask = 0
-            for vpos in self.arrangement.assigned_event_positions(upos):
-                mask |= 1 << vpos
+            row = self.arrangement.assignment_words[upos]
+            mask = int.from_bytes(row.tobytes(), "little")
             self._masks[upos] = mask
         return mask
 
@@ -154,24 +146,13 @@ def _csr_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return owner, entries
 
 
-def _packed_words(rows: np.ndarray) -> np.ndarray:
-    """Boolean rows as uint64 words: bit ``p`` of row ``i`` is ``rows[i, p]``."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    words = np.zeros((rows.shape[0], -(-rows.shape[1] // 64)), dtype="<u8")
-    words.view(np.uint8)[:, : packed.shape[1]] = packed
-    return words
-
-
 def _conflicting(
     state: _SearchState, users: np.ndarray, events: np.ndarray
 ) -> np.ndarray:
     """Whether each user already attends an event conflicting with the
     paired event — the ``conflict_bits[v] & bits_of(u)`` probe, batched."""
-    if not users.size:
-        return np.zeros(0, dtype=bool)
-    rows, inverse = np.unique(users, return_inverse=True)
-    assigned = _packed_words(state.arrangement.assignment_matrix[rows])
-    return (assigned[inverse] & state.conflict_words[events]).any(axis=1)
+    assigned = state.arrangement.assignment_words[users]
+    return (assigned & state.index.conflict_words[events]).any(axis=1)
 
 
 def _add_screened(
@@ -192,7 +173,7 @@ def _add_screened(
         (weights > _MIN_GAIN)
         & (arrangement.load_counts[users] < index.user_capacity[users])
         & (arrangement.attendance_counts[events] < index.event_capacity[events])
-        & ~arrangement.assignment_matrix[users, events]
+        & ~arrangement.assigned_mask(users, events)
     )
     kept = kept[~_conflicting(state, users[kept], events[kept])]
 
@@ -266,9 +247,9 @@ def _upgrade_candidates(
     if not users.size:
         return {}
     index = state.index
-    assigned = state.arrangement.assignment_matrix
-    rows = assigned[users]
-    row_of_pair, current = np.nonzero(rows)
+    arrangement = state.arrangement
+    rows = arrangement.assignment_words[users]
+    row_of_pair, current = word_positions(rows)
     pair_user = users[row_of_pair]
     current_weight = index.pair_weights(pair_user, current)
 
@@ -276,14 +257,14 @@ def _upgrade_candidates(
     candidate = index.bid_indices[entries]
     gain = index.bid_weights[entries] - current_weight[pair]
     kept = np.flatnonzero(
-        (gain > _MIN_GAIN) & ~assigned[pair_user[pair], candidate]
+        (gain > _MIN_GAIN) & ~arrangement.assigned_mask(pair_user[pair], candidate)
     )
     # The user's other events: the held set with the pair's own event cleared.
-    others = _packed_words(rows)[row_of_pair]
+    others = rows[row_of_pair]
     others[np.arange(current.size), current >> 6] &= ~(
         np.uint64(1) << (current & 63).astype(np.uint64)
     )
-    conflicts = state.conflict_words[candidate[kept]]
+    conflicts = index.conflict_words[candidate[kept]]
     kept = kept[~(others[pair[kept]] & conflicts).any(axis=1)]
     kept = kept[np.lexsort((-gain[kept], pair[kept]))]
 
@@ -344,7 +325,6 @@ def _try_upgrade_moves(state: _SearchState, user_scan: Sequence[int]) -> int:
     ranked = _upgrade_candidates(state, users)
     screened = {upos for upos, _ in ranked}
 
-    arrangement = state.arrangement
     attendance = state.attendance
     event_cap = state.event_cap
     event_ids = state.event_ids
@@ -353,7 +333,7 @@ def _try_upgrade_moves(state: _SearchState, user_scan: Sequence[int]) -> int:
     for upos in user_scan:
         if upos not in screened and upos not in swapped:
             continue
-        assigned = arrangement.assigned_event_positions(upos)  # live view
+        assigned = mask_positions(state.bits_of(upos))
         for current in sorted(assigned, key=event_ids.__getitem__):
             if upos in swapped:
                 best = _best_upgrade(state, upos, current)
@@ -404,7 +384,7 @@ def _try_evict_moves(state: _SearchState, event_scan: Sequence[int]) -> int:
     group, entries = _csr_entries(index.bidder_indptr, positions)
     bidders = index.bidder_indices[entries]
     weights = index.bidder_weights[entries]
-    attending = state.arrangement.assignment_matrix[bidders, positions[group]]
+    attending = state.arrangement.assigned_mask(bidders, positions[group])
 
     # Lightest attendee per event: first of each group in (w, user_id) order.
     seated = np.flatnonzero(attending)

@@ -56,14 +56,13 @@ def user_coverage(instance: IGEPAInstance, arrangement: Arrangement) -> float:
 def user_utilities(
     instance: IGEPAInstance, arrangement: Arrangement
 ) -> dict[int, float]:
-    """Per user: the utility contributed by that user's assignments."""
+    """Per user: the utility contributed by that user's assignments, summed
+    in ascending event position."""
     index = instance.index
-    assigned = arrangement.assignment_matrix
-    totals = np.zeros(index.num_users, dtype=np.float64)
-    for shard in index.iter_shards():
-        totals[shard.start : shard.stop] = (
-            shard.W * assigned[shard.start : shard.stop]
-        ).sum(axis=1)
+    upos, vpos = arrangement.assigned_positions()
+    totals = np.bincount(
+        upos, weights=index.pair_weights(upos, vpos), minlength=index.num_users
+    ).astype(np.float64, copy=False)  # int64 zeros when there are no pairs
     return dict(zip(index.user_ids.tolist(), totals.tolist()))
 
 

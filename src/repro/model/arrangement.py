@@ -18,11 +18,12 @@ arrangement can still be over capacity or hold conflicting events — which
 :meth:`Arrangement.violations` reports.
 
 State lives in one store, indexed by the instance's
-:class:`~repro.model.index.InstanceIndex` positions: a boolean assignment
-matrix, per-event attendance and per-user load counters, and each user's
-assigned event positions in insertion order.  Membership, capacity and
-conflict checks are array lookups, ``utility()`` and the feasibility audit
-are vectorized, and the pair set is derived from the per-user lists.
+:class:`~repro.model.index.InstanceIndex` positions: a grid of ``(|U|,
+⌈|V|/64⌉)`` uint64 words, where bit ``p`` of row ``u`` means user position
+``u`` attends event position ``p`` (the layout of the index's
+``conflict_words``), plus per-event attendance and per-user load counters.
+Every view reads the grid; each user's pairs come out in ascending event
+position.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from repro.model.errors import ArrangementError
+from repro.model.index import mask_positions, word_positions
 from repro.model.instance import IGEPAInstance
 
 
@@ -48,15 +50,13 @@ class Arrangement:
         self.instance = instance
         index = instance.index
         self._idx = index
-        # Sanctioned dense storage: 1 byte/cell bool, the arrangement's own
-        # representation (mirrors the LP variable grid, not a weight slab).
-        self._assigned = np.zeros(  # igepa: ignore[IGP002]
-            (index.num_users, index.num_events), dtype=bool
+        # The arrangement's own storage, one bit per user x event cell:
+        # |U| rows of ceil(|V|/64) uint64 words, |U|*|V|/8 bytes in all.
+        self._words = np.zeros(  # igepa: ignore[IGP002]
+            (index.num_users, -(-index.num_events // 64)), dtype="<u8"
         )
         self._attendance = np.zeros(index.num_events, dtype=np.int64)
         self._load = np.zeros(index.num_users, dtype=np.int64)
-        # Assigned event positions per user position, in insertion order.
-        self._user_events: list[list[int]] = [[] for _ in range(index.num_users)]
 
     @classmethod
     def from_positions(
@@ -65,8 +65,6 @@ class Arrangement:
         """Build an arrangement from parallel arrays of distinct
         (user position, event position) pairs, without capacity or conflict
         checks.
-
-        Each user's events are listed in ascending position order.
 
         Raises:
             ArrangementError: if a pair is not a bid pair.
@@ -77,13 +75,14 @@ class Arrangement:
         index = arrangement._idx
         if not index.pair_bid_mask(upos, vpos).all():
             raise ArrangementError("bid constraint: a pair is not a bid pair")
-        arrangement._assigned[upos, vpos] = True
+        # Unbuffered OR: several pairs of a user can share a word.
+        np.bitwise_or.at(
+            arrangement._words,
+            (upos, vpos >> 6),
+            np.left_shift(np.uint64(1), (vpos & 63).astype(np.uint64)),
+        )
         arrangement._attendance += np.bincount(vpos, minlength=index.num_events)
         arrangement._load += np.bincount(upos, minlength=index.num_users)
-        order = np.lexsort((vpos, upos))
-        user_events = arrangement._user_events
-        for u, v in zip(upos[order].tolist(), vpos[order].tolist()):
-            user_events[u].append(v)
         return arrangement
 
     # ------------------------------------------------------------------
@@ -104,17 +103,14 @@ class Arrangement:
         upos = index.user_pos.get(user_id)
         if vpos is None or upos is None:
             return False
-        return bool(self._assigned[upos, vpos])
+        return bool(int(self._words[upos, vpos >> 6]) >> (vpos & 63) & 1)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        """Pairs user position by user position, each user's in insertion
-        order."""
-        event_ids = self._idx.event_ids.tolist()
-        user_ids = self._idx.user_ids
-        for upos in np.flatnonzero(self._load).tolist():
-            user_id = int(user_ids[upos])
-            for vpos in self._user_events[upos]:
-                yield event_ids[vpos], user_id
+        """Pairs user position by user position, each user's in ascending
+        event position."""
+        upos, vpos = self.assigned_positions()
+        index = self._idx
+        return zip(index.event_ids[vpos].tolist(), index.user_ids[upos].tolist())
 
     def events_of(self, user_id: int) -> set[int]:
         """Events currently assigned to the user."""
@@ -122,8 +118,8 @@ class Arrangement:
         upos = index.user_pos.get(user_id)
         if upos is None:
             return set()
-        event_ids = index.event_ids
-        return {int(event_ids[p]) for p in self._user_events[upos]}
+        row = int.from_bytes(self._words[upos].tobytes(), "little")
+        return set(index.event_ids[mask_positions(row)].tolist())
 
     def users_of(self, event_id: int) -> set[int]:
         """Users currently assigned to the event."""
@@ -131,8 +127,8 @@ class Arrangement:
         vpos = index.event_pos.get(event_id)
         if vpos is None:
             return set()
-        attendees = np.flatnonzero(self._assigned[:, vpos])
-        return {int(u) for u in index.user_ids[attendees]}
+        column = self._words[:, vpos >> 6] & np.uint64(1 << (vpos & 63))
+        return set(index.user_ids[np.flatnonzero(column)].tolist())
 
     def attendance(self, event_id: int) -> int:
         """Number of users assigned to the event."""
@@ -158,14 +154,21 @@ class Arrangement:
         return self._load
 
     @property
-    def assignment_matrix(self) -> np.ndarray:
-        """Boolean (users × events) assignment — live view, do not mutate."""
-        return self._assigned
+    def assignment_words(self) -> np.ndarray:
+        """The ``(users, ⌈events/64⌉)`` uint64 word grid, in the layout of
+        the index's ``conflict_words`` — live view, do not mutate."""
+        return self._words
 
-    def assigned_event_positions(self, upos: int) -> list[int]:
-        """Assigned event positions of a user position, in insertion order —
-        live view, do not mutate."""
-        return self._user_events[upos]
+    def assigned_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Parallel ``(user position, event position)`` arrays of every
+        pair, sorted by user position, then event position."""
+        return word_positions(self._words)
+
+    def assigned_mask(self, upos: np.ndarray, vpos: np.ndarray) -> np.ndarray:
+        """Vectorized membership for (broadcastable) position arrays."""
+        vpos = np.asarray(vpos, dtype=np.int64)
+        words = self._words[np.asarray(upos, dtype=np.int64), vpos >> 6]
+        return ((words >> (vpos & 63).astype(np.uint64)) & np.uint64(1)) != 0
 
     # ------------------------------------------------------------------
     # Mutation
@@ -186,7 +189,7 @@ class Arrangement:
         upos = index.user_pos.get(user_id)
         if upos is None:
             return f"unknown user id {user_id}" if explain else ""
-        if self._assigned[upos, vpos]:
+        if int(self._words[upos, vpos >> 6]) >> (vpos & 63) & 1:
             return (
                 f"pair ({event_id}, {user_id}) already present" if explain else ""
             )
@@ -210,15 +213,18 @@ class Arrangement:
                 if explain
                 else ""
             )
-        conflicts = index.conflict_bits[vpos]
-        for assigned in self._user_events[upos]:
-            if conflicts >> assigned & 1:
-                return (
-                    f"conflict constraint: events {event_id} and "
-                    f"{int(index.event_ids[assigned])} conflict for user {user_id}"
-                    if explain
-                    else ""
-                )
+        hits = index.conflict_bits[vpos] & int.from_bytes(
+            self._words[upos].tobytes(), "little"
+        )
+        if hits:
+            # Name the user's first conflicting event in position order.
+            first = (hits & -hits).bit_length() - 1
+            return (
+                f"conflict constraint: events {event_id} and "
+                f"{int(index.event_ids[first])} conflict for user {user_id}"
+                if explain
+                else ""
+            )
         return None
 
     def can_add(self, event_id: int, user_id: int) -> bool:
@@ -252,12 +258,13 @@ class Arrangement:
             raise ArrangementError(
                 self._addition_violation(event_id, user_id, explain=True)
             )
-        if self._assigned[upos, vpos]:
+        word = int(self._words[upos, vpos >> 6])
+        bit = 1 << (vpos & 63)
+        if word & bit:
             return  # unchecked re-add: keep set semantics, counters untouched
-        self._assigned[upos, vpos] = True
+        self._words[upos, vpos >> 6] = word | bit
         self._attendance[vpos] += 1
         self._load[upos] += 1
-        self._user_events[upos].append(vpos)
 
     def remove(self, event_id: int, user_id: int) -> None:
         """Remove a pair.
@@ -268,12 +275,14 @@ class Arrangement:
         index = self._idx
         vpos = index.event_pos.get(event_id)
         upos = index.user_pos.get(user_id)
-        if vpos is None or upos is None or not self._assigned[upos, vpos]:
+        word = bit = 0
+        if vpos is not None and upos is not None:
+            word, bit = int(self._words[upos, vpos >> 6]), 1 << (vpos & 63)
+        if not word & bit:
             raise ArrangementError(f"pair ({event_id}, {user_id}) not in arrangement")
-        self._assigned[upos, vpos] = False
+        self._words[upos, vpos >> 6] = word & ~bit
         self._attendance[vpos] -= 1
         self._load[upos] -= 1
-        self._user_events[upos].remove(vpos)
 
     @classmethod
     def from_pairs(
@@ -298,17 +307,13 @@ class Arrangement:
             return True
         if np.any(self._load > index.user_capacity):
             return True
-        multi = np.flatnonzero(self._load >= 2)
-        if multi.size:
-            # A user attends conflicting events iff their assignment row hits
-            # the conflict matrix: (B C) ∘ B has a positive entry.  Only rows
-            # with two or more events can hit, so the product is restricted
-            # to them — O(multi · |V|²) instead of O(|U| · |V|²).
-            rows = self._assigned[multi]
-            hits = rows.astype(np.float32) @ index.conflict_f32
-            if bool(np.any(hits[rows] > 0.0)):
-                return True
-        return False
+        # A user attends conflicting events iff one of their pairs' σ row
+        # hits their word row (σ has a zero diagonal).  Only users with two
+        # or more events can hit, so only their pairs are probed.
+        upos, vpos = self.assigned_positions()
+        multi = self._load[upos] >= 2
+        upos, vpos = upos[multi], vpos[multi]
+        return bool((self._words[upos] & index.conflict_words[vpos]).any())
 
     def violations(self) -> list[str]:
         """All capacity and conflict violations in the current pair set
@@ -357,14 +362,14 @@ class Arrangement:
         """``β·Σ SI + (1-β)·Σ D`` over all assigned pairs.
 
         Gathers the pair weights from the index and sums them with
-        :func:`math.fsum` — correctly rounded and independent of pair
-        insertion order, so equal arrangements always report equal utility.
+        :func:`math.fsum` — correctly rounded and independent of the order of
+        the pairs, so equal arrangements always report equal utility.
         """
-        return math.fsum(self._idx.assigned_weight_total(self._assigned))
+        return math.fsum(self._idx.pair_weights(*self.assigned_positions()).tolist())
 
     def interest_total(self) -> float:
         """The Σ SI part of the utility (before the β weighting)."""
-        return math.fsum(self._idx.assigned_si_total(self._assigned))
+        return math.fsum(self._idx.pair_si(*self.assigned_positions()).tolist())
 
     def interaction_total(self) -> float:
         """The Σ D part of the utility (before the 1-β weighting)."""
@@ -374,10 +379,9 @@ class Arrangement:
         clone = Arrangement.__new__(Arrangement)
         clone.instance = self.instance
         clone._idx = self._idx
-        clone._assigned = self._assigned.copy()
+        clone._words = self._words.copy()
         clone._attendance = self._attendance.copy()
         clone._load = self._load.copy()
-        clone._user_events = [list(events) for events in self._user_events]
         return clone
 
     def __repr__(self) -> str:

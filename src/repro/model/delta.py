@@ -918,7 +918,7 @@ def _carry_arrangement(
     old_index = instance.index
     index = successor.index
 
-    old_upos, old_vpos = np.nonzero(arrangement.assignment_matrix)
+    old_upos, old_vpos = arrangement.assigned_positions()
     new_upos = maps.user_map[old_upos]
     new_vpos = maps.event_map[old_vpos]
     keep = (new_upos >= 0) & (new_vpos >= 0)
@@ -933,7 +933,12 @@ def _carry_arrangement(
     )
 
     carried = Arrangement.from_positions(successor, new_upos[keep], new_vpos[keep])
-    assigned = carried.assignment_matrix  # live view, read only
+    # Drops only remove pairs: the live ones are these, filtered.
+    held_u, held_v = carried.assigned_positions()
+
+    def attendees(vpos: int) -> np.ndarray:
+        users = held_u[held_v == vpos]
+        return users[carried.assigned_mask(users, vpos)]
 
     def drop(event_id: int, user_id: int) -> None:
         carried.remove(event_id, user_id)
@@ -943,7 +948,8 @@ def _carry_arrangement(
         event_pos = index.event_pos
         for first, second in delta.add_conflicts:
             pa, pb = event_pos[first], event_pos[second]
-            both = np.flatnonzero(assigned[:, pa] & assigned[:, pb])
+            both = attendees(pa)
+            both = both[carried.assigned_mask(both, pb)]
             for upos in both.tolist():
                 w_first = index.weight_at(upos, pa)
                 w_second = index.weight_at(upos, pb)
@@ -963,11 +969,11 @@ def _carry_arrangement(
         over = int(carried.attendance_counts[vpos]) - int(index.event_capacity[vpos])
         if over <= 0:
             continue
-        attendees = np.flatnonzero(assigned[:, vpos])
+        seated = attendees(vpos)
         weights = index.pair_weights(
-            attendees, np.full(attendees.size, vpos, dtype=np.int64)
+            seated, np.full(seated.size, vpos, dtype=np.int64)
         )
-        attendee_ids = index.user_ids[attendees]
+        attendee_ids = index.user_ids[seated]
         # Ascending weight, ties dropping the higher user id (mirrors the
         # conflict-drop tie rule above).
         order = np.lexsort((-attendee_ids, weights))
@@ -978,7 +984,8 @@ def _carry_arrangement(
         over = int(carried.load_counts[upos]) - int(index.user_capacity[upos])
         if over <= 0:
             continue
-        attended = np.flatnonzero(assigned[upos])
+        attended = held_v[held_u == upos]
+        attended = attended[carried.assigned_mask(upos, attended)]
         weights = index.pair_weights(
             np.full(attended.size, upos, dtype=np.int64), attended
         )

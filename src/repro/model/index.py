@@ -30,7 +30,8 @@ Everything position-based is common to both:
   transposed incidence by event, in instance user order (matching
   ``IGEPAInstance.bidders``);
 * ``conflict_matrix`` — boolean σ over event positions (zero diagonal),
-  and ``conflict_bits``, the same relation as one Python int per event
+  ``conflict_words``, its rows as uint64 words (:func:`packed_words`), and
+  ``conflict_bits``, the same relation as one Python int per event
   position (bit ``p`` of ``conflict_bits[v]`` is σ(v, p)), which scalar
   feasibility probes test against a set of positions in one ``&``;
 * ``degrees``, ``user_capacity``, ``event_capacity`` — per-entity vectors;
@@ -134,15 +135,38 @@ def validated_interest(
     return value
 
 
-def conflict_bitmasks(conflict_matrix: np.ndarray) -> tuple[int, ...]:
-    """σ rows as Python ints: bit ``p`` of entry ``v`` is σ(v, p).
+def packed_words(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows as little-endian uint64 words: bit ``p`` of row ``i``
+    (bit ``p % 64`` of word ``p // 64``) is ``rows[i, p]``."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    words = np.zeros((rows.shape[0], -(-rows.shape[1] // 64)), dtype="<u8")
+    words.view(np.uint8)[:, : packed.shape[1]] = packed
+    return words
 
-    A set of event positions is then an int too, and "does ``v`` conflict
-    with any of them" is one ``conflict_bits[v] & mask`` instead of a scan
-    over the set.
+
+def mask_positions(mask: int) -> list[int]:
+    """The set bits of a Python-int bitmask, ascending."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
+def word_positions(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The set bits of a :func:`packed_words` grid as parallel ``(row,
+    position)`` arrays, row-major and ascending within a row.
+
+    The grid is scanned one word per 64 cells and only its nonzero words
+    are unpacked, so nothing of cell size is allocated.
     """
-    packed = np.packbits(conflict_matrix, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    flat = words.ravel()
+    nonzero = np.flatnonzero(flat)
+    rows, columns = np.divmod(nonzero, words.shape[1])
+    bits = np.unpackbits(flat[nonzero].view(np.uint8), bitorder="little")
+    which, bit = np.divmod(np.flatnonzero(bits.view(bool)), 64)
+    return rows[which], columns[which] * 64 + bit
 
 
 class IndexShard:
@@ -224,6 +248,7 @@ class BaseInstanceIndex:
         "event_capacity",
         "degrees",
         "conflict_matrix",
+        "conflict_words",
         "bid_indptr",
         "bid_indices",
         "bid_si",
@@ -246,6 +271,7 @@ class BaseInstanceIndex:
     bid_indptr: np.ndarray
     bid_indices: np.ndarray
     bid_si: np.ndarray
+    conflict_words: np.ndarray
     conflict_bits: tuple[int, ...]
 
     @property
@@ -364,11 +390,14 @@ class BaseInstanceIndex:
         indexes with equal primary arrays have equal derived arrays.
         """
         num_users = self.user_ids.size
-        # float32 copy for the BLAS-backed bulk conflict audit.
-        self.conflict_f32 = self.conflict_matrix.astype(np.float32)
-        #: σ per event position as a bitmask over event positions
-        #: (:func:`conflict_bitmasks`) — the scalar probes' representation.
-        self.conflict_bits = conflict_bitmasks(self.conflict_matrix)
+        #: σ rows as uint64 words (:func:`packed_words`) — the batched
+        #: probes' representation, ANDed with an arrangement's word rows.
+        self.conflict_words = packed_words(self.conflict_matrix)
+        #: σ rows as Python ints (bit ``p`` of entry ``v`` is σ(v, p)): the
+        #: scalar probe "does v conflict with a set" is ``conflict_bits[v] & mask``.
+        self.conflict_bits = tuple(
+            int.from_bytes(row.tobytes(), "little") for row in self.conflict_words
+        )
         beta = self.instance.beta
         #: Row expansion of the CSR: the user position of each bid pair,
         #: aligned with ``bid_indices``.
@@ -513,21 +542,6 @@ class BaseInstanceIndex:
         start, stop = self.bidder_indptr[vpos], self.bidder_indptr[vpos + 1]
         column[self.bidder_indices[start:stop]] = self.bidder_weights[start:stop]
         return column
-
-    def assigned_weight_total(self, assigned: np.ndarray) -> list[float]:
-        """``w(u, v)`` of every True cell of a boolean assignment matrix.
-
-        Only valid when every assigned cell is a bid pair, as in every
-        :class:`~repro.model.arrangement.Arrangement`; the dense index
-        overrides this with a masked gather.
-        """
-        rows, cols = np.nonzero(assigned)
-        return self.pair_weights(rows, cols).tolist()
-
-    def assigned_si_total(self, assigned: np.ndarray) -> list[float]:
-        """``SI`` of every True cell of a boolean assignment matrix."""
-        rows, cols = np.nonzero(assigned)
-        return self.pair_si(rows, cols).tolist()
 
     # ------------------------------------------------------------------
     # Row / slice accessors
@@ -738,12 +752,6 @@ class InstanceIndex(BaseInstanceIndex):
 
     def weight_column(self, vpos: int) -> np.ndarray:
         return self.W[:, vpos]
-
-    def assigned_weight_total(self, assigned: np.ndarray) -> list[float]:
-        return self.W[assigned].tolist()
-
-    def assigned_si_total(self, assigned: np.ndarray) -> list[float]:
-        return self.SI[assigned].tolist()
 
     # Zero-copy slabs: the dense matrices are their own shard storage.
     def _shard_weight_slab(self, start: int, stop: int) -> np.ndarray:

@@ -10,7 +10,7 @@ materializes a dense user-by-event matrix at all.
 
 Storage:
 
-* **shared event-side state** — ``conflict_matrix`` (and its float32 copy),
+* **shared event-side state** — ``conflict_matrix`` (and its word and bitmask forms),
   ``event_capacity``, ``event_ids``/``event_pos`` and the bidder incidence
   are global, exactly as on the dense index;
 * **per-pair state** lives in the CSR entry arrays (``bid_indices``,

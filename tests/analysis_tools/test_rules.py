@@ -176,8 +176,8 @@ class TestDeltaPurity:
         src = (
             "def carry(successor):\n"
             "    carried = Arrangement(successor)\n"
-            "    assigned = carried.assignment_matrix\n"
-            "    assigned[0, 0] = True\n"
+            "    assigned = carried.assignment_words\n"
+            "    assigned[0, 0] = 1\n"
             "    carried.attendance_counts[:] = 0\n"
             "    return carried\n"
         )

@@ -210,6 +210,20 @@ class _RefSearchState:
         self.load[in_upos] += 1
 
 
+def _events_held(arrangement, upos):
+    """The user position's event positions, ascending, read through
+    ``assigned_positions()`` — current after every move."""
+    users, events = arrangement.assigned_positions()
+    return events[users == upos].tolist()
+
+
+def _attendees(arrangement, vpos):
+    """The event position's user positions, ascending, read through
+    ``assigned_positions()`` — current after every move."""
+    users, events = arrangement.assigned_positions()
+    return users[events == vpos].tolist()
+
+
 def ref_try_add_moves(state, user_scan):
     arrangement = state.arrangement
     attendance = state.attendance
@@ -221,11 +235,11 @@ def ref_try_add_moves(state, user_scan):
         capacity = state.user_cap[upos]
         if load[upos] >= capacity:
             continue
-        assigned = arrangement.assigned_event_positions(upos)  # live view
         weights = state.user_bid_weights[upos]
         for offset, vpos in enumerate(state.user_bid_positions[upos]):
             if load[upos] >= capacity:
                 break
+            assigned = _events_held(arrangement, upos)
             if weights[offset] <= _MIN_GAIN:
                 continue
             if vpos in assigned:
@@ -251,19 +265,19 @@ def ref_try_refill_moves(state, event_scan):
         capacity = state.event_cap[vpos]
         if attendance[vpos] >= capacity:
             continue
-        assigned_column = arrangement.assignment_matrix[:, vpos]
+        attendees = _attendees(arrangement, vpos)
         bidder_weights = index.event_bidder_weights(vpos).tolist()
         row = conflict_rows[vpos]
         for offset, bidder in enumerate(index.event_bidder_positions(vpos).tolist()):
             if attendance[vpos] >= capacity:
                 break
-            if assigned_column[bidder]:
+            if bidder in attendees:
                 continue
             if bidder_weights[offset] <= _MIN_GAIN:
                 continue
             if load[bidder] >= state.user_cap[bidder]:
                 continue
-            if any(row[p] for p in arrangement.assigned_event_positions(bidder)):
+            if any(row[p] for p in _events_held(arrangement, bidder)):
                 continue
             state.apply_add(bidder, vpos)
             accepted += 1
@@ -278,7 +292,7 @@ def ref_try_upgrade_moves(state, user_scan):
     event_ids = state.event_ids
     accepted = 0
     for upos in user_scan:
-        assigned = arrangement.assigned_event_positions(upos)  # live view
+        assigned = _events_held(arrangement, upos)
         if not assigned:
             continue
         if state.load[upos] - 1 >= state.user_cap[upos]:
@@ -288,6 +302,7 @@ def ref_try_upgrade_moves(state, user_scan):
         bids = state.user_bid_positions[upos]
         weights = state.user_bid_weights[upos]
         for current in snapshot:
+            assigned = _events_held(arrangement, upos)
             current_weight = state.pair_weight(upos, current)
             best = None
             best_gain = _MIN_GAIN
@@ -316,16 +331,14 @@ def ref_try_evict_moves(state, event_scan):
     arrangement = state.arrangement
     index = state.index
     conflict_rows = state.conflict_rows
-    assigned = arrangement.assignment_matrix
     load = arrangement.load_counts
     user_capacity = index.user_capacity
     user_ids = index.user_ids
-    # Per-event attendee groups from one nonzero pass: column slices of the
-    # big assignment matrix are strided reads, so gathering them per event
-    # costs O(|U|) each — grouping once is O(pairs).  An eviction only
-    # rewrites its own event's column, and no event repeats within a pass,
-    # so the snapshot stays exact for every event still to scan.
-    pair_rows, pair_cols = np.nonzero(assigned)
+    # Per-event attendee groups from one pass over the pairs: grouping once
+    # is O(pairs).  An eviction only rewrites its own event's column, and no
+    # event repeats within a pass, so the snapshot stays exact for every
+    # event still to scan.
+    pair_rows, pair_cols = arrangement.assigned_positions()
     order = np.argsort(pair_cols, kind="stable")
     grouped_rows = pair_rows[order]
     boundaries = np.searchsorted(pair_cols[order], np.arange(index.num_events + 1))
@@ -347,7 +360,7 @@ def ref_try_evict_moves(state, event_scan):
         gains = index.event_bidder_weights(vpos) - lightest_weight
         mask = (
             (gains > _MIN_GAIN)
-            & ~assigned[bidders, vpos]
+            & ~np.isin(bidders, _attendees(arrangement, vpos))
             & (load[bidders] < user_capacity[bidders])
         )
         candidates = bidders[mask]
@@ -358,7 +371,7 @@ def ref_try_evict_moves(state, event_scan):
         # the first maximum-feasible-gain bidder of the scalar scan.
         for k in np.argsort(-gains[mask], kind="stable").tolist():
             bidder = int(candidates[k])
-            if any(row[p] for p in arrangement.assigned_event_positions(bidder)):
+            if any(row[p] for p in _events_held(arrangement, bidder)):
                 continue
             state.apply_evict(vpos, lightest, bidder)
             accepted += 1
@@ -377,7 +390,7 @@ def ref_try_evict_moves_scalar(state, event_scan):
             continue  # not full: add moves already cover it
         if state.attendance[vpos] - 1 >= state.event_cap[vpos]:
             continue  # over capacity: even after an eviction the event is full
-        attendees = np.flatnonzero(arrangement.assignment_matrix[:, vpos]).tolist()
+        attendees = _attendees(arrangement, vpos)
         if not attendees:
             continue
         # min by (weight, user_id), as the scalar scan ordered it.
@@ -389,7 +402,7 @@ def ref_try_evict_moves_scalar(state, event_scan):
         best = None
         best_gain = _MIN_GAIN
         for bidder in index.event_bidder_positions(vpos).tolist():
-            if arrangement.assignment_matrix[bidder, vpos]:
+            if bidder in attendees:
                 continue
             gain = float(column[bidder]) - lightest_weight
             if gain <= best_gain:
@@ -397,7 +410,7 @@ def ref_try_evict_moves_scalar(state, event_scan):
             if state.load[bidder] >= state.user_cap[bidder]:
                 continue
             row = conflict_rows[vpos]
-            if any(row[p] for p in arrangement.assigned_event_positions(bidder)):
+            if any(row[p] for p in _events_held(arrangement, bidder)):
                 continue
             best = bidder
             best_gain = gain
@@ -622,7 +635,7 @@ class TestAgainstListSearch:
         assert moved
         for upos in users:
             assert state.bits_of(upos) == sum(
-                1 << p for p in arrangement.assigned_event_positions(upos)
+                1 << p for p in _events_held(arrangement, upos)
             )
         assert state.attendance == arrangement.attendance_counts.tolist()
         assert state.load == arrangement.load_counts.tolist()

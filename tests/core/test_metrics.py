@@ -67,6 +67,29 @@ class TestCoverageAndUtilities:
         assert sum(per_user.values()) == pytest.approx(arrangement.utility())
         assert per_user[13] == 0.0
 
+    @pytest.mark.parametrize("shard_size", [None, 7])
+    def test_user_utilities_match_scalar_weights(self, shard_size):
+        """Per user, the sum of ``weight_at`` over the user's events in
+        ascending event position, bit for bit, on dense and sharded
+        indexes."""
+        instance = generate_synthetic(
+            SyntheticConfig(num_users=60, num_events=70, max_user_capacity=4), seed=4
+        )
+        if shard_size is not None:
+            instance.configure_index(sharded=True, shard_size=shard_size)
+        arrangement = GGGreedy().solve(instance, seed=0).arrangement
+        index = instance.index
+        per_user = user_utilities(instance, arrangement)
+        assert list(per_user) == index.user_ids.tolist()
+        for upos, user_id in enumerate(index.user_ids.tolist()):
+            expected = 0.0
+            for vpos, event_id in enumerate(index.event_ids.tolist()):
+                if (event_id, user_id) in arrangement:
+                    expected += index.weight_at(upos, vpos)
+            assert type(per_user[user_id]) is float
+            assert per_user[user_id] == expected
+        assert (arrangement.load_counts >= 2).any()
+
 
 class TestFairness:
     def test_equal_split_is_one(self, instance):

@@ -1,11 +1,20 @@
-"""Unit tests for Arrangement: feasibility constraints, utility, and the
-agreement of every derived view with the assignment matrix."""
+"""Unit tests for Arrangement: feasibility constraints, utility, the
+agreement of every derived view with a plain set of pairs, and the store's
+memory footprint."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datagen import ChurnConfig, generate_churn_trace
+from repro.core import GGGreedy
+from repro.datagen import (
+    ChurnConfig,
+    SyntheticConfig,
+    generate_churn_trace,
+    generate_synthetic_stream,
+)
 from repro.model import Arrangement, ArrangementError, apply_delta
 from tests.util import random_instance, tiny_instance
 
@@ -86,8 +95,9 @@ class TestConflictConstraint:
             arrangement.add(2, 5)
 
     def test_conflict_message_names_the_first_assigned_conflict(self):
-        """Several assigned events conflict: the message names the one the
-        user was given first."""
+        """Several assigned events conflict: the message names the first of
+        them in the user's event order, ascending event position, whatever
+        order they were given in."""
         from repro.model import (
             Event,
             IGEPAInstance,
@@ -111,7 +121,7 @@ class TestConflictConstraint:
             arrangement.add(event_id, 5)
         with pytest.raises(
             ArrangementError,
-            match="conflict constraint: events 4 and 3 conflict for user 5",
+            match="conflict constraint: events 4 and 2 conflict for user 5",
         ):
             arrangement.add(4, 5)
         assert not arrangement.can_add(4, 5)
@@ -148,7 +158,7 @@ class TestMutationBookkeeping:
             len(arrangement),
             arrangement.attendance_counts.tolist(),
             arrangement.load_counts.tolist(),
-            arrangement.assignment_matrix.copy(),
+            arrangement.assignment_words.copy(),
         )
         with pytest.raises(ArrangementError, match=message):
             arrangement.add(*pair, check=False)
@@ -156,7 +166,7 @@ class TestMutationBookkeeping:
         assert len(arrangement) == before[1]
         assert arrangement.attendance_counts.tolist() == before[2]
         assert arrangement.load_counts.tolist() == before[3]
-        assert (arrangement.assignment_matrix == before[4]).all()
+        assert (arrangement.assignment_words == before[4]).all()
         assert pair not in arrangement
 
     def test_remove_missing_pair_raises(self, instance):
@@ -258,34 +268,37 @@ class TestUtility:
         assert "pairs=1" in repr(arrangement)
 
 
-def assert_views_match_matrix(arrangement):
-    """Every derived view agrees with the boolean assignment matrix."""
+def assert_views_match_pairs(arrangement, expected):
+    """Every view of the store agrees with ``expected``, a plain set of
+    ``(event_id, user_id)`` pairs kept beside the store."""
     index = arrangement.instance.index
-    matrix = arrangement.assignment_matrix
-    rows, cols = np.nonzero(matrix)
-    expected = set(
-        zip(index.event_ids[cols].tolist(), index.user_ids[rows].tolist())
-    )
+    event_ids = index.event_ids.tolist()
+    user_ids = index.user_ids.tolist()
     assert arrangement.pairs == expected
     assert len(arrangement) == len(expected)
-    listed = list(arrangement)
-    assert len(listed) == len(expected) and set(listed) == expected
-    np.testing.assert_array_equal(arrangement.attendance_counts, matrix.sum(axis=0))
-    np.testing.assert_array_equal(arrangement.load_counts, matrix.sum(axis=1))
-    event_ids = index.event_ids.tolist()
-    for upos, user_id in enumerate(index.user_ids.tolist()):
-        row = matrix[upos]
-        assert arrangement.events_of(user_id) == set(index.event_ids[row].tolist())
-        assert arrangement.load(user_id) == int(row.sum())
-        assert sorted(arrangement.assigned_event_positions(upos)) == (
-            np.flatnonzero(row).tolist()
-        )
-        for vpos, event_id in enumerate(event_ids):
-            assert ((event_id, user_id) in arrangement) == bool(row[vpos])
-    for vpos, event_id in enumerate(event_ids):
-        column = matrix[:, vpos]
-        assert arrangement.users_of(event_id) == set(index.user_ids[column].tolist())
-        assert arrangement.attendance(event_id) == int(column.sum())
+    # User position by user position, each user's in ascending event position.
+    assert list(arrangement) == sorted(
+        expected, key=lambda pair: (index.user_pos[pair[1]], index.event_pos[pair[0]])
+    )
+    upos, vpos = arrangement.assigned_positions()
+    assert sorted(zip(upos.tolist(), vpos.tolist())) == sorted(
+        (index.user_pos[u], index.event_pos[e]) for e, u in expected
+    )
+    grid_u, grid_v = np.divmod(np.arange(len(user_ids) * len(event_ids)), len(event_ids))
+    held = arrangement.assigned_mask(grid_u, grid_v)
+    for k, (u, v) in enumerate(zip(grid_u.tolist(), grid_v.tolist())):
+        pair = (event_ids[v], user_ids[u])
+        assert (pair in arrangement) == (pair in expected) == bool(held[k])
+    loads = [sum(1 for _, u in expected if u == user_id) for user_id in user_ids]
+    seats = [sum(1 for e, _ in expected if e == event_id) for event_id in event_ids]
+    assert arrangement.load_counts.tolist() == loads
+    assert arrangement.attendance_counts.tolist() == seats
+    for user_id, load in zip(user_ids, loads):
+        assert arrangement.events_of(user_id) == {e for e, u in expected if u == user_id}
+        assert arrangement.load(user_id) == load
+    for event_id, seated in zip(event_ids, seats):
+        assert arrangement.users_of(event_id) == {u for e, u in expected if e == event_id}
+        assert arrangement.attendance(event_id) == seated
 
 
 class TestViewsAgreeWithMatrix:
@@ -293,39 +306,49 @@ class TestViewsAgreeWithMatrix:
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
         shard_size=st.sampled_from((None, 1, 3)),
+        num_events=st.sampled_from((6, 63, 64, 65, 130)),
         ops=st.lists(
             st.tuples(st.booleans(), st.integers(min_value=0, max_value=10**6)),
             max_size=40,
         ),
     )
-    def test_after_mutation_copy_and_carry(self, seed, shard_size, ops):
+    def test_after_mutation_copy_and_carry(self, seed, shard_size, num_events, ops):
         """Random adds and removes (checked, and unchecked past capacity and
         conflicts), then ``copy()`` and one ``apply_delta`` carry, on dense
-        and sharded indexes."""
+        and sharded indexes and on either side of the 64-event word
+        boundaries, each replayed on a plain set of pairs."""
         instance = random_instance(
-            seed=seed, num_users=12, num_events=6, conflict_probability=0.4
+            seed=seed,
+            num_users=12,
+            num_events=num_events,
+            conflict_probability=0.4,
+            max_bids=8,
         )
         if shard_size is not None:
             instance.configure_index(sharded=True, shard_size=shard_size)
         bid_pairs = [(e, user.user_id) for user in instance.users for e in user.bids]
         arrangement = Arrangement(instance)
+        expected: set[tuple[int, int]] = set()
         for checked, k in ops:
             pair = bid_pairs[k % len(bid_pairs)]
-            if pair in arrangement:
+            if pair in expected:
                 arrangement.remove(*pair)
+                expected.discard(pair)
             elif not checked:
                 arrangement.add(*pair, check=False)
+                expected.add(pair)
             elif arrangement.can_add(*pair):
                 arrangement.add(*pair)
-        assert_views_match_matrix(arrangement)
+                expected.add(pair)
+        assert_views_match_pairs(arrangement, expected)
 
         clone = arrangement.copy()
-        snapshot = arrangement.pairs
-        for pair in sorted(snapshot)[::2]:
+        clone_expected = set(expected)
+        for pair in sorted(expected)[::2]:
             clone.remove(*pair)
-        assert arrangement.pairs == snapshot
-        assert_views_match_matrix(arrangement)
-        assert_views_match_matrix(clone)
+            clone_expected.discard(pair)
+        assert_views_match_pairs(arrangement, expected)
+        assert_views_match_pairs(clone, clone_expected)
 
         config = ChurnConfig(
             num_batches=1,
@@ -337,6 +360,33 @@ class TestViewsAgreeWithMatrix:
             user_capacity_shock_rate=1.0,
         )
         delta = generate_churn_trace(instance, config, seed=seed).deltas[0]
-        carried = apply_delta(instance, delta, arrangement).arrangement
-        assert arrangement.pairs == snapshot
-        assert_views_match_matrix(carried)
+        result = apply_delta(instance, delta, arrangement)
+        assert_views_match_pairs(arrangement, expected)
+        dropped = set(result.dropped_pairs)
+        assert dropped <= expected
+        assert_views_match_pairs(result.arrangement, expected - dropped)
+
+
+class TestFootprint:
+    def test_copy_allocates_a_fraction_of_a_byte_per_cell(self):
+        """At |V| = 500 the store is one bit per user x event cell plus the
+        counters: ``copy()`` allocates under |U|·|V|/4 bytes, and no
+        attribute is an array with |U|·|V| elements."""
+        instance = generate_synthetic_stream(
+            SyntheticConfig(num_users=20_000, num_events=500), seed=0
+        )
+        instance.configure_index(sharded=True)
+        arrangement = GGGreedy().solve(instance, seed=0).arrangement
+        assert len(arrangement) > 0
+        cells = instance.num_users * instance.num_events
+        tracemalloc.start()
+        try:
+            clone = arrangement.copy()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cells / 4
+        for holder in (arrangement, clone):
+            for name, value in vars(holder).items():
+                if isinstance(value, np.ndarray):
+                    assert value.size < cells, name

@@ -7,6 +7,7 @@ import pytest
 
 from repro.datagen import SyntheticConfig, generate_synthetic
 from repro.model import (
+    Arrangement,
     IGEPAInstance,
     IndexCapacityError,
     InstanceIndex,
@@ -93,21 +94,23 @@ def test_sharded_index_has_no_dense_matrices(instance):
 
 
 def test_assigned_totals_match_dense(instance):
+    """``utility()`` and ``interest_total()`` of the same pairs agree
+    bit for bit on the dense and the sharded index."""
     dense = InstanceIndex(instance)
-    sharded = ShardedInstanceIndex(instance, shard_size=11)
     rng = np.random.default_rng(2)
-    mask = np.zeros((dense.num_users, dense.num_events), dtype=bool)
-    # Random subset of bid pairs only (the clean-arrangement contract).
+    # Random subset of bid pairs only (the arrangement contract).
     take = rng.random(dense.bid_indices.size) < 0.5
-    mask[dense.bid_user_positions[take], dense.bid_indices[take]] = True
-    import math
-
-    assert math.fsum(dense.assigned_weight_total(mask)) == math.fsum(
-        sharded.assigned_weight_total(mask)
-    )
-    assert math.fsum(dense.assigned_si_total(mask)) == math.fsum(
-        sharded.assigned_si_total(mask)
-    )
+    upos = dense.bid_user_positions[take]
+    vpos = dense.bid_indices[take]
+    totals = []
+    for sharded in (False, True):
+        instance.configure_index(sharded=sharded, shard_size=11 if sharded else None)
+        assert isinstance(
+            instance.index, ShardedInstanceIndex if sharded else InstanceIndex
+        )
+        arrangement = Arrangement.from_positions(instance, upos, vpos)
+        totals.append((arrangement.utility(), arrangement.interest_total()))
+    assert totals[0] == totals[1]
 
 
 def test_build_degrees_matches_scalar_reference():
