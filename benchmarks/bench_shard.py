@@ -60,7 +60,7 @@ import gc
 import numpy as np
 
 from repro.core import GGGreedy, LPPacking, LocalSearch
-from repro.core.repair import apply_with_repair
+from repro.core.repair import repair
 from repro.datagen import (
     SyntheticConfig,
     generate_synthetic,
@@ -73,6 +73,7 @@ from repro.model import (
     InstanceIndex,
     ShardedInstanceIndex,
     User,
+    apply_delta,
 )
 from tests.util import entity_built_twin, entity_inputs
 
@@ -357,7 +358,8 @@ def _columnar_gate_impl(seed: int) -> dict:
     started = time.perf_counter()
     for _ in range(COLUMNAR_CHURN_BATCHES):
         delta, next_user_id = _hand_built_delta(instance, rng, next_user_id)
-        result, _moves = apply_with_repair(instance, delta, arrangement)
+        result = apply_delta(instance, delta, arrangement)
+        repair(result)
         instance, arrangement = result.instance, result.arrangement
         del result
         gc.collect()

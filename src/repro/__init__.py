@@ -42,7 +42,7 @@ from repro.core.exact import ExactILP
 from repro.core.local_search import LocalSearch
 from repro.core.lp_packing import LPPacking
 from repro.core.online import OnlineGreedy, OnlineRandom, competitive_ratio
-from repro.core.repair import apply_with_repair, repair
+from repro.core.repair import repair
 from repro.core.result import ArrangementResult
 from repro.datagen.churn import ChurnConfig, ChurnTrace, generate_churn_trace
 from repro.datagen.meetup import MeetupConfig, generate_meetup
@@ -107,7 +107,6 @@ __all__ = [
     "generate_meetup",
     # churn engine
     "repair",
-    "apply_with_repair",
     "ChurnConfig",
     "ChurnTrace",
     "generate_churn_trace",

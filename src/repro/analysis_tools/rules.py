@@ -764,8 +764,9 @@ class RngDisciplineRule(Rule):
 #: other service module takes time through the injected Clock, so decision
 #: time stays virtual (replayable) and measurement time stays report-only.
 TIMING_REPORT_MODULES = (
+    # Only for ``lp_resolve_comparison``, which times two LP solvers outside
+    # any engine; ``replay_trace`` itself times through the engine's Clock.
     "repro/experiments/replay.py",
-    "repro/experiments/simulate.py",
     "repro/experiments/runner.py",
     "repro/core/base.py",
     "repro/service/clock.py",
@@ -811,8 +812,9 @@ class WallClockRule(Rule):
     hint = (
         "thread simulated time through the trace/config; for runtime "
         "reports use time.perf_counter() inside the timing-report "
-        "whitelist (experiments/replay.py, experiments/simulate.py, "
-        "experiments/runner.py, core/base.py, service/clock.py)"
+        "whitelist (experiments/replay.py, experiments/runner.py, "
+        "core/base.py, service/clock.py); tick drivers time through the "
+        "engine's Clock"
     )
     module_suffixes = None
 

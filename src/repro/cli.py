@@ -23,8 +23,8 @@ Subcommands:
 parsers: the platform and churn flags are declared once for all three, the
 engine and dynamics flags once for ``simulate`` and ``serve``.  One helper
 builds the platform and its churn trace (:func:`_churn_trace`), and one
-builds the :class:`~repro.service.engine.TickEngine` options
-(:func:`_engine_options`).
+builds the :class:`~repro.service.engine.TickEngine`
+(:func:`_build_engine`).
 """
 
 from __future__ import annotations
@@ -49,10 +49,11 @@ from repro.experiments.simulate import (
     PeriodicDefrag,
     RetentionDefrag,
     format_simulation_table,
-    simulate,
+    simulate_engine,
 )
 from repro.metrics.cli import add_metrics_parser
 from repro.model.instance import IGEPAInstance
+from repro.service.engine import TickEngine
 
 ALGORITHMS = {
     "lp-packing": lambda args: LPPacking(alpha=args.alpha),
@@ -188,18 +189,26 @@ def _build_defrag(args: argparse.Namespace) -> DefragSchedule:
     return DefragSchedule()
 
 
-def _engine_options(args: argparse.Namespace) -> dict:
-    """``TickEngine`` keyword options from the simulate/serve flags."""
-    return {
-        "online": ONLINE_ALGORITHMS[args.algorithm](),
-        "seed": args.seed,
-        "defrag": _build_defrag(args),
-        "oracle": REPLAY_ALGORITHMS[args.oracle](),
-        "oracle_every": args.oracle_every,
-        "defrag_lp": not args.no_defrag_lp,
-        "defrag_lp_incremental": args.defrag_lp_incremental,
-        "check_parity": args.check_parity,
-    }
+def _build_engine(
+    args: argparse.Namespace, initial: IGEPAInstance, **options
+) -> TickEngine:
+    """The simulate/serve ``TickEngine`` the flags describe; a value the
+    engine or its defrag schedule rejects becomes a usage error."""
+    try:
+        return TickEngine(
+            initial,
+            online=ONLINE_ALGORITHMS[args.algorithm](),
+            seed=args.seed,
+            defrag=_build_defrag(args),
+            oracle=REPLAY_ALGORITHMS[args.oracle](),
+            oracle_every=args.oracle_every,
+            defrag_lp=not args.no_defrag_lp,
+            defrag_lp_incremental=args.defrag_lp_incremental,
+            check_parity=args.check_parity,
+            **options,
+        )
+    except ValueError as exc:
+        raise argparse.ArgumentError(None, str(exc)) from exc
 
 
 def _finish(args: argparse.Namespace, report) -> int:
@@ -226,7 +235,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    report = simulate(_churn_trace(args), **_engine_options(args))
+    trace = _churn_trace(args)
+    report = simulate_engine(_build_engine(args, trace.initial), trace)
     print(format_simulation_table(report))
     return _finish(args, report)
 
@@ -253,7 +263,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # here.
     from repro.datagen.churn import generate_request_trace
     from repro.experiments.reporting import format_serve_table
-    from repro.service import ServiceConfig, TickEngine, VirtualClock, serve_requests
+    from repro.service import ServiceConfig, VirtualClock, serve_requests
     from repro.service.wire import request_from_dict, response_to_dict
 
     config = ServiceConfig(
@@ -264,11 +274,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     def build_engine(initial: IGEPAInstance) -> TickEngine:
-        return TickEngine(
+        return _build_engine(
+            args,
             initial,
             clock=VirtualClock(),
             switching_penalty=args.switching_penalty,
-            **_engine_options(args),
         )
 
     if args.stdin:
@@ -632,6 +642,8 @@ def main(argv: list[str] | None = None) -> int:
             args.users = default_users
     try:
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        parser.error(f"{args.command}: {exc}")
     except BrokenPipeError:
         # Downstream pager/head closed the pipe (igepa list | head): normal.
         return 0

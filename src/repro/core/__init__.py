@@ -37,7 +37,7 @@ from repro.core.metrics import (
     user_utilities,
 )
 from repro.core.online import OnlineGreedy, OnlineRandom, competitive_ratio
-from repro.core.repair import apply_with_repair, repair
+from repro.core.repair import repair
 from repro.core.result import ArrangementResult
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "improve",
     "iter_passes",
     "repair",
-    "apply_with_repair",
     "OnlineGreedy",
     "OnlineRandom",
     "competitive_ratio",

@@ -12,17 +12,15 @@ proportional to the touched set, on top of a snapshot of capacities and the
 conflict relation (O(|U| + |V|²), a couple of milliseconds at the benchmark
 scales) — not to a full re-optimization of the platform.
 
-:func:`apply_with_repair` is the one-call form the replay driver and the
-churn benchmark use: apply the delta, repair the carried arrangement, and
-report what happened.
+:class:`repro.service.engine.TickEngine` applies each churn batch and then
+runs :func:`repair` as its repair stage; replay, simulate and serve all go
+through it.
 """
 
 from __future__ import annotations
 
 from repro.core.local_search import improve
-from repro.model.arrangement import Arrangement
-from repro.model.delta import Delta, DeltaResult, apply_delta
-from repro.model.instance import IGEPAInstance
+from repro.model.delta import DeltaResult
 
 
 def repair(result: DeltaResult, max_passes: int = 20) -> dict:
@@ -80,18 +78,3 @@ def repair(result: DeltaResult, max_passes: int = 20) -> dict:
     )
     return moves
 
-
-def apply_with_repair(
-    instance: IGEPAInstance,
-    delta: Delta,
-    arrangement: Arrangement,
-    max_passes: int = 20,
-) -> tuple[DeltaResult, dict]:
-    """Apply one churn batch and repair the carried arrangement in one call.
-
-    Returns the :class:`DeltaResult` (successor instance with the
-    delta-patched index, repaired arrangement) and the repair move counts.
-    """
-    result = apply_delta(instance, delta, arrangement)
-    moves = repair(result, max_passes=max_passes)
-    return result, moves

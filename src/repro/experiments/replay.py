@@ -2,10 +2,12 @@
 
 Replays a :class:`~repro.datagen.churn.ChurnTrace` through two pipelines:
 
-* **incremental** — :func:`repro.model.delta.apply_delta` patches the
-  predecessor's :class:`~repro.model.index.InstanceIndex` and carries the
-  arrangement over, then :func:`repro.core.repair.repair` re-optimizes the
-  touched users/events only;
+* **incremental** — a :class:`~repro.service.engine.TickEngine` run: each
+  batch is the engine's churn stage (:func:`repro.model.delta.apply_delta`
+  patches the predecessor's :class:`~repro.model.index.InstanceIndex` and
+  carries the arrangement over), its targeted repair
+  (:func:`repro.core.repair.repair`, touched users/events only) and its
+  end-of-batch audit;
 * **full** — the successor instance content is materialized the same way,
   but its index is built from scratch and the base algorithm re-solves the
   whole instance.
@@ -29,13 +31,13 @@ import numpy as np
 from repro.core.base import ArrangementAlgorithm
 from repro.core.baselines import GGGreedy
 from repro.core.local_search import LocalSearch
-from repro.core.repair import repair
+# ``repair`` is unused here (batches repair through the engine); the name
+# stays because ``perfbench/spans.py`` wraps this module global for its
+# traced run and fails when it is missing.
+from repro.core.repair import repair  # noqa: F401
 from repro.datagen.churn import ChurnTrace
-from repro.model.delta import (
-    apply_delta,
-    fresh_index_like,
-    index_parity_mismatches,
-)
+from repro.model.delta import apply_delta
+from repro.service.engine import TickEngine
 
 
 class ReplayInfeasibleError(RuntimeError):
@@ -263,41 +265,42 @@ def replay_trace(
     """
     if algorithm is None:
         algorithm = LocalSearch(GGGreedy())
-    started = time.perf_counter()
+    engine = TickEngine(
+        trace.initial,
+        seed=seed,
+        oracle=algorithm,
+        defrag_lp=False,
+        max_passes=max_passes,
+        check_parity=check_parity,
+    )
+    started = engine.clock.perf()
     initial = algorithm.solve(trace.initial, seed=seed)
-    initial_seconds = time.perf_counter() - started
+    initial_seconds = engine.clock.perf() - started
+    engine.arrangement = initial.arrangement
 
     report = ReplayReport(
         algorithm=algorithm.name,
         initial_utility=initial.utility,
         initial_solve_seconds=initial_seconds,
     )
-    instance = trace.initial
-    arrangement = initial.arrangement
     for batch, delta in enumerate(trace.deltas):
-        started = time.perf_counter()
-        result = apply_delta(instance, delta, arrangement)
-        moves = repair(result, max_passes=max_passes)
-        incremental_seconds = time.perf_counter() - started
+        predecessor = engine.instance
+        started = engine.clock.perf()
+        result = engine.apply_churn(delta)
+        moves = engine.repair(result)
+        incremental_seconds = engine.clock.perf() - started
 
         full_seconds = None
         full_utility = None
         if compare_full:
-            started = time.perf_counter()
-            rebuilt = apply_delta(instance, delta, incremental=False).instance
+            started = engine.clock.perf()
+            rebuilt = apply_delta(predecessor, delta, incremental=False).instance
             rebuilt.index  # from-scratch index build, part of the full cost
             full_result = algorithm.solve(rebuilt, seed=seed + 1 + batch)
-            full_seconds = time.perf_counter() - started
+            full_seconds = engine.clock.perf() - started
             full_utility = full_result.utility
 
-        parity: list[str] | None = None
-        if check_parity:
-            parity = index_parity_mismatches(
-                result.instance.index,
-                fresh_index_like(result.instance.index, result.instance),
-            )
-
-        feasible = result.arrangement.is_feasible()
+        feasible, parity = engine.audit(result)
         report.records.append(
             BatchRecord(
                 batch=batch,
@@ -323,8 +326,6 @@ def replay_trace(
                 f"{result.arrangement.violations()[:5]}",
                 report,
             )
-        instance = result.instance
-        arrangement = result.arrangement
     return report
 
 

@@ -49,7 +49,6 @@ must be bit-identical to a from-scratch build.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -70,6 +69,7 @@ __all__ = [
     "TickRecord",
     "format_simulation_table",
     "simulate",
+    "simulate_engine",
 ]
 
 
@@ -330,7 +330,11 @@ def simulate(
             feasibility audit (never expected; a delta/repair invariant
             would be broken).  The partial report rides on the exception.
     """
-    engine = TickEngine(trace.initial, online, **engine_options)
+    return simulate_engine(TickEngine(trace.initial, online, **engine_options), trace)
+
+
+def simulate_engine(engine: TickEngine, trace: ChurnTrace) -> SimulationReport:
+    """:func:`simulate` on an engine built over ``trace.initial``."""
     initial_utility, initial_seconds = engine.bootstrap()
     report = SimulationReport(
         online_algorithm=engine.online.name,
@@ -341,7 +345,7 @@ def simulate(
     )
     last_tick = len(trace.deltas) - 1
     for tick, delta in enumerate(trace.deltas):
-        tick_started = time.perf_counter()
+        tick_started = engine.clock.perf()
         result = engine.apply_churn(delta)
         accepted = engine.serve_arrivals(result, delta)
         repair_moves = engine.repair(result)
@@ -351,7 +355,7 @@ def simulate(
         defrag_moves = None
         if defragged:
             defrag_moves, utility = engine.defragment(result, tick)
-        seconds = time.perf_counter() - tick_started
+        seconds = engine.clock.perf() - tick_started
 
         tick_oracle: float | None = None
         if engine.should_run_oracle(tick, last_tick):

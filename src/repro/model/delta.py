@@ -15,7 +15,7 @@ with
 * a **carried-over arrangement**: the predecessor's assignment with every
   pair the delta invalidated dropped (removed users/events/bids, newly
   conflicting event pairs), plus the touched user/event sets a targeted
-  repair (:func:`repro.core.repair.apply_with_repair`) should re-optimize.
+  repair (:func:`repro.core.repair.repair`) should re-optimize.
 
 The patched index is *bit-identical* to a from-scratch
 ``InstanceIndex(successor)`` build: surviving entries are copied (IEEE-754

@@ -10,9 +10,10 @@ package turns the same five-stage tick pipeline into a serving subsystem:
 * :mod:`repro.service.defrag` — when the platform pays for a full-scope
   defragmentation pass (moved here from ``experiments.simulate``).
 * :mod:`repro.service.engine` — :class:`TickEngine`, the five stages
-  (churn, arrivals, repair, defrag, oracle) as reusable steps.  The
-  synchronous :func:`repro.experiments.simulate.simulate` driver and the
-  asyncio loop below share it.
+  (churn, arrivals, repair, defrag, oracle) as reusable steps.  Churn
+  replay (:func:`repro.experiments.replay.replay_trace`), the synchronous
+  :func:`repro.experiments.simulate.simulate` driver and the asyncio loop
+  below share it.
 * :mod:`repro.service.requests` / :mod:`~repro.service.batcher` /
   :mod:`~repro.service.admission` — the ingress surface: timestamped
   arrival/churn requests, the micro-batcher that groups them into ticks,

@@ -1,43 +1,46 @@
 """The five-stage tick pipeline as a reusable engine.
 
-PR 5's :func:`repro.experiments.simulate.simulate` ran churn → arrivals →
-repair → defragmentation → oracle as one closed loop.  :class:`TickEngine`
-extracts those stages into methods over explicit live state (instance,
-arrangement, RNG, defrag LP resolver, oracle reference), so two loops can
-share them without re-implementing the invariants:
+:class:`TickEngine` holds the live state (instance, arrangement, RNG,
+defrag LP resolver, oracle reference) and runs churn → arrivals → repair →
+defragmentation → oracle as methods, so the three drivers that advance a
+churn trace share one copy of each stage and its invariants:
 
-* the **synchronous driver** (``experiments.simulate``) calls the stages
-  back-to-back per churn batch — bit-identical to the PR 5 loop, same seed
-  threading, same reports;
-* the **asyncio serving loop** (:mod:`repro.service.loop`) interleaves
-  them: arrivals are answered per-request between stage boundaries, and
-  defragmentation runs through :meth:`iter_defrag_passes` so the loop can
-  cancel it at a pass boundary (every pass is feasibility-preserving, so
-  cancellation can never strand an infeasible arrangement).
+* **replay** (``experiments.replay``) applies, repairs and audits each
+  batch and times it against a full rebuild and re-solve;
+* **simulate** (``experiments.simulate``) calls the stages back-to-back per
+  churn batch;
+* **serve** (:mod:`repro.service.loop`) interleaves them: arrivals are
+  answered per request between stage boundaries, and defragmentation runs
+  through :meth:`TickEngine.defrag_steps` so the loop can stop it at a pass
+  boundary (every pass is feasibility-preserving, so stopping can never
+  strand an infeasible arrangement).
 
-Determinism contract (unchanged from PR 5): the engine's RNG is consumed
-*only* by ``serve`` calls in arrival order; the oracle re-solve derives
-``seed + 1 + tick`` and the defrag LP ``seed + 100_003 + tick``; the
-defrag LP resolver is one object across the horizon.  All timing goes
-through the injected :class:`~repro.service.clock.Clock`'s ``perf()`` —
-measurement only, never a decision input.
+Determinism contract: the engine's RNG is consumed *only* by ``serve``
+calls in arrival order; the oracle re-solve derives ``seed + 1 + tick`` and
+the defrag LP ``seed + 100_003 + tick``; the defrag LP resolver is one
+object across the horizon.  All timing goes through the injected
+:class:`~repro.service.clock.Clock`'s ``perf()`` — measurement only, never
+a decision input.
 
 **Revocable assignments** ride on defragmentation: re-seating an
 already-served arrival pays ``switching_penalty`` per changed (user, event)
 pair into the adoption objective, so the LP candidate wins only on *net*
-gain.  With the default penalty of 0 the gate reduces exactly to PR 5's
+gain.  With the default penalty of 0 the gate reduces to
 ``lp_utility > utility``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Generator, Iterable, Iterator
 
 import numpy as np
 
 from repro.core.base import ArrangementAlgorithm
 from repro.core.baselines import GGGreedy
-from repro.core.local_search import LocalSearch, improve, iter_passes
+# No stage calls ``improve`` (defragmentation steps through ``iter_passes``);
+# the name stays because ``perfbench/spans.py`` wraps this module global for
+# its traced run and fails when it is missing.
+from repro.core.local_search import LocalSearch, improve, iter_passes  # noqa: F401
 from repro.core.lp_packing import LPPacking
 from repro.core.online import OnlineGreedy, _OnlineAlgorithm
 from repro.core.repair import repair as targeted_repair
@@ -64,7 +67,7 @@ class TickEngine:
         seed: RNG seed; per-tick oracle/defrag seeds derive from it.
         defrag: defragmentation schedule (default: never).
         oracle: full re-solve algorithm for retention (default ``gg+ls``).
-        oracle_every: oracle cadence in ticks (0: never).
+        oracle_every: oracle cadence in ticks (0: never; must be >= 0).
         defrag_lp: run an LP-packing re-solve during defrag and adopt its
             arrangement on net gain.  The benchmark LP is rebuilt per defrag
             and solved by :func:`~repro.solver.api.solve_lp`'s default
@@ -102,6 +105,8 @@ class TickEngine:
         clock: Clock | None = None,
         switching_penalty: float = 0.0,
     ):
+        if oracle_every < 0:
+            raise ValueError(f"oracle_every must be >= 0, got {oracle_every}")
         if switching_penalty < 0.0:
             raise ValueError(
                 f"switching_penalty must be >= 0, got {switching_penalty}"
@@ -230,9 +235,8 @@ class TickEngine:
     def record_switching(
         self, moves: dict, snapshot: dict[int, frozenset[int]]
     ) -> float:
-        """Charge switching costs against ``snapshot`` without an LP step
-        (a superseded defrag still pays for the re-seating its completed
-        passes did).  Mutates ``moves`` and returns the spend."""
+        """Charge the live arrangement's re-seating against ``snapshot``.
+        Mutates ``moves`` and returns the spend."""
         pairs = self.switching_pairs(snapshot)
         spend = self.switching_penalty * pairs
         moves["switching_pairs"] = pairs
@@ -246,14 +250,8 @@ class TickEngine:
 
         Yields each pass's move counts from
         :func:`~repro.core.local_search.iter_passes` — one search state for
-        the whole defrag — so the asyncio loop can insert a cancellation
-        point between passes; every pass leaves the arrangement feasible
-        (all moves are feasibility-checked), so abandoning the iteration
-        mid-defrag is always safe.  Driving it to exhaustion selects
-        exactly the moves of one ``improve(max_passes=N)`` call.  The
-        search state mirrors the arrangement, so nothing else may modify
-        it while the iteration is suspended: the serving loop settles its
-        background pipeline before a new tick touches the arrangement.
+        the whole defrag.  The search state mirrors the arrangement, so
+        nothing else may modify it while the iteration is suspended.
         """
         return iter_passes(
             result.instance, self.arrangement, max_passes=self.max_passes
@@ -275,13 +273,13 @@ class TickEngine:
         on the engine.  Mutates ``moves`` in place and returns the (possibly
         adopted) utility.
         """
-        penalty = self.switching_penalty
-        spend = (
-            penalty * self.switching_pairs(snapshot)
-            if snapshot is not None
-            else 0.0
-        )
         if self.lp_resolver is not None:
+            penalty = self.switching_penalty
+            spend = (
+                penalty * self.switching_pairs(snapshot)
+                if snapshot is not None
+                else 0.0
+            )
             lp_result = self.lp_resolver.solve(
                 result.instance, seed=self.seed + 100_003 + tick
             )
@@ -295,40 +293,55 @@ class TickEngine:
             if moves["lp_adopted"]:
                 self.arrangement = lp_result.arrangement
                 utility = lp_result.utility
-                spend = lp_spend
         if snapshot is not None:
-            pairs = self.switching_pairs(snapshot)
-            moves["switching_pairs"] = pairs
-            moves["switching_spend"] = spend
-            self.switching_pairs_total += pairs
-            self.switching_spend_total += spend
+            self.record_switching(moves, snapshot)
         result.arrangement = self.arrangement
         return utility
 
-    def defragment(
+    def defrag_steps(
         self,
         result: DeltaResult,
         tick: int,
         *,
         served_users: Iterable[int] = (),
-    ) -> tuple[dict, float]:
-        """One full-scope defragmentation pass (PR 5's ``_defragment``).
+    ) -> Generator[dict, bool | None, tuple[dict, float]]:
+        """One full-scope defragmentation: the local-search sweep
+        (:meth:`iter_defrag_passes`), then the LP step (:meth:`adopt_lp`).
 
-        Returns ``(moves, utility)`` for the (possibly LP-replaced)
-        arrangement.  ``served_users`` are charged switching costs for any
-        re-seating when a penalty is configured.
+        Yields the running move counts after every pass that moved
+        something.  Sending ``True`` there stops the defrag at that pass
+        boundary without the LP step (to hand the arrangement back fast);
+        the re-seating already done is still charged to ``served_users``
+        when a switching penalty is set.  Run to the end, the sweep makes
+        exactly the moves of one ``improve(max_passes=N)`` call.  Returns
+        ``(moves, utility)`` for the (possibly LP-replaced) arrangement.
         """
         snapshot = (
             self.assignment_snapshot(served_users)
             if self.switching_penalty > 0.0
             else None
         )
-        moves = dict(
-            improve(result.instance, self.arrangement, max_passes=self.max_passes)
-        )
-        utility = self.arrangement.utility()
-        utility = self.adopt_lp(result, tick, moves, utility, snapshot)
-        return moves, utility
+        moves = {"adds": 0, "refills": 0, "upgrades": 0, "evictions": 0, "passes": 0}
+        for counts in self.iter_defrag_passes(result):
+            for key, count in counts.items():
+                moves[key] += count
+            moves["passes"] += 1
+            if not any(counts.values()):
+                break
+            if (yield moves):
+                if snapshot is not None:
+                    self.record_switching(moves, snapshot)
+                return moves, self.utility()
+        return moves, self.adopt_lp(result, tick, moves, self.utility(), snapshot)
+
+    def defragment(self, result: DeltaResult, tick: int) -> tuple[dict, float]:
+        """:meth:`defrag_steps` run to the end: ``(moves, utility)``."""
+        steps = self.defrag_steps(result, tick)
+        while True:
+            try:
+                next(steps)
+            except StopIteration as done:
+                return done.value
 
     # ------------------------------------------------------------------
     # Stage 5: oracle + audits

@@ -338,42 +338,19 @@ class ArrangementService:
         defragged = engine.should_defrag(tick, utility)
         defrag_moves: dict | None = None
         if defragged:
-            snapshot = (
-                engine.assignment_snapshot(self._served_users)
-                if engine.switching_penalty > 0.0
-                else None
+            steps = engine.defrag_steps(
+                result, tick, served_users=self._served_users
             )
-            totals = {
-                "adds": 0,
-                "refills": 0,
-                "upgrades": 0,
-                "evictions": 0,
-                "passes": 0,
-                "superseded": False,
-            }
-            for counts in engine.iter_defrag_passes(result):
-                moved = 0
-                for key in ("adds", "refills", "upgrades", "evictions"):
-                    totals[key] += counts[key]
-                    moved += counts[key]
-                totals["passes"] += 1
-                if moved == 0:
-                    break  # converged: a genuine completion, not a supersession
-                await asyncio.sleep(0)  # cancellation point between passes
-                if self._supersede:
-                    totals["superseded"] = True
+            stop = None
+            while True:
+                try:
+                    steps.send(stop)
+                except StopIteration as done:
+                    defrag_moves, utility = done.value
                     break
-            utility = engine.utility()
-            if totals["superseded"]:
-                # No LP step mid-supersession: the point is to yield the
-                # arrangement back fast.  Re-seating already done by the
-                # completed passes is still charged.
-                if snapshot is not None:
-                    engine.record_switching(totals, snapshot)
-                result.arrangement = engine.arrangement
-            else:
-                utility = engine.adopt_lp(result, tick, totals, utility, snapshot)
-            defrag_moves = totals
+                await asyncio.sleep(0)  # cancellation point between passes
+                stop = self._supersede
+            defrag_moves["superseded"] = bool(stop)
         oracle_utility = None
         if engine.should_run_oracle(tick, tick if final else -1):
             oracle_utility = engine.oracle_solve(tick)

@@ -237,6 +237,16 @@ class TestWallClock:
         )
         assert codes(src, "src/repro/experiments/replay.py") == []
 
+    def test_perf_counter_in_simulate_flagged(self):
+        # simulate times its ticks through the engine's Clock, so a direct
+        # timer read there is a finding.
+        src = (
+            "import time\n"
+            "def stamp():\n"
+            "    return time.perf_counter()\n"
+        )
+        assert "IGP007" in codes(src, "src/repro/experiments/simulate.py")
+
     def test_service_clock_module_may_read_monotonic_timers(self):
         # service/clock.py is the serving loop's single sanctioned timer
         # access: Clock.perf() feeds latency reports, never decisions.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import GGGreedy, apply_with_repair, improve, repair
+from repro.core import GGGreedy, improve, repair
 from repro.model import Arrangement, Delta, Event, User, apply_delta
 from tests.util import random_instance, tiny_instance
 
@@ -68,9 +68,8 @@ class TestRepair:
         arrangement = Arrangement.from_pairs(
             instance, [(2, 10), (3, 11), (3, 12)]
         )
-        result, moves = apply_with_repair(
-            instance, Delta(remove_users=(10,)), arrangement
-        )
+        result = apply_delta(instance, Delta(remove_users=(10,)), arrangement)
+        moves = repair(result)
         assert (2, 12) in result.arrangement.pairs
         assert moves["refills"] >= 1
         assert moves["dropped_pairs"] == 1
@@ -80,7 +79,7 @@ class TestRepair:
         """A new user with an uncontested seat is assigned by repair."""
         instance = tiny_instance()
         arrangement = Arrangement.from_pairs(instance, [(3, 13)])
-        result, moves = apply_with_repair(
+        result = apply_delta(
             instance,
             Delta(
                 add_events=(Event(event_id=9, capacity=1),),
@@ -89,6 +88,7 @@ class TestRepair:
             ),
             arrangement,
         )
+        repair(result)
         assert (9, 70) in result.arrangement.pairs
 
     def test_new_user_without_interest_entries_can_evict(self):
@@ -108,11 +108,12 @@ class TestRepair:
             social=Graph(nodes=[10]),
         )
         arrangement = Arrangement.from_pairs(instance, [(1, 10)])
-        result, moves = apply_with_repair(
+        result = apply_delta(
             instance,
             Delta(add_users=(User(user_id=11, capacity=1, bids=(1,)),)),
             arrangement,
         )
+        moves = repair(result)
         assert 1 in result.touched_events
         assert result.arrangement.pairs == {(1, 11)}
         assert moves["evictions"] == 1
@@ -124,7 +125,7 @@ class TestRepair:
         bidder pool competes)."""
         instance = tiny_instance()
         arrangement = Arrangement.from_pairs(instance, [(3, 13)])
-        result, _moves = apply_with_repair(
+        result = apply_delta(
             instance,
             Delta(
                 add_users=(User(user_id=70, capacity=1, bids=(1,)),),
@@ -132,6 +133,7 @@ class TestRepair:
             ),
             arrangement,
         )
+        repair(result)
         # Event 1 (capacity 2): users 10 and 11 outweigh the degree-0
         # newcomer, whose lone serving would have scored lower.
         assert result.arrangement.users_of(1) == {10, 11}
@@ -141,7 +143,7 @@ class TestRepair:
     def test_new_event_attracts_rebid(self):
         instance = tiny_instance()
         arrangement = Arrangement.from_pairs(instance, [(3, 13)])
-        result, moves = apply_with_repair(
+        result = apply_delta(
             instance,
             Delta(
                 add_events=(Event(event_id=9, capacity=2),),
@@ -150,6 +152,7 @@ class TestRepair:
             ),
             arrangement,
         )
+        repair(result)
         assert (9, 10) in result.arrangement.pairs
         assert result.arrangement.is_feasible()
 
@@ -167,9 +170,8 @@ class TestRepair:
             social=Graph(nodes=[1]),
         )
         arrangement = Arrangement.from_pairs(instance, [(10, 1)])
-        result, moves = apply_with_repair(
-            instance, Delta(interest=((11, 1, 0.99),)), arrangement
-        )
+        result = apply_delta(instance, Delta(interest=((11, 1, 0.99),)), arrangement)
+        moves = repair(result)
         assert result.arrangement.pairs == {(11, 1)}
         assert moves["upgrades"] == 1
 

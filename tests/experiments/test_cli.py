@@ -114,6 +114,30 @@ def test_churn_subcommand_flags_and_defaults(command):
     assert parsed == PARSED_DEFAULTS[command]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--oracle-every", "-1"],
+        ["simulate", "--defrag", "periodic", "--defrag-period", "0"],
+        ["simulate", "--defrag", "retention", "--defrag-threshold", "1.5"],
+        ["serve", "--oracle-every", "-1"],
+        ["serve", "--defrag", "periodic", "--defrag-period", "0"],
+        ["serve", "--switching-penalty", "-1"],
+    ],
+)
+def test_out_of_range_engine_flags_are_usage_errors(argv, capsys):
+    """A value the engine or a defrag schedule rejects exits 2 with an
+    argparse error, not a traceback (and a negative cadence no longer runs
+    the oracle every tick)."""
+    small = ["--users", "20", "--events", "5", "--batches", "1"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + small)
+    assert exit_info.value.code == 2
+    error = capsys.readouterr().err
+    assert f"igepa: error: {argv[0]}: " in error
+    assert "must be" in error
+
+
 NIGHTLY = Path(__file__).resolve().parents[2] / ".github/workflows/nightly.yml"
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import GGGreedy
+from repro.core import GGGreedy, LocalSearch, RandomU, repair
 from repro.datagen import (
     ChurnConfig,
     SyntheticConfig,
@@ -12,6 +12,8 @@ from repro.datagen import (
     generate_synthetic,
 )
 from repro.experiments import format_replay_table, replay_trace
+from repro.model import InstanceIndex, ShardedInstanceIndex, apply_delta
+from repro.service import TickEngine
 
 
 def small_trace(seed=0, num_batches=4):
@@ -90,6 +92,73 @@ class TestReplay:
         text = format_replay_table(report)
         assert "feasible: True" in text
         assert "speedup:" not in text.splitlines()[-1]
+
+
+def hand_replay(trace, algorithm, seed):
+    """The replay loop written out with the model and core calls: apply the
+    batch, repair it, and re-solve a from-scratch rebuild beside it."""
+    instance = trace.initial
+    arrangement = algorithm.solve(instance, seed=seed).arrangement
+    batches = []
+    for batch, delta in enumerate(trace.deltas):
+        result = apply_delta(instance, delta, arrangement)
+        moves = repair(result)
+        rebuilt = apply_delta(instance, delta, incremental=False).instance
+        batches.append(
+            {
+                "pairs": sorted(result.arrangement.pairs),
+                "utility": result.arrangement.utility(),
+                "full_utility": algorithm.solve(rebuilt, seed=seed + 1 + batch).utility,
+                "moves": moves,
+                "dropped_pairs": len(result.dropped_pairs),
+            }
+        )
+        instance, arrangement = result.instance, result.arrangement
+    return batches
+
+
+@pytest.mark.parametrize(
+    "shards, index_class", [(0, InstanceIndex), (3, ShardedInstanceIndex)]
+)
+def test_replay_matches_hand_written_loop(shards, index_class, monkeypatch):
+    """replay_trace on TickEngine's stages makes the same decisions as a
+    plain apply_delta + repair loop, batch for batch, on both index kinds."""
+    instance = generate_synthetic(
+        SyntheticConfig(num_events=12, num_users=50), seed=3
+    )
+    if shards:
+        instance.configure_index(sharded=True, shard_size=-(-50 // shards))
+    assert type(instance.index) is index_class
+    config = ChurnConfig(
+        num_batches=4,
+        user_arrival_rate=4.0,
+        user_departure_rate=4.0,
+        rebid_rate=6.0,
+        conflict_toggle_rate=1.0,
+        burst_every=2,
+    )
+    trace = generate_churn_trace(instance, config, seed=4)
+    # A seeded base solver, so the full side's per-batch seeds matter.
+    expected = hand_replay(trace, LocalSearch(RandomU()), seed=7)
+
+    audited = []
+    audit = TickEngine.audit
+
+    def recording_audit(engine, result):
+        audited.append(sorted(engine.arrangement.pairs))
+        return audit(engine, result)
+
+    monkeypatch.setattr(TickEngine, "audit", recording_audit)
+    report = replay_trace(trace, LocalSearch(RandomU()), seed=7, compare_full=True)
+
+    assert len(report.records) == len(expected) == 4
+    for record, pairs, hand in zip(report.records, audited, expected):
+        assert pairs == hand["pairs"]
+        assert record.num_pairs == len(hand["pairs"])
+        assert record.incremental_utility == hand["utility"]
+        assert record.full_utility == hand["full_utility"]
+        assert record.moves == hand["moves"]
+        assert record.dropped_pairs == hand["dropped_pairs"]
 
 
 class TestReplayCLI:

@@ -20,12 +20,12 @@ from repro.core import (
     OnlineGreedy,
     OnlineRandom,
     RandomU,
-    apply_with_repair,
     improve,
+    repair,
 )
 from repro.datagen import ChurnConfig, generate_churn_trace
 from repro.experiments import index_parity_mismatches
-from repro.model import InstanceIndex
+from repro.model import InstanceIndex, apply_delta
 from tests.util import random_instance
 
 SEEDS = range(6)
@@ -124,7 +124,8 @@ class TestChurnRepairProperties:
         arrangement = GGGreedy().solve(instance, seed=seed).arrangement
         current = instance
         for batch, delta in enumerate(trace.deltas):
-            result, _moves = apply_with_repair(current, delta, arrangement)
+            result = apply_delta(current, delta, arrangement)
+            repair(result)
             repaired = result.arrangement
             assert repaired.violations() == [], f"batch {batch} (seed {seed})"
             assert repaired.is_feasible()
@@ -137,8 +138,6 @@ class TestChurnRepairProperties:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_carryover_alone_is_feasible(self, seed):
         """Even before repair, the carried arrangement must be feasible."""
-        from repro.model import apply_delta
-
         instance = random_instance(seed=seed, num_users=30, num_events=10)
         trace = generate_churn_trace(instance, self._config(True), seed=seed)
         arrangement = GGGreedy().solve(instance, seed=seed).arrangement
