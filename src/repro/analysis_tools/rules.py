@@ -41,7 +41,10 @@ from repro.analysis_tools.engine import (
 HOT_PATH_MODULES = (
     "repro/model/index.py",
     "repro/model/columnar.py",
+    "repro/core/admissible.py",
     "repro/core/local_search.py",
+    "repro/core/lp_formulation.py",
+    "repro/core/lp_packing.py",
     "repro/core/repair.py",
     "repro/core/metrics.py",
 )

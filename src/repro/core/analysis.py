@@ -25,7 +25,7 @@ def lp_upper_bound(
 ) -> float:
     """The benchmark-LP optimum — a valid upper bound on OPT (Lemma 1)."""
     benchmark = build_benchmark_lp(instance, max_sets_per_user=max_sets_per_user)
-    solution = solve_lp(benchmark.lp)
+    solution = solve_lp(benchmark.program)
     if not solution.is_optimal:
         raise RuntimeError(
             f"benchmark LP solve failed with status {solution.status.value}"

@@ -45,7 +45,7 @@ class ExactILP(ArrangementAlgorithm):
         benchmark = build_benchmark_lp(
             instance, integer=True, max_sets_per_user=self.max_sets_per_user
         )
-        solution = solve_lp(benchmark.lp)
+        solution = solve_lp(benchmark.program)
         diagnostics = solution.diagnostics or {}
         if not solution.is_optimal:
             # The empty arrangement is always feasible, so anything but a

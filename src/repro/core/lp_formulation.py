@@ -13,6 +13,16 @@ with ``w(u, v) = β·SI(l_v, l_u) + (1-β)·D(G, u)`` and ``w(u, S) = Σ_{v∈S}
 w(u, v)``.  Marking the variables integral turns the LP into the exact IGEPA
 ILP (Lemma 1): integral solutions correspond one-to-one with feasible
 arrangements.
+
+:func:`build_benchmark_lp` assembles the program from one batched
+enumeration of every ``A_u`` (:func:`~repro.core.admissible.
+enumerate_admissible_batch`) without a Python object per column: the
+:class:`BenchmarkLP` it returns holds the column table and an
+:class:`~repro.solver.problem.ArrayProgram` (objective, bounds, COO
+constraint triplets, right-hand sides), which
+:func:`~repro.solver.api.solve_lp` hands HiGHS as is.  The named
+:class:`~repro.solver.problem.LinearProgram` and the per-column decoding
+tables are built from those arrays on first access.
 """
 
 from __future__ import annotations
@@ -22,16 +32,15 @@ import itertools
 import math
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.admissible import (
     DEFAULT_MAX_SETS_PER_USER,
-    enumerate_all_admissible_sets,
+    enumerate_admissible_batch,
 )
 from repro.model.instance import IGEPAInstance
-from repro.solver.problem import LinearProgram, Sense
+from repro.solver.problem import ArrayProgram, LinearProgram, Sense
 
 
 def sum_in_order(weights: Iterable[float]) -> float:
@@ -48,25 +57,174 @@ def sum_in_order(weights: Iterable[float]) -> float:
     return functools.reduce(operator.add, weights, 0.0)
 
 
-@dataclass
+def set_weights(member_weights: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """``w(u, S)`` of every set whose members' ``w(u, v)`` are
+    ``member_weights[indptr[k]:indptr[k+1]]``.
+
+    Added position by position over all sets at once: left to right from
+    0.0 per set, the rule of :func:`sum_in_order`.
+    """
+    sizes = np.diff(indptr)
+    weights = np.zeros(sizes.size)
+    first_member = indptr[:-1]
+    for position in range(int(sizes.max()) if sizes.size else 0):
+        longer = np.flatnonzero(sizes > position)
+        weights[longer] += member_weights[first_member[longer] + position]
+    return weights
+
+
 class BenchmarkLP:
-    """The built LP together with its variable decoding tables.
+    """The benchmark LP's columns, as arrays, and the program over them.
+
+    Column ``j`` is the variable ``x_{u,S}`` of user position
+    ``set_upos[j]`` and the set whose event positions are
+    ``set_vpos[set_indptr[j]:set_indptr[j+1]]`` (ascending event id).
 
     Attributes:
-        lp: the :class:`LinearProgram` realizing (1)-(4).
-        assignments: per LP variable index, the ``(user_id, S)`` it encodes.
-        by_user: user id -> LP variable indices of that user's sets.
-        admissible: user id -> the user's admissible event sets (``A_u``).
+        name: the program's name.
+        user_ids / event_ids: the ids of the positions above.
+        set_upos / set_indptr / set_vpos: the column table.
+        program: the program (1)-(4) as an :class:`ArrayProgram`, what
+            :func:`~repro.solver.api.solve_lp` hands HiGHS; ``None`` for a
+            table mirrored from a patched :class:`LinearProgram` (see
+            :class:`~repro.core.lp_incremental.IncrementalBenchmarkLP`).
+
+    The object views are built on first access: ``lp`` (the
+    :class:`LinearProgram` with named variables and rows), ``assignments``
+    (per column, the ``(user_id, S)`` it encodes), ``by_user`` (user id ->
+    column indices, ascending) and ``admissible`` (user id -> ``A_u``).
+    They serve the patch chain, the revised simplex, benches and tests;
+    the LP-packing rebuild path and the exact ILP read only the arrays.
     """
 
-    lp: LinearProgram
-    assignments: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
-    by_user: dict[int, list[int]] = field(default_factory=dict)
-    admissible: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
+    def __init__(
+        self,
+        *,
+        name: str,
+        user_ids: np.ndarray,
+        event_ids: np.ndarray,
+        set_upos: np.ndarray,
+        set_indptr: np.ndarray,
+        set_vpos: np.ndarray,
+        program: ArrayProgram | None = None,
+        lp: LinearProgram | None = None,
+        assignments: list[tuple[int, tuple[int, ...]]] | None = None,
+        by_user: dict[int, list[int]] | None = None,
+        admissible: dict[int, list[tuple[int, ...]]] | None = None,
+    ):
+        self.name = name
+        self.user_ids = user_ids
+        self.event_ids = event_ids
+        self.set_upos = set_upos
+        self.set_indptr = set_indptr
+        self.set_vpos = set_vpos
+        self.program = program
+        self._lp = lp
+        self._assignments = assignments
+        self._by_user = by_user
+        self._admissible = admissible
 
-    def set_weight(self, instance: IGEPAInstance, user_id: int, events: tuple[int, ...]) -> float:
-        """``w(u, S)`` for a decoded variable."""
-        return sum_in_order(instance.weight(user_id, event_id) for event_id in events)
+    @property
+    def num_columns(self) -> int:
+        """The number of LP variables, one per (user, admissible set)."""
+        return self.set_upos.size
+
+    # ------------------------------------------------------------------
+    # Object views, built on first access
+    # ------------------------------------------------------------------
+    @property
+    def assignments(self) -> list[tuple[int, tuple[int, ...]]]:
+        if self._assignments is None:
+            flat = self.event_ids[self.set_vpos].tolist()
+            bounds = self.set_indptr.tolist()
+            self._assignments = list(
+                zip(
+                    self.user_ids[self.set_upos].tolist(),
+                    [tuple(flat[lo:hi]) for lo, hi in itertools.pairwise(bounds)],
+                )
+            )
+        return self._assignments
+
+    @property
+    def by_user(self) -> dict[int, list[int]]:
+        if self._by_user is None:
+            order = np.argsort(self.set_upos, kind="stable").tolist()
+            counts = np.bincount(self.set_upos, minlength=self.user_ids.size)
+            ends = itertools.accumulate(counts.tolist())
+            self._by_user = {
+                user_id: order[end - count : end]
+                for user_id, count, end in zip(
+                    self.user_ids.tolist(), counts.tolist(), ends
+                )
+            }
+        return self._by_user
+
+    @property
+    def admissible(self) -> dict[int, list[tuple[int, ...]]]:
+        if self._admissible is None:
+            assignments = self.assignments
+            self._admissible = {
+                user_id: [assignments[k][1] for k in columns]
+                for user_id, columns in self.by_user.items()
+            }
+        return self._admissible
+
+    def materialize(self) -> BenchmarkLP:
+        """Build every object view now; returns ``self``."""
+        for view in ("lp", "assignments", "by_user", "admissible"):
+            getattr(self, view)
+        return self
+
+    @property
+    def lp(self) -> LinearProgram:
+        """The program as a :class:`LinearProgram`: variables
+        ``x[u,e1,e2,…]``, rows ``user[u]`` then ``event[v]``."""
+        if self._lp is None:
+            self._lp = self._build_lp()
+        return self._lp
+
+    def _build_lp(self) -> LinearProgram:
+        program = self.program
+        if program is None:
+            raise ValueError("a mirrored column table carries its own lp")
+        lp = LinearProgram(name=self.name, maximize=program.maximize)
+        # Users share many sets, so each distinct set is spelled out once.
+        assignments = self.assignments
+        distinct = {events for _u, events in assignments}
+        labels = {events: ",".join(map(str, events)) for events in distinct}
+        upper = program.upper[0] if program.num_variables else math.inf
+        lp.add_variables(
+            [f"x[{user_id},{labels[events]}]" for user_id, events in assignments],
+            objective=program.objective,
+            lower=0.0,
+            upper=float(upper),
+            is_integer=program.has_integer_variables,
+        )
+        # One (2) row per user and one (3) row per event with a column.
+        user_rows = np.bincount(self.set_upos, minlength=self.user_ids.size) > 0
+        event_rows = np.bincount(self.set_vpos, minlength=self.event_ids.size) > 0
+        lp.add_constraints(
+            [f"user[{u}]" for u in self.user_ids[user_rows].tolist()]
+            + [f"event[{v}]" for v in self.event_ids[event_rows].tolist()],
+            Sense.LE,
+            program.rhs,
+            program.rows,
+            program.cols,
+            program.vals,
+        )
+        return lp
+
+    # ------------------------------------------------------------------
+    # Decoding
+    # ------------------------------------------------------------------
+    def column_pairs(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(user positions, event positions)`` of every member of the
+        given columns, column by column in the given order."""
+        starts = self.set_indptr[columns]
+        sizes = self.set_indptr[columns + 1] - starts
+        members = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        members += np.arange(members.size)
+        return np.repeat(self.set_upos[columns], sizes), self.set_vpos[members]
 
     def pairs_from_solution(self, x, threshold: float = 0.5) -> list[tuple[int, int]]:
         """Decode an *integral* solution into ``(event_id, user_id)`` pairs.
@@ -75,12 +233,9 @@ class BenchmarkLP:
         truly integral solutions any threshold in (0, 1) gives the same
         result.
         """
-        pairs: list[tuple[int, int]] = []
         chosen = np.flatnonzero(np.asarray(x, dtype=float) > threshold)
-        for index in chosen.tolist():
-            user_id, events = self.assignments[index]
-            pairs.extend((event_id, user_id) for event_id in events)
-        return pairs
+        upos, vpos = self.column_pairs(chosen)
+        return list(zip(self.event_ids[vpos].tolist(), self.user_ids[upos].tolist()))
 
 
 def build_benchmark_lp(
@@ -88,16 +243,19 @@ def build_benchmark_lp(
     *,
     integer: bool = False,
     max_sets_per_user: int = DEFAULT_MAX_SETS_PER_USER,
-    admissible: dict[int, list[tuple[int, ...]]] | None = None,
     implied_upper: bool = False,
 ) -> BenchmarkLP:
-    """Construct the benchmark LP (1)-(4) for ``instance``.
+    """Construct the benchmark LP (1)-(4) for ``instance``, as arrays.
+
+    Columns run user by user (instance order), each user's sets in ``A_u``
+    order, so user ``u``'s columns are one contiguous range.  Rows are the
+    (2) row of every user with a column, then the (3) row of every event in
+    some column, both in position order.
 
     Args:
         instance: the IGEPA instance.
         integer: mark variables integral (the exact ILP of Lemma 1).
         max_sets_per_user: admissible-set explosion guard.
-        admissible: pre-enumerated ``A_u`` (skips re-enumeration).
         implied_upper: leave the variables' upper bounds at ``+inf`` and let
             constraint (2) imply (4): every variable appears in its user's
             row with coefficient 1 and rhs 1, so ``x ≤ 1`` holds at every
@@ -110,101 +268,53 @@ def build_benchmark_lp(
     Raises:
         AdmissibleSetExplosion: propagated from enumeration.
     """
-    if admissible is None:
-        admissible = enumerate_all_admissible_sets(instance, max_sets_per_user)
-
     index = instance.index
-    user_ids = index.user_ids.tolist()
-    event_ids = index.event_ids.tolist()
-    num_events = len(event_ids)
-    # Variables run user by user (instance order), each user's sets in A_u
-    # order, so user u's variables are one contiguous range.
-    user_sets = [admissible.get(user_id, []) for user_id in user_ids]
-    counts = np.fromiter(map(len, user_sets), dtype=np.int64, count=len(user_ids))
-    sets: list[tuple[int, ...]] = list(itertools.chain.from_iterable(user_sets))
-    num_vars = len(sets)
-    ends = np.cumsum(counts).tolist()
-    by_user = {
-        user_id: list(range(end - count, end))
-        for user_id, count, end in zip(user_ids, counts.tolist(), ends)
-    }
-    var_upos = np.repeat(np.arange(len(user_ids), dtype=np.int64), counts)
-    var_user_ids = index.user_ids[var_upos].tolist()
-    assignments = list(zip(var_user_ids, sets))
-
-    # One entry per (variable, event) membership, variables in order.
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=num_vars)
+    sets = enumerate_admissible_batch(index, max_sets=max_sets_per_user)
+    num_vars = sets.upos.size
+    sizes = np.diff(sets.indptr)
     member_var = np.repeat(np.arange(num_vars, dtype=np.int64), sizes)
-    member_upos = var_upos[member_var]
-    member_ids = np.fromiter(
-        itertools.chain.from_iterable(sets), dtype=np.int64, count=member_var.size
-    )
-    member_vpos = np.fromiter(
-        map(index.event_pos.__getitem__, member_ids.tolist()),
-        dtype=np.int64,
-        count=member_ids.size,
-    )
 
-    # w(u, S) = Σ_{v∈S} w(u, v) over the CSR weights, added position by
-    # position over all sets at once: left to right from 0.0 per set, the
-    # rule of sum_in_order.  Caller-supplied admissible sets may reach
-    # outside the bid list; those pairs take the scalar accessor.
-    member_weights = index.pair_weights(member_upos, member_vpos)
-    for k in np.flatnonzero(~index.pair_bid_mask(member_upos, member_vpos)).tolist():
-        member_weights[k] = instance.weight(
-            var_user_ids[member_var[k]], int(member_ids[k])
-        )
-    weights = np.zeros(num_vars)
-    first_member = np.cumsum(sizes) - sizes
-    for position in range(int(sizes.max()) if num_vars else 0):
-        longer = np.flatnonzero(sizes > position)
-        weights[longer] += member_weights[first_member[longer] + position]
-
-    lp = LinearProgram(name=f"benchmark-lp[{instance.name}]", maximize=True)
-    # Users share many sets, so each distinct set is spelled out once.
-    labels = {events_: ",".join(map(str, events_)) for events_ in set(sets)}
-    lp.add_variables(
-        [f"x[{user_id},{labels[events_]}]" for user_id, events_ in assignments],
-        objective=weights,
-        lower=0.0,
-        upper=math.inf if implied_upper else 1.0,
-        is_integer=integer,
-    )
-
-    # (3) counts each variable once per event, so repeats of an event inside
-    # a caller-supplied set collapse to their first occurrence.  Enumerated
-    # sets are strictly increasing, which rules repeats out.
-    in_set = member_var[1:] == member_var[:-1]
-    if np.any(in_set & (member_ids[1:] <= member_ids[:-1])):
-        keys = member_var * max(1, num_events) + member_vpos
-        first = np.sort(np.unique(keys, return_index=True)[1])
-        member_var, member_vpos = member_var[first], member_vpos[first]
+    weights = set_weights(index.bid_weights[sets.bids], sets.indptr)
 
     # (2): at most one admissible set per user, over the user's contiguous
     # variable range.  (3): event capacity over all sets containing the
     # event, variables ascending (a stable sort of the variable-ordered
     # memberships by event).  Every coefficient is 1.0.
+    counts = sets.counts
     user_rows = np.flatnonzero(counts)
-    event_counts = np.bincount(member_vpos, minlength=num_events)
+    event_counts = np.bincount(sets.vpos, minlength=index.num_events)
     event_rows = np.flatnonzero(event_counts)
     row_lengths = np.concatenate([counts[user_rows], event_counts[event_rows]])
     cols = np.concatenate(
         [
             np.arange(num_vars, dtype=np.int64),
-            member_var[np.argsort(member_vpos, kind="stable")],
+            member_var[np.argsort(sets.vpos, kind="stable")],
         ]
     )
-    lp.add_constraints(
-        [f"user[{user_ids[p]}]" for p in user_rows.tolist()]
-        + [f"event[{event_ids[p]}]" for p in event_rows.tolist()],
-        Sense.LE,
-        [1.0] * user_rows.size
-        + index.event_capacity[event_rows].astype(np.float64).tolist(),
-        np.repeat(np.arange(row_lengths.size, dtype=np.int64), row_lengths),
-        cols,
-        np.ones(cols.size),
+    num_rows = row_lengths.size
+    program = ArrayProgram(
+        maximize=True,
+        objective=weights,
+        lower=np.zeros(num_vars),
+        upper=np.full(num_vars, math.inf if implied_upper else 1.0),
+        integer=np.full(num_vars, integer),
+        rows=np.repeat(np.arange(num_rows, dtype=np.int64), row_lengths),
+        cols=cols,
+        vals=np.ones(cols.size),
+        senses=np.ones(num_rows, dtype=np.int64),
+        rhs=np.concatenate(
+            [
+                np.ones(user_rows.size),
+                index.event_capacity[event_rows].astype(np.float64),
+            ]
+        ),
     )
-
     return BenchmarkLP(
-        lp=lp, assignments=assignments, by_user=by_user, admissible=admissible
+        name=f"benchmark-lp[{instance.name}]",
+        user_ids=index.user_ids,
+        event_ids=index.event_ids,
+        set_upos=sets.upos,
+        set_indptr=sets.indptr,
+        set_vpos=sets.vpos,
+        program=program,
     )

@@ -40,12 +40,23 @@ same setting.
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
+
 from repro.core.admissible import (
     DEFAULT_MAX_SETS_PER_USER,
-    enumerate_admissible_sets,
+    enumerate_admissible_batch,
+    split_sets,
 )
-from repro.core.lp_formulation import BenchmarkLP, build_benchmark_lp, sum_in_order
+from repro.core.lp_formulation import (
+    BenchmarkLP,
+    build_benchmark_lp,
+    set_weights,
+    sum_in_order,
+)
 from repro.model.delta import Delta
+from repro.model.index import BaseInstanceIndex
 from repro.model.instance import IGEPAInstance
 from repro.solver.api import solve_lp
 from repro.solver.patch import (
@@ -70,6 +81,48 @@ def _column_name(user_id: int, events: tuple[int, ...]) -> str:
     return f"x[{user_id},{','.join(map(str, events))}]"
 
 
+def _mirrored(
+    benchmark: BenchmarkLP,
+    index: BaseInstanceIndex,
+    *,
+    by_user: dict[int, list[int]],
+    admissible: dict[int, list[tuple[int, ...]]],
+) -> BenchmarkLP:
+    """The column table of the patched ``benchmark.lp``, read off its
+    mirrored ``assignments`` against the successor's ``index``."""
+    assignments = benchmark.assignments
+    sizes = np.fromiter(
+        (len(events) for _u, events in assignments),
+        dtype=np.int64,
+        count=len(assignments),
+    )
+    set_indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=set_indptr[1:])
+    return BenchmarkLP(
+        name=benchmark.name,
+        user_ids=index.user_ids,
+        event_ids=index.event_ids,
+        set_upos=np.fromiter(
+            (index.user_pos[user_id] for user_id, _s in assignments),
+            dtype=np.int64,
+            count=sizes.size,
+        ),
+        set_indptr=set_indptr,
+        set_vpos=np.fromiter(
+            map(
+                index.event_pos.__getitem__,
+                itertools.chain.from_iterable(events for _u, events in assignments),
+            ),
+            dtype=np.int64,
+            count=int(set_indptr[-1]),
+        ),
+        lp=benchmark.lp,
+        assignments=assignments,
+        by_user=by_user,
+        admissible=admissible,
+    )
+
+
 class IncrementalBenchmarkLP:
     """One benchmark LP, delta-patched across churn and solved by HiGHS.
 
@@ -81,7 +134,9 @@ class IncrementalBenchmarkLP:
     Attributes:
         benchmark: the live :class:`BenchmarkLP` — its ``lp`` is patched in
             place, its ``assignments`` / ``by_user`` / ``admissible`` side
-            tables are mirrored after every patch.
+            tables are mirrored after every patch, and its column arrays
+            (what sampling and repair read) are re-read from the mirrored
+            ``assignments`` against the successor's index.
         instance: the instance the program currently describes.
     """
 
@@ -93,19 +148,21 @@ class IncrementalBenchmarkLP:
     ):
         self.instance = instance
         self.max_sets_per_user = max_sets_per_user
-        self.benchmark: BenchmarkLP = build_benchmark_lp(
+        # The chain owns the object views from here on and patches them in
+        # place, so they are built once, now, from the rebase's arrays.
+        built = build_benchmark_lp(
             instance,
             max_sets_per_user=max_sets_per_user,
             implied_upper=True,
-        )
+        ).materialize()
+        self.benchmark: BenchmarkLP = built
         self.deltas_observed = 0
         # Live column count per event id — an event row exists iff > 0.
-        self._event_columns: dict[int, int] = {}
-        for _user_id, events in self.benchmark.assignments:
-            for event_id in dict.fromkeys(events):
-                self._event_columns[event_id] = (
-                    self._event_columns.get(event_id, 0) + 1
-                )
+        counts = np.bincount(built.set_vpos, minlength=built.event_ids.size)
+        live = np.flatnonzero(counts)
+        self._event_columns: dict[int, int] = dict(
+            zip(built.event_ids[live].tolist(), counts[live].tolist())
+        )
 
     # ------------------------------------------------------------------
     # Delta -> patch translation
@@ -210,27 +267,27 @@ class IncrementalBenchmarkLP:
         new_sets: dict[int, list[tuple[int, ...]]] = {}
         added_records: list[tuple[int, tuple[int, ...]]] = []
         new_index = successor.index
-        user_by_id = successor.user_by_id
-        for user_id in sorted(dirty):
-            user = user_by_id[user_id]
-            sets = enumerate_admissible_sets(
-                successor, user, self.max_sets_per_user
-            )
+        # Every dirty user's A_u in one batch, users in id order.
+        dirty_ids = sorted(dirty)
+        batch = enumerate_admissible_batch(
+            new_index,
+            np.fromiter(
+                map(new_index.user_pos.__getitem__, dirty_ids),
+                dtype=np.int64,
+                count=len(dirty_ids),
+            ),
+            self.max_sets_per_user,
+        )
+        weights = set_weights(new_index.bid_weights[batch.bids], batch.indptr).tolist()
+        ends = itertools.accumulate(batch.counts.tolist())
+        for user_id, sets, end in zip(dirty_ids, split_sets(batch, new_index), ends):
             new_sets[user_id] = sets
             if not sets:
                 continue
             add_constraints.append(
                 PatchConstraint(_user_row(user_id), Sense.LE, 1.0)
             )
-            upos = new_index.user_pos[user_id]
-            weight_of = new_index.user_weight_by_event_id(upos)
-            for events in sets:
-                weight = sum_in_order(
-                    weight_of[event_id]
-                    if event_id in weight_of
-                    else successor.weight(user_id, event_id)
-                    for event_id in events
-                )
+            for events, weight in zip(sets, weights[end - len(sets) : end]):
                 coefficients = [(_user_row(user_id), 1.0)]
                 for event_id in dict.fromkeys(events):
                     coefficients.append((_event_row(event_id), 1.0))
@@ -348,11 +405,14 @@ class IncrementalBenchmarkLP:
         }
         for idx, (user_id, _events) in enumerate(benchmark.assignments):
             by_user[user_id].append(idx)
-        benchmark.by_user = by_user
 
+        admissible = benchmark.admissible
         for user_id in removed_users:
-            benchmark.admissible.pop(user_id, None)
-        benchmark.admissible.update(new_sets)
+            admissible.pop(user_id, None)
+        admissible.update(new_sets)
+        self.benchmark = _mirrored(
+            benchmark, successor.index, by_user=by_user, admissible=admissible
+        )
 
         self.instance = successor
         self.deltas_observed += 1

@@ -10,6 +10,12 @@ The algorithm:
    assignment to an event that is already full;
 4. return the surviving pairs as the arrangement.
 
+The rebuild path runs on arrays end to end: the LP is built as an
+:class:`~repro.solver.problem.ArrayProgram` and handed to HiGHS as such,
+sampling reads each user's column range, the repair ranks pairs per event,
+and the arrangement is filled from the surviving positions and then audited
+against Definition 4 in one vectorized pass.
+
 Theorem 2: with ``α = 1/2`` the expected utility is at least
 ``α(1-α) = 1/4`` of the LP optimum, hence of OPT.  The paper's experiments
 set ``α = 1`` (§IV "Baselines"), which is this implementation's default;
@@ -29,7 +35,6 @@ pair survives when an event is oversubscribed.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 
 import numpy as np
@@ -40,6 +45,7 @@ from repro.core.lp_formulation import BenchmarkLP, build_benchmark_lp
 from repro.core.lp_incremental import IncrementalBenchmarkLP
 from repro.model.arrangement import Arrangement
 from repro.model.delta import Delta
+from repro.model.errors import ArrangementError
 from repro.model.instance import IGEPAInstance
 from repro.solver.api import solve_lp
 from repro.solver.result import LPSolution
@@ -146,27 +152,29 @@ class LPPacking(ArrangementAlgorithm):
         benchmark: BenchmarkLP,
         x_star: np.ndarray,
         rng: np.random.Generator,
-    ) -> dict[int, tuple[int, ...]]:
+    ) -> np.ndarray:
         """Sample ``S_u`` per user with probability ``α·x*_{u,S}``.
 
-        Returns only users that drew a set.  Sampling is independent across
-        users, exactly as the analysis of Theorem 2 requires.  All users are
-        drawn at once: one ``rng.random`` call makes the per-user draws (the
-        same stream as one scalar draw per user with sets, in ``by_user``
-        order), and every sum below is accumulated in the order the scalar
+        Returns the column of each drawn set, in user position order; users
+        that drew no set have none.  Sampling is independent across users,
+        exactly as the analysis of Theorem 2 requires.  A user's sets are
+        the user's columns in ascending order.  All users are drawn at
+        once: one ``rng.random`` call makes the per-user draws (the same
+        stream as one scalar draw per user with sets, in user order), and
+        every sum below is accumulated in the order the scalar
         ``np.sum``/``np.cumsum`` over the user's own probabilities uses, so
         the result is bit for bit that of a per-user loop.
         """
-        users = [user_id for user_id, indices in benchmark.by_user.items() if indices]
-        if not users:
-            return {}
-        groups = [benchmark.by_user[user_id] for user_id in users]
-        lengths = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+        set_upos = benchmark.set_upos
+        if not set_upos.size:
+            return np.empty(0, dtype=np.int64)
+        # Columns user by user: an array-built program holds each user's as
+        # one ascending range already, a patched one holds them anywhere.
+        flat = np.argsort(set_upos, kind="stable")
+        lengths = np.bincount(set_upos)
+        lengths = lengths[lengths > 0]
         ends = np.cumsum(lengths)
         starts = ends - lengths
-        flat = np.fromiter(
-            itertools.chain.from_iterable(groups), dtype=np.int64, count=int(ends[-1])
-        )
         probabilities = self.alpha * np.clip(x_star[flat], 0.0, 1.0)
         cumulative = _running_sums(probabilities, starts, lengths)
         totals = cumulative[ends - 1]
@@ -183,19 +191,14 @@ class LPPacking(ArrangementAlgorithm):
             # solver noise, so rescale rather than crash (x / 1.0 is x).
             probabilities /= np.repeat(np.where(over, totals, 1.0), lengths)
             cumulative = _running_sums(probabilities, starts, lengths)
-        draws = rng.random(len(users))
+        draws = rng.random(lengths.size)
         # First offset whose running sum strictly exceeds the draw, i.e. the
         # count of running sums at or below it (they never decrease).
         offsets = np.add.reduceat(
             (cumulative <= np.repeat(draws, lengths)).astype(np.int64), starts
         )
         drew = np.flatnonzero(offsets < lengths)
-        chosen = flat[starts[drew] + offsets[drew]].tolist()
-        assignments = benchmark.assignments
-        return {
-            users[k]: assignments[index][1]
-            for k, index in zip(drew.tolist(), chosen)
-        }
+        return flat[starts[drew] + offsets[drew]]
 
     # ------------------------------------------------------------------
     # Algorithm 1, lines 4-7: capacity repair
@@ -203,50 +206,45 @@ class LPPacking(ArrangementAlgorithm):
     def repair(
         self,
         instance: IGEPAInstance,
-        sampled: dict[int, tuple[int, ...]],
+        benchmark: BenchmarkLP,
+        chosen: np.ndarray,
         rng: np.random.Generator,
-    ) -> list[tuple[int, int]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Drop assignments to events whose capacity the sample exceeds.
 
-        The sampled sets already satisfy the bid, user-capacity and conflict
-        constraints (they are admissible), so only event capacities (c_v) can
-        be violated.  Pairs are scanned in the configured order and kept
-        while their event has room — every scan order yields a feasible
-        arrangement.
+        The sampled sets (``chosen`` columns of ``benchmark``) already
+        satisfy the bid, user-capacity and conflict constraints (they are
+        admissible), so only event capacities (c_v) can be violated.  Pairs
+        are scanned in the configured order and kept while their event has
+        room: a pair survives iff its rank among its event's pairs in scan
+        order is below the event's capacity.  Every scan order yields a
+        feasible arrangement.
+
+        Returns:
+            The surviving pairs as ``(user positions, event positions)``,
+            in scan order.
         """
         index = instance.index
-        pairs: list[tuple[int, int]] = []
-        for user_id, events in sampled.items():
-            pairs.extend((event_id, user_id) for event_id in sorted(events))
-
+        upos, vpos = benchmark.column_pairs(chosen)
         if self.repair_order == "random":
-            rng.shuffle(pairs)
-        elif pairs:
-            # Argsort over the index arrays replaces the per-pair key tuples.
-            event_ids = np.fromiter((p[0] for p in pairs), dtype=np.int64)
-            upos = np.fromiter(
-                (index.user_pos[p[1]] for p in pairs), dtype=np.int64
-            )
+            # Shuffling the pair indices swaps as shuffling the pairs would:
+            # the same permutation from the same stream.
+            order = np.arange(upos.size)
+            rng.shuffle(order)
+        else:
+            event_ids = index.event_ids[vpos]
             if self.repair_order == "user":
                 order = np.lexsort((event_ids, upos))
             else:  # "weight": decreasing w(u, v), ties by (user position, event)
-                vpos = np.fromiter(
-                    (index.event_pos[e] for e in event_ids), dtype=np.int64
-                )
-                # Sampled sets are admissible, hence bid pairs.
                 weights = index.pair_weights(upos, vpos)
                 order = np.lexsort((event_ids, upos, -weights))
-            pairs = [pairs[k] for k in order.tolist()]
-
-        remaining = index.event_capacity.tolist()
-        event_pos = index.event_pos
-        survivors: list[tuple[int, int]] = []
-        for event_id, user_id in pairs:
-            position = event_pos[event_id]
-            if remaining[position] > 0:
-                remaining[position] -= 1
-                survivors.append((event_id, user_id))
-        return survivors
+        upos, vpos = upos[order], vpos[order]
+        by_event = np.argsort(vpos, kind="stable")
+        grouped = vpos[by_event]
+        rank = np.empty(vpos.size, dtype=np.int64)
+        rank[by_event] = np.arange(vpos.size) - np.searchsorted(grouped, grouped)
+        keep = rank < index.event_capacity[vpos]
+        return upos[keep], vpos[keep]
 
     # ------------------------------------------------------------------
     # Incremental churn feed
@@ -297,7 +295,7 @@ class LPPacking(ArrangementAlgorithm):
             benchmark = build_benchmark_lp(
                 instance, max_sets_per_user=self.max_sets_per_user
             )
-            solution = solve_lp(benchmark.lp)
+            solution = solve_lp(benchmark.program)
         if not solution.is_optimal:
             raise LPPackingError.from_solution(solution)
         x_star = solution.x
@@ -313,18 +311,23 @@ class LPPacking(ArrangementAlgorithm):
         benchmark, x_star, lp_objective, iterations, backend = self._solved_benchmark(
             instance
         )
-        sampled = self.sample_sets(benchmark, x_star, rng)
-        sampled_pairs = sum(len(events) for events in sampled.values())
-        survivors = self.repair(instance, sampled, rng)
-        arrangement = Arrangement.from_pairs(instance, survivors, check=True)
+        chosen = self.sample_sets(benchmark, x_star, rng)
+        sampled_pairs = int(
+            (benchmark.set_indptr[chosen + 1] - benchmark.set_indptr[chosen]).sum()
+        )
+        upos, vpos = self.repair(instance, benchmark, chosen, rng)
+        arrangement = Arrangement.from_positions(instance, upos, vpos)
+        if not arrangement.is_feasible():
+            raise ArrangementError(
+                "LP-packing repair left a Definition-4 violation: "
+                + "; ".join(arrangement.violations())
+            )
         details = {
             "lp_objective": lp_objective,
-            "num_variables": benchmark.lp.num_variables,
-            "num_admissible_sets": sum(
-                len(sets) for sets in benchmark.admissible.values()
-            ),
+            "num_variables": benchmark.num_columns,
+            "num_admissible_sets": benchmark.num_columns,
             "num_sampled_pairs": sampled_pairs,
-            "num_surviving_pairs": len(survivors),
+            "num_surviving_pairs": int(upos.size),
             "lp_iterations": iterations,
             "lp_backend": backend,
             "alpha": self.alpha,

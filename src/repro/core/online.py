@@ -31,7 +31,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.admissible import DEFAULT_MAX_SETS_PER_USER, enumerate_bid_sets
+from repro.core.admissible import (
+    DEFAULT_MAX_SETS_PER_USER,
+    enumerate_admissible_batch,
+    enumerate_bid_sets,
+    split_sets,
+)
 from repro.core.analysis import lp_upper_bound
 from repro.core.base import ArrangementAlgorithm
 from repro.model.arrangement import Arrangement
@@ -82,9 +87,15 @@ class _OnlineAlgorithm(ArrangementAlgorithm):
     ) -> tuple[Arrangement, dict]:
         arrangement = Arrangement(instance)
         order = self._arrivals(instance, rng)
+        self.prepare(instance, order)
         for user_id in order:
             self._serve(instance, arrangement, user_id, rng)
         return arrangement, {"arrivals": len(order)}
+
+    def prepare(self, instance: IGEPAInstance, user_ids: Sequence[int]) -> None:
+        """Announce arrivals about to be served on ``instance``, in order
+        (a full solve's whole arrival order, or a serving tick's batch), so
+        a policy can do their per-user work in one batch.  A no-op here."""
 
     def serve(
         self,
@@ -172,7 +183,10 @@ class OnlineGreedy(_OnlineAlgorithm):
     enumeration (re-bids, capacity shocks, conflict toggles among the
     user's events) changes the fingerprint and misses the cache, so no
     explicit invalidation wiring is needed for correctness;
-    :meth:`forget_users` bounds memory when users depart.  Set
+    :meth:`forget_users` bounds memory when users depart.  Misses take
+    their sets from the last :meth:`prepare` batch when it covers them (a
+    full solve announces its whole arrival order, the serving tick its
+    batch), so their enumeration runs as one batched walk.  Set
     ``cache_admissible=False`` to force the PR 5 brute-force path
     (``bench_extension_online`` measures the difference).
     """
@@ -195,10 +209,40 @@ class OnlineGreedy(_OnlineAlgorithm):
         self._set_cache: dict[int, tuple[object, tuple[tuple[int, ...], ...]]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
+        # A_u of the last prepared arrivals, enumerated in one batch and
+        # taken in place of one-user enumerations; valid for that index only.
+        self._batched: tuple[BaseInstanceIndex | None, dict] = (None, {})
 
     def forget_users(self, user_ids: Sequence[int]) -> None:
         for user_id in user_ids:
             self._set_cache.pop(user_id, None)
+
+    def prepare(self, instance: IGEPAInstance, user_ids: Sequence[int]) -> None:
+        """Enumerate the arrivals' ``A_u`` in one batch, in arrival order
+        (so an explosion names the user a one-by-one walk would)."""
+        index = instance.index
+        upos = np.fromiter(
+            map(index.user_pos.__getitem__, user_ids),
+            dtype=np.int64,
+            count=len(user_ids),
+        )
+        sets = enumerate_admissible_batch(index, upos, self.max_sets_per_user)
+        self._batched = (index, dict(zip(user_ids, split_sets(sets, index))))
+
+    def _enumerate(
+        self,
+        index: BaseInstanceIndex,
+        user_id: int,
+        bids: tuple[int, ...],
+        capacity: int,
+    ) -> tuple[tuple[int, ...], ...]:
+        batched_index, batched = self._batched
+        sets = batched.pop(user_id, None) if batched_index is index else None
+        if sets is None:
+            sets = enumerate_bid_sets(
+                index, user_id, bids, capacity, self.max_sets_per_user
+            )
+        return tuple(sets)
 
     def _admissible_sets(
         self,
@@ -209,11 +253,7 @@ class OnlineGreedy(_OnlineAlgorithm):
     ) -> tuple[tuple[int, ...], ...]:
         """The user's admissible sets, memoized behind a content key."""
         if not self.cache_admissible:
-            return tuple(
-                enumerate_bid_sets(
-                    index, user_id, bids, capacity, self.max_sets_per_user
-                )
-            )
+            return self._enumerate(index, user_id, bids, capacity)
         event_pos = index.event_pos
         conflict_bits = index.conflict_bits
         positions = tuple(event_pos[event_id] for event_id in bids)
@@ -231,9 +271,7 @@ class OnlineGreedy(_OnlineAlgorithm):
             self.cache_hits += 1
             return cached[1]
         self.cache_misses += 1
-        sets = tuple(
-            enumerate_bid_sets(index, user_id, bids, capacity, self.max_sets_per_user)
-        )
+        sets = self._enumerate(index, user_id, bids, capacity)
         self._set_cache[user_id] = (fingerprint, sets)
         return sets
 

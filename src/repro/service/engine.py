@@ -168,6 +168,11 @@ class TickEngine:
     # ------------------------------------------------------------------
     # Stage 2: arrivals
     # ------------------------------------------------------------------
+    def prepare_arrivals(self, user_ids: list[int]) -> None:
+        """Announce the arrivals about to be served, in order, so the online
+        policy can enumerate their options in one batch."""
+        self.online.prepare(self.instance, user_ids)
+
     def serve_one(self, user_id: int) -> list[int]:
         """Serve one arrival against the live arrangement, consuming the
         engine RNG.  Returns the newly assigned event ids (sorted; empty =
@@ -187,6 +192,7 @@ class TickEngine:
         order, then exclude them from the repair scan.  Returns the number
         accepted (assigned at least one event at arrival time)."""
         accepted = 0
+        self.prepare_arrivals([user.user_id for user in delta.add_users])
         for user in delta.add_users:
             if self.serve_one(user.user_id):
                 accepted += 1

@@ -247,6 +247,10 @@ class ArrangementService:
         for request in decision.expire:
             answer(request, "expired", ())
         empty = 0
+        live = self.engine.instance.user_by_id
+        self.engine.prepare_arrivals(
+            [r.user.user_id for r in decision.serve if r.user.user_id in live]
+        )
         for request in decision.serve:
             user_id = request.user.user_id
             if user_id not in self.engine.instance.user_by_id:

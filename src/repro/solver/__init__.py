@@ -5,7 +5,8 @@ takes that role for every LP and ILP the library builds, the delta-patched
 chain's included.  An in-repo revised simplex is kept as an independent
 reference for tests and benches:
 
-* :class:`LinearProgram` — the backend-neutral model.
+* :class:`LinearProgram` — the backend-neutral model, and
+  :class:`ArrayProgram`, the same program as arrays (what HiGHS takes).
 * :func:`solve_lp` — the one entry point: HiGHS for LPs and for programs
   with integer-marked variables (``backend="scipy"``, the default), or the
   revised simplex for LPs (``backend="revised-simplex"``).
@@ -14,7 +15,13 @@ reference for tests and benches:
 """
 
 from repro.solver.api import solve_lp
-from repro.solver.problem import Constraint, LinearProgram, Sense, Variable
+from repro.solver.problem import (
+    ArrayProgram,
+    Constraint,
+    LinearProgram,
+    Sense,
+    Variable,
+)
 from repro.solver.result import LPSolution, SolveStatus
 from repro.solver.revised_simplex import (
     RevisedSimplexOptions,
@@ -25,6 +32,7 @@ from repro.solver.sparse import CSCMatrix, DenseMatrix
 from repro.solver.standard_form import StandardForm, prefer_sparse, to_standard_form
 
 __all__ = [
+    "ArrayProgram",
     "LinearProgram",
     "Variable",
     "Constraint",

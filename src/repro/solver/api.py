@@ -17,10 +17,14 @@
   :func:`~repro.solver.revised_simplex.solve_lp_revised_simplex` directly.
 
 HiGHS receives the program exactly as built: it presolves internally and
-takes variable bounds natively.  Objective, bounds, senses and right-hand
-sides go to ``linprog`` as arrays, and the constraint matrix as sparse
-matrices assembled from the program's COO triplet cache.  scipy is a core
-dependency, imported on first use so that importing the package stays cheap.
+takes variable bounds natively.  Every program reaches ``linprog`` as an
+:class:`~repro.solver.problem.ArrayProgram` — objective, bounds, senses and
+right-hand sides as arrays, the constraint matrix as sparse matrices
+assembled from its COO triplets.  Bulk builders (the benchmark LP) pass one
+directly; a :class:`~repro.solver.problem.LinearProgram` is converted by
+:meth:`~repro.solver.problem.LinearProgram.to_arrays`, which reads its COO
+triplet cache.  scipy is a core dependency, imported on first use so that
+importing the package stays cheap.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.solver.problem import LinearProgram, Sense
+from repro.solver.problem import ArrayProgram, LinearProgram
 from repro.solver.result import LPSolution, SolveStatus
 from repro.solver.revised_simplex import solve_lp_revised_simplex
 
@@ -46,11 +50,15 @@ _STATUS = {
 _EMPTY_ROW_TOL = 1e-7
 
 
-def solve_lp(lp: LinearProgram, backend: str = "scipy") -> LPSolution:
+def solve_lp(
+    lp: LinearProgram | ArrayProgram, backend: str = "scipy"
+) -> LPSolution:
     """Solve a linear program, or an integer program with HiGHS.
 
     Args:
-        lp: the program to solve (never mutated).
+        lp: the program to solve (never mutated): a :class:`LinearProgram`,
+            or an :class:`ArrayProgram` that bulk builders hand over as
+            arrays (HiGHS only).
         backend: ``"scipy"`` (HiGHS; LPs and integer-marked programs) or
             ``"revised-simplex"`` (the in-repo revised simplex; LPs only).
 
@@ -61,32 +69,36 @@ def solve_lp(lp: LinearProgram, backend: str = "scipy") -> LPSolution:
         0, or ``INFEASIBLE`` if one of its constant rows is violated.
 
     Raises:
-        ValueError: for an unknown backend name, or an integer-marked
-            program on ``"revised-simplex"``.
+        ValueError: for an unknown backend name, or an integer-marked or
+            array program on ``"revised-simplex"``.
     """
     if backend not in ("scipy", "revised-simplex"):
         raise ValueError(
             f"unknown backend {backend!r}; expected 'scipy' or 'revised-simplex'"
         )
-    if backend == "revised-simplex" and lp.has_integer_variables:
-        raise ValueError("the revised simplex solves LPs only; use backend='scipy'")
-    if lp.num_variables == 0:
-        return _solve_empty(lp)
     if backend == "revised-simplex":
-        return solve_lp_revised_simplex(lp)
-    return _solve_highs(lp)
+        if not isinstance(lp, LinearProgram):
+            raise ValueError("the revised simplex takes a LinearProgram")
+        if lp.has_integer_variables:
+            raise ValueError("the revised simplex solves LPs only; use backend='scipy'")
+        if lp.num_variables:
+            return solve_lp_revised_simplex(lp)
+    program = lp.to_arrays() if isinstance(lp, LinearProgram) else lp
+    if program.num_variables == 0:
+        return _solve_empty(program)
+    return _solve_highs(program)
 
 
-def _solve_empty(lp: LinearProgram) -> LPSolution:
+def _solve_empty(program: ArrayProgram) -> LPSolution:
     """A program without variables: each row compares 0 against its rhs."""
-    for constraint in lp.constraints:
-        rhs = constraint.rhs
-        if (
-            (constraint.sense is Sense.LE and rhs < -_EMPTY_ROW_TOL)
-            or (constraint.sense is Sense.GE and rhs > _EMPTY_ROW_TOL)
-            or (constraint.sense is Sense.EQ and abs(rhs) > _EMPTY_ROW_TOL)
-        ):
-            return LPSolution(SolveStatus.INFEASIBLE, backend="none")
+    senses, rhs = program.senses, program.rhs
+    violated = np.where(
+        senses > 0,
+        rhs < -_EMPTY_ROW_TOL,
+        np.where(senses < 0, rhs > _EMPTY_ROW_TOL, np.abs(rhs) > _EMPTY_ROW_TOL),
+    )
+    if violated.any():
+        return LPSolution(SolveStatus.INFEASIBLE, backend="none")
     return LPSolution(SolveStatus.OPTIMAL, objective_value=0.0, backend="none")
 
 
@@ -118,8 +130,8 @@ def _rows_as_csr(
     return matrix, rhs[rows] * row_factor[rows]
 
 
-def _solve_highs(lp: LinearProgram) -> LPSolution:
-    """Solve ``lp`` with HiGHS via ``scipy.optimize.linprog``.
+def _solve_highs(program: ArrayProgram) -> LPSolution:
+    """Solve ``program`` with HiGHS via ``scipy.optimize.linprog``.
 
     The solution's ``diagnostics`` carry linprog's ``status`` code and
     ``message`` whatever the outcome, so a failure says why HiGHS stopped;
@@ -128,35 +140,25 @@ def _solve_highs(lp: LinearProgram) -> LPSolution:
     """
     from scipy.optimize import linprog
 
-    n = lp.num_variables
-    m = lp.num_constraints
-    sign = -1.0 if lp.maximize else 1.0
-    c = sign * lp.objective_vector()
+    n = program.num_variables
+    m = program.num_constraints
+    sign = -1.0 if program.maximize else 1.0
+    c = sign * program.objective
 
-    # Vectorized assembly off the COO triplet cache (primed by bulk builders
-    # like build_benchmark_lp): rows split into the inequality and equality
-    # groups, >= rows flipped to <=, one csr_matrix call per group — no
-    # per-coefficient Python loop.
-    senses = np.fromiter(
-        (
-            0 if cstr.sense is Sense.EQ else (-1 if cstr.sense is Sense.GE else 1)
-            for cstr in lp.constraints
-        ),
-        dtype=np.int64,
-        count=m,
-    )
-    rhs = np.fromiter((cstr.rhs for cstr in lp.constraints), dtype=float, count=m)
-    coo = lp.constraints_coo()
+    # Rows split into the inequality and equality groups, >= rows flipped
+    # to <=, one csr_matrix call per group.
+    senses = program.senses
+    coo = (program.rows, program.cols, program.vals)
     factor = np.where(senses < 0, -1.0, 1.0)
-    a_ub, b_ub = _rows_as_csr(coo, (m, n), rhs, senses != 0, factor)
-    a_eq, b_eq = _rows_as_csr(coo, (m, n), rhs, senses == 0, factor)
+    a_ub, b_ub = _rows_as_csr(coo, (m, n), program.rhs, senses != 0, factor)
+    a_eq, b_eq = _rows_as_csr(coo, (m, n), program.rhs, senses == 0, factor)
     # An (n, 2) array with +-inf for absent bounds: linprog's native form,
     # which skips its per-tuple conversion of a list of (lower, upper) pairs.
     bounds = np.empty((n, 2), dtype=float)
-    bounds[:, 0] = np.fromiter((v.lower for v in lp.variables), dtype=float, count=n)
-    bounds[:, 1] = np.fromiter((v.upper for v in lp.variables), dtype=float, count=n)
+    bounds[:, 0] = program.lower
+    bounds[:, 1] = program.upper
 
-    integer = lp.has_integer_variables
+    integer = program.has_integer_variables
     result = linprog(
         c,
         A_ub=a_ub,
@@ -165,14 +167,9 @@ def _solve_highs(lp: LinearProgram) -> LPSolution:
         b_eq=b_eq,
         bounds=bounds,
         method="highs",
-        integrality=(
-            np.fromiter((v.is_integer for v in lp.variables), dtype=np.int64, count=n)
-            if integer
-            else None
-        ),
+        integrality=program.integer.astype(np.int64) if integer else None,
         options={"mip_rel_gap": 0.0} if integer else None,
     )
-
     # HiGHS reports nit = -1 when its MIP presolve settles the program.
     iterations = max(0, int(getattr(result, "nit", 0) or 0))
     diagnostics: dict[str, Any] = {

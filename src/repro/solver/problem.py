@@ -80,6 +80,50 @@ class Constraint:
         return abs(lhs - self.rhs) <= tol
 
 
+@dataclass(frozen=True, eq=False)
+class ArrayProgram:
+    """A linear (or mixed-integer) program held as arrays: the form HiGHS
+    takes, and what bulk builders hand :func:`~repro.solver.api.solve_lp`
+    without a :class:`Variable` or :class:`Constraint` object per entry.
+
+    Attributes:
+        maximize: optimization sense.
+        objective / lower / upper: per-variable coefficient and bounds.
+        integer: per-variable integrality flags.
+        rows / cols / vals: the constraint matrix as COO triplets.
+        senses: per-constraint sense code: ``1`` for ``<=``, ``-1`` for
+            ``>=``, ``0`` for ``==``.
+        rhs: per-constraint right-hand side.
+    """
+
+    maximize: bool
+    objective: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    integer: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    senses: np.ndarray
+    rhs: np.ndarray
+
+    @property
+    def num_variables(self) -> int:
+        return self.objective.size
+
+    @property
+    def num_constraints(self) -> int:
+        return self.rhs.size
+
+    @property
+    def has_integer_variables(self) -> bool:
+        return bool(self.integer.any())
+
+
+#: :attr:`ArrayProgram.senses` code of each :class:`Sense`.
+SENSE_CODES = {Sense.LE: 1, Sense.GE: -1, Sense.EQ: 0}
+
+
 @dataclass
 class LinearProgram:
     """A linear (or mixed-integer) program.
@@ -334,6 +378,31 @@ class LinearProgram:
                     np.empty(0),
                 )
         return self._coo
+
+    def to_arrays(self) -> ArrayProgram:
+        """The program as an :class:`ArrayProgram` (the constraint matrix
+        from :meth:`constraints_coo`)."""
+        n = self.num_variables
+        m = self.num_constraints
+        rows, cols, vals = self.constraints_coo()
+        return ArrayProgram(
+            maximize=self.maximize,
+            objective=self.objective_vector(),
+            lower=np.fromiter((v.lower for v in self.variables), dtype=float, count=n),
+            upper=np.fromiter((v.upper for v in self.variables), dtype=float, count=n),
+            integer=np.fromiter(
+                (v.is_integer for v in self.variables), dtype=bool, count=n
+            ),
+            rows=rows,
+            cols=cols,
+            vals=vals,
+            senses=np.fromiter(
+                (SENSE_CODES[c.sense] for c in self.constraints),
+                dtype=np.int64,
+                count=m,
+            ),
+            rhs=np.fromiter((c.rhs for c in self.constraints), dtype=float, count=m),
+        )
 
     # ------------------------------------------------------------------
     # Incremental patching (see repro.solver.patch)

@@ -63,6 +63,16 @@ class TestHotPathLoops:
         )
         assert codes(src, HOT) == []
 
+    def test_user_id_walk_in_lp_formulation_flagged(self):
+        # The benchmark LP is built from arrays; a per-user loop there is
+        # the object build coming back.
+        src = (
+            "def rows(index, lp):\n"
+            "    for user_id in index.user_ids.tolist():\n"
+            "        lp.add_constraint({}, None, 1.0, name=f'user[{user_id}]')\n"
+        )
+        assert "IGP001" in codes(src, "src/repro/core/lp_formulation.py")
+
     def test_same_loop_fine_outside_hot_modules(self):
         src = (
             "def total(instance):\n"

@@ -12,6 +12,7 @@ from repro.core import (
     enumerate_all_admissible_sets,
     is_admissible,
 )
+from repro.core.admissible import enumerate_admissible_batch, split_sets
 from repro.model import (
     Event,
     IGEPAInstance,
@@ -21,7 +22,7 @@ from repro.model import (
     User,
 )
 from repro.social import Graph
-from tests.util import random_instance, tiny_instance
+from tests.util import dfs_admissible_sets, random_instance, tiny_instance
 
 
 def _instance(num_events, conflicts, user_capacity, bids):
@@ -288,3 +289,129 @@ class TestAgainstRowScan:
                 assert is_admissible(instance, user, combo) == expected
                 for a, b in itertools.combinations(combo, 2):
                     assert instance.conflicts(a, b) == bool(matrix[pos[a], pos[b]])
+
+
+# ----------------------------------------------------------------------
+# The batch walk against the recursive DFS reference
+# ----------------------------------------------------------------------
+@st.composite
+def bid_batches(draw):
+    """Several users over one random conflict graph: event ids out of
+    position order, bids in random order, some users without bids or with
+    capacity 0, some with more than 64 bids at capacity 1-2, some with room
+    for sets of 5 or more events; and the order to enumerate them in."""
+    num_events = draw(st.integers(min_value=1, max_value=90))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    event_ids = [int(e) for e in rng.permutation(num_events) * 3 + 1]
+    density = draw(st.sampled_from((0.0, 0.05, 0.3, 0.7, 1.0)))
+    conflicts = [
+        pair for pair in itertools.combinations(event_ids, 2) if rng.random() < density
+    ]
+    users = []
+    for user_id in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(("small", "wide", "deep")))
+        if kind == "wide":
+            count = draw(st.integers(min_value=0, max_value=num_events))
+            capacity = draw(st.integers(min_value=0, max_value=2))
+        elif kind == "deep":
+            count = draw(st.integers(min_value=0, max_value=min(10, num_events)))
+            capacity = draw(st.integers(min_value=5, max_value=7))
+        else:
+            count = draw(st.integers(min_value=0, max_value=min(8, num_events)))
+            capacity = draw(st.integers(min_value=0, max_value=4))
+        bids = tuple(int(e) for e in rng.permutation(event_ids)[:count])
+        users.append(User(user_id=100 + user_id, capacity=capacity, bids=bids))
+    instance = IGEPAInstance(
+        [Event(event_id=e, capacity=1) for e in event_ids],
+        users,
+        MatrixConflict(conflicts),
+        TabulatedInterest({}, default=0.5),
+        Graph(nodes=[u.user_id for u in users]),
+    )
+    order = draw(st.permutations(range(len(users))))
+    return instance, np.array(order, dtype=np.int64)
+
+
+def _reference(instance, upos, max_sets):
+    index = instance.index
+    return [
+        dfs_admissible_sets(
+            index,
+            instance.users[p].user_id,
+            instance.users[p].bids,
+            instance.users[p].capacity,
+            max_sets,
+        )
+        for p in upos.tolist()
+    ]
+
+
+class TestBatchAgainstDFS:
+    @settings(max_examples=200, deadline=None)
+    @given(bid_batches())
+    def test_same_sets_in_the_same_order(self, batch):
+        instance, upos = batch
+        index = instance.index
+        expected = _reference(instance, upos, 10**7)
+        sets = enumerate_admissible_batch(index, upos, max_sets=10**7)
+        assert split_sets(sets, index) == expected
+        # The flat arrays agree with the tuples they spell.
+        assert sets.counts.tolist() == [len(collection) for collection in expected]
+        assert sets.upos.tolist() == [
+            int(p) for p, collection in zip(upos, expected) for _ in collection
+        ]
+        assert sets.vpos.tolist() == [
+            index.event_pos[e]
+            for collection in expected
+            for events in collection
+            for e in events
+        ]
+        assert np.array_equal(index.bid_indices[sets.bids], sets.vpos)
+        member_upos = np.repeat(sets.upos, np.diff(sets.indptr))
+        assert np.array_equal(index.bid_user_positions[sets.bids], member_upos)
+        # One-user calls run the same walk.
+        for p, collection in zip(upos.tolist(), expected):
+            assert enumerate_admissible_sets(instance, instance.users[p]) == collection
+
+    @settings(max_examples=200, deadline=None)
+    @given(bid_batches(), st.integers(min_value=0, max_value=400))
+    def test_explosion_names_the_same_user(self, batch, cap):
+        """The walk raises for the first user, in the given order, whose
+        collection the DFS also overflows: the cap is drawn and also set
+        just below and at each user's own count."""
+        instance, upos = batch
+        totals = [len(c) for c in _reference(instance, upos, 10**7)]
+        for max_sets in {cap, *totals, *(max(0, t - 1) for t in totals)}:
+            culprit = next(
+                (k for k, total in enumerate(totals) if total > max_sets), None
+            )
+            if culprit is None:
+                sets = enumerate_admissible_batch(instance.index, upos, max_sets)
+                assert sets.counts.tolist() == totals
+                continue
+            user_id = instance.users[int(upos[culprit])].user_id
+            with pytest.raises(AdmissibleSetExplosion) as dfs_error:
+                _reference(instance, upos, max_sets)
+            assert dfs_error.value.user_id == user_id
+            with pytest.raises(AdmissibleSetExplosion) as error:
+                enumerate_admissible_batch(instance.index, upos, max_sets)
+            assert error.value.user_id == user_id
+            assert error.value.cap == max_sets
+
+    def test_sets_of_five_and_more(self):
+        instance = _instance(9, [(0, 8)], 6, list(range(9)))
+        sets = enumerate_admissible_sets(instance, instance.users[0])
+        expected = dfs_admissible_sets(
+            instance.index, 0, instance.users[0].bids, 6, 10**6
+        )
+        assert sets == expected
+        assert max(map(len, sets)) == 6
+
+    def test_every_user_by_default(self):
+        instance = random_instance(seed=3, num_events=9, conflict_probability=0.3)
+        sets = enumerate_admissible_batch(instance.index)
+        assert sets.counts.size == len(instance.users)
+        assert split_sets(sets, instance.index) == [
+            dfs_admissible_sets(instance.index, u.user_id, u.bids, u.capacity, 10**6)
+            for u in instance.users
+        ]

@@ -1,17 +1,19 @@
 """The defrag LP rebuild path, checked against the per-element code it
-replaced: the array-built benchmark LP and sampling over all users at
-once.  Each reference below is the earlier implementation, kept here so the
-fast path stays bit for bit equal to it."""
+replaced: the array-built benchmark LP and its hand-off to HiGHS, sampling
+over all users at once, and the rank-based repair.  Each reference below is
+the earlier implementation, kept here so the fast path stays bit for bit
+equal to it."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import LPPacking, build_benchmark_lp
-from repro.core.admissible import enumerate_all_admissible_sets
 from repro.core.lp_formulation import BenchmarkLP, sum_in_order
+from repro.core.lp_packing import REPAIR_ORDERS
 from repro.core.lp_incremental import IncrementalBenchmarkLP
 from repro.datagen import (
     ChurnConfig,
@@ -22,8 +24,10 @@ from repro.datagen import (
     generate_synthetic,
     hotspot,
 )
+from repro.model import Arrangement
 from repro.model.delta import apply_delta
 from repro.solver import LinearProgram, Sense, solve_lp
+from tests.util import dfs_all_admissible_sets
 
 
 def _synthetic(num_users, seed, sharded=False):
@@ -46,9 +50,8 @@ INSTANCES = {
 # ----------------------------------------------------------------------
 # The benchmark LP, built one object at a time (the reference)
 # ----------------------------------------------------------------------
-def _object_built(instance, *, implied_upper, integer=False, admissible=None):
-    if admissible is None:
-        admissible = enumerate_all_admissible_sets(instance)
+def _object_built(instance, *, implied_upper, integer=False):
+    admissible = dfs_all_admissible_sets(instance)
     lp = LinearProgram(name=f"benchmark-lp[{instance.name}]", maximize=True)
     assignments = []
     by_user = {}
@@ -81,7 +84,9 @@ def _object_built(instance, *, implied_upper, integer=False, admissible=None):
                 float(event.capacity),
                 name=f"event[{event.event_id}]",
             )
-    return BenchmarkLP(lp, assignments, by_user, admissible)
+    return SimpleNamespace(
+        lp=lp, assignments=assignments, by_user=by_user, admissible=admissible
+    )
 
 
 def _assert_same_lp(built, reference):
@@ -105,6 +110,7 @@ def _assert_same_lp(built, reference):
     assert lp._names == ref._names
     assert built.assignments == reference.assignments
     assert built.by_user == reference.by_user
+    assert built.admissible == reference.admissible
 
 
 class TestArrayBuiltLP:
@@ -123,37 +129,6 @@ class TestArrayBuiltLP:
             build_benchmark_lp(instance, integer=True),
             _object_built(instance, implied_upper=False, integer=True),
         )
-
-    def test_caller_supplied_sets_equal_object_built(self):
-        """Repeated events, unsorted sets and off-bid pairs (scalar weights)."""
-        instance = _synthetic(20, 6)
-        first, second = instance.users[0], instance.users[1]
-        off_bid = next(
-            e.event_id for e in instance.events if e.event_id not in second.bid_set
-        )
-        bid = sorted(second.bids)[0]
-        admissible = {
-            first.user_id: [(bid, bid), (off_bid,)],
-            second.user_id: [(off_bid, bid), (bid,)],
-        }
-        _assert_same_lp(
-            build_benchmark_lp(instance, admissible=admissible),
-            _object_built(instance, implied_upper=False, admissible=admissible),
-        )
-
-    def test_unknown_event_id_raises_key_error(self):
-        instance = _synthetic(10, 7)
-        with pytest.raises(KeyError):
-            build_benchmark_lp(instance, admissible={instance.users[0].user_id: [(-5,)]})
-
-    def test_duplicate_set_rejected_like_add_variable(self):
-        instance = _synthetic(10, 8)
-        user = instance.users[0]
-        event_id = sorted(user.bids)[0]
-        with pytest.raises(ValueError, match="duplicate variable name"):
-            build_benchmark_lp(
-                instance, admissible={user.user_id: [(event_id,), (event_id,)]}
-            )
 
 
 class TestOneSummationRule:
@@ -179,11 +154,96 @@ class TestOneSummationRule:
 
 
 # ----------------------------------------------------------------------
+# The hand-off to HiGHS: the array program against the built LinearProgram
+# ----------------------------------------------------------------------
+def _linprog_inputs(program, monkeypatch):
+    """The arguments ``solve_lp(program)`` passes to ``linprog``."""
+    import scipy.optimize
+
+    calls = []
+    real = scipy.optimize.linprog
+
+    def recording(c, **kwargs):
+        calls.append((c, kwargs))
+        return real(c, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.optimize, "linprog", recording)
+        solve_lp(program)
+    assert len(calls) == 1
+    return calls[0]
+
+
+def _assert_same_inputs(ours, theirs):
+    (c, kwargs), (c_ref, kwargs_ref) = ours, theirs
+    assert c.dtype == c_ref.dtype and c.tobytes() == c_ref.tobytes()
+    assert kwargs.keys() == kwargs_ref.keys()
+    for key in ("A_ub", "A_eq"):
+        matrix, reference = kwargs[key], kwargs_ref[key]
+        assert (matrix is None) == (reference is None)
+        if matrix is not None:
+            assert matrix.format == reference.format == "csr"
+            assert matrix.shape == reference.shape
+            for part in ("indptr", "indices", "data"):
+                ours_part = getattr(matrix, part)
+                theirs_part = getattr(reference, part)
+                assert ours_part.dtype == theirs_part.dtype
+                assert ours_part.tobytes() == theirs_part.tobytes()
+    for key in ("b_ub", "b_eq", "bounds", "integrality"):
+        value, reference = kwargs[key], kwargs_ref[key]
+        assert (value is None) == (reference is None)
+        if value is not None:
+            assert value.dtype == reference.dtype and value.shape == reference.shape
+            assert value.tobytes() == reference.tobytes()
+    assert kwargs["method"] == kwargs_ref["method"]
+    assert kwargs["options"] == kwargs_ref["options"]
+
+
+class TestArrayProgramHandOff:
+    """HiGHS gets the same bits from the array program as from its
+    LinearProgram (``benchmark.lp``, equal to the object-built reference
+    above), the path every rebuild took before."""
+
+    @pytest.mark.parametrize("implied_upper", [False, True])
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_linprog_inputs_bit_identical(self, name, implied_upper, monkeypatch):
+        benchmark = build_benchmark_lp(INSTANCES[name](), implied_upper=implied_upper)
+        _assert_same_inputs(
+            _linprog_inputs(benchmark.program, monkeypatch),
+            _linprog_inputs(benchmark.lp, monkeypatch),
+        )
+
+    def test_integer_program_inputs_bit_identical(self, monkeypatch):
+        benchmark = build_benchmark_lp(_synthetic(60, 5), integer=True)
+        ours = _linprog_inputs(benchmark.program, monkeypatch)
+        assert ours[1]["integrality"] is not None
+        _assert_same_inputs(ours, _linprog_inputs(benchmark.lp, monkeypatch))
+
+    def test_rebuild_path_never_builds_the_linear_program(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the rebuild path built a LinearProgram")
+
+        monkeypatch.setattr(BenchmarkLP, "_build_lp", refuse)
+        monkeypatch.setattr(LinearProgram, "add_variables", refuse)
+        monkeypatch.setattr(LinearProgram, "add_variable", refuse)
+        for name in sorted(INSTANCES):
+            instance = INSTANCES[name]()
+            for order in REPAIR_ORDERS:
+                result = LPPacking(repair_order=order, cache_lp=False).solve(
+                    instance, seed=3
+                )
+                assert result.arrangement.is_feasible()
+                assert result.details["lp_backend"] == "scipy-highs"
+                assert result.details["num_variables"] > 0
+
+
+# ----------------------------------------------------------------------
 # Sampling, one user at a time (the reference)
 # ----------------------------------------------------------------------
-def _scalar_sample_sets(alpha, benchmark, x_star, rng):
+def _scalar_sample_sets(alpha, by_user, x_star, rng):
+    """Per user (``by_user`` order) with columns, the drawn column."""
     sampled = {}
-    for user_id, indices in benchmark.by_user.items():
+    for user_id, indices in by_user.items():
         if not indices:
             continue
         probabilities = alpha * np.clip(x_star[indices], 0.0, 1.0)
@@ -194,8 +254,22 @@ def _scalar_sample_sets(alpha, benchmark, x_star, rng):
         cumulative = np.cumsum(probabilities)
         offset = int(np.searchsorted(cumulative, draw, side="right"))
         if offset < len(indices):
-            sampled[user_id] = benchmark.assignments[indices[offset]][1]
+            sampled[user_id] = indices[offset]
     return sampled
+
+
+def _column_table(set_upos, num_users):
+    """A column-only benchmark: column ``j`` belongs to user position
+    ``set_upos[j]`` (ids equal positions) and holds one event."""
+    set_upos = np.asarray(set_upos, dtype=np.int64)
+    return BenchmarkLP(
+        name="",
+        user_ids=np.arange(num_users, dtype=np.int64),
+        event_ids=np.zeros(1, dtype=np.int64),
+        set_upos=set_upos,
+        set_indptr=np.arange(set_upos.size + 1, dtype=np.int64),
+        set_vpos=np.zeros(set_upos.size, dtype=np.int64),
+    )
 
 
 class _FixedDraws:
@@ -222,19 +296,24 @@ _value = st.one_of(
 @st.composite
 def sampling_cases(draw):
     """Users with 0 to 40 sets (past numpy's 8-element pairwise sums), some
-    rows pushed just above 1, variables numbered in any order (as after
-    incremental patching), and a seed and alpha."""
+    rows pushed just above 1, columns in user ranges or spread in any
+    order (as after incremental patching), and a seed and alpha."""
     lengths = draw(st.lists(st.integers(0, 40), max_size=10))
     num_vars = sum(lengths)
-    order = draw(st.permutations(range(num_vars)))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(num_vars)))
+    else:
+        order = list(range(num_vars))
     x_star = np.zeros(num_vars)
+    set_upos = np.zeros(num_vars, dtype=np.int64)
     by_user = {}
-    assignments = [None] * num_vars
     cursor = 0
     for user_id, length in enumerate(lengths):
-        indices = list(order[cursor : cursor + length])
+        # A user's sets are the user's columns in ascending order.
+        indices = sorted(order[cursor : cursor + length])
         cursor += length
         by_user[user_id] = indices
+        set_upos[indices] = user_id
         values = np.array(draw(st.lists(_value, min_size=length, max_size=length)))
         if length and draw(st.booleans()):
             # Normalize the row to a total just above 1 (solver noise).
@@ -242,38 +321,38 @@ def sampling_cases(draw):
             if values.sum() > 0:
                 values = values / values.sum() * (1.0 + draw(st.floats(0.0, 1e-6)))
         x_star[indices] = values
-        for offset, index in enumerate(indices):
-            assignments[index] = (user_id, (user_id, offset))
     alpha = draw(st.sampled_from([1.0, 0.5, 0.25]) | st.floats(0.01, 1.0))
     seed = draw(st.integers(0, 2**32 - 1))
-    return BenchmarkLP(LinearProgram(), assignments, by_user, {}), x_star, alpha, seed
+    return _column_table(set_upos, len(lengths)), by_user, x_star, alpha, seed
 
 
 class TestVectorizedSampling:
     @settings(max_examples=300, deadline=None)
     @given(sampling_cases())
     def test_matches_scalar_loop(self, case):
-        benchmark, x_star, alpha, seed = case
+        benchmark, by_user, x_star, alpha, seed = case
         rng = np.random.default_rng(seed)
         reference_rng = np.random.default_rng(seed)
         sampled = LPPacking(alpha=alpha).sample_sets(benchmark, x_star, rng)
-        expected = _scalar_sample_sets(alpha, benchmark, x_star, reference_rng)
-        assert list(sampled.items()) == list(expected.items())
+        expected = _scalar_sample_sets(alpha, by_user, x_star, reference_rng)
+        assert sampled.tolist() == list(expected.values())
+        assert benchmark.set_upos[sampled].tolist() == list(expected)
         # Same stream consumed: later draws line up too.
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     @pytest.mark.parametrize("name", sorted(INSTANCES))
     def test_matches_scalar_loop_on_lp_optima(self, name):
         benchmark = build_benchmark_lp(INSTANCES[name]())
-        x_star = solve_lp(benchmark.lp, backend="scipy").x
+        reference = _object_built(INSTANCES[name](), implied_upper=False)
+        x_star = solve_lp(benchmark.program).x
         for seed in range(3):
             sampled = LPPacking().sample_sets(
                 benchmark, x_star, np.random.default_rng(seed)
             )
             expected = _scalar_sample_sets(
-                1.0, benchmark, x_star, np.random.default_rng(seed)
+                1.0, reference.by_user, x_star, np.random.default_rng(seed)
             )
-            assert list(sampled.items()) == list(expected.items())
+            assert sampled.tolist() == list(expected.values())
 
     def test_total_is_numpy_sum_where_running_sum_differs(self):
         """A row whose running sum is exactly 1.0 while np.sum's pairwise
@@ -285,24 +364,97 @@ class TestVectorizedSampling:
             0.11060765995988378, 0.09435924119843554, 0.15252459126919055,
         ]
         assert np.cumsum(row)[-1] <= 1.0 < np.sum(row)
-        benchmark = BenchmarkLP(
-            LinearProgram(),
-            [(7, (7, k)) for k in range(len(row))],
-            {7: list(range(len(row)))},
-            {},
-        )
+        benchmark = _column_table([7] * len(row), 8)
         draw = np.nextafter(1.0, 0.0)
         sampled = LPPacking().sample_sets(
             benchmark, np.array(row), _FixedDraws([draw])
         )
         expected = _scalar_sample_sets(
-            1.0, benchmark, np.array(row), _FixedDraws([draw])
+            1.0, {7: list(range(len(row)))}, np.array(row), _FixedDraws([draw])
         )
-        assert sampled == expected
+        assert sampled.tolist() == list(expected.values())
 
     def test_no_users_with_sets_draws_nothing(self):
-        benchmark = BenchmarkLP(LinearProgram(), [], {1: [], 2: []}, {})
+        benchmark = _column_table([], 2)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        assert LPPacking().sample_sets(benchmark, np.empty(0), rng) == {}
+        assert LPPacking().sample_sets(benchmark, np.empty(0), rng).size == 0
         assert rng.bit_generator.state == before
+
+
+# ----------------------------------------------------------------------
+# Repair, one pair at a time (the reference)
+# ----------------------------------------------------------------------
+def _scan_repair(order, instance, sampled, rng):
+    """The earlier repair: pair tuples, sorted or shuffled, scanned against
+    the remaining capacities; ``sampled`` maps user id -> event ids."""
+    index = instance.index
+    pairs = []
+    for user_id, events in sampled.items():
+        pairs.extend((event_id, user_id) for event_id in sorted(events))
+    if order == "random":
+        rng.shuffle(pairs)
+    elif order == "user":
+        pairs.sort(key=lambda p: (index.user_pos[p[1]], p[0]))
+    else:
+        pairs.sort(
+            key=lambda p: (-instance.weight(p[1], p[0]), index.user_pos[p[1]], p[0])
+        )
+    remaining = {e.event_id: e.capacity for e in instance.events}
+    survivors = []
+    for event_id, user_id in pairs:
+        if remaining[event_id] > 0:
+            remaining[event_id] -= 1
+            survivors.append((event_id, user_id))
+    return survivors
+
+
+class TestArrayRepair:
+    @pytest.mark.parametrize("order", REPAIR_ORDERS)
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_matches_scan_and_checked_build(self, name, order):
+        instance = INSTANCES[name]()
+        index = instance.index
+        algorithm = LPPacking(repair_order=order)
+        benchmark = build_benchmark_lp(instance)
+        x_star = solve_lp(benchmark.program).x
+        assignments = benchmark.assignments
+        for seed in range(3):
+            chosen = algorithm.sample_sets(
+                benchmark, x_star, np.random.default_rng(seed)
+            )
+            sampled = dict(assignments[k] for k in chosen.tolist())
+            rng = np.random.default_rng(seed + 10)
+            reference_rng = np.random.default_rng(seed + 10)
+            upos, vpos = algorithm.repair(instance, benchmark, chosen, rng)
+            expected = _scan_repair(order, instance, sampled, reference_rng)
+            pairs = list(
+                zip(index.event_ids[vpos].tolist(), index.user_ids[upos].tolist())
+            )
+            assert pairs == expected
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+            arrangement = Arrangement.from_positions(instance, upos, vpos)
+            assert arrangement.is_feasible()
+            checked = Arrangement.from_pairs(instance, expected, check=True)
+            assert arrangement.pairs == checked.pairs
+            assert len(arrangement) == len(checked)
+
+    def test_overfull_events_keep_their_first_pairs(self):
+        """Every user draws their first set, so events are oversubscribed
+        and the rank cut decides which pairs survive."""
+        instance = _synthetic(300, 11)
+        benchmark = build_benchmark_lp(instance)
+        starts = np.r_[True, benchmark.set_upos[1:] != benchmark.set_upos[:-1]]
+        columns = np.flatnonzero(starts)
+        sampled = dict(benchmark.assignments[k] for k in columns.tolist())
+        for order in REPAIR_ORDERS:
+            algorithm = LPPacking(repair_order=order)
+            upos, vpos = algorithm.repair(
+                instance, benchmark, columns, np.random.default_rng(1)
+            )
+            expected = _scan_repair(order, instance, sampled, np.random.default_rng(1))
+            index = instance.index
+            assert list(
+                zip(index.event_ids[vpos].tolist(), index.user_ids[upos].tolist())
+            ) == expected
+            assert len(expected) < sum(map(len, sampled.values()))

@@ -77,13 +77,6 @@ class TestStructure:
         assert benchmark.lp.num_variables == 0
         assert benchmark.lp.num_constraints == 0
 
-    def test_precomputed_admissible_sets_are_used(self):
-        instance = tiny_instance()
-        restricted = {10: [(1,)], 11: [], 12: [], 13: []}
-        benchmark = build_benchmark_lp(instance, admissible=restricted)
-        assert benchmark.lp.num_variables == 1
-        assert benchmark.assignments[0] == (10, (1,))
-
 
 class TestLemma1:
     """LP optimum >= ILP optimum == OPT."""
@@ -117,26 +110,6 @@ class TestLemma1:
         x[target_indices] = 1.0
         pairs = benchmark.pairs_from_solution(x)
         assert sorted(pairs) == [(1, 10), (1, 11), (3, 11)]
-
-
-def test_caller_supplied_set_with_repeated_event_id():
-    """Regression: a duplicated event inside an admissible set must not
-    desynchronize the primed COO cache from the constraint dicts."""
-    from repro.datagen import SyntheticConfig, generate_synthetic
-
-    instance = generate_synthetic(
-        SyntheticConfig(num_users=6, num_events=3), seed=0
-    )
-    user_id = instance.users[0].user_id
-    event_id = instance.events[0].event_id
-    benchmark = build_benchmark_lp(
-        instance, admissible={user_id: [(event_id, event_id)]}
-    )
-    assert benchmark.lp.num_variables == 1
-    rows, cols, vals = benchmark.lp.constraints_coo()
-    assert rows.size == sum(
-        len(c.coefficients) for c in benchmark.lp.constraints
-    )
 
 
 def test_coo_cache_is_primed():

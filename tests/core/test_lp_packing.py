@@ -138,7 +138,21 @@ class TestSampling:
         indices = benchmark.by_user[11]
         x[indices] = (1.0 + 1e-9) / len(indices)  # sums to slightly above 1
         sampled = algorithm.sample_sets(benchmark, x, np.random.default_rng(0))
-        assert set(sampled) <= {11}
+        assert set(benchmark.user_ids[benchmark.set_upos[sampled]].tolist()) <= {11}
+
+
+def _repair(algorithm, instance, sampled, rng):
+    """``algorithm.repair`` on ``{user_id: set}`` draws, given in that
+    order, as ``(event_id, user_id)`` survivors in scan order."""
+    benchmark = build_benchmark_lp(instance)
+    column_of = {record: k for k, record in enumerate(benchmark.assignments)}
+    chosen = np.array(
+        [column_of[(user_id, events)] for user_id, events in sampled.items()],
+        dtype=np.int64,
+    )
+    upos, vpos = algorithm.repair(instance, benchmark, chosen, rng)
+    index = instance.index
+    return list(zip(index.event_ids[vpos].tolist(), index.user_ids[upos].tolist()))
 
 
 class TestRepair:
@@ -158,22 +172,22 @@ class TestRepair:
         instance = self._crowded_instance()
         algorithm = LPPacking(alpha=1.0)
         sampled = {1: (1,), 2: (1,), 3: (1,)}
-        survivors = algorithm.repair(instance, sampled, np.random.default_rng(0))
+        survivors = _repair(algorithm, instance, sampled, np.random.default_rng(0))
         assert len(survivors) == 1
 
     def test_user_order_repair_keeps_first_user(self):
         instance = self._crowded_instance()
         algorithm = LPPacking(repair_order="user")
-        survivors = algorithm.repair(
-            instance, {2: (1,), 1: (1,), 3: (1,)}, np.random.default_rng(0)
+        survivors = _repair(
+            algorithm, instance, {2: (1,), 1: (1,), 3: (1,)}, np.random.default_rng(0)
         )
         assert survivors == [(1, 1)]  # instance user order: 1, 2, 3
 
     def test_weight_order_repair_keeps_heaviest(self):
         instance = self._crowded_instance()
         algorithm = LPPacking(repair_order="weight")
-        survivors = algorithm.repair(
-            instance, {3: (1,), 2: (1,), 1: (1,)}, np.random.default_rng(0)
+        survivors = _repair(
+            algorithm, instance, {3: (1,), 2: (1,), 1: (1,)}, np.random.default_rng(0)
         )
         assert survivors == [(1, 1)]  # user 1 has interest 0.9
 
@@ -182,16 +196,32 @@ class TestRepair:
         algorithm = LPPacking(repair_order="random")
         sampled = {1: (1,), 2: (1,), 3: (1,)}
         kept = {
-            algorithm.repair(instance, sampled, np.random.default_rng(s))[0][1]
+            _repair(algorithm, instance, sampled, np.random.default_rng(s))[0][1]
             for s in range(30)
         }
         assert len(kept) > 1
+
+    def test_failed_audit_raises(self, monkeypatch):
+        """The arrangement is audited after the repair: pairs that break
+        Definition 4 raise instead of being returned."""
+        from repro.model import ArrangementError
+
+        def every_column(self, benchmark, x_star, rng):
+            return np.arange(benchmark.num_columns)
+
+        def keep_all(self, instance, benchmark, chosen, rng):
+            return benchmark.column_pairs(chosen)
+
+        monkeypatch.setattr(LPPacking, "sample_sets", every_column)
+        monkeypatch.setattr(LPPacking, "repair", keep_all)
+        with pytest.raises(ArrangementError, match="capacity"):
+            LPPacking().solve(self._crowded_instance(), seed=0)
 
     def test_repair_no_violations_is_identity(self):
         instance = tiny_instance()
         algorithm = LPPacking()
         sampled = {11: (1, 3), 13: (3,)}
-        survivors = algorithm.repair(instance, sampled, np.random.default_rng(0))
+        survivors = _repair(algorithm, instance, sampled, np.random.default_rng(0))
         assert sorted(survivors) == [(1, 11), (3, 11), (3, 13)]
 
 

@@ -265,3 +265,43 @@ class TestServeHook:
         other = tiny_instance()
         with pytest.raises(ValueError, match="different instance"):
             OnlineGreedy().serve(instance, Arrangement(other), 10)
+
+
+class TestPreparedArrivals:
+    """A full solve or serving tick enumerates its arrivals in one batch."""
+
+    def test_prepared_sets_stay_with_their_instance(self):
+        """Sets prepared on one instance are never served on another."""
+        import numpy as np
+
+        from repro.model import Arrangement
+
+        first, second = random_instance(seed=2), random_instance(seed=3)
+        shared = [u.user_id for u in second.users if u.user_id in first.user_by_id]
+        assert shared
+        prepared = OnlineGreedy()
+        prepared.prepare(first, [u.user_id for u in first.users])
+        fresh = OnlineGreedy()
+        ours, theirs = Arrangement(second), Arrangement(second)
+        for user_id in shared:
+            prepared.serve(second, ours, user_id, np.random.default_rng(0))
+            fresh.serve(second, theirs, user_id, np.random.default_rng(0))
+        assert ours.pairs == theirs.pairs
+
+    def test_explosion_names_the_first_arrival(self):
+        from repro.core import AdmissibleSetExplosion
+
+        events = [Event(event_id=e, capacity=2) for e in range(5)]
+        users = [User(user_id=u, capacity=5, bids=(0, 1, 2, 3, 4)) for u in (1, 2)]
+        instance = IGEPAInstance(
+            events,
+            users,
+            MatrixConflict([]),
+            TabulatedInterest({}, default=0.5),
+            Graph(nodes=[1, 2]),
+        )
+        for order in ([2, 1], [1, 2]):
+            algorithm = OnlineGreedy(arrival_order=order, max_sets_per_user=10)
+            with pytest.raises(AdmissibleSetExplosion) as error:
+                algorithm.solve(instance, seed=0)
+            assert error.value.user_id == order[0]

@@ -163,7 +163,8 @@ class TestRepairOrderParity:
         algorithm = LPPacking(repair_order=repair_order)
         benchmark, x_star, _, _, _ = algorithm._solved_benchmark(instance)
         rng = np.random.default_rng(0)
-        sampled = algorithm.sample_sets(benchmark, x_star, rng)
+        chosen = algorithm.sample_sets(benchmark, x_star, rng)
+        sampled = dict(benchmark.assignments[k] for k in chosen.tolist())
 
         # Scalar reference: the original tuple-sort repair.
         user_position = {u.user_id: i for i, u in enumerate(instance.users)}
@@ -187,7 +188,13 @@ class TestRepairOrderParity:
                 remaining[event_id] -= 1
                 expected.append((event_id, user_id))
 
-        actual = algorithm.repair(instance, sampled, np.random.default_rng(0))
+        upos, vpos = algorithm.repair(
+            instance, benchmark, chosen, np.random.default_rng(0)
+        )
+        index = instance.index
+        actual = list(
+            zip(index.event_ids[vpos].tolist(), index.user_ids[upos].tolist())
+        )
         assert actual == expected
 
 

@@ -150,3 +150,50 @@ def random_instance(
         beta=beta,
         name=f"random-{seed}",
     )
+
+
+def dfs_admissible_sets(
+    index, user_id: int, bids, capacity: int, max_sets: int
+) -> list[tuple[int, ...]]:
+    """The reference enumeration of ``A_u``: a recursive depth-first walk
+    over the sorted bids that extends only by non-conflicting events, the
+    chosen events carried as a bitmask over event positions.  Raises
+    :class:`~repro.core.admissible.AdmissibleSetExplosion` right after
+    appending set number ``max_sets + 1``."""
+    from repro.core.admissible import AdmissibleSetExplosion
+
+    bids = sorted(bids)
+    results: list[tuple[int, ...]] = []
+    if capacity == 0 or not bids:
+        return results
+    conflict_bits = index.conflict_bits
+    positions = [index.event_pos[event_id] for event_id in bids]
+    masks = [conflict_bits[p] for p in positions]
+    flags = [1 << p for p in positions]
+
+    def extend(start: int, current: list[int], chosen: int) -> None:
+        for offset in range(start, len(bids)):
+            if masks[offset] & chosen:
+                continue
+            current.append(bids[offset])
+            results.append(tuple(current))
+            if len(results) > max_sets:
+                raise AdmissibleSetExplosion(user_id, max_sets)
+            if len(current) < capacity:
+                extend(offset + 1, current, chosen | flags[offset])
+            current.pop()
+
+    extend(0, [], 0)
+    return results
+
+
+def dfs_all_admissible_sets(
+    instance: IGEPAInstance, max_sets: int = 100_000
+) -> dict[int, list[tuple[int, ...]]]:
+    """:func:`dfs_admissible_sets` for every user, keyed by user id."""
+    return {
+        user.user_id: dfs_admissible_sets(
+            instance.index, user.user_id, user.bids, user.capacity, max_sets
+        )
+        for user in instance.users
+    }
