@@ -27,8 +27,7 @@ Subpackages
 ``repro.social``
     Social-network substrate (graphs, generators, metrics).
 ``repro.solver``
-    LP/ILP solver substrate: HiGHS (via scipy) by default, plus the
-    from-scratch simplex backends.
+    LP/ILP solver substrate: every program is solved by HiGHS (via scipy).
 ``repro.datagen``
     Synthetic (Table I) and Meetup-like dataset generators.
 ``repro.experiments``

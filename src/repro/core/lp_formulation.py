@@ -93,7 +93,7 @@ class BenchmarkLP:
     :class:`LinearProgram` with named variables and rows), ``assignments``
     (per column, the ``(user_id, S)`` it encodes), ``by_user`` (user id ->
     column indices, ascending) and ``admissible`` (user id -> ``A_u``).
-    They serve the patch chain, the revised simplex, benches and tests;
+    They serve the patch chain, benches and tests;
     the LP-packing rebuild path and the exact ILP read only the arrays.
     """
 

@@ -35,7 +35,10 @@ property suite asserts optima match to 1e-6).
 The LP is built with ``implied_upper=True`` (constraint (2) implies
 ``x <= 1``), so no column carries an upper bound the patches would have to
 maintain; the from-scratch builds the chain is compared against use the
-same setting.
+same setting.  Since the rebuild path builds the LP as arrays, rebuilding
+and solving with HiGHS is the faster of the two:
+:func:`~repro.experiments.replay.lp_resolve_comparison` reads the chain at
+about 0.5-0.7x the rebuild's speed on ``bench_churn``'s traces.
 """
 
 from __future__ import annotations

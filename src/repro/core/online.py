@@ -137,30 +137,6 @@ class _OnlineAlgorithm(ArrangementAlgorithm):
         self._serve(instance, arrangement, user_id, rng)
         return sorted(arrangement.events_of(user_id) - before)
 
-    def serve_batch(
-        self,
-        instance: IGEPAInstance,
-        arrangement: Arrangement,
-        user_ids: Sequence[int],
-        rng: np.random.Generator | None = None,
-    ) -> dict[int, list[int]]:
-        """Serve a micro-batch of arrivals in the given order.
-
-        The batch-aware entry point the serving tick uses: one RNG draw
-        sequence across the batch, identical to serving the users through
-        :meth:`serve` one by one (which it is — batching groups the
-        *platform work*, not the assignment decisions).
-
-        Returns:
-            ``user_id -> newly assigned event ids`` per arrival.
-        """
-        if rng is None:
-            rng = self._rng(None)
-        return {
-            user_id: self.serve(instance, arrangement, user_id, rng)
-            for user_id in user_ids
-        }
-
     def forget_users(self, user_ids: Sequence[int]) -> None:
         """Drop any per-user serving state (cache hygiene hook).
 

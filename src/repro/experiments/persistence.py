@@ -118,7 +118,6 @@ register_kind("stats", None, "fixed-instance repetition statistics")
 register_kind("ratio", None, "empirical approximation ratio")
 
 # The bench artifact kinds (``benchmarks/bench_*.py`` writers).
-register_kind("bench_lp", "instances", "LP backend ladder")
 register_kind("bench_churn", "instances", "churn engine ladder")
 register_kind("bench_shard", None, "sharded/columnar scale gates")
 register_kind("bench_dynamic", None, "dynamic platform defrag pair")

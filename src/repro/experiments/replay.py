@@ -330,7 +330,7 @@ def replay_trace(
 
 
 # ----------------------------------------------------------------------
-# LP re-solve comparison: delta-patched incremental vs warm rebuild
+# LP re-solve comparison: delta-patched incremental vs HiGHS rebuild
 # ----------------------------------------------------------------------
 def _rhs_only_delta(delta) -> bool:
     """True when the delta is a pure capacity shock (RHS edits only)."""
@@ -360,11 +360,11 @@ def lp_resolve_comparison(
     * **patched** — one :class:`~repro.core.lp_incremental.
       IncrementalBenchmarkLP` across the trace: each delta becomes an LP
       patch applied in place, and HiGHS solves the patched program.
-    * **warm rebuild** — the pre-incremental baseline: rebuild the
-      benchmark LP for each successor from scratch (``implied_upper=True``,
-      as the patched side builds it) and re-solve it with the sparse
-      revised simplex, the previous solution's ``basis_labels`` as a crash
-      hint.
+    * **rebuild** — what LP-packing does without the chain: build the
+      benchmark LP for each successor from scratch as arrays and solve its
+      :class:`~repro.solver.problem.ArrayProgram` with HiGHS.  It is built
+      with ``implied_upper=True``, as the patched side builds it, so both
+      sides solve the same program.
 
     Both sides must agree on the optimum to ``tolerance`` every batch —
     the comparison doubles as an end-to-end correctness check.  Returns a
@@ -374,10 +374,7 @@ def lp_resolve_comparison(
     from repro.core.admissible import DEFAULT_MAX_SETS_PER_USER
     from repro.core.lp_formulation import build_benchmark_lp
     from repro.core.lp_incremental import IncrementalBenchmarkLP
-    from repro.solver.revised_simplex import (
-        RevisedSimplexOptions,
-        solve_lp_revised_simplex,
-    )
+    from repro.solver.api import solve_lp
 
     if max_sets_per_user is None:
         max_sets_per_user = DEFAULT_MAX_SETS_PER_USER
@@ -389,7 +386,6 @@ def lp_resolve_comparison(
     solution = incremental.solve()
     initial_seconds = time.perf_counter() - started
     assert solution.is_optimal, solution.status
-    labels = None
     batches: list[dict] = []
     for delta in trace.deltas:
         successor = apply_delta(instance, delta).instance
@@ -405,22 +401,19 @@ def lp_resolve_comparison(
         benchmark = build_benchmark_lp(  # igepa: ignore[IGP009]
             successor, max_sets_per_user=max_sets_per_user, implied_upper=True
         )
-        warm = solve_lp_revised_simplex(
-            benchmark.lp, RevisedSimplexOptions(sparse=True), warm_start=labels
-        )
-        warm_seconds = time.perf_counter() - started
-        assert warm.is_optimal, warm.status
-        labels = warm.basis_labels
+        rebuilt = solve_lp(benchmark.program)
+        rebuild_seconds = time.perf_counter() - started
+        assert rebuilt.is_optimal, rebuilt.status
 
-        difference = abs(patched.objective_value - warm.objective_value)
+        difference = abs(patched.objective_value - rebuilt.objective_value)
         assert difference <= tolerance, (
             f"patched optimum {patched.objective_value!r} diverged from "
-            f"from-scratch {warm.objective_value!r} (|diff|={difference:g})"
+            f"from-scratch {rebuilt.objective_value!r} (|diff|={difference:g})"
         )
         batches.append(
             {
                 "patch_seconds": patch_seconds,
-                "warm_seconds": warm_seconds,
+                "rebuild_seconds": rebuild_seconds,
                 "objective": patched.objective_value,
                 "objective_diff": difference,
                 "rhs_only": _rhs_only_delta(delta),
@@ -429,13 +422,13 @@ def lp_resolve_comparison(
         )
         instance = successor
     mean_patch = float(np.mean([b["patch_seconds"] for b in batches]))
-    mean_warm = float(np.mean([b["warm_seconds"] for b in batches]))
+    mean_rebuild = float(np.mean([b["rebuild_seconds"] for b in batches]))
     return {
         "initial_seconds": initial_seconds,
         "batches": batches,
         "mean_patch_seconds": mean_patch,
-        "mean_warm_seconds": mean_warm,
-        "speedup": mean_warm / mean_patch if mean_patch > 0 else float("inf"),
+        "mean_rebuild_seconds": mean_rebuild,
+        "speedup": mean_rebuild / mean_patch if mean_patch > 0 else float("inf"),
         "iterations": int(sum(b["iterations"] for b in batches)),
         "max_objective_diff": max(
             (b["objective_diff"] for b in batches), default=0.0

@@ -362,7 +362,7 @@ register_metric(
 register_metric(
     Metric(
         "lp_resolve_speedup",
-        "delta-patched LP re-solve over the warm rebuild baseline",
+        "delta-patched LP re-solve over the HiGHS rebuild of the LP",
         "x",
         "up",
         0.6,

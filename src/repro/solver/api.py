@@ -1,20 +1,12 @@
 """The one solve entry point: HiGHS for LPs and ILPs.
 
-``solve_lp(lp)`` is what the rest of the library calls.  Backends:
-
-* ``"scipy"`` (the default) — HiGHS via ``scipy.optimize.linprog``.  A
-  program with integer-marked variables goes to HiGHS's MIP solver with a
-  zero relative gap, so its optimum is proven, not accepted within HiGHS's
-  default 1e-4 gap; anything else is solved as an LP.  This mirrors the
-  paper's use of Gurobi for the benchmark LP (1)-(4) and, with 0/1
-  variables, for the exact optima of Lemma 1.
-* ``"revised-simplex"`` — the in-repo revised simplex
-  (:mod:`repro.solver.revised_simplex`), LPs only; the constraint
-  representation (dense array vs pure-NumPy CSC) is picked by size (see
-  :func:`repro.solver.standard_form.prefer_sparse`).  Tests and benches use
-  it as an independent reference; to force a representation or warm-start
-  from a previous basis, call
-  :func:`~repro.solver.revised_simplex.solve_lp_revised_simplex` directly.
+``solve_lp(lp)`` is what the rest of the library calls.  It hands the
+program to HiGHS via ``scipy.optimize.linprog``.  A program with
+integer-marked variables goes to HiGHS's MIP solver with a zero relative
+gap, so its optimum is proven, not accepted within HiGHS's default 1e-4
+gap; anything else is solved as an LP.  This mirrors the paper's use of
+Gurobi for the benchmark LP (1)-(4) and, with 0/1 variables, for the exact
+optima of Lemma 1.
 
 HiGHS receives the program exactly as built: it presolves internally and
 takes variable bounds natively.  Every program reaches ``linprog`` as an
@@ -35,7 +27,6 @@ import numpy as np
 
 from repro.solver.problem import ArrayProgram, LinearProgram
 from repro.solver.result import LPSolution, SolveStatus
-from repro.solver.revised_simplex import solve_lp_revised_simplex
 
 #: ``linprog`` status codes with a verdict of their own; every other
 #: unsuccessful code (4, numerical difficulties) maps to ``ERROR``.
@@ -53,14 +44,14 @@ _EMPTY_ROW_TOL = 1e-7
 def solve_lp(
     lp: LinearProgram | ArrayProgram, backend: str = "scipy"
 ) -> LPSolution:
-    """Solve a linear program, or an integer program with HiGHS.
+    """Solve a linear program, or an integer program, with HiGHS.
 
     Args:
         lp: the program to solve (never mutated): a :class:`LinearProgram`,
             or an :class:`ArrayProgram` that bulk builders hand over as
-            arrays (HiGHS only).
-        backend: ``"scipy"`` (HiGHS; LPs and integer-marked programs) or
-            ``"revised-simplex"`` (the in-repo revised simplex; LPs only).
+            arrays.
+        backend: ``"scipy"`` (HiGHS), the only backend; the parameter stays
+            for callers that name it.
 
     Returns:
         An :class:`LPSolution` whose ``x`` is aligned with ``lp``'s variables
@@ -69,20 +60,10 @@ def solve_lp(
         0, or ``INFEASIBLE`` if one of its constant rows is violated.
 
     Raises:
-        ValueError: for an unknown backend name, or an integer-marked or
-            array program on ``"revised-simplex"``.
+        ValueError: for an unknown backend name.
     """
-    if backend not in ("scipy", "revised-simplex"):
-        raise ValueError(
-            f"unknown backend {backend!r}; expected 'scipy' or 'revised-simplex'"
-        )
-    if backend == "revised-simplex":
-        if not isinstance(lp, LinearProgram):
-            raise ValueError("the revised simplex takes a LinearProgram")
-        if lp.has_integer_variables:
-            raise ValueError("the revised simplex solves LPs only; use backend='scipy'")
-        if lp.num_variables:
-            return solve_lp_revised_simplex(lp)
+    if backend != "scipy":
+        raise ValueError(f"unknown backend {backend!r}; expected 'scipy'")
     program = lp.to_arrays() if isinstance(lp, LinearProgram) else lp
     if program.num_variables == 0:
         return _solve_empty(program)

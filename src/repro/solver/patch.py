@@ -150,9 +150,7 @@ def apply_lp_patch(lp: LinearProgram, patch: LPPatch) -> PatchApplication:
     """Apply ``patch`` to ``lp`` in place; returns the move journal.
 
     The COO triplet cache is maintained incrementally (one vectorized
-    mask/remap pass plus appends); the cached sort order is invalidated
-    only by structural edits, so RHS/objective-only patches keep the whole
-    ``to_standard_form`` fast path warm.
+    mask/remap pass plus appends) rather than rebuilt from the row dicts.
 
     Raises:
         PatchError: when the patch names an unknown variable/constraint or
@@ -322,8 +320,6 @@ def apply_lp_patch(lp: LinearProgram, patch: LPPatch) -> PatchApplication:
         lp._coo = coo
     elif patch.structural:
         lp._coo = None
-    if patch.structural:
-        lp._coo_order = None
 
     # --- in-place updates ---------------------------------------------------
     for name, rhs in patch.set_rhs:

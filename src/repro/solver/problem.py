@@ -1,15 +1,15 @@
-"""Linear-program model used by every solver backend.
+"""Linear-program model handed to the solver.
 
-The paper solves its benchmark LP (1)-(4) with Gurobi; here HiGHS and an
-in-repo revised simplex solve it.  :class:`LinearProgram` is the
-backend-neutral model: named variables with bounds and objective
-coefficients, plus sparse constraint rows with a sense and right-hand side.
+The paper solves its benchmark LP (1)-(4) with Gurobi; here HiGHS solves
+it.  :class:`LinearProgram` is the backend-neutral model: named variables
+with bounds and objective coefficients, plus sparse constraint rows with a
+sense and right-hand side.
 
-The model is deliberately small — just enough structure for the benchmark LP,
-its integer-marked variant (the exact ILP), the delta patches and the two
-backends — and keeps constraint coefficients sparse (``dict`` of variable
-index to coefficient), because the benchmark LP touches each variable in at
-most ``1 + |S|`` rows.
+The model is deliberately small — just enough structure for the benchmark
+LP, its integer-marked variant (the exact ILP) and the delta patches — and
+keeps constraint coefficients sparse (``dict`` of variable index to
+coefficient), because the benchmark LP touches each variable in at most
+``1 + |S|`` rows.
 """
 
 from __future__ import annotations
@@ -146,11 +146,6 @@ class LinearProgram:
     _coo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
-    # Cached (col, row)-lexicographic sort order of _coo, computed by
-    # to_standard_form on first use and reused until the triplets change —
-    # repeat conversions of the same matrix (warm re-solves of a cached LP)
-    # skip the O(nnz log nnz) lexsort.
-    _coo_order: np.ndarray | None = field(default=None, repr=False, compare=False)
     # Lazy name -> index maps and the variable -> constraint-rows incidence
     # that apply_lp_patch maintains; None until first needed.
     _var_index: dict[str, int] | None = field(default=None, repr=False, compare=False)
@@ -224,7 +219,6 @@ class LinearProgram:
         row = len(self.constraints)
         self.constraints.append(Constraint(name, clean, sense, float(rhs)))
         self._coo = None
-        self._coo_order = None
         if self._con_index is not None:
             self._con_index[name] = row
         if self._var_rows is not None:
@@ -298,9 +292,8 @@ class LinearProgram:
 
         ``rows`` numbers the constraints in ``names`` order and must be
         sorted; a ``(row, col)`` pair may appear once.  The triplets also
-        prime the COO cache, so
-        :func:`~repro.solver.standard_form.to_standard_form` and the HiGHS
-        backend never re-read the row dicts.
+        prime the COO cache, so :meth:`to_arrays` never re-reads the row
+        dicts.
 
         Raises:
             IndexError: if a triplet references an unknown variable.
@@ -340,7 +333,6 @@ class LinearProgram:
             map(Constraint, names, coefficients, itertools.repeat(sense, count), rhs_list)
         )
         self._coo = (rows, cols, vals)
-        self._coo_order = None
         self._con_index = None
         self._var_rows = None
 

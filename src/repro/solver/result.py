@@ -1,4 +1,4 @@
-"""Solution and status types shared by all solver backends."""
+"""Solution and status types of :func:`~repro.solver.api.solve_lp`."""
 
 from __future__ import annotations
 
@@ -33,19 +33,13 @@ class LPSolution:
             when ``status.is_optimal``.
         objective_value: objective in the program's own sense (max or min).
         x: primal values aligned with the program's variable indices.
-        iterations: simplex pivots (or backend-reported iterations).
-        backend: name of the backend that produced the solution.
-        basis_labels: names of the basic columns at optimality (variable
-            names; slacks as ``slack:<constraint name>``), reported by the
-            revised simplex.  Feed them back into
-            :func:`repro.solver.revised_simplex.solve_lp_revised_simplex`
-            as ``warm_start`` to crash the next, structurally similar solve
-            from this basis.
-        diagnostics: backend-reported solve telemetry (e.g. warm-start label
-            match/stale counts and whether the solve fell back to a cold
-            start, linprog's ``status`` and ``message`` on the
-            HiGHS backend, plus ``mip_node_count`` and ``mip_gap`` for an
-            integer program).  None when the backend reports nothing.
+        iterations: HiGHS-reported iterations.
+        backend: name of the backend that produced the solution
+            (``"scipy-highs"``, or ``"none"`` for a program without
+            variables).
+        diagnostics: backend-reported solve telemetry: linprog's ``status``
+            and ``message``, plus ``mip_node_count`` and ``mip_gap`` for an
+            integer program.  None when the backend reports nothing.
     """
 
     status: SolveStatus
@@ -53,7 +47,6 @@ class LPSolution:
     x: np.ndarray = field(default_factory=lambda: np.empty(0))
     iterations: int = 0
     backend: str = ""
-    basis_labels: tuple[str, ...] | None = None
     diagnostics: dict | None = None
 
     def __post_init__(self) -> None:

@@ -233,19 +233,17 @@ class TestBenchArtifacts:
             write_bench_artifact,
         )
 
-        path = tmp_path / "BENCH_lp.json"
+        path = tmp_path / "BENCH_churn.json"
         write_bench_artifact(
-            "bench_lp",
-            {"seed": 0, "largest_speedup_vs_tableau": 7.5},
-            [{"instance": "benchmark-lp", "num_variables": 10}],
+            "bench_churn",
+            {"seed": 0, "largest_speedup": 7.5},
+            [{"num_users": 1000, "num_batches": 4}],
             path=path,
         )
-        envelope = load_report(path, expect_kind="bench_lp")
+        envelope = load_report(path, expect_kind="bench_churn")
         assert envelope.version == FORMAT_VERSION
-        assert envelope.summary["largest_speedup_vs_tableau"] == 7.5
-        assert envelope.records == [
-            {"instance": "benchmark-lp", "num_variables": 10}
-        ]
+        assert envelope.summary["largest_speedup"] == 7.5
+        assert envelope.records == [{"num_users": 1000, "num_batches": 4}]
         assert set(envelope.provenance) >= {
             "git_sha",
             "timestamp_utc",

@@ -5,8 +5,8 @@ Across generated churn traces, the delta-patched LP
 faithful image of the from-scratch build on every successor: identical
 optima to 1e-6 and consistent decode tables; a pure capacity-shock batch
 is an RHS-only patch that leaves the program's shape alone.  The patched
-program is solved by HiGHS and checked against the in-repo revised simplex
-on a fresh build, an independent solver.  The same contract is asserted
+program is solved by HiGHS and checked against ``tests.util.reference_lp``
+on a fresh build, which reads the program's row dicts, not its arrays.  The same contract is asserted
 one layer up
 (``LPPacking(incremental=True)``) and at the engine seam
 (``TickEngine(defrag_lp_incremental=True)``).
@@ -29,21 +29,18 @@ from repro.datagen import (
 from repro.model.delta import Delta, apply_delta
 from repro.service.defrag import PeriodicDefrag
 from repro.service.engine import TickEngine
-from repro.solver.revised_simplex import (
-    RevisedSimplexOptions,
-    solve_lp_revised_simplex,
-)
+from repro.solver import SolveStatus
+from tests.util import reference_lp
 
 TOLERANCE = 1e-6
 
 
 def _reference_objective(instance) -> float:
-    solution = solve_lp_revised_simplex(
-        build_benchmark_lp(instance, implied_upper=True).lp,
-        RevisedSimplexOptions(sparse=True),
+    status, objective = reference_lp(
+        build_benchmark_lp(instance, implied_upper=True).lp
     )
-    assert solution.is_optimal
-    return solution.objective_value
+    assert status is SolveStatus.OPTIMAL
+    return objective
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,10 @@
 """Property-based tests (hypothesis) for the LP solver substrate."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.solver import (
-    LinearProgram,
-    Sense,
-    SolveStatus,
-    solve_lp,
-    solve_lp_revised_simplex,
-    to_standard_form,
-)
+from repro.solver import LinearProgram, Sense, SolveStatus, solve_lp
+from tests.util import reference_lp
 
 # ----------------------------------------------------------------------
 # Strategy: random bounded packing LPs (always feasible: x = 0 works).
@@ -79,7 +72,7 @@ class TestPackingLPProperties:
     @given(packing_lps())
     @settings(max_examples=40, deadline=None)
     def test_simplex_returns_feasible_optimal_point(self, lp):
-        solution = solve_lp_revised_simplex(lp)
+        solution = solve_lp(lp)
         assert solution.status is SolveStatus.OPTIMAL
         assert lp.is_feasible(solution.x, tol=1e-6)
         assert solution.objective_value == pytest.approx(
@@ -90,17 +83,15 @@ class TestPackingLPProperties:
     @settings(max_examples=40, deadline=None)
     def test_revised_simplex_agrees_with_highs(self, lp):
         highs = solve_lp(lp)
-        revised = solve_lp_revised_simplex(lp)
+        status, objective = reference_lp(lp)
         assert highs.status is SolveStatus.OPTIMAL
-        assert revised.status is SolveStatus.OPTIMAL
-        assert highs.objective_value == pytest.approx(
-            revised.objective_value, abs=1e-6
-        )
+        assert status is SolveStatus.OPTIMAL
+        assert highs.objective_value == pytest.approx(objective, abs=1e-6)
 
     @given(packing_lps())
     @settings(max_examples=25, deadline=None)
     def test_optimum_dominates_origin_and_respects_duality_bound(self, lp):
-        solution = solve_lp_revised_simplex(lp)
+        solution = solve_lp(lp)
         # x = 0 is feasible with objective 0; a maximizer must do >= 0.
         assert solution.objective_value >= -1e-9
         # Trivial upper bound: sum of c_j * u_j over positive costs.
@@ -114,33 +105,9 @@ class TestGeneralLPAgainstHiGHS:
     @given(general_lps())
     @settings(max_examples=40, deadline=None)
     def test_status_and_value_match_scipy(self, lp):
-        ours = solve_lp(lp, backend="revised-simplex")
-        reference = solve_lp(lp, backend="scipy")
-        assert ours.status == reference.status, (
-            f"revised={ours.status} scipy={reference.status}"
-        )
-        if reference.is_optimal:
-            assert ours.objective_value == pytest.approx(
-                reference.objective_value, abs=1e-5
-            )
+        ours = solve_lp(lp)
+        status, objective = reference_lp(lp)
+        assert ours.status == status, f"solve_lp={ours.status} reference={status}"
+        if status.is_optimal:
+            assert ours.objective_value == pytest.approx(objective, abs=1e-5)
             assert lp.is_feasible(ours.x, tol=1e-5)
-
-
-class TestStandardFormProperties:
-    @given(general_lps())
-    @settings(max_examples=40, deadline=None)
-    def test_recovered_points_satisfy_bounds(self, lp):
-        sf = to_standard_form(lp)
-        rng = np.random.default_rng(0)
-        y = rng.uniform(0.0, 1.0, sf.num_columns)
-        x = sf.recover_x(y)
-        assert x.shape == (lp.num_variables,)
-        for variable in lp.variables:
-            if variable.lower == variable.upper:
-                assert x[variable.index] == pytest.approx(variable.lower)
-
-    @given(general_lps())
-    @settings(max_examples=40, deadline=None)
-    def test_standard_form_rhs_nonnegative(self, lp):
-        sf = to_standard_form(lp)
-        assert np.all(sf.b >= 0.0)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.experiments import persistence
 from repro.experiments.persistence import write_bench_artifact
 from repro.metrics import HistoryStore, Sample
 
@@ -27,22 +28,29 @@ def write_history(path, values, metric="retention_auc", kind="simulation"):
     return path
 
 
+def write_smoke_artifact(path):
+    write_bench_artifact(
+        "bench_smoke",
+        {"seed": 0, "sizes": [100]},
+        [
+            {
+                "num_users": 100,
+                "algorithm": "gg",
+                "runtime_seconds": 0.01,
+                "utility": 50.0,
+            }
+        ],
+        path=path,
+    )
+    return path
+
+
 class TestIngest:
-    def test_ingest_artifact_appends_and_dedupes(self, tmp_path, capsys):
-        artifact = tmp_path / "BENCH_smoke.json"
-        write_bench_artifact(
-            "bench_smoke",
-            {"seed": 0, "sizes": [100]},
-            [
-                {
-                    "num_users": 100,
-                    "algorithm": "gg",
-                    "runtime_seconds": 0.01,
-                    "utility": 50.0,
-                }
-            ],
-            path=artifact,
-        )
+    def test_ingest_artifact_appends_and_dedupes(self, tmp_path, capsys, monkeypatch):
+        # Pin the provenance sha: a checkout without git metadata stamps
+        # "unknown", which the store never dedupes (next test).
+        monkeypatch.setattr(persistence, "_GIT_SHA_CACHE", "0123abcd")
+        artifact = write_smoke_artifact(tmp_path / "BENCH_smoke.json")
         history = tmp_path / "history.jsonl"
         argv = ["metrics", "ingest", str(artifact), "--history", str(history)]
         assert main(argv) == 0
@@ -50,6 +58,18 @@ class TestIngest:
         assert main(argv) == 0  # idempotent second run
         assert "ingested 0 sample(s)" in capsys.readouterr().out
         assert len(history.read_text().splitlines()) == 1
+
+    def test_unknown_sha_artifact_appends_every_time(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(persistence, "_GIT_SHA_CACHE", "unknown")
+        artifact = write_smoke_artifact(tmp_path / "BENCH_smoke.json")
+        history = tmp_path / "history.jsonl"
+        argv = ["metrics", "ingest", str(artifact), "--history", str(history)]
+        for _ in range(2):
+            assert main(argv) == 0
+            assert "ingested 1 sample(s)" in capsys.readouterr().out
+        assert len(history.read_text().splitlines()) == 2
 
 
 class TestCheck:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.experiments import persistence
 from repro.experiments.persistence import write_bench_artifact
 from repro.metrics import HistoryFrame, HistoryStore, Sample, sample_from_payload
 
@@ -104,7 +105,10 @@ class TestSampleFromPayload:
 
 
 class TestIngest:
-    def test_ingest_bench_artifact_end_to_end(self, tmp_path):
+    def test_ingest_bench_artifact_end_to_end(self, tmp_path, monkeypatch):
+        # Pin the provenance sha: without git metadata it reads "unknown",
+        # which never dedupes (TestAppendAndDedupe).
+        monkeypatch.setattr(persistence, "_GIT_SHA_CACHE", "0123abcd")
         artifact = tmp_path / "BENCH_smoke.json"
         write_bench_artifact(
             "bench_smoke",

@@ -1,12 +1,21 @@
 """Unit tests for the solve_lp entry point: backend names, the empty
-program, integer programs on HiGHS and cross-checks against HiGHS."""
+program, integer programs on HiGHS and cross-checks against the test
+reference (``tests.util.reference_lp``)."""
 
 import numpy as np
 import pytest
 
 from repro.solver import LinearProgram, Sense, SolveStatus, solve_lp
+from tests.util import reference_lp
 
-BACKENDS = ["revised-simplex", "scipy"]
+
+def _highs(lp):
+    solution = solve_lp(lp)
+    return solution.status, solution.objective_value
+
+
+#: ``solve_lp`` and the test reference, each answering ``(status, objective)``.
+SOLVERS = {"reference": reference_lp, "scipy": _highs}
 
 
 def _sample_lp():
@@ -34,7 +43,7 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="unknown backend"):
             solve_lp(_sample_lp(), backend="gurobi")
 
-    @pytest.mark.parametrize("name", ["auto", "simplex"])
+    @pytest.mark.parametrize("name", ["auto", "simplex", "revised-simplex"])
     def test_retired_backend_names_raise(self, name):
         with pytest.raises(ValueError, match="unknown backend"):
             solve_lp(_sample_lp(), backend=name)
@@ -42,17 +51,13 @@ class TestBackendSelection:
     def test_default_backend_is_highs(self):
         assert solve_lp(_sample_lp()).backend == "scipy-highs"
 
-    def test_revised_simplex_rejects_integer_programs(self):
-        with pytest.raises(ValueError, match="LPs only"):
-            solve_lp(_knapsack([1, 2], [1, 1], 1), backend="revised-simplex")
-
 
 class TestSolveLP:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_all_backends_agree(self, backend):
-        solution = solve_lp(_sample_lp(), backend=backend)
-        assert solution.is_optimal
-        assert solution.objective_value == pytest.approx(36.0)
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_all_backends_agree(self, solver):
+        status, objective = SOLVERS[solver](_sample_lp())
+        assert status is SolveStatus.OPTIMAL
+        assert objective == pytest.approx(36.0)
 
     def test_fully_presolved_program_goes_to_highs_unchanged(self):
         lp = LinearProgram(maximize=True)
@@ -68,7 +73,7 @@ class TestSolveLP:
         fixed = lp.add_variable("fixed", lower=1.0, upper=1.0, objective=1.0)
         free = lp.add_variable("free", upper=2.0, objective=1.0)
         lp.add_constraint({fixed: 1.0, free: 1.0}, Sense.LE, 3.0)
-        solution = solve_lp(lp, backend="revised-simplex")
+        solution = solve_lp(lp)
         assert solution.x[fixed] == pytest.approx(1.0)
         assert solution.x[free] == pytest.approx(2.0)
 
@@ -76,32 +81,32 @@ class TestSolveLP:
 class TestEmptyProgram:
     """A program without variables is answered without a backend."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("maximize", [True, False])
-    def test_empty_program_is_optimal_at_zero(self, backend, maximize):
-        solution = solve_lp(LinearProgram(maximize=maximize), backend=backend)
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.objective_value == 0.0
-        assert solution.x.shape == (0,)
+    def test_empty_program_is_optimal_at_zero(self, solver, maximize):
+        status, objective = SOLVERS[solver](LinearProgram(maximize=maximize))
+        assert status is SolveStatus.OPTIMAL
+        assert objective == 0.0
+        assert solve_lp(LinearProgram(maximize=maximize)).x.shape == (0,)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_satisfied_constant_rows_are_optimal(self, backend):
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_satisfied_constant_rows_are_optimal(self, solver):
         lp = LinearProgram(maximize=True)
         lp.add_constraint({}, Sense.LE, 1.0)
         lp.add_constraint({}, Sense.GE, -1.0)
         lp.add_constraint({}, Sense.EQ, 0.0)
-        solution = solve_lp(lp, backend=backend)
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.objective_value == 0.0
+        status, objective = SOLVERS[solver](lp)
+        assert status is SolveStatus.OPTIMAL
+        assert objective == 0.0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize(
         "sense, rhs", [(Sense.GE, 1.0), (Sense.LE, -1.0), (Sense.EQ, 2.0)]
     )
-    def test_violated_constant_row_is_infeasible(self, backend, sense, rhs):
+    def test_violated_constant_row_is_infeasible(self, solver, sense, rhs):
         lp = LinearProgram(maximize=True)
         lp.add_constraint({}, sense, rhs)
-        assert solve_lp(lp, backend=backend).status is SolveStatus.INFEASIBLE
+        assert SOLVERS[solver](lp)[0] is SolveStatus.INFEASIBLE
 
 
 class TestIntegerPrograms:
@@ -207,7 +212,7 @@ class TestIntegerPrograms:
 
 
 class TestScipyCrossCheck:
-    """The revised simplex must match HiGHS on random LPs."""
+    """``solve_lp`` must match the test reference on random LPs."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_packing_lps(self, seed):
@@ -223,12 +228,10 @@ class TestScipyCrossCheck:
             }
             if coeffs:
                 lp.add_constraint(coeffs, Sense.LE, float(rng.integers(1, 4)))
-        revised = solve_lp(lp, backend="revised-simplex")
-        reference = solve_lp(lp, backend="scipy")
-        assert revised.is_optimal and reference.is_optimal
-        assert revised.objective_value == pytest.approx(
-            reference.objective_value, abs=1e-6
-        )
+        ours = solve_lp(lp)
+        status, objective = reference_lp(lp)
+        assert ours.is_optimal and status is SolveStatus.OPTIMAL
+        assert ours.objective_value == pytest.approx(objective, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(8, 12))
     def test_random_mixed_sense_lps(self, seed):
@@ -251,13 +254,11 @@ class TestScipyCrossCheck:
                 continue
             # Keep the RHS generous so the instance stays feasible.
             lp.add_constraint(coeffs, senses[int(rng.integers(3))], float(rng.uniform(2, 6)))
-        reference = solve_lp(lp, backend="scipy")
-        ours = solve_lp(lp, backend="revised-simplex")
-        assert ours.status == reference.status
-        if reference.is_optimal:
-            assert ours.objective_value == pytest.approx(
-                reference.objective_value, abs=1e-6
-            )
+        status, objective = reference_lp(lp)
+        ours = solve_lp(lp)
+        assert ours.status == status
+        if status.is_optimal:
+            assert ours.objective_value == pytest.approx(objective, abs=1e-6)
 
 
 class TestHighsFailureReporting:

@@ -2,10 +2,10 @@
 
 :func:`apply_lp_patch` edits a :class:`LinearProgram` in place — removals
 swap with the last element, additions append — and keeps the primed COO
-triplet cache in sync, so ``to_standard_form`` after a patch must agree
+triplet cache in sync, so ``to_arrays`` after a patch must agree
 coefficient for coefficient with a program rebuilt from the patched row
-dicts, and HiGHS (which reads the cache) must find the rebuilt program's
-optimum.
+dicts, and HiGHS (which reads the cache) must find the optimum that the
+test reference, reading the row dicts, finds.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.solver.patch import (
     apply_lp_patch,
 )
 from repro.solver.problem import LinearProgram, Sense
-from repro.solver.standard_form import to_standard_form
+from tests.util import reference_lp
 
 
 def _lp() -> LinearProgram:
@@ -60,9 +60,11 @@ def _clone_from_rows(lp: LinearProgram) -> LinearProgram:
 
 
 def _dense(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    sf = to_standard_form(lp)
-    matrix = sf.matrix().gather_dense(np.arange(sf.num_columns))
-    return matrix, sf.b.copy(), sf.c.copy()
+    """The constraint matrix (from the COO cache), rhs and objective."""
+    program = lp.to_arrays()
+    matrix = np.zeros((program.num_constraints, program.num_variables))
+    np.add.at(matrix, (program.rows, program.cols), program.vals)
+    return matrix, program.rhs, program.objective
 
 
 def test_remove_variable_swaps_with_last():
@@ -145,8 +147,7 @@ def test_unknown_names_raise_patch_error():
 def test_coo_cache_matches_row_dicts_after_patches():
     lp = _lp()
     # Prime the COO cache the way the benchmark builder does.
-    sf0 = to_standard_form(lp)
-    assert sf0.num_columns > 0
+    assert lp.constraints_coo()[0].size > 0
     apply_lp_patch(
         lp,
         LPPatch(
@@ -173,15 +174,13 @@ def test_coo_cache_matches_row_dicts_after_patches():
 
 def _assert_matches_rebuild(lp: LinearProgram) -> None:
     # HiGHS assembles its matrix from the patch-maintained COO cache; the
-    # in-repo revised simplex on a program rebuilt from the row dicts is the
-    # independent check.
+    # test reference, which reads the patched row dicts, is the independent
+    # check.
     patched = solve_lp(lp)
     assert patched.is_optimal
     assert patched.backend == "scipy-highs"
-    rebuilt = solve_lp(_clone_from_rows(lp), backend="revised-simplex")
-    assert patched.objective_value == pytest.approx(
-        rebuilt.objective_value, abs=1e-9
-    )
+    _, rebuilt = reference_lp(lp)
+    assert patched.objective_value == pytest.approx(rebuilt, abs=1e-9)
 
 
 def test_dispatch_modes_and_optima():
@@ -228,15 +227,13 @@ def test_dispatch_modes_and_optima():
 
 def test_eager_patch_then_solve_keeps_fast_dispatch():
     # An RHS patch applied eagerly (for the move journal) must leave the
-    # primed COO triplets and their sort order in place, so the next solve
-    # reuses them instead of re-walking the row dicts.
+    # primed COO triplets in place, so the next solve reuses them instead
+    # of re-walking the row dicts.
     lp = _lp()
     assert solve_lp(lp).is_optimal
-    to_standard_form(lp, sparse=True)
-    coo, order = lp._coo, lp._coo_order
-    assert coo is not None and order is not None
+    coo = lp._coo
+    assert coo is not None
     application = apply_lp_patch(lp, LPPatch(set_rhs=(("r1", 1.0),)))
     assert application.rhs_only
     assert lp._coo is coo
-    assert lp._coo_order is order
     _assert_matches_rebuild(lp)

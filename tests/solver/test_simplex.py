@@ -1,7 +1,7 @@
-"""Unit tests for the revised simplex, with HiGHS as the reference.
+"""Textbook LPs through ``solve_lp`` (HiGHS): optima, statuses, bounds.
 
-Every test is parametrized over HiGHS (``solve_lp``'s default backend) and
-the in-repo revised simplex — both must give the textbook answers.
+The ``solver`` fixture keeps the ``[highs]`` test ids; ``solve_lp`` is the
+only solver.
 """
 
 import math
@@ -9,22 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.solver import (
-    LinearProgram,
-    RevisedSimplexOptions,
-    Sense,
-    SolveStatus,
-    solve_lp,
-    solve_lp_revised_simplex,
-)
-
-SOLVERS = [
-    pytest.param(solve_lp, id="highs"),
-    pytest.param(solve_lp_revised_simplex, id="revised"),
-]
+from repro.solver import LinearProgram, Sense, SolveStatus, solve_lp
 
 
-@pytest.fixture(params=SOLVERS)
+@pytest.fixture(params=[pytest.param(solve_lp, id="highs")])
 def solver(request):
     return request.param
 
@@ -127,17 +115,6 @@ class TestStatuses:
         lp.add_variable("x", objective=2.0)
         assert solver(lp).status is SolveStatus.UNBOUNDED
 
-    def test_iteration_limit_reported(self):
-        lp = LinearProgram(maximize=True)
-        variables = [lp.add_variable(f"x{i}", objective=1.0) for i in range(10)]
-        for i in range(9):
-            lp.add_constraint(
-                {variables[i]: 1.0, variables[i + 1]: 1.0}, Sense.LE, 1.0
-            )
-        options = RevisedSimplexOptions(max_iterations=1)
-        solution = solve_lp_revised_simplex(lp, options)
-        assert solution.status is SolveStatus.ITERATION_LIMIT
-
 
 class TestBoundsHandling:
     def test_variable_bounds_respected(self, solver):
@@ -206,18 +183,3 @@ class TestSolutionValidity:
             assert solution.objective_value == pytest.approx(
                 lp.objective_value(solution.x)
             )
-
-    def test_revised_refactorization_consistency(self):
-        """Frequent refactorization must not change the answer."""
-        lp = LinearProgram(maximize=True)
-        variables = [lp.add_variable(f"x{j}", objective=float(j + 1)) for j in range(8)]
-        for i in range(8):
-            coeffs = {variables[j]: 1.0 for j in range(8) if (i + j) % 3 != 0}
-            lp.add_constraint(coeffs, Sense.LE, float(5 + i))
-        every_pivot = solve_lp_revised_simplex(
-            lp, RevisedSimplexOptions(refactor_every=1)
-        )
-        rarely = solve_lp_revised_simplex(
-            lp, RevisedSimplexOptions(refactor_every=10_000)
-        )
-        assert every_pivot.objective_value == pytest.approx(rarely.objective_value)

@@ -197,3 +197,46 @@ def dfs_all_admissible_sets(
         )
         for user in instance.users
     }
+
+
+def reference_lp(lp) -> tuple:
+    """The reference solve of an LP: ``(SolveStatus, objective)``, the
+    objective in ``lp``'s own sense (NaN unless optimal).
+
+    Shares no code with :func:`~repro.solver.api.solve_lp`: it takes the
+    dense matrix from the row dicts (``dense_constraint_matrix``), reading
+    neither the COO cache nor ``to_arrays``, negates ``>=`` rows by hand,
+    and runs HiGHS's interior-point method rather than the dual simplex
+    ``solve_lp`` gets.  So it checks the repo's own assembly, sense flips,
+    bounds and the sign of a maximization — not HiGHS itself: a bug both
+    HiGHS algorithms share goes unseen.
+    """
+    from scipy.optimize import linprog
+
+    from repro.solver import Sense, SolveStatus
+
+    assert not lp.has_integer_variables, "reference_lp solves LPs only"
+    matrix, senses, rhs = lp.dense_constraint_matrix()
+    # One extra column fixed at 0 keeps a program without variables
+    # solvable, so HiGHS still judges its constant rows.
+    matrix = np.hstack([matrix, np.zeros((len(senses), 1))])
+    le = np.array([sense is Sense.LE for sense in senses], dtype=bool)
+    ge = np.array([sense is Sense.GE for sense in senses], dtype=bool)
+    eq = ~(le | ge)
+    sign = -1.0 if lp.maximize else 1.0
+    result = linprog(
+        [sign * variable.objective for variable in lp.variables] + [0.0],
+        A_ub=np.vstack([matrix[le], -matrix[ge]]),
+        b_ub=np.concatenate([rhs[le], -rhs[ge]]),
+        A_eq=matrix[eq],
+        b_eq=rhs[eq],
+        bounds=[(v.lower, v.upper) for v in lp.variables] + [(0.0, 0.0)],
+        method="highs-ipm",
+    )
+    status = {
+        0: SolveStatus.OPTIMAL,
+        2: SolveStatus.INFEASIBLE,
+        3: SolveStatus.UNBOUNDED,
+    }.get(result.status, SolveStatus.ERROR)
+    objective = sign * float(result.fun) if status.is_optimal else float("nan")
+    return status, objective
