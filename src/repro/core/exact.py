@@ -52,7 +52,7 @@ class ExactILP(ArrangementAlgorithm):
             # proven optimum means the solve (or the formulation) failed.
             raise ExactSolveError(
                 f"benchmark ILP solve failed with status {solution.status.value}: "
-                f"{diagnostics.get('linprog_message', 'no message')}"
+                f"{diagnostics.get('highs_message', 'no message')}"
             )
         pairs = benchmark.pairs_from_solution(solution.x)
         arrangement = Arrangement.from_pairs(instance, pairs, check=True)

@@ -39,8 +39,9 @@ from repro.core.admissible import (
     DEFAULT_MAX_SETS_PER_USER,
     enumerate_admissible_batch,
 )
+from repro.model.arrangement import Arrangement
 from repro.model.instance import IGEPAInstance
-from repro.solver.problem import ArrayProgram, LinearProgram, Sense
+from repro.solver.problem import ArrayProgram, LinearProgram, Sense, StartBasis
 
 
 def sum_in_order(weights: Iterable[float]) -> float:
@@ -226,6 +227,69 @@ class BenchmarkLP:
         members += np.arange(members.size)
         return np.repeat(self.set_upos[columns], sizes), self.set_vpos[members]
 
+    def start_basis(self, arrangement: Arrangement) -> StartBasis | None:
+        """The simplex basis of the vertex that encodes ``arrangement``.
+
+        Each assigned user's column (the one whose set is exactly the
+        user's events) is basic at 1 and that user's (2) row is nonbasic
+        at its upper bound; every other user's (2) row and every (3) row is
+        basic (its slack), every other column at its lower bound 0.  Each
+        nonbasic (2) row holds exactly one basic column, so the basis is
+        triangular and always factors; a feasible arrangement makes it
+        primal feasible.
+
+        Columns are matched by a per-set hash of their events and then
+        checked exactly: the basic columns must spell out the arrangement's
+        pairs.  Returns ``None`` when they do not (a set not in the table,
+        ``arrangement`` of another instance) or when the table has no
+        program of its own row layout (a mirrored table).
+        """
+        program = self.program
+        index = arrangement.instance.index
+        if not (
+            program is not None
+            and np.array_equal(index.user_ids, self.user_ids)
+            and np.array_equal(index.event_ids, self.event_ids)
+        ):
+            return None
+        upos, vpos = arrangement.assigned_positions()
+        num_users = self.user_ids.size
+        keys = _position_keys(self.event_ids.size)
+        # Sets summed per column and per user (uint64 sums wrap: a hash).
+        column_keys = np.zeros(self.num_columns, dtype=np.uint64)
+        np.add.at(
+            column_keys,
+            np.repeat(np.arange(self.num_columns), np.diff(self.set_indptr)),
+            keys[self.set_vpos],
+        )
+        user_keys = np.zeros(num_users, dtype=np.uint64)
+        np.add.at(user_keys, upos, keys[vpos])
+        assigned = np.zeros(num_users, dtype=bool)
+        assigned[upos] = True
+        candidates = np.flatnonzero(
+            assigned[self.set_upos] & (column_keys == user_keys[self.set_upos])
+        )
+        # One column per user: the first candidate (columns ascend).
+        users, first = np.unique(self.set_upos[candidates], return_index=True)
+        basic = candidates[first]
+        if users.size != np.count_nonzero(assigned):
+            return None
+        col_upos, col_vpos = self.column_pairs(basic)
+        order = np.lexsort((col_vpos, col_upos))
+        if not (
+            np.array_equal(col_upos[order], upos)
+            and np.array_equal(col_vpos[order], vpos)
+        ):
+            return None
+        basic_columns = np.zeros(self.num_columns, dtype=bool)
+        basic_columns[basic] = True
+        # Rows as build_benchmark_lp lays them out: the (2) row of every
+        # user with a column, then the (3) rows.
+        user_row = np.cumsum(np.bincount(self.set_upos, minlength=num_users) > 0) - 1
+        basic_rows = np.ones(program.num_constraints, dtype=bool)
+        basic_rows[user_row[users]] = False
+        return StartBasis(basic_columns=basic_columns, basic_rows=basic_rows)
+
     def pairs_from_solution(self, x, threshold: float = 0.5) -> list[tuple[int, int]]:
         """Decode an *integral* solution into ``(event_id, user_id)`` pairs.
 
@@ -236,6 +300,15 @@ class BenchmarkLP:
         chosen = np.flatnonzero(np.asarray(x, dtype=float) > threshold)
         upos, vpos = self.column_pairs(chosen)
         return list(zip(self.event_ids[vpos].tolist(), self.user_ids[upos].tolist()))
+
+
+def _position_keys(size: int) -> np.ndarray:
+    """A fixed pseudo-random 64-bit key per position (splitmix64's
+    finalizer over ``1, 2, …``): sums of keys hash sets of positions."""
+    z = (np.arange(1, size + 1, dtype=np.uint64)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def build_benchmark_lp(

@@ -70,8 +70,9 @@ class TickEngine:
         oracle_every: oracle cadence in ticks (0: never; must be >= 0).
         defrag_lp: run an LP-packing re-solve during defrag and adopt its
             arrangement on net gain.  The benchmark LP is rebuilt per defrag
-            and solved by :func:`~repro.solver.api.solve_lp`'s default
-            backend (HiGHS).
+            and solved by :func:`~repro.solver.api.solve_lp` (HiGHS), its
+            simplex started from the arrangement the defrag sweep left
+            (:meth:`~repro.core.lp_packing.LPPacking.start_from`).
         defrag_lp_incremental: maintain the defrag LP incrementally —
             :meth:`apply_churn` feeds every delta into the resolver's
             delta-patched program, so each defrag solve patches the
@@ -286,6 +287,9 @@ class TickEngine:
                 if snapshot is not None
                 else 0.0
             )
+            # The post-sweep arrangement is a feasible vertex of the
+            # rebuilt LP: HiGHS starts from it instead of from scratch.
+            self.lp_resolver.start_from(self.arrangement)
             lp_result = self.lp_resolver.solve(
                 result.instance, seed=self.seed + 100_003 + tick
             )

@@ -7,7 +7,9 @@ chain's included:
 * :class:`LinearProgram` — the backend-neutral model, and
   :class:`ArrayProgram`, the same program as arrays (what HiGHS takes).
 * :func:`solve_lp` — the one entry point: HiGHS's LP solver, or its MIP
-  solver for programs with integer-marked variables.
+  solver for programs with integer-marked variables, in one direct call on
+  SciPy's vendored HiGHS bindings; an LP can start from a
+  :class:`StartBasis`.
 """
 
 from repro.solver.api import solve_lp
@@ -16,6 +18,7 @@ from repro.solver.problem import (
     Constraint,
     LinearProgram,
     Sense,
+    StartBasis,
     Variable,
 )
 from repro.solver.result import LPSolution, SolveStatus
@@ -26,6 +29,7 @@ __all__ = [
     "Variable",
     "Constraint",
     "Sense",
+    "StartBasis",
     "LPSolution",
     "SolveStatus",
     "solve_lp",

@@ -120,6 +120,21 @@ class ArrayProgram:
         return bool(self.integer.any())
 
 
+@dataclass(frozen=True, eq=False)
+class StartBasis:
+    """A simplex start for :func:`~repro.solver.api.solve_lp`: which
+    columns and rows of a program are basic.  Every nonbasic column sits at
+    its lower bound and every nonbasic row at its upper bound.
+
+    Attributes:
+        basic_columns: per-variable flag, ``True`` for a basic column.
+        basic_rows: per-constraint flag, ``True`` for a basic row.
+    """
+
+    basic_columns: np.ndarray
+    basic_rows: np.ndarray
+
+
 #: :attr:`ArrayProgram.senses` code of each :class:`Sense`.
 SENSE_CODES = {Sense.LE: 1, Sense.GE: -1, Sense.EQ: 0}
 

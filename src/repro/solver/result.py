@@ -37,9 +37,13 @@ class LPSolution:
         backend: name of the backend that produced the solution
             (``"scipy-highs"``, or ``"none"`` for a program without
             variables).
-        diagnostics: backend-reported solve telemetry: linprog's ``status``
-            and ``message``, plus ``mip_node_count`` and ``mip_gap`` for an
-            integer program.  None when the backend reports nothing.
+        diagnostics: backend-reported solve telemetry: HiGHS's model
+            status (``highs_status``) and its name (``highs_message``), plus
+            ``mip_node_count`` and ``mip_gap`` for an integer program.  None
+            when no backend ran.
+        start: how the simplex started: ``"cold"`` (no start basis given),
+            ``"warm"`` (HiGHS took the given start) or ``"rejected"``
+            (HiGHS refused it and started cold).
     """
 
     status: SolveStatus
@@ -48,6 +52,7 @@ class LPSolution:
     iterations: int = 0
     backend: str = ""
     diagnostics: dict | None = None
+    start: str = "cold"
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)

@@ -27,6 +27,7 @@ from repro.datagen import (
 from repro.model import Arrangement
 from repro.model.delta import apply_delta
 from repro.solver import LinearProgram, Sense, solve_lp
+from repro.solver.api import _highs_lp
 from tests.util import dfs_all_admissible_sets
 
 
@@ -156,47 +157,42 @@ class TestOneSummationRule:
 # ----------------------------------------------------------------------
 # The hand-off to HiGHS: the array program against the built LinearProgram
 # ----------------------------------------------------------------------
-def _linprog_inputs(program, monkeypatch):
-    """The arguments ``solve_lp(program)`` passes to ``linprog``."""
-    import scipy.optimize
+#: The ``HighsLp`` fields ``solve_lp`` fills, the matrix's under ``a_matrix_``.
+_HIGHS_FIELDS = (
+    "col_cost_",
+    "col_lower_",
+    "col_upper_",
+    "row_lower_",
+    "row_upper_",
+    "integrality_",
+)
+_MATRIX_FIELDS = ("start_", "index_", "value_")
 
-    calls = []
-    real = scipy.optimize.linprog
 
-    def recording(c, **kwargs):
-        calls.append((c, kwargs))
-        return real(c, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(scipy.optimize, "linprog", recording)
-        solve_lp(program)
-    assert len(calls) == 1
-    return calls[0]
+def _highs_inputs(program):
+    """The ``HighsLp`` that ``solve_lp(program)`` passes to HiGHS, its
+    fields as arrays (a :class:`LinearProgram` reaches HiGHS through
+    ``to_arrays``)."""
+    if isinstance(program, LinearProgram):
+        program = program.to_arrays()
+    lp = _highs_lp(program)
+    inputs = {name: np.asarray(getattr(lp, name)) for name in _HIGHS_FIELDS}
+    inputs["integrality_"] = np.array([int(kind) for kind in lp.integrality_])
+    for name in _MATRIX_FIELDS:
+        inputs[name] = np.asarray(getattr(lp.a_matrix_, name))
+    inputs["shape"] = np.array(
+        [lp.num_row_, lp.num_col_, lp.a_matrix_.num_row_, lp.a_matrix_.num_col_]
+    )
+    inputs["format"] = np.array([int(lp.a_matrix_.format_)])
+    return inputs
 
 
 def _assert_same_inputs(ours, theirs):
-    (c, kwargs), (c_ref, kwargs_ref) = ours, theirs
-    assert c.dtype == c_ref.dtype and c.tobytes() == c_ref.tobytes()
-    assert kwargs.keys() == kwargs_ref.keys()
-    for key in ("A_ub", "A_eq"):
-        matrix, reference = kwargs[key], kwargs_ref[key]
-        assert (matrix is None) == (reference is None)
-        if matrix is not None:
-            assert matrix.format == reference.format == "csr"
-            assert matrix.shape == reference.shape
-            for part in ("indptr", "indices", "data"):
-                ours_part = getattr(matrix, part)
-                theirs_part = getattr(reference, part)
-                assert ours_part.dtype == theirs_part.dtype
-                assert ours_part.tobytes() == theirs_part.tobytes()
-    for key in ("b_ub", "b_eq", "bounds", "integrality"):
-        value, reference = kwargs[key], kwargs_ref[key]
-        assert (value is None) == (reference is None)
-        if value is not None:
-            assert value.dtype == reference.dtype and value.shape == reference.shape
-            assert value.tobytes() == reference.tobytes()
-    assert kwargs["method"] == kwargs_ref["method"]
-    assert kwargs["options"] == kwargs_ref["options"]
+    assert ours.keys() == theirs.keys()
+    for name, value in ours.items():
+        reference = theirs[name]
+        assert value.dtype == reference.dtype and value.shape == reference.shape, name
+        assert value.tobytes() == reference.tobytes(), name
 
 
 class TestArrayProgramHandOff:
@@ -206,18 +202,17 @@ class TestArrayProgramHandOff:
 
     @pytest.mark.parametrize("implied_upper", [False, True])
     @pytest.mark.parametrize("name", sorted(INSTANCES))
-    def test_linprog_inputs_bit_identical(self, name, implied_upper, monkeypatch):
+    def test_linprog_inputs_bit_identical(self, name, implied_upper):
         benchmark = build_benchmark_lp(INSTANCES[name](), implied_upper=implied_upper)
-        _assert_same_inputs(
-            _linprog_inputs(benchmark.program, monkeypatch),
-            _linprog_inputs(benchmark.lp, monkeypatch),
-        )
+        ours = _highs_inputs(benchmark.program)
+        assert ours["integrality_"].size == 0
+        _assert_same_inputs(ours, _highs_inputs(benchmark.lp))
 
-    def test_integer_program_inputs_bit_identical(self, monkeypatch):
+    def test_integer_program_inputs_bit_identical(self):
         benchmark = build_benchmark_lp(_synthetic(60, 5), integer=True)
-        ours = _linprog_inputs(benchmark.program, monkeypatch)
-        assert ours[1]["integrality"] is not None
-        _assert_same_inputs(ours, _linprog_inputs(benchmark.lp, monkeypatch))
+        ours = _highs_inputs(benchmark.program)
+        assert ours["integrality_"].size == benchmark.num_columns
+        _assert_same_inputs(ours, _highs_inputs(benchmark.lp))
 
     def test_rebuild_path_never_builds_the_linear_program(self, monkeypatch):
         def refuse(*_args, **_kwargs):

@@ -115,7 +115,7 @@ class TestExactness:
             return LPSolution(
                 SolveStatus.ITERATION_LIMIT,
                 backend="stub",
-                diagnostics={"linprog_message": "stub limit"},
+                diagnostics={"highs_message": "stub limit"},
             )
 
         monkeypatch.setattr(module, "solve_lp", failing_solve)

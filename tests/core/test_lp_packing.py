@@ -7,7 +7,7 @@ from repro.core import LPPacking, build_benchmark_lp, lp_upper_bound
 from repro.core.lp_packing import REPAIR_ORDERS, LPPackingError
 from repro.model import Event, IGEPAInstance, MatrixConflict, TabulatedInterest, User
 from repro.social import Graph
-from tests.util import random_instance, tiny_instance
+from tests.util import random_instance, stub_highs_run, tiny_instance
 
 
 class TestConfiguration:
@@ -310,21 +310,16 @@ class TestDiagnostics:
 
 
     def test_highs_numerical_failure_names_linprog_status(self, monkeypatch):
-        import scipy.optimize
+        from scipy.optimize._highspy import _core
 
-        def failing_linprog(*args, **kwargs):
-            return scipy.optimize.OptimizeResult(
-                status=4, success=False, message="Numerical difficulties", nit=3
-            )
-
-        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+        stub_highs_run(monkeypatch, _core.HighsModelStatus.kSolveError, iterations=3)
         algorithm = LPPacking()
         with pytest.raises(LPPackingError) as caught:
             algorithm.solve(random_instance(seed=2, num_users=30, num_events=10), seed=0)
         message = str(caught.value)
         assert "status error" in message
-        assert "linprog_status=4" in message
-        assert "Numerical difficulties" in message
+        assert f"highs_status={int(_core.HighsModelStatus.kSolveError)}" in message
+        assert "Solve error" in message
 
 
 class TestQuality:

@@ -1,0 +1,188 @@
+"""The defrag LP's warm start: the basis of the vertex that encodes a
+feasible arrangement (``BenchmarkLP.start_basis``), handed to HiGHS by
+``solve_lp(..., start=...)`` and, through ``LPPacking.start_from``, on the
+rebuild path only."""
+
+import numpy as np
+import pytest
+
+from repro.core import LPPacking, build_benchmark_lp
+from repro.core.local_search import improve
+from repro.core.online import OnlineGreedy
+from repro.datagen.adversarial import integrality_gap_instance, small_tight_instance
+from repro.model import Arrangement
+from repro.solver import solve_lp
+from repro.solver.problem import StartBasis
+from tests.core.test_defrag_rebuild import INSTANCES, _synthetic
+
+WARM_INSTANCES = {
+    **INSTANCES,
+    "small-tight-s3": lambda: small_tight_instance(3),
+    "integrality-gap": integrality_gap_instance,
+}
+
+
+def _swept(instance, seed=0):
+    """An online arrangement after a local-search sweep, as defrag leaves
+    it before its LP step."""
+    arrangement = OnlineGreedy().solve(instance, seed=seed).arrangement
+    improve(instance, arrangement)
+    return arrangement
+
+
+def _assert_feasible(program, x, tol=1e-9):
+    assert np.all(x >= program.lower - tol) and np.all(x <= program.upper + tol)
+    activity = np.zeros(program.num_constraints)
+    np.add.at(activity, program.rows, program.vals * x[program.cols])
+    assert np.all(activity <= program.rhs + tol)
+
+
+class TestStartBasis:
+    @pytest.mark.parametrize("name", sorted(WARM_INSTANCES))
+    def test_basic_columns_decode_to_the_arrangement(self, name):
+        instance = WARM_INSTANCES[name]()
+        arrangement = _swept(instance)
+        benchmark = build_benchmark_lp(instance)
+        start = benchmark.start_basis(arrangement)
+        assert start is not None
+        upos, vpos = benchmark.column_pairs(np.flatnonzero(start.basic_columns))
+        order = np.lexsort((vpos, upos))
+        expected_upos, expected_vpos = arrangement.assigned_positions()
+        assert np.array_equal(upos[order], expected_upos)
+        assert np.array_equal(vpos[order], expected_vpos)
+        # Square: one basic variable per row.  The nonbasic rows are the
+        # (2) rows of exactly the assigned users.
+        program = benchmark.program
+        assert start.basic_rows.shape == (program.num_constraints,)
+        assert start.basic_columns.sum() + start.basic_rows.sum() == (
+            program.num_constraints
+        )
+        assigned_users = np.unique(expected_upos)
+        user_rows = np.flatnonzero(np.bincount(benchmark.set_upos))
+        assert np.array_equal(
+            np.flatnonzero(~start.basic_rows),
+            np.searchsorted(user_rows, assigned_users),
+        )
+
+    def test_empty_arrangement_is_the_slack_basis(self):
+        instance = _synthetic(60, 0)
+        benchmark = build_benchmark_lp(instance)
+        start = benchmark.start_basis(Arrangement(instance))
+        assert not start.basic_columns.any() and start.basic_rows.all()
+
+    def test_arrangement_of_another_instance_gives_no_start(self):
+        benchmark = build_benchmark_lp(_synthetic(60, 0))
+        assert benchmark.start_basis(_swept(_synthetic(80, 1))) is None
+
+    def test_a_set_missing_from_the_table_gives_no_start(self):
+        instance = _synthetic(60, 0)
+        arrangement = _swept(instance)
+        benchmark = build_benchmark_lp(instance)
+        # Drop the column of one assigned user's set.
+        upos, _ = arrangement.assigned_positions()
+        column = np.flatnonzero(benchmark.start_basis(arrangement).basic_columns)[0]
+        keep = np.arange(benchmark.num_columns) != column
+        sizes = np.diff(benchmark.set_indptr)
+        members = np.repeat(keep, sizes)
+        trimmed = type(benchmark)(
+            name=benchmark.name,
+            user_ids=benchmark.user_ids,
+            event_ids=benchmark.event_ids,
+            set_upos=benchmark.set_upos[keep],
+            set_indptr=np.concatenate([[0], np.cumsum(sizes[keep])]),
+            set_vpos=benchmark.set_vpos[members],
+            program=benchmark.program,
+        )
+        assert upos.size
+        assert trimmed.start_basis(arrangement) is None
+
+
+class TestWarmSolve:
+    @pytest.mark.parametrize("name", sorted(WARM_INSTANCES))
+    def test_warm_solve_reaches_the_cold_optimum(self, name):
+        instance = WARM_INSTANCES[name]()
+        benchmark = build_benchmark_lp(instance)
+        cold = solve_lp(benchmark.program)
+        warm = solve_lp(
+            benchmark.program, start=benchmark.start_basis(_swept(instance))
+        )
+        assert cold.start == "cold" and warm.start == "warm"
+        assert warm.is_optimal
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+        _assert_feasible(benchmark.program, warm.x)
+
+    def test_a_start_highs_refuses_is_reported_and_solved_cold(self):
+        benchmark = build_benchmark_lp(_synthetic(60, 0))
+        program = benchmark.program
+        # Every column and every row basic: not a basis.
+        refused = StartBasis(
+            basic_columns=np.ones(program.num_variables, dtype=bool),
+            basic_rows=np.ones(program.num_constraints, dtype=bool),
+        )
+        solution = solve_lp(program, start=refused)
+        assert solution.start == "rejected"
+        assert solution.objective_value == solve_lp(program).objective_value
+
+    def test_integer_programs_ignore_the_start(self):
+        instance = integrality_gap_instance()
+        arrangement = _swept(instance)
+        benchmark = build_benchmark_lp(instance, integer=True)
+        solution = solve_lp(
+            benchmark.program, start=benchmark.start_basis(arrangement)
+        )
+        assert solution.is_optimal and solution.start == "cold"
+
+
+class TestLPPackingStart:
+    @pytest.mark.parametrize("name", sorted(WARM_INSTANCES))
+    def test_start_from_warms_the_next_rebuild(self, name):
+        instance = WARM_INSTANCES[name]()
+        cold = LPPacking(cache_lp=False).solve(instance, seed=3)
+        resolver = LPPacking(cache_lp=False)
+        resolver.start_from(_swept(instance))
+        warm = resolver.solve(instance, seed=3)
+        assert cold.details["lp_start"] == "cold"
+        assert warm.details["lp_start"] == "warm"
+        assert warm.details["lp_objective"] == pytest.approx(
+            cold.details["lp_objective"], abs=1e-9
+        )
+        # The hint is spent: the next solve is cold.
+        assert resolver.solve(instance, seed=3).details["lp_start"] == "cold"
+
+    def test_hint_for_another_instance_is_ignored(self):
+        resolver = LPPacking(cache_lp=False)
+        resolver.start_from(_swept(_synthetic(60, 0)))
+        other = _synthetic(60, 1)
+        assert resolver.solve(other, seed=0).details["lp_start"] == "cold"
+
+    def test_incremental_chain_ignores_the_hint(self):
+        instance = _synthetic(60, 0)
+        resolver = LPPacking(incremental=True, cache_lp=False)
+        resolver.start_from(_swept(instance))
+        result = resolver.solve(instance, seed=0)
+        assert result.details["lp_start"] == "cold"
+        assert result.details["lp_backend"] == "scipy-highs"
+
+    def test_cached_solve_is_not_warm(self):
+        instance = _synthetic(60, 0)
+        resolver = LPPacking()
+        resolver.solve(instance, seed=0)
+        resolver.start_from(_swept(instance))
+        cached = resolver.solve(instance, seed=1)
+        assert cached.details["lp_backend"] == "cache"
+        assert cached.details["lp_start"] == "cold"
+
+
+def test_simulate_tick_records_carry_no_start():
+    """The start is solver telemetry, not a decision: simulate's records
+    (compared across checkouts for determinism) do not name it."""
+    import json
+
+    from repro.datagen import ChurnConfig, generate_churn_trace
+    from repro.experiments.simulate import simulate
+    from repro.service import PeriodicDefrag
+
+    instance = _synthetic(60, 0)
+    trace = generate_churn_trace(instance, ChurnConfig(num_batches=3), seed=1)
+    report = json.dumps(simulate(trace, seed=0, defrag=PeriodicDefrag(1)).to_dict())
+    assert "lp_start" not in report and "lp_iterations" not in report

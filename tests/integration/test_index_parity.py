@@ -161,7 +161,7 @@ class TestRepairOrderParity:
         sort of the scalar implementation."""
         instance = random_instance(seed=5, num_users=20, num_events=8)
         algorithm = LPPacking(repair_order=repair_order)
-        benchmark, x_star, _, _, _ = algorithm._solved_benchmark(instance)
+        benchmark, x_star = algorithm._solved_benchmark(instance)[:2]
         rng = np.random.default_rng(0)
         chosen = algorithm.sample_sets(benchmark, x_star, rng)
         sampled = dict(benchmark.assignments[k] for k in chosen.tolist())

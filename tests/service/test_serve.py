@@ -159,6 +159,57 @@ class TestDeterminism:
         assert reports[0] != reports[1]
 
 
+class TestDefragWarmStart:
+    """Every defrag LP starts from the post-sweep arrangement, and the
+    start changes no decision: the same trace served by a resolver that
+    got no start gives the same report and the same final arrangement."""
+
+    def _serve(self, monkeypatch, *, warm):
+        from repro.core.lp_packing import LPPacking
+
+        starts = []
+        solve = LPPacking.solve
+
+        def recording(self, instance, seed=None):
+            result = solve(self, instance, seed)
+            starts.append(result.details["lp_start"])
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LPPacking, "solve", recording)
+            if not warm:
+                patch.setattr(LPPacking, "start_from", lambda self, arrangement: None)
+            engine = TickEngine(
+                make_trace().initial,
+                seed=0,
+                defrag=PeriodicDefrag(2),
+                oracle_every=3,
+                clock=VirtualClock(),
+            )
+            report, responses = serve_requests(
+                engine,
+                make_trace().requests,
+                config=ServiceConfig(max_batch=8, max_wait=1.0),
+            )
+        return starts, report, responses, sorted(engine.arrangement.pairs)
+
+    def test_every_defrag_lp_is_warm_and_decides_as_cold(self, monkeypatch):
+        starts, report, responses, pairs = self._serve(monkeypatch, warm=True)
+        cold_starts, cold_report, cold_responses, cold_pairs = self._serve(
+            monkeypatch, warm=False
+        )
+        assert starts and set(starts) == {"warm"}
+        assert set(cold_starts) == {"cold"}
+        fingerprint = report.determinism_fingerprint()
+        assert fingerprint == cold_report.determinism_fingerprint()
+        assert "lp_start" not in json.dumps(fingerprint)
+        answers = [(r.user_id, r.outcome, r.events, r.tick) for r in responses]
+        assert answers == [
+            (r.user_id, r.outcome, r.events, r.tick) for r in cold_responses
+        ]
+        assert pairs == cold_pairs
+
+
 class TestSupersession:
     def test_churn_racing_defrag_supersedes_at_pass_boundary(self):
         # With an unbounded grace window every follow-up batch lands

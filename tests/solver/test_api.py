@@ -4,9 +4,10 @@ reference (``tests.util.reference_lp``)."""
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core as highs_core
 
 from repro.solver import LinearProgram, Sense, SolveStatus, solve_lp
-from tests.util import reference_lp
+from tests.util import reference_lp, stub_highs_run
 
 
 def _highs(lp):
@@ -169,7 +170,7 @@ class TestIntegerPrograms:
         lp.add_variable("x", objective=1.0, is_integer=True)
         solution = solve_lp(lp)
         assert solution.status is SolveStatus.ERROR
-        assert "unbounded" in solution.diagnostics["linprog_message"]
+        assert "unbounded" in solution.diagnostics["highs_message"]
 
     def test_continuous_variables_stay_continuous(self):
         # max x + y, x integer <= 1.5 -> x = 1; y continuous <= 1.5 -> y = 1.5.
@@ -261,9 +262,31 @@ class TestScipyCrossCheck:
             assert ours.objective_value == pytest.approx(objective, abs=1e-6)
 
 
+#: HiGHS model statuses with a verdict of their own: linprog's status codes
+#: 1 (iteration or time limit), 2 (infeasible) and 3 (unbounded).  Every
+#: other status but ``kOptimal`` is an ``ERROR`` (linprog's code 4), and so
+#: is ``kModelError``, which linprog counted as infeasible: a model HiGHS
+#: could not load says nothing about feasibility.
+HIGHS_VERDICTS = {
+    "kTimeLimit": SolveStatus.ITERATION_LIMIT,
+    "kIterationLimit": SolveStatus.ITERATION_LIMIT,
+    "kInfeasible": SolveStatus.INFEASIBLE,
+    "kUnbounded": SolveStatus.UNBOUNDED,
+}
+
+#: One HiGHS model status per linprog status code, the code's usual cause.
+HIGHS_STATUS_OF_LINPROG_CODE = {
+    1: "kIterationLimit",
+    2: "kInfeasible",
+    3: "kUnbounded",
+    4: "kSolveError",
+}
+
+
 class TestHighsFailureReporting:
-    """Each linprog failure code keeps its own meaning, and linprog's status
-    and message ride along in the solution's diagnostics."""
+    """Each failure keeps the meaning linprog's status code gave it, and
+    HiGHS's model status and its name ride along in the solution's
+    diagnostics."""
 
     @pytest.mark.parametrize(
         "code, status",
@@ -275,23 +298,33 @@ class TestHighsFailureReporting:
         ],
     )
     def test_linprog_status_mapping(self, monkeypatch, code, status):
-        import scipy.optimize
-
-        def failing_linprog(*args, **kwargs):
-            return scipy.optimize.OptimizeResult(
-                status=code, success=False, message="stub message", nit=7
-            )
-
-        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+        model_status = getattr(
+            highs_core.HighsModelStatus, HIGHS_STATUS_OF_LINPROG_CODE[code]
+        )
+        message = highs_core._Highs().modelStatusToString(model_status)
+        stub_highs_run(monkeypatch, model_status)
         solution = solve_lp(_sample_lp(), backend="scipy")
         assert solution.status is status
         assert solution.iterations == 7
         assert solution.diagnostics == {
-            "linprog_status": code,
-            "linprog_message": "stub message",
+            "highs_status": int(model_status),
+            "highs_message": message,
         }
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(highs_core.HighsModelStatus.__members__) - {"kOptimal"})
+    )
+    def test_every_highs_status_has_a_verdict(self, monkeypatch, name):
+        model_status = getattr(highs_core.HighsModelStatus, name)
+        stub_highs_run(monkeypatch, model_status)
+        solution = solve_lp(_sample_lp())
+        assert solution.status is HIGHS_VERDICTS.get(name, SolveStatus.ERROR)
+        assert solution.diagnostics["highs_status"] == int(model_status)
 
     def test_success_carries_linprog_status(self):
         solution = solve_lp(_sample_lp(), backend="scipy")
         assert solution.is_optimal
-        assert solution.diagnostics["linprog_status"] == 0
+        assert solution.diagnostics == {
+            "highs_status": int(highs_core.HighsModelStatus.kOptimal),
+            "highs_message": "Optimal",
+        }

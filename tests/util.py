@@ -240,3 +240,24 @@ def reference_lp(lp) -> tuple:
     }.get(result.status, SolveStatus.ERROR)
     objective = sign * float(result.fun) if status.is_optimal else float("nan")
     return status, objective
+
+
+def stub_highs_run(monkeypatch, model_status, iterations: int = 7) -> None:
+    """Make every HiGHS object that :func:`~repro.solver.api.solve_lp`
+    creates end its run on ``model_status`` after ``iterations`` simplex
+    iterations, without solving (the bindings' class, subclassed)."""
+    from scipy.optimize._highspy import _core
+
+    class Stopped(_core._Highs):
+        def run(self):
+            return _core.HighsStatus.kError
+
+        def getModelStatus(self):
+            return model_status
+
+        def getInfo(self):
+            info = super().getInfo()
+            info.simplex_iteration_count = iterations
+            return info
+
+    monkeypatch.setattr(_core, "_Highs", Stopped)
