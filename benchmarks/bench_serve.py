@@ -97,8 +97,9 @@ def _request_trace(num_users: int, num_batches: int, seed: int):
 
 def _serve(trace, seed: int, *, admission=None, quick: bool = True):
     # Full mode follows the nightly-soak regime: defrag without the LP
-    # re-solve and a sparse oracle cadence — at |U|=20k both would dominate
-    # wall-clock and the gates here are about the serving loop, not the LP.
+    # re-solve and a sparse oracle cadence (each oracle tick then solves the
+    # benchmark LP for LP*) — at |U|=20k both would dominate wall-clock and
+    # the gates here are about the serving loop, not the LP.
     engine = TickEngine(
         trace.initial,
         OnlineGreedy(),

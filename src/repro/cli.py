@@ -200,7 +200,6 @@ def _build_engine(
             online=ONLINE_ALGORITHMS[args.algorithm](),
             seed=args.seed,
             defrag=_build_defrag(args),
-            oracle=REPLAY_ALGORITHMS[args.oracle](),
             oracle_every=args.oracle_every,
             defrag_lp=not args.no_defrag_lp,
             defrag_lp_incremental=args.defrag_lp_incremental,
@@ -374,16 +373,10 @@ def _engine_flags() -> argparse.ArgumentParser:
         help="online policy serving each tick's arrivals",
     )
     group.add_argument(
-        "--oracle",
-        choices=sorted(REPLAY_ALGORITHMS),
-        default="gg+ls",
-        help="full re-solve algorithm behind the retention curve",
-    )
-    group.add_argument(
         "--oracle-every",
         type=int,
         default=5,
-        help="run the oracle every k-th tick (0: never)",
+        help="compute the LP optimum LP* every k-th tick (0: never)",
     )
     group.add_argument(
         "--defrag",

@@ -14,9 +14,8 @@ import numpy as np
 from repro.core.admissible import DEFAULT_MAX_SETS_PER_USER
 from repro.core.base import ArrangementAlgorithm
 from repro.core.exact import ExactILP
-from repro.core.lp_formulation import build_benchmark_lp
+from repro.core.lp_packing import LPPacking
 from repro.model.instance import IGEPAInstance
-from repro.solver.api import solve_lp
 
 
 def lp_upper_bound(
@@ -24,13 +23,7 @@ def lp_upper_bound(
     max_sets_per_user: int = DEFAULT_MAX_SETS_PER_USER,
 ) -> float:
     """The benchmark-LP optimum — a valid upper bound on OPT (Lemma 1)."""
-    benchmark = build_benchmark_lp(instance, max_sets_per_user=max_sets_per_user)
-    solution = solve_lp(benchmark.program)
-    if not solution.is_optimal:
-        raise RuntimeError(
-            f"benchmark LP solve failed with status {solution.status.value}"
-        )
-    return solution.objective_value
+    return LPPacking(max_sets_per_user=max_sets_per_user).lp_optimum(instance)
 
 
 @dataclass

@@ -333,6 +333,11 @@ class LPPacking(ArrangementAlgorithm):
             benchmark, x_star, objective, iterations, solution.backend, solution.start
         )
 
+    def lp_optimum(self, instance: IGEPAInstance) -> float:
+        """The benchmark-LP optimum LP* of ``instance``, cached, without
+        sampling."""
+        return self._solved_benchmark(instance)[2]
+
     def _solve(
         self, instance: IGEPAInstance, rng: np.random.Generator
     ) -> tuple[Arrangement, dict]:

@@ -268,7 +268,6 @@ def replay_trace(
     engine = TickEngine(
         trace.initial,
         seed=seed,
-        oracle=algorithm,
         defrag_lp=False,
         max_passes=max_passes,
         check_parity=check_parity,

@@ -96,8 +96,7 @@ def format_serve_table(report) -> str:
         (
             f"serve: online={report.online_algorithm} "
             f"admission={report.admission_policy} "
-            f"defrag={report.defrag_schedule} "
-            f"oracle={report.oracle_algorithm}"
+            f"defrag={report.defrag_schedule}"
         ),
         (
             f"bootstrap: utility={report.initial_utility:.2f} "

@@ -23,16 +23,13 @@ module closes that gap with a clocked loop over a churn trace:
    an arrival the way a real venue reshuffle would;
 4. **defragmentation** — a pluggable :class:`DefragSchedule` decides when
    the platform pays for a full-scope pass: a full local-search sweep
-   (:func:`repro.core.local_search.improve`) plus an LP-packing re-solve
-   whose arrangement is adopted when it beats the repaired one.
+   (:func:`repro.core.local_search.iter_passes`) plus an LP-packing re-solve
+   whose arrangement is adopted when it beats the swept one.
    :class:`PeriodicDefrag` runs every k-th tick; :class:`RetentionDefrag`
-   triggers when utility falls below a fraction of the last oracle
-   re-solve;
-5. **oracle** — every ``oracle_every``-th tick a full re-solve of the
-   current instance measures what a from-scratch optimizer would achieve;
-   the quotient is the **retention curve**, and its running reference turns
-   the per-tick utility gap into **repair debt** (the utility a
-   defragmentation pass could reclaim).
+   triggers when utility falls below a fraction of the last oracle bound;
+5. **oracle** — every ``oracle_every``-th tick the benchmark-LP optimum
+   LP*, an upper bound on every arrangement (Lemma 1): ``utility / LP*`` is
+   the **retention curve**, and the gap to LP* the **repair debt**.
 
 The five stages themselves now live in
 :class:`repro.service.engine.TickEngine`; this module is the *synchronous
@@ -106,12 +103,12 @@ class TickRecord:
         defrag_moves: its move counts (plus ``lp_utility``/``lp_adopted``
             when the LP re-solve ran); None when it did not run.
         utility: arrangement utility at the end of the tick.
-        oracle_utility: full re-solve utility (None on non-oracle ticks).
-        repair_debt: most recent oracle utility minus ``utility``, floored
-            at 0 (None before the first oracle measurement) — the utility a
-            full defragmentation could reclaim.
+        oracle_utility: LP* of the tick's instance (None on non-oracle
+            ticks).
+        repair_debt: most recent LP* minus ``utility``, floored at 0
+            (None before the first oracle measurement).
         seconds: wall-clock of churn + arrivals + repair + defrag (the
-            oracle re-solve is measurement apparatus and excluded).
+            oracle is measurement apparatus and excluded).
         feasible: full Definition 4 audit of the end-of-tick arrangement.
         parity_mismatches: index arrays differing from a fresh build (None
             when the parity check is off; empty list = bit-identical).
@@ -144,7 +141,7 @@ class TickRecord:
 
     @property
     def retention(self) -> float | None:
-        """Utility over the oracle re-solve (None on non-oracle ticks)."""
+        """Utility over LP* (None on non-oracle ticks)."""
         if self.oracle_utility is None or self.oracle_utility <= 0.0:
             return None
         return self.utility / self.oracle_utility
@@ -158,7 +155,6 @@ class SimulationReport:
     envelope_kind: ClassVar[str] = "simulation"
 
     online_algorithm: str
-    oracle_algorithm: str
     defrag_schedule: str
     initial_utility: float
     initial_seconds: float
@@ -174,7 +170,7 @@ class SimulationReport:
 
     @property
     def retention_curve(self) -> list[tuple[int, float]]:
-        """(tick, utility / oracle utility) at every oracle tick."""
+        """(tick, utility / LP*) at every oracle tick."""
         return [
             (r.tick, r.retention) for r in self.records if r.retention is not None
         ]
@@ -227,7 +223,6 @@ class SimulationReport:
         """
         summary = {
             "online_algorithm": self.online_algorithm,
-            "oracle_algorithm": self.oracle_algorithm,
             "defrag_schedule": self.defrag_schedule,
             "initial_utility": self.initial_utility,
             "initial_seconds": self.initial_seconds,
@@ -272,7 +267,7 @@ def format_simulation_table(report: SimulationReport) -> str:
     """Fixed-width per-tick table for the CLI."""
     lines = [
         f"simulate: {report.online_algorithm} arrivals, "
-        f"defrag {report.defrag_schedule}, oracle {report.oracle_algorithm}, "
+        f"defrag {report.defrag_schedule}, "
         f"initial utility {report.initial_utility:.2f} "
         f"({report.initial_seconds * 1e3:.0f} ms)",
         f"{'tick':>5} {'|U|':>6} {'|V|':>5} {'arriv':>5} {'acc':>5} "
@@ -318,7 +313,7 @@ def simulate(
             arrangement (the pre-trace population arrived online too).
         **engine_options: the remaining
             :class:`~repro.service.engine.TickEngine` options (``seed``,
-            ``defrag``, ``oracle``, ``oracle_every``, ``defrag_lp``, ...),
+            ``defrag``, ``oracle_every``, ``defrag_lp``, ...),
             with its defaults.  The oracle also runs on the final tick;
             with ``oracle_every=0`` retention and debt fields stay None.
 
@@ -338,7 +333,6 @@ def simulate_engine(engine: TickEngine, trace: ChurnTrace) -> SimulationReport:
     initial_utility, initial_seconds = engine.bootstrap()
     report = SimulationReport(
         online_algorithm=engine.online.name,
-        oracle_algorithm=engine.oracle.name,
         defrag_schedule=engine.defrag.name,
         initial_utility=initial_utility,
         initial_seconds=initial_seconds,

@@ -133,7 +133,7 @@ def _number(payload: Mapping, *keys: str, scale: float = 1.0) -> float | None:
 def retention_auc(payload: Mapping) -> float | None:
     """Area under the retention curve, normalized by the tick span.
 
-    The curve samples ``utility / oracle_utility`` at oracle ticks; the
+    The curve samples ``utility / LP*`` at oracle ticks; the
     normalized trapezoidal area is the horizon-average retention weighted
     by how long each level persisted — a single slumping stretch lowers it
     even when the endpoints recover.  One point degenerates to that value.
@@ -161,7 +161,7 @@ def retention_auc(payload: Mapping) -> float | None:
 
 
 def repair_debt_mean(payload: Mapping) -> float | None:
-    """Mean per-tick repair debt (utility a defrag could reclaim)."""
+    """Mean per-tick repair debt (the gap to LP*)."""
     ticks = _get(payload, "ticks")
     if not isinstance(ticks, list):
         return None
@@ -233,7 +233,7 @@ def _smoke_runtime_ms(payload: Mapping) -> float | None:
 register_metric(
     Metric(
         "retention_auc",
-        "normalized area under the utility-retention curve",
+        "normalized area under the utility / LP* retention curve",
         "ratio",
         "up",
         0.05,
@@ -248,7 +248,7 @@ register_metric(
 register_metric(
     Metric(
         "final_retention",
-        "retention at the last oracle tick",
+        "utility / LP* at the last oracle tick",
         "ratio",
         "up",
         0.05,
@@ -261,7 +261,7 @@ register_metric(
 register_metric(
     Metric(
         "repair_debt_mean",
-        "mean per-tick utility debt a full defrag could reclaim",
+        "mean per-tick gap to the last LP* (bounds what a defrag reclaims)",
         "utility",
         "down",
         0.25,

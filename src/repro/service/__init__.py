@@ -37,7 +37,7 @@ from repro.service.admission import (
 from repro.service.batcher import MicroBatcher
 from repro.service.clock import Clock, MonotonicClock, VirtualClock
 from repro.service.defrag import DefragSchedule, PeriodicDefrag, RetentionDefrag
-from repro.service.engine import TickEngine
+from repro.service.engine import LPBoundError, TickEngine
 from repro.service.loop import ArrangementService, ServiceConfig, serve_requests
 from repro.service.report import ArrivalRecord, ServeReport, ServeTickRecord
 from repro.service.requests import ArrivalRequest, ChurnRequest, ServeResponse
@@ -53,6 +53,7 @@ __all__ = [
     "DeadlineQueue",
     "DefragSchedule",
     "DegradeOnOverload",
+    "LPBoundError",
     "MicroBatcher",
     "MonotonicClock",
     "PeriodicDefrag",

@@ -4,7 +4,7 @@ Moved here from :mod:`repro.experiments.simulate` (which re-exports them
 unchanged) so the asyncio serving loop and the synchronous simulation
 driver consult one policy surface.  A schedule sees only online-observable
 state — the tick number, the arrangement's utility after repair, and the
-most recent oracle re-solve — and answers one question: run the expensive
+most recent oracle bound LP* — and answers one question: run the expensive
 full-scope defragmentation now?
 """
 
@@ -30,7 +30,7 @@ class DefragSchedule:
         Args:
             tick: 0-based tick number.
             utility: the arrangement's utility after this tick's repair.
-            oracle_utility: the most recent oracle re-solve utility (from a
+            oracle_utility: the most recent oracle bound LP* (from a
                 *previous* tick; None before the first oracle run).
         """
         return False
@@ -56,6 +56,9 @@ class PeriodicDefrag(DefragSchedule):
 
 class RetentionDefrag(DefragSchedule):
     """Defragment when utility falls below ``threshold`` × the last oracle.
+
+    The oracle is the benchmark-LP optimum LP*, an upper bound on every
+    arrangement, so ``threshold`` is a certified fraction of the optimum.
 
     Before the first oracle measurement the trigger never fires — run the
     simulation with ``oracle_every`` set, or nothing will trip it.

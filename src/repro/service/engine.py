@@ -1,8 +1,8 @@
 """The five-stage tick pipeline as a reusable engine.
 
-:class:`TickEngine` holds the live state (instance, arrangement, RNG,
-defrag LP resolver, oracle reference) and runs churn → arrivals → repair →
-defragmentation → oracle as methods, so the three drivers that advance a
+:class:`TickEngine` holds the live state (instance, arrangement, RNG, the
+benchmark-LP resolver, oracle reference) and runs churn → arrivals → repair
+→ defragmentation → oracle as methods, so the three drivers that advance a
 churn trace share one copy of each stage and its invariants:
 
 * **replay** (``experiments.replay``) applies, repairs and audits each
@@ -16,11 +16,12 @@ churn trace share one copy of each stage and its invariants:
   strand an infeasible arrangement).
 
 Determinism contract: the engine's RNG is consumed *only* by ``serve``
-calls in arrival order; the oracle re-solve derives ``seed + 1 + tick`` and
-the defrag LP ``seed + 100_003 + tick``; the defrag LP resolver is one
-object across the horizon.  All timing goes through the injected
-:class:`~repro.service.clock.Clock`'s ``perf()`` — measurement only, never
-a decision input.
+calls in arrival order; the defrag LP samples with ``seed + 100_003 +
+tick``; the LP resolver is one object across the horizon.  The oracle is
+the benchmark-LP optimum LP*, which bounds every feasible arrangement
+(Lemma 1): a utility above it raises :class:`LPBoundError`.  All timing
+goes through the injected :class:`~repro.service.clock.Clock`'s ``perf()``
+— measurement only, never a decision input.
 
 **Revocable assignments** ride on defragmentation: re-seating an
 already-served arrival pays ``switching_penalty`` per changed (user, event)
@@ -35,14 +36,12 @@ from collections.abc import Generator, Iterable, Iterator
 
 import numpy as np
 
-from repro.core.base import ArrangementAlgorithm
-from repro.core.baselines import GGGreedy
 # No stage calls ``improve`` (defragmentation steps through ``iter_passes``);
 # the name stays because ``perfbench/spans.py`` wraps this module global for
 # its traced run and fails when it is missing.
-from repro.core.local_search import LocalSearch, improve, iter_passes  # noqa: F401
+from repro.core.local_search import improve, iter_passes  # noqa: F401
 from repro.core.lp_packing import LPPacking
-from repro.core.online import OnlineGreedy, _OnlineAlgorithm
+from repro.core.online import BOUND_RTOL, OnlineGreedy, _OnlineAlgorithm
 from repro.core.repair import repair as targeted_repair
 from repro.model.arrangement import Arrangement
 from repro.model.delta import (
@@ -57,6 +56,19 @@ from repro.service.clock import Clock, MonotonicClock
 from repro.service.defrag import DefragSchedule
 
 
+class LPBoundError(RuntimeError):
+    """An arrangement's utility exceeds the benchmark-LP optimum LP*."""
+
+
+def check_lp_bound(utility: float, bound: float, what: str) -> None:
+    """Raise :class:`LPBoundError` when ``utility`` exceeds LP* ``bound``."""
+    if utility > bound * (1.0 + BOUND_RTOL):
+        raise LPBoundError(
+            f"{what} utility {utility!r} exceeds the benchmark-LP optimum "
+            f"{bound!r} (Lemma 1 bounds every feasible arrangement)"
+        )
+
+
 class TickEngine:
     """Live pipeline state plus the five stages as methods.
 
@@ -64,10 +76,9 @@ class TickEngine:
         initial: the platform's starting instance (the trace's ``initial``).
         online: arrival-serving policy; also produces the bootstrap
             arrangement (default :class:`~repro.core.online.OnlineGreedy`).
-        seed: RNG seed; per-tick oracle/defrag seeds derive from it.
+        seed: RNG seed; the per-tick defrag LP seed derives from it.
         defrag: defragmentation schedule (default: never).
-        oracle: full re-solve algorithm for retention (default ``gg+ls``).
-        oracle_every: oracle cadence in ticks (0: never; must be >= 0).
+        oracle_every: LP* cadence in ticks (0: never; must be >= 0).
         defrag_lp: run an LP-packing re-solve during defrag and adopt its
             arrangement on net gain.  The benchmark LP is rebuilt per defrag
             and solved by :func:`~repro.solver.api.solve_lp` (HiGHS), its
@@ -97,7 +108,6 @@ class TickEngine:
         *,
         seed: int = 0,
         defrag: DefragSchedule | None = None,
-        oracle: ArrangementAlgorithm | None = None,
         oracle_every: int = 0,
         defrag_lp: bool = True,
         defrag_lp_incremental: bool = False,
@@ -114,7 +124,6 @@ class TickEngine:
             )
         self.instance = initial
         self.online = online if online is not None else OnlineGreedy()
-        self.oracle = oracle if oracle is not None else LocalSearch(GGGreedy())
         self.defrag = defrag if defrag is not None else DefragSchedule()
         self.seed = seed
         self.oracle_every = oracle_every
@@ -123,12 +132,11 @@ class TickEngine:
         self.clock: Clock = clock if clock is not None else MonotonicClock()
         self.switching_penalty = switching_penalty
         self.rng = np.random.default_rng(seed)
-        # One resolver across the horizon; in incremental mode it carries
-        # the delta-patched program from defrag to defrag.
-        self.lp_resolver = (
-            LPPacking(alpha=1.0, incremental=defrag_lp_incremental)
-            if defrag_lp
-            else None
+        # One resolver across the horizon for the defrag LP and LP*; in
+        # incremental mode it carries the patched program between defrags.
+        self.defrag_lp = defrag_lp
+        self.lp_resolver = LPPacking(
+            alpha=1.0, incremental=defrag_lp and defrag_lp_incremental
         )
         self.arrangement: Arrangement | None = None
         self.oracle_reference: float | None = None
@@ -153,11 +161,10 @@ class TickEngine:
         """Apply one churn batch; the engine advances to the successor
         instance and the carried (pair-shed) arrangement."""
         result = apply_delta(self.instance, delta, self.arrangement)
-        if self.lp_resolver is not None:
-            # Keep the resolver's delta-patched LP in lockstep with the
-            # live instance (a no-op outside incremental mode / before the
-            # first defrag solve anchors the chain).
-            self.lp_resolver.observe_delta(delta, result.instance)
+        # Keep the resolver's delta-patched LP in lockstep with the live
+        # instance (a no-op outside incremental mode / before the first
+        # defrag solve anchors the chain).
+        self.lp_resolver.observe_delta(delta, result.instance)
         self.instance = result.instance
         self.arrangement = result.arrangement
         # Cache hygiene: departed users can never be served again, so any
@@ -280,7 +287,7 @@ class TickEngine:
         on the engine.  Mutates ``moves`` in place and returns the (possibly
         adopted) utility.
         """
-        if self.lp_resolver is not None:
+        if self.defrag_lp:
             penalty = self.switching_penalty
             spend = (
                 penalty * self.switching_pairs(snapshot)
@@ -298,6 +305,9 @@ class TickEngine:
                 if snapshot is not None
                 else 0.0
             )
+            bound = lp_result.details["lp_objective"]
+            check_lp_bound(utility, bound, "swept")
+            check_lp_bound(lp_result.utility, bound, "LP-packing")
             moves["lp_utility"] = lp_result.utility
             moves["lp_adopted"] = lp_result.utility - lp_spend > utility - spend
             if moves["lp_adopted"]:
@@ -362,16 +372,18 @@ class TickEngine:
         )
 
     def oracle_solve(self, tick: int) -> float:
-        """Full re-solve of the current instance; updates the running
-        reference that retention, repair debt and :class:`RetentionDefrag`
-        read."""
-        utility = self.oracle.solve(self.instance, seed=self.seed + 1 + tick).utility
-        self.oracle_reference = utility
-        return utility
+        """LP* of the current instance (cached when this tick's defrag LP
+        solved it), checked against the utility; updates the reference that
+        retention, repair debt and ``RetentionDefrag`` read."""
+        self.lp_resolver.start_from(self.arrangement)
+        bound = self.lp_resolver.lp_optimum(self.instance)
+        check_lp_bound(self.utility(), bound, f"tick {tick}")
+        self.oracle_reference = bound
+        return bound
 
     def repair_debt(self, utility: float) -> float | None:
-        """Utility a full defragmentation could reclaim (None before the
-        first oracle measurement)."""
+        """The gap to the last LP* (None before the first oracle
+        measurement)."""
         if self.oracle_reference is None:
             return None
         return max(0.0, self.oracle_reference - utility)

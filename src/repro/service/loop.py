@@ -21,7 +21,7 @@ micro-batcher cuts them into ticks; each tick
    newer arrivals next tick;
 4. hands targeted **repair**, scheduled **defragmentation** (with
    switching-cost accounting for re-seated served users), the **oracle**
-   re-solve and the end-of-tick **audits** to a background task that
+   bound (the benchmark-LP optimum LP*) and the end-of-tick **audits** to a background task that
    overlaps the next batch's ingress instead of blocking admission.
 
 Admission never waits on optimization: the serve stage touches only the
@@ -117,7 +117,6 @@ class ArrangementService:
             online_algorithm=self.engine.online.name,
             admission_policy=self.admission.name,
             defrag_schedule=self.engine.defrag.name,
-            oracle_algorithm=self.engine.oracle.name,
             switching_penalty=self.engine.switching_penalty,
             initial_utility=utility,
             initial_seconds=seconds,

@@ -66,7 +66,7 @@ class ServeTickRecord:
         switching_pairs / switching_spend: revocation accounting of the
             tick's defrag (0 when no penalty is configured).
         utility: arrangement utility at the end of the tick's pipeline.
-        oracle_utility: full re-solve utility (None off-cadence).
+        oracle_utility: the benchmark-LP optimum LP* (None off-cadence).
         seconds: monotonic time of the admission + serve stage (the
             background pipeline is excluded — it overlaps the next tick).
         feasible: full Definition 4 audit of the end-of-tick arrangement.
@@ -110,7 +110,6 @@ class ServeReport:
     online_algorithm: str
     admission_policy: str
     defrag_schedule: str
-    oracle_algorithm: str
     switching_penalty: float
     initial_utility: float
     initial_seconds: float
@@ -262,7 +261,6 @@ class ServeReport:
             "online_algorithm": self.online_algorithm,
             "admission_policy": self.admission_policy,
             "defrag_schedule": self.defrag_schedule,
-            "oracle_algorithm": self.oracle_algorithm,
             "switching_penalty": self.switching_penalty,
             "initial_utility": self.initial_utility,
             "initial_seconds": self.initial_seconds,

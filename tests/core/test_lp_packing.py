@@ -321,6 +321,17 @@ class TestDiagnostics:
         assert f"highs_status={int(_core.HighsModelStatus.kSolveError)}" in message
         assert "Solve error" in message
 
+    def test_lp_upper_bound_failure_carries_highs_diagnostics(self, monkeypatch):
+        from scipy.optimize._highspy import _core
+
+        stub_highs_run(monkeypatch, _core.HighsModelStatus.kSolveError, iterations=3)
+        with pytest.raises(LPPackingError) as caught:
+            lp_upper_bound(random_instance(seed=2, num_users=30, num_events=10))
+        message = str(caught.value)
+        assert "status error" in message
+        assert f"highs_status={int(_core.HighsModelStatus.kSolveError)}" in message
+        assert "Solve error" in message
+
 
 class TestQuality:
     """LP-packing with α = 1 should beat or match the random baselines."""

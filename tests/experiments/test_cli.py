@@ -64,7 +64,6 @@ PLATFORM_DEFAULTS = {
 ENGINE_DEFAULTS = {
     "batches": 20,
     "algorithm": "online-greedy",
-    "oracle": "gg+ls",
     "oracle_every": 5,
     "defrag": "none",
     "defrag_period": 10,
@@ -394,7 +393,6 @@ def _tiny_engine_options():
     return {
         "seed": 4,
         "defrag": PeriodicDefrag(1),
-        "oracle": LocalSearch(GGGreedy()),
         "oracle_every": 1,
         "check_parity": True,
     }
