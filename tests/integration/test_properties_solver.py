@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the LP solver substrate."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.solver import LinearProgram, Sense, SolveStatus, solve_lp
 from tests.util import reference_lp
@@ -101,8 +101,21 @@ class TestPackingLPProperties:
         assert solution.objective_value <= cap + 1e-6
 
 
+def _tiny_rhs_lp():
+    """An equality row with a right-hand side of ~3e-250, on which HiGHS's
+    interior-point method (the reference) reports a solve error."""
+    lp = LinearProgram(maximize=False)
+    for j, (upper, objective) in enumerate([(1, 1), (1, 0), (4, 0), (5, -1)]):
+        lp.add_variable(
+            f"x{j}", lower=0.0, upper=float(upper), objective=float(objective)
+        )
+    lp.add_constraint({0: -1.0, 2: -0.5, 3: 0.5}, Sense.EQ, 2.9639050560176934e-250)
+    return lp
+
+
 class TestGeneralLPAgainstHiGHS:
     @given(general_lps())
+    @example(_tiny_rhs_lp())
     @settings(max_examples=40, deadline=None)
     def test_status_and_value_match_scipy(self, lp):
         ours = solve_lp(lp)

@@ -210,6 +210,11 @@ def reference_lp(lp) -> tuple:
     ``solve_lp`` gets.  So it checks the repo's own assembly, sense flips,
     bounds and the sign of a maximization — not HiGHS itself: a bug both
     HiGHS algorithms share goes unseen.
+
+    Where the interior-point method breaks down (linprog status 4, e.g.
+    on a right-hand side of 1e-250, which HiGHS's IPM reports as a solve
+    error), the same arrays are solved again by HiGHS's dual simplex: a
+    numerical breakdown of the reference is not a verdict on the LP.
     """
     from scipy.optimize import linprog
 
@@ -224,15 +229,17 @@ def reference_lp(lp) -> tuple:
     ge = np.array([sense is Sense.GE for sense in senses], dtype=bool)
     eq = ~(le | ge)
     sign = -1.0 if lp.maximize else 1.0
-    result = linprog(
-        [sign * variable.objective for variable in lp.variables] + [0.0],
+    arrays = dict(
+        c=[sign * variable.objective for variable in lp.variables] + [0.0],
         A_ub=np.vstack([matrix[le], -matrix[ge]]),
         b_ub=np.concatenate([rhs[le], -rhs[ge]]),
         A_eq=matrix[eq],
         b_eq=rhs[eq],
         bounds=[(v.lower, v.upper) for v in lp.variables] + [(0.0, 0.0)],
-        method="highs-ipm",
     )
+    result = linprog(**arrays, method="highs-ipm")
+    if result.status == 4:
+        result = linprog(**arrays, method="highs-ds")
     status = {
         0: SolveStatus.OPTIMAL,
         2: SolveStatus.INFEASIBLE,
