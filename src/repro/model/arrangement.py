@@ -284,6 +284,23 @@ class Arrangement:
         self._attendance[vpos] -= 1
         self._load[upos] -= 1
 
+    def remove_positions(self, upos: np.ndarray, vpos: np.ndarray) -> None:
+        """Remove distinct assigned (user position, event position) pairs
+        at once; raises :class:`ArrangementError` (removing none) if one is
+        absent."""
+        upos = np.asarray(upos, dtype=np.int64)
+        vpos = np.asarray(vpos, dtype=np.int64)
+        if not self.assigned_mask(upos, vpos).all():
+            raise ArrangementError("a pair to remove is not in the arrangement")
+        # Unbuffered AND: several pairs of a user can share a word.
+        np.bitwise_and.at(
+            self._words,
+            (upos, vpos >> 6),
+            ~np.left_shift(np.uint64(1), (vpos & 63).astype(np.uint64)),
+        )
+        self._attendance -= np.bincount(vpos, minlength=self._attendance.size)
+        self._load -= np.bincount(upos, minlength=self._load.size)
+
     @classmethod
     def from_pairs(
         cls,

@@ -665,18 +665,14 @@ class ColumnarStore:
     def user_pos(self) -> dict[int, int]:
         """``user_id -> row`` (built lazily once)."""
         if self._user_pos is None:
-            self._user_pos = {
-                int(u): i for i, u in enumerate(self.user_ids.tolist())
-            }
+            self._user_pos = dict(zip(self.user_ids.tolist(), range(self.num_users)))
         return self._user_pos
 
     @property
     def event_pos(self) -> dict[int, int]:
         """``event_id -> row`` (built lazily once)."""
         if self._event_pos is None:
-            self._event_pos = {
-                int(e): j for j, e in enumerate(self.event_ids.tolist())
-            }
+            self._event_pos = dict(zip(self.event_ids.tolist(), range(self.num_events)))
         return self._event_pos
 
     # ------------------------------------------------------------------

@@ -8,14 +8,14 @@ produces the successor :class:`~repro.model.instance.IGEPAInstance` together
 with
 
 * an **incrementally maintained** :class:`~repro.model.index.InstanceIndex`
-  — ``W``/``SI``/CSR bid incidence/conflict matrix/capacity vectors are
-  patched from the predecessor's arrays instead of rebuilt, skipping the
-  per-bid interest loop, the conflict-relation materialization and the
-  degree pass for untouched entities; and
+  — CSR bid incidence/conflict matrix/capacity vectors patched from the
+  predecessor's arrays instead of rebuilt (the dense ``W``/``SI`` are
+  scattered from them), skipping the per-bid interest loop, the conflict
+  materialization and the degree pass for untouched entities; and
 * a **carried-over arrangement**: the predecessor's assignment with every
-  pair the delta invalidated dropped (removed users/events/bids, newly
-  conflicting event pairs), plus the touched user/event sets a targeted
-  repair (:func:`repro.core.repair.repair`) should re-optimize.
+  pair the delta invalidated dropped (removed users/events/bids, new
+  conflicts, capacity shrinks) by array work over the held pairs, plus the
+  touched user/event sets a targeted repair should re-optimize.
 
 The patched index is *bit-identical* to a from-scratch
 ``InstanceIndex(successor)`` build: surviving entries are copied (IEEE-754
@@ -457,16 +457,30 @@ class _PositionMaps:
 
 def _position_maps(old: InstanceIndex, delta: Delta) -> _PositionMaps:
     keep_users = np.ones(old.num_users, dtype=bool)
-    for user_id in delta.remove_users:
-        keep_users[old.user_pos[user_id]] = False
+    keep_users[[old.user_pos[u] for u in delta.remove_users]] = False
     keep_events = np.ones(old.num_events, dtype=bool)
-    for event_id in delta.remove_events:
-        keep_events[old.event_pos[event_id]] = False
+    keep_events[[old.event_pos[e] for e in delta.remove_events]] = False
     user_map = np.full(old.num_users, -1, dtype=np.int64)
     user_map[keep_users] = np.arange(int(keep_users.sum()), dtype=np.int64)
     event_map = np.full(old.num_events, -1, dtype=np.int64)
     event_map[keep_events] = np.arange(int(keep_events.sum()), dtype=np.int64)
     return _PositionMaps(keep_users, keep_events, user_map, event_map)
+
+
+def _csr_entries(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, columns: np.ndarray
+) -> np.ndarray:
+    """The CSR entry of each ``(row, column)`` query (-1 if absent), by one
+    scan of the queried rows; entries within a row must be distinct."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    query = np.repeat(np.arange(rows.size), lengths)
+    offsets = np.arange(query.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    entries = np.repeat(starts, lengths) + offsets
+    hit = indices[entries] == columns[query]
+    found = np.full(rows.size, -1, dtype=np.int64)
+    found[query[hit]] = entries[hit]
+    return found
 
 
 def _patch_components(
@@ -476,23 +490,21 @@ def _patch_components(
     *,
     conflict_fn: Callable[[Event, Event], bool],
     successor_events: Sequence[Event],
-    interest_fn: Callable[[Event, User], float],
-    event_lookup: Callable[[int], Event],
-    user_lookup: Callable[[int], User],
+    interest_of: Callable[[int, int], float],
 ) -> dict:
     """Patch the predecessor's primary arrays into the successor's.
 
     Every surviving entry is copied bit for bit; new entries run the same
-    expressions the from-scratch build would (``validated_interest`` for SI,
-    the conflict function for new rows).  The caller supplies the successor's
-    conflict/interest machinery as view- and delta-backed closures, so this
-    function never needs the successor instance itself.
+    expressions the from-scratch build would (validated SI, the conflict
+    function for new rows).  The caller supplies the successor's conflict
+    and interest machinery (``interest_of(event_id, user_id)``) as view- and
+    delta-backed closures, so this function never needs the successor.
 
     The patch is expressed at the CSR-entry level (``bid_indices`` /
-    ``bid_si`` splicing), so its cost is O(bids + delta + |V|²) regardless
-    of the index implementation: on a :class:`ShardedInstanceIndex` no
-    O(cells) work happens at all — churn effectively routes to the touched
-    shards only, since untouched shards' slabs are never materialized and
+    ``bid_si`` splicing; withdrawn bids and re-weighted pairs are located by
+    one :func:`_csr_entries` lookup each), so its cost is O(bids + delta +
+    |V|²) on either index: on a :class:`ShardedInstanceIndex` no O(cells)
+    work happens at all — untouched shards' slabs are never materialized and
     their CSR segments are copied wholesale by the vectorized splice.
 
     Returns the primary components minus ``degrees`` (built against the
@@ -557,12 +569,7 @@ def _patch_components(
         user_capacity[user_map[old.user_pos[user_id]]] = capacity
     for event_id, capacity in delta.set_event_capacity:
         event_capacity[event_map[old.event_pos[event_id]]] = capacity
-    event_pos = {int(e): j for j, e in enumerate(event_ids.tolist())}
-    user_pos = (
-        {int(u): i for i, u in enumerate(user_ids.tolist())}
-        if delta.interest
-        else None
-    )
+    event_pos = dict(zip(event_ids.tolist(), range(n_events)))
 
     # Conflict matrix: slice survivors, evaluate new events' rows with the
     # successor conflict function, then toggle edited survivor pairs.
@@ -570,14 +577,10 @@ def _patch_components(
     conflict_matrix[:n_survivor_events, :n_survivor_events] = old.conflict_matrix[
         np.ix_(keep_events, keep_events)
     ]
-    for offset, event in enumerate(delta.add_events):
-        j = n_survivor_events + offset
-        for i, other in enumerate(events):
-            if i == j:
-                continue
-            if conflict_fn.conflicts(other, event):
-                conflict_matrix[i, j] = True
-                conflict_matrix[j, i] = True
+    for j, event in enumerate(delta.add_events, start=n_survivor_events):
+        row = [i != j and conflict_fn.conflicts(e, event) for i, e in enumerate(events)]
+        conflict_matrix[j] |= row
+        conflict_matrix[:, j] |= row
     for first, second in delta.remove_conflicts:
         i, j = event_pos[first], event_pos[second]
         conflict_matrix[i, j] = False
@@ -596,49 +599,35 @@ def _patch_components(
     old_entry_event = old.bid_indices
     keep_entries = keep_users[old_entry_user] & keep_events[old_entry_event]
     if delta.remove_bids:
-        for user_id, event_id in delta.remove_bids:
-            upos = old.user_pos[user_id]
-            vpos = old.event_pos[event_id]
-            start, stop = old.bid_indptr[upos], old.bid_indptr[upos + 1]
-            offsets = np.flatnonzero(old_entry_event[start:stop] == vpos)
-            keep_entries[start + int(offsets[0])] = False
+        rows = np.array([old.user_pos[u] for u, _e in delta.remove_bids])
+        columns = np.array([old.event_pos[e] for _u, e in delta.remove_bids])
+        keep_entries[
+            _csr_entries(old.bid_indptr, old_entry_event, rows, columns)
+        ] = False
 
     kept_users_new = user_map[old_entry_user[keep_entries]]
     kept_events_new = event_map[old_entry_event[keep_entries]]
     kept_si = old.bid_si[keep_entries]
     counts = np.bincount(kept_users_new, minlength=n_users).astype(np.int64)
 
-    adds_by_upos: dict[int, list[int]] = {}
-    for user_id, event_id in delta.add_bids:
-        new_upos = int(user_map[old.user_pos[user_id]])
-        adds_by_upos.setdefault(new_upos, []).append(event_pos[event_id])
-    for offset, user in enumerate(delta.add_users):
-        new_upos = n_survivor_users + offset
-        adds_by_upos[new_upos] = [event_pos[event_id] for event_id in user.bids]
-
-    if adds_by_upos:
-        kept_indptr = np.zeros(n_users + 1, dtype=np.int64)
-        np.cumsum(counts, out=kept_indptr[1:])
-        insert_at: list[int] = []
-        insert_values: list[int] = []
-        insert_si: list[float] = []
-        for new_upos in sorted(adds_by_upos):
-            row_end = int(kept_indptr[new_upos + 1])
-            user = user_lookup(int(user_ids[new_upos]))
-            for vpos in adds_by_upos[new_upos]:
-                insert_at.append(row_end)
-                insert_values.append(vpos)
-                insert_si.append(
-                    validated_interest(
-                        interest_fn, event_lookup(int(event_ids[vpos])), user
-                    )
-                )
-            counts[new_upos] += len(adds_by_upos[new_upos])
-        bid_indices = np.insert(kept_events_new, insert_at, insert_values)
-        bid_si = np.insert(kept_si, insert_at, insert_si)
-    else:
-        bid_indices = kept_events_new
-        bid_si = kept_si
+    # Added bids as (successor position, user id, event id): the survivors'
+    # in delta order, then the new users' lists.  A stable sort by position
+    # keeps each user's order; every bid lands at the end of its user's
+    # kept row.
+    added = [(int(user_map[old.user_pos[u]]), u, e) for u, e in delta.add_bids]
+    added += [
+        (n_survivor_users + k, user.user_id, e)
+        for k, user in enumerate(delta.add_users)
+        for e in user.bids
+    ]
+    added.sort(key=lambda bid: bid[0])
+    add_upos = np.array([upos for upos, _u, _e in added], dtype=np.int64)
+    row_ends = np.cumsum(counts)[add_upos]
+    bid_indices = np.insert(
+        kept_events_new, row_ends, [event_pos[e] for _p, _u, e in added]
+    )
+    bid_si = np.insert(kept_si, row_ends, [interest_of(e, u) for _p, u, e in added])
+    counts += np.bincount(add_upos, minlength=n_users)
     bid_indptr = np.zeros(n_users + 1, dtype=np.int64)
     np.cumsum(counts, out=bid_indptr[1:])
 
@@ -648,15 +637,21 @@ def _patch_components(
     # on non-bid pairs only back the interest_of fallback and never reach
     # the index either way.)
     if delta.interest:
-        for event_id, user_id, value in delta.interest:
-            upos = user_pos.get(user_id)
-            vpos = event_pos.get(event_id)
-            if upos is None or vpos is None:
-                continue
-            start, stop = int(bid_indptr[upos]), int(bid_indptr[upos + 1])
-            offsets = np.flatnonzero(bid_indices[start:stop] == vpos)
-            if offsets.size:
-                bid_si[start + int(offsets[0])] = value
+        si_events, si_users, si_values = zip(*delta.interest)
+        # Successor positions (-1 for ids that do not survive): survivors
+        # through user_map, whose appended -1 catches unknown ids.
+        added = {u.user_id: n_survivor_users + k for k, u in enumerate(delta.add_users)}
+        survivor = np.append(user_map, -1)[
+            [old.user_pos.get(u, -1) for u in si_users]
+        ]
+        upos = np.where(survivor >= 0, survivor, [added.get(u, -1) for u in si_users])
+        vpos = np.array([event_pos.get(e, -1) for e in si_events], dtype=np.int64)
+        valid = np.flatnonzero((upos >= 0) & (vpos >= 0))
+        entries = _csr_entries(bid_indptr, bid_indices, upos[valid], vpos[valid])
+        hit = entries >= 0
+        # A later entry on a pair overwrites an earlier one.
+        last, at = np.unique(entries[hit][::-1], return_index=True)
+        bid_si[last] = np.array(si_values)[valid[hit]][::-1][at]
 
     return dict(
         user_ids=user_ids,
@@ -690,21 +685,14 @@ def _index_from_components(
 ) -> BaseInstanceIndex:
     """Assemble the successor's index, keeping the predecessor's
     implementation (and shard size) unless growth forces a switch."""
-    if isinstance(old, ShardedInstanceIndex):
-        patched = ShardedInstanceIndex.from_components(
-            successor, shard_size=old.shard_size, **components
-        )
-    else:
-        cells = components["user_ids"].size * components["event_ids"].size
-        if cells > DENSE_CELL_CAP:
-            # Churn grew a dense-indexed instance past the dense cap: switch
-            # the successor to the sharded implementation instead of
-            # allocating matrices the from-scratch constructor would refuse.
-            patched = ShardedInstanceIndex.from_components(
-                successor, **components
-            )
-        else:
-            patched = InstanceIndex.from_components(successor, **components)
+    sharded = isinstance(old, ShardedInstanceIndex)
+    cells = components["user_ids"].size * components["event_ids"].size
+    # Churn that grows a dense-indexed instance past the dense cap switches
+    # the successor to the sharded implementation, as a fresh build would.
+    cls = ShardedInstanceIndex if sharded or cells > DENSE_CELL_CAP else InstanceIndex
+    patched = cls.from_components(
+        successor, shard_size=old.shard_size if sharded else None, **components
+    )
     sanitize_index(patched)
     return patched
 
@@ -763,45 +751,31 @@ def _successor(
     conflict_fn = _successor_conflict(instance, delta)
     social = _successor_social(instance, delta)
 
-    # Sequence of successor events for the new-event conflict rows: O(|V|)
-    # views plus the added Event objects, never a full entity list.
-    successor_events = [
-        store.event(int(row))
-        for row in np.flatnonzero(maps.keep_events).tolist()
-    ]
+    # Successor events for the new-event conflict rows (built only when
+    # events are added): O(|V|) views plus the added Event objects.
+    kept_rows = np.flatnonzero(maps.keep_events).tolist() if delta.add_events else []
+    successor_events = [store.event(int(row)) for row in kept_rows]
     successor_events.extend(delta.add_events)
 
     added_users = {user.user_id: user for user in delta.add_users}
     added_events = {event.event_id: event for event in delta.add_events}
     pred_user_by_id = instance.user_by_id
     pred_event_by_id = instance.event_by_id
-
-    def user_lookup(user_id: int) -> User:
-        added = added_users.get(user_id)
-        return added if added is not None else pred_user_by_id[user_id]
-
-    def event_lookup(event_id: int) -> Event:
-        added = added_events.get(event_id)
-        return added if added is not None else pred_event_by_id[event_id]
-
-    # SI for spliced bids: the delta's interest entries take precedence
-    # (they sit on top of the successor's merged table), then the
-    # predecessor's interest — for ColumnarInterest a CSR/extra lookup, so
-    # withdrawn-and-re-added pairs resurrect their stored value exactly as
-    # the unpruned dict table does.
     base_interest = instance.interest.interest
-    delta_map = {
-        (event_id, user_id): value
-        for event_id, user_id, value in delta.interest
-    }
-    if delta_map:
+    delta_map = {(event_id, user_id): v for event_id, user_id, v in delta.interest}
 
-        def interest_fn(event: Event, user: User) -> float:
-            value = delta_map.get((event.event_id, user.user_id))
-            return value if value is not None else base_interest(event, user)
-
-    else:
-        interest_fn = base_interest
+    def interest_of(event_id: int, user_id: int) -> float:
+        # SI for spliced bids: the delta's interest entries take precedence
+        # (they sit on top of the successor's merged table, and _check_delta
+        # range-checked them), then the predecessor's interest — for
+        # ColumnarInterest a CSR/extra lookup, so withdrawn-and-re-added
+        # pairs resurrect their stored value as the unpruned table does.
+        value = delta_map.get((event_id, user_id))
+        if value is not None:
+            return value
+        event = added_events.get(event_id) or pred_event_by_id[event_id]
+        user = added_users.get(user_id) or pred_user_by_id[user_id]
+        return validated_interest(base_interest, event, user)
 
     components = _patch_components(
         instance,
@@ -809,9 +783,7 @@ def _successor(
         maps,
         conflict_fn=conflict_fn,
         successor_events=successor_events,
-        interest_fn=interest_fn,
-        event_lookup=event_lookup,
-        user_lookup=user_lookup,
+        interest_of=interest_of,
     )
 
     # Degree-override column: splice the vector (added users the delta
@@ -890,6 +862,43 @@ def _successor(
     return successor, components
 
 
+def _shed(
+    index: BaseInstanceIndex,
+    carried: Arrangement,
+    held_u: np.ndarray,
+    held_v: np.ndarray,
+    changes: tuple[tuple[int, int], ...],
+    by_event: bool,
+) -> np.ndarray:
+    """Indices into the held pairs that the event (``by_event``) or user
+    capacity ``changes`` shed, in drop order: each target over its new
+    capacity sheds that many lightest pairs, ties dropping the higher id of
+    the other side, targets in delta order — one ``lexsort`` for all."""
+    if by_event:
+        owner, other, other_ids, pos = held_v, held_u, index.user_ids, index.event_pos
+        counts, capacity = carried.attendance_counts, index.event_capacity
+    else:
+        owner, other, other_ids, pos = held_u, held_v, index.event_ids, index.user_pos
+        counts, capacity = carried.load_counts, index.user_capacity
+    targets = np.fromiter((pos[i] for i, _c in changes), np.int64, len(changes))
+    over = counts[targets] - capacity[targets]
+    group = np.full(counts.size, -1, dtype=np.int64)
+    shrunk = np.flatnonzero(over > 0)
+    group[targets[shrunk]] = shrunk
+    held = np.flatnonzero(group[owner] >= 0)
+    held_group = group[owner[held]]
+    order = np.lexsort(
+        (
+            -other_ids[other[held]],
+            index.pair_weights(held_u[held], held_v[held]),
+            held_group,
+        )
+    )
+    held, held_group = held[order], held_group[order]
+    rank = np.arange(held.size) - np.searchsorted(held_group, held_group)
+    return held[rank < over[held_group]]
+
+
 def _carry_arrangement(
     instance: IGEPAInstance,
     successor: IGEPAInstance,
@@ -909,11 +918,13 @@ def _carry_arrangement(
     tighten a Definition 4 constraint is resolved here, so repair always
     starts from a feasible arrangement.
 
-    The survivor transfer is pure array work: old pair positions are
-    remapped through ``maps``, invalidated against the successor's bid
-    relation and handed to :meth:`Arrangement.from_positions`, so carry cost
-    scales with the pair count, not with re-running per-pair feasibility
-    checks.
+    All array work: survivors are remapped through ``maps`` and checked
+    against the successor's bid relation in one pass; added conflicts run
+    in delta order (two that share a user see each other's drops), skip
+    unless both events are attended (most name an event the same delta
+    opens) and read co-attendance from the assignment word grid; capacity
+    sheds are one grouped ``lexsort`` per side (:func:`_shed`), events
+    first.  Drops are listed in that order.
     """
     old_index = instance.index
     index = successor.index
@@ -931,68 +942,51 @@ def _carry_arrangement(
             old_index.user_ids[old_upos[~keep]].tolist(),
         )
     )
-
     carried = Arrangement.from_positions(successor, new_upos[keep], new_vpos[keep])
-    # Drops only remove pairs: the live ones are these, filtered.
-    held_u, held_v = carried.assigned_positions()
 
-    def attendees(vpos: int) -> np.ndarray:
-        users = held_u[held_v == vpos]
-        return users[carried.assigned_mask(users, vpos)]
-
-    def drop(event_id: int, user_id: int) -> None:
-        carried.remove(event_id, user_id)
-        dropped.append((event_id, user_id))
+    def drop(upos: np.ndarray, vpos: np.ndarray) -> None:
+        carried.remove_positions(upos, vpos)
+        dropped.extend(
+            zip(index.event_ids[vpos].tolist(), index.user_ids[upos].tolist())
+        )
 
     if delta.add_conflicts:
         event_pos = index.event_pos
-        for first, second in delta.add_conflicts:
-            pa, pb = event_pos[first], event_pos[second]
-            both = attendees(pa)
-            both = both[carried.assigned_mask(both, pb)]
-            for upos in both.tolist():
-                w_first = index.weight_at(upos, pa)
-                w_second = index.weight_at(upos, pb)
-                if w_first < w_second or (
-                    w_first == w_second and first > second
-                ):
-                    victim_id = first
-                else:
-                    victim_id = second
-                drop(victim_id, int(index.user_ids[upos]))
+        pairs = delta.add_conflicts
+        pa, pb = np.array([(event_pos[e], event_pos[f]) for e, f in pairs]).T
+        # Attendance only falls, so a conflict whose events are not both
+        # attended now finds no common user at its turn either.
+        attended = carried.attendance_counts
+        words = carried.assignment_words
+        for k in np.flatnonzero((attended[pa] > 0) & (attended[pb] > 0)).tolist():
+            first, second = pairs[k]
+            a, b = int(pa[k]), int(pb[k])
+            both = np.flatnonzero(
+                (words[:, a >> 6] >> np.uint64(a & 63))
+                & (words[:, b >> 6] >> np.uint64(b & 63))
+                & np.uint64(1)
+            )
+            w_first = index.pair_weights(both, np.full(both.size, a))
+            w_second = index.pair_weights(both, np.full(both.size, b))
+            drop_first = (w_first < w_second) | (
+                (w_first == w_second) & (first > second)
+            )
+            drop(both, np.where(drop_first, a, b))
 
     # Capacity shrinks shed the lightest pairs until the tightened budgets
-    # hold.  Event side first — it only lowers user loads, so the user-side
-    # pass afterwards cannot re-create an event overflow.
-    for event_id, _capacity in delta.set_event_capacity:
-        vpos = index.event_pos[event_id]
-        over = int(carried.attendance_counts[vpos]) - int(index.event_capacity[vpos])
-        if over <= 0:
-            continue
-        seated = attendees(vpos)
-        weights = index.pair_weights(
-            seated, np.full(seated.size, vpos, dtype=np.int64)
-        )
-        attendee_ids = index.user_ids[seated]
-        # Ascending weight, ties dropping the higher user id (mirrors the
-        # conflict-drop tie rule above).
-        order = np.lexsort((-attendee_ids, weights))
-        for k in order[:over].tolist():
-            drop(event_id, int(attendee_ids[k]))
-    for user_id, _capacity in delta.set_user_capacity:
-        upos = index.user_pos[user_id]
-        over = int(carried.load_counts[upos]) - int(index.user_capacity[upos])
-        if over <= 0:
-            continue
-        attended = held_v[held_u == upos]
-        attended = attended[carried.assigned_mask(upos, attended)]
-        weights = index.pair_weights(
-            np.full(attended.size, upos, dtype=np.int64), attended
-        )
-        attended_ids = index.event_ids[attended]
-        order = np.lexsort((-attended_ids, weights))
-        for k in order[:over].tolist():
-            drop(int(attended_ids[k]), user_id)
+    # hold, events first.
+    if delta.set_event_capacity or delta.set_user_capacity:
+        held_u, held_v = carried.assigned_positions()
+        for by_event, changes in (
+            (True, delta.set_event_capacity),
+            (False, delta.set_user_capacity),
+        ):
+            shed = _shed(index, carried, held_u, held_v, changes, by_event)
+            if shed.size:
+                drop(held_u[shed], held_v[shed])
+                alive = np.ones(held_u.size, dtype=bool)
+                alive[shed] = False
+                held_u, held_v = held_u[alive], held_v[alive]
 
     touched_users = {user_id for _event_id, user_id in dropped}
     touched_events = {event_id for event_id, _user_id in dropped}
@@ -1278,16 +1272,13 @@ def apply_delta(
     # Capacity changes: a raise opens room (add moves for the user, refill
     # over the event's bidder pool); a shrink sheds pairs, whose endpoints
     # join the touched sets through the carryover below.
-    for user_id, _capacity in delta.set_user_capacity:
-        result.touched_users.add(user_id)
-    for event_id, _capacity in delta.set_event_capacity:
-        result.touched_events.add(event_id)
+    result.touched_users.update(user_id for user_id, _c in delta.set_user_capacity)
+    result.touched_events.update(event_id for event_id, _c in delta.set_event_capacity)
     # Re-weightings change which moves are improving without changing the
     # entity sets: the affected users (and, for evict consideration, the
     # affected events) must be rescanned.
-    for event_id, user_id, _value in delta.interest:
-        result.touched_users.add(user_id)
-        result.touched_events.add(event_id)
+    result.touched_users.update(user_id for _e, user_id, _v in delta.interest)
+    result.touched_events.update(event_id for event_id, _u, _v in delta.interest)
     for user_id, _value in delta.degrees:
         result.touched_users.add(user_id)
         upos = old_index.user_pos.get(user_id)

@@ -381,6 +381,53 @@ class BaseInstanceIndex:
                 )
         return indptr, indices, si_values
 
+    @classmethod
+    def from_components(
+        cls,
+        instance: "IGEPAInstance",
+        *,
+        user_ids: np.ndarray,
+        event_ids: np.ndarray,
+        user_capacity: np.ndarray,
+        event_capacity: np.ndarray,
+        degrees: np.ndarray,
+        conflict_matrix: np.ndarray,
+        bid_indptr: np.ndarray,
+        bid_indices: np.ndarray,
+        bid_si: np.ndarray,
+        shard_size: int | None = None,
+    ) -> "BaseInstanceIndex":
+        """Assemble an index from already-built primary arrays — the
+        constructor :func:`repro.model.delta.apply_delta` patches with.
+
+        The arrays must equal what a from-scratch build of ``instance``
+        computes; the derived ones then run through the same
+        :meth:`_finalize`, so they match bit for bit.  The position maps are
+        the store's, built over the same id arrays (as in
+        :meth:`_build_primary`): one id dict per successor.  ``shard_size``
+        applies to the sharded index only.
+        """
+        index = cls.__new__(cls)
+        index.instance = instance
+        index.user_ids = user_ids
+        index.event_ids = event_ids
+        index.user_pos = instance.store.user_pos
+        index.event_pos = instance.store.event_pos
+        index.user_capacity = user_capacity
+        index.event_capacity = event_capacity
+        index.degrees = degrees
+        index.conflict_matrix = conflict_matrix
+        index.bid_indptr = bid_indptr
+        index.bid_indices = bid_indices
+        index.bid_si = bid_si
+        index._configure(shard_size)
+        index._finalize()
+        return index
+
+    def _configure(self, shard_size: int | None) -> None:
+        """Implementation checks and options of :meth:`from_components`."""
+        raise NotImplementedError
+
     def _finalize(self) -> None:
         """Derive the secondary arrays from the primary ones.
 
@@ -446,8 +493,12 @@ class BaseInstanceIndex:
         counts = np.bincount(self.bid_indices, minlength=num_events)
         indptr = np.zeros(num_events + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        # Stable sort by event position keeps users in instance order.
-        order = np.argsort(self.bid_indices, kind="stable")
+        # Stable sort by event position keeps users in instance order.  As
+        # 16-bit keys (when positions fit) NumPy radix-sorts them, several
+        # times faster than its int64 merge sort, into the same order.
+        fits = num_events <= 1 << 16
+        keys = self.bid_indices.astype(np.uint16) if fits else self.bid_indices
+        order = np.argsort(keys, kind="stable")
         return indptr, self.bid_user_positions[order], order
 
     # ------------------------------------------------------------------
@@ -668,66 +719,31 @@ class InstanceIndex(BaseInstanceIndex):
         self.bid_indptr, self.bid_indices, self.bid_si = self._build_csr()
         self._finalize()
 
-    @classmethod
-    def from_components(
-        cls,
-        instance: "IGEPAInstance",
-        *,
-        user_ids: np.ndarray,
-        event_ids: np.ndarray,
-        user_capacity: np.ndarray,
-        event_capacity: np.ndarray,
-        degrees: np.ndarray,
-        conflict_matrix: np.ndarray,
-        bid_indptr: np.ndarray,
-        bid_indices: np.ndarray,
-        bid_si: np.ndarray,
-    ) -> "InstanceIndex":
-        """Assemble an index from already-built primary arrays.
-
-        Used by :func:`repro.model.delta.apply_delta` to attach a
-        delta-patched index to a successor instance without the from-scratch
-        interest/conflict/degree loops.  The caller must supply arrays whose
-        values equal what ``InstanceIndex(instance)`` would compute; every
-        *derived* array is then produced by the same :meth:`_finalize` code
-        path the regular constructor runs, so they match bit for bit.
-        """
-        cells = user_ids.size * event_ids.size
+    def _configure(self, shard_size: int | None) -> None:
+        cells = self.num_users * self.num_events
         if cells > DENSE_CELL_CAP:
             raise IndexCapacityError(
                 f"patched dense index would hold {cells} cells, beyond the "
                 f"cap of {DENSE_CELL_CAP}; the delta layer must switch to a "
                 "ShardedInstanceIndex at this size"
             )
-        index = cls.__new__(cls)
-        index.instance = instance
-        index.user_ids = user_ids
-        index.event_ids = event_ids
-        index.user_pos = {int(u): i for i, u in enumerate(user_ids.tolist())}
-        index.event_pos = {int(e): j for j, e in enumerate(event_ids.tolist())}
-        index.user_capacity = user_capacity
-        index.event_capacity = event_capacity
-        index.degrees = degrees
-        index.conflict_matrix = conflict_matrix
-        index.bid_indptr = bid_indptr
-        index.bid_indices = bid_indices
-        index.bid_si = bid_si
-        index._finalize()
-        return index
 
     def _finalize(self) -> None:
+        """Then the dense matrices, scattered from the CSR values into
+        zeroed full-height slabs: ``bid_weights`` holds the ``β·SI +
+        (1-β)·D`` doubles of the cell-wise formula, so ``W`` is bit-identical
+        to it without its cell-sized temporaries.  ``SI``, read only by the
+        scalar interest probes, is scattered on first use."""
         super()._finalize()
-        num_users = self.num_users
-        num_events = self.num_events
-        self.SI = np.zeros((num_users, num_events), dtype=np.float64)
-        self.bid_mask = np.zeros((num_users, num_events), dtype=bool)
-        if self.bid_indices.size:
-            self.SI[self.bid_user_positions, self.bid_indices] = self.bid_si
-            self.bid_mask[self.bid_user_positions, self.bid_indices] = True
-        beta = self.instance.beta
-        self.W = np.where(
-            self.bid_mask, beta * self.SI + (1.0 - beta) * self.degrees[:, None], 0.0
-        )
+        self.bid_mask = self._scatter_slab(0, self.num_users, None, bool)
+        self.W = self._scatter_slab(0, self.num_users, self.bid_weights, np.float64)
+        self._si: np.ndarray | None = None
+
+    @property
+    def SI(self) -> np.ndarray:
+        if self._si is None:
+            self._si = self._scatter_slab(0, self.num_users, self.bid_si, np.float64)
+        return self._si
 
     # ------------------------------------------------------------------
     # Dense overrides of the pair accessors (O(1) matrix lookups)

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.model.index import BaseInstanceIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -66,58 +64,16 @@ class ShardedInstanceIndex(BaseInstanceIndex):
         self, instance: "IGEPAInstance", shard_size: int | None = None
     ) -> None:
         self._build_primary(instance)
-        self._shard_size = self._resolve_shard_size(shard_size)
+        self._configure(shard_size)
         self.bid_indptr, self.bid_indices, self.bid_si = self._build_csr()
         self._finalize()
 
-    def _resolve_shard_size(self, shard_size: int | None) -> int:
+    def _configure(self, shard_size: int | None) -> None:
         if shard_size is None:
-            return default_shard_size(self.num_users, self.num_events)
-        if shard_size < 1:
+            shard_size = default_shard_size(self.num_users, self.num_events)
+        elif shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-        return int(shard_size)
-
-    @classmethod
-    def from_components(
-        cls,
-        instance: "IGEPAInstance",
-        *,
-        user_ids: np.ndarray,
-        event_ids: np.ndarray,
-        user_capacity: np.ndarray,
-        event_capacity: np.ndarray,
-        degrees: np.ndarray,
-        conflict_matrix: np.ndarray,
-        bid_indptr: np.ndarray,
-        bid_indices: np.ndarray,
-        bid_si: np.ndarray,
-        shard_size: int | None = None,
-    ) -> "ShardedInstanceIndex":
-        """Assemble a sharded index from already-built primary arrays.
-
-        The delta-maintenance constructor
-        (:func:`repro.model.delta.apply_delta`): primary arrays are patched
-        at the CSR-entry level — O(bids + delta), never O(cells) — and every
-        derived array runs through the shared
-        :meth:`~repro.model.index.BaseInstanceIndex._finalize`, so the
-        patched index is bit-identical to a from-scratch build.
-        """
-        index = cls.__new__(cls)
-        index.instance = instance
-        index.user_ids = user_ids
-        index.event_ids = event_ids
-        index.user_pos = {int(u): i for i, u in enumerate(user_ids.tolist())}
-        index.event_pos = {int(e): j for j, e in enumerate(event_ids.tolist())}
-        index.user_capacity = user_capacity
-        index.event_capacity = event_capacity
-        index.degrees = degrees
-        index.conflict_matrix = conflict_matrix
-        index.bid_indptr = bid_indptr
-        index.bid_indices = bid_indices
-        index.bid_si = bid_si
-        index._shard_size = index._resolve_shard_size(shard_size)
-        index._finalize()
-        return index
+        self._shard_size = int(shard_size)
 
     @property
     def shard_size(self) -> int:

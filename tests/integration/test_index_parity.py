@@ -14,7 +14,19 @@ import numpy as np
 import pytest
 
 from repro.core import GGGreedy, LPPacking, RandomU, improve
-from repro.model import Arrangement, ArrangementError
+from repro.datagen import (
+    ChurnConfig,
+    SyntheticConfig,
+    generate_churn_trace,
+    generate_synthetic,
+)
+from repro.model import (
+    Arrangement,
+    ArrangementError,
+    InstanceIndex,
+    apply_delta,
+)
+from tests.core.test_defrag_rebuild import INSTANCES
 from tests.util import random_instance, tiny_instance
 
 
@@ -251,3 +263,49 @@ class TestLocalSearchParity:
                 if instance.weight(user.user_id, event_id) <= 1e-9:
                     continue
                 assert not arrangement.can_add(event_id, user.user_id)
+
+
+def cellwise_dense(index):
+    """``SI``/``bid_mask``/``W`` by the cell-wise formula: scatter SI and the
+    mask, then ``β·SI + (1-β)·D`` where a bid is and 0.0 elsewhere."""
+    shape = (index.num_users, index.num_events)
+    si = np.zeros(shape, dtype=np.float64)
+    mask = np.zeros(shape, dtype=bool)
+    si[index.bid_user_positions, index.bid_indices] = index.bid_si
+    mask[index.bid_user_positions, index.bid_indices] = True
+    beta = index.instance.beta
+    w = np.where(mask, beta * si + (1.0 - beta) * index.degrees[:, None], 0.0)
+    return {"SI": si, "bid_mask": mask, "W": w}
+
+
+class TestDenseMatricesPinned:
+    """The dense index scatters its CSR values into the matrices; the bytes
+    must equal the cell-wise formula's, from scratch and after churn."""
+
+    @staticmethod
+    def assert_pinned(index):
+        for name, expected in cellwise_dense(index).items():
+            actual = getattr(index, name)
+            assert actual.dtype == expected.dtype, name
+            assert actual.shape == expected.shape, name
+            assert actual.tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_from_scratch(self, name):
+        instance = INSTANCES[name]()  # the index holds it weakly
+        self.assert_pinned(InstanceIndex(instance))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+    def test_churned_successor(self, beta):
+        instance = generate_synthetic(
+            SyntheticConfig(num_users=300, beta=beta), seed=7
+        )
+        arrangement = GGGreedy().solve(instance, seed=0).arrangement
+        trace = generate_churn_trace(
+            instance, ChurnConfig(num_batches=3, burst_every=2), seed=8
+        )
+        for delta in trace.deltas:
+            result = apply_delta(instance, delta, arrangement)
+            assert isinstance(result.instance.index, InstanceIndex)
+            self.assert_pinned(result.instance.index)
+            instance, arrangement = result.instance, result.arrangement

@@ -310,6 +310,79 @@ class TestApplySemantics:
             ), name
 
 
+PATCH_DELTAS = {
+    # Entries on pairs nobody bids for never reach the index; a pair given
+    # twice keeps its last value.
+    "interest-on-non-bid-pairs": Delta(
+        interest=((3, 10, 0.5), (1, 13, 0.2), (1, 10, 0.3), (1, 10, 0.6))
+    ),
+    "interest-on-bids-added-in-delta": Delta(
+        add_users=(User(user_id=55, capacity=2, bids=(1, 3)),),
+        add_bids=((10, 3), (13, 1)),
+        interest=((3, 10, 0.2), (1, 13, 0.7), (1, 55, 0.4), (3, 55, 0.9)),
+    ),
+    "interest-on-removed-users": Delta(
+        remove_users=(11,),
+        interest=((1, 11, 0.5), (3, 11, 0.1), (2, 12, 0.25)),
+    ),
+    "bid-removal-on-closing-event": Delta(
+        remove_bids=((11, 3), (12, 3), (10, 2)),
+        remove_events=(3,),
+    ),
+}
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["dense", "sharded"])
+@pytest.mark.parametrize("name", sorted(PATCH_DELTAS))
+class TestPatchLoops:
+    """The vectorized bid-removal and interest write-through lookups: the
+    patched index equals a fresh build, and a full rebuild
+    (``incremental=False``) holds the same arrays."""
+
+    def test_patched_equals_fresh_build(self, name, sharded):
+        from repro.model.delta import fresh_index_like, index_parity_mismatches
+
+        instance = tiny_instance()
+        if sharded:
+            instance.configure_index(sharded=True, shard_size=2)
+        successor = apply_delta(instance, PATCH_DELTAS[name]).instance
+        patched = successor.index
+        fresh = fresh_index_like(patched, successor)
+        assert index_parity_mismatches(patched, fresh) == []
+        assert patched.user_pos == fresh.user_pos
+        assert patched.event_pos == fresh.event_pos
+
+    def test_full_rebuild_matches(self, name, sharded):
+        from repro.model.delta import index_parity_mismatches
+
+        instance = tiny_instance()
+        if sharded:
+            instance.configure_index(sharded=True, shard_size=2)
+        delta = PATCH_DELTAS[name]
+        patched = apply_delta(instance, delta).instance.index
+        full = apply_delta(instance, delta, incremental=False).instance
+        assert full._index is None
+        assert index_parity_mismatches(patched, full.index) == []
+
+
+class TestPatchValues:
+    def test_repeated_interest_entry_keeps_last_value(self):
+        successor = apply_delta(
+            tiny_instance(), PATCH_DELTAS["interest-on-non-bid-pairs"]
+        ).instance
+        index = successor.index
+        assert index.si_at(index.user_pos[10], index.event_pos[1]) == 0.6
+        assert not index.is_bid_pair(index.user_pos[10], index.event_pos[3])
+
+    def test_bid_removal_on_closing_event(self):
+        successor = apply_delta(
+            tiny_instance(), PATCH_DELTAS["bid-removal-on-closing-event"]
+        ).instance
+        assert successor.user_by_id[10].bids == (1,)
+        assert successor.user_by_id[11].bids == (1,)
+        assert successor.user_by_id[12].bids == (2,)
+
+
 class TestCarryOver:
     def test_pairs_of_removed_entities_dropped(self):
         instance = tiny_instance()

@@ -268,3 +268,84 @@ def stub_highs_run(monkeypatch, model_status, iterations: int = 7) -> None:
             return info
 
     monkeypatch.setattr(_core, "_Highs", Stopped)
+
+
+def reference_carry(instance, successor, arrangement, delta, maps) -> tuple:
+    """The reference carry of an arrangement across a delta: ``(carried,
+    dropped, touched_users, touched_events)`` as
+    :func:`repro.model.delta._carry_arrangement` returns them.
+
+    The earlier scalar implementation, kept as the yardstick of the array
+    one: every added conflict scans the held pairs for the users of both
+    events and drops the lighter pair per user (ties drop the higher event
+    id), conflicts in delta order; every shrunk event, then every shrunk
+    user, sheds its lightest pairs one target at a time (ties drop the
+    higher user or event id).
+    """
+    from repro.model import Arrangement
+
+    old_index = instance.index
+    index = successor.index
+
+    old_upos, old_vpos = arrangement.assigned_positions()
+    new_upos = maps.user_map[old_upos]
+    new_vpos = maps.event_map[old_vpos]
+    keep = (new_upos >= 0) & (new_vpos >= 0)
+    keep[keep] = index.pair_bid_mask(new_upos[keep], new_vpos[keep])
+    dropped = list(
+        zip(
+            old_index.event_ids[old_vpos[~keep]].tolist(),
+            old_index.user_ids[old_upos[~keep]].tolist(),
+        )
+    )
+    carried = Arrangement.from_positions(successor, new_upos[keep], new_vpos[keep])
+    held_u, held_v = carried.assigned_positions()
+
+    def attendees(vpos: int) -> np.ndarray:
+        users = held_u[held_v == vpos]
+        return users[carried.assigned_mask(users, vpos)]
+
+    def drop(event_id: int, user_id: int) -> None:
+        carried.remove(event_id, user_id)
+        dropped.append((event_id, user_id))
+
+    for first, second in delta.add_conflicts:
+        pa, pb = index.event_pos[first], index.event_pos[second]
+        both = attendees(pa)
+        both = both[carried.assigned_mask(both, pb)]
+        for upos in both.tolist():
+            w_first = index.weight_at(upos, pa)
+            w_second = index.weight_at(upos, pb)
+            if w_first < w_second or (w_first == w_second and first > second):
+                victim_id = first
+            else:
+                victim_id = second
+            drop(victim_id, int(index.user_ids[upos]))
+
+    for event_id, _capacity in delta.set_event_capacity:
+        vpos = index.event_pos[event_id]
+        over = int(carried.attendance_counts[vpos]) - int(index.event_capacity[vpos])
+        if over <= 0:
+            continue
+        seated = attendees(vpos)
+        weights = index.pair_weights(seated, np.full(seated.size, vpos, dtype=np.int64))
+        attendee_ids = index.user_ids[seated]
+        order = np.lexsort((-attendee_ids, weights))
+        for k in order[:over].tolist():
+            drop(event_id, int(attendee_ids[k]))
+    for user_id, _capacity in delta.set_user_capacity:
+        upos = index.user_pos[user_id]
+        over = int(carried.load_counts[upos]) - int(index.user_capacity[upos])
+        if over <= 0:
+            continue
+        attended = held_v[held_u == upos]
+        attended = attended[carried.assigned_mask(upos, attended)]
+        weights = index.pair_weights(np.full(attended.size, upos), attended)
+        attended_ids = index.event_ids[attended]
+        order = np.lexsort((-attended_ids, weights))
+        for k in order[:over].tolist():
+            drop(int(attended_ids[k]), user_id)
+
+    touched_users = {user_id for _event_id, user_id in dropped}
+    touched_events = {event_id for event_id, _user_id in dropped}
+    return carried, dropped, touched_users, touched_events
