@@ -1,9 +1,9 @@
-"""Sharded-index benchmark: 50k and 500k users end-to-end under memory gates.
+"""CSR-index benchmark: 50k and 500k users end-to-end under memory gates.
 
 Three gates, all on fixed seeds:
 
 1. **Scale + memory** — stream-generate a |U| = 50_000, |V| = 500 instance,
-   build its :class:`~repro.model.sharded_index.ShardedInstanceIndex` and
+   build its CSR :class:`~repro.model.index.ShardedInstanceIndex` and
    run the full pipeline (GG+LS, then LP-packing on HiGHS) end to end.
    The dense index cannot even build at this shape (2.5·10⁷ cells is past
    its hard cap — asserted), and the whole run's peak RSS above the
@@ -22,11 +22,11 @@ Three gates, all on fixed seeds:
    extrapolation *exceeds* the budget — the object layer provably cannot
    meet it before solving anything.
 3. **Parity** — at a dense-buildable size, GG / GG+LS / LP-packing must
-   produce bit-identical arrangements on the sharded and the dense index,
+   produce bit-identical arrangements on the CSR and the dense index,
    and store-built and entity-built instances of the same content must
    give identical index bits and GG+LS decisions (hard gates; the
    property suite and ``tests/integration/test_columnar_parity.py`` cover
-   more shard sizes).
+   more shapes).
 
 Results land in ``benchmarks/output/BENCH_shard.json`` so the scaling
 trajectory accumulates across PRs, like the LP and churn benches.  The
@@ -89,10 +89,10 @@ DENSE_BYTES_PER_CELL = 17.0
 COLUMNAR_USERS = 500_000
 #: Peak-RSS budget (MB above interpreter baseline) for the gated region of
 #: the 500k pipeline: objects-first probe, columnar stream-build (+spill),
-#: sharded index, GG+LS and the churn-delta replay.  Measured at seed 0 on
+#: CSR index, GG+LS and the churn-delta replay.  Measured at seed 0 on
 #: a 2-vCPU x86 host: build + index + GG+LS peak ~390 MB (the arrangement
 #: is a 32 MB word grid, one bit per user-by-event cell); each replay batch
-#: transiently holds the successor's store components, index shards and
+#: transiently holds the successor's store components, CSR index and
 #: arrangement alongside the predecessor's, for a region peak of ~690 MB
 #: (first batch ~630 MB).  The 50k objects-first probe is extrapolated to
 #: 500k and asserted above this budget, so an object layer could not meet
@@ -181,8 +181,6 @@ def run_scale_gate(seed: int) -> dict:
         "num_users": NUM_USERS,
         "num_events": NUM_EVENTS,
         "num_bids": index.num_bids,
-        "num_shards": index.num_shards,
-        "shard_size": index.shard_size,
         "generate_seconds": generate_seconds,
         "index_seconds": index_seconds,
         "gg_ls_seconds": gg_ls_seconds,
@@ -196,14 +194,14 @@ def run_scale_gate(seed: int) -> dict:
         "memory_gate_delta_mb": gate_delta_mb,
     }
     print(
-        f"scale: |U|={NUM_USERS} |V|={NUM_EVENTS} shards="
-        f"{index.num_shards}x{index.shard_size} gg+ls={gg_ls_seconds:.1f}s "
+        f"scale: |U|={NUM_USERS} |V|={NUM_EVENTS} bids={index.num_bids} "
+        f"gg+ls={gg_ls_seconds:.1f}s "
         f"lp={lp_seconds:.1f}s "
         f"peak delta {peak_delta_mb:.0f}MB < gate {gate_delta_mb:.0f}MB "
         f"(instance {instance_mb:.0f}MB + dense matrices {dense_matrix_mb:.0f}MB)"
     )
     assert peak_delta_mb < gate_delta_mb, (
-        f"sharded 50k run peaked {peak_delta_mb:.0f}MB over baseline — not "
+        f"CSR-index 50k run peaked {peak_delta_mb:.0f}MB over baseline — not "
         f"below the dense-index floor of {gate_delta_mb:.0f}MB (instance "
         f"{instance_mb:.0f}MB + dense matrices {dense_matrix_mb:.0f}MB)"
     )
@@ -356,7 +354,7 @@ def _columnar_gate_impl(seed: int) -> dict:
     # Each successor supersedes its predecessor, so only the rolling
     # (instance, arrangement) pair is kept: the solver result and the
     # original store/index handles would otherwise pin the predecessor's
-    # assignment words and shard arrays across every batch.
+    # assignment words and index arrays across every batch.
     rng = np.random.default_rng(seed + 1)
     arrangement = gg_ls.arrangement
     del gg_ls, store, index
@@ -464,7 +462,7 @@ def run_columnar_parity_gate(seed: int) -> dict:
 
 
 def run_parity_gate(seed: int) -> dict:
-    """Fixed-seed arrangement parity between the sharded and dense paths."""
+    """Fixed-seed arrangement parity between the CSR and dense paths."""
     config = SyntheticConfig(num_users=3000, num_events=200)
     algorithms = {
         "gg": lambda: GGGreedy(),
@@ -476,7 +474,7 @@ def run_parity_gate(seed: int) -> dict:
         dense_instance = generate_synthetic(config, seed=seed)
         dense_instance.configure_index(sharded=False)
         sharded_instance = generate_synthetic(config, seed=seed)
-        sharded_instance.configure_index(sharded=True, shard_size=256)
+        sharded_instance.configure_index(sharded=True)
         dense = factory().solve(dense_instance, seed=seed)
         sharded = factory().solve(sharded_instance, seed=seed)
         identical = dense.arrangement.pairs == sharded.arrangement.pairs
@@ -484,7 +482,7 @@ def run_parity_gate(seed: int) -> dict:
             "utility": dense.utility,
             "identical_pairs": identical,
         }
-        assert identical, f"{name}: sharded and dense arrangements differ"
+        assert identical, f"{name}: CSR and dense arrangements differ"
         assert dense.utility == sharded.utility
     print(f"parity: {', '.join(rows)} bit-identical across index implementations")
     return rows

@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant checker for the igepa codebase: guards the "
             "array/columnar contracts (zero-copy builds, delta purity, RNG "
-            "discipline, shard-worker isolation, ...)"
+            "discipline, ...)"
         ),
     )
     parser.add_argument(

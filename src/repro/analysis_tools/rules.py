@@ -90,7 +90,7 @@ class HotPathLoopRule(Rule):
     iterations on paths the benchmarks gate.  Comprehensions and generator
     expressions are allowed — they are the repo's sanctioned feeder idiom
     for ``np.fromiter`` — as are loops over bounded scopes (touched users,
-    shards, scan lists).
+    scan lists).
     """
 
     code = "IGP001"
@@ -155,17 +155,10 @@ class HotPathLoopRule(Rule):
 
 
 #: (module suffix, function name) pairs allowed to build dense |U|x|V|
-#: slabs: the dense index's own storage and the shard slab builders.
+#: slabs: the dense index's own storage and its slab builder.
 DENSE_SLAB_WHITELIST = (
     ("repro/model/index.py", "_finalize"),
     ("repro/model/index.py", "_scatter_slab"),
-    ("repro/model/index.py", "_shard_weight_slab"),
-    ("repro/model/index.py", "_shard_si_slab"),
-    ("repro/model/index.py", "_shard_mask_slab"),
-    ("repro/model/sharded_index.py", "_scatter_slab"),
-    ("repro/model/sharded_index.py", "_shard_weight_slab"),
-    ("repro/model/sharded_index.py", "_shard_si_slab"),
-    ("repro/model/sharded_index.py", "_shard_mask_slab"),
 )
 
 _USERISH = frozenset({"num_users", "n_users"})
@@ -177,17 +170,17 @@ class DenseMaterializationRule(Rule):
 
     ``.toarray()`` / ``.todense()`` calls and ``np.zeros((num_users,
     num_events))``-shaped allocations defeat the CSR/columnar architecture:
-    one stray call re-introduces the O(cells) memory wall the sharded index
-    exists to avoid.  The dense index's own storage and the slab builders
+    one stray call re-introduces the O(cells) memory wall the CSR index
+    exists to avoid.  The dense index's own storage and its slab builder
     are the only sanctioned sites.
     """
 
     code = "IGP002"
     name = "dense-materialization"
     hint = (
-        "keep pair data in the CSR arrays or materialize a bounded per-shard "
-        "slab via index.iter_shards(); only the dense-slab whitelist "
-        "(InstanceIndex storage, slab builders) may allocate |U|x|V|"
+        "keep pair data in the CSR arrays and gather what a step needs with "
+        "the index's pair/row accessors; only the dense-slab whitelist "
+        "(InstanceIndex storage, its slab builder) may allocate |U|x|V|"
     )
     module_suffixes = None
 
@@ -260,10 +253,7 @@ STORE_COLUMNS = frozenset(
 _STORE_ROOTS = frozenset({"store", "self", "index", "old", "instance"})
 
 #: Index-build modules bound by the zero-copy contract.
-INDEX_BUILD_MODULES = (
-    "repro/model/index.py",
-    "repro/model/sharded_index.py",
-)
+INDEX_BUILD_MODULES = ("repro/model/index.py",)
 
 
 class StoreCopyRule(Rule):
@@ -863,7 +853,7 @@ class PublicApiAnnotationRule(Rule):
     The protocol seam (``solver/api.py`` and the package fronts) is what
     every layer above programs against; un-annotated parameters there turn
     mypy's strict scope into ``Any`` holes and hide interface drift between
-    the dense/sharded/columnar implementations.
+    the dense/CSR/columnar implementations.
     """
 
     code = "IGP008"

@@ -132,16 +132,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _configure_shards(instance: IGEPAInstance, shards: int) -> None:
-    """Apply a ``--shards N`` request: N user shards (0 = size heuristic)."""
-    if shards > 0:
-        shard_size = max(1, -(-instance.num_users // shards))
-        instance.configure_index(sharded=True, shard_size=shard_size)
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = IGEPAInstance.load(args.instance)
-    _configure_shards(instance, args.shards)
     algorithm = ALGORITHMS[args.algorithm](args)
     result = algorithm.solve(instance, seed=args.seed)
     print(f"algorithm : {result.algorithm}")
@@ -154,18 +146,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _churn_trace(args: argparse.Namespace) -> ChurnTrace:
-    """The synthetic platform and churn trace the flags describe.
-
-    ``--shards`` is applied to the initial instance before the trace is
-    generated from it.
-    """
+    """The synthetic platform and churn trace the flags describe."""
     synthetic = SyntheticConfig(
         num_events=args.events,
         num_users=args.users,
         conflict_probability=args.pcf,
     )
     instance = generate_synthetic(synthetic, seed=args.seed)
-    _configure_shards(instance, args.shards)
     config = ChurnConfig(
         event_open_rate=args.event_rate,
         event_close_rate=args.event_rate,
@@ -285,7 +272,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("--stdin requires --instance INSTANCE.json", file=sys.stderr)
             return 2
         instance = IGEPAInstance.load(args.instance)
-        _configure_shards(instance, args.shards)
         requests = (
             request_from_dict(json.loads(line))
             for line in sys.stdin
@@ -328,9 +314,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(forwarded)
 
 
-def _platform_flags(shards: argparse.ArgumentParser) -> argparse.ArgumentParser:
+def _platform_flags() -> argparse.ArgumentParser:
     """The synthetic platform and its churn: replay, simulate and serve."""
-    group = argparse.ArgumentParser(add_help=False, parents=[shards])
+    group = argparse.ArgumentParser(add_help=False)
     group.add_argument("--users", type=int, default=2000, help="initial |U|")
     group.add_argument("--events", type=int, default=200, help="initial |V|")
     group.add_argument("--seed", type=int, default=0)
@@ -435,14 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     # Parent parsers: each flag on them is declared once and shared by the
     # subcommands built with them.
-    shards = argparse.ArgumentParser(add_help=False)
-    shards.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="partition users into N index shards (0: size heuristic)",
-    )
-    platform = _platform_flags(shards)
+    platform = _platform_flags()
     engine = _engine_flags()
 
     sub = subparsers.add_parser("list", help="list registered experiments")
@@ -465,9 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--pdeg", type=float, default=0.5, help="friend probability")
     sub.set_defaults(func=_cmd_generate)
 
-    sub = subparsers.add_parser(
-        "solve", parents=[shards], help="run one algorithm on a saved instance"
-    )
+    sub = subparsers.add_parser("solve", help="run one algorithm on a saved instance")
     sub.add_argument("instance", help="instance JSON written by 'generate'")
     sub.add_argument(
         "--algorithm", choices=sorted(ALGORITHMS), default="lp-packing"

@@ -314,8 +314,8 @@ def generate_synthetic_stream(
 
     The draw order differs from :func:`generate_synthetic`, so the two
     produce different (equally distributed) instances for the same seed.
-    Returns an instance whose lazy index resolves to the sharded
-    implementation whenever the size heuristic calls for it.
+    Returns an instance whose lazy index resolves to the CSR
+    implementation whenever its size calls for it.
     """
     if config is None:
         config = TABLE1_DEFAULTS

@@ -41,7 +41,11 @@ from repro.model.errors import (
     InstanceValidationError,
     ModelError,
 )
-from repro.model.index import BaseInstanceIndex, IndexShard, InstanceIndex
+from repro.model.index import (
+    BaseInstanceIndex,
+    InstanceIndex,
+    ShardedInstanceIndex,
+)
 from repro.model.instance import IGEPAInstance
 from repro.model.interest import (
     CosineInterest,
@@ -51,7 +55,6 @@ from repro.model.interest import (
     TabulatedInterest,
     interest_from_dict,
 )
-from repro.model.sharded_index import ShardedInstanceIndex
 
 __all__ = [
     "Event",
@@ -66,7 +69,6 @@ __all__ = [
     "BaseInstanceIndex",
     "InstanceIndex",
     "ShardedInstanceIndex",
-    "IndexShard",
     "Arrangement",
     "InstanceBuilder",
     "Delta",

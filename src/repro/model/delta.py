@@ -51,12 +51,12 @@ from repro.model.index import (
     DENSE_CELL_CAP,
     BaseInstanceIndex,
     InstanceIndex,
+    ShardedInstanceIndex,
     build_degrees,
     validated_interest,
 )
 from repro.model.instance import IGEPAInstance
 from repro.model.interest import InterestFunction, TabulatedInterest
-from repro.model.sharded_index import ShardedInstanceIndex
 from repro.social.graph import Graph
 
 
@@ -504,8 +504,8 @@ def _patch_components(
     ``bid_si`` splicing; withdrawn bids and re-weighted pairs are located by
     one :func:`_csr_entries` lookup each), so its cost is O(bids + delta +
     |V|²) on either index: on a :class:`ShardedInstanceIndex` no O(cells)
-    work happens at all — untouched shards' slabs are never materialized and
-    their CSR segments are copied wholesale by the vectorized splice.
+    work happens at all — untouched users' CSR segments are copied
+    wholesale by the vectorized splice.
 
     Returns the primary components minus ``degrees`` (built against the
     successor by the caller).
@@ -684,15 +684,13 @@ def _index_from_components(
     old: BaseInstanceIndex, successor: IGEPAInstance, components: dict
 ) -> BaseInstanceIndex:
     """Assemble the successor's index, keeping the predecessor's
-    implementation (and shard size) unless growth forces a switch."""
+    implementation unless growth forces a switch."""
     sharded = isinstance(old, ShardedInstanceIndex)
     cells = components["user_ids"].size * components["event_ids"].size
     # Churn that grows a dense-indexed instance past the dense cap switches
-    # the successor to the sharded implementation, as a fresh build would.
+    # the successor to the CSR implementation, as a fresh build would.
     cls = ShardedInstanceIndex if sharded or cells > DENSE_CELL_CAP else InstanceIndex
-    patched = cls.from_components(
-        successor, shard_size=old.shard_size if sharded else None, **components
-    )
+    patched = cls.from_components(successor, **components)
     sanitize_index(patched)
     return patched
 
@@ -700,10 +698,8 @@ def _index_from_components(
 def fresh_index_like(
     index: BaseInstanceIndex, instance: IGEPAInstance
 ) -> BaseInstanceIndex:
-    """A from-scratch index of the same implementation (and shard size)."""
-    if isinstance(index, ShardedInstanceIndex):
-        return ShardedInstanceIndex(instance, shard_size=index.shard_size)
-    return InstanceIndex(instance)
+    """A from-scratch index of the same implementation."""
+    return type(index)(instance)
 
 
 def index_parity_mismatches(
@@ -1233,9 +1229,9 @@ def apply_delta(
     # reproduces bit for bit.
     maps = _position_maps(instance.index, delta)
     successor, components = _successor(instance, delta, maps)
-    # The successor inherits the index configuration (sharded/dense, shard
-    # size), so the full-rebuild comparison path builds the same kind of
-    # index the predecessor used.
+    # The successor inherits the index configuration (CSR or dense), so the
+    # full-rebuild comparison path builds the same kind of index the
+    # predecessor used.
     successor._index_config = instance._index_config
     if incremental:
         components["degrees"] = _successor_degrees(instance, successor, delta)

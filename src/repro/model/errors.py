@@ -19,4 +19,4 @@ class ArrangementError(ModelError):
 
 class IndexCapacityError(ModelError):
     """A dense ``(num_users, num_events)`` index was requested beyond the
-    dense cell cap; the instance needs the sharded index."""
+    dense cell cap; the instance needs the CSR index."""

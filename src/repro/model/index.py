@@ -8,16 +8,15 @@ so the layers above (arrangements, baselines, local search, LP construction)
 can batch their hot paths.
 
 Two interchangeable implementations share the :class:`BaseInstanceIndex`
-protocol:
+protocol; ``IGEPAInstance.index`` picks one by size:
 
 * :class:`InstanceIndex` — the dense index: ``W``/``SI``/``bid_mask`` as
   ``(num_users, num_events)`` matrices.  Fastest at benchmark scales, but
   memory is ``O(|U|·|V|)``; construction refuses instances beyond
   :data:`DENSE_CELL_CAP` cells (~10⁷).
-* :class:`~repro.model.sharded_index.ShardedInstanceIndex` — the sharded
-  index: no dense user-by-event matrices at all.  Pair data lives in the
-  CSR arrays (``O(bids)``); contiguous user shards materialize dense slabs
-  on demand, each under ~10⁶ cells.  This is what unlocks |U| ≥ 50k.
+* :class:`ShardedInstanceIndex` — the CSR index: no dense user-by-event
+  matrices at all.  Pair data lives in the CSR arrays (``O(bids)``) and the
+  pair accessors binary-search them.  This is what unlocks |U| ≥ 50k.
 
 Everything position-based is common to both:
 
@@ -36,9 +35,8 @@ Everything position-based is common to both:
   feasibility probes test against a set of positions in one ``&``;
 * ``degrees``, ``user_capacity``, ``event_capacity`` — per-entity vectors;
 * the pair accessors (:meth:`BaseInstanceIndex.is_bid_pair`,
-  :meth:`~BaseInstanceIndex.pair_weights`, ...) and the shard iterator
-  (:meth:`BaseInstanceIndex.iter_shards`), which algorithms use instead of
-  touching ``W``/``SI``/``bid_mask`` directly.
+  :meth:`~BaseInstanceIndex.pair_weights`, ...), which algorithms use
+  instead of touching ``W``/``SI``/``bid_mask`` directly.
 
 Indexes are *read-only by convention*: instances are immutable, so the index
 is built lazily once (``IGEPAInstance.index``) and shared by every
@@ -62,7 +60,7 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -74,7 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: Hard cap on dense ``(num_users, num_events)`` matrices: above this many
 #: cells :class:`InstanceIndex` refuses to build (the three dense matrices
-#: alone would exceed ~170 MB) and callers must use the sharded index.
+#: alone would exceed ~170 MB) and callers must use the CSR index.
 DENSE_CELL_CAP = 10_000_000
 
 
@@ -169,74 +167,13 @@ def word_positions(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[which], columns[which] * 64 + bit
 
 
-class IndexShard:
-    """A contiguous user-position range of an index, with dense slabs.
-
-    ``W`` / ``SI`` / ``bid_mask`` are ``(stop - start, num_events)`` arrays
-    whose row ``i`` describes user position ``start + i``.  On the dense
-    index they are views into the full matrices (zero copy); on the sharded
-    index they are materialized from the CSR arrays on demand and not
-    retained — peak memory per visit stays at one slab.
-    """
-
-    __slots__ = ("index", "shard_id", "start", "stop")
-
-    def __init__(
-        self, index: "BaseInstanceIndex", shard_id: int, start: int, stop: int
-    ) -> None:
-        self.index = index
-        self.shard_id = shard_id
-        self.start = start
-        self.stop = stop
-
-    @property
-    def num_users(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def positions(self) -> range:
-        """Global user positions covered by the shard."""
-        return range(self.start, self.stop)
-
-    @property
-    def W(self) -> np.ndarray:
-        return self.index._shard_weight_slab(self.start, self.stop)
-
-    @property
-    def SI(self) -> np.ndarray:
-        return self.index._shard_si_slab(self.start, self.stop)
-
-    @property
-    def bid_mask(self) -> np.ndarray:
-        return self.index._shard_mask_slab(self.start, self.stop)
-
-    @property
-    def bid_indptr(self) -> np.ndarray:
-        """Local CSR offsets (``self.num_users + 1`` entries, 0-based)."""
-        indptr = self.index.bid_indptr
-        return indptr[self.start : self.stop + 1] - indptr[self.start]
-
-    @property
-    def entry_slice(self) -> slice:
-        """Slice of the global CSR entry arrays covered by the shard."""
-        indptr = self.index.bid_indptr
-        return slice(int(indptr[self.start]), int(indptr[self.stop]))
-
-    def __repr__(self) -> str:
-        return (
-            f"IndexShard({self.shard_id}, users=[{self.start}, {self.stop}), "
-            f"events={self.index.num_events})"
-        )
-
-
 class BaseInstanceIndex:
-    """The indexing protocol shared by the dense and sharded indexes.
+    """The indexing protocol shared by the dense and CSR indexes.
 
-    Subclasses build the *primary* arrays (ids, capacities, degrees,
-    conflict matrix, CSR bid incidence with per-entry SI values) and call
-    :meth:`_finalize`; everything else — derived arrays, pair accessors,
-    shard iteration — lives here and is therefore bit-identical across
-    implementations.
+    The constructor builds the *primary* arrays (ids, capacities, degrees,
+    conflict matrix, CSR bid incidence with per-entry SI values) and calls
+    :meth:`_finalize`; everything else — derived arrays, pair accessors —
+    lives here and is therefore bit-identical across implementations.
     """
 
     #: Primary + derived arrays compared by parity checks (delta-patched vs
@@ -296,6 +233,17 @@ class BaseInstanceIndex:
     # ------------------------------------------------------------------
     # Shared construction
     # ------------------------------------------------------------------
+    def __init__(self, instance: "IGEPAInstance") -> None:
+        self._check_size(len(instance.users), len(instance.events))
+        self._build_primary(instance)
+        self.bid_indptr, self.bid_indices, self.bid_si = self._build_csr()
+        self._finalize()
+
+    @classmethod
+    def _check_size(cls, num_users: int, num_events: int) -> None:
+        """Refuse sizes the implementation cannot hold (the CSR index has
+        no limit); run before either constructor builds anything."""
+
     def _build_primary(self, instance: "IGEPAInstance") -> None:
         """Fill the primary arrays common to both implementations.
 
@@ -395,7 +343,6 @@ class BaseInstanceIndex:
         bid_indptr: np.ndarray,
         bid_indices: np.ndarray,
         bid_si: np.ndarray,
-        shard_size: int | None = None,
     ) -> "BaseInstanceIndex":
         """Assemble an index from already-built primary arrays — the
         constructor :func:`repro.model.delta.apply_delta` patches with.
@@ -404,9 +351,9 @@ class BaseInstanceIndex:
         computes; the derived ones then run through the same
         :meth:`_finalize`, so they match bit for bit.  The position maps are
         the store's, built over the same id arrays (as in
-        :meth:`_build_primary`): one id dict per successor.  ``shard_size``
-        applies to the sharded index only.
+        :meth:`_build_primary`): one id dict per successor.
         """
+        cls._check_size(user_ids.size, event_ids.size)
         index = cls.__new__(cls)
         index.instance = instance
         index.user_ids = user_ids
@@ -420,13 +367,8 @@ class BaseInstanceIndex:
         index.bid_indptr = bid_indptr
         index.bid_indices = bid_indices
         index.bid_si = bid_si
-        index._configure(shard_size)
         index._finalize()
         return index
-
-    def _configure(self, shard_size: int | None) -> None:
-        """Implementation checks and options of :meth:`from_components`."""
-        raise NotImplementedError
 
     def _finalize(self) -> None:
         """Derive the secondary arrays from the primary ones.
@@ -635,63 +577,22 @@ class BaseInstanceIndex:
             return 0
         return int(np.count_nonzero(np.triu(self.conflict_matrix, k=1)))
 
-    # ------------------------------------------------------------------
-    # Shards
-    # ------------------------------------------------------------------
-    @property
-    def shard_size(self) -> int:
-        """Users per shard (the dense index is one all-covering shard)."""
-        return max(1, self.num_users)
-
-    @property
-    def num_shards(self) -> int:
-        size = self.shard_size
-        return max(1, -(-self.num_users // size)) if self.num_users else 1
-
-    def shard_bounds(self, shard_id: int) -> tuple[int, int]:
-        """``[start, stop)`` user positions of a shard."""
-        size = self.shard_size
-        start = shard_id * size
-        return start, min(start + size, self.num_users)
-
-    def shard(self, shard_id: int) -> IndexShard:
-        start, stop = self.shard_bounds(shard_id)
-        return IndexShard(self, shard_id, start, stop)
-
-    def iter_shards(self) -> Iterator[IndexShard]:
-        """Iterate the user dimension shard by shard.
-
-        Dense slabs (``shard.W`` etc.) stay under the per-shard cell budget,
-        so shard-major algorithm loops never materialize O(|U|·|V|) state.
-        """
-        for shard_id in range(self.num_shards):
-            yield self.shard(shard_id)
-
-    # Slab builders (overridden by the dense index with zero-copy views).
-    def _scatter_slab(
-        self, start: int, stop: int, values: np.ndarray | None, dtype: type
-    ) -> np.ndarray:
-        slab = np.zeros((stop - start, self.num_events), dtype=dtype)
-        lo, hi = int(self.bid_indptr[start]), int(self.bid_indptr[stop])
-        rows = self.bid_user_positions[lo:hi] - start
-        cols = self.bid_indices[lo:hi]
-        slab[rows, cols] = True if values is None else values[lo:hi]
-        return slab
-
-    def _shard_weight_slab(self, start: int, stop: int) -> np.ndarray:
-        return self._scatter_slab(start, stop, self.bid_weights, np.float64)
-
-    def _shard_si_slab(self, start: int, stop: int) -> np.ndarray:
-        return self._scatter_slab(start, stop, self.bid_si, np.float64)
-
-    def _shard_mask_slab(self, start: int, stop: int) -> np.ndarray:
-        return self._scatter_slab(start, stop, None, bool)
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(users={self.num_users}, "
             f"events={self.num_events}, bids={self.num_bids})"
         )
+
+
+class ShardedInstanceIndex(BaseInstanceIndex):
+    """The CSR index: the :class:`BaseInstanceIndex` protocol as is.
+
+    No ``(|U|, |V|)`` matrix is ever built: per-pair state lives in the CSR
+    entry arrays (``O(bids)`` total) and the pair accessors resolve through
+    a sorted-key binary search over them.  Values are bit-identical to
+    :class:`InstanceIndex` (``tests/integration/test_sharded_parity.py``).
+    ``IGEPAInstance.index`` builds it above :data:`DENSE_CELL_CAP` cells.
+    """
 
 
 class InstanceIndex(BaseInstanceIndex):
@@ -700,32 +601,19 @@ class InstanceIndex(BaseInstanceIndex):
     ``W`` / ``SI`` / ``bid_mask`` are full ``(num_users, num_events)``
     matrices; the protocol accessors resolve against them directly, so
     per-pair queries are O(1) array lookups.  Refuses to build beyond
-    :data:`DENSE_CELL_CAP` cells — use
-    :class:`~repro.model.sharded_index.ShardedInstanceIndex` there.
+    :data:`DENSE_CELL_CAP` cells — use :class:`ShardedInstanceIndex` there.
     """
 
     PARITY_ARRAYS = BaseInstanceIndex.PARITY_ARRAYS + ("SI", "bid_mask", "W")
 
-    def __init__(self, instance: "IGEPAInstance") -> None:
-        cells = len(instance.users) * len(instance.events)
+    @classmethod
+    def _check_size(cls, num_users: int, num_events: int) -> None:
+        cells = num_users * num_events
         if cells > DENSE_CELL_CAP:
             raise IndexCapacityError(
-                f"instance has {len(instance.users)} users x "
-                f"{len(instance.events)} events = {cells} cells, beyond the "
-                f"dense index cap of {DENSE_CELL_CAP}; build a "
-                "ShardedInstanceIndex instead (IGEPAInstance.configure_index)"
-            )
-        self._build_primary(instance)
-        self.bid_indptr, self.bid_indices, self.bid_si = self._build_csr()
-        self._finalize()
-
-    def _configure(self, shard_size: int | None) -> None:
-        cells = self.num_users * self.num_events
-        if cells > DENSE_CELL_CAP:
-            raise IndexCapacityError(
-                f"patched dense index would hold {cells} cells, beyond the "
-                f"cap of {DENSE_CELL_CAP}; the delta layer must switch to a "
-                "ShardedInstanceIndex at this size"
+                f"instance has {num_users} users x {num_events} events = "
+                f"{cells} cells, beyond the dense index cap of "
+                f"{DENSE_CELL_CAP}; build a ShardedInstanceIndex instead"
             )
 
     def _finalize(self) -> None:
@@ -735,14 +623,23 @@ class InstanceIndex(BaseInstanceIndex):
         to it without its cell-sized temporaries.  ``SI``, read only by the
         scalar interest probes, is scattered on first use."""
         super()._finalize()
-        self.bid_mask = self._scatter_slab(0, self.num_users, None, bool)
-        self.W = self._scatter_slab(0, self.num_users, self.bid_weights, np.float64)
+        self.bid_mask = self._scatter_slab(None, bool)
+        self.W = self._scatter_slab(self.bid_weights, np.float64)
         self._si: np.ndarray | None = None
+
+    def _scatter_slab(self, values: np.ndarray | None, dtype: type) -> np.ndarray:
+        """A zeroed ``(num_users, num_events)`` matrix with each bid cell
+        set to its CSR value (``True`` when ``values`` is None)."""
+        slab = np.zeros((self.num_users, self.num_events), dtype=dtype)
+        slab[self.bid_user_positions, self.bid_indices] = (
+            True if values is None else values
+        )
+        return slab
 
     @property
     def SI(self) -> np.ndarray:
         if self._si is None:
-            self._si = self._scatter_slab(0, self.num_users, self.bid_si, np.float64)
+            self._si = self._scatter_slab(self.bid_si, np.float64)
         return self._si
 
     # ------------------------------------------------------------------
@@ -768,13 +665,3 @@ class InstanceIndex(BaseInstanceIndex):
 
     def weight_column(self, vpos: int) -> np.ndarray:
         return self.W[:, vpos]
-
-    # Zero-copy slabs: the dense matrices are their own shard storage.
-    def _shard_weight_slab(self, start: int, stop: int) -> np.ndarray:
-        return self.W[start:stop]
-
-    def _shard_si_slab(self, start: int, stop: int) -> np.ndarray:
-        return self.SI[start:stop]
-
-    def _shard_mask_slab(self, start: int, stop: int) -> np.ndarray:
-        return self.bid_mask[start:stop]

@@ -34,15 +34,14 @@ from repro.model.columnar import (
 from repro.model.conflicts import ConflictFunction, conflict_from_dict
 from repro.model.entities import Event, User
 from repro.model.errors import InstanceValidationError
-from repro.model.index import DENSE_CELL_CAP, BaseInstanceIndex, InstanceIndex
+from repro.model.index import (
+    DENSE_CELL_CAP,
+    BaseInstanceIndex,
+    InstanceIndex,
+    ShardedInstanceIndex,
+)
 from repro.model.interest import InterestFunction, interest_from_dict
-from repro.model.sharded_index import ShardedInstanceIndex
 from repro.social.graph import Graph
-
-#: Above this many ``(num_users, num_events)`` cells the lazy ``index``
-#: property builds a :class:`ShardedInstanceIndex` instead of the dense
-#: :class:`InstanceIndex` (which refuses to build past the cap anyway).
-AUTO_SHARD_CELLS = DENSE_CELL_CAP
 
 
 class IGEPAInstance:
@@ -154,9 +153,9 @@ class IGEPAInstance:
         # index's SI storage.
         self._interest_cache: dict[tuple[int, int], float] = {}
         self._index: BaseInstanceIndex | None = None
-        # (sharded, shard_size) as set by configure_index; None = size
-        # heuristic (dense below AUTO_SHARD_CELLS, sharded at or above).
-        self._index_config: tuple[bool, int | None] | None = None
+        # ``sharded`` as set by configure_index; None = by size (dense up
+        # to DENSE_CELL_CAP cells, the CSR index above).
+        self._index_config: bool | None = None
 
     @property
     def is_columnar(self) -> bool:
@@ -226,42 +225,34 @@ class IGEPAInstance:
 
         Single source of truth for weights, interest, degrees, conflicts and
         bid incidence; the scalar accessors below are views over it.  The
-        implementation is the dense :class:`InstanceIndex` below
-        :data:`AUTO_SHARD_CELLS` user-by-event cells and the
-        :class:`~repro.model.sharded_index.ShardedInstanceIndex` at or above
-        — override with :meth:`configure_index`.
+        implementation is the dense :class:`InstanceIndex` up to
+        :data:`~repro.model.index.DENSE_CELL_CAP` user-by-event cells and
+        the CSR :class:`~repro.model.index.ShardedInstanceIndex` above —
+        override with :meth:`configure_index`.
         """
         if self._index is None:
-            if self._index_config is not None:
-                sharded, shard_size = self._index_config
-            else:
-                sharded = self.num_users * self.num_events > AUTO_SHARD_CELLS
-                shard_size = None
+            sharded = self._index_config
+            if sharded is None:
+                sharded = self.num_users * self.num_events > DENSE_CELL_CAP
             self._index = (
-                ShardedInstanceIndex(self, shard_size=shard_size)
-                if sharded
-                else InstanceIndex(self)
+                ShardedInstanceIndex(self) if sharded else InstanceIndex(self)
             )
             sanitize_index(self._index)
         return self._index
 
-    def configure_index(
-        self, *, sharded: bool = True, shard_size: int | None = None
-    ) -> None:
+    def configure_index(self, *, sharded: bool = True) -> None:
         """Choose the index implementation ahead of the lazy build.
 
         Args:
-            sharded: build a
-                :class:`~repro.model.sharded_index.ShardedInstanceIndex`
-                (True) or force the dense :class:`InstanceIndex` (False —
-                still subject to the dense cell cap).
-            shard_size: users per shard (None: the per-shard cell budget
-                heuristic).
+            sharded: build the CSR
+                :class:`~repro.model.index.ShardedInstanceIndex` (True) or
+                force the dense :class:`InstanceIndex` (False — still
+                subject to the dense cell cap).
 
         Any already-built index is discarded; arrangements bound to it keep
         working against the old index object.
         """
-        self._index_config = (sharded, shard_size)
+        self._index_config = sharded
         self._index = None
 
     def degree(self, user_id: int) -> float:

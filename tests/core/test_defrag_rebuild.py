@@ -34,7 +34,7 @@ from tests.util import dfs_all_admissible_sets
 def _synthetic(num_users, seed, sharded=False):
     instance = generate_synthetic(SyntheticConfig(num_users=num_users), seed=seed)
     if sharded:
-        instance.configure_index(sharded=True, shard_size=max(1, num_users // 3))
+        instance.configure_index(sharded=True)
     return instance
 
 

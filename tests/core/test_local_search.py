@@ -503,9 +503,7 @@ def search_cases(draw):
         beta=float(draw(st.sampled_from((0.0, 0.5, 1.0)))),
     )
     if draw(st.booleans()):
-        instance.configure_index(
-            sharded=True, shard_size=draw(st.integers(min_value=1, max_value=8))
-        )
+        instance.configure_index(sharded=True)
     arrangement = Arrangement(instance)
     bid_pairs = [(e, user.user_id) for user in users for e in user.bids]
     for k in rng.permutation(len(bid_pairs)).tolist():

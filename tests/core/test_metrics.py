@@ -67,16 +67,16 @@ class TestCoverageAndUtilities:
         assert sum(per_user.values()) == pytest.approx(arrangement.utility())
         assert per_user[13] == 0.0
 
-    @pytest.mark.parametrize("shard_size", [None, 7])
-    def test_user_utilities_match_scalar_weights(self, shard_size):
+    @pytest.mark.parametrize("sharded", [None, True])
+    def test_user_utilities_match_scalar_weights(self, sharded):
         """Per user, the sum of ``weight_at`` over the user's events in
-        ascending event position, bit for bit, on dense and sharded
-        indexes."""
+        ascending event position, bit for bit, on the index picked by size
+        (dense) and on the CSR index."""
         instance = generate_synthetic(
             SyntheticConfig(num_users=60, num_events=70, max_user_capacity=4), seed=4
         )
-        if shard_size is not None:
-            instance.configure_index(sharded=True, shard_size=shard_size)
+        if sharded is not None:
+            instance.configure_index(sharded=sharded)
         arrangement = GGGreedy().solve(instance, seed=0).arrangement
         index = instance.index
         per_user = user_utilities(instance, arrangement)

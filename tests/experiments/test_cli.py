@@ -57,7 +57,6 @@ PLATFORM_DEFAULTS = {
     "rebid_rate": 40.0,
     "event_rate": 1.0,
     "burst_every": 0,
-    "shards": 0,
     "check_parity": False,
     "out": None,
 }
@@ -357,12 +356,14 @@ class TestExperimentCommand:
 
 
 # ----------------------------------------------------------------------
-# CLI <-> library equivalence: a tiny sharded platform, defrag and oracle
-# every tick.  The library side spells out every default the CLI applies.
+# CLI <-> library equivalence: a tiny platform, defrag and oracle every
+# tick.  The library side spells out every default the CLI applies, but runs
+# on the CSR index while the CLI picks the dense one by size, so each
+# comparison is also a dense-vs-CSR parity check.
 # ----------------------------------------------------------------------
 TINY = [
     "--users", "120", "--events", "15", "--batches", "3",
-    "--shards", "2", "--seed", "4", "--check-parity",
+    "--seed", "4", "--check-parity",
 ]
 TINY_ENGINE = [
     "--defrag", "periodic", "--defrag-period", "1", "--oracle-every", "1",
@@ -374,7 +375,7 @@ def _tiny_trace(**dynamics):
         num_events=15, num_users=120, conflict_probability=0.3
     )
     instance = generate_synthetic(synthetic, seed=4)
-    instance.configure_index(sharded=True, shard_size=60)
+    instance.configure_index(sharded=True)
     config = ChurnConfig(
         num_batches=3,
         user_arrival_rate=20.0,

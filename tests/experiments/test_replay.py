@@ -16,6 +16,7 @@ from repro.experiments import format_replay_table, replay_trace
 from repro.experiments.replay import lp_resolve_comparison
 from repro.model import Delta, InstanceIndex, ShardedInstanceIndex, apply_delta
 from repro.service import TickEngine
+from tests.util import lower_dense_cap
 
 
 def small_trace(seed=0, num_batches=4):
@@ -170,17 +171,14 @@ def hand_replay(trace, algorithm, seed):
     return batches
 
 
-@pytest.mark.parametrize(
-    "shards, index_class", [(0, InstanceIndex), (3, ShardedInstanceIndex)]
-)
-def test_replay_matches_hand_written_loop(shards, index_class, monkeypatch):
+@pytest.mark.parametrize("index_class", [InstanceIndex, ShardedInstanceIndex])
+def test_replay_matches_hand_written_loop(index_class, monkeypatch):
     """replay_trace on TickEngine's stages makes the same decisions as a
     plain apply_delta + repair loop, batch for batch, on both index kinds."""
     instance = generate_synthetic(
         SyntheticConfig(num_events=12, num_users=50), seed=3
     )
-    if shards:
-        instance.configure_index(sharded=True, shard_size=-(-50 // shards))
+    instance.configure_index(sharded=index_class is ShardedInstanceIndex)
     assert type(instance.index) is index_class
     config = ChurnConfig(
         num_batches=4,
@@ -240,9 +238,22 @@ class TestReplayCLI:
         assert payload["all_parity"] is True
         assert len(payload["batches"]) == 2
 
-    def test_replay_subcommand_sharded(self, tmp_path, capsys):
+    def test_replay_subcommand_sharded(self, tmp_path, capsys, monkeypatch):
+        """With the dense cap far below 60 x 10 cells the CLI picks the CSR
+        index by size, for the initial platform and every successor (the
+        full rebuilds included), and every parity check passes on it."""
         from repro.cli import main
+        from repro.model.index import BaseInstanceIndex
 
+        lower_dense_cap(monkeypatch, 100)
+        built = []
+        finalize = BaseInstanceIndex._finalize
+
+        def recording_finalize(index):
+            built.append(type(index))
+            finalize(index)
+
+        monkeypatch.setattr(BaseInstanceIndex, "_finalize", recording_finalize)
         out = tmp_path / "replay.json"
         code = main(
             [
@@ -253,12 +264,12 @@ class TestReplayCLI:
                 "--arrival-rate", "3",
                 "--departure-rate", "3",
                 "--rebid-rate", "4",
-                "--shards", "4",
                 "--check-parity",
                 "--out", str(out),
             ]
         )
         assert code == 0
+        assert built and set(built) == {ShardedInstanceIndex}
         output = capsys.readouterr().out
         assert "index parity (bit-identical): True" in output
         payload = json.loads(out.read_text())

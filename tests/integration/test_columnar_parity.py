@@ -4,9 +4,9 @@ Every instance is backed by a :class:`~repro.model.columnar.ColumnarStore`,
 whichever constructor built it.  For a fixed seed, an instance built by
 ``IGEPAInstance.from_store`` (the synthetic stream generator) and the same
 content handed to the entity constructor ``IGEPAInstance(events, users,
-...)`` give bit-identical indexes — across shard sizes — and identical
-fixed-seed arrangements, and churn deltas patch either store (and its
-index) to the same bits a from-scratch rebuild produces.
+...)`` give bit-identical indexes — on platforms of 1, 7 and 240 users —
+and identical fixed-seed arrangements, and churn deltas patch either store
+(and its index) to the same bits a from-scratch rebuild produces.
 """
 
 from __future__ import annotations
@@ -31,11 +31,16 @@ from repro.model.delta import (
 from tests.util import entity_built_twin
 
 CONFIG = SyntheticConfig(num_users=240, num_events=40)
-SHARD_SIZES = (1, 7, None)  # None -> one shard covering all users
+#: Platform sizes |U| of the CSR-index cases; None -> CONFIG's 240 users.
+PLATFORM_USERS = (1, 7, None)
 
 
-def _pair(seed: int):
-    columnar = generate_synthetic_stream(CONFIG, seed=seed)
+def _config(num_users: int | None = None) -> SyntheticConfig:
+    return CONFIG if num_users is None else CONFIG.with_overrides(num_users=num_users)
+
+
+def _pair(seed: int, num_users: int | None = None):
+    columnar = generate_synthetic_stream(_config(num_users), seed=seed)
     entity = entity_built_twin(columnar)
     assert isinstance(columnar.interest, ColumnarInterest)
     assert not isinstance(entity.interest, ColumnarInterest)
@@ -53,12 +58,11 @@ def _assert_index_parity(a, b):
     assert a.event_pos == b.event_pos
 
 
-@pytest.mark.parametrize("shard_size", SHARD_SIZES)
-def test_sharded_index_bits_identical(shard_size):
-    columnar, entity = _pair(3)
-    size = CONFIG.num_users if shard_size is None else shard_size
-    columnar.configure_index(sharded=True, shard_size=size)
-    entity.configure_index(sharded=True, shard_size=size)
+@pytest.mark.parametrize("num_users", PLATFORM_USERS)
+def test_sharded_index_bits_identical(num_users):
+    columnar, entity = _pair(3, num_users)
+    columnar.configure_index(sharded=True)
+    entity.configure_index(sharded=True)
     ci, ei = columnar.index, entity.index
     assert isinstance(ci, ShardedInstanceIndex)
     _assert_index_parity(ci, ei)
@@ -112,7 +116,7 @@ def test_object_built_store_matches_stream_store():
     np.testing.assert_array_equal(packed.degrees, native.degrees)
 
 
-def _trace(instance, seed):
+def _trace(instance, seed, num_users=None):
     config = ChurnConfig(
         num_batches=4,
         user_arrival_rate=8.0,
@@ -122,30 +126,28 @@ def _trace(instance, seed):
         event_close_rate=1.0,
         conflict_toggle_rate=1.0,
         burst_every=2,
-        base=CONFIG,
+        base=_config(num_users),
     )
     return generate_churn_trace(instance, config, seed=seed)
 
 
-@pytest.mark.parametrize("shard_size", SHARD_SIZES)
-def test_churn_deltas_patch_columnar_store_bit_identical(shard_size):
-    size = CONFIG.num_users if shard_size is None else shard_size
-    for built in _pair(8):
-        built.configure_index(sharded=True, shard_size=size)
-        trace = _trace(built, seed=9)
+@pytest.mark.parametrize("num_users", PLATFORM_USERS)
+def test_churn_deltas_patch_columnar_store_bit_identical(num_users):
+    for built in _pair(8, num_users):
+        built.configure_index(sharded=True)
+        trace = _trace(built, seed=9, num_users=num_users)
         instance = trace.initial
         for delta in trace.deltas:
             result = apply_delta(instance, delta)
             successor = result.instance
             assert successor.store is not instance.store
             patched = successor.index
-            assert patched.shard_size == instance.index.shard_size
             assert index_parity_mismatches(
                 patched, fresh_index_like(patched, successor)
             ) == []
             # The successor's store must itself rebuild to the same index
             # bits: its columns double as the patched index's primary arrays.
-            rebuilt = ShardedInstanceIndex(successor, shard_size=patched.shard_size)
+            rebuilt = ShardedInstanceIndex(successor)
             _assert_index_parity(patched, rebuilt)
             instance = successor
 

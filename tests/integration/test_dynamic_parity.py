@@ -1,7 +1,7 @@
 """Property tests for the dynamic delta kinds (capacity changes, drift).
 
-The tentpole guarantees, enforced across *both* index implementations and
-shard sizes {1, 7, |U|}:
+The guarantees, enforced on *both* index implementations, and on the CSR
+index for platforms of 1, 7 and 160 users:
 
 * a delta-patched index is bit-identical to a from-scratch rebuild for
   capacity/drift deltas (alone and mixed with structural churn);
@@ -32,7 +32,7 @@ from repro.model.delta import (
 )
 
 CONFIG = SyntheticConfig(num_users=160, num_events=30)
-#: (sharded, shard_size) per the acceptance matrix; None = all users.
+#: (index kind, platform |U|); None and "all" -> CONFIG's 160 users.
 INDEX_CONFIGS = [
     ("dense", None),
     ("sharded", 1),
@@ -55,13 +55,12 @@ DYNAMIC_CHURN = ChurnConfig(
 )
 
 
-def _instance(seed: int, kind: str, shard_size):
-    instance = generate_synthetic(CONFIG, seed=seed)
-    if kind == "dense":
-        instance.configure_index(sharded=False)
-    else:
-        size = CONFIG.num_users if shard_size == "all" else shard_size
-        instance.configure_index(sharded=True, shard_size=size)
+def _instance(seed: int, kind: str, num_users):
+    config = CONFIG
+    if num_users not in (None, "all"):
+        config = CONFIG.with_overrides(num_users=num_users)
+    instance = generate_synthetic(config, seed=seed)
+    instance.configure_index(sharded=kind == "sharded")
     return instance
 
 
@@ -77,7 +76,7 @@ def _capacity_drift_delta(instance, arrangement, rng) -> Delta:
         else (int(e), int(index.event_capacity[index.event_pos[int(e)]]) + 3)
         for i, e in enumerate(shrink_targets)
     )
-    user_targets = rng.choice(users, size=3, replace=False)
+    user_targets = rng.choice(users, size=min(3, len(users)), replace=False)
     set_user_capacity = tuple(
         (int(u), int(rng.integers(0, 4))) for u in user_targets
     )
@@ -94,10 +93,10 @@ def _capacity_drift_delta(instance, arrangement, rng) -> Delta:
     )
 
 
-@pytest.mark.parametrize("kind,shard_size", INDEX_CONFIGS)
-def test_capacity_drift_patch_bit_identical(kind, shard_size):
+@pytest.mark.parametrize("kind,num_users", INDEX_CONFIGS)
+def test_capacity_drift_patch_bit_identical(kind, num_users):
     for seed in range(3):
-        instance = _instance(seed, kind, shard_size)
+        instance = _instance(seed, kind, num_users)
         arrangement = GGGreedy().solve(instance, seed=seed).arrangement
         rng = np.random.default_rng(seed + 100)
         delta = _capacity_drift_delta(instance, arrangement, rng)
@@ -107,20 +106,20 @@ def test_capacity_drift_patch_bit_identical(kind, shard_size):
         mismatches = index_parity_mismatches(
             patched, fresh_index_like(patched, result.instance)
         )
-        assert mismatches == [], (kind, shard_size, seed, mismatches)
+        assert mismatches == [], (kind, num_users, seed, mismatches)
 
 
-@pytest.mark.parametrize("kind,shard_size", INDEX_CONFIGS)
-def test_shrink_carry_feasible_and_repair_leaves_no_violation(kind, shard_size):
+@pytest.mark.parametrize("kind,num_users", INDEX_CONFIGS)
+def test_shrink_carry_feasible_and_repair_leaves_no_violation(kind, num_users):
     for seed in range(3):
-        instance = _instance(seed, kind, shard_size)
+        instance = _instance(seed, kind, num_users)
         arrangement = LocalSearch(GGGreedy()).solve(instance, seed=seed).arrangement
         rng = np.random.default_rng(seed + 200)
         delta = _capacity_drift_delta(instance, arrangement, rng)
         result = apply_delta(instance, delta, arrangement)
-        assert result.arrangement.is_feasible(), (kind, shard_size, seed)
+        assert result.arrangement.is_feasible(), (kind, num_users, seed)
         repair(result)
-        assert result.arrangement.is_feasible(), (kind, shard_size, seed)
+        assert result.arrangement.is_feasible(), (kind, num_users, seed)
         index = result.instance.index
         for event_id, capacity in delta.set_event_capacity:
             if event_id in index.event_pos:
@@ -130,11 +129,11 @@ def test_shrink_carry_feasible_and_repair_leaves_no_violation(kind, shard_size):
                 assert result.arrangement.load(user_id) <= capacity
 
 
-@pytest.mark.parametrize("kind,shard_size", INDEX_CONFIGS)
-def test_dynamic_trace_replay_parity_and_feasibility(kind, shard_size):
+@pytest.mark.parametrize("kind,num_users", INDEX_CONFIGS)
+def test_dynamic_trace_replay_parity_and_feasibility(kind, num_users):
     """A full generated trace (drift + shocks + shrink bursts) replays with
     per-batch index parity and feasibility on every index configuration."""
-    instance = _instance(11, kind, shard_size)
+    instance = _instance(11, kind, num_users)
     trace = generate_churn_trace(instance, DYNAMIC_CHURN, seed=12)
     summary = trace.summary()
     assert summary["event_capacity_updates"] > 0
@@ -146,12 +145,12 @@ def test_dynamic_trace_replay_parity_and_feasibility(kind, shard_size):
 
 def test_dynamic_trace_identical_across_implementations():
     """Replaying one dynamic trace must produce identical arrangements on
-    the dense and the sharded index (fixed seed, same moves)."""
+    the dense and the CSR index (fixed seed, same moves)."""
     dense = _instance(5, "dense", None)
     trace = generate_churn_trace(dense, DYNAMIC_CHURN, seed=6)
     report_dense = replay_trace(trace, seed=0, compare_full=False)
 
-    sharded = _instance(5, "sharded", 7)
+    sharded = _instance(5, "sharded", None)
     trace_sharded = generate_churn_trace(sharded, DYNAMIC_CHURN, seed=6)
     report_sharded = replay_trace(trace_sharded, seed=0, compare_full=False)
 

@@ -52,7 +52,7 @@ def test_patched_optima_match_from_scratch_across_churn(seed, sharded):
         SyntheticConfig(num_users=60, num_events=14), seed=seed
     )
     if sharded:
-        instance.configure_index(sharded=True, shard_size=16)
+        instance.configure_index(sharded=True)
     trace = generate_churn_trace(
         instance, ChurnConfig(num_batches=5), seed=seed + 100
     )

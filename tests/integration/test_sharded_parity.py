@@ -1,9 +1,9 @@
-"""Sharded vs dense index parity: identical bits, identical decisions.
+"""CSR vs dense index parity: identical bits, identical decisions.
 
-The tentpole guarantee of the sharded index: under a fixed seed, every
-algorithm makes the same decisions on a :class:`ShardedInstanceIndex` as on
-the dense :class:`InstanceIndex`, for every shard size — and churn deltas
-patch the sharded index to the same bits a from-scratch build produces.
+The guarantee of the CSR index: under a fixed seed, every algorithm makes
+the same decisions on a :class:`ShardedInstanceIndex` as on the dense
+:class:`InstanceIndex`, on platforms of 1, 7 and 240 users — and churn
+deltas patch the CSR index to the same bits a from-scratch build produces.
 """
 
 from __future__ import annotations
@@ -27,21 +27,25 @@ from repro.model.delta import (
 )
 
 CONFIG = SyntheticConfig(num_users=240, num_events=40)
-SHARD_SIZES = (1, 7, None)  # None -> one shard covering all users
+#: Platform sizes |U|; None -> CONFIG's 240 users.
+PLATFORM_USERS = (1, 7, None)
 
 
-def _pair(seed: int, shard_size: int | None):
-    dense = generate_synthetic(CONFIG, seed=seed)
+def _config(num_users: int | None) -> SyntheticConfig:
+    return CONFIG if num_users is None else CONFIG.with_overrides(num_users=num_users)
+
+
+def _pair(seed: int, num_users: int | None):
+    dense = generate_synthetic(_config(num_users), seed=seed)
     dense.configure_index(sharded=False)
-    sharded = generate_synthetic(CONFIG, seed=seed)
-    size = CONFIG.num_users if shard_size is None else shard_size
-    sharded.configure_index(sharded=True, shard_size=size)
+    sharded = generate_synthetic(_config(num_users), seed=seed)
+    sharded.configure_index(sharded=True)
     return dense, sharded
 
 
-@pytest.mark.parametrize("shard_size", SHARD_SIZES)
-def test_index_arrays_bit_identical(shard_size):
-    dense, sharded = _pair(3, shard_size)
+@pytest.mark.parametrize("num_users", PLATFORM_USERS)
+def test_index_arrays_bit_identical(num_users):
+    dense, sharded = _pair(3, num_users)
     di, si = dense.index, sharded.index
     assert isinstance(di, InstanceIndex)
     assert isinstance(si, ShardedInstanceIndex)
@@ -53,24 +57,7 @@ def test_index_arrays_bit_identical(shard_size):
     assert di.event_pos == si.event_pos
 
 
-@pytest.mark.parametrize("shard_size", SHARD_SIZES)
-def test_shard_slabs_match_dense_rows(shard_size):
-    dense, sharded = _pair(4, shard_size)
-    di, si = dense.index, sharded.index
-    covered = 0
-    for shard in si.iter_shards():
-        assert np.array_equal(shard.W, di.W[shard.start : shard.stop])
-        assert np.array_equal(shard.SI, di.SI[shard.start : shard.stop])
-        assert np.array_equal(shard.bid_mask, di.bid_mask[shard.start : shard.stop])
-        np.testing.assert_array_equal(
-            shard.bid_indptr[-1] - shard.bid_indptr[0],
-            di.bid_indptr[shard.stop] - di.bid_indptr[shard.start],
-        )
-        covered += shard.num_users
-    assert covered == si.num_users
-
-
-@pytest.mark.parametrize("shard_size", SHARD_SIZES)
+@pytest.mark.parametrize("num_users", PLATFORM_USERS)
 @pytest.mark.parametrize(
     "factory",
     [
@@ -82,15 +69,15 @@ def test_shard_slabs_match_dense_rows(shard_size):
     ],
     ids=["gg", "gg+ls", "lp-packing", "random-u", "random-v"],
 )
-def test_fixed_seed_arrangements_identical(shard_size, factory):
-    dense, sharded = _pair(5, shard_size)
+def test_fixed_seed_arrangements_identical(num_users, factory):
+    dense, sharded = _pair(5, num_users)
     a = factory().solve(dense, seed=11)
     b = factory().solve(sharded, seed=11)
     assert a.arrangement.pairs == b.arrangement.pairs
     assert a.utility == b.utility
 
 
-def _trace(instance, seed):
+def _trace(instance, seed, num_users=None):
     config = ChurnConfig(
         num_batches=4,
         user_arrival_rate=8.0,
@@ -100,28 +87,27 @@ def _trace(instance, seed):
         event_close_rate=1.0,
         conflict_toggle_rate=1.0,
         burst_every=2,
-        base=CONFIG,
+        base=_config(num_users),
     )
     return generate_churn_trace(instance, config, seed=seed)
 
 
-@pytest.mark.parametrize("shard_size", SHARD_SIZES)
-def test_churn_deltas_patch_sharded_index_bit_identical(shard_size):
-    _dense, sharded = _pair(6, shard_size)
-    trace = _trace(sharded, seed=7)
+@pytest.mark.parametrize("num_users", PLATFORM_USERS)
+def test_churn_deltas_patch_sharded_index_bit_identical(num_users):
+    _dense, sharded = _pair(6, num_users)
+    trace = _trace(sharded, seed=7, num_users=num_users)
     instance = trace.initial
     for delta in trace.deltas:
         result = apply_delta(instance, delta)
         patched = result.instance.index
         assert isinstance(patched, ShardedInstanceIndex)
-        assert patched.shard_size == instance.index.shard_size
         fresh = fresh_index_like(patched, result.instance)
         assert index_parity_mismatches(patched, fresh) == []
         instance = result.instance
 
 
 def test_replay_identical_across_implementations():
-    dense, sharded = _pair(8, 7)
+    dense, sharded = _pair(8, None)
     dense_report = replay_trace(_trace(dense, seed=9), seed=1, check_parity=True)
     sharded_report = replay_trace(_trace(sharded, seed=9), seed=1, check_parity=True)
     assert dense_report.all_parity and sharded_report.all_parity

@@ -305,17 +305,17 @@ class TestViewsAgreeWithMatrix:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
-        shard_size=st.sampled_from((None, 1, 3)),
+        sharded=st.booleans(),
         num_events=st.sampled_from((6, 63, 64, 65, 130)),
         ops=st.lists(
             st.tuples(st.booleans(), st.integers(min_value=0, max_value=10**6)),
             max_size=40,
         ),
     )
-    def test_after_mutation_copy_and_carry(self, seed, shard_size, num_events, ops):
+    def test_after_mutation_copy_and_carry(self, seed, sharded, num_events, ops):
         """Random adds and removes (checked, and unchecked past capacity and
         conflicts), then ``copy()`` and one ``apply_delta`` carry, on dense
-        and sharded indexes and on either side of the 64-event word
+        and CSR indexes and on either side of the 64-event word
         boundaries, each replayed on a plain set of pairs."""
         instance = random_instance(
             seed=seed,
@@ -324,8 +324,7 @@ class TestViewsAgreeWithMatrix:
             conflict_probability=0.4,
             max_bids=8,
         )
-        if shard_size is not None:
-            instance.configure_index(sharded=True, shard_size=shard_size)
+        instance.configure_index(sharded=sharded)
         bid_pairs = [(e, user.user_id) for user in instance.users for e in user.bids]
         arrangement = Arrangement(instance)
         expected: set[tuple[int, int]] = set()

@@ -90,7 +90,7 @@ def carry_cases(draw):
         beta=draw(st.sampled_from([0.5, 1.0])),
     )
     if draw(st.booleans()):
-        instance.configure_index(sharded=True, shard_size=draw(st.integers(1, 9)))
+        instance.configure_index(sharded=True)
     arrangement = GGGreedy().solve(instance, seed=seed).arrangement
 
     user_ids = [user.user_id for user in instance.users]
@@ -192,7 +192,7 @@ class TestCarryCases:
     @staticmethod
     def _index(instance, sharded):
         if sharded:
-            instance.configure_index(sharded=True, shard_size=1)
+            instance.configure_index(sharded=True)
         return instance
 
     def test_conflict_between_attended_events(self, sharded):

@@ -344,7 +344,7 @@ class TestPatchLoops:
 
         instance = tiny_instance()
         if sharded:
-            instance.configure_index(sharded=True, shard_size=2)
+            instance.configure_index(sharded=True)
         successor = apply_delta(instance, PATCH_DELTAS[name]).instance
         patched = successor.index
         fresh = fresh_index_like(patched, successor)
@@ -357,7 +357,7 @@ class TestPatchLoops:
 
         instance = tiny_instance()
         if sharded:
-            instance.configure_index(sharded=True, shard_size=2)
+            instance.configure_index(sharded=True)
         delta = PATCH_DELTAS[name]
         patched = apply_delta(instance, delta).instance.index
         full = apply_delta(instance, delta, incremental=False).instance

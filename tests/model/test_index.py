@@ -228,7 +228,7 @@ class TestConflictBits:
     def test_bits_match_the_matrix(self, sharded):
         for seed in range(4):
             instance = random_instance(seed=seed, num_events=70)
-            instance.configure_index(sharded=sharded, shard_size=3)
+            instance.configure_index(sharded=sharded)
             self._assert_matches_matrix(instance.index)
 
     @pytest.mark.parametrize("sharded", [False, True])
@@ -246,7 +246,7 @@ class TestConflictBits:
         instance = generate_synthetic(
             SyntheticConfig(num_users=120, num_events=24), seed=5
         )
-        instance.configure_index(sharded=sharded, shard_size=17)
+        instance.configure_index(sharded=sharded)
         trace = generate_churn_trace(
             instance,
             ChurnConfig(

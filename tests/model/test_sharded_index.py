@@ -1,4 +1,5 @@
-"""Unit tests for the sharded index and the shared indexing protocol."""
+"""Unit tests for the CSR index, the size selector and the shared
+indexing protocol."""
 
 from __future__ import annotations
 
@@ -14,10 +15,17 @@ from repro.model import (
     ShardedInstanceIndex,
 )
 from repro.model.conflicts import MatrixConflict
+from repro.model.delta import (
+    Delta,
+    apply_delta,
+    fresh_index_like,
+    index_parity_mismatches,
+)
 from repro.model.entities import Event, User
 from repro.model.index import DENSE_CELL_CAP, build_degrees
 from repro.model.interest import TabulatedInterest
 from repro.social.generators import empty_graph
+from tests.util import lower_dense_cap
 
 CONFIG = SyntheticConfig(num_users=150, num_events=30)
 
@@ -27,18 +35,39 @@ def instance():
     return generate_synthetic(CONFIG, seed=1)
 
 
-def test_shard_layout_covers_all_users(instance):
-    index = ShardedInstanceIndex(instance, shard_size=40)
-    assert index.shard_size == 40
-    assert index.num_shards == 4
-    bounds = [index.shard_bounds(s) for s in range(index.num_shards)]
-    assert bounds[0] == (0, 40)
-    assert bounds[-1] == (120, 150)
+def test_index_is_dense_at_the_cap(instance, monkeypatch):
+    lower_dense_cap(monkeypatch, CONFIG.num_users * CONFIG.num_events)
+    assert type(instance.index) is InstanceIndex
+
+
+def test_index_is_csr_above_the_cap(instance, monkeypatch):
+    lower_dense_cap(monkeypatch, CONFIG.num_users * CONFIG.num_events - 1)
+    assert type(instance.index) is ShardedInstanceIndex
+
+
+def test_growth_past_the_cap_switches_the_successor_to_csr(instance, monkeypatch):
+    lower_dense_cap(monkeypatch, CONFIG.num_users * CONFIG.num_events)
+    assert type(instance.index) is InstanceIndex
+    new_event = 10**6
+    user_id = instance.users[0].user_id
+    delta = Delta(
+        add_events=(Event(event_id=new_event, capacity=3),),
+        add_bids=((user_id, new_event),),
+        interest=((new_event, user_id, 0.5),),
+    )
+    successor = apply_delta(instance, delta).instance
+    patched = successor.index
+    assert type(patched) is ShardedInstanceIndex
+    assert index_parity_mismatches(patched, fresh_index_like(patched, successor)) == []
+    # A full rebuild picks its index by size too, and lands on the same bits.
+    rebuilt = apply_delta(instance, delta, incremental=False).instance.index
+    assert type(rebuilt) is ShardedInstanceIndex
+    assert index_parity_mismatches(patched, rebuilt) == []
 
 
 def test_pair_accessors_match_dense(instance):
     dense = InstanceIndex(instance)
-    sharded = ShardedInstanceIndex(instance, shard_size=7)
+    sharded = ShardedInstanceIndex(instance)
     rng = np.random.default_rng(0)
     upos = rng.integers(dense.num_users, size=200)
     vpos = rng.integers(dense.num_events, size=200)
@@ -78,16 +107,14 @@ def test_dense_index_refuses_beyond_cap():
 
 def test_configure_index_selects_implementation(instance):
     assert isinstance(instance.index, InstanceIndex)
-    instance.configure_index(sharded=True, shard_size=13)
-    index = instance.index
-    assert isinstance(index, ShardedInstanceIndex)
-    assert index.shard_size == 13
+    instance.configure_index(sharded=True)
+    assert isinstance(instance.index, ShardedInstanceIndex)
     instance.configure_index(sharded=False)
     assert isinstance(instance.index, InstanceIndex)
 
 
 def test_sharded_index_has_no_dense_matrices(instance):
-    index = ShardedInstanceIndex(instance, shard_size=10)
+    index = ShardedInstanceIndex(instance)
     assert not hasattr(index, "W")
     assert not hasattr(index, "SI")
     assert not hasattr(index, "bid_mask")
@@ -95,7 +122,7 @@ def test_sharded_index_has_no_dense_matrices(instance):
 
 def test_assigned_totals_match_dense(instance):
     """``utility()`` and ``interest_total()`` of the same pairs agree
-    bit for bit on the dense and the sharded index."""
+    bit for bit on the dense and the CSR index."""
     dense = InstanceIndex(instance)
     rng = np.random.default_rng(2)
     # Random subset of bid pairs only (the arrangement contract).
@@ -104,7 +131,7 @@ def test_assigned_totals_match_dense(instance):
     vpos = dense.bid_indices[take]
     totals = []
     for sharded in (False, True):
-        instance.configure_index(sharded=sharded, shard_size=11 if sharded else None)
+        instance.configure_index(sharded=sharded)
         assert isinstance(
             instance.index, ShardedInstanceIndex if sharded else InstanceIndex
         )
@@ -146,8 +173,7 @@ def test_empty_instance_sharded_index():
         social=empty_graph([]),
     )
     index = ShardedInstanceIndex(instance)
-    assert index.num_shards == 1
-    assert list(index.iter_shards())[0].num_users == 0
+    assert index.num_users == 0
     assert index.pair_weights(np.empty(0, dtype=int), np.empty(0, dtype=int)).size == 0
 
 

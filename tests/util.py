@@ -270,6 +270,13 @@ def stub_highs_run(monkeypatch, model_status, iterations: int = 7) -> None:
     monkeypatch.setattr(_core, "_Highs", Stopped)
 
 
+def lower_dense_cap(monkeypatch, cap: int) -> None:
+    """Set the dense index's cell cap to ``cap`` in every module that reads
+    it, so a test reaches the size switch without a 10⁷-cell platform."""
+    for module in ("index", "instance", "delta"):
+        monkeypatch.setattr(f"repro.model.{module}.DENSE_CELL_CAP", cap)
+
+
 def reference_carry(instance, successor, arrangement, delta, maps) -> tuple:
     """The reference carry of an arrangement across a delta: ``(carried,
     dropped, touched_users, touched_events)`` as
