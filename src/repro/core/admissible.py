@@ -16,9 +16,9 @@ every independent set of each user's bid-conflict graph of size ``≤ c_u``
 exactly once; a final sort puts each user's sets in lexicographic order over
 their sorted event ids, prefixes first.  The output is flat arrays (the user
 position of each set, then each set's members), which the benchmark LP is
-assembled from without a per-set Python object.  The one-user calls
-(:func:`enumerate_bid_sets`, :func:`enumerate_admissible_sets`) run the same
-walk and return event-id tuples.
+assembled from without a per-set Python object.  The one-user
+:func:`enumerate_admissible_sets` runs the same walk and returns event-id
+tuples.
 
 The paper "assume[s] that a user will not bid for too many events, so the
 number of admissible event sets will be reasonable";
@@ -231,35 +231,18 @@ def enumerate_admissible_sets(
     Raises:
         AdmissibleSetExplosion: when the collection exceeds ``max_sets``.
     """
-    return enumerate_bid_sets(
-        instance.index, user.user_id, user.bids, user.capacity, max_sets
-    )
-
-
-def enumerate_bid_sets(
-    index: BaseInstanceIndex,
-    user_id: int,
-    bids: Sequence[int],
-    capacity: int,
-    max_sets: int = DEFAULT_MAX_SETS_PER_USER,
-) -> list[tuple[int, ...]]:
-    """:func:`enumerate_admissible_sets` on a user's already-read fields.
-
-    Callers that hold the bid list and capacity (read once from a user
-    view, or sliced from the store's columns) enumerate without reading
-    them again.
-    """
-    bids = sorted(bids)
-    if capacity == 0 or not bids:
+    bids = sorted(user.bids)
+    if user.capacity == 0 or not bids:
         return []
+    index = instance.index
     event_pos = index.event_pos
     sizes, members = _walk(
         np.fromiter(map(event_pos.__getitem__, bids), dtype=np.int64, count=len(bids)),
         np.array([0, len(bids)], dtype=np.int64),
-        np.array([capacity], dtype=np.int64),
+        np.array([user.capacity], dtype=np.int64),
         index.conflict_matrix,
         max_sets,
-        (user_id,),
+        (user.user_id,),
     )
     flat = np.asarray(bids)[members].tolist()
     ends = np.cumsum(sizes).tolist()

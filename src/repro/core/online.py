@@ -7,11 +7,10 @@ implements that variant on top of the IGEPA model as an extension feature:
 
 * :class:`OnlineGreedy` — on arrival, give the user their *heaviest feasible
   admissible event set* under the remaining event capacities (brute force
-  over ``A_u``, which the paper's few-bids assumption keeps small).  The
-  enumeration is memoized per user behind a content fingerprint (capacity,
-  bid list, conflict submatrix), so re-serving a user — repeated
-  competitive-ratio runs, the serving loop's requeues — skips the brute
-  force until churn actually changes their options;
+  over ``A_u``, which the paper's few-bids assumption keeps small).  Every
+  ``A_u`` comes from the batched walk of :mod:`repro.core.admissible`: a
+  solve or a serving tick announces its arrivals through
+  :meth:`~OnlineGreedy.prepare`, which enumerates them in one batch;
 * :class:`OnlineRandom` — on arrival, walk the user's bids in random order
   and take whatever fits (the natural online baseline);
 * :func:`serve_greedy_walk` — the *degraded* serving path: a single
@@ -34,7 +33,6 @@ import numpy as np
 from repro.core.admissible import (
     DEFAULT_MAX_SETS_PER_USER,
     enumerate_admissible_batch,
-    enumerate_bid_sets,
     split_sets,
 )
 from repro.core.analysis import lp_upper_bound
@@ -137,13 +135,6 @@ class _OnlineAlgorithm(ArrangementAlgorithm):
         self._serve(instance, arrangement, user_id, rng)
         return sorted(arrangement.events_of(user_id) - before)
 
-    def forget_users(self, user_ids: Sequence[int]) -> None:
-        """Drop any per-user serving state (cache hygiene hook).
-
-        Called by churn application for removed users; the base algorithms
-        keep no state, so this is a no-op unless a subclass memoizes.
-        """
-
 
 class OnlineGreedy(_OnlineAlgorithm):
     """Serve each arrival with their heaviest feasible admissible set.
@@ -151,20 +142,10 @@ class OnlineGreedy(_OnlineAlgorithm):
     Feasibility is evaluated against the event capacities *remaining at
     arrival time*; the choice is irrevocable.
 
-    The admissible-set enumeration — the exponential part of an arrival —
-    is cached per user behind a content fingerprint of everything the
-    enumeration reads: the user's capacity, their bid list, their bid
-    events' positions and the conflict bitmasks restricted to those
-    positions.  Any churn that changes the
-    enumeration (re-bids, capacity shocks, conflict toggles among the
-    user's events) changes the fingerprint and misses the cache, so no
-    explicit invalidation wiring is needed for correctness;
-    :meth:`forget_users` bounds memory when users depart.  Misses take
-    their sets from the last :meth:`prepare` batch when it covers them (a
-    full solve announces its whole arrival order, the serving tick its
-    batch), so their enumeration runs as one batched walk.  Set
-    ``cache_admissible=False`` to force the PR 5 brute-force path
-    (``bench_extension_online`` measures the difference).
+    The admissible sets of an arrival come from the last :meth:`prepare`
+    batch when it covers them (a full solve announces its whole arrival
+    order, the serving tick its batch); an arrival served without one is
+    enumerated by the same batched walk over that user alone.
     """
 
     name = "online-greedy"
@@ -174,24 +155,15 @@ class OnlineGreedy(_OnlineAlgorithm):
         arrival_order: Sequence[int] | None = None,
         seed: int | None = None,
         max_sets_per_user: int = DEFAULT_MAX_SETS_PER_USER,
-        cache_admissible: bool = True,
     ):
         super().__init__(
             arrival_order=arrival_order,
             seed=seed,
             max_sets_per_user=max_sets_per_user,
         )
-        self.cache_admissible = cache_admissible
-        self._set_cache: dict[int, tuple[object, tuple[tuple[int, ...], ...]]] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
         # A_u of the last prepared arrivals, enumerated in one batch and
         # taken in place of one-user enumerations; valid for that index only.
         self._batched: tuple[BaseInstanceIndex | None, dict] = (None, {})
-
-    def forget_users(self, user_ids: Sequence[int]) -> None:
-        for user_id in user_ids:
-            self._set_cache.pop(user_id, None)
 
     def prepare(self, instance: IGEPAInstance, user_ids: Sequence[int]) -> None:
         """Enumerate the arrivals' ``A_u`` in one batch, in arrival order
@@ -205,50 +177,16 @@ class OnlineGreedy(_OnlineAlgorithm):
         sets = enumerate_admissible_batch(index, upos, self.max_sets_per_user)
         self._batched = (index, dict(zip(user_ids, split_sets(sets, index))))
 
-    def _enumerate(
-        self,
-        index: BaseInstanceIndex,
-        user_id: int,
-        bids: tuple[int, ...],
-        capacity: int,
-    ) -> tuple[tuple[int, ...], ...]:
+    def _admissible_sets(
+        self, index: BaseInstanceIndex, upos: int, user_id: int
+    ) -> list[tuple[int, ...]]:
         batched_index, batched = self._batched
         sets = batched.pop(user_id, None) if batched_index is index else None
         if sets is None:
-            sets = enumerate_bid_sets(
-                index, user_id, bids, capacity, self.max_sets_per_user
+            one = enumerate_admissible_batch(
+                index, np.array([upos], dtype=np.int64), self.max_sets_per_user
             )
-        return tuple(sets)
-
-    def _admissible_sets(
-        self,
-        index: BaseInstanceIndex,
-        user_id: int,
-        bids: tuple[int, ...],
-        capacity: int,
-    ) -> tuple[tuple[int, ...], ...]:
-        """The user's admissible sets, memoized behind a content key."""
-        if not self.cache_admissible:
-            return self._enumerate(index, user_id, bids, capacity)
-        event_pos = index.event_pos
-        conflict_bits = index.conflict_bits
-        positions = tuple(event_pos[event_id] for event_id in bids)
-        bid_mask = 0
-        for p in positions:
-            bid_mask |= 1 << p
-        fingerprint = (
-            capacity,
-            bids,
-            positions,
-            tuple(conflict_bits[p] & bid_mask for p in positions),
-        )
-        cached = self._set_cache.get(user_id)
-        if cached is not None and cached[0] == fingerprint:
-            self.cache_hits += 1
-            return cached[1]
-        self.cache_misses += 1
-        sets = self._enumerate(index, user_id, bids, capacity)
-        self._set_cache[user_id] = (fingerprint, sets)
+            sets = split_sets(one, index)[0]
         return sets
 
     def _serve(
@@ -266,10 +204,7 @@ class OnlineGreedy(_OnlineAlgorithm):
         event_capacity = index.event_capacity
         best_set: tuple[int, ...] | None = None
         best_weight = 0.0
-        # The user's row read straight from the store, not through a view.
-        bids = instance.store.user_bids(upos)
-        capacity = int(index.user_capacity[upos])
-        for events in self._admissible_sets(index, user_id, bids, capacity):
+        for events in self._admissible_sets(index, upos, user_id):
             if any(
                 attendance[event_pos[event_id]] >= event_capacity[event_pos[event_id]]
                 for event_id in events

@@ -91,24 +91,22 @@ TABLE1_DEFAULTS = SyntheticConfig()
 
 
 def _conflict_clusters(
-    event_ids: list[int], conflict: MatrixConflict, rng: np.random.Generator
+    conflict: MatrixConflict, rng: np.random.Generator
 ) -> list[list[int]]:
     """Sets of mutually *often*-conflicting events for dependent bidding.
 
     Each cluster is a random seed event together with every event that
-    conflicts with it.  Clusters therefore contain many conflicting pairs —
-    exactly the bid shape the paper observed on real EBSNs.
+    conflicts with it, in the order σ was sampled over.  Clusters therefore
+    contain many conflicting pairs — exactly the bid shape the paper
+    observed on real EBSNs.
     """
-    clusters: list[list[int]] = []
-    seeds = list(event_ids)
+    event_ids = conflict.event_ids
+    seeds = event_ids.tolist()
     rng.shuffle(seeds)
-    for seed_id in seeds[: max(1, len(event_ids) // 10)]:
-        members = [seed_id] + [
-            other
-            for other in event_ids
-            if conflict.conflicts_ids(seed_id, other)
-        ]
-        clusters.append(members)
+    clusters: list[list[int]] = []
+    for seed_id in seeds[: max(1, len(seeds) // 10)]:
+        row = conflict.relation[conflict.event_pos[seed_id]]
+        clusters.append([seed_id, *event_ids[row].tolist()])
     return clusters
 
 
@@ -142,9 +140,7 @@ def generate_synthetic(
         for event_id in event_ids
     ]
     conflict = MatrixConflict.sample(event_ids, config.conflict_probability, rng)
-    clusters = (
-        _conflict_clusters(event_ids, conflict, rng) if event_ids else []
-    )
+    clusters = _conflict_clusters(conflict, rng) if event_ids else []
 
     users: list[User] = []
     interest_values: dict[tuple[int, int], float] = {}
@@ -339,7 +335,7 @@ def generate_synthetic_stream(
         for event_id in event_ids
     ]
     conflict = MatrixConflict.sample(event_ids, config.conflict_probability, rng)
-    clusters = _conflict_clusters(event_ids, conflict, rng) if event_ids else []
+    clusters = _conflict_clusters(conflict, rng) if event_ids else []
 
     cap_chunks: list[np.ndarray] = []
     count_chunks: list[np.ndarray] = []

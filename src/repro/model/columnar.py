@@ -16,7 +16,9 @@ store holds the arrays-first representation the indexes already want:
 * ``event_*`` columns, including NaN-coded ``event_start``/``event_duration``
   temporal attributes;
 * ``conflict_matrix`` — optional boolean σ over event positions, letting the
-  index build skip the conflict function's per-pair loop.
+  index build skip the conflict function.  For a churned instance it *is*
+  σ: delta maintenance patches it, and the successor's
+  :class:`~repro.model.conflicts.MatrixConflict` is a view of it.
 
 Attribute vectors and category sets are stored only when any entity has
 them (``None`` columns mean "empty everywhere"), so the common synthetic
@@ -444,10 +446,12 @@ class ColumnarStore:
             frozensets.
         event_start / event_duration: optional NaN-coded temporal columns
             (both or neither).
-        conflict_matrix: optional boolean σ over event positions; when
-            present it must equal what the instance's conflict function
-            would produce (generators that sample the relation write both
-            from the same draw).
+        conflict_matrix: optional boolean σ over event positions, which
+            the index reads instead of calling the conflict function.  It
+            must agree with the instance's σ: generators that sample the
+            relation write both from the same draw, and a churned
+            instance's :class:`~repro.model.conflicts.MatrixConflict` is a
+            view of this very matrix (the one copy of σ).
     """
 
     __slots__ = (

@@ -15,7 +15,7 @@ materializes the relation as a boolean matrix over an event list.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -83,19 +83,55 @@ class AlwaysConflict(ConflictFunction):
 
 
 class MatrixConflict(ConflictFunction):
-    """An explicit symmetric conflict relation over event ids.
+    """An explicit symmetric conflict relation: event ids plus a boolean
+    matrix over them.
 
     This realizes the synthetic-data setting: "Two events conflict with each
-    other with the probability ``p_cf``" — the sampled relation is stored as a
-    set of unordered id pairs.
+    other with the probability ``p_cf``".  Row and column ``i`` of
+    :attr:`relation` belong to ``event_ids[i]``; ids outside ``event_ids``
+    conflict with nothing.  A churned instance's σ is a :meth:`view` of its
+    store's ``conflict_matrix``, so delta maintenance patches the relation
+    once and keeps no second copy.
     """
 
-    def __init__(self, conflicting_pairs: Iterable[tuple[int, int]]) -> None:
-        self._pairs: set[frozenset[int]] = set()
-        for u, v in conflicting_pairs:
-            if u == v:
-                raise ValueError(f"event {u} cannot conflict with itself")
-            self._pairs.add(frozenset((int(u), int(v))))
+    event_ids: np.ndarray
+    relation: np.ndarray
+    _event_pos: Mapping[int, int] | None
+
+    def __init__(self, conflicting_pairs: Iterable[tuple[int, int]] = ()) -> None:
+        ends = np.array(list(conflicting_pairs), dtype=np.int64).reshape(-1, 2)
+        loops = ends[:, 0] == ends[:, 1]
+        if loops.any():
+            raise ValueError(
+                f"event {int(ends[loops][0, 0])} cannot conflict with itself"
+            )
+        event_ids, rows = np.unique(ends.ravel(), return_inverse=True)
+        rows = rows.reshape(-1, 2)
+        relation = np.zeros((event_ids.size, event_ids.size), dtype=bool)
+        relation[rows[:, 0], rows[:, 1]] = True
+        relation[rows[:, 1], rows[:, 0]] = True
+        self.event_ids = event_ids
+        self.relation = relation
+        self._event_pos = None
+
+    @classmethod
+    def view(
+        cls,
+        event_ids: np.ndarray,
+        relation: np.ndarray,
+        event_pos: Mapping[int, int] | None = None,
+    ) -> "MatrixConflict":
+        """σ over ``relation`` itself, not a copy.
+
+        ``relation`` must be symmetric with a zero diagonal, row ``i``
+        belonging to ``event_ids[i]``; ``event_pos`` (``id -> row``) is
+        built on first use when not given.
+        """
+        conflict = cls.__new__(cls)
+        conflict.event_ids = event_ids
+        conflict.relation = relation
+        conflict._event_pos = event_pos
+        return conflict
 
     @classmethod
     def sample(
@@ -107,82 +143,63 @@ class MatrixConflict(ConflictFunction):
         """Sample each unordered pair as conflicting with ``probability``."""
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"conflict probability must be in [0, 1], got {probability}")
-        ids = list(event_ids)
-        pairs = []
-        n = len(ids)
+        ids = np.array(list(event_ids), dtype=np.int64)
+        n = ids.size
+        relation = np.zeros((n, n), dtype=bool)
         if n >= 2 and probability > 0.0:
             iu, ju = np.triu_indices(n, k=1)
             mask = rng.random(iu.shape[0]) < probability
-            pairs = [(ids[int(i)], ids[int(j)]) for i, j in zip(iu[mask], ju[mask])]
-        return cls(pairs)
+            relation[iu[mask], ju[mask]] = True
+            relation[ju[mask], iu[mask]] = True
+        return cls.view(ids, relation)
+
+    @property
+    def event_pos(self) -> Mapping[int, int]:
+        """``event_id -> row`` of :attr:`relation`."""
+        if self._event_pos is None:
+            self._event_pos = dict(zip(self.event_ids.tolist(), range(self.event_ids.size)))
+        return self._event_pos
 
     def conflicts(self, first: Event, second: Event) -> bool:
         return self.conflicts_ids(first.event_id, second.event_id)
 
     def conflicts_ids(self, first_id: int, second_id: int) -> bool:
         """σ by event id, for callers that have no :class:`Event` objects."""
-        if first_id == second_id:
-            return False
-        return frozenset((first_id, second_id)) in self._pairs
+        event_pos = self.event_pos
+        i = event_pos.get(first_id)
+        j = event_pos.get(second_id)
+        return i is not None and j is not None and bool(self.relation[i, j])
 
     def matrix(self, events: Sequence[Event]) -> np.ndarray:
-        position = {e.event_id: i for i, e in enumerate(events)}
+        event_pos = self.event_pos
+        rows = np.fromiter(
+            (event_pos.get(e.event_id, -1) for e in events),
+            dtype=np.int64,
+            count=len(events),
+        )
+        known = np.flatnonzero(rows >= 0)
         result = np.zeros((len(events), len(events)), dtype=bool)
-        for pair in self._pairs:
-            first_id, second_id = tuple(pair)
-            i = position.get(first_id)
-            j = position.get(second_id)
-            if i is not None and j is not None:
-                result[i, j] = True
-                result[j, i] = True
+        result[np.ix_(known, known)] = self.relation[np.ix_(rows[known], rows[known])]
         return result
 
     @property
     def num_conflicting_pairs(self) -> int:
-        return len(self._pairs)
+        return int(np.count_nonzero(self.relation)) // 2
+
+    def _sorted_pairs(self) -> list[list[int]]:
+        """Every conflicting pair as ``[low_id, high_id]``, sorted."""
+        first, second = np.nonzero(np.triu(self.relation, k=1))
+        a, b = self.event_ids[first], self.event_ids[second]
+        low, high = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((high, low))
+        return np.column_stack((low[order], high[order])).tolist()
 
     def pairs(self) -> list[tuple[int, int]]:
-        """All conflicting pairs as sorted ``(low_id, high_id)`` tuples.
-
-        Delta maintenance (:mod:`repro.model.delta`) derives a successor
-        relation from it when conflicts churn.
-        """
-        return sorted(tuple(sorted(pair)) for pair in self._pairs)
-
-    def with_edits(
-        self,
-        add: Iterable[tuple[int, int]] = (),
-        remove: Iterable[tuple[int, int]] = (),
-        drop_events: Iterable[int] = (),
-    ) -> "MatrixConflict":
-        """A successor relation with pairs added/removed and dangling pairs
-        referencing ``drop_events`` pruned.
-
-        The internal pair set is copied and edited directly — no per-pair
-        revalidation — so batch churn stays O(edits + pruned), not O(pairs).
-        Removing a pair that is not present is a silent no-op (``discard``
-        semantics); callers needing strictness validate first, as
-        :func:`repro.model.delta.apply_delta` does.
-        """
-        dropped = set(drop_events)
-        successor = MatrixConflict.__new__(MatrixConflict)
-        if dropped:
-            successor._pairs = {
-                pair for pair in self._pairs if not (dropped & pair)
-            }
-        else:
-            successor._pairs = set(self._pairs)
-        for u, v in remove:
-            successor._pairs.discard(frozenset((int(u), int(v))))
-        for u, v in add:
-            if u == v:
-                raise ValueError(f"event {u} cannot conflict with itself")
-            successor._pairs.add(frozenset((int(u), int(v))))
-        return successor
+        """All conflicting pairs as sorted ``(low_id, high_id)`` tuples."""
+        return [(low, high) for low, high in self._sorted_pairs()]
 
     def to_dict(self) -> dict:
-        pairs = sorted(tuple(sorted(pair)) for pair in self._pairs)
-        return {"kind": "matrix", "pairs": [list(p) for p in pairs]}
+        return {"kind": "matrix", "pairs": self._sorted_pairs()}
 
 
 class TimeIntervalConflict(ConflictFunction):
@@ -285,7 +302,7 @@ def conflict_from_dict(payload: dict) -> ConflictFunction:
     if kind == "always":
         return AlwaysConflict()
     if kind == "matrix":
-        return MatrixConflict([tuple(pair) for pair in payload["pairs"]])
+        return MatrixConflict(payload["pairs"])
     if kind == "time-interval":
         return TimeIntervalConflict()
     if kind == "composite":

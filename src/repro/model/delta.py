@@ -44,15 +44,14 @@ from repro.model.columnar import (
     carry_categories,
     carry_temporal,
 )
-from repro.model.conflicts import ConflictFunction, MatrixConflict
+from repro.model.conflicts import MatrixConflict
 from repro.model.entities import Event, User
 from repro.model.errors import ModelError
 from repro.model.index import (
-    DENSE_CELL_CAP,
     BaseInstanceIndex,
     InstanceIndex,
-    ShardedInstanceIndex,
     build_degrees,
+    index_class,
     validated_interest,
 )
 from repro.model.instance import IGEPAInstance
@@ -82,10 +81,14 @@ class Delta:
             the user's bid list in the given order.
         remove_bids: ``(user_id, event_id)`` bids withdrawn by surviving
             users.  The event may be closing in the same delta.
-        add_conflicts: new conflicting event pairs (requires a
-            :class:`MatrixConflict` instance).
-        remove_conflicts: conflicting event pairs dissolved (requires a
-            :class:`MatrixConflict` instance).
+        add_conflicts: new conflicting event pairs, each absent from the
+            predecessor and listed once (requires a :class:`MatrixConflict`
+            instance).  A pair may name events the delta opens.
+        remove_conflicts: conflicting event pairs of the predecessor
+            dissolved, each listed once (requires a :class:`MatrixConflict`
+            instance).  A closing event's pairs go with it: the successor's
+            σ is a view of its patched conflict matrix, which holds the
+            surviving events only.
         set_user_capacity: ``(user_id, new_capacity)`` changes for surviving,
             pre-existing users (new users carry their own capacity).  A
             shrink below the user's carried load sheds their lightest pairs.
@@ -304,18 +307,25 @@ def _check_delta(instance: IGEPAInstance, delta: Delta) -> None:
                         f"conflict edit references event {event_id}, which "
                         "does not survive the delta"
                     )
-        conflict: MatrixConflict = instance.conflict
-        for first, second in delta.add_conflicts:
-            both_old = first in event_pos and second in event_pos
-            if both_old and conflict.conflicts_ids(first, second):
-                raise DeltaError(
-                    f"conflict ({first}, {second}) already present"
-                )
-        for first, second in delta.remove_conflicts:
-            if not conflict.conflicts_ids(first, second):
-                raise DeltaError(
-                    f"conflict ({first}, {second}) not present"
-                )
+        # Against the predecessor's σ as its index holds it: a pair naming
+        # an event the delta opens is never present there.
+        conflict_bits = index.conflict_bits
+
+        def present(first: int, second: int) -> bool:
+            i = event_pos.get(first)
+            j = event_pos.get(second)
+            return i is not None and j is not None and bool(conflict_bits[i] >> j & 1)
+
+        for edits, wanted, error in (
+            (delta.add_conflicts, False, "already present"),
+            (delta.remove_conflicts, True, "not present"),
+        ):
+            seen_pairs: set[tuple[int, int]] = set()
+            for first, second in edits:
+                pair = (min(first, second), max(first, second))
+                if present(first, second) != wanted or pair in seen_pairs:
+                    raise DeltaError(f"conflict ({first}, {second}) {error}")
+                seen_pairs.add(pair)
 
     seen_user_caps: set[int] = set()
     for user_id, capacity in delta.set_user_capacity:
@@ -380,26 +390,6 @@ def _check_delta(instance: IGEPAInstance, delta: Delta) -> None:
                     f"degree override for user {user_id} is {value}, "
                     "expected a value in [0, 1]"
                 )
-
-
-def _successor_conflict(
-    instance: IGEPAInstance, delta: Delta
-) -> ConflictFunction:
-    """The successor conflict function (a new MatrixConflict when edited).
-
-    Besides applying the explicit edits, pairs referencing removed events
-    are pruned so successor serialization stays free of dangling ids.
-    """
-    edited = bool(delta.add_conflicts or delta.remove_conflicts)
-    if not isinstance(instance.conflict, MatrixConflict):
-        return instance.conflict
-    if not edited and not delta.remove_events:
-        return instance.conflict
-    return instance.conflict.with_edits(
-        add=delta.add_conflicts,
-        remove=delta.remove_conflicts,
-        drop_events=delta.remove_events,
-    )
 
 
 def _successor_interest(
@@ -488,17 +478,17 @@ def _patch_components(
     delta: Delta,
     maps: _PositionMaps,
     *,
-    conflict_fn: Callable[[Event, Event], bool],
     successor_events: Sequence[Event],
     interest_of: Callable[[int, int], float],
 ) -> dict:
     """Patch the predecessor's primary arrays into the successor's.
 
     Every surviving entry is copied bit for bit; new entries run the same
-    expressions the from-scratch build would (validated SI, the conflict
-    function for new rows).  The caller supplies the successor's conflict
-    and interest machinery (``interest_of(event_id, user_id)``) as view- and
-    delta-backed closures, so this function never needs the successor.
+    expressions the from-scratch build would (validated SI, the
+    predecessor's σ for new events' conflict rows, then the delta's
+    toggles).  The caller supplies the interest machinery
+    (``interest_of(event_id, user_id)``) as a delta-backed closure, so this
+    function never needs the successor.
 
     The patch is expressed at the CSR-entry level (``bid_indices`` /
     ``bid_si`` splicing; withdrawn bids and re-weighted pairs are located by
@@ -516,7 +506,6 @@ def _patch_components(
     user_map = maps.user_map
     event_map = maps.event_map
 
-    events = successor_events
     n_survivor_users = int(keep_users.sum())
     n_survivor_events = int(keep_events.sum())
     n_users = n_survivor_users + len(delta.add_users)
@@ -571,16 +560,16 @@ def _patch_components(
         event_capacity[event_map[old.event_pos[event_id]]] = capacity
     event_pos = dict(zip(event_ids.tolist(), range(n_events)))
 
-    # Conflict matrix: slice survivors, evaluate new events' rows with the
-    # successor conflict function, then toggle edited survivor pairs.
+    # Conflict matrix: slice survivors, take new events' rows from one
+    # matrix call on the predecessor's σ, then toggle the edited pairs.
     conflict_matrix = np.zeros((n_events, n_events), dtype=bool)
     conflict_matrix[:n_survivor_events, :n_survivor_events] = old.conflict_matrix[
         np.ix_(keep_events, keep_events)
     ]
-    for j, event in enumerate(delta.add_events, start=n_survivor_events):
-        row = [i != j and conflict_fn.conflicts(e, event) for i, e in enumerate(events)]
-        conflict_matrix[j] |= row
-        conflict_matrix[:, j] |= row
+    if delta.add_events:
+        rows = instance.conflict.matrix(successor_events)[n_survivor_events:]
+        conflict_matrix[n_survivor_events:] = rows
+        conflict_matrix[:, n_survivor_events:] = rows.T
     for first, second in delta.remove_conflicts:
         i, j = event_pos[first], event_pos[second]
         conflict_matrix[i, j] = False
@@ -681,15 +670,15 @@ def _successor_degrees(
 
 
 def _index_from_components(
-    old: BaseInstanceIndex, successor: IGEPAInstance, components: dict
+    successor: IGEPAInstance, components: dict
 ) -> BaseInstanceIndex:
-    """Assemble the successor's index, keeping the predecessor's
-    implementation unless growth forces a switch."""
-    sharded = isinstance(old, ShardedInstanceIndex)
-    cells = components["user_ids"].size * components["event_ids"].size
-    # Churn that grows a dense-indexed instance past the dense cap switches
-    # the successor to the CSR implementation, as a fresh build would.
-    cls = ShardedInstanceIndex if sharded or cells > DENSE_CELL_CAP else InstanceIndex
+    """Assemble the successor's index, of the implementation a
+    from-scratch build of the successor would pick."""
+    cls = index_class(
+        components["user_ids"].size,
+        components["event_ids"].size,
+        successor._index_config,
+    )
     patched = cls.from_components(successor, **components)
     sanitize_index(patched)
     return patched
@@ -744,7 +733,6 @@ def _successor(
     degrees) for the caller to attach an index from.
     """
     store = instance.store
-    conflict_fn = _successor_conflict(instance, delta)
     social = _successor_social(instance, delta)
 
     # Successor events for the new-event conflict rows (built only when
@@ -777,7 +765,6 @@ def _successor(
         instance,
         delta,
         maps,
-        conflict_fn=conflict_fn,
         successor_events=successor_events,
         interest_of=interest_of,
     )
@@ -837,6 +824,16 @@ def _successor(
         conflict_matrix=components["conflict_matrix"],
     )
 
+    # σ of a matrix-conflict successor is a view of the patched matrix: the
+    # store holds the one copy, which the index shares as well.
+    conflict = instance.conflict
+    if isinstance(conflict, MatrixConflict):
+        conflict = MatrixConflict.view(
+            successor_store.event_ids,
+            successor_store.conflict_matrix,
+            successor_store.event_pos,
+        )
+
     if isinstance(instance.interest, ColumnarInterest):
         extra = dict(instance.interest._extra)
         extra.update(delta_map)
@@ -848,7 +845,7 @@ def _successor(
 
     successor = IGEPAInstance.from_store(
         successor_store,
-        conflict=conflict_fn,
+        conflict=conflict,
         interest=interest,
         social=social,
         beta=instance.beta,
@@ -1229,15 +1226,12 @@ def apply_delta(
     # reproduces bit for bit.
     maps = _position_maps(instance.index, delta)
     successor, components = _successor(instance, delta, maps)
-    # The successor inherits the index configuration (CSR or dense), so the
-    # full-rebuild comparison path builds the same kind of index the
-    # predecessor used.
+    # The successor inherits the index configuration, so the patched and
+    # the full-rebuild paths pick the same implementation (index_class).
     successor._index_config = instance._index_config
     if incremental:
         components["degrees"] = _successor_degrees(instance, successor, delta)
-        successor._index = _index_from_components(
-            instance.index, successor, components
-        )
+        successor._index = _index_from_components(successor, components)
 
     result = DeltaResult(
         instance=successor, arrangement=None, incremental=incremental

@@ -665,3 +665,19 @@ class InstanceIndex(BaseInstanceIndex):
 
     def weight_column(self, vpos: int) -> np.ndarray:
         return self.W[:, vpos]
+
+
+def index_class(
+    num_users: int, num_events: int, sharded: bool
+) -> type[BaseInstanceIndex]:
+    """The index implementation for a platform of this size.
+
+    The CSR :class:`ShardedInstanceIndex` when ``sharded`` (as set by
+    ``IGEPAInstance.configure_index``) or above :data:`DENSE_CELL_CAP`
+    cells, the dense :class:`InstanceIndex` otherwise.  The lazy build and
+    delta maintenance both pick through this one rule, so a patched
+    successor and a from-scratch one always get the same implementation.
+    """
+    if sharded or num_users * num_events > DENSE_CELL_CAP:
+        return ShardedInstanceIndex
+    return InstanceIndex

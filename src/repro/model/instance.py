@@ -34,12 +34,7 @@ from repro.model.columnar import (
 from repro.model.conflicts import ConflictFunction, conflict_from_dict
 from repro.model.entities import Event, User
 from repro.model.errors import InstanceValidationError
-from repro.model.index import (
-    DENSE_CELL_CAP,
-    BaseInstanceIndex,
-    InstanceIndex,
-    ShardedInstanceIndex,
-)
+from repro.model.index import BaseInstanceIndex, index_class
 from repro.model.interest import InterestFunction, interest_from_dict
 from repro.social.graph import Graph
 
@@ -153,9 +148,8 @@ class IGEPAInstance:
         # index's SI storage.
         self._interest_cache: dict[tuple[int, int], float] = {}
         self._index: BaseInstanceIndex | None = None
-        # ``sharded`` as set by configure_index; None = by size (dense up
-        # to DENSE_CELL_CAP cells, the CSR index above).
-        self._index_config: bool | None = None
+        # ``sharded`` as set by configure_index (see index_class).
+        self._index_config = False
 
     @property
     def is_columnar(self) -> bool:
@@ -225,18 +219,15 @@ class IGEPAInstance:
 
         Single source of truth for weights, interest, degrees, conflicts and
         bid incidence; the scalar accessors below are views over it.  The
-        implementation is the dense :class:`InstanceIndex` up to
-        :data:`~repro.model.index.DENSE_CELL_CAP` user-by-event cells and
-        the CSR :class:`~repro.model.index.ShardedInstanceIndex` above —
-        override with :meth:`configure_index`.
+        implementation is the dense :class:`~repro.model.index.InstanceIndex`
+        up to :data:`~repro.model.index.DENSE_CELL_CAP` user-by-event cells
+        and the CSR :class:`~repro.model.index.ShardedInstanceIndex` above
+        or when :meth:`configure_index` asks for it
+        (:func:`~repro.model.index.index_class`).
         """
         if self._index is None:
-            sharded = self._index_config
-            if sharded is None:
-                sharded = self.num_users * self.num_events > DENSE_CELL_CAP
-            self._index = (
-                ShardedInstanceIndex(self) if sharded else InstanceIndex(self)
-            )
+            cls = index_class(self.num_users, self.num_events, self._index_config)
+            self._index = cls(self)
             sanitize_index(self._index)
         return self._index
 
@@ -245,9 +236,9 @@ class IGEPAInstance:
 
         Args:
             sharded: build the CSR
-                :class:`~repro.model.index.ShardedInstanceIndex` (True) or
-                force the dense :class:`InstanceIndex` (False — still
-                subject to the dense cell cap).
+                :class:`~repro.model.index.ShardedInstanceIndex` (True), or
+                pick by size (False: the dense index up to the dense cell
+                cap, the CSR index above).  Churn successors inherit it.
 
         Any already-built index is discarded; arrangements bound to it keep
         working against the old index object.

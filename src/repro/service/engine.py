@@ -167,10 +167,6 @@ class TickEngine:
         self.lp_resolver.observe_delta(delta, result.instance)
         self.instance = result.instance
         self.arrangement = result.arrangement
-        # Cache hygiene: departed users can never be served again, so any
-        # memoized per-user serving state (admissible-set cache) is dead.
-        if delta.remove_users:
-            self.online.forget_users(delta.remove_users)
         return result
 
     # ------------------------------------------------------------------

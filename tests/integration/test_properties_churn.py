@@ -9,7 +9,8 @@ Every property is checked over a battery of random instances/seeds:
   arrival randomness;
 * churn repair never leaves a violated pair behind, on steady and on
   adversarial-burst traces, and the delta-maintained index stays
-  bit-identical to a from-scratch rebuild along the whole chain.
+  bit-identical to a from-scratch rebuild along the whole chain, its σ
+  equal to the trace's conflict edits replayed on a plain pair set.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.core import (
 from repro.datagen import ChurnConfig, generate_churn_trace
 from repro.experiments import index_parity_mismatches
 from repro.model import InstanceIndex, apply_delta
-from tests.util import random_instance
+from tests.util import conflict_mismatches, random_instance, replay_conflicts
 
 SEEDS = range(6)
 
@@ -122,9 +123,14 @@ class TestChurnRepairProperties:
             instance, self._config(burst), seed=seed + 50
         )
         arrangement = GGGreedy().solve(instance, seed=seed).arrangement
+        pairs = {frozenset(pair) for pair in instance.conflict.pairs()}
         current = instance
         for batch, delta in enumerate(trace.deltas):
             result = apply_delta(current, delta, arrangement)
+            pairs = replay_conflicts(pairs, delta)
+            assert conflict_mismatches(result.instance.index, pairs) == [], (
+                f"batch {batch} (seed {seed})"
+            )
             repair(result)
             repaired = result.arrangement
             assert repaired.violations() == [], f"batch {batch} (seed {seed})"

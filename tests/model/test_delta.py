@@ -161,6 +161,26 @@ class TestValidation:
         with pytest.raises(DeltaError, match="not present"):
             apply_delta(tiny_instance(), Delta(remove_conflicts=((1, 3),)))
 
+    def test_conflict_edits_among_new_events(self):
+        """New events hold no conflict before the delta's own additions: a
+        removal among them is not present, and an addition listed twice
+        (in either orientation) is already present the second time."""
+        opened = (Event(event_id=7, capacity=1), Event(event_id=8, capacity=1))
+        with pytest.raises(DeltaError, match=r"\(7, 8\) not present"):
+            apply_delta(
+                tiny_instance(),
+                Delta(add_events=opened, remove_conflicts=((7, 8),)),
+            )
+        with pytest.raises(DeltaError, match=r"\(8, 7\) already present"):
+            apply_delta(
+                tiny_instance(),
+                Delta(add_events=opened, add_conflicts=((7, 8), (8, 7))),
+            )
+        result = apply_delta(
+            tiny_instance(), Delta(add_events=opened, add_conflicts=((7, 8),))
+        )
+        assert result.instance.conflicts(7, 8)
+
     def test_interest_out_of_range(self):
         with pytest.raises(DeltaError, match="expected a value in"):
             apply_delta(tiny_instance(), Delta(interest=((1, 10, 1.5),)))
@@ -244,6 +264,53 @@ class TestApplySemantics:
         assert instance.conflicts(1, 2)
         assert not instance.conflicts(1, 3)
         assert_index_parity(successor)
+
+    def test_successor_sigma_is_a_view_of_the_store(self):
+        result = apply_delta(
+            tiny_instance(),
+            Delta(
+                add_events=(Event(event_id=4, capacity=1),),
+                add_conflicts=((3, 4),),
+                remove_events=(2,),
+            ),
+        )
+        successor = result.instance
+        sigma = successor.conflict
+        assert isinstance(sigma, MatrixConflict)
+        assert np.shares_memory(sigma.relation, successor.store.conflict_matrix)
+        assert sigma.relation is successor.index.conflict_matrix
+        assert sigma.pairs() == [(3, 4)]
+
+    def test_churned_successor_round_trips(self):
+        from repro.model import IGEPAInstance
+
+        result = apply_delta(
+            tiny_instance(),
+            Delta(
+                add_events=(Event(event_id=4, capacity=1),),
+                add_conflicts=((1, 3), (3, 4)),
+                remove_conflicts=((1, 2),),
+            ),
+        )
+        successor = result.instance
+        payload = successor.to_dict()
+        assert payload["conflict"] == {"kind": "matrix", "pairs": [[1, 3], [3, 4]]}
+        restored = IGEPAInstance.from_dict(payload)
+        assert restored.to_dict() == payload
+        for name in ("conflict_matrix", "conflict_words"):
+            assert np.array_equal(
+                getattr(restored.index, name), getattr(successor.index, name)
+            ), name
+        assert restored.index.conflict_bits == successor.index.conflict_bits
+
+    def test_successor_saves_no_pairs_outside_the_instance(self):
+        """A σ built from pairs naming events the instance lacks keeps them
+        until the first delta; the successor's σ holds its events only."""
+        instance = tiny_instance()
+        instance.conflict = MatrixConflict([(1, 2), (1, 99)])
+        successor = apply_delta(instance, Delta(add_conflicts=((2, 3),))).instance
+        assert instance.conflict.to_dict()["pairs"] == [[1, 2], [1, 99]]
+        assert successor.conflict.to_dict()["pairs"] == [[1, 2], [2, 3]]
 
     def test_degree_override_patch(self):
         from repro.datagen import SyntheticConfig, generate_synthetic

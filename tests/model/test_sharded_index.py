@@ -65,6 +65,43 @@ def test_growth_past_the_cap_switches_the_successor_to_csr(instance, monkeypatch
     assert index_parity_mismatches(patched, rebuilt) == []
 
 
+def _patched_and_rebuilt(instance, delta):
+    """The successor index of ``delta`` on the patched path and on
+    ``apply_delta(..., incremental=False)``'s from-scratch build."""
+    patched = apply_delta(instance, delta).instance.index
+    rebuilt = apply_delta(instance, delta, incremental=False).instance.index
+    return patched, rebuilt
+
+
+def test_shrink_below_the_cap_switches_both_paths_to_dense(instance, monkeypatch):
+    lower_dense_cap(monkeypatch, CONFIG.num_users * CONFIG.num_events - 1)
+    assert type(instance.index) is ShardedInstanceIndex
+    delta = Delta(remove_users=(instance.users[0].user_id,))
+    patched, rebuilt = _patched_and_rebuilt(instance, delta)
+    assert type(patched) is InstanceIndex
+    assert type(rebuilt) is InstanceIndex
+    assert index_parity_mismatches(patched, rebuilt) == []
+
+
+def test_configured_dense_growth_past_the_cap_switches_both_paths_to_csr(
+    instance, monkeypatch
+):
+    lower_dense_cap(monkeypatch, CONFIG.num_users * CONFIG.num_events)
+    instance.configure_index(sharded=False)
+    assert type(instance.index) is InstanceIndex
+    new_event = 10**6
+    user_id = instance.users[0].user_id
+    delta = Delta(
+        add_events=(Event(event_id=new_event, capacity=3),),
+        add_bids=((user_id, new_event),),
+        interest=((new_event, user_id, 0.5),),
+    )
+    patched, rebuilt = _patched_and_rebuilt(instance, delta)
+    assert type(patched) is ShardedInstanceIndex
+    assert type(rebuilt) is ShardedInstanceIndex
+    assert index_parity_mismatches(patched, rebuilt) == []
+
+
 def test_pair_accessors_match_dense(instance):
     dense = InstanceIndex(instance)
     sharded = ShardedInstanceIndex(instance)

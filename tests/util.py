@@ -271,10 +271,53 @@ def stub_highs_run(monkeypatch, model_status, iterations: int = 7) -> None:
 
 
 def lower_dense_cap(monkeypatch, cap: int) -> None:
-    """Set the dense index's cell cap to ``cap`` in every module that reads
-    it, so a test reaches the size switch without a 10⁷-cell platform."""
-    for module in ("index", "instance", "delta"):
-        monkeypatch.setattr(f"repro.model.{module}.DENSE_CELL_CAP", cap)
+    """Set the dense index's cell cap to ``cap``, so a test reaches the
+    size switch (``index_class``) without a 10⁷-cell platform."""
+    monkeypatch.setattr("repro.model.index.DENSE_CELL_CAP", cap)
+
+
+def replay_conflicts(pairs: set[frozenset[int]], delta) -> set[frozenset[int]]:
+    """σ after ``delta`` on a plain set of unordered event-id pairs.
+
+    The independent reference for the patched conflict matrix: a closing
+    event's pairs go, then the delta's removals and additions apply.  An
+    event the delta opens conflicts with nothing the delta does not add.
+    """
+    closed = set(delta.remove_events)
+    kept = {pair for pair in pairs if not pair & closed}
+    kept -= {frozenset(pair) for pair in delta.remove_conflicts}
+    return kept | {frozenset(pair) for pair in delta.add_conflicts}
+
+
+def conflict_mismatches(index, pairs: set[frozenset[int]]) -> list[str]:
+    """Names of the index's σ representations (``conflict_matrix``,
+    ``conflict_words``, ``conflict_bits``) that disagree with ``pairs``,
+    each rebuilt bit by bit from the pair set.  A pair naming an event the
+    index does not hold raises ``KeyError``."""
+    n = index.num_events
+    bits = [0] * n
+    for pair in pairs:
+        first, second = (index.event_pos[event_id] for event_id in pair)
+        bits[first] |= 1 << second
+        bits[second] |= 1 << first
+    num_words = -(-n // 64)
+    expected = {
+        "conflict_matrix": np.array(
+            [[row >> p & 1 for p in range(n)] for row in bits], dtype=bool
+        ).reshape(n, n),
+        "conflict_words": np.array(
+            [[row >> (64 * w) & (2**64 - 1) for w in range(num_words)] for row in bits],
+            dtype=np.uint64,
+        ).reshape(n, num_words),
+    }
+    mismatches = [
+        name
+        for name, array in expected.items()
+        if not np.array_equal(getattr(index, name), array)
+    ]
+    if index.conflict_bits != tuple(bits):
+        mismatches.append("conflict_bits")
+    return mismatches
 
 
 def reference_carry(instance, successor, arrangement, delta, maps) -> tuple:
