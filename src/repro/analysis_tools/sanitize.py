@@ -285,11 +285,10 @@ def check_store_invariants(store: "ColumnarStore") -> None:
             bool((indices >= 0).all()) and bool((indices < num_events).all()),
             "store bid_event_pos holds out-of-range event positions",
         )
-    if store.bid_si is not None:
-        _require(
-            store.bid_si.size == indices.size,
-            "store bid_si misaligned with bid_event_pos",
-        )
+    _require(
+        store.bid_si is not None and store.bid_si.size == indices.size,
+        "store bid_si missing or misaligned with bid_event_pos",
+    )
     _require(
         np.unique(store.user_ids).size == num_users,
         "duplicate user ids in the store",

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.model.columnar import ColumnarInterest, ColumnarStore
+from repro.model.columnar import ColumnarStore
 from repro.model.conflicts import MatrixConflict
 from repro.model.entities import Event, User
 from repro.model.instance import IGEPAInstance
@@ -395,7 +395,7 @@ def generate_synthetic_stream(
     return IGEPAInstance.from_store(
         store,
         conflict=conflict,
-        interest=ColumnarInterest(store),
+        interest=TabulatedInterest({}),
         social=empty_graph(store.user_ids.tolist()),
         beta=config.beta,
         name=name,

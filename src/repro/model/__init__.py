@@ -15,7 +15,6 @@ Definitions 1-8 of the paper map to this package as follows:
 from repro.model.arrangement import Arrangement
 from repro.model.builders import InstanceBuilder
 from repro.model.columnar import (
-    ColumnarInterest,
     ColumnarStore,
     EventColumn,
     EventView,
@@ -60,7 +59,6 @@ __all__ = [
     "Event",
     "User",
     "ColumnarStore",
-    "ColumnarInterest",
     "UserView",
     "EventView",
     "UserColumn",

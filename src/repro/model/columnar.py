@@ -10,14 +10,18 @@ store holds the arrays-first representation the indexes already want:
 * ``bid_indptr`` / ``bid_event_pos`` — the bid relation as a CSR over user
   rows, event *positions* (not ids) as column indices, in each user's
   bid-list order;
-* ``bid_si`` — optional per-bid-entry interest values aligned with
-  ``bid_event_pos`` (the synthetic generator samples them array-natively);
+* ``bid_si`` — the SI value of every bid entry, aligned with
+  ``bid_event_pos``: the one place an instance holds a bid's interest.  A
+  store built without it gets it filled from the interest function by
+  :class:`~repro.model.instance.IGEPAInstance`; the stream generator
+  samples it array-natively, and delta maintenance patches it;
 * ``degrees`` — optional per-user ``D(G, u)`` override vector;
 * ``event_*`` columns, including NaN-coded ``event_start``/``event_duration``
   temporal attributes;
-* ``conflict_matrix`` — optional boolean σ over event positions, letting the
-  index build skip the conflict function.  For a churned instance it *is*
-  σ: delta maintenance patches it, and the successor's
+* ``conflict_matrix`` — boolean σ over event positions, which the index
+  reads instead of calling the conflict function (``IGEPAInstance`` packs
+  it from σ when a store comes without it).  For a churned instance it
+  *is* σ: delta maintenance patches it, and the successor's
   :class:`~repro.model.conflicts.MatrixConflict` is a view of it.
 
 Attribute vectors and category sets are stored only when any entity has
@@ -48,7 +52,6 @@ import numpy as np
 
 from repro.model.entities import Event, User
 from repro.model.errors import InstanceValidationError
-from repro.model.interest import TabulatedInterest
 
 #: Shared zero-length attribute vector returned by views of entities without
 #: attributes — one allocation for the whole process, mirroring the entity
@@ -438,7 +441,8 @@ class ColumnarStore:
         bid_indptr: CSR offsets over user rows (``num_users + 1`` entries).
         bid_event_pos: event *positions* per bid entry, in each user's
             bid-list order.
-        bid_si: optional SI value per bid entry (in ``[0, 1]``).
+        bid_si: SI value per bid entry (in ``[0, 1]``); when omitted,
+            ``IGEPAInstance`` fills it from its interest function.
         degrees: optional ``D(G, u)`` override vector.
         user_attributes / event_attributes: ``None``, a 2-D float array, or
             a list of 1-D arrays (ragged).
@@ -446,8 +450,9 @@ class ColumnarStore:
             frozensets.
         event_start / event_duration: optional NaN-coded temporal columns
             (both or neither).
-        conflict_matrix: optional boolean σ over event positions, which
-            the index reads instead of calling the conflict function.  It
+        conflict_matrix: boolean σ over event positions, which the index
+            reads instead of calling the conflict function; when omitted,
+            ``IGEPAInstance`` packs it from σ.  It
             must agree with the instance's σ: generators that sample the
             relation write both from the same draw, and a churned
             instance's :class:`~repro.model.conflicts.MatrixConflict` is a
@@ -891,80 +896,3 @@ class ColumnarStore:
             f"spilled={self.spilled_bytes} bytes)"
         )
 
-
-class ColumnarInterest(TabulatedInterest):
-    """Tabulated interest backed by the store's ``bid_si`` column.
-
-    A drop-in :class:`~repro.model.interest.TabulatedInterest` (isinstance
-    checks in the churn/delta layers keep passing) that never materializes
-    the ``(event_id, user_id) -> value`` dict on the hot path: lookups
-    resolve through the CSR, and :meth:`items` builds the dict lazily only
-    for callers that genuinely need it (serialization, tests).
-
-    Two deliberate divergences from the dict-backed table, both invisible to
-    feasible arrangements (which only query bid pairs): values of withdrawn
-    bids are not retained across deltas, and non-bid entries live in the
-    small ``extra`` side table instead of the main storage.
-    """
-
-    def __init__(
-        self,
-        store: ColumnarStore,
-        default: float = 0.0,
-        extra: Mapping[tuple[int, int], float] | None = None,
-    ) -> None:
-        if store.bid_si is None:
-            raise ValueError("ColumnarInterest needs a store with bid_si values")
-        if not 0.0 <= default <= 1.0:
-            raise ValueError(f"default interest {default} outside [0, 1]")
-        self._store = store
-        self.default = float(default)
-        self._extra: dict[tuple[int, int], float] = dict(extra) if extra else {}
-        self._table: dict[tuple[int, int], float] | None = None
-
-    def interest(self, event: Event, user: User) -> float:
-        store = self._store
-        row = store.user_pos.get(user.user_id)
-        col = store.event_pos.get(event.event_id)
-        if row is not None and col is not None:
-            lo = int(store.bid_indptr[row])
-            hi = int(store.bid_indptr[row + 1])
-            hits = np.flatnonzero(store.bid_event_pos[lo:hi] == col)
-            if hits.size:
-                return float(store.bid_si[lo + int(hits[0])])
-        return self._extra.get((event.event_id, user.user_id), self.default)
-
-    def items(self) -> dict[tuple[int, int], float]:
-        """The full table, materialized lazily once and returned as a copy."""
-        if self._table is None:
-            store = self._store
-            entry_users = np.repeat(store.user_ids, np.diff(store.bid_indptr))
-            entry_events = (
-                store.event_ids[store.bid_event_pos]
-                if store.num_bids
-                else np.empty(0, dtype=np.int64)
-            )
-            table = dict(
-                zip(
-                    zip(entry_events.tolist(), entry_users.tolist()),
-                    store.bid_si.tolist(),
-                )
-            )
-            table.update(self._extra)
-            self._table = table
-        return dict(self._table)
-
-    def __len__(self) -> int:
-        if not self._extra:
-            return self._store.num_bids
-        return len(self.items())
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "tabulated",
-            "default": self.default,
-            "values": [
-                [event_id, user_id, value]
-                for (event_id, user_id), value in sorted(self.items().items())
-            ],
-        }

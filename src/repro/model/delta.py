@@ -10,8 +10,8 @@ with
 * an **incrementally maintained** :class:`~repro.model.index.InstanceIndex`
   — CSR bid incidence/conflict matrix/capacity vectors patched from the
   predecessor's arrays instead of rebuilt (the dense ``W``/``SI`` are
-  scattered from them), skipping the per-bid interest loop, the conflict
-  materialization and the degree pass for untouched entities; and
+  scattered from them), skipping the conflict materialization and the
+  degree pass for untouched entities; and
 * a **carried-over arrangement**: the predecessor's assignment with every
   pair the delta invalidated dropped (removed users/events/bids, new
   conflicts, capacity shrinks) by array work over the held pairs, plus the
@@ -38,7 +38,6 @@ import numpy as np
 from repro.analysis_tools.sanitize import sanitize_index
 from repro.model.arrangement import Arrangement
 from repro.model.columnar import (
-    ColumnarInterest,
     ColumnarStore,
     carry_attributes,
     carry_categories,
@@ -52,10 +51,9 @@ from repro.model.index import (
     InstanceIndex,
     build_degrees,
     index_class,
-    validated_interest,
 )
 from repro.model.instance import IGEPAInstance
-from repro.model.interest import InterestFunction, TabulatedInterest
+from repro.model.interest import TabulatedInterest, pair_interest
 from repro.social.graph import Graph
 
 
@@ -95,10 +93,14 @@ class Delta:
         set_event_capacity: ``(event_id, new_capacity)`` changes for
             surviving, pre-existing events.  A shrink below the carried
             attendance sheds the event's lightest pairs.
-        interest: ``(event_id, user_id) -> SI`` values backing new bids
-            *and* interest drift — entries on existing bid pairs re-weight
-            them in place (requires a :class:`TabulatedInterest` instance;
-            functional interest needs none).
+        interest: ``(event_id, user_id, SI)`` entries (requires a
+            :class:`TabulatedInterest` instance; functional interest needs
+            none).  An entry sets the SI of a bid of the successor — a
+            spliced bid or a surviving one (interest drift); a later entry
+            on a pair wins.  An entry naming no bid of the successor stores
+            nothing, but still marks its user and event touched.  A bid
+            spliced without an entry takes the instance's interest
+            function's value.
         degrees: ``user_id -> D(G, u)`` overrides for new users on instances
             built with degree overrides (sampled-marginal workloads).
     """
@@ -392,30 +394,6 @@ def _check_delta(instance: IGEPAInstance, delta: Delta) -> None:
                 )
 
 
-def _successor_interest(
-    instance: IGEPAInstance, delta: Delta
-) -> InterestFunction:
-    """The successor interest function (TabulatedInterest merged).
-
-    New entries (already range-checked by ``_check_delta``) are merged over
-    a copy of the table — a single C-level dict copy (milliseconds at 10⁵
-    entries).  Entries of removed users/events are *not* pruned: they are
-    never read (SI is only consulted on bid pairs), and pruning would turn
-    the flat copy into a per-entry filtered rebuild on every batch.
-    Callers that re-use an id after removing it therefore resurrect its
-    stale values; the churn generator never re-uses ids.
-    """
-    interest = instance.interest
-    if not delta.interest or not isinstance(interest, TabulatedInterest):
-        return interest
-    values = interest.items()
-    values.update(
-        ((event_id, user_id), value)
-        for event_id, user_id, value in delta.interest
-    )
-    return TabulatedInterest._from_trusted(values, interest.default)
-
-
 def _successor_social(instance: IGEPAInstance, delta: Delta) -> Graph:
     """The successor social graph (copied only when the user set changes)."""
     if not delta.add_users and not delta.remove_users:
@@ -478,17 +456,17 @@ def _patch_components(
     delta: Delta,
     maps: _PositionMaps,
     *,
-    successor_events: Sequence[Event],
-    interest_of: Callable[[int, int], float],
+    entities: Callable[[int, int], tuple[Event, User]],
 ) -> dict:
     """Patch the predecessor's primary arrays into the successor's.
 
-    Every surviving entry is copied bit for bit; new entries run the same
-    expressions the from-scratch build would (validated SI, the
-    predecessor's σ for new events' conflict rows, then the delta's
-    toggles).  The caller supplies the interest machinery
-    (``interest_of(event_id, user_id)``) as a delta-backed closure, so this
-    function never needs the successor.
+    Every surviving entry is copied bit for bit.  Spliced bids take the
+    interest function's value (:func:`~repro.model.interest.pair_interest`,
+    over the ``entities(event_id, user_id)`` the caller resolves, so this
+    function never needs the successor), then the delta's interest entries
+    are written through onto the successor's bids.  New events' conflict
+    rows come from the predecessor's σ (:func:`_new_event_rows`), then the
+    delta's toggles apply.
 
     The patch is expressed at the CSR-entry level (``bid_indices`` /
     ``bid_si`` splicing; withdrawn bids and re-weighted pairs are located by
@@ -560,14 +538,14 @@ def _patch_components(
         event_capacity[event_map[old.event_pos[event_id]]] = capacity
     event_pos = dict(zip(event_ids.tolist(), range(n_events)))
 
-    # Conflict matrix: slice survivors, take new events' rows from one
-    # matrix call on the predecessor's σ, then toggle the edited pairs.
+    # Conflict matrix: slice survivors, take new events' rows from the
+    # predecessor's σ, then toggle the edited pairs.
     conflict_matrix = np.zeros((n_events, n_events), dtype=bool)
     conflict_matrix[:n_survivor_events, :n_survivor_events] = old.conflict_matrix[
         np.ix_(keep_events, keep_events)
     ]
     if delta.add_events:
-        rows = instance.conflict.matrix(successor_events)[n_survivor_events:]
+        rows = _new_event_rows(instance, delta, maps, event_ids)
         conflict_matrix[n_survivor_events:] = rows
         conflict_matrix[:, n_survivor_events:] = rows.T
     for first, second in delta.remove_conflicts:
@@ -582,8 +560,8 @@ def _patch_components(
     # CSR bid incidence: keep surviving entries (preserving each user's bid
     # order), splice appended bids of rewritten users, then append the new
     # users' rows.  SI values ride along entry for entry: survivors are
-    # copied bit for bit, added bids run the constructor's own validated
-    # interest evaluation.
+    # copied bit for bit, spliced bids take the interest function's value
+    # (never the predecessor's column) until the entries below.
     old_entry_user = old.bid_user_positions
     old_entry_event = old.bid_indices
     keep_entries = keep_users[old_entry_user] & keep_events[old_entry_event]
@@ -615,16 +593,22 @@ def _patch_components(
     bid_indices = np.insert(
         kept_events_new, row_ends, [event_pos[e] for _p, _u, e in added]
     )
-    bid_si = np.insert(kept_si, row_ends, [interest_of(e, u) for _p, u, e in added])
+    bid_si = np.insert(
+        kept_si,
+        row_ends,
+        pair_interest(
+            instance.interest,
+            [e for _p, _u, e in added],
+            [u for _p, u, _e in added],
+            entities,
+        ),
+    )
     counts += np.bincount(add_upos, minlength=n_users)
     bid_indptr = np.zeros(n_users + 1, dtype=np.int64)
     np.cumsum(counts, out=bid_indptr[1:])
 
-    # Interest updates may also re-weight *existing* bid pairs; write those
-    # through so the patched SI matches the successor's merged table.  (A
-    # from-scratch build reads the merged table for every bid pair; entries
-    # on non-bid pairs only back the interest_of fallback and never reach
-    # the index either way.)
+    # Interest entries set the SI of the successor's bids, spliced or
+    # surviving; an entry naming no successor bid stores nothing.
     if delta.interest:
         si_events, si_users, si_values = zip(*delta.interest)
         # Successor positions (-1 for ids that do not survive): survivors
@@ -652,6 +636,46 @@ def _patch_components(
         bid_indices=bid_indices,
         bid_si=bid_si,
     )
+
+
+def _new_event_rows(
+    instance: IGEPAInstance,
+    delta: Delta,
+    maps: _PositionMaps,
+    event_ids: np.ndarray,
+) -> np.ndarray:
+    """σ of the predecessor between each event the delta opens and every
+    successor event (``event_ids``), before the delta's conflict edits.
+
+    A :class:`MatrixConflict` answers from its own relation, and an id it
+    does not know conflicts with nothing: a churned σ (a view over the
+    predecessor's events) gives zero rows without a lookup per event.  Any
+    other σ is asked for its matrix over the successor's events.
+    """
+    conflict = instance.conflict
+    added = delta.add_events
+    if isinstance(conflict, MatrixConflict):
+        pos = conflict.event_pos
+        rows = np.fromiter(
+            (pos.get(event.event_id, -1) for event in added), np.int64, len(added)
+        )
+        result = np.zeros((len(added), event_ids.size), dtype=bool)
+        known = np.flatnonzero(rows >= 0)
+        if known.size:
+            columns = np.fromiter(
+                (pos.get(event_id, -1) for event_id in event_ids.tolist()),
+                np.int64,
+                event_ids.size,
+            )
+            hit = np.flatnonzero(columns >= 0)
+            result[np.ix_(known, hit)] = conflict.relation[
+                np.ix_(rows[known], columns[hit])
+            ]
+        return result
+    store = instance.store
+    events = [store.event(row) for row in np.flatnonzero(maps.keep_events).tolist()]
+    events.extend(added)
+    return conflict.matrix(events)[-len(added) :]
 
 
 def _successor_degrees(
@@ -724,10 +748,9 @@ def _successor(
 
     No per-entity object is touched for surviving users: the successor's
     store is assembled from the patched component arrays (which double as
-    the index's primary arrays), added entities come straight from the
-    delta, and interest evaluation for spliced bids resolves through the
-    predecessor's interest — overlaid with the delta's interest entries
-    exactly as the successor's merged table holds them.
+    the index's primary arrays, ``bid_si`` included), added entities come
+    straight from the delta, and the successor keeps the predecessor's
+    interest function unchanged.
 
     Returns the successor instance plus the patched components (sans
     degrees) for the caller to attach an index from.
@@ -735,39 +758,20 @@ def _successor(
     store = instance.store
     social = _successor_social(instance, delta)
 
-    # Successor events for the new-event conflict rows (built only when
-    # events are added): O(|V|) views plus the added Event objects.
-    kept_rows = np.flatnonzero(maps.keep_events).tolist() if delta.add_events else []
-    successor_events = [store.event(int(row)) for row in kept_rows]
-    successor_events.extend(delta.add_events)
-
+    # Entity objects for a non-table interest function's calls on spliced
+    # bids: the delta's own, else views of the predecessor.
     added_users = {user.user_id: user for user in delta.add_users}
     added_events = {event.event_id: event for event in delta.add_events}
     pred_user_by_id = instance.user_by_id
     pred_event_by_id = instance.event_by_id
-    base_interest = instance.interest.interest
-    delta_map = {(event_id, user_id): v for event_id, user_id, v in delta.interest}
 
-    def interest_of(event_id: int, user_id: int) -> float:
-        # SI for spliced bids: the delta's interest entries take precedence
-        # (they sit on top of the successor's merged table, and _check_delta
-        # range-checked them), then the predecessor's interest — for
-        # ColumnarInterest a CSR/extra lookup, so withdrawn-and-re-added
-        # pairs resurrect their stored value as the unpruned table does.
-        value = delta_map.get((event_id, user_id))
-        if value is not None:
-            return value
-        event = added_events.get(event_id) or pred_event_by_id[event_id]
-        user = added_users.get(user_id) or pred_user_by_id[user_id]
-        return validated_interest(base_interest, event, user)
+    def entities(event_id: int, user_id: int) -> tuple[Event, User]:
+        return (
+            added_events.get(event_id) or pred_event_by_id[event_id],
+            added_users.get(user_id) or pred_user_by_id[user_id],
+        )
 
-    components = _patch_components(
-        instance,
-        delta,
-        maps,
-        successor_events=successor_events,
-        interest_of=interest_of,
-    )
+    components = _patch_components(instance, delta, maps, entities=entities)
 
     # Degree-override column: splice the vector (added users the delta
     # gives no degree get 0.0, as in ColumnarStore.from_entities).
@@ -797,7 +801,7 @@ def _successor(
         event_capacity=components["event_capacity"],
         bid_indptr=components["bid_indptr"],
         bid_event_pos=components["bid_indices"],
-        bid_si=components["bid_si"] if store.bid_si is not None else None,
+        bid_si=components["bid_si"],
         degrees=store_degrees,
         user_attributes=carry_attributes(
             store.user_attributes,
@@ -834,19 +838,10 @@ def _successor(
             successor_store.event_pos,
         )
 
-    if isinstance(instance.interest, ColumnarInterest):
-        extra = dict(instance.interest._extra)
-        extra.update(delta_map)
-        interest = ColumnarInterest(
-            successor_store, instance.interest.default, extra=extra or None
-        )
-    else:
-        interest = _successor_interest(instance, delta)
-
     successor = IGEPAInstance.from_store(
         successor_store,
         conflict=conflict,
-        interest=interest,
+        interest=instance.interest,
         social=social,
         beta=instance.beta,
         name=instance.name,
@@ -1015,11 +1010,13 @@ def coalesce_deltas(deltas: Sequence[Delta]) -> Delta:
       event closes; a coalesced delta carrying them would fail
       validation);
     * capacity changes on pre-window entities are last-wins;
-    * ``interest`` entries all survive (later entries overwrite earlier
-      ones in application order, and entries on removed entities merge
-      into the unpruned interest table exactly as sequential application
-      leaves them); ``degrees`` entries are filtered to users surviving
-      the window.
+    * ``interest`` entries survive in application order (a later entry on
+      a pair wins), except that an entry is dropped when a later delta in
+      the window adds its pair again: applied one by one, that add splices
+      the interest function's value unless its own delta gives an entry.
+      Entries naming no bid of the successor store nothing either way, and
+      the add marks the pair's user and event touched as the entry did;
+      ``degrees`` entries are filtered to users surviving the window.
 
     Raises:
         DeltaError: when an id removed within the window is re-added later
@@ -1040,7 +1037,11 @@ def coalesce_deltas(deltas: Sequence[Delta]) -> Delta:
     removed_conflicts: list[tuple[int, int]] = []
     user_caps: dict[int, int] = {}
     event_caps: dict[int, int] = {}
-    interest: list[tuple[int, int, float]] = []
+    # Each delta's interest entries with the delta's index, and the index
+    # of the last delta adding each pair: an entry is kept unless a later
+    # delta adds its pair again.
+    interest: list[tuple[int, tuple[tuple[int, int, float], ...]]] = []
+    last_added: dict[tuple[int, int], int] = {}
     degrees: list[tuple[int, float]] = []
 
     def drop_event_refs(event_id: int) -> None:
@@ -1059,7 +1060,7 @@ def coalesce_deltas(deltas: Sequence[Delta]) -> Delta:
         ]
         event_caps.pop(event_id, None)
 
-    for delta in deltas:
+    for k, delta in enumerate(deltas):
         for user_id, event_id in delta.remove_bids:
             if user_id in added_users:
                 added_user_bids[user_id].remove(event_id)
@@ -1148,7 +1149,15 @@ def coalesce_deltas(deltas: Sequence[Delta]) -> Delta:
                 )
             else:
                 event_caps[event_id] = capacity
-        interest.extend(delta.interest)
+        last_added.update(
+            ((event_id, user_id), k) for user_id, event_id in delta.add_bids
+        )
+        last_added.update(
+            ((event_id, user.user_id), k)
+            for user in delta.add_users
+            for event_id in user.bids
+        )
+        interest.append((k, delta.interest))
         degrees.extend(delta.degrees)
 
     return Delta(
@@ -1165,7 +1174,12 @@ def coalesce_deltas(deltas: Sequence[Delta]) -> Delta:
         remove_conflicts=tuple(removed_conflicts),
         set_user_capacity=tuple(user_caps.items()),
         set_event_capacity=tuple(event_caps.items()),
-        interest=tuple(interest),
+        interest=tuple(
+            entry
+            for k, entries in interest
+            for entry in entries
+            if last_added.get(entry[:2], k) <= k
+        ),
         degrees=tuple(
             (user_id, value)
             for user_id, value in degrees
@@ -1191,8 +1205,9 @@ def apply_delta(
 
     Operations apply in a fixed order: bid removals, user removals, event
     removals (dropping surviving users' bids on them), event additions, user
-    additions, bid additions, conflict edits, capacity changes,
-    interest/degree merges.  A bid
+    additions, bid additions, conflict edits, capacity changes, interest
+    entries (written onto the successor's bids in its store's ``bid_si``
+    column; see :attr:`Delta.interest`), degree overrides.  A bid
     removal may therefore target an event closing in the same delta, and bid
     additions (including new users' bid lists) may reference newly opened
     events.

@@ -49,8 +49,8 @@ derived arrays bit-identical between the from-scratch and the patched build
 because both run the same expressions.
 
 Values are bit-identical to the scalar accessors they back — and bit
-identical *between the two index implementations*: the same interest
-function calls, the same degree normalisation, the same IEEE-754 double
+identical *between the two index implementations*: the same store SI
+column, the same degree normalisation, the same IEEE-754 double
 arithmetic — so routing an algorithm through either index cannot change its
 decisions under a fixed seed (``tests/integration/test_sharded_parity.py``
 enforces this end to end).
@@ -59,7 +59,6 @@ enforces this end to end).
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -67,7 +66,6 @@ import numpy as np
 from repro.model.errors import IndexCapacityError, InstanceValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.model.entities import Event, User
     from repro.model.instance import IGEPAInstance
 
 #: Hard cap on dense ``(num_users, num_events)`` matrices: above this many
@@ -111,26 +109,6 @@ def build_degrees(instance: "IGEPAInstance") -> np.ndarray:
         )
         return raw / (num_users - 1)
     return np.zeros(num_users, dtype=np.float64)
-
-
-def validated_interest(
-    interest_fn: Callable[["Event", "User"], float],
-    event: "Event",
-    user: "User",
-) -> float:
-    """Evaluate SI on one pair, enforcing Definition 5's ``[0, 1]`` range.
-
-    The single range check used by the index build and by delta maintenance,
-    so both paths reject bad interest functions with the same error.
-    """
-    value = interest_fn(event, user)
-    if not 0.0 <= value <= 1.0:
-        raise InstanceValidationError(
-            f"interest function returned {value} for event "
-            f"{event.event_id}, user {user.user_id}; Definition 5 "
-            "requires [0, 1]"
-        )
-    return value
 
 
 def packed_words(rows: np.ndarray) -> np.ndarray:
@@ -249,9 +227,9 @@ class BaseInstanceIndex:
 
         All columns come straight from the instance's
         :class:`~repro.model.columnar.ColumnarStore` — zero copy, including
-        the position maps — so the index build never iterates entity
-        objects.  Indexes never mutate these arrays (delta maintenance
-        always allocates fresh ones), so sharing is safe.
+        the position maps and σ's matrix — so the index build never
+        iterates entity objects.  Indexes never mutate these arrays (delta
+        maintenance always allocates fresh ones), so sharing is safe.
         """
         self.instance = instance
         store = instance.store
@@ -264,69 +242,34 @@ class BaseInstanceIndex:
         self.event_capacity = store.event_capacity
 
         self.degrees = build_degrees(instance)
-        if store.conflict_matrix is not None:
-            self.conflict_matrix = store.conflict_matrix
-        else:
-            # One view per event, not one per pair the generic matrix probes.
-            self.conflict_matrix = instance.conflict.matrix(list(instance.events))
+        assert store.conflict_matrix is not None  # IGEPAInstance packs it
+        self.conflict_matrix = store.conflict_matrix
 
     def _build_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR bid incidence with per-entry SI values.
+        """CSR bid incidence with per-entry SI values, shared zero-copy.
 
-        The structure (``indptr`` / event positions) is the store's CSR,
-        shared zero-copy.  SI values: when the instance's interest *is* the
-        store's ``bid_si`` column (:class:`~repro.model.columnar.
-        ColumnarInterest`), the column is range-checked in one vectorized
-        pass and shared directly — no per-pair Python call.  Any other
-        interest function is evaluated per pair exactly as the scalar
-        ``IGEPAInstance.interest_of`` does, user by user in bid-list order —
-        the same evaluation order on both index implementations, and the
-        same values either way (the column holds what the tabulated
-        function would return).
+        The structure (``indptr`` / event positions) and the SI values are
+        the store's own columns: ``bid_si`` is the one place an instance
+        holds a bid's interest (``IGEPAInstance`` fills it from the interest
+        function once, delta maintenance patches it).  The column is
+        range-checked in one vectorized pass.
         """
-        from repro.model.columnar import ColumnarInterest
-
-        instance = self.instance
-        store = instance.store
+        store = self.instance.store
         indptr = store.bid_indptr
         indices = store.bid_event_pos
-
-        interest_obj = instance.interest
-        if (
-            isinstance(interest_obj, ColumnarInterest)
-            and interest_obj._store is store
-            and store.bid_si is not None
-        ):
-            si_values = store.bid_si
-            if si_values.size:
-                bad = np.flatnonzero((si_values < 0.0) | (si_values > 1.0))
-                if bad.size:
-                    entry = int(bad[0])
-                    row = int(np.searchsorted(indptr, entry, side="right")) - 1
-                    col = int(indices[entry])
-                    raise InstanceValidationError(
-                        f"interest function returned {float(si_values[entry])} "
-                        f"for event {int(self.event_ids[col])}, user "
-                        f"{int(self.user_ids[row])}; Definition 5 "
-                        "requires [0, 1]"
-                    )
-            return indptr, indices, si_values
-
-        interest = interest_obj.interest
-        users = instance.users
-        # Each event's view is created once per build, not once per bid.
-        events = list(instance.events)
-        indptr_list = indptr.tolist()
-        indices_list = indices.tolist()
-        si_values = np.empty(indices.size, dtype=np.float64)
-        # Generic Interest objects only expose scalar calls, so this path is
-        # inherently per-bid; array-backed stores take the vectorized branch.
-        for i in range(store.num_users):  # igepa: ignore[IGP001]
-            user = users[i]
-            for entry in range(indptr_list[i], indptr_list[i + 1]):
-                si_values[entry] = validated_interest(
-                    interest, events[indices_list[entry]], user
-                )
+        si_values = store.bid_si
+        assert si_values is not None  # IGEPAInstance fills it
+        bad = np.flatnonzero((si_values < 0.0) | (si_values > 1.0))
+        if bad.size:
+            entry = int(bad[0])
+            row = int(np.searchsorted(indptr, entry, side="right")) - 1
+            col = int(indices[entry])
+            raise InstanceValidationError(
+                f"interest function returned {float(si_values[entry])} "
+                f"for event {int(self.event_ids[col])}, user "
+                f"{int(self.user_ids[row])}; Definition 5 "
+                "requires [0, 1]"
+            )
         return indptr, indices, si_values
 
     @classmethod

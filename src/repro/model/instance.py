@@ -12,8 +12,11 @@ provides the derived quantities every algorithm needs:
 * bidder sets ``N_v``.
 
 Every instance is stored as one :class:`~repro.model.columnar.ColumnarStore`,
-whichever constructor built it.  Instances are validated on construction and
-immutable by convention: all derived quantities are cached.
+whichever constructor built it.  The store holds σ's matrix and the SI value
+of every bid (``bid_si``); a store that comes without them gets them packed
+from the conflict and interest functions on construction.  Instances are
+validated on construction and immutable by convention: all derived
+quantities are cached.
 """
 
 from __future__ import annotations
@@ -35,7 +38,13 @@ from repro.model.conflicts import ConflictFunction, conflict_from_dict
 from repro.model.entities import Event, User
 from repro.model.errors import InstanceValidationError
 from repro.model.index import BaseInstanceIndex, index_class
-from repro.model.interest import InterestFunction, interest_from_dict
+from repro.model.interest import (
+    InterestFunction,
+    TabulatedInterest,
+    interest_from_dict,
+    pair_interest,
+    validated_interest,
+)
 from repro.social.graph import Graph
 
 
@@ -48,6 +57,9 @@ class IGEPAInstance:
     are lazy view columns over the store, ``user_by_id``/``event_by_id``
     are O(1) view mappings, and degree overrides live in the store's
     ``degrees`` vector.  :meth:`from_store` wraps an already-built store.
+    Either way σ's matrix and every bid's SI go into the store once, when
+    it does not hold them yet; ``interest`` stays the input function,
+    which churn never rewrites.
 
     Args:
         events: the event set ``V``.
@@ -67,8 +79,9 @@ class IGEPAInstance:
 
     Raises:
         InstanceValidationError: on duplicate ids, dangling bids, an invalid
-            ``beta``, social-network nodes that are not users, or degree
-            overrides for non-users or outside ``[0, 1]``.
+            ``beta``, social-network nodes that are not users, degree
+            overrides for non-users or outside ``[0, 1]``, or an interest
+            function returning a value outside ``[0, 1]`` on a bid pair.
     """
 
     def __init__(
@@ -140,6 +153,11 @@ class IGEPAInstance:
 
         if validate:
             self._validate()
+        # After validation, which the fill's bid positions rely on.
+        if store.conflict_matrix is None:
+            store.conflict_matrix = conflict.matrix(list(self.events))
+        if store.bid_si is None:
+            store.bid_si = self._function_interest()
         # After validation, so malformed input reports as
         # InstanceValidationError whether or not the sanitizers are on.
         sanitize_store(store)
@@ -150,6 +168,25 @@ class IGEPAInstance:
         self._index: BaseInstanceIndex | None = None
         # ``sharded`` as set by configure_index (see index_class).
         self._index_config = False
+
+    def _bid_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Event and user id of every bid entry, in the store's CSR order."""
+        store = self.store
+        return (
+            store.event_ids[store.bid_event_pos],
+            np.repeat(store.user_ids, np.diff(store.bid_indptr)),
+        )
+
+    def _function_interest(self) -> np.ndarray:
+        """``interest`` evaluated on every bid, in the store's CSR order."""
+        event_ids, user_ids = self._bid_ids()
+        event_by_id, user_by_id = self.event_by_id, self.user_by_id
+        return pair_interest(
+            self.interest,
+            event_ids.tolist(),
+            user_ids.tolist(),
+            lambda event_id, user_id: (event_by_id[event_id], user_by_id[user_id]),
+        )
 
     @property
     def is_columnar(self) -> bool:
@@ -260,10 +297,11 @@ class IGEPAInstance:
         return float(index.degrees[position])
 
     def interest_of(self, event_id: int, user_id: int) -> float:
-        """``SI(l_v, l_u)`` — an index lookup for bid pairs.
+        """``SI(l_v, l_u)`` — the store's ``bid_si`` value for bid pairs,
+        read through the index.
 
         Non-bid pairs (never queried by feasible arrangements) fall back to
-        the interest function, cached per pair.
+        the interest function, cached per pair; churn never writes them.
 
         Raises:
             InstanceValidationError: if the interest function returns a value
@@ -278,14 +316,11 @@ class IGEPAInstance:
         cached = self._interest_cache.get(key)
         if cached is not None:
             return cached
-        value = self.interest.interest(
-            self.event_by_id[event_id], self.user_by_id[user_id]
+        value = validated_interest(
+            self.interest.interest,
+            self.event_by_id[event_id],
+            self.user_by_id[user_id],
         )
-        if not 0.0 <= value <= 1.0:
-            raise InstanceValidationError(
-                f"interest function returned {value} for event {event_id}, "
-                f"user {user_id}; Definition 5 requires [0, 1]"
-            )
         self._interest_cache[key] = value
         return value
 
@@ -388,7 +423,7 @@ class IGEPAInstance:
                 for u in self.users
             ],
             "conflict": self.conflict.to_dict(),
-            "interest": self.interest.to_dict(),
+            "interest": self._interest_payload(),
             "social_edges": [[u, v] for u, v in sorted(
                 tuple(sorted(edge)) for edge in self.social.edges()
             )],
@@ -398,6 +433,28 @@ class IGEPAInstance:
                 else {str(k): v for k, v in sorted(self.degrees_override.items())}
             ),
         }
+
+    def _interest_payload(self) -> dict:
+        """SI as saved: the interest function, and for a table also every
+        bid whose stored value differs from it (re-weighted or spliced by
+        churn), so loading rebuilds the same ``bid_si`` column."""
+        interest = self.interest
+        if not isinstance(interest, TabulatedInterest):
+            return interest.to_dict()
+        column = self.store.bid_si
+        assert column is not None  # filled in _init
+        differ = np.flatnonzero(column != self._function_interest())
+        if not differ.size:
+            return interest.to_dict()
+        event_ids, user_ids = self._bid_ids()
+        values = interest.items()
+        values.update(
+            zip(
+                zip(event_ids[differ].tolist(), user_ids[differ].tolist()),
+                column[differ].tolist(),
+            )
+        )
+        return TabulatedInterest(values, interest.default).to_dict()
 
     @classmethod
     def from_dict(cls, payload: dict) -> "IGEPAInstance":

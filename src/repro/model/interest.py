@@ -8,16 +8,22 @@ pipeline samples interest values uniformly — realized as
 covers category-tag data.
 
 Every implementation guarantees values in ``[0, 1]``.
+
+An interest function is an *input*: SI is only read on bid pairs, and each
+instance holds the value of every bid in its store's ``bid_si`` column,
+filled from the function once (:func:`pair_interest`).  Churn re-weights
+and splices bids in that column and never rewrites the function.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.model.entities import Event, User
+from repro.model.errors import InstanceValidationError
 
 
 class InterestFunction(ABC):
@@ -80,6 +86,8 @@ class TabulatedInterest(InterestFunction):
     Used by the synthetic generator ("the interest values of users in events
     are uniformly sampled").  Missing pairs default to ``default`` (0.0),
     covering non-bid pairs that are never queried by feasible arrangements.
+    The stream generator passes an empty table: the values it samples live
+    in the store's ``bid_si`` column only.
 
     Raises:
         ValueError: if any stored value is outside ``[0, 1]``.
@@ -100,30 +108,11 @@ class TabulatedInterest(InterestFunction):
             raise ValueError(f"default interest {default} outside [0, 1]")
         self.default = float(default)
 
-    @classmethod
-    def _from_trusted(
-        cls, values: dict[tuple[int, int], float], default: float
-    ) -> "TabulatedInterest":
-        """Internal: wrap an already-validated table without re-checking.
-
-        Delta maintenance merges thousands of validated entries per batch;
-        re-running the range check on every carry-over would dominate the
-        merge.  Callers must pass int-keyed, float-valued, in-range data.
-        """
-        interest = cls.__new__(cls)
-        interest._values = values
-        interest.default = default
-        return interest
-
     def interest(self, event: Event, user: User) -> float:
         return self._values.get((event.event_id, user.user_id), self.default)
 
     def items(self) -> dict[tuple[int, int], float]:
-        """A copy of the stored ``(event_id, user_id) -> value`` table.
-
-        Delta maintenance (:mod:`repro.model.delta`) derives a successor
-        table from it when bids churn.
-        """
+        """A copy of the stored ``(event_id, user_id) -> value`` table."""
         return dict(self._values)
 
     def __len__(self) -> int:
@@ -156,6 +145,52 @@ class ScaledDotInterest(InterestFunction):
 
     def to_dict(self) -> dict:
         return {"kind": "scaled-dot"}
+
+
+def validated_interest(
+    interest_fn: Callable[[Event, User], float], event: Event, user: User
+) -> float:
+    """Evaluate SI on one pair, enforcing Definition 5's ``[0, 1]`` range."""
+    value = interest_fn(event, user)
+    if not 0.0 <= value <= 1.0:
+        raise InstanceValidationError(
+            f"interest function returned {value} for event "
+            f"{event.event_id}, user {user.user_id}; Definition 5 "
+            "requires [0, 1]"
+        )
+    return value
+
+
+def pair_interest(
+    interest: InterestFunction,
+    event_ids: Sequence[int],
+    user_ids: Sequence[int],
+    entities: Callable[[int, int], tuple[Event, User]],
+) -> np.ndarray:
+    """SI of each ``(event_ids[k], user_ids[k])`` pair, in order.
+
+    A plain :class:`TabulatedInterest` answers from its table in one lookup
+    pass (its values were range-checked when the table was built).  Any
+    other function, a subclass that overrides ``interest`` included, is
+    called once per pair on the objects ``entities(event_id, user_id)``
+    returns, through :func:`validated_interest`.
+    """
+    count = len(event_ids)
+    pairs = zip(event_ids, user_ids)
+    if (
+        isinstance(interest, TabulatedInterest)
+        and type(interest).interest is TabulatedInterest.interest
+    ):
+        get, default = interest._values.get, interest.default
+        return np.fromiter(
+            (get(pair, default) for pair in pairs), dtype=np.float64, count=count
+        )
+    call = interest.interest
+    return np.fromiter(
+        (validated_interest(call, *entities(*pair)) for pair in pairs),
+        dtype=np.float64,
+        count=count,
+    )
 
 
 def interest_from_dict(payload: dict) -> InterestFunction:

@@ -200,7 +200,7 @@ class TestStreamGenerator:
         b = generate_synthetic_stream(config, seed=11, chunk_size=64)
         assert [u.bids for u in a.users] == [u.bids for u in b.users]
         assert [u.capacity for u in a.users] == [u.capacity for u in b.users]
-        assert a.interest.items() == b.interest.items()
+        assert np.array_equal(a.store.bid_si, b.store.bid_si)
         assert a.degrees_override == b.degrees_override
 
     def test_workload_shape(self):
@@ -217,8 +217,10 @@ class TestStreamGenerator:
             assert len(user.bids) <= config.max_bids
             for event_id in user.bids:
                 assert 0 <= event_id < config.num_events
-                # every bid pair carries a sampled interest value
-                assert (event_id, user.user_id) in instance.interest.items()
+        # every bid pair carries a sampled interest value, in the store
+        si = instance.store.bid_si
+        assert si.size == instance.store.num_bids
+        assert ((si >= 0.0) & (si <= 1.0)).all() and np.unique(si).size > 1
         assert instance.degrees_override is not None
         assert all(0.0 <= d <= 1.0 for d in instance.degrees_override.values())
 

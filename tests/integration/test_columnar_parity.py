@@ -22,7 +22,6 @@ from repro.datagen import (
     generate_synthetic_stream,
 )
 from repro.model import InstanceIndex, ShardedInstanceIndex
-from repro.model.columnar import ColumnarInterest
 from repro.model.delta import (
     apply_delta,
     fresh_index_like,
@@ -42,8 +41,6 @@ def _config(num_users: int | None = None) -> SyntheticConfig:
 def _pair(seed: int, num_users: int | None = None):
     columnar = generate_synthetic_stream(_config(num_users), seed=seed)
     entity = entity_built_twin(columnar)
-    assert isinstance(columnar.interest, ColumnarInterest)
-    assert not isinstance(entity.interest, ColumnarInterest)
     assert entity.store is not columnar.store
     return columnar, entity
 
@@ -178,10 +175,9 @@ def test_delta_replay_matches_entity_path():
         inst_e = apply_delta(inst_e, delta_e).instance
         _assert_index_parity(inst_c.index, inst_e.index)
         assert [u.bids for u in inst_c.users] == [u.bids for u in inst_e.users]
-        # Interest tables agree on every live bid pair (the columnar table
-        # deliberately drops values of withdrawn bids, so compare per pair).
-        items_c, items_e = inst_c.interest.items(), inst_e.interest.items()
+        # SI agrees on every live bid pair.
         for user in inst_c.users:
             for event_id in user.bids:
-                key = (event_id, user.user_id)
-                assert items_c[key] == items_e[key]
+                assert inst_c.interest_of(event_id, user.user_id) == (
+                    inst_e.interest_of(event_id, user.user_id)
+                )

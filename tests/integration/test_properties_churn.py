@@ -10,7 +10,10 @@ Every property is checked over a battery of random instances/seeds:
 * churn repair never leaves a violated pair behind, on steady and on
   adversarial-burst traces, and the delta-maintained index stays
   bit-identical to a from-scratch rebuild along the whole chain, its σ
-  equal to the trace's conflict edits replayed on a plain pair set.
+  equal to the trace's conflict edits replayed on a plain pair set;
+* the store's ``bid_si`` column equals the trace's bids and interest
+  entries replayed on a plain dict over the interest function, on both
+  generators, with and without the runtime sanitizers.
 """
 
 import numpy as np
@@ -24,10 +27,22 @@ from repro.core import (
     improve,
     repair,
 )
-from repro.datagen import ChurnConfig, generate_churn_trace
+from repro.datagen import (
+    ChurnConfig,
+    SyntheticConfig,
+    generate_churn_trace,
+    generate_synthetic,
+    generate_synthetic_stream,
+)
 from repro.experiments import index_parity_mismatches
-from repro.model import InstanceIndex, apply_delta
-from tests.util import conflict_mismatches, random_instance, replay_conflicts
+from repro.model import Delta, InstanceIndex, apply_delta
+from tests.util import (
+    bid_interest_table,
+    conflict_mismatches,
+    random_instance,
+    replay_conflicts,
+    replay_interest,
+)
 
 SEEDS = range(6)
 
@@ -152,3 +167,59 @@ class TestChurnRepairProperties:
             result = apply_delta(current, delta, arrangement)
             assert result.arrangement.violations() == []
             current, arrangement = result.instance, result.arrangement
+
+
+class TestInterestReplay:
+    """``bid_si`` against :func:`tests.util.replay_interest`.
+
+    Each generator batch (interest drift on) is followed by a delta that
+    withdraws and re-adds a few bids without entries, plus an entry on a
+    pair that is no bid: re-added bids must read the interest function, not
+    the value the predecessor's column held, and the stray entry must
+    store nothing.
+    """
+
+    GENERATORS = {"synthetic": generate_synthetic, "stream": generate_synthetic_stream}
+
+    @pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitize"])
+    @pytest.mark.parametrize("burst", [False, True], ids=["steady", "burst"])
+    @pytest.mark.parametrize("generator", sorted(GENERATORS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bid_si_matches_replayed_interest(
+        self, seed, generator, burst, sanitize, monkeypatch
+    ):
+        if sanitize:
+            monkeypatch.setenv("IGEPA_SANITIZE", "1")
+        instance = self.GENERATORS[generator](
+            SyntheticConfig(num_users=40, num_events=10), seed=seed
+        )
+        config = TestChurnRepairProperties._config(burst).with_overrides(
+            drift_rate=4.0
+        )
+        trace = generate_churn_trace(instance, config, seed=seed + 50)
+        values, default = instance.interest.items(), instance.interest.default
+
+        def base(event_id, user_id):
+            return values.get((event_id, user_id), default)
+
+        rng = np.random.default_rng(seed)
+        table = bid_interest_table(instance)
+        current = instance
+        for batch, delta in enumerate(trace.deltas):
+            current = apply_delta(current, delta).instance
+            table = replay_interest(table, delta, base)
+            assert bid_interest_table(current) == table, f"batch {batch}"
+
+            bids = sorted(table)
+            chosen = rng.choice(len(bids), size=min(3, len(bids)), replace=False)
+            pairs = tuple((bids[k][1], bids[k][0]) for k in chosen.tolist())
+            user = current.users[int(rng.integers(current.num_users))]
+            stray = [
+                (event.event_id, user.user_id, 0.5)
+                for event in current.events
+                if event.event_id not in user.bids
+            ][:1]
+            readd = Delta(remove_bids=pairs, add_bids=pairs, interest=stray)
+            current = apply_delta(current, readd).instance
+            table = replay_interest(table, readd, base)
+            assert bid_interest_table(current) == table, f"re-add {batch}"

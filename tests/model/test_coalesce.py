@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 
 from repro.datagen.churn import ChurnConfig, generate_churn_trace
-from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
+from repro.datagen.synthetic import (
+    SyntheticConfig,
+    generate_synthetic,
+    generate_synthetic_stream,
+)
 from repro.model import Delta, DeltaError, Event, User, apply_delta
 from repro.model.delta import coalesce_deltas
 from tests.model.test_delta import INDEX_ARRAYS, assert_index_parity
@@ -45,6 +49,7 @@ def assert_same_instance(sequential, coalesced):
         assert np.array_equal(
             getattr(sequential.index, name), getattr(coalesced.index, name)
         ), f"index array {name} diverged"
+    assert np.array_equal(sequential.store.bid_si, coalesced.store.bid_si)
     assert_index_parity(coalesced)
 
 
@@ -181,11 +186,17 @@ class TestCoalesceUnits:
 
 
 class TestCoalesceEquivalence:
-    """Generator-scale: coalescing churn windows is index-bits exact."""
+    """Generator-scale: coalescing churn windows is index-bits exact.
+
+    Runs on an object-built platform here and on a stream-built one in
+    :class:`TestCoalesceEquivalenceStream`.
+    """
+
+    generator = staticmethod(generate_synthetic)
 
     @pytest.mark.parametrize("window", [2, 3, 5])
     def test_churn_trace_windows(self, window):
-        instance = generate_synthetic(
+        instance = self.generator(
             SyntheticConfig(num_users=80, num_events=20), seed=3
         )
         trace = generate_churn_trace(
@@ -206,7 +217,7 @@ class TestCoalesceEquivalence:
             seed=17,
         )
         sequential = apply_all(instance, trace.deltas)
-        coalesced_instance = generate_synthetic(
+        coalesced_instance = self.generator(
             SyntheticConfig(num_users=80, num_events=20), seed=3
         )
         grouped = [
@@ -217,7 +228,7 @@ class TestCoalesceEquivalence:
         assert_same_instance(sequential, coalesced)
 
     def test_carried_arrangement_stays_feasible(self):
-        instance = generate_synthetic(
+        instance = self.generator(
             SyntheticConfig(num_users=60, num_events=15), seed=5
         )
         from repro.core.baselines import GGGreedy
@@ -237,3 +248,43 @@ class TestCoalesceEquivalence:
         delta = coalesce_deltas(trace.deltas)
         result = apply_delta(instance, delta, arrangement)
         assert result.arrangement.is_feasible()
+
+    def _platform(self):
+        return self.generator(SyntheticConfig(num_users=30, num_events=8), seed=3)
+
+    def _assert_both_ways(self, window, pair):
+        """One by one and coalesced agree, and the pair reads the interest
+        function's value."""
+        event_id, user_id = pair
+        sequential = apply_all(self._platform(), window)
+        coalesced = apply_all(self._platform(), [coalesce_deltas(window)])
+        assert_same_instance(sequential, coalesced)
+        function = self._platform().interest.items().get(pair, 0.0)
+        assert sequential.interest_of(event_id, user_id) == function
+        assert coalesced.interest_of(event_id, user_id) == function
+
+    def test_withdrawn_bid_readded_without_entry(self):
+        user = self._platform().users[0]
+        bid = (user.user_id, user.bids[0])
+        window = [Delta(remove_bids=(bid,)), Delta(add_bids=(bid,))]
+        self._assert_both_ways(window, (bid[1], bid[0]))
+
+    def test_entry_on_non_bid_pair_then_add_without_entry(self):
+        platform = self._platform()
+        user = platform.users[0]
+        event_id = next(
+            e.event_id for e in platform.events if e.event_id not in user.bids
+        )
+        window = [
+            Delta(interest=((event_id, user.user_id, 0.5),)),
+            Delta(add_bids=((user.user_id, event_id),)),
+        ]
+        assert coalesce_deltas(window).interest == ()
+        self._assert_both_ways(window, (event_id, user.user_id))
+
+
+class TestCoalesceEquivalenceStream(TestCoalesceEquivalence):
+    """The equivalence tests on a stream-built platform (whose interest
+    function is an empty table)."""
+
+    generator = staticmethod(generate_synthetic_stream)

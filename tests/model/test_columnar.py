@@ -1,4 +1,4 @@
-"""ColumnarStore unit tests: columns, views, spill, interest, validation.
+"""ColumnarStore unit tests: columns, views, spill, validation.
 
 The columnar layer's contract is twofold: (1) the arrays describe exactly
 the entities the instance was built from — ``from_entities`` round-trips
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.model.columnar import (
-    ColumnarInterest,
     ColumnarStore,
     EventColumn,
     EventView,
@@ -221,47 +220,6 @@ class TestSpill:
         resident_before = store.nbytes
         store.spill(tmp_path)
         assert store.nbytes < resident_before
-
-
-class TestColumnarInterest:
-    def test_requires_bid_si(self):
-        store = _small_store(bid_si=None)
-        with pytest.raises(ValueError, match="bid_si"):
-            ColumnarInterest(store)
-
-    def test_default_range_checked(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ColumnarInterest(_small_store(), default=1.5)
-
-    def test_lookup_matches_csr(self):
-        store = _small_store()
-        interest = ColumnarInterest(store, default=0.125)
-        user0, user1 = store.user(0), store.user(1)
-        event0, event1 = store.event(0), store.event(1)
-        assert interest.interest(event0, user0) == 0.5
-        assert interest.interest(event1, user0) == 0.25
-        assert interest.interest(event1, user1) == 1.0
-        # Non-bid pair falls back to the default.
-        assert interest.interest(event0, user1) == 0.125
-        assert len(interest) == 3
-
-    def test_items_and_to_dict(self):
-        store = _small_store()
-        interest = ColumnarInterest(store)
-        expected = {(100, 10): 0.5, (101, 10): 0.25, (101, 11): 1.0}
-        assert interest.items() == expected
-        payload = interest.to_dict()
-        assert payload["kind"] == "tabulated"
-        assert payload["values"] == [
-            [e, u, v] for (e, u), v in sorted(expected.items())
-        ]
-
-    def test_extra_overlays_csr(self):
-        store = _small_store()
-        interest = ColumnarInterest(store, extra={(100, 11): 0.75})
-        assert interest.interest(store.event(0), store.user(1)) == 0.75
-        assert interest.items()[(100, 11)] == 0.75
-        assert len(interest) == 4
 
 
 class TestValidation:

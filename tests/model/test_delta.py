@@ -13,6 +13,7 @@ from repro.model import (
     User,
     apply_delta,
 )
+from repro.model.delta import index_parity_mismatches
 from tests.util import random_instance, tiny_instance
 
 #: Every array the patched index must reproduce bit for bit.
@@ -432,6 +433,56 @@ class TestPatchLoops:
         assert index_parity_mismatches(patched, full.index) == []
 
 
+class TestNewEventConflictRows:
+    """A base σ may name an event id before the event exists; adding the
+    event brings that conflict in on every path."""
+
+    @staticmethod
+    def _instance():
+        from repro.model import IGEPAInstance
+
+        payload = tiny_instance().to_dict()
+        payload["conflict"] = {"kind": "matrix", "pairs": [[1, 2], [1, 99]]}
+        return IGEPAInstance.from_dict(payload)
+
+    @pytest.mark.parametrize("incremental", [True, False], ids=["patched", "full"])
+    def test_future_event_conflict_arrives_with_the_event(self, incremental):
+        delta = Delta(add_events=(Event(event_id=99, capacity=1),))
+        successor = apply_delta(
+            self._instance(), delta, incremental=incremental
+        ).instance
+        assert successor.conflicts(1, 99) and successor.conflicts(99, 1)
+        assert not successor.conflicts(2, 99)
+        assert successor.conflict.conflicts_ids(1, 99)
+        fresh = InstanceIndex(successor)
+        first, second = fresh.event_pos[1], fresh.event_pos[99]
+        assert fresh.conflict_matrix[first, second]
+        assert index_parity_mismatches(successor.index, fresh) == []
+
+    def test_unknown_new_event_conflicts_with_nothing(self):
+        delta = Delta(add_events=(Event(event_id=50, capacity=1),))
+        successor = apply_delta(self._instance(), delta).instance
+        row = successor.index.conflict_matrix[successor.index.event_pos[50]]
+        assert not row.any()
+
+    def test_time_interval_sigma_rows_of_new_events(self):
+        from repro.model import InstanceBuilder
+
+        instance = (
+            InstanceBuilder()
+            .event(1, capacity=2, start=0.0, duration=2.0)
+            .event(2, capacity=2, start=5.0, duration=1.0)
+            .user(10, capacity=2, bids=[1, 2])
+            .build()
+        )
+        opened = Event(event_id=3, capacity=1, start_time=1.0, duration=2.0)
+        successor = apply_delta(instance, Delta(add_events=(opened,))).instance
+        assert successor.conflicts(1, 3) and not successor.conflicts(2, 3)
+        assert index_parity_mismatches(
+            successor.index, InstanceIndex(successor)
+        ) == []
+
+
 class TestPatchValues:
     def test_repeated_interest_entry_keeps_last_value(self):
         successor = apply_delta(
@@ -559,3 +610,47 @@ class TestLargeRandomizedParity:
         )
         result = apply_delta(instance, delta)
         assert_index_parity(result.instance)
+
+
+class TestInterestSavedForm:
+    """``to_dict`` saves the interest table plus every bid whose stored SI
+    differs from it, so a churned successor loads with the same column."""
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["synthetic", "stream"])
+    def test_churned_successor_round_trips_bid_si(self, stream):
+        from repro.datagen import (
+            ChurnConfig,
+            SyntheticConfig,
+            generate_churn_trace,
+            generate_synthetic,
+            generate_synthetic_stream,
+        )
+        from repro.model import IGEPAInstance
+
+        generator = generate_synthetic_stream if stream else generate_synthetic
+        instance = generator(SyntheticConfig(num_users=40, num_events=10), seed=4)
+        trace = generate_churn_trace(
+            instance,
+            ChurnConfig(num_batches=4, rebid_rate=6.0, drift_rate=4.0),
+            seed=5,
+        )
+        current = instance
+        for delta in trace.deltas:
+            current = apply_delta(current, delta).instance
+        payload = current.to_dict()
+        restored = IGEPAInstance.from_dict(payload)
+        assert np.array_equal(restored.store.bid_si, current.store.bid_si)
+        assert restored.to_dict() == payload
+        assert index_parity_mismatches(restored.index, current.index) == []
+
+    def test_unchurned_instance_saves_its_table(self):
+        instance = tiny_instance()
+        assert instance.to_dict()["interest"] == instance.interest.to_dict()
+
+    def test_successor_saves_entries_on_bids_only(self):
+        instance = tiny_instance()
+        delta = Delta(interest=((1, 10, 0.25), (3, 10, 0.5)))  # 10 bids 1, not 3
+        saved = apply_delta(instance, delta).instance.to_dict()["interest"]
+        expected = instance.interest.items()
+        expected[(1, 10)] = 0.25
+        assert saved["values"] == [[e, u, v] for (e, u), v in sorted(expected.items())]

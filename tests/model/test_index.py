@@ -79,15 +79,15 @@ class TestConstruction:
             def interest(self, event, user):
                 return 2.0
 
-        instance = IGEPAInstance(
-            [Event(event_id=1, capacity=1)],
-            [User(user_id=1, capacity=1, bids=(1,))],
-            NoConflict(),
-            Bad({}),
-            Graph(nodes=[1]),
-        )
+        # The constructor fills the store's SI column, so it rejects.
         with pytest.raises(InstanceValidationError, match="Definition 5"):
-            instance.index
+            IGEPAInstance(
+                [Event(event_id=1, capacity=1)],
+                [User(user_id=1, capacity=1, bids=(1,))],
+                NoConflict(),
+                Bad({}),
+                Graph(nodes=[1]),
+            )
 
 
 class TestContent:

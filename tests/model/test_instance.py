@@ -109,11 +109,9 @@ class TestDerivedQuantities:
 
         events = [Event(event_id=1, capacity=1)]
         users = [User(user_id=1, capacity=1, bids=(1,))]
-        instance = IGEPAInstance(
-            events, users, NoConflict(), Bad({}), Graph(nodes=[1])
-        )
+        # The constructor fills the store's SI column, so it rejects.
         with pytest.raises(InstanceValidationError, match="Definition 5"):
-            instance.interest_of(1, 1)
+            IGEPAInstance(events, users, NoConflict(), Bad({}), Graph(nodes=[1]))
 
     def test_weight_formula(self):
         instance = tiny_instance(beta=0.5)

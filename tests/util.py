@@ -14,6 +14,14 @@ from repro.model import (
 from repro.social import Graph, erdos_renyi_graph
 
 
+def bid_interest_table(instance: IGEPAInstance) -> dict[tuple[int, int], float]:
+    """The store's ``bid_si`` column as an ``(event_id, user_id)`` dict."""
+    store = instance.store
+    entry_users = np.repeat(store.user_ids, np.diff(store.bid_indptr)).tolist()
+    entry_events = store.event_ids[store.bid_event_pos].tolist()
+    return dict(zip(zip(entry_events, entry_users), store.bid_si.tolist()))
+
+
 def entity_inputs(instance: IGEPAInstance) -> dict:
     """The entity constructor's inputs, unpacked from a store's arrays.
 
@@ -24,8 +32,6 @@ def entity_inputs(instance: IGEPAInstance) -> dict:
     """
     store = instance.store
     user_ids = store.user_ids.tolist()
-    entry_users = np.repeat(store.user_ids, np.diff(store.bid_indptr)).tolist()
-    entry_events = store.event_ids[store.bid_event_pos].tolist()
     return {
         "events": [
             Event(event_id=event_id, capacity=capacity)
@@ -39,9 +45,7 @@ def entity_inputs(instance: IGEPAInstance) -> dict:
                 user_ids, store.user_capacity.tolist(), store.bid_lists()
             )
         ],
-        "interest": TabulatedInterest(
-            dict(zip(zip(entry_events, entry_users), store.bid_si.tolist()))
-        ),
+        "interest": TabulatedInterest(bid_interest_table(instance)),
         "degrees": dict(zip(user_ids, store.degrees.tolist())),
     }
 
@@ -399,3 +403,35 @@ def reference_carry(instance, successor, arrangement, delta, maps) -> tuple:
     touched_users = {user_id for _event_id, user_id in dropped}
     touched_events = {event_id for event_id, _user_id in dropped}
     return carried, dropped, touched_users, touched_events
+
+
+def replay_interest(table: dict[tuple[int, int], float], delta, base) -> dict:
+    """Every bid's SI after ``delta``, on a plain ``(event_id, user_id)``
+    dict holding exactly the bid pairs.
+
+    The independent reference for the store's ``bid_si`` column: withdrawn
+    bids and the bids of departing users and closing events go, then each
+    added bid (a new user's list, then ``add_bids``) takes ``base(event_id,
+    user_id)``, the instance's interest function, and the delta's interest
+    entries overwrite bid pairs in order; an entry on any other pair is
+    dropped.
+    """
+    closed_users = set(delta.remove_users)
+    closed_events = set(delta.remove_events)
+    withdrawn = {(event_id, user_id) for user_id, event_id in delta.remove_bids}
+    replayed = {
+        pair: value
+        for pair, value in table.items()
+        if pair not in withdrawn
+        and pair[0] not in closed_events
+        and pair[1] not in closed_users
+    }
+    for user in delta.add_users:
+        for event_id in user.bids:
+            replayed[(event_id, user.user_id)] = base(event_id, user.user_id)
+    for user_id, event_id in delta.add_bids:
+        replayed[(event_id, user_id)] = base(event_id, user_id)
+    for event_id, user_id, value in delta.interest:
+        if (event_id, user_id) in replayed:
+            replayed[(event_id, user_id)] = value
+    return replayed
