@@ -465,7 +465,7 @@ def _patch_components(
     over the ``entities(event_id, user_id)`` the caller resolves, so this
     function never needs the successor), then the delta's interest entries
     are written through onto the successor's bids.  New events' conflict
-    rows come from the predecessor's σ (:func:`_new_event_rows`), then the
+    rows come from one ``matrix`` call on the predecessor's σ, then the
     delta's toggles apply.
 
     The patch is expressed at the CSR-entry level (``bid_indices`` /
@@ -538,14 +538,17 @@ def _patch_components(
         event_capacity[event_map[old.event_pos[event_id]]] = capacity
     event_pos = dict(zip(event_ids.tolist(), range(n_events)))
 
-    # Conflict matrix: slice survivors, take new events' rows from the
-    # predecessor's σ, then toggle the edited pairs.
+    # Conflict matrix: slice survivors, take new events' rows from one
+    # matrix call on the predecessor's σ, then toggle the edited pairs.
     conflict_matrix = np.zeros((n_events, n_events), dtype=bool)
     conflict_matrix[:n_survivor_events, :n_survivor_events] = old.conflict_matrix[
         np.ix_(keep_events, keep_events)
     ]
     if delta.add_events:
-        rows = _new_event_rows(instance, delta, maps, event_ids)
+        store = instance.store
+        events = [store.event(row) for row in np.flatnonzero(keep_events).tolist()]
+        events.extend(delta.add_events)
+        rows = instance.conflict.matrix(events)[n_survivor_events:]
         conflict_matrix[n_survivor_events:] = rows
         conflict_matrix[:, n_survivor_events:] = rows.T
     for first, second in delta.remove_conflicts:
@@ -600,7 +603,7 @@ def _patch_components(
             instance.interest,
             [e for _p, _u, e in added],
             [u for _p, u, _e in added],
-            entities,
+            lambda: (entities(e, u) for _p, u, e in added),
         ),
     )
     counts += np.bincount(add_upos, minlength=n_users)
@@ -636,46 +639,6 @@ def _patch_components(
         bid_indices=bid_indices,
         bid_si=bid_si,
     )
-
-
-def _new_event_rows(
-    instance: IGEPAInstance,
-    delta: Delta,
-    maps: _PositionMaps,
-    event_ids: np.ndarray,
-) -> np.ndarray:
-    """σ of the predecessor between each event the delta opens and every
-    successor event (``event_ids``), before the delta's conflict edits.
-
-    A :class:`MatrixConflict` answers from its own relation, and an id it
-    does not know conflicts with nothing: a churned σ (a view over the
-    predecessor's events) gives zero rows without a lookup per event.  Any
-    other σ is asked for its matrix over the successor's events.
-    """
-    conflict = instance.conflict
-    added = delta.add_events
-    if isinstance(conflict, MatrixConflict):
-        pos = conflict.event_pos
-        rows = np.fromiter(
-            (pos.get(event.event_id, -1) for event in added), np.int64, len(added)
-        )
-        result = np.zeros((len(added), event_ids.size), dtype=bool)
-        known = np.flatnonzero(rows >= 0)
-        if known.size:
-            columns = np.fromiter(
-                (pos.get(event_id, -1) for event_id in event_ids.tolist()),
-                np.int64,
-                event_ids.size,
-            )
-            hit = np.flatnonzero(columns >= 0)
-            result[np.ix_(known, hit)] = conflict.relation[
-                np.ix_(rows[known], columns[hit])
-            ]
-        return result
-    store = instance.store
-    events = [store.event(row) for row in np.flatnonzero(maps.keep_events).tolist()]
-    events.extend(added)
-    return conflict.matrix(events)[-len(added) :]
 
 
 def _successor_degrees(

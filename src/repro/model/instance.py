@@ -22,7 +22,7 @@ quantities are cached.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +124,11 @@ class IGEPAInstance:
         ``validate=False`` skips the structural checks — delta maintenance
         (:mod:`repro.model.delta`) passes it because every operation was
         already validated incrementally against the predecessor.
+
+        A store without ``conflict_matrix`` or ``bid_si`` gets them filled
+        in place from ``conflict`` and ``interest``, so the given store is
+        the instance's own: wrapping it again with other functions keeps
+        the first fill.
         """
         self = cls.__new__(cls)
         self._init(store, conflict, interest, social, beta, name, validate)
@@ -180,12 +185,18 @@ class IGEPAInstance:
     def _function_interest(self) -> np.ndarray:
         """``interest`` evaluated on every bid, in the store's CSR order."""
         event_ids, user_ids = self._bid_ids()
-        event_by_id, user_by_id = self.event_by_id, self.user_by_id
+
+        def entities() -> Iterator[tuple[Event, User]]:
+            # One view per event and per user, not per bid.
+            events = list(self.events)
+            indptr = self.store.bid_indptr.tolist()
+            positions = self.store.bid_event_pos.tolist()
+            for row, user in enumerate(self.users):
+                for pos in positions[indptr[row] : indptr[row + 1]]:
+                    yield events[pos], user
+
         return pair_interest(
-            self.interest,
-            event_ids.tolist(),
-            user_ids.tolist(),
-            lambda event_id, user_id: (event_by_id[event_id], user_by_id[user_id]),
+            self.interest, event_ids.tolist(), user_ids.tolist(), entities
         )
 
     @property
@@ -437,7 +448,13 @@ class IGEPAInstance:
     def _interest_payload(self) -> dict:
         """SI as saved: the interest function, and for a table also every
         bid whose stored value differs from it (re-weighted or spliced by
-        churn), so loading rebuilds the same ``bid_si`` column."""
+        churn), so loading rebuilds the same ``bid_si`` column.
+
+        The merged table is the loaded instance's interest function: a bid
+        withdrawn and later re-added without an entry reads its saved value
+        there, and the original table's value on the instance that was
+        saved.  Any other function is saved as is, without the column.
+        """
         interest = self.interest
         if not isinstance(interest, TabulatedInterest):
             return interest.to_dict()

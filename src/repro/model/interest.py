@@ -18,7 +18,7 @@ and splices bids in that column and never rewrites the function.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -165,29 +165,31 @@ def pair_interest(
     interest: InterestFunction,
     event_ids: Sequence[int],
     user_ids: Sequence[int],
-    entities: Callable[[int, int], tuple[Event, User]],
+    entities: Callable[[], Iterable[tuple[Event, User]]],
 ) -> np.ndarray:
     """SI of each ``(event_ids[k], user_ids[k])`` pair, in order.
 
     A plain :class:`TabulatedInterest` answers from its table in one lookup
     pass (its values were range-checked when the table was built).  Any
     other function, a subclass that overrides ``interest`` included, is
-    called once per pair on the objects ``entities(event_id, user_id)``
-    returns, through :func:`validated_interest`.
+    called through :func:`validated_interest` on the ``(event, user)``
+    objects ``entities()`` yields, one per pair in the same order;
+    ``entities`` is only called on that path.
     """
     count = len(event_ids)
-    pairs = zip(event_ids, user_ids)
     if (
         isinstance(interest, TabulatedInterest)
         and type(interest).interest is TabulatedInterest.interest
     ):
         get, default = interest._values.get, interest.default
         return np.fromiter(
-            (get(pair, default) for pair in pairs), dtype=np.float64, count=count
+            (get(pair, default) for pair in zip(event_ids, user_ids)),
+            dtype=np.float64,
+            count=count,
         )
     call = interest.interest
     return np.fromiter(
-        (validated_interest(call, *entities(*pair)) for pair in pairs),
+        (validated_interest(call, event, user) for event, user in entities()),
         dtype=np.float64,
         count=count,
     )

@@ -146,11 +146,11 @@ class TestValidation:
             apply_delta(tiny_instance(), Delta(add_bids=((10, 1),)))
 
     def test_conflict_edit_requires_matrix_conflict(self):
-        from repro.model import NoConflict
+        from repro.model import IGEPAInstance, NoConflict
 
-        instance = tiny_instance()
-        instance.conflict = NoConflict()
-        instance._index = None  # force re-derivation under the new σ
+        payload = tiny_instance().to_dict()
+        payload["conflict"] = NoConflict().to_dict()
+        instance = IGEPAInstance.from_dict(payload)
         with pytest.raises(DeltaError, match="MatrixConflict"):
             apply_delta(instance, Delta(add_conflicts=((1, 3),)))
 
@@ -646,6 +646,22 @@ class TestInterestSavedForm:
     def test_unchurned_instance_saves_its_table(self):
         instance = tiny_instance()
         assert instance.to_dict()["interest"] == instance.interest.to_dict()
+
+    def test_loaded_successor_reads_its_saved_table(self):
+        """The merged table is the loaded instance's interest function: a
+        re-weighted bid withdrawn and re-added without an entry reads the
+        saved value after loading, the base table's on the saved instance."""
+        from repro.model import IGEPAInstance
+
+        current = apply_delta(
+            tiny_instance(), Delta(interest=((1, 10, 0.25),))
+        ).instance
+        restored = IGEPAInstance.from_dict(current.to_dict())
+        for delta in (Delta(remove_bids=((10, 1),)), Delta(add_bids=((10, 1),))):
+            current = apply_delta(current, delta).instance
+            restored = apply_delta(restored, delta).instance
+        assert current.interest_of(1, 10) == 0.9
+        assert restored.interest_of(1, 10) == 0.25
 
     def test_successor_saves_entries_on_bids_only(self):
         instance = tiny_instance()
