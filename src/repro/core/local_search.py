@@ -30,6 +30,35 @@ in that batch.  Selection order is unchanged:
 first feasible bid in bid order (add), first maximum feasible gain in bid
 order (upgrade) or bidder order (evict).
 
+**Worklists.**  Pass 1 scans the whole scope.  After it, each of the four
+scans (add, refill, upgrade, evict) visits only the scope positions marked
+since it last visited them, in the same ascending order; a position marked
+ahead of a running scan's cursor is visited in the same pass, where a full
+rescan would reach it.  A position that stays unmarked would make no move
+if visited, so moves, their order and every pass's counts are a rescan's.
+A move marks what it can enable, and nothing it only constrains:
+
+* an add of ``u`` at ``v`` marks ``u`` for the upgrade scan (a new held
+  event to upgrade from) and ``v`` for the evict scan (its attendees
+  changed).  It only fills a seat and a load slot and grows ``u``'s event
+  set, so it enables no add or refill;
+* a swap of ``u`` from ``a`` to ``b`` marks ``u`` for the add and upgrade
+  scans, and so every bidder of ``a`` when the swap opened a seat there (a
+  seat at an event that had one already enables nothing new).  It marks
+  ``a``, ``b`` and every event ``u`` bids on that conflicts with ``a`` (the
+  only ones ``u``'s conflicts loosened on) for the refill and evict scans;
+* an eviction at ``v`` of ``out`` for ``in`` marks ``out`` for the add
+  scan, ``out`` and ``in`` for the upgrade scan, and ``v`` and every event
+  ``out`` bids on for the refill and evict scans.
+
+Marks outside a scan's scope are dropped, so a scoped search never leaves
+its scope.  A screen is computed over a scan's worklist when the scan
+starts and stays exact for the positions on it (an upgrade screen reads
+only its user's events, which only that user's swaps change; an evict
+screen only its event's attendees, which only its own evictions change);
+positions marked mid-scan, and a repeated position after it moved, go
+through the scalar probes.
+
 :func:`iter_passes` yields each pass's move counts from one search state,
 so a caller that stops between passes (the serving loop's cancellable
 defrag) keeps the state for the whole search; :func:`improve` drains it.
@@ -37,7 +66,9 @@ defrag) keeps the state for the whole search; :func:`improve` drains it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import heapq
+import sys
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,19 +81,101 @@ _MIN_GAIN = 1e-9
 _MOVE_KEYS = ("adds", "refills", "upgrades", "evictions")
 
 
+class _Worklist:
+    """The scope positions one scan still has to visit.
+
+    ``repeats[p]`` is how often position ``p`` occurs in the scan's scope
+    (0: outside it, and marks on it are dropped).  ``marked`` holds the
+    positions marked since the scan last visited them: the whole scope at
+    first, so pass 1 is a full scan.  :meth:`take` hands them to a starting
+    scan.  While a scan runs through :meth:`drain`, a mark ahead of its
+    cursor joins the running scan unless the position is already on it; a
+    mark at or behind the cursor waits for the next pass.
+    """
+
+    __slots__ = ("repeats", "marked", "_cursor", "_queued", "_ahead")
+
+    #: The cursor between scans: every position is behind it.
+    _IDLE = sys.maxsize
+
+    def __init__(self, size: int, scope: Sequence[int] | None):
+        if scope is None:
+            self.repeats = [1] * size
+            self.marked = set(range(size))
+        else:
+            self.repeats = [0] * size
+            for position in scope:
+                self.repeats[position] += 1
+            self.marked = set(scope)
+        self._cursor = self._IDLE
+        self._queued: set[int] = set()
+        self._ahead: list[int] = []
+
+    def mark(self, positions: Iterable[int]) -> None:
+        """Mark ``positions`` for this scan, as the class docstring says."""
+        repeats = self.repeats
+        cursor = self._cursor
+        for position in positions:
+            if not repeats[position]:
+                continue
+            if position <= cursor:
+                self.marked.add(position)
+            elif position not in self._queued:
+                self._queued.add(position)
+                heapq.heappush(self._ahead, position)
+
+    def take(self) -> list[int]:
+        """The marked positions, ascending; the marks are consumed."""
+        positions = sorted(self.marked)
+        self.marked = set()
+        return positions
+
+    def drain(self, taken: list[int], visits: list[int]) -> Iterator[int]:
+        """Run a scan over ``visits`` (the positions of ``taken`` its
+        screen kept, ascending) merged with the positions marked ahead of
+        the cursor meanwhile.  A mark on a taken position is dropped: the
+        screen stays exact for it until the scan moves it, and a move's
+        own mark falls at the cursor, so into the next pass."""
+        self._queued = set(taken)
+        self._cursor = -1
+        ahead = self._ahead
+        k = 0
+        while True:
+            if ahead and (k == len(visits) or ahead[0] < visits[k]):
+                position = heapq.heappop(ahead)
+            elif k < len(visits):
+                position = visits[k]
+                k += 1
+            else:
+                break
+            self._cursor = position
+            yield position
+        self._cursor = self._IDLE
+
+
 class _SearchState:
     """The search's view of one arrangement, kept in step with every move.
 
     Holds ids, capacities and live attendance/load mirrors as Python lists,
-    and two per-user caches filled on first use: the user's bid positions
-    and weights, and a bitmask of the event positions assigned to them
-    (the user's row of :attr:`Arrangement.assignment_words` as one int).  The
-    ``apply_*`` moves update the mirrors and masks along with the
-    arrangement, so the state must be the arrangement's only writer while
-    it lives.
+    three per-entity caches filled on first use (a user's bid positions and
+    weights, an event's bidder positions, and a bitmask of the event
+    positions assigned to a user — the user's row of
+    :attr:`Arrangement.assignment_words` as one int), and the four scans'
+    :class:`_Worklist` objects: add and upgrade over ``user_scope``, refill
+    and evict over ``event_scope`` (``None``: every position; refill's is
+    empty unless ``refill``).  The ``apply_*`` moves update the mirrors and
+    masks along with the arrangement and mark the worklists, so the state
+    must be the arrangement's only writer while it lives.
     """
 
-    def __init__(self, instance: IGEPAInstance, arrangement: Arrangement):
+    def __init__(
+        self,
+        instance: IGEPAInstance,
+        arrangement: Arrangement,
+        user_scope: Sequence[int] | None = None,
+        event_scope: Sequence[int] | None = None,
+        refill: bool = False,
+    ):
         index = instance.index
         self.arrangement = arrangement
         self.index = index
@@ -75,7 +188,13 @@ class _SearchState:
         self.attendance = arrangement.attendance_counts.tolist()
         self.load = arrangement.load_counts.tolist()
         self._bids: dict[int, tuple[list[int], list[float]]] = {}
+        self._bidders: dict[int, list[int]] = {}
         self._masks: dict[int, int] = {}
+        num_users, num_events = index.num_users, index.num_events
+        self.add_work = _Worklist(num_users, user_scope)
+        self.upgrade_work = _Worklist(num_users, user_scope)
+        self.refill_work = _Worklist(num_events, event_scope if refill else ())
+        self.evict_work = _Worklist(num_events, event_scope)
 
     def bids_of(self, upos: int) -> tuple[list[int], list[float]]:
         """The user's bid positions and ``w(u, v)``, in bid-list order."""
@@ -90,6 +209,16 @@ class _SearchState:
             self._bids[upos] = bids
         return bids
 
+    def bidders_of(self, vpos: int) -> list[int]:
+        """The event's bidder positions, in bidder order."""
+        bidders = self._bidders.get(vpos)
+        if bidders is None:
+            index = self.index
+            lo, hi = index.bidder_indptr[vpos], index.bidder_indptr[vpos + 1]
+            bidders = index.bidder_indices[lo:hi].tolist()
+            self._bidders[vpos] = bidders
+        return bidders
+
     def bits_of(self, upos: int) -> int:
         """Bitmask of the event positions assigned to the user."""
         mask = self._masks.get(upos)
@@ -101,12 +230,15 @@ class _SearchState:
 
     # Each move mutates the arrangement first; ``bits_of`` then either
     # rebuilds the mask from the updated arrangement or returns the cached
-    # one, and the bit edits below are correct on both.
+    # one, and the bit edits below are correct on both.  The marks follow
+    # the rule in the module docstring.
     def apply_add(self, upos: int, vpos: int) -> None:
         self.arrangement.add(self.event_ids[vpos], self.user_ids[upos], check=False)
         self.attendance[vpos] += 1
         self.load[upos] += 1
         self._masks[upos] = self.bits_of(upos) | (1 << vpos)
+        self.upgrade_work.mark((upos,))
+        self.evict_work.mark((vpos,))
 
     def apply_swap(self, upos: int, old_vpos: int, new_vpos: int) -> None:
         user_id = self.user_ids[upos]
@@ -115,6 +247,15 @@ class _SearchState:
         self.attendance[old_vpos] -= 1
         self.attendance[new_vpos] += 1
         self._masks[upos] = (self.bits_of(upos) & ~(1 << old_vpos)) | (1 << new_vpos)
+        opened = self.attendance[old_vpos] == self.event_cap[old_vpos] - 1
+        users = (upos, *self.bidders_of(old_vpos)) if opened else (upos,)
+        self.add_work.mark(users)
+        self.upgrade_work.mark(users)
+        conflicts = self.conflict_bits[old_vpos]
+        loosened = [vpos for vpos in self.bids_of(upos)[0] if conflicts >> vpos & 1]
+        events = (old_vpos, new_vpos, *loosened)
+        self.refill_work.mark(events)
+        self.evict_work.mark(events)
 
     def apply_evict(self, vpos: int, out_upos: int, in_upos: int) -> None:
         event_id = self.event_ids[vpos]
@@ -124,11 +265,17 @@ class _SearchState:
         self.load[in_upos] += 1
         self._masks[out_upos] = self.bits_of(out_upos) & ~(1 << vpos)
         self._masks[in_upos] = self.bits_of(in_upos) | (1 << vpos)
+        self.add_work.mark((out_upos,))
+        self.upgrade_work.mark((out_upos, in_upos))
+        events = (vpos, *self.bids_of(out_upos)[0])
+        self.refill_work.mark(events)
+        self.evict_work.mark(events)
 
 
 # ----------------------------------------------------------------------
-# Batched screening.  Each scan first screens all of its candidates at once
-# with NumPy against the state at the start of the scan, then probes the
+# Batched screening.  Each scan first screens all of its worklist's
+# candidates at once with NumPy against the state at the start of the
+# scan, then probes the
 # survivors live, in the scan's order, with the scalar checks.  A screen
 # only drops candidates that the scalar check would reject when the loop
 # reaches them (the upgrade screen, until the user's first swap), so the
@@ -194,19 +341,23 @@ def _add_screened(
     return accepted
 
 
-def _try_add_moves(state: _SearchState, user_scan: Sequence[int]) -> int:
-    """User-major add moves: each scanned user's bids, in bid-list order."""
+def _try_add_moves(state: _SearchState) -> int:
+    """User-major add moves over the add worklist: each user's bids, in
+    bid-list order."""
     index = state.index
-    users = np.asarray(user_scan, dtype=np.int64)
+    users = np.asarray(state.add_work.take(), dtype=np.int64)
     users = users[state.arrangement.load_counts[users] < index.user_capacity[users]]
+    if not users.size:
+        return 0
     owner, entries = _csr_entries(index.bid_indptr, users)
     return _add_screened(
         state, users[owner], index.bid_indices[entries], index.bid_weights[entries]
     )
 
 
-def _try_refill_moves(state: _SearchState, event_scan: Sequence[int]) -> int:
-    """Event-major add moves: fill free seats from the event's bidder pool.
+def _try_refill_moves(state: _SearchState) -> int:
+    """Event-major add moves over the refill worklist: fill free seats from
+    the event's bidder pool.
 
     The user-major add scan only sees users in its scope; churn repair
     scopes to *touched* users, so a seat freed on a touched event would
@@ -218,7 +369,9 @@ def _try_refill_moves(state: _SearchState, event_scan: Sequence[int]) -> int:
     """
     attendance = state.attendance
     event_cap = state.event_cap
-    open_events = [vpos for vpos in event_scan if attendance[vpos] < event_cap[vpos]]
+    open_events = [
+        vpos for vpos in state.refill_work.take() if attendance[vpos] < event_cap[vpos]
+    ]
     if not open_events:
         return 0
     index = state.index
@@ -309,17 +462,21 @@ def _best_upgrade(state: _SearchState, upos: int, current: int) -> int | None:
     return best
 
 
-def _try_upgrade_moves(state: _SearchState, user_scan: Sequence[int]) -> int:
-    """Upgrade moves, user by user, each user's events in event-id order.
+def _try_upgrade_moves(state: _SearchState) -> int:
+    """Upgrade moves over the upgrade worklist, user by user, each user's
+    events in event-id order.
 
     Targets come from :func:`_upgrade_candidates`, probed live for a free
     seat (swaps by other users move attendance both ways).  Once a user has
     swapped, the screen no longer describes their events, and their later
-    events go through the scalar probe.
+    events go through the scalar probe, as do the users marked mid-scan.
+    A repeated position is visited again while its last visit swapped.
     """
+    worklist = state.upgrade_work
+    taken = worklist.take()
     index = state.index
     load = state.arrangement.load_counts
-    users = np.unique(np.asarray(user_scan, dtype=np.int64))
+    users = np.asarray(taken, dtype=np.int64)
     # Users holding an event and not overloaded (no swap can fix overload).
     users = users[(load[users] > 0) & (load[users] - 1 < index.user_capacity[users])]
     ranked = _upgrade_candidates(state, users)
@@ -328,57 +485,61 @@ def _try_upgrade_moves(state: _SearchState, user_scan: Sequence[int]) -> int:
     attendance = state.attendance
     event_cap = state.event_cap
     event_ids = state.event_ids
-    swapped: set[int] = set()
+    user_cap = state.user_cap
+    repeats = worklist.repeats
     accepted = 0
-    for upos in user_scan:
-        if upos not in screened and upos not in swapped:
-            continue
-        assigned = mask_positions(state.bits_of(upos))
-        for current in sorted(assigned, key=event_ids.__getitem__):
-            if upos in swapped:
-                best = _best_upgrade(state, upos, current)
-            else:
-                best = next(
-                    (
-                        target
-                        for target in ranked.get((upos, current), ())
-                        if attendance[target] < event_cap[target]
-                    ),
-                    None,
-                )
-            if best is not None:
-                state.apply_swap(upos, current, best)
-                swapped.add(upos)
-                accepted += 1
+    for upos in worklist.drain(taken, sorted(screened)):
+        live = upos not in screened
+        if live and state.load[upos] - 1 >= user_cap[upos]:
+            continue  # overloaded, as screened out above
+        for _ in range(repeats[upos]):
+            moved = 0
+            assigned = mask_positions(state.bits_of(upos))
+            for current in sorted(assigned, key=event_ids.__getitem__):
+                if live:
+                    best = _best_upgrade(state, upos, current)
+                else:
+                    best = next(
+                        (
+                            target
+                            for target in ranked.get((upos, current), ())
+                            if attendance[target] < event_cap[target]
+                        ),
+                        None,
+                    )
+                if best is not None:
+                    state.apply_swap(upos, current, best)
+                    live = True
+                    moved += 1
+            accepted += moved
+            if not moved:
+                break
     return accepted
 
 
-def _try_evict_moves(state: _SearchState, event_scan: Sequence[int]) -> int:
-    """Batched evict scan over the full events of ``event_scan``.
+def _evict_screens(
+    state: _SearchState, events: list[int]
+) -> dict[int, tuple[int, list[int]]]:
+    """Each full event's lightest attendee and ranked candidates.
 
-    Selects the same moves as a scalar scan: the lightest attendee by
-    ``(w(u, v), user_id)`` and the first bidder (in bidder order) carrying
-    the maximum feasible gain — realized as a stable descending-gain order
-    probed until the first candidate with a free load slot and no conflict.
-
-    Everything but those probes is computed once, up front, for all full
-    events, from the bidder incidence (an arrangement seats only bidders).
-    That is exact: an eviction only rewrites its own event's column, and no
-    event repeats within a pass, so each event's attendees, lightest
-    attendee and candidate gains are the same when the loop reaches it as
-    they were at the start.  Loads and users' assigned events do change, so
-    they are probed live.
+    The lightest attendee is the first by ``(w(u, v), user_id)``; the
+    candidates are the waiting bidders with a gain above ``_MIN_GAIN`` over
+    it, in stable descending-gain order, so the first with a free load slot
+    and no conflict is the scalar scan's first maximum-feasible-gain bidder.
+    Computed from the bidder incidence (an arrangement seats only bidders),
+    for every full event of ``events`` at once; events that are not full, or
+    have no candidate, are left out.  Keys follow ``events``' order.
     """
     attendance = state.attendance
     event_cap = state.event_cap
     # Full (and not over capacity): attendance == capacity, with attendees.
     full = [
         vpos
-        for vpos in event_scan
+        for vpos in events
         if attendance[vpos] == event_cap[vpos] and attendance[vpos] > 0
     ]
     if not full:
-        return 0
+        return {}
     index = state.index
     positions = np.asarray(full, dtype=np.int64)
     group, entries = _csr_entries(index.bidder_indptr, positions)
@@ -403,21 +564,52 @@ def _try_evict_moves(state: _SearchState, event_scan: Sequence[int]) -> int:
     candidates = candidates[np.lexsort((-gains[candidates], group[candidates]))]
     bounds = np.searchsorted(group[candidates], np.arange(len(full) + 1)).tolist()
     ranked = bidders[candidates].tolist()
+    return {
+        vpos: (lightest[rank], ranked[bounds[rank] : bounds[rank + 1]])
+        for rank, vpos in enumerate(full)
+        if bounds[rank] < bounds[rank + 1]
+    }
 
+
+def _try_evict_moves(state: _SearchState) -> int:
+    """Evict moves over the evict worklist's full events.
+
+    Selects the same moves as a scalar scan, from :func:`_evict_screens`
+    computed once for the worklist when the scan starts.  That is exact:
+    an eviction only rewrites its own event's attendees, so each event's
+    lightest attendee and candidate gains are the same when the loop
+    reaches it as they were at the start.  An event marked mid-scan, and a
+    repeated event after an eviction, get theirs computed when reached.
+    Loads and users' assigned events do change, so they are probed live.
+    """
+    worklist = state.evict_work
+    taken = worklist.take()
+    screens = _evict_screens(state, taken)
     load = state.load
     user_cap = state.user_cap
     conflict_bits = state.conflict_bits
+    repeats = worklist.repeats
     accepted = 0
-    for rank, vpos in enumerate(full):
+    for vpos in worklist.drain(taken, list(screens)):
+        screen = screens.get(vpos)
         conflicts = conflict_bits[vpos]
-        for bidder in ranked[bounds[rank] : bounds[rank + 1]]:
-            if load[bidder] >= user_cap[bidder]:
-                continue
-            if conflicts & state.bits_of(bidder):
-                continue
-            state.apply_evict(vpos, lightest[rank], bidder)
-            accepted += 1
-            break
+        for _ in range(repeats[vpos]):
+            if screen is None:
+                screen = _evict_screens(state, [vpos]).get(vpos)
+                if screen is None:
+                    break
+            lightest, ranked = screen
+            for bidder in ranked:
+                if load[bidder] >= user_cap[bidder]:
+                    continue
+                if conflicts & state.bits_of(bidder):
+                    continue
+                state.apply_evict(vpos, lightest, bidder)
+                accepted += 1
+                break
+            else:
+                break
+            screen = None
     return accepted
 
 
@@ -454,25 +646,15 @@ def iter_passes(
         ``{"adds": ..., "refills": ..., "upgrades": ..., "evictions": ...}``
         for each pass.
     """
-    user_scan = (
-        range(instance.index.num_users)
-        if user_positions is None
-        else sorted(user_positions)
-    )
-    state = _SearchState(instance, arrangement)
-    event_scan = (
-        range(instance.index.num_events)
-        if event_positions is None
-        else sorted(event_positions)
+    state = _SearchState(
+        instance, arrangement, user_positions, event_positions, refill_events
     )
     for _ in range(max_passes):
         counts = {
-            "adds": _try_add_moves(state, user_scan),
-            "refills": (
-                _try_refill_moves(state, event_scan) if refill_events else 0
-            ),
-            "upgrades": _try_upgrade_moves(state, user_scan),
-            "evictions": _try_evict_moves(state, event_scan),
+            "adds": _try_add_moves(state),
+            "refills": _try_refill_moves(state),
+            "upgrades": _try_upgrade_moves(state),
+            "evictions": _try_evict_moves(state),
         }
         yield counts
         if not any(counts.values()):

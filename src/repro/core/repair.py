@@ -8,9 +8,10 @@ users and bids open fresh options, dissolved conflicts unlock combinations.
 *scoped to the touched entities only* (add/upgrade moves over the touched
 users; refill and evict moves over the touched events, so freed seats are
 re-offered to their — untouched — bidder pools).  Per-batch scan cost is
-proportional to the touched set, on top of a snapshot of capacities and the
-conflict relation (O(|U| + |V|²), a couple of milliseconds at the benchmark
-scales) — not to a full re-optimization of the platform.
+proportional to the touched set (after the first pass, to the part of it
+that earlier moves marked; see :mod:`repro.core.local_search`), on top of
+a snapshot of capacities and loads (O(|U| + |V|)) — not to a full
+re-optimization of the platform.
 
 :class:`repro.service.engine.TickEngine` applies each churn batch and then
 runs :func:`repair` as its repair stage; replay, simulate and serve all go

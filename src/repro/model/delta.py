@@ -1123,11 +1123,14 @@ def coalesce_deltas(deltas: Sequence[Delta]) -> Delta:
         interest.append((k, delta.interest))
         degrees.extend(delta.degrees)
 
+    def folded(user: User) -> User:
+        """The window-added user with the window's bid edits; the same
+        object when it has none (no re-validation)."""
+        bids = tuple(added_user_bids[user.user_id])
+        return user if bids == user.bids else replace(user, bids=bids)
+
     return Delta(
-        add_users=tuple(
-            replace(user, bids=tuple(added_user_bids[user_id]))
-            for user_id, user in added_users.items()
-        ),
+        add_users=tuple(folded(user) for user in added_users.values()),
         remove_users=tuple(removed_users),
         add_events=tuple(added_events.values()),
         remove_events=tuple(removed_events),

@@ -149,8 +149,8 @@ class IGEPAInstance:
         self.events = EventColumn(store)
         self.user_by_id: Mapping[int, User] = IdViewMap(store, "user")
         self.event_by_id: Mapping[int, Event] = IdViewMap(store, "event")
-        self.conflict = conflict
-        self.interest = interest
+        self._conflict = conflict
+        self._interest = interest
         self.social = social
         self.beta = float(beta)
         self.name = name
@@ -173,6 +173,18 @@ class IGEPAInstance:
         self._index: BaseInstanceIndex | None = None
         # ``sharded`` as set by configure_index (see index_class).
         self._index_config = False
+
+    @property
+    def conflict(self) -> ConflictFunction:
+        """σ as given on construction.  Read-only: its matrix is packed
+        into the store once, so a new σ needs a new instance."""
+        return self._conflict
+
+    @property
+    def interest(self) -> InterestFunction:
+        """SI as given on construction.  Read-only: every bid's value is
+        packed into the store once, so a new SI needs a new instance."""
+        return self._interest
 
     def _bid_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """Event and user id of every bid entry, in the store's CSR order."""

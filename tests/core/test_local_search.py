@@ -1,14 +1,15 @@
 """Unit tests for the local-search improvement layer.
 
-The differential tests at the end check the bitmask search against the
-list-based implementation it replaced (kept below as the reference): the
-same move counts and the same final pairs, on feasible arrangements and on
-bid-pair arrangements pushed over capacity or into conflicts (every
-arrangement holds only bid pairs), full and scoped searches, dense and
-sharded indexes.
+The differential tests at the end check the worklist search against the
+list-based rescan (kept below as the reference), which scans the whole
+scope on every pass: the same move counts pass by pass and the same final
+pairs, on feasible arrangements and on bid-pair arrangements pushed over
+capacity or into conflicts (every arrangement holds only bid pairs), full
+and scoped searches, dense and sharded indexes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -138,6 +139,157 @@ class TestLocalSearchWrapper:
             [LocalSearch(RandomU()).solve(instance, seed=s).utility for s in range(10)]
         )
         assert polished > raw
+
+
+def _unit_instance(events, users, interest, conflicts=()):
+    """Events and users as ``{id: capacity}`` and ``{id: (capacity,
+    bids)}``; ``interest`` maps ``(event, user)`` to SI."""
+    return IGEPAInstance(
+        [Event(event_id=e, capacity=c) for e, c in events.items()],
+        [User(user_id=u, capacity=c, bids=b) for u, (c, b) in users.items()],
+        MatrixConflict(list(conflicts)),
+        TabulatedInterest(interest),
+        Graph(nodes=list(users)),
+    )
+
+
+def _freed_seat_case():
+    """Pass 1 evicts user 1 from event 3 (user 3 is heavier there), which
+    ends user 1's overload and the conflict blocking their upgrade 1 -> 2.
+    In pass 2's upgrade scan that swap frees event 1's seat, and user 2 —
+    later in the scan and on no worklist when it started — upgrades 4 -> 1
+    in the same scan."""
+    instance = _unit_instance(
+        events={1: 1, 2: 1, 3: 1, 4: 1},
+        users={1: (1, (1, 2, 3)), 2: (1, (4, 1)), 3: (1, (3,))},
+        interest={
+            (1, 1): 0.8, (2, 1): 0.9, (3, 1): 0.1,
+            (4, 2): 0.3, (1, 2): 0.6,
+            (3, 3): 0.5,
+        },
+        conflicts=[(2, 3)],
+    )
+    return instance, [(1, 1), (3, 1), (4, 2)]
+
+
+def _lowered_load_case():
+    """Pass 1 evicts user 3 from event 3 (user 4 is heavier there).  In
+    pass 2's evict scan user 3 takes event 1 from user 1, and user 1, freed,
+    takes event 2 from user 2 in the same scan, though event 2 was on no
+    worklist when it started."""
+    instance = _unit_instance(
+        events={1: 1, 2: 1, 3: 1},
+        users={1: (1, (1, 2)), 2: (1, (2,)), 3: (1, (1, 3)), 4: (1, (3,))},
+        interest={
+            (1, 1): 0.2, (2, 1): 0.9,
+            (2, 2): 0.1,
+            (1, 3): 0.7, (3, 3): 0.3,
+            (3, 4): 0.8,
+        },
+    )
+    return instance, [(1, 1), (2, 2), (3, 3)]
+
+
+def _loosened_conflict_case():
+    """User 2's pass-1 swap 2 -> 3 opens event 2, so in pass 2 user 1
+    swaps 1 -> 2 (event 2 conflicts with event 1, which blocks adding it).
+    That frees user 1 of event 1's conflict with event 4, so pass 2's
+    evict scan seats them at event 4 over user 3, though no move touched
+    event 4 itself."""
+    instance = _unit_instance(
+        events={1: 1, 2: 1, 3: 1, 4: 1},
+        users={1: (2, (1, 2, 4)), 2: (1, (2, 3)), 3: (1, (4,))},
+        interest={
+            (1, 1): 0.2, (2, 1): 0.5, (4, 1): 0.9,
+            (2, 2): 0.3, (3, 2): 0.8,
+            (4, 3): 0.1,
+        },
+        conflicts=[(1, 2), (1, 4)],
+    )
+    return instance, [(1, 1), (2, 2), (4, 3)]
+
+
+def _own_conflict_case():
+    """User 1 swaps 1 -> 2 in pass 1 (both conflict with event 1, which
+    blocks adding them).  Event 1 had a free seat already, so the swap
+    opens none; but it frees user 1 of event 1's conflict with event 3,
+    which user 1 adds in pass 2."""
+    instance = _unit_instance(
+        events={1: 2, 2: 1, 3: 1},
+        users={1: (2, (1, 2, 3))},
+        interest={(1, 1): 0.2, (2, 1): 0.5, (3, 1): 0.4},
+        conflicts=[(1, 2), (1, 3)],
+    )
+    return instance, [(1, 1)]
+
+
+def _no_moves(**counts):
+    return {"adds": 0, "refills": 0, "upgrades": 0, "evictions": 0, **counts}
+
+
+#: Hand-built searches whose later passes need a particular mark: case
+#: builder, counts pass by pass, final pairs.
+_MARKED_SEARCHES = {
+    "swap-frees-seat-same-scan": (
+        _freed_seat_case,
+        [_no_moves(evictions=1), _no_moves(upgrades=2), _no_moves()],
+        {(2, 1), (3, 3), (1, 2)},
+    ),
+    "eviction-frees-user-same-scan": (
+        _lowered_load_case,
+        [_no_moves(evictions=1), _no_moves(evictions=2), _no_moves()],
+        {(1, 3), (2, 1), (3, 4)},
+    ),
+    "swap-loosens-conflict-for-eviction": (
+        _loosened_conflict_case,
+        [_no_moves(upgrades=1), _no_moves(upgrades=1, evictions=1), _no_moves()],
+        {(2, 1), (4, 1), (3, 2)},
+    ),
+    "swap-loosens-own-conflict-for-add": (
+        _own_conflict_case,
+        [_no_moves(upgrades=1), _no_moves(adds=1), _no_moves()],
+        {(2, 1), (3, 1)},
+    ),
+}
+
+
+class TestWorklists:
+    """Later passes visit only what earlier moves marked, picking up marks
+    ahead of a running scan's cursor in the same pass."""
+
+    @pytest.mark.parametrize("name", list(_MARKED_SEARCHES))
+    def test_marked_search_matches_rescan(self, name):
+        case, expected_passes, expected_pairs = _MARKED_SEARCHES[name]
+        instance, pairs = case()
+        assert _assert_same_search(instance, pairs) == expected_passes
+        arrangement = Arrangement.from_pairs(instance, pairs, check=False)
+        improve(instance, arrangement)
+        assert arrangement.pairs == expected_pairs
+
+    @pytest.mark.parametrize("case", [_freed_seat_case, _lowered_load_case])
+    def test_pass_cap_with_moves_left(self, case):
+        instance, pairs = case()
+        passes = _assert_same_search(instance, pairs, max_passes=1)
+        assert passes == [_no_moves(evictions=1)]
+        arrangement = Arrangement.from_pairs(instance, pairs, check=False)
+        assert improve(instance, arrangement, max_passes=1)["passes"] == 1
+        # The moves left are found by a fresh search.
+        assert sum(improve(instance, arrangement, max_passes=1).values()) > 1
+
+    def test_scoped_search_drops_marks_outside_the_scope(self):
+        """A scope of user 1 and event 3 only: user 2's upgrade, which the
+        full search makes after user 1's swap, is never made."""
+        instance, pairs = _freed_seat_case()
+        index = instance.index
+        scope = {
+            "user_positions": [index.user_pos[1]],
+            "event_positions": [index.event_pos[3]],
+            "refill_events": True,
+        }
+        _assert_same_search(instance, pairs, **scope)
+        arrangement = Arrangement.from_pairs(instance, pairs, check=False)
+        improve(instance, arrangement, **scope)
+        assert arrangement.pairs == {(2, 1), (3, 3), (4, 2)}
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +579,13 @@ def ref_improve(
     user_positions=None,
     event_positions=None,
     refill_events=False,
+    evict_scan=ref_try_evict_moves,
 ):
+    """The rescan: every pass scans the whole scope.  Returns the totals
+    (as :func:`improve` does) and each pass's counts (as
+    :func:`iter_passes` yields them).  ``evict_scan`` picks the evict
+    reference; the scalar one reads attendees live, so it also covers
+    repeated event positions."""
     user_scan = (
         range(instance.index.num_users)
         if user_positions is None
@@ -444,19 +602,23 @@ def ref_improve(
         else sorted(event_positions)
     )
     totals = {"adds": 0, "refills": 0, "upgrades": 0, "evictions": 0, "passes": 0}
+    passes = []
     for _ in range(max_passes):
-        adds = ref_try_add_moves(state, user_scan)
-        refills = ref_try_refill_moves(state, event_scan) if refill_events else 0
-        upgrades = ref_try_upgrade_moves(state, user_scan)
-        evictions = ref_try_evict_moves(state, event_scan)
-        totals["adds"] += adds
-        totals["refills"] += refills
-        totals["upgrades"] += upgrades
-        totals["evictions"] += evictions
+        counts = {
+            "adds": ref_try_add_moves(state, user_scan),
+            "refills": (
+                ref_try_refill_moves(state, event_scan) if refill_events else 0
+            ),
+            "upgrades": ref_try_upgrade_moves(state, user_scan),
+            "evictions": evict_scan(state, event_scan),
+        }
+        passes.append(counts)
+        for key, count in counts.items():
+            totals[key] += count
         totals["passes"] += 1
-        if adds + refills + upgrades + evictions == 0:
+        if not any(counts.values()):
             break
-    return totals
+    return totals, passes
 
 
 # ----------------------------------------------------------------------
@@ -528,11 +690,37 @@ def _copies(instance, pairs):
     )
 
 
-def _assert_same_search(instance, pairs, **kwargs):
-    reference, bitmask = _copies(instance, pairs)
-    expected = ref_improve(instance, reference, **kwargs)
-    assert improve(instance, bitmask, **kwargs) == expected
-    assert sorted(bitmask.pairs) == sorted(reference.pairs)
+def _assert_same_search(instance, pairs, evict_scan=ref_try_evict_moves, **kwargs):
+    """Same counts pass by pass, same totals and same final pairs as the
+    rescan."""
+    reference, drained = _copies(instance, pairs)
+    expected, expected_passes = ref_improve(
+        instance, reference, evict_scan=evict_scan, **kwargs
+    )
+    assert list(iter_passes(instance, drained, **kwargs)) == expected_passes
+    assert sorted(drained.pairs) == sorted(reference.pairs)
+    improved = Arrangement.from_pairs(instance, pairs, check=False)
+    assert improve(instance, improved, **kwargs) == expected
+    assert sorted(improved.pairs) == sorted(reference.pairs)
+    return expected_passes
+
+
+def _check_scoped_search(case, unchecked, max_passes):
+    instance, pairs, rng = case
+    if unchecked:
+        pairs = sorted(set(pairs) | set(_unchecked_extras(instance, rng, 4)))
+    index = instance.index
+    # Positions drawn with repeats: scans visit a repeated user twice.
+    users = rng.integers(0, index.num_users, size=index.num_users // 2 + 1)
+    events = rng.integers(0, index.num_events, size=index.num_events // 2 + 1)
+    _assert_same_search(
+        instance,
+        pairs,
+        max_passes=max_passes,
+        user_positions=users.tolist(),
+        event_positions=sorted(set(events.tolist())),
+        refill_events=True,
+    )
 
 
 class TestAgainstListSearch:
@@ -553,19 +741,31 @@ class TestAgainstListSearch:
     @settings(max_examples=80, deadline=None)
     @given(search_cases(), st.booleans(), st.integers(min_value=1, max_value=3))
     def test_scoped_repair_with_refill(self, case, unchecked, max_passes):
+        _check_scoped_search(case, unchecked, max_passes)
+
+    @pytest.mark.slow
+    @settings(max_examples=500, deadline=None)
+    @given(search_cases(), st.booleans(), st.integers(min_value=1, max_value=20))
+    def test_scoped_repair_with_refill_many(self, case, unchecked, max_passes):
+        _check_scoped_search(case, unchecked, max_passes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(search_cases(), st.booleans())
+    def test_repeated_event_positions(self, case, unchecked):
+        """A repeated event is visited once per repeat, against attendees
+        read live (the scalar evict reference)."""
         instance, pairs, rng = case
         if unchecked:
             pairs = sorted(set(pairs) | set(_unchecked_extras(instance, rng, 4)))
         index = instance.index
-        # Positions drawn with repeats: scans visit a repeated user twice.
         users = rng.integers(0, index.num_users, size=index.num_users // 2 + 1)
-        events = rng.integers(0, index.num_events, size=index.num_events // 2 + 1)
+        events = rng.integers(0, index.num_events, size=index.num_events + 2)
         _assert_same_search(
             instance,
             pairs,
-            max_passes=max_passes,
+            evict_scan=ref_try_evict_moves_scalar,
             user_positions=users.tolist(),
-            event_positions=sorted(set(events.tolist())),
+            event_positions=events.tolist(),
             refill_events=True,
         )
 
@@ -592,7 +792,7 @@ class TestAgainstListSearch:
         events = range(instance.index.num_events)
         if rng.random() < 0.5:
             events = sorted(set(rng.integers(0, len(events), size=4).tolist()))
-        moved = _try_evict_moves(_SearchState(instance, batched), events)
+        moved = _try_evict_moves(_SearchState(instance, batched, event_scope=events))
         assert moved == ref_try_evict_moves_scalar(
             _RefSearchState(instance, scalar), events
         )
@@ -626,9 +826,9 @@ class TestAgainstListSearch:
         for upos in users:
             state.bits_of(upos)  # every mask cached before the moves
         moved = (
-            _try_add_moves(state, users)
-            + _try_upgrade_moves(state, users)
-            + _try_evict_moves(state, events)
+            _try_add_moves(state)
+            + _try_upgrade_moves(state)
+            + _try_evict_moves(state)
         )
         assert moved
         for upos in users:

@@ -8,7 +8,7 @@ from repro.datagen import (
     generate_churn_trace,
     generate_synthetic,
 )
-from repro.model import CosineInterest, apply_delta
+from repro.model import CosineInterest, IGEPAInstance, apply_delta
 from tests.util import random_instance
 
 SMALL = SyntheticConfig(num_events=15, num_users=60)
@@ -97,8 +97,15 @@ class TestGeneration:
         assert max(burst_arrivals) > max(steady_arrivals)
 
     def test_requires_tabulated_interest(self):
-        instance = random_instance(seed=0)
-        instance.interest = CosineInterest()
+        base = random_instance(seed=0)
+        instance = IGEPAInstance(
+            list(base.events),
+            list(base.users),
+            base.conflict,
+            CosineInterest(),
+            base.social,
+            beta=base.beta,
+        )
         with pytest.raises(TypeError, match="TabulatedInterest"):
             generate_churn_trace(instance, ChurnConfig(num_batches=1), seed=0)
 

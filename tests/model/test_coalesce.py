@@ -130,6 +130,21 @@ class TestCoalesceUnits:
         assert delta.add_bids == ()
         assert delta.set_user_capacity == ()
 
+    def test_untouched_arrival_is_passed_through(self):
+        """A window-added user whose bids and capacity the window leaves
+        alone is the same object, not a re-validated copy."""
+        arrival = User(user_id=99, capacity=1, bids=(1, 2))
+        edited = User(user_id=98, capacity=1, bids=(1,))
+        delta = coalesce_deltas(
+            [
+                Delta(add_users=(arrival, edited)),
+                Delta(add_bids=((98, 2),), set_user_capacity=((10, 2),)),
+            ]
+        )
+        assert delta.add_users[0] is arrival
+        assert delta.add_users[1] is not edited
+        assert delta.add_users[1].bids == (1, 2)
+
     def test_event_close_prunes_pending_references(self):
         opened = Event(event_id=50, capacity=5)
         arrival = User(user_id=99, capacity=1, bids=(1, 50))

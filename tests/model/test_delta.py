@@ -8,6 +8,7 @@ from repro.model import (
     Delta,
     DeltaError,
     Event,
+    IGEPAInstance,
     InstanceIndex,
     MatrixConflict,
     User,
@@ -307,8 +308,15 @@ class TestApplySemantics:
     def test_successor_saves_no_pairs_outside_the_instance(self):
         """A σ built from pairs naming events the instance lacks keeps them
         until the first delta; the successor's σ holds its events only."""
-        instance = tiny_instance()
-        instance.conflict = MatrixConflict([(1, 2), (1, 99)])
+        base = tiny_instance()
+        instance = IGEPAInstance(
+            list(base.events),
+            list(base.users),
+            MatrixConflict([(1, 2), (1, 99)]),
+            base.interest,
+            base.social,
+            beta=base.beta,
+        )
         successor = apply_delta(instance, Delta(add_conflicts=((2, 3),))).instance
         assert instance.conflict.to_dict()["pairs"] == [[1, 2], [1, 99]]
         assert successor.conflict.to_dict()["pairs"] == [[1, 2], [2, 3]]

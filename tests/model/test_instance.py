@@ -131,6 +131,16 @@ class TestDerivedQuantities:
         assert not instance.conflicts(1, 3)
         assert not instance.conflicts(1, 1)
 
+    def test_functions_are_read_only(self):
+        """σ and SI are packed into the store on construction, so
+        replacing them afterwards would leave the index on the old ones."""
+        instance = tiny_instance()
+        with pytest.raises(AttributeError):
+            instance.conflict = NoConflict()
+        with pytest.raises(AttributeError):
+            instance.interest = TabulatedInterest({})
+        assert instance.conflicts(1, 2)
+
     def test_bidders(self):
         instance = tiny_instance()
         assert sorted(instance.bidders(1)) == [10, 11]
