@@ -241,14 +241,14 @@ class BenchmarkLP:
         Columns are matched by a per-set hash of their events and then
         checked exactly: the basic columns must spell out the arrangement's
         pairs.  Returns ``None`` when they do not (a set not in the table,
-        ``arrangement`` of another instance) or when the table has no
-        program of its own row layout (a mirrored table).
+        ``arrangement`` of another instance).  Rows are those of the
+        program the table is solved as: ``program``'s layout for an
+        array-built table, the patched ``lp``'s own row order for a table
+        mirrored from the incremental chain.
         """
-        program = self.program
         index = arrangement.instance.index
         if not (
-            program is not None
-            and np.array_equal(index.user_ids, self.user_ids)
+            np.array_equal(index.user_ids, self.user_ids)
             and np.array_equal(index.event_ids, self.event_ids)
         ):
             return None
@@ -283,11 +283,24 @@ class BenchmarkLP:
             return None
         basic_columns = np.zeros(self.num_columns, dtype=bool)
         basic_columns[basic] = True
-        # Rows as build_benchmark_lp lays them out: the (2) row of every
-        # user with a column, then the (3) rows.
-        user_row = np.cumsum(np.bincount(self.set_upos, minlength=num_users) > 0) - 1
-        basic_rows = np.ones(program.num_constraints, dtype=bool)
-        basic_rows[user_row[users]] = False
+        program = self.program
+        if program is not None:
+            # Rows as build_benchmark_lp lays them out: the (2) row of every
+            # user with a column, then the (3) rows.
+            num_rows = program.num_constraints
+            counts = np.bincount(self.set_upos, minlength=num_users)
+            rows = (np.cumsum(counts > 0) - 1)[users]
+        else:
+            # A patched program keeps its rows in its own order, by name.
+            num_rows = self.lp.num_constraints
+            row_of = self.lp.constraint_index()
+            rows = np.fromiter(
+                (row_of[f"user[{u}]"] for u in self.user_ids[users].tolist()),
+                dtype=np.int64,
+                count=users.size,
+            )
+        basic_rows = np.ones(num_rows, dtype=bool)
+        basic_rows[rows] = False
         return StartBasis(basic_columns=basic_columns, basic_rows=basic_rows)
 
     def pairs_from_solution(self, x, threshold: float = 0.5) -> list[tuple[int, int]]:

@@ -15,8 +15,9 @@ The rebuild path runs on arrays end to end: the LP is built as an
 sampling reads each user's column range, the repair ranks pairs per event,
 and the arrangement is filled from the surviving positions and then audited
 against Definition 4 in one vectorized pass.  :meth:`LPPacking.start_from`
-starts the next rebuild solve's simplex from a feasible arrangement of the
-same instance (the defrag step's post-sweep arrangement) instead of cold.
+starts the next solve's simplex, rebuilt or delta-patched, from a feasible
+arrangement of the same instance (the defrag step's post-sweep arrangement)
+instead of cold.
 
 Theorem 2: with ``α = 1/2`` the expected utility is at least
 ``α(1-α) = 1/4`` of the LP optimum, hence of OPT.  The paper's experiments
@@ -278,14 +279,15 @@ class LPPacking(ArrangementAlgorithm):
     def start_from(self, arrangement: Arrangement) -> None:
         """Start the next solve's simplex from ``arrangement``.
 
-        The next ``solve`` of ``arrangement.instance`` that rebuilds the LP
-        hands HiGHS the basis of the vertex encoding ``arrangement``
+        The next ``solve`` of ``arrangement.instance`` hands HiGHS the basis
+        of the vertex encoding ``arrangement``
         (:meth:`~repro.core.lp_formulation.BenchmarkLP.start_basis`) in
         place of a cold start: a feasible arrangement is a primal-feasible
         basis of the same program, so only the pivots from it to the
-        optimum remain.  The hint is used by the next solve only and then
-        dropped; a solve of another instance, a cached one and the
-        incremental chain ignore it.
+        optimum remain.  A rebuilt LP and the incremental chain's patched
+        one both take it, each in its own row order.  The hint is used by
+        the next solve only and then dropped; a solve of another instance
+        and a cached one ignore it.
         """
         self._start_from = arrangement
 
@@ -311,17 +313,19 @@ class LPPacking(ArrangementAlgorithm):
                 )
                 self._incremental_lp = incremental
             benchmark = incremental.benchmark
-            solution = incremental.solve()
+            # The chain solves its patched program, rows in its own order.
+            program = benchmark.lp
         else:
             benchmark = build_benchmark_lp(
                 instance, max_sets_per_user=self.max_sets_per_user
             )
-            start = (
-                benchmark.start_basis(hint)
-                if hint is not None and hint.instance is instance
-                else None
-            )
-            solution = solve_lp(benchmark.program, start=start)
+            program = benchmark.program
+        start = (
+            benchmark.start_basis(hint)
+            if hint is not None and hint.instance is instance
+            else None
+        )
+        solution = solve_lp(program, start=start)
         if not solution.is_optimal:
             raise LPPackingError.from_solution(solution)
         x_star = solution.x

@@ -88,10 +88,10 @@ class TickEngine:
             :meth:`apply_churn` feeds every delta into the resolver's
             delta-patched program, so each defrag solve patches the
             previous program instead of rebuilding it; HiGHS solves it
-            either way.  The LP optimum is identical either way; the
-            sampled arrangement may differ (the patched program orders its
-            columns differently, so HiGHS can land on another optimal
-            vertex).
+            either way, started from the sweep's arrangement.  The LP
+            optimum is identical either way; the sampled arrangement may
+            differ (the patched program orders its columns differently, so
+            HiGHS can land on another optimal vertex).
         max_passes: local-search pass cap for repair and defrag sweeps.
         check_parity: rebuild the index from scratch in :meth:`audit` and
             compare against the patched one.
@@ -291,7 +291,8 @@ class TickEngine:
                 else 0.0
             )
             # The post-sweep arrangement is a feasible vertex of the
-            # rebuilt LP: HiGHS starts from it instead of from scratch.
+            # defrag LP, rebuilt or patched: HiGHS starts from it instead of
+            # from scratch.
             self.lp_resolver.start_from(self.arrangement)
             lp_result = self.lp_resolver.solve(
                 result.instance, seed=self.seed + 100_003 + tick

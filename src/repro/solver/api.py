@@ -13,8 +13,11 @@ HiGHS receives the program exactly as built: it presolves internally and
 takes variable bounds natively.  Every program reaches HiGHS as an
 :class:`~repro.solver.problem.ArrayProgram` — objective, bounds, senses and
 right-hand sides as arrays, the constraint matrix assembled column-wise
-from its COO triplets, each row with its own bounds in program order.  Bulk
-builders (the benchmark LP) pass one directly; a
+from its COO triplets, each row with its own bounds in program order — and
+goes in through the array overload of ``passModel``, which copies each
+array in bulk (int32 column starts and row indices; every column
+continuous unless marked integer).  Bulk builders (the benchmark LP) pass
+an ``ArrayProgram`` directly; a
 :class:`~repro.solver.problem.LinearProgram` is converted by
 :meth:`~repro.solver.problem.LinearProgram.to_arrays`, which reads its COO
 triplet cache.  A :class:`~repro.solver.problem.StartBasis` makes the solve
@@ -97,42 +100,44 @@ def _highs():
     return _core
 
 
-def _highs_lp(program: ArrayProgram) -> Any:
-    """``program`` as a HiGHS ``HighsLp``.
+def _pass_model(core: Any, highs: Any, program: ArrayProgram) -> Any:
+    """Load ``program`` into ``highs`` through the array ``passModel``;
+    HiGHS's status.
 
     A maximization's costs are negated (HiGHS minimizes) and absent bounds
     are ``kHighsInf``.  Each row keeps its own bounds, in program order:
     ``(-inf, rhs]`` for ``<=``, ``[rhs, inf)`` for ``>=`` and ``[rhs, rhs]``
-    for ``==``.  The matrix is column-wise, each column's rows ascending.
-    Only an integer program carries column integrality.
+    for ``==``.  The matrix is column-wise, each column's rows ascending,
+    with int32 starts and indices.  Integer-marked columns are integral,
+    every other column continuous.
     """
     from scipy.sparse import csc_array
 
-    core = _highs()
     inf = core.kHighsInf
     n, m = program.num_variables, program.num_constraints
     senses, rhs = program.senses, program.rhs
     matrix = csc_array((program.vals, (program.rows, program.cols)), shape=(m, n))
-    lp = core.HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = m
-    lp.col_cost_ = (-1.0 if program.maximize else 1.0) * program.objective
-    lp.col_lower_ = np.where(np.isinf(program.lower), -inf, program.lower)
-    lp.col_upper_ = np.where(np.isinf(program.upper), inf, program.upper)
-    lp.row_lower_ = np.where(senses > 0, -inf, rhs)
-    lp.row_upper_ = np.where(senses < 0, inf, rhs)
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.a_matrix_.num_col_ = n
-    lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.start_ = matrix.indptr
-    lp.a_matrix_.index_ = matrix.indices
-    lp.a_matrix_.value_ = matrix.data
-    if program.has_integer_variables:
-        kinds = core.HighsVarType
-        lp.integrality_ = np.where(
-            program.integer, kinds.kInteger, kinds.kContinuous
-        ).tolist()
-    return lp
+    kinds = core.HighsVarType
+    integrality = np.where(
+        program.integer, int(kinds.kInteger), int(kinds.kContinuous)
+    ).astype(np.int32)
+    return highs.passModel(
+        n,
+        m,
+        matrix.nnz,
+        core.MatrixFormat.kColwise,
+        core.ObjSense.kMinimize,
+        0.0,
+        (-1.0 if program.maximize else 1.0) * program.objective,
+        np.where(np.isinf(program.lower), -inf, program.lower),
+        np.where(np.isinf(program.upper), inf, program.upper),
+        np.where(senses > 0, -inf, rhs),
+        np.where(senses < 0, inf, rhs),
+        matrix.indptr.astype(np.int32),
+        matrix.indices.astype(np.int32),
+        matrix.data,
+        integrality,
+    )
 
 
 def _status(core: Any, model_status: Any) -> SolveStatus:
@@ -171,7 +176,7 @@ def _solve_highs(program: ArrayProgram, start: StartBasis | None) -> LPSolution:
     highs.setOptionValue("simplex_strategy", 1)  # dual simplex
     if integer:
         highs.setOptionValue("mip_rel_gap", 0.0)
-    loaded = highs.passModel(_highs_lp(program))
+    loaded = _pass_model(core, highs, program)
     used = "cold"
     if loaded == core.HighsStatus.kError:
         # The model never loaded: nothing was solved.

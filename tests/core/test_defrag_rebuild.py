@@ -27,7 +27,7 @@ from repro.datagen import (
 from repro.model import Arrangement
 from repro.model.delta import apply_delta
 from repro.solver import LinearProgram, Sense, solve_lp
-from repro.solver.api import _highs_lp
+from repro.solver.api import _highs, _pass_model
 from tests.util import dfs_all_admissible_sets
 
 
@@ -155,36 +155,60 @@ class TestOneSummationRule:
 
 
 # ----------------------------------------------------------------------
-# The hand-off to HiGHS: the array program against the built LinearProgram
+# The hand-off to HiGHS: the model HiGHS holds against the program's arrays
 # ----------------------------------------------------------------------
-#: The ``HighsLp`` fields ``solve_lp`` fills, the matrix's under ``a_matrix_``.
-_HIGHS_FIELDS = (
-    "col_cost_",
-    "col_lower_",
-    "col_upper_",
-    "row_lower_",
-    "row_upper_",
-    "integrality_",
-)
-_MATRIX_FIELDS = ("start_", "index_", "value_")
-
-
 def _highs_inputs(program):
-    """The ``HighsLp`` that ``solve_lp(program)`` passes to HiGHS, its
-    fields as arrays (a :class:`LinearProgram` reaches HiGHS through
+    """The model that ``solve_lp(program)`` loads into HiGHS, read back
+    with ``getLp`` (a :class:`LinearProgram` reaches HiGHS through
     ``to_arrays``)."""
     if isinstance(program, LinearProgram):
         program = program.to_arrays()
-    lp = _highs_lp(program)
-    inputs = {name: np.asarray(getattr(lp, name)) for name in _HIGHS_FIELDS}
-    inputs["integrality_"] = np.array([int(kind) for kind in lp.integrality_])
-    for name in _MATRIX_FIELDS:
-        inputs[name] = np.asarray(getattr(lp.a_matrix_, name))
-    inputs["shape"] = np.array(
-        [lp.num_row_, lp.num_col_, lp.a_matrix_.num_row_, lp.a_matrix_.num_col_]
-    )
-    inputs["format"] = np.array([int(lp.a_matrix_.format_)])
-    return inputs
+    core = _highs()
+    highs = core._Highs()
+    assert _pass_model(core, highs, program) == core.HighsStatus.kOk
+    lp = highs.getLp()
+    matrix = lp.a_matrix_
+    assert matrix.format_ == core.MatrixFormat.kColwise
+    assert lp.sense_ == core.ObjSense.kMinimize and lp.offset_ == 0.0
+    return {
+        "shape": np.array([lp.num_row_, lp.num_col_, matrix.num_row_, matrix.num_col_]),
+        "col_cost_": np.asarray(lp.col_cost_, dtype=float),
+        "col_lower_": np.asarray(lp.col_lower_, dtype=float),
+        "col_upper_": np.asarray(lp.col_upper_, dtype=float),
+        "row_lower_": np.asarray(lp.row_lower_, dtype=float),
+        "row_upper_": np.asarray(lp.row_upper_, dtype=float),
+        "start_": np.asarray(matrix.start_, dtype=np.int64),
+        "index_": np.asarray(matrix.index_, dtype=np.int64),
+        "value_": np.asarray(matrix.value_, dtype=float),
+        "integrality_": np.array([int(kind) for kind in lp.integrality_], dtype=np.int64),
+    }
+
+
+def _expected_inputs(program):
+    """What HiGHS should hold for ``program``, from its arrays alone: costs
+    negated for a maximization (HiGHS minimizes), ``kHighsInf`` for absent
+    bounds, each row's bounds by its sense, the matrix column by column
+    with each column's rows ascending, and integrality only where a column
+    is marked integer."""
+    core = _highs()
+    inf = core.kHighsInf
+    kinds = core.HighsVarType
+    m, n = program.num_constraints, program.num_variables
+    order = np.lexsort((program.rows, program.cols))
+    return {
+        "shape": np.array([m, n, m, n]),
+        "col_cost_": -program.objective if program.maximize else program.objective,
+        "col_lower_": np.where(np.isinf(program.lower), -inf, program.lower),
+        "col_upper_": np.where(np.isinf(program.upper), inf, program.upper),
+        "row_lower_": np.where(program.senses > 0, -inf, program.rhs),
+        "row_upper_": np.where(program.senses < 0, inf, program.rhs),
+        "start_": np.searchsorted(program.cols[order], np.arange(n + 1)),
+        "index_": program.rows[order].astype(np.int64),
+        "value_": program.vals[order],
+        "integrality_": np.where(
+            program.integer, int(kinds.kInteger), int(kinds.kContinuous)
+        ).astype(np.int64),
+    }
 
 
 def _assert_same_inputs(ours, theirs):
@@ -196,23 +220,42 @@ def _assert_same_inputs(ours, theirs):
 
 
 class TestArrayProgramHandOff:
-    """HiGHS gets the same bits from the array program as from its
+    """HiGHS holds, bit for bit, the model the program's arrays spell out,
+    and the same one whether it is handed the array program or its
     LinearProgram (``benchmark.lp``, equal to the object-built reference
-    above), the path every rebuild took before."""
+    above)."""
 
     @pytest.mark.parametrize("implied_upper", [False, True])
     @pytest.mark.parametrize("name", sorted(INSTANCES))
     def test_linprog_inputs_bit_identical(self, name, implied_upper):
         benchmark = build_benchmark_lp(INSTANCES[name](), implied_upper=implied_upper)
         ours = _highs_inputs(benchmark.program)
-        assert ours["integrality_"].size == 0
+        _assert_same_inputs(ours, _expected_inputs(benchmark.program))
+        assert not ours["integrality_"].any()
         _assert_same_inputs(ours, _highs_inputs(benchmark.lp))
 
     def test_integer_program_inputs_bit_identical(self):
         benchmark = build_benchmark_lp(_synthetic(60, 5), integer=True)
         ours = _highs_inputs(benchmark.program)
+        _assert_same_inputs(ours, _expected_inputs(benchmark.program))
         assert ours["integrality_"].size == benchmark.num_columns
+        assert np.all(ours["integrality_"] == int(_highs().HighsVarType.kInteger))
         _assert_same_inputs(ours, _highs_inputs(benchmark.lp))
+
+    def test_minimization_with_every_sense_and_free_bounds(self):
+        lp = LinearProgram(maximize=False)
+        x = lp.add_variable("x", lower=-math.inf, upper=4.0, objective=3.0)
+        y = lp.add_variable("y", lower=1.0, upper=math.inf, objective=-5.0)
+        z = lp.add_variable("z", lower=0.0, upper=1.0, objective=2.0, is_integer=True)
+        lp.add_constraint({x: 1.0, y: 2.0}, Sense.LE, 8.0)
+        lp.add_constraint({y: -1.0, z: 3.0}, Sense.GE, -2.0)
+        lp.add_constraint({x: 0.5, z: 1.0}, Sense.EQ, 1.5)
+        program = lp.to_arrays()
+        ours = _highs_inputs(program)
+        _assert_same_inputs(ours, _expected_inputs(program))
+        assert ours["row_lower_"].tolist() == [-math.inf, -2.0, 1.5]
+        assert ours["row_upper_"].tolist() == [8.0, math.inf, 1.5]
+        assert ours["integrality_"].tolist() == [0, 0, 1]
 
     def test_rebuild_path_never_builds_the_linear_program(self, monkeypatch):
         def refuse(*_args, **_kwargs):

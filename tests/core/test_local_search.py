@@ -631,47 +631,119 @@ _TIED_VALUES = (0.0, 0.25, 0.5, 1.0)
 @st.composite
 def search_cases(draw):
     """A random instance (dense or sharded index), a feasible
-    arrangement on it as sorted pairs, and the RNG for further draws."""
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    arrangement on it as sorted pairs, and the RNG for further draws.
+    Half the draws carry a seat ladder (see :func:`_plant_ladder`), on
+    SI alone: with ``beta < 1`` the degree term would reorder its
+    users' claims."""
+    ladder = draw(st.booleans())
+    return _search_case(
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        num_events=draw(st.integers(min_value=1, max_value=12)),
+        num_users=draw(st.integers(min_value=1, max_value=30)),
+        tied=draw(st.booleans()),
+        conflict_probability=float(draw(st.sampled_from((0.0, 0.2, 0.5)))),
+        beta=1.0 if ladder else float(draw(st.sampled_from((0.0, 0.5, 1.0)))),
+        sharded=draw(st.booleans()),
+        ladder=ladder,
+    )
+
+
+def _search_case(
+    *, seed, num_events, num_users, tied, conflict_probability, beta, sharded, ladder
+):
+    """The case :func:`search_cases` draws: random bids, capacities, SI
+    and conflicts, optionally overlaid with a seat ladder, and an
+    arrangement that seats the ladder first and then a random 60% of the
+    bid pairs that still fit."""
     rng = np.random.default_rng(seed)
-    num_events = draw(st.integers(min_value=1, max_value=12))
-    num_users = draw(st.integers(min_value=1, max_value=30))
-    tied = draw(st.booleans())
     event_ids = [3 * e + 1 for e in range(num_events)]
     # User ids run against position order, so (w, user_id) ties matter.
     user_ids = [1000 - 7 * u for u in range(num_users)]
-    events = [
-        Event(event_id=e, capacity=int(rng.integers(0, 4))) for e in event_ids
-    ]
-    users = []
+    capacity = dict(zip(event_ids, rng.integers(0, 4, size=num_events).tolist()))
+    users = {}
     interest = {}
     for u in user_ids:
         count = int(rng.integers(0, min(5, num_events) + 1))
         bids = tuple(int(b) for b in rng.permutation(event_ids)[:count])
-        users.append(User(user_id=u, capacity=int(rng.integers(0, 4)), bids=bids))
+        users[u] = (int(rng.integers(0, 4)), bids)
         for b in bids:
             interest[(b, u)] = (
                 float(rng.choice(_TIED_VALUES)) if tied else float(rng.uniform())
             )
-    conflict = MatrixConflict.sample(
-        event_ids, float(draw(st.sampled_from((0.0, 0.2, 0.5)))), rng
+    conflicts = set(
+        MatrixConflict.sample(event_ids, conflict_probability, rng).pairs()
+    )
+    seated = (
+        _plant_ladder(rng, event_ids, user_ids, capacity, users, interest, conflicts)
+        if ladder
+        else []
     )
     instance = IGEPAInstance(
-        events=events,
-        users=users,
-        conflict=conflict,
+        events=[Event(event_id=e, capacity=c) for e, c in capacity.items()],
+        users=[User(user_id=u, capacity=c, bids=b) for u, (c, b) in users.items()],
+        conflict=MatrixConflict(sorted(conflicts)),
         interest=TabulatedInterest(interest),
         social=erdos_renyi_graph(user_ids, 0.3, rng=rng),
-        beta=float(draw(st.sampled_from((0.0, 0.5, 1.0)))),
+        beta=beta,
     )
-    if draw(st.booleans()):
+    if sharded:
         instance.configure_index(sharded=True)
-    arrangement = Arrangement(instance)
-    bid_pairs = [(e, user.user_id) for user in users for e in user.bids]
+    arrangement = Arrangement.from_pairs(instance, seated)
+    bid_pairs = [(e, u) for u, (_c, bids) in users.items() for e in bids]
     for k in rng.permutation(len(bid_pairs)).tolist():
         if rng.random() < 0.6 and arrangement.can_add(*bid_pairs[k]):
             arrangement.add(*bid_pairs[k], check=False)
     return instance, sorted(arrangement.pairs), rng
+
+
+def _plant_ladder(rng, event_ids, user_ids, capacity, users, interest, conflicts):
+    """Overwrite a few events and users with a seat ladder; the pairs it
+    seats.
+
+    Climbers ``u_0 < … < u_k`` (by position) sit at capacity-1 events
+    ``e_0 … e_k``, each conflicting with the next, and each ``u_i`` bids
+    ``e_{i+1}`` above ``e_i``; ``e_{k+1}`` is left free.  A rescan frees
+    one rung per pass from the top, so a search runs ``k + 2`` passes and
+    each later one hangs on the marks of the swap before it.  While spare
+    events last, every climber ``u_i`` below the top gets room for a
+    second event and a bid on a spare capacity-1 event ``c``, held by a
+    lighter user, that conflicts with ``e_i`` but not ``e_{i+1}``: only
+    ``u_i``'s swap up the ladder lets them evict there, in the pass that
+    swap falls in.  Other users' bids on the planted events are dropped,
+    so the ladder runs as planted beside the random rest of the instance.
+    """
+    rungs = min(int(rng.integers(1, 4)), len(event_ids) - 2, len(user_ids) - 1)
+    if rungs < 1:
+        return []
+    shuffled = [event_ids[k] for k in rng.permutation(len(event_ids)).tolist()]
+    ladder, spare = shuffled[: rungs + 2], shuffled[rungs + 2 :]
+    climbers = sorted(rng.choice(len(user_ids), size=rungs + 1, replace=False).tolist())
+    holders = [user_ids[k] for k in range(len(user_ids)) if k not in climbers]
+    seated = []
+    for step, k in enumerate(climbers):
+        user, here, up = user_ids[k], ladder[step], ladder[step + 1]
+        capacity[here] = capacity[up] = 1
+        conflicts.add((min(here, up), max(here, up)))
+        low, high = sorted(rng.uniform(size=2).tolist())
+        interest[(here, user)], interest[(up, user)] = low, high
+        bids, room = (here, up), 1
+        if spare and holders and step < rungs:
+            side, holder = spare.pop(), holders.pop()
+            capacity[side], room, bids = 1, 2, (here, up, side)
+            conflicts.add((min(here, side), max(here, side)))
+            conflicts.discard((min(up, side), max(up, side)))
+            lighter, heavier = sorted(rng.uniform(size=2).tolist())
+            interest[(side, holder)], interest[(side, user)] = lighter, heavier
+            users[holder] = (1, (side,))
+            seated.append((side, holder))
+        users[user] = (room, bids)
+        seated.append((here, user))
+    planted_events = set(ladder) | {event for event, _user in seated}
+    planted_users = {user for _event, user in seated}
+    for user, (room, bids) in users.items():
+        if user not in planted_users:
+            users[user] = (room, tuple(e for e in bids if e not in planted_events))
+    return seated
 
 
 def _unchecked_extras(instance, rng, count):

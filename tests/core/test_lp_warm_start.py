@@ -1,7 +1,7 @@
 """The defrag LP's warm start: the basis of the vertex that encodes a
 feasible arrangement (``BenchmarkLP.start_basis``), handed to HiGHS by
 ``solve_lp(..., start=...)`` and, through ``LPPacking.start_from``, on the
-rebuild path only."""
+rebuild path and on the delta-patched chain alike."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,11 @@ import pytest
 from repro.core import LPPacking, build_benchmark_lp
 from repro.core.local_search import improve
 from repro.core.online import OnlineGreedy
+from repro.core.repair import repair
+from repro.datagen import ChurnConfig, generate_churn_trace
 from repro.datagen.adversarial import integrality_gap_instance, small_tight_instance
 from repro.model import Arrangement
+from repro.model.delta import Delta, apply_delta
 from repro.solver import solve_lp
 from repro.solver.problem import StartBasis
 from tests.core.test_defrag_rebuild import INSTANCES, _synthetic
@@ -155,12 +158,12 @@ class TestLPPackingStart:
         other = _synthetic(60, 1)
         assert resolver.solve(other, seed=0).details["lp_start"] == "cold"
 
-    def test_incremental_chain_ignores_the_hint(self):
+    def test_incremental_chain_takes_the_hint(self):
         instance = _synthetic(60, 0)
         resolver = LPPacking(incremental=True, cache_lp=False)
         resolver.start_from(_swept(instance))
         result = resolver.solve(instance, seed=0)
-        assert result.details["lp_start"] == "cold"
+        assert result.details["lp_start"] == "warm"
         assert result.details["lp_backend"] == "scipy-highs"
 
     def test_cached_solve_is_not_warm(self):
@@ -171,6 +174,107 @@ class TestLPPackingStart:
         cached = resolver.solve(instance, seed=1)
         assert cached.details["lp_backend"] == "cache"
         assert cached.details["lp_start"] == "cold"
+
+
+def _capacity_shock(instance):
+    """A batch that only re-sets event capacities: every other event's
+    shrinks by one (to at least 1), which sheds carried pairs."""
+    return Delta(
+        set_event_capacity=tuple(
+            (event.event_id, max(1, int(event.capacity) - 1))
+            for event in instance.events[::2]
+        )
+    )
+
+
+def _patched_chain(instance, seed):
+    """A chain solved once on ``instance`` and then patched across two
+    churn batches; the resolver and the instance the chain now describes."""
+    trace = generate_churn_trace(instance, ChurnConfig(num_batches=2), seed=seed)
+    resolver = LPPacking(incremental=True, cache_lp=False)
+    resolver.solve(instance, seed=0)
+    current = instance
+    for delta in trace.deltas:
+        current = apply_delta(current, delta).instance
+        resolver.observe_delta(delta, current)
+    return resolver, current
+
+
+class TestWarmChain:
+    """The delta-patched chain (``LPPacking(incremental=True)``) takes the
+    post-sweep hint on every solve, its basis laid out in the patched
+    program's own row order."""
+
+    def test_every_chain_solve_is_warm_across_churn(self):
+        instance = _synthetic(80, 6)
+        trace = generate_churn_trace(
+            instance,
+            ChurnConfig(num_batches=4, event_close_rate=2.0, event_open_rate=2.0),
+            seed=31,
+        )
+        assert all(delta.remove_users for delta in trace.deltas)
+        assert any(delta.remove_events for delta in trace.deltas)
+        resolver = LPPacking(incremental=True, cache_lp=False)
+        arrangement = _swept(instance)
+        resolver.start_from(arrangement)
+        starts = [resolver.solve(instance, seed=0).details["lp_start"]]
+        current = instance
+        deltas = list(trace.deltas)
+        for step in range(len(deltas) + 1):
+            # The trace's batches, then a capacity shock on what they left.
+            delta = deltas[step] if step < len(deltas) else _capacity_shock(current)
+            result = apply_delta(current, delta, arrangement)
+            resolver.observe_delta(delta, result.instance)
+            # What defrag hands the LP: the carried arrangement, repaired
+            # around the churn and then swept.
+            repair(result)
+            improve(result.instance, result.arrangement)
+            current, arrangement = result.instance, result.arrangement
+            assert arrangement.is_feasible()
+            resolver.start_from(arrangement)
+            solved = resolver.solve(current, seed=step + 1)
+            starts.append(solved.details["lp_start"])
+            rebuilt = solve_lp(build_benchmark_lp(current, implied_upper=True).program)
+            assert solved.details["lp_objective"] == pytest.approx(
+                rebuilt.objective_value, abs=1e-6
+            )
+        assert resolver._incremental_lp.deltas_observed == len(deltas) + 1
+        assert starts == ["warm"] * len(starts)
+
+    def test_start_basis_rows_follow_the_patched_program(self):
+        resolver, current = _patched_chain(_synthetic(60, 2), seed=8)
+        benchmark = resolver._incremental_lp.benchmark
+        assert benchmark.program is None
+        arrangement = _swept(current)
+        start = benchmark.start_basis(arrangement)
+        assert start is not None
+        lp = benchmark.lp
+        assigned = np.unique(arrangement.assigned_positions()[0])
+        rows = lp.constraint_index()
+        expected = sorted(
+            rows[f"user[{user_id}]"] for user_id in current.index.user_ids[assigned]
+        )
+        assert np.flatnonzero(~start.basic_rows).tolist() == expected
+        assert start.basic_columns.sum() + start.basic_rows.sum() == (
+            lp.num_constraints
+        )
+
+    def test_a_set_missing_from_the_patched_table_solves_cold(self):
+        resolver, current = _patched_chain(_synthetic(60, 0), seed=4)
+        # A user seated at every event they bid on, over their capacity or
+        # across a conflict: no admissible set, so no column, matches it.
+        index = current.index
+        for user in current.users:
+            upos = index.user_pos[user.user_id]
+            vpos = [index.event_pos[event_id] for event_id in user.bids]
+            hint = Arrangement.from_positions(current, [upos] * len(vpos), vpos)
+            if not hint.is_feasible():
+                break
+        else:
+            pytest.fail("every user's whole bid set is admissible")
+        assert resolver._incremental_lp.benchmark.start_basis(hint) is None
+        resolver.start_from(hint)
+        assert resolver.solve(current, seed=1).details["lp_start"] == "cold"
 
 
 def test_simulate_tick_records_carry_no_start():
