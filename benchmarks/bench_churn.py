@@ -24,16 +24,6 @@ records the same trace against gg+ls — the cheapest credible re-solve — for
 context.  Independent of speed, every batch must satisfy the tentpole
 correctness gates: the patched index bit-identical to a from-scratch build,
 and the repaired arrangement feasible.
-
-The ``lp_resolve`` row gates the incremental LP layer against the fastest
-existing path: patching the benchmark LP in place and solving the patched
-program with HiGHS, against rebuilding the LP as arrays and solving it with
-HiGHS (what LP-packing does without the chain), with identical optima to
-1e-6.  The chain is the slower of the two since the rebuild builds arrays,
-so ``MIN_LP_RESOLVE_SPEEDUP`` is a floor under a ratio below 1: it bounds
-how much slower than the rebuild the patched re-solve may get.  A companion
-pure-capacity-shock trace checks that every shock batch is an RHS-only
-delta whose patched optimum matches the rebuild.
 """
 
 from __future__ import annotations
@@ -45,25 +35,18 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-import numpy as np
-
 from repro.core import GGGreedy, LocalSearch, LPPacking
 from repro.datagen import (
     ChurnConfig,
-    ChurnTrace,
     SyntheticConfig,
     generate_churn_trace,
     generate_synthetic,
 )
 from repro.experiments.persistence import write_bench_artifact
-from repro.experiments.replay import lp_resolve_comparison, replay_trace
-from repro.model.delta import Delta
+from repro.experiments.replay import replay_trace
 
 MIN_SPEEDUP = 5.0
 MIN_RETENTION = 0.9
-#: Half the lowest patched-over-rebuild ratio seen in 12 runs of each rung
-#: (seed 0, 2-vCPU host: 0.52-0.65 at |U| = 1000, 0.63-0.71 at |U| = 4000).
-MIN_LP_RESOLVE_SPEEDUP = 0.25
 
 
 def _trace(num_users: int, num_batches: int, seed: int):
@@ -82,54 +65,6 @@ def _trace(num_users: int, num_batches: int, seed: int):
         burst_every=max(2, num_batches // 2),
     )
     return generate_churn_trace(instance, config, seed=seed + 1)
-
-
-def _capacity_shock_trace(instance, num_batches: int, seed: int) -> ChurnTrace:
-    """Pure capacity-shock batches: every delta is RHS edits only."""
-    rng = np.random.default_rng(seed)
-    capacities = {e.event_id: int(e.capacity) for e in instance.events}
-    event_ids = sorted(capacities)
-    deltas = []
-    for _ in range(num_batches):
-        picks = rng.choice(
-            event_ids, size=max(2, len(event_ids) // 10), replace=False
-        )
-        updates = []
-        for event_id in sorted(int(e) for e in picks):
-            shift = int(rng.integers(-3, 4))
-            capacity = max(1, capacities[event_id] + shift)
-            capacities[event_id] = capacity
-            updates.append((event_id, capacity))
-        deltas.append(Delta(set_event_capacity=tuple(updates)))
-    return ChurnTrace(initial=instance, deltas=deltas, seed=seed)
-
-
-def _lp_resolve_row(num_users: int, num_batches: int, seed: int) -> dict:
-    """Delta-patched LP re-solve vs the HiGHS rebuild, one size."""
-    row = lp_resolve_comparison(_trace(num_users, num_batches, seed))
-    row["num_users"] = num_users
-    row["num_batches"] = num_batches
-    print(
-        f"|U|={num_users:>5} lp_resolve   "
-        f"patch={row['mean_patch_seconds'] * 1e3:>7.1f}ms/batch "
-        f"rebuild={row['mean_rebuild_seconds'] * 1e3:>8.1f}ms/batch "
-        f"speedup={row['speedup']:>6.2f}x "
-        f"iterations={row['iterations']}"
-    )
-
-    # Pure capacity shocks: every batch is an RHS-only delta, and
-    # lp_resolve_comparison asserts each patched optimum against the
-    # rebuild (1e-6).
-    instance = generate_synthetic(
-        SyntheticConfig(num_users=min(num_users, 1000)), seed=seed
-    )
-    shock = lp_resolve_comparison(
-        _capacity_shock_trace(instance, num_batches, seed + 2)
-    )
-    for batch in shock["batches"]:
-        assert batch["rhs_only"], "capacity-shock trace emitted a mixed delta"
-    row["capacity_shock"] = shock
-    return row
 
 
 def _run_one(num_users: int, num_batches: int, seed: int, algorithm) -> dict:
@@ -174,10 +109,6 @@ def run_bench(
         row["gg_ls_reference"] = _run_one(
             num_users, num_batches, seed, LocalSearch(GGGreedy())
         )
-        # Gated row: the delta-patched incremental LP re-solve against the
-        # HiGHS rebuild (optima asserted equal to 1e-6 inside the
-        # comparison).
-        row["lp_resolve"] = _lp_resolve_row(num_users, num_batches, seed)
         rows.append(row)
 
     largest = max(rows, key=lambda r: r["num_users"])
@@ -188,16 +119,8 @@ def run_bench(
         "largest_num_users": largest["num_users"],
         "largest_speedup": largest["speedup"],
         "largest_utility_retention": largest["utility_retention"],
-        "largest_lp_resolve_speedup": largest["lp_resolve"]["speedup"],
         "min_required_speedup": min_speedup,
-        "min_required_lp_resolve_speedup": MIN_LP_RESOLVE_SPEEDUP,
     }
-    assert largest["lp_resolve"]["speedup"] >= MIN_LP_RESOLVE_SPEEDUP, (
-        f"delta-patched LP re-solve reads "
-        f"{largest['lp_resolve']['speedup']:.2f}x the speed of the HiGHS "
-        f"rebuild at |U|={largest['num_users']} "
-        f"(required: {MIN_LP_RESOLVE_SPEEDUP}x)"
-    )
     assert largest["utility_retention"] >= MIN_RETENTION, (
         f"repair retains only {largest['utility_retention']:.1%} of the "
         f"re-solved utility at |U|={largest['num_users']} "

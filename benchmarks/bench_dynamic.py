@@ -29,10 +29,6 @@ Hard gates, independent of machine speed:
   the oracle ticks, where LP* is the benchmark-LP optimum of the tick's
   instance: a certified upper bound (Lemma 1), so retention never reads
   above 1 and every shortfall is a real one;
-* an ungated context row repeats the defrag-on run with the resolver's
-  benchmark LP maintained incrementally (``defrag_lp_incremental=True``:
-  churn deltas patch the program in place and each defrag solves the
-  patched program) — feasibility and parity are still asserted;
 * **long-horizon retention** (full mode only, |U| = 4000 over ≥ 50
   batches) — the defrag-on platform retains ≥ 95% of LP*.
 
@@ -108,23 +104,7 @@ def run_bench(
         defrag=PeriodicDefrag(defrag_period),
         check_parity=True,
     )
-    # Context row (ungated): the same defrag-on run with the resolver's LP
-    # maintained incrementally — every churn batch delta-patches the
-    # program and each defrag solves the patched program.
-    on_incremental = simulate(
-        trace,
-        OnlineGreedy(),
-        seed=seed,
-        oracle_every=oracle_every,
-        defrag=PeriodicDefrag(defrag_period),
-        defrag_lp_incremental=True,
-        check_parity=True,
-    )
-    runs = (
-        ("defrag-off", off),
-        ("defrag-on", on),
-        ("defrag-on-ilp", on_incremental),
-    )
+    runs = (("defrag-off", off), ("defrag-on", on))
     for label, run in runs:
         assert run.all_feasible, f"{label}: a tick's arrangement is infeasible"
         retention = run.long_horizon_retention
@@ -159,12 +139,10 @@ def run_bench(
         "min_required_retention": None if quick else min_retention,
         "retention_defrag_off": off.long_horizon_retention,
         "retention_defrag_on": on.long_horizon_retention,
-        "retention_defrag_on_incremental": on_incremental.long_horizon_retention,
         "acceptance_defrag_off": off.arrival_acceptance_rate,
         "acceptance_defrag_on": on.arrival_acceptance_rate,
         "defrag_off": off.to_dict(),
         "defrag_on": on.to_dict(),
-        "defrag_on_incremental": on_incremental.to_dict(),
     }
 
 

@@ -3,8 +3,8 @@
 Each rule encodes one contract the array/columnar architecture depends on.
 Every finding carries a fix hint; sanctioned exceptions are marked per line
 with ``# igepa: ignore[CODE]`` at the violation site — there are no
-file-level escapes.  IGP006 is retired and its code is not reused:
-suppressions and CI's JSON findings key on the codes.
+file-level escapes.  IGP006 and IGP009 are retired and their codes are not
+reused: suppressions and CI's JSON findings key on the codes.
 
 +--------+--------------------------------------------------------------+
 | IGP001 | no Python-level loops over users/events/bids in hot modules  |
@@ -16,7 +16,6 @@ suppressions and CI's JSON findings key on the codes.
 | IGP005 | RNG discipline: all draws through a seeded Generator         |
 | IGP007 | no wall-clock reads in deterministic logic                   |
 | IGP008 | public API functions must be fully type-annotated            |
-| IGP009 | no from-scratch benchmark-LP rebuilds in tick-loop modules   |
 | IGP010 | report/bench payloads serialize only through                 |
 |        | experiments/persistence.py                                   |
 +--------+--------------------------------------------------------------+
@@ -757,9 +756,6 @@ class RngDisciplineRule(Rule):
 #: other service module takes time through the injected Clock, so decision
 #: time stays virtual (replayable) and measurement time stays report-only.
 TIMING_REPORT_MODULES = (
-    # Only for ``lp_resolve_comparison``, which times two LP solvers outside
-    # any engine; ``replay_trace`` itself times through the engine's Clock.
-    "repro/experiments/replay.py",
     "repro/experiments/runner.py",
     "repro/core/base.py",
     "repro/service/clock.py",
@@ -916,60 +912,6 @@ class PublicApiAnnotationRule(Rule):
             )
 
 
-#: Modules that drive the per-tick dynamic loop: LP work here repeats once
-#: per churn batch, so a from-scratch LP build is a per-tick O(instance)
-#: rebuild of state the incremental layer maintains in place.
-TICK_LOOP_MODULES = (
-    "repro/service/engine.py",
-    "repro/service/loop.py",
-    "repro/experiments/simulate.py",
-    "repro/experiments/replay.py",
-)
-
-#: Calls that construct the benchmark LP from scratch.
-_LP_REBUILD_CALLS = frozenset({"build_benchmark_lp"})
-
-
-class LPRebuildRule(Rule):
-    """IGP009: no from-scratch benchmark-LP rebuilds in tick-loop modules.
-
-    The tick loop re-solves the benchmark LP once per churn batch; calling
-    :func:`~repro.core.lp_formulation.build_benchmark_lp` there re-enumerates
-    every admissible set and re-emits the whole constraint matrix —
-    O(instance) work per tick that the incremental layer
-    (:class:`~repro.core.lp_incremental.IncrementalBenchmarkLP`, or
-    ``LPPacking(incremental=True)`` fed via ``observe_delta``) replaces
-    with a delta-sized patch.  Explicit from-scratch
-    baselines (speedup comparisons) are sanctioned per line.
-    """
-
-    code = "IGP009"
-    name = "tick-loop-lp-rebuild"
-    hint = (
-        "patch the LP across ticks instead: feed deltas through "
-        "LPPacking(incremental=True).observe_delta / "
-        "IncrementalBenchmarkLP, or mark an intentional from-scratch "
-        "baseline with '# igepa: ignore[IGP009]'"
-    )
-    module_suffixes = TICK_LOOP_MODULES
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        findings: list[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if terminal_name(node.func) in _LP_REBUILD_CALLS:
-                findings.append(
-                    self.finding(
-                        ctx,
-                        node,
-                        "from-scratch benchmark-LP build in a tick-loop "
-                        "module (rebuilds every admissible set per tick)",
-                    )
-                )
-        return findings
-
-
 #: The one module allowed to serialize report/bench payloads.
 PERSISTENCE_MODULES = ("repro/experiments/persistence.py",)
 
@@ -1061,6 +1003,5 @@ ALL_RULES: tuple[type[Rule], ...] = (
     RngDisciplineRule,
     WallClockRule,
     PublicApiAnnotationRule,
-    LPRebuildRule,
     RawReportDumpRule,
 )

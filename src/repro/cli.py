@@ -189,7 +189,6 @@ def _build_engine(
             defrag=_build_defrag(args),
             oracle_every=args.oracle_every,
             defrag_lp=not args.no_defrag_lp,
-            defrag_lp_incremental=args.defrag_lp_incremental,
             check_parity=args.check_parity,
             **options,
         )
@@ -386,14 +385,6 @@ def _engine_flags() -> argparse.ArgumentParser:
         "--no-defrag-lp",
         action="store_true",
         help="skip the LP-packing re-solve during defrag passes",
-    )
-    group.add_argument(
-        "--defrag-lp-incremental",
-        action="store_true",
-        help=(
-            "maintain the defrag LP as one delta-patched program instead of "
-            "rebuilding it per defrag (HiGHS solves it either way)"
-        ),
     )
     group.add_argument(
         "--drift-rate",

@@ -20,18 +20,18 @@ enumerate_admissible_batch`) without a Python object per column: the
 :class:`BenchmarkLP` it returns holds the column table and an
 :class:`~repro.solver.problem.ArrayProgram` (objective, bounds, COO
 constraint triplets, right-hand sides), which
-:func:`~repro.solver.api.solve_lp` hands HiGHS as is.  The named
+:func:`~repro.solver.api.solve_lp` hands HiGHS as is.  Across churn the
+program is rebuilt here for every instance, never edited in place; what
+carries over is the simplex start, the basis :meth:`BenchmarkLP.start_basis`
+writes down for a feasible arrangement of the new instance.  The named
 :class:`~repro.solver.problem.LinearProgram` and the per-column decoding
 tables are built from those arrays on first access.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -44,26 +44,13 @@ from repro.model.instance import IGEPAInstance
 from repro.solver.problem import ArrayProgram, LinearProgram, Sense, StartBasis
 
 
-def sum_in_order(weights: Iterable[float]) -> float:
-    """``w(u, S)`` from its members' ``w(u, v)``: added left to right from
-    0.0, the one summation rule for every objective of the benchmark LP.
-
-    Builtin ``sum()`` is not that rule everywhere: from Python 3.12 on it
-    compensates float sums (Neumaier), which can round differently from
-    :func:`build_benchmark_lp`'s position-by-position array sums.  Objectives
-    built here and patched in by
-    :class:`~repro.core.lp_incremental.IncrementalBenchmarkLP` all go through
-    this rule, so one set carries the same bits on every Python.
-    """
-    return functools.reduce(operator.add, weights, 0.0)
-
-
 def set_weights(member_weights: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """``w(u, S)`` of every set whose members' ``w(u, v)`` are
     ``member_weights[indptr[k]:indptr[k+1]]``.
 
     Added position by position over all sets at once: left to right from
-    0.0 per set, the rule of :func:`sum_in_order`.
+    0.0 per set, uncompensated (builtin ``sum()`` compensates from Python
+    3.12 on), so a set's weight has the same bits on every Python.
     """
     sizes = np.diff(indptr)
     weights = np.zeros(sizes.size)
@@ -86,16 +73,14 @@ class BenchmarkLP:
         user_ids / event_ids: the ids of the positions above.
         set_upos / set_indptr / set_vpos: the column table.
         program: the program (1)-(4) as an :class:`ArrayProgram`, what
-            :func:`~repro.solver.api.solve_lp` hands HiGHS; ``None`` for a
-            table mirrored from a patched :class:`LinearProgram` (see
-            :class:`~repro.core.lp_incremental.IncrementalBenchmarkLP`).
+            :func:`~repro.solver.api.solve_lp` hands HiGHS.
 
-    The object views are built on first access: ``lp`` (the
+    The object views are built from the arrays on first access: ``lp`` (the
     :class:`LinearProgram` with named variables and rows), ``assignments``
     (per column, the ``(user_id, S)`` it encodes), ``by_user`` (user id ->
     column indices, ascending) and ``admissible`` (user id -> ``A_u``).
-    They serve the patch chain, benches and tests;
-    the LP-packing rebuild path and the exact ILP read only the arrays.
+    They serve benches and tests; LP-packing and the exact ILP read only
+    the arrays.
     """
 
     def __init__(
@@ -107,11 +92,7 @@ class BenchmarkLP:
         set_upos: np.ndarray,
         set_indptr: np.ndarray,
         set_vpos: np.ndarray,
-        program: ArrayProgram | None = None,
-        lp: LinearProgram | None = None,
-        assignments: list[tuple[int, tuple[int, ...]]] | None = None,
-        by_user: dict[int, list[int]] | None = None,
-        admissible: dict[int, list[tuple[int, ...]]] | None = None,
+        program: ArrayProgram,
     ):
         self.name = name
         self.user_ids = user_ids
@@ -120,10 +101,10 @@ class BenchmarkLP:
         self.set_indptr = set_indptr
         self.set_vpos = set_vpos
         self.program = program
-        self._lp = lp
-        self._assignments = assignments
-        self._by_user = by_user
-        self._admissible = admissible
+        self._lp: LinearProgram | None = None
+        self._assignments: list[tuple[int, tuple[int, ...]]] | None = None
+        self._by_user: dict[int, list[int]] | None = None
+        self._admissible: dict[int, list[tuple[int, ...]]] | None = None
 
     @property
     def num_columns(self) -> int:
@@ -170,12 +151,6 @@ class BenchmarkLP:
             }
         return self._admissible
 
-    def materialize(self) -> BenchmarkLP:
-        """Build every object view now; returns ``self``."""
-        for view in ("lp", "assignments", "by_user", "admissible"):
-            getattr(self, view)
-        return self
-
     @property
     def lp(self) -> LinearProgram:
         """The program as a :class:`LinearProgram`: variables
@@ -186,8 +161,6 @@ class BenchmarkLP:
 
     def _build_lp(self) -> LinearProgram:
         program = self.program
-        if program is None:
-            raise ValueError("a mirrored column table carries its own lp")
         lp = LinearProgram(name=self.name, maximize=program.maximize)
         # Users share many sets, so each distinct set is spelled out once.
         assignments = self.assignments
@@ -241,10 +214,9 @@ class BenchmarkLP:
         Columns are matched by a per-set hash of their events and then
         checked exactly: the basic columns must spell out the arrangement's
         pairs.  Returns ``None`` when they do not (a set not in the table,
-        ``arrangement`` of another instance).  Rows are those of the
-        program the table is solved as: ``program``'s layout for an
-        array-built table, the patched ``lp``'s own row order for a table
-        mirrored from the incremental chain.
+        ``arrangement`` of another instance).  Rows are laid out as
+        :func:`build_benchmark_lp` lays them out: the (2) row of every user
+        with a column, then the (3) rows.
         """
         index = arrangement.instance.index
         if not (
@@ -283,24 +255,9 @@ class BenchmarkLP:
             return None
         basic_columns = np.zeros(self.num_columns, dtype=bool)
         basic_columns[basic] = True
-        program = self.program
-        if program is not None:
-            # Rows as build_benchmark_lp lays them out: the (2) row of every
-            # user with a column, then the (3) rows.
-            num_rows = program.num_constraints
-            counts = np.bincount(self.set_upos, minlength=num_users)
-            rows = (np.cumsum(counts > 0) - 1)[users]
-        else:
-            # A patched program keeps its rows in its own order, by name.
-            num_rows = self.lp.num_constraints
-            row_of = self.lp.constraint_index()
-            rows = np.fromiter(
-                (row_of[f"user[{u}]"] for u in self.user_ids[users].tolist()),
-                dtype=np.int64,
-                count=users.size,
-            )
-        basic_rows = np.ones(num_rows, dtype=bool)
-        basic_rows[rows] = False
+        counts = np.bincount(self.set_upos, minlength=num_users)
+        basic_rows = np.ones(self.program.num_constraints, dtype=bool)
+        basic_rows[(np.cumsum(counts > 0) - 1)[users]] = False
         return StartBasis(basic_columns=basic_columns, basic_rows=basic_rows)
 
     def pairs_from_solution(self, x, threshold: float = 0.5) -> list[tuple[int, int]]:
@@ -345,11 +302,7 @@ def build_benchmark_lp(
         implied_upper: leave the variables' upper bounds at ``+inf`` and let
             constraint (2) imply (4): every variable appears in its user's
             row with coefficient 1 and rhs 1, so ``x ≤ 1`` holds at every
-            feasible point and the optimum is unchanged.  With no finite
-            upper bounds the standard form needs no synthetic ``ub`` rows,
-            and the incremental path
-            (:class:`repro.core.lp_incremental.IncrementalBenchmarkLP`)
-            has no column bounds to maintain across its patches.
+            feasible point and the optimum is unchanged.
 
     Raises:
         AdmissibleSetExplosion: propagated from enumeration.

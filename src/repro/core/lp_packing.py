@@ -14,10 +14,11 @@ The rebuild path runs on arrays end to end: the LP is built as an
 :class:`~repro.solver.problem.ArrayProgram` and handed to HiGHS as such,
 sampling reads each user's column range, the repair ranks pairs per event,
 and the arrangement is filled from the surviving positions and then audited
-against Definition 4 in one vectorized pass.  :meth:`LPPacking.start_from`
-starts the next solve's simplex, rebuilt or delta-patched, from a feasible
-arrangement of the same instance (the defrag step's post-sweep arrangement)
-instead of cold.
+against Definition 4 in one vectorized pass.  Every solve rebuilds the LP
+from its instance; :meth:`LPPacking.start_from` starts the next solve's
+simplex from a feasible arrangement of the same instance (the defrag step's
+post-sweep arrangement) instead of cold, so a rebuild across churn costs a
+warm solve.
 
 Theorem 2: with ``α = 1/2`` the expected utility is at least
 ``α(1-α) = 1/4`` of the LP optimum, hence of OPT.  The paper's experiments
@@ -45,7 +46,6 @@ import numpy as np
 from repro.core.admissible import DEFAULT_MAX_SETS_PER_USER
 from repro.core.base import ArrangementAlgorithm
 from repro.core.lp_formulation import BenchmarkLP, build_benchmark_lp
-from repro.core.lp_incremental import IncrementalBenchmarkLP
 from repro.model.arrangement import Arrangement
 from repro.model.delta import Delta
 from repro.model.errors import ArrangementError
@@ -99,17 +99,11 @@ class LPPacking(ArrangementAlgorithm):
             deterministic per instance; only sampling and repair (lines 3-7)
             depend on the seed, so repeated-run experiments — the paper
             averages 50 repetitions — only pay the solve once.
-        incremental: maintain one delta-patched benchmark LP across churn
-            (:class:`~repro.core.lp_incremental.IncrementalBenchmarkLP`)
-            instead of rebuilding per instance.  Feed each churn batch in
-            via :meth:`observe_delta`; a subsequent ``solve`` on the
-            successor instance then solves the *patched* program.  Solving
-            an instance the chain was not advanced onto rebases the chain
-            with a fresh build.
 
-    Either way the benchmark LP is solved by
+    The benchmark LP is built as arrays per instance
+    (:func:`~repro.core.lp_formulation.build_benchmark_lp`) and solved by
     :func:`~repro.solver.api.solve_lp`'s default backend (HiGHS, the role
-    Gurobi plays in the paper).
+    Gurobi plays in the paper), warm when :meth:`start_from` gave a start.
 
     Raises:
         ValueError: on out-of-range ``alpha`` or unknown ``repair_order``.
@@ -124,7 +118,6 @@ class LPPacking(ArrangementAlgorithm):
         repair_order: str = "user",
         max_sets_per_user: int = DEFAULT_MAX_SETS_PER_USER,
         cache_lp: bool = True,
-        incremental: bool = False,
     ):
         super().__init__(seed=seed)
         if not 0.0 < alpha <= 1.0:
@@ -137,8 +130,6 @@ class LPPacking(ArrangementAlgorithm):
         self.repair_order = repair_order
         self.max_sets_per_user = max_sets_per_user
         self.cache_lp = cache_lp
-        self.incremental = incremental
-        self._incremental_lp: IncrementalBenchmarkLP | None = None
         self._start_from: Arrangement | None = None
         # Keyed by the live instance object (identity semantics).  A weak
         # mapping — not id() — because CPython reuses the ids of collected
@@ -172,8 +163,7 @@ class LPPacking(ArrangementAlgorithm):
         set_upos = benchmark.set_upos
         if not set_upos.size:
             return np.empty(0, dtype=np.int64)
-        # Columns user by user: an array-built program holds each user's as
-        # one ascending range already, a patched one holds them anywhere.
+        # Columns user by user, each user's in ascending order.
         flat = np.argsort(set_upos, kind="stable")
         lengths = np.bincount(set_upos)
         lengths = lengths[lengths > 0]
@@ -251,27 +241,14 @@ class LPPacking(ArrangementAlgorithm):
         return upos[keep], vpos[keep]
 
     # ------------------------------------------------------------------
-    # Incremental churn feed
+    # Churn feed (retired)
     # ------------------------------------------------------------------
     def observe_delta(self, delta: Delta, successor: IGEPAInstance) -> None:
-        """Advance the incremental LP chain across one churn batch.
+        """A no-op: every solve rebuilds the LP from its own instance.
 
-        Call right after :func:`repro.model.delta.apply_delta` with the
-        delta and the instance it produced — ``successor`` must descend
-        from the chain's current instance.  The next ``solve`` on
-        ``successor`` then solves the patched program instead of a
-        rebuild.  A no-op when ``incremental`` is off
-        or no LP has been built yet (the first solve anchors the chain).
+        Kept only because the repository benchmark's traced run wraps it;
+        ROADMAP item 1's benchmark-only change deletes it.
         """
-        if not self.incremental:
-            return
-        incremental = self._incremental_lp
-        if incremental is None:
-            return
-        # The cached tuple for the predecessor aliases the very structures
-        # the patch mutates in place — evict before patching.
-        self._lp_cache.pop(incremental.instance, None)
-        incremental.observe_delta(delta, successor)
 
     # ------------------------------------------------------------------
     # Warm start
@@ -284,10 +261,8 @@ class LPPacking(ArrangementAlgorithm):
         (:meth:`~repro.core.lp_formulation.BenchmarkLP.start_basis`) in
         place of a cold start: a feasible arrangement is a primal-feasible
         basis of the same program, so only the pivots from it to the
-        optimum remain.  A rebuilt LP and the incremental chain's patched
-        one both take it, each in its own row order.  The hint is used by
-        the next solve only and then dropped; a solve of another instance
-        and a cached one ignore it.
+        optimum remain.  The hint is used by the next solve only and then
+        dropped; a solve of another instance and a cached one ignore it.
         """
         self._start_from = arrangement
 
@@ -297,35 +272,21 @@ class LPPacking(ArrangementAlgorithm):
     def _solved_benchmark(
         self, instance: IGEPAInstance
     ) -> tuple[BenchmarkLP, np.ndarray, float, int, str, str]:
-        """Build (or patch) and solve the benchmark LP, consulting the
-        per-instance cache."""
+        """Build and solve the benchmark LP, consulting the per-instance
+        cache."""
         hint, self._start_from = self._start_from, None
         if self.cache_lp and instance in self._lp_cache:
             benchmark, x_star, objective, iterations = self._lp_cache[instance]
             return benchmark, x_star, objective, iterations, "cache", "cold"
-        if self.incremental:
-            incremental = self._incremental_lp
-            if incremental is None or incremental.instance is not instance:
-                # First solve, or the chain was never advanced onto this
-                # instance via observe_delta: rebase with a fresh build.
-                incremental = IncrementalBenchmarkLP(
-                    instance, max_sets_per_user=self.max_sets_per_user
-                )
-                self._incremental_lp = incremental
-            benchmark = incremental.benchmark
-            # The chain solves its patched program, rows in its own order.
-            program = benchmark.lp
-        else:
-            benchmark = build_benchmark_lp(
-                instance, max_sets_per_user=self.max_sets_per_user
-            )
-            program = benchmark.program
+        benchmark = build_benchmark_lp(
+            instance, max_sets_per_user=self.max_sets_per_user
+        )
         start = (
             benchmark.start_basis(hint)
             if hint is not None and hint.instance is instance
             else None
         )
-        solution = solve_lp(program, start=start)
+        solution = solve_lp(benchmark.program, start=start)
         if not solution.is_optimal:
             raise LPPackingError.from_solution(solution)
         x_star = solution.x

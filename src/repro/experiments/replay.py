@@ -22,7 +22,6 @@ both sides, the utility retention of repair vs re-solve, and the headline
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -326,110 +325,3 @@ def replay_trace(
                 report,
             )
     return report
-
-
-# ----------------------------------------------------------------------
-# LP re-solve comparison: delta-patched incremental vs HiGHS rebuild
-# ----------------------------------------------------------------------
-def _rhs_only_delta(delta) -> bool:
-    """True when the delta is a pure capacity shock (RHS edits only)."""
-    return bool(delta.set_event_capacity) and not (
-        delta.add_users
-        or delta.remove_users
-        or delta.add_events
-        or delta.remove_events
-        or delta.add_bids
-        or delta.remove_bids
-        or delta.add_conflicts
-        or delta.remove_conflicts
-        or delta.set_user_capacity
-        or delta.interest
-        or delta.degrees
-    )
-
-
-def lp_resolve_comparison(
-    trace: ChurnTrace,
-    *,
-    max_sets_per_user: int | None = None,
-    tolerance: float = 1e-6,
-) -> dict:
-    """Time the benchmark-LP re-solve per churn batch, both ways.
-
-    * **patched** — one :class:`~repro.core.lp_incremental.
-      IncrementalBenchmarkLP` across the trace: each delta becomes an LP
-      patch applied in place, and HiGHS solves the patched program.
-    * **rebuild** — what LP-packing does without the chain: build the
-      benchmark LP for each successor from scratch as arrays and solve its
-      :class:`~repro.solver.problem.ArrayProgram` with HiGHS.  It is built
-      with ``implied_upper=True``, as the patched side builds it, so both
-      sides solve the same program.
-
-    Both sides must agree on the optimum to ``tolerance`` every batch —
-    the comparison doubles as an end-to-end correctness check.  Returns a
-    JSON-ready dict with per-batch timings and HiGHS's ``iterations`` for
-    the patched solve; ``rhs_only`` marks pure capacity-shock batches.
-    """
-    from repro.core.admissible import DEFAULT_MAX_SETS_PER_USER
-    from repro.core.lp_formulation import build_benchmark_lp
-    from repro.core.lp_incremental import IncrementalBenchmarkLP
-    from repro.solver.api import solve_lp
-
-    if max_sets_per_user is None:
-        max_sets_per_user = DEFAULT_MAX_SETS_PER_USER
-    instance = trace.initial
-    started = time.perf_counter()
-    incremental = IncrementalBenchmarkLP(
-        instance, max_sets_per_user=max_sets_per_user
-    )
-    solution = incremental.solve()
-    initial_seconds = time.perf_counter() - started
-    assert solution.is_optimal, solution.status
-    batches: list[dict] = []
-    for delta in trace.deltas:
-        successor = apply_delta(instance, delta).instance
-
-        started = time.perf_counter()
-        incremental.observe_delta(delta, successor)
-        patched = incremental.solve()
-        patch_seconds = time.perf_counter() - started
-        assert patched.is_optimal, patched.status
-
-        started = time.perf_counter()
-        # The from-scratch side IS the baseline under measurement here.
-        benchmark = build_benchmark_lp(  # igepa: ignore[IGP009]
-            successor, max_sets_per_user=max_sets_per_user, implied_upper=True
-        )
-        rebuilt = solve_lp(benchmark.program)
-        rebuild_seconds = time.perf_counter() - started
-        assert rebuilt.is_optimal, rebuilt.status
-
-        difference = abs(patched.objective_value - rebuilt.objective_value)
-        assert difference <= tolerance, (
-            f"patched optimum {patched.objective_value!r} diverged from "
-            f"from-scratch {rebuilt.objective_value!r} (|diff|={difference:g})"
-        )
-        batches.append(
-            {
-                "patch_seconds": patch_seconds,
-                "rebuild_seconds": rebuild_seconds,
-                "objective": patched.objective_value,
-                "objective_diff": difference,
-                "rhs_only": _rhs_only_delta(delta),
-                "iterations": patched.iterations,
-            }
-        )
-        instance = successor
-    mean_patch = float(np.mean([b["patch_seconds"] for b in batches]))
-    mean_rebuild = float(np.mean([b["rebuild_seconds"] for b in batches]))
-    return {
-        "initial_seconds": initial_seconds,
-        "batches": batches,
-        "mean_patch_seconds": mean_patch,
-        "mean_rebuild_seconds": mean_rebuild,
-        "speedup": mean_rebuild / mean_patch if mean_patch > 0 else float("inf"),
-        "iterations": int(sum(b["iterations"] for b in batches)),
-        "max_objective_diff": max(
-            (b["objective_diff"] for b in batches), default=0.0
-        ),
-    }

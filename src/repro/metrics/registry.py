@@ -361,16 +361,6 @@ register_metric(
 )
 register_metric(
     Metric(
-        "lp_resolve_speedup",
-        "delta-patched LP re-solve over the HiGHS rebuild of the LP",
-        "x",
-        "up",
-        0.6,
-        {"bench_churn": lambda p: _number(p, "largest_lp_resolve_speedup")},
-    )
-)
-register_metric(
-    Metric(
         "incremental_ms_per_batch",
         "incremental update+repair wall-clock per churn batch",
         "ms",

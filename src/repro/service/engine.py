@@ -32,6 +32,7 @@ gain.  With the default penalty of 0 the gate reduces to
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Generator, Iterable, Iterator
 
 import numpy as np
@@ -80,18 +81,13 @@ class TickEngine:
         defrag: defragmentation schedule (default: never).
         oracle_every: LP* cadence in ticks (0: never; must be >= 0).
         defrag_lp: run an LP-packing re-solve during defrag and adopt its
-            arrangement on net gain.  The benchmark LP is rebuilt per defrag
+            arrangement on net gain.  The benchmark LP is rebuilt as arrays
+            for every defrag and every LP* oracle, from the tick's instance,
             and solved by :func:`~repro.solver.api.solve_lp` (HiGHS), its
             simplex started from the arrangement the defrag sweep left
             (:meth:`~repro.core.lp_packing.LPPacking.start_from`).
-        defrag_lp_incremental: maintain the defrag LP incrementally —
-            :meth:`apply_churn` feeds every delta into the resolver's
-            delta-patched program, so each defrag solve patches the
-            previous program instead of rebuilding it; HiGHS solves it
-            either way, started from the sweep's arrangement.  The LP
-            optimum is identical either way; the sampled arrangement may
-            differ (the patched program orders its columns differently, so
-            HiGHS can land on another optimal vertex).
+        defrag_lp_incremental: retired and ignored; passing it warns with
+            :class:`DeprecationWarning`.
         max_passes: local-search pass cap for repair and defrag sweeps.
         check_parity: rebuild the index from scratch in :meth:`audit` and
             compare against the patched one.
@@ -110,7 +106,7 @@ class TickEngine:
         defrag: DefragSchedule | None = None,
         oracle_every: int = 0,
         defrag_lp: bool = True,
-        defrag_lp_incremental: bool = False,
+        defrag_lp_incremental: bool | None = None,
         max_passes: int = 20,
         check_parity: bool = False,
         clock: Clock | None = None,
@@ -122,6 +118,15 @@ class TickEngine:
             raise ValueError(
                 f"switching_penalty must be >= 0, got {switching_penalty}"
             )
+        if defrag_lp_incremental is not None:
+            # Accepted only because the repository benchmark still passes
+            # it; ROADMAP item 1's benchmark-only change deletes it.
+            warnings.warn(
+                "defrag_lp_incremental is retired and ignored: every defrag "
+                "rebuilds the benchmark LP and solves it warm",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         self.instance = initial
         self.online = online if online is not None else OnlineGreedy()
         self.defrag = defrag if defrag is not None else DefragSchedule()
@@ -132,12 +137,9 @@ class TickEngine:
         self.clock: Clock = clock if clock is not None else MonotonicClock()
         self.switching_penalty = switching_penalty
         self.rng = np.random.default_rng(seed)
-        # One resolver across the horizon for the defrag LP and LP*; in
-        # incremental mode it carries the patched program between defrags.
+        # One resolver across the horizon for the defrag LP and LP*.
         self.defrag_lp = defrag_lp
-        self.lp_resolver = LPPacking(
-            alpha=1.0, incremental=defrag_lp and defrag_lp_incremental
-        )
+        self.lp_resolver = LPPacking(alpha=1.0)
         self.arrangement: Arrangement | None = None
         self.oracle_reference: float | None = None
         self.switching_spend_total = 0.0
@@ -161,10 +163,6 @@ class TickEngine:
         """Apply one churn batch; the engine advances to the successor
         instance and the carried (pair-shed) arrangement."""
         result = apply_delta(self.instance, delta, self.arrangement)
-        # Keep the resolver's delta-patched LP in lockstep with the live
-        # instance (a no-op outside incremental mode / before the first
-        # defrag solve anchors the chain).
-        self.lp_resolver.observe_delta(delta, result.instance)
         self.instance = result.instance
         self.arrangement = result.arrangement
         return result

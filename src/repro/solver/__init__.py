@@ -1,8 +1,7 @@
 """LP / ILP solver substrate.
 
 The paper solves its benchmark LP with Gurobi; here HiGHS (through scipy)
-takes that role for every LP and ILP the library builds, the delta-patched
-chain's included:
+takes that role for every LP and ILP the library builds:
 
 * :class:`LinearProgram` — the backend-neutral model, and
   :class:`ArrayProgram`, the same program as arrays (what HiGHS takes).

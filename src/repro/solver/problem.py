@@ -6,10 +6,9 @@ with bounds and objective coefficients, plus sparse constraint rows with a
 sense and right-hand side.
 
 The model is deliberately small — just enough structure for the benchmark
-LP, its integer-marked variant (the exact ILP) and the delta patches — and
-keeps constraint coefficients sparse (``dict`` of variable index to
-coefficient), because the benchmark LP touches each variable in at most
-``1 + |S|`` rows.
+LP and its integer-marked variant (the exact ILP) — and keeps constraint
+coefficients sparse (``dict`` of variable index to coefficient), because
+the benchmark LP touches each variable in at most ``1 + |S|`` rows.
 """
 
 from __future__ import annotations
@@ -161,13 +160,6 @@ class LinearProgram:
     _coo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
-    # Lazy name -> index maps and the variable -> constraint-rows incidence
-    # that apply_lp_patch maintains; None until first needed.
-    _var_index: dict[str, int] | None = field(default=None, repr=False, compare=False)
-    _con_index: dict[str, int] | None = field(default=None, repr=False, compare=False)
-    _var_rows: dict[int, set[int]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     # ------------------------------------------------------------------
     # Construction
@@ -194,10 +186,6 @@ class LinearProgram:
         if name in self._names:
             raise ValueError(f"duplicate variable name {name!r}")
         self._names.add(name)
-        if self._var_index is not None:
-            self._var_index[name] = index
-        if self._var_rows is not None:
-            self._var_rows[index] = set()
         self.variables.append(
             Variable(
                 name=name,
@@ -234,11 +222,6 @@ class LinearProgram:
         row = len(self.constraints)
         self.constraints.append(Constraint(name, clean, sense, float(rhs)))
         self._coo = None
-        if self._con_index is not None:
-            self._con_index[name] = row
-        if self._var_rows is not None:
-            for idx in clean:
-                self._var_rows.setdefault(idx, set()).add(row)
         return row
 
     def add_variables(
@@ -290,8 +273,6 @@ class LinearProgram:
             )
         )
         self._names = fresh
-        self._var_index = None
-        self._var_rows = None
 
     def add_constraints(
         self,
@@ -348,8 +329,6 @@ class LinearProgram:
             map(Constraint, names, coefficients, itertools.repeat(sense, count), rhs_list)
         )
         self._coo = (rows, cols, vals)
-        self._con_index = None
-        self._var_rows = None
 
     def constraints_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The constraint matrix as COO triplets ``(rows, cols, vals)``.
@@ -410,37 +389,6 @@ class LinearProgram:
             ),
             rhs=np.fromiter((c.rhs for c in self.constraints), dtype=float, count=m),
         )
-
-    # ------------------------------------------------------------------
-    # Incremental patching (see repro.solver.patch)
-    # ------------------------------------------------------------------
-    def variable_index(self) -> dict[str, int]:
-        """Name -> index map of the variables (lazy; apply_lp_patch keeps it
-        consistent afterwards)."""
-        if self._var_index is None:
-            self._var_index = {v.name: v.index for v in self.variables}
-        return self._var_index
-
-    def constraint_index(self) -> dict[str, int]:
-        """Name -> row map of the constraints (lazy; maintained like
-        :meth:`variable_index`)."""
-        if self._con_index is None:
-            self._con_index = {c.name: i for i, c in enumerate(self.constraints)}
-        return self._con_index
-
-    def variable_rows(self) -> dict[int, set[int]]:
-        """Variable index -> rows holding a coefficient for it (lazy
-        incidence; what makes column removal O(column nnz) instead of a
-        full matrix scan)."""
-        if self._var_rows is None:
-            incidence: dict[int, set[int]] = {
-                v.index: set() for v in self.variables
-            }
-            for row, constraint in enumerate(self.constraints):
-                for idx in constraint.coefficients:
-                    incidence[idx].add(row)
-            self._var_rows = incidence
-        return self._var_rows
 
     # ------------------------------------------------------------------
     # Introspection

@@ -245,17 +245,18 @@ class TestWallClock:
             "def stamp():\n"
             "    return time.perf_counter()\n"
         )
-        assert codes(src, "src/repro/experiments/replay.py") == []
+        assert codes(src, "src/repro/experiments/runner.py") == []
 
     def test_perf_counter_in_simulate_flagged(self):
-        # simulate times its ticks through the engine's Clock, so a direct
-        # timer read there is a finding.
+        # simulate and replay time their ticks through the engine's Clock,
+        # so a direct timer read there is a finding.
         src = (
             "import time\n"
             "def stamp():\n"
             "    return time.perf_counter()\n"
         )
         assert "IGP007" in codes(src, "src/repro/experiments/simulate.py")
+        assert "IGP007" in codes(src, "src/repro/experiments/replay.py")
 
     def test_service_clock_module_may_read_monotonic_timers(self):
         # service/clock.py is the serving loop's single sanctioned timer
@@ -320,51 +321,6 @@ class TestPublicApiAnnotations:
     def test_private_helpers_exempt(self):
         src = "def _helper(x):\n    return x\n"
         assert codes(src, self.API) == []
-
-
-class TestLPRebuild:
-    TICK = "src/repro/service/engine.py"
-
-    def test_from_scratch_build_in_tick_loop_flagged(self):
-        src = (
-            "def resolve(instance):\n"
-            "    benchmark = build_benchmark_lp(instance)\n"
-            "    return benchmark\n"
-        )
-        assert "IGP009" in codes(src, self.TICK)
-
-    def test_attribute_call_form_flagged(self):
-        src = (
-            "def resolve(instance):\n"
-            "    return lp_formulation.build_benchmark_lp(instance)\n"
-        )
-        assert "IGP009" in codes(src, self.TICK)
-
-    def test_all_tick_loop_modules_covered(self):
-        src = "def f(i):\n    return build_benchmark_lp(i)\n"
-        for module in (
-            "src/repro/service/engine.py",
-            "src/repro/service/loop.py",
-            "src/repro/experiments/simulate.py",
-            "src/repro/experiments/replay.py",
-        ):
-            assert "IGP009" in codes(src, module)
-
-    def test_ignore_marker_sanctions_baseline(self):
-        # A measured from-scratch baseline (e.g. lp_resolve_comparison's
-        # warm side) opts out explicitly.
-        src = (
-            "def baseline(instance):\n"
-            "    return build_benchmark_lp(  # igepa: ignore[IGP009]\n"
-            "        instance\n"
-            "    )\n"
-        )
-        assert codes(src, self.TICK) == []
-
-    def test_other_modules_unscoped(self):
-        src = "def f(i):\n    return build_benchmark_lp(i)\n"
-        assert codes(src, "src/repro/core/lp_packing.py") == []
-        assert codes(src, COLD) == []
 
 
 class TestRawReportDump:

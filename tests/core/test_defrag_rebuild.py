@@ -12,23 +12,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import LPPacking, build_benchmark_lp
-from repro.core.lp_formulation import BenchmarkLP, sum_in_order
+from repro.core.lp_formulation import BenchmarkLP
 from repro.core.lp_packing import REPAIR_ORDERS
-from repro.core.lp_incremental import IncrementalBenchmarkLP
 from repro.datagen import (
-    ChurnConfig,
     MeetupConfig,
     SyntheticConfig,
-    generate_churn_trace,
     generate_meetup,
     generate_synthetic,
     hotspot,
 )
 from repro.model import Arrangement
-from repro.model.delta import apply_delta
 from repro.solver import LinearProgram, Sense, solve_lp
 from repro.solver.api import _highs, _pass_model
-from tests.util import dfs_all_admissible_sets
+from tests.util import dfs_all_admissible_sets, sum_in_order
 
 
 def _synthetic(num_users, seed, sharded=False):
@@ -138,20 +134,6 @@ class TestOneSummationRule:
     def test_sum_in_order_does_not_compensate(self):
         # Compensated summation (builtin sum() from Python 3.12 on) gives 2.0.
         assert sum_in_order([1.0, 1e100, 1.0, -1e100]) == 0.0
-
-    def test_patched_objectives_equal_rebuilt_bits(self):
-        instance = _synthetic(60, 9)
-        trace = generate_churn_trace(
-            instance, ChurnConfig(num_batches=4, drift_rate=30.0), seed=19
-        )
-        incremental = IncrementalBenchmarkLP(instance)
-        current = instance
-        for delta in trace.deltas:
-            current = apply_delta(current, delta).instance
-            incremental.observe_delta(delta, current)
-        patched = {v.name: v.objective for v in incremental.benchmark.lp.variables}
-        rebuilt = {v.name: v.objective for v in build_benchmark_lp(current).lp.variables}
-        assert patched == rebuilt
 
 
 # ----------------------------------------------------------------------
@@ -307,6 +289,8 @@ def _column_table(set_upos, num_users):
         set_upos=set_upos,
         set_indptr=np.arange(set_upos.size + 1, dtype=np.int64),
         set_vpos=np.zeros(set_upos.size, dtype=np.int64),
+        # Sampling reads only the column table; nothing solves it.
+        program=None,
     )
 
 

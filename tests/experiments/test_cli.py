@@ -68,7 +68,6 @@ ENGINE_DEFAULTS = {
     "defrag_period": 10,
     "defrag_threshold": 0.95,
     "no_defrag_lp": False,
-    "defrag_lp_incremental": False,
     "drift_rate": 20.0,
     "capacity_shock_rate": 2.0,
 }

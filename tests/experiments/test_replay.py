@@ -7,14 +7,12 @@ import pytest
 from repro.core import GGGreedy, LocalSearch, RandomU, repair
 from repro.datagen import (
     ChurnConfig,
-    ChurnTrace,
     SyntheticConfig,
     generate_churn_trace,
     generate_synthetic,
 )
 from repro.experiments import format_replay_table, replay_trace
-from repro.experiments.replay import lp_resolve_comparison
-from repro.model import Delta, InstanceIndex, ShardedInstanceIndex, apply_delta
+from repro.model import InstanceIndex, ShardedInstanceIndex, apply_delta
 from repro.service import TickEngine
 from tests.util import lower_dense_cap
 
@@ -95,57 +93,6 @@ class TestReplay:
         text = format_replay_table(report)
         assert "feasible: True" in text
         assert "speedup:" not in text.splitlines()[-1]
-
-
-class TestLPResolveComparison:
-    """The delta-patched LP chain against the HiGHS rebuild, per batch."""
-
-    SUMMARY_KEYS = {
-        "initial_seconds",
-        "batches",
-        "mean_patch_seconds",
-        "mean_rebuild_seconds",
-        "speedup",
-        "iterations",
-        "max_objective_diff",
-    }
-
-    @staticmethod
-    def _assert_optima_agree(row, num_batches):
-        assert set(row) == TestLPResolveComparison.SUMMARY_KEYS
-        assert len(row["batches"]) == num_batches
-        for batch in row["batches"]:
-            assert batch["objective_diff"] <= 1e-6
-            assert batch["patch_seconds"] > 0.0
-            assert batch["rebuild_seconds"] > 0.0
-        assert row["max_objective_diff"] <= 1e-6
-
-    def test_churn_trace(self):
-        instance = generate_synthetic(
-            SyntheticConfig(num_events=12, num_users=60), seed=3
-        )
-        trace = generate_churn_trace(instance, ChurnConfig(num_batches=3), seed=4)
-        row = lp_resolve_comparison(trace)
-        self._assert_optima_agree(row, 3)
-        assert not any(batch["rhs_only"] for batch in row["batches"])
-
-    def test_capacity_shock_trace_is_rhs_only(self):
-        instance = generate_synthetic(
-            SyntheticConfig(num_events=12, num_users=60), seed=5
-        )
-        event_ids = [event.event_id for event in instance.events]
-        deltas = [
-            Delta(
-                set_event_capacity=tuple(
-                    (event_id, 1 + (event_id + shift) % 4)
-                    for event_id in event_ids[shift::3]
-                )
-            )
-            for shift in range(3)
-        ]
-        row = lp_resolve_comparison(ChurnTrace(initial=instance, deltas=deltas))
-        self._assert_optima_agree(row, 3)
-        assert all(batch["rhs_only"] for batch in row["batches"])
 
 
 def hand_replay(trace, algorithm, seed):

@@ -1,5 +1,6 @@
 """Unit tests for the dynamic-platform simulator."""
 
+import dataclasses
 import json
 
 import pytest
@@ -130,6 +131,22 @@ class TestSimulate:
         assert len(sim_payload["ticks"]) == CHURN.num_batches
         for key in ("retention", "repair_debt", "acceptance_rate", "feasible"):
             assert key in sim_payload["ticks"][0]
+
+    def test_retired_incremental_lp_keyword_warns_and_changes_nothing(self):
+        trace = _trace(seed=4)
+        options = {"seed": 0, "oracle_every": 2, "defrag": PeriodicDefrag(1)}
+        with pytest.warns(DeprecationWarning, match="defrag_lp_incremental"):
+            retired = simulate(trace, defrag_lp_incremental=True, **options)
+        plain = simulate(trace, **options)
+
+        def untimed(report):
+            return [
+                {k: v for k, v in dataclasses.asdict(r).items() if k != "seconds"}
+                for r in report.records
+            ]
+
+        assert any(r.defrag for r in plain.records)
+        assert untimed(retired) == untimed(plain)
 
     def test_format_table(self):
         report = simulate(_trace(), seed=0, oracle_every=2)

@@ -117,9 +117,6 @@ class TestBulkConstruction:
         assert bulk.variables == single.variables
         assert bulk.constraints == single.constraints
         assert bulk._names == single._names
-        assert bulk.variable_index() == single.variable_index()
-        assert bulk.constraint_index() == single.constraint_index()
-        assert bulk.variable_rows() == single.variable_rows()
 
     def test_constraints_prime_the_coo_cache(self):
         lp = self._bulk()

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+from collections.abc import Iterable
+
 import numpy as np
 
 from repro.model import (
@@ -201,6 +205,16 @@ def dfs_all_admissible_sets(
         )
         for user in instance.users
     }
+
+
+def sum_in_order(weights: Iterable[float]) -> float:
+    """``w(u, S)`` from its members' ``w(u, v)``, added left to right from
+    0.0: the rule :func:`~repro.core.lp_formulation.set_weights` follows.
+
+    Builtin ``sum()`` is not that rule everywhere: from Python 3.12 on it
+    compensates float sums (Neumaier), which can round differently.
+    """
+    return functools.reduce(operator.add, weights, 0.0)
 
 
 def reference_lp(lp) -> tuple:
