@@ -384,7 +384,11 @@ def _engine_flags() -> argparse.ArgumentParser:
     group.add_argument(
         "--no-defrag-lp",
         action="store_true",
-        help="skip the LP-packing re-solve during defrag passes",
+        help=(
+            "skip the LP-packing re-solve: every defrag is repair then a "
+            "local-search sweep (with it, a periodic defrag tick is the LP "
+            "re-solve, and repair and the sweep run only if it is not adopted)"
+        ),
     )
     group.add_argument(
         "--drift-rate",
@@ -534,8 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help=(
-            "supersede a running defrag when the next batch lands within "
-            "this many seconds (default: --max-wait)"
+            "supersede a running defrag sweep at its next pass boundary "
+            "when the next batch lands within this many seconds (default: "
+            "--max-wait); an LP-first periodic defrag has no pass boundary "
+            "and always completes"
         ),
     )
     sub.add_argument(

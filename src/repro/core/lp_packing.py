@@ -16,9 +16,10 @@ sampling reads each user's column range, the repair ranks pairs per event,
 and the arrangement is filled from the surviving positions and then audited
 against Definition 4 in one vectorized pass.  Every solve rebuilds the LP
 from its instance; :meth:`LPPacking.start_from` starts the next solve's
-simplex from a feasible arrangement of the same instance (the defrag step's
-post-sweep arrangement) instead of cold, so a rebuild across churn costs a
-warm solve.
+simplex from a feasible arrangement of the same instance (the arrangement
+the defrag step's LP would replace: the carried one after arrivals on an
+LP-first defrag tick, the swept one otherwise) instead of cold, so a
+rebuild across churn costs a warm solve.
 
 Theorem 2: with ``α = 1/2`` the expected utility is at least
 ``α(1-α) = 1/4`` of the LP optimum, hence of OPT.  The paper's experiments

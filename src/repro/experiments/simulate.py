@@ -22,11 +22,14 @@ module closes that gap with a clocked loop over a churn trace:
    like any other bidder, so the platform may later re-seat (or displace)
    an arrival the way a real venue reshuffle would;
 4. **defragmentation** — a pluggable :class:`DefragSchedule` decides when
-   the platform pays for a full-scope pass: a full local-search sweep
-   (:func:`repro.core.local_search.iter_passes`) plus an LP-packing re-solve
-   whose arrangement is adopted when it beats the swept one.
-   :class:`PeriodicDefrag` runs every k-th tick; :class:`RetentionDefrag`
-   triggers when utility falls below a fraction of the last oracle bound;
+   the platform pays for a full-scope pass: an LP-packing re-solve whose
+   arrangement is adopted on net gain, and a full local-search sweep
+   (:func:`repro.core.local_search.iter_passes`).  :class:`PeriodicDefrag`
+   runs every k-th tick and decides before repair, so its defrag tick is
+   the LP alone, in place of stage 3: repair and the sweep run after it
+   only when the LP is not adopted.  :class:`RetentionDefrag` triggers
+   when the repaired utility falls below a fraction of the last oracle
+   bound, so its defrag runs after repair: the sweep, then the LP;
 5. **oracle** — every ``oracle_every``-th tick the benchmark-LP optimum
    LP*, an upper bound on every arrangement (Lemma 1): ``utility / LP*`` is
    the **retention curve**, and the gap to LP* the **repair debt**.
@@ -98,10 +101,13 @@ class TickRecord:
             *at arrival time* — the platform's admission answer.  Later
             repair/defrag moves may re-arrange them like any other user.
         dropped_pairs: pairs the delta invalidated (incl. capacity sheds).
-        repair_moves: targeted-repair move counts.
+        repair_moves: targeted-repair move counts (None: the tick's
+            LP-first defrag was adopted, so no repair ran).
         defrag: whether the defragmentation pass ran this tick.
-        defrag_moves: its move counts (plus ``lp_utility``/``lp_adopted``
-            when the LP re-solve ran); None when it did not run.
+        defrag_moves: its sweep move counts, plus ``lp_utility``/
+            ``lp_adopted`` when the LP re-solve ran (``lp_failed: True``
+            instead of ``lp_utility`` when its solve failed); None when no
+            defrag ran.
         utility: arrangement utility at the end of the tick.
         oracle_utility: LP* of the tick's instance (None on non-oracle
             ticks).
@@ -122,7 +128,7 @@ class TickRecord:
     arrivals: int
     accepted: int
     dropped_pairs: int
-    repair_moves: dict
+    repair_moves: dict | None
     defrag: bool
     defrag_moves: dict | None
     utility: float
@@ -342,13 +348,7 @@ def simulate_engine(engine: TickEngine, trace: ChurnTrace) -> SimulationReport:
         tick_started = engine.clock.perf()
         result = engine.apply_churn(delta)
         accepted = engine.serve_arrivals(result, delta)
-        repair_moves = engine.repair(result)
-
-        utility = engine.utility()
-        defragged = engine.should_defrag(tick, utility)
-        defrag_moves = None
-        if defragged:
-            defrag_moves, utility = engine.defragment(result, tick)
+        repair_moves, defrag_moves, utility = engine.optimize(result, tick)
         seconds = engine.clock.perf() - tick_started
 
         tick_oracle: float | None = None
@@ -368,7 +368,7 @@ def simulate_engine(engine: TickEngine, trace: ChurnTrace) -> SimulationReport:
                 accepted=accepted,
                 dropped_pairs=len(result.dropped_pairs),
                 repair_moves=repair_moves,
-                defrag=defragged,
+                defrag=defrag_moves is not None,
                 defrag_moves=defrag_moves,
                 utility=utility,
                 oracle_utility=tick_oracle,

@@ -6,9 +6,17 @@ driver consult one policy surface.  A schedule sees only online-observable
 state — the tick number, the arrangement's utility after repair, and the
 most recent oracle bound LP* — and answers one question: run the expensive
 full-scope defragmentation now?
+
+A schedule that decides without the utility (:attr:`DefragSchedule.
+reads_utility` false) may be asked before repair: a
+:class:`~repro.service.engine.TickEngine` with its LP step on does so, to
+make a defrag tick the LP-packing re-solve alone and run repair only when
+the LP is not adopted.
 """
 
 from __future__ import annotations
+
+from typing import ClassVar
 
 
 class DefragSchedule:
@@ -16,20 +24,27 @@ class DefragSchedule:
 
     The base schedule never defragments — the "defrag off" baseline the
     dynamic bench compares against.  Subclasses override
-    :meth:`should_run`; it is consulted once per tick, after arrivals and
-    targeted repair.
+    :meth:`should_run`; it is consulted once per tick, after arrivals, and
+    after targeted repair unless :attr:`reads_utility` is false.
     """
 
     name = "none"
+    #: Whether :meth:`should_run` reads its ``utility`` argument.  True is
+    #: the safe answer for a subclass: it is then asked after repair, with
+    #: the repaired utility.  A schedule that decides without it sets this
+    #: false and may be asked before repair, with ``utility=None``.
+    reads_utility: ClassVar[bool] = True
 
     def should_run(
-        self, tick: int, utility: float, oracle_utility: float | None
+        self, tick: int, utility: float | None, oracle_utility: float | None
     ) -> bool:
         """Decide from online-observable state only.
 
         Args:
             tick: 0-based tick number.
-            utility: the arrangement's utility after this tick's repair.
+            utility: the arrangement's utility after this tick's repair
+                (None when asked before repair, which only a schedule with
+                :attr:`reads_utility` false is).
             oracle_utility: the most recent oracle bound LP* (from a
                 *previous* tick; None before the first oracle run).
         """
@@ -42,6 +57,8 @@ class DefragSchedule:
 class PeriodicDefrag(DefragSchedule):
     """Defragment every ``period``-th tick, unconditionally."""
 
+    reads_utility = False
+
     def __init__(self, period: int):
         if period < 1:
             raise ValueError(f"period must be >= 1, got {period}")
@@ -49,7 +66,7 @@ class PeriodicDefrag(DefragSchedule):
         self.name = f"periodic-{period}"
 
     def should_run(
-        self, tick: int, utility: float, oracle_utility: float | None
+        self, tick: int, utility: float | None, oracle_utility: float | None
     ) -> bool:
         return (tick + 1) % self.period == 0
 
@@ -71,10 +88,11 @@ class RetentionDefrag(DefragSchedule):
         self.name = f"retention-{threshold:g}"
 
     def should_run(
-        self, tick: int, utility: float, oracle_utility: float | None
+        self, tick: int, utility: float | None, oracle_utility: float | None
     ) -> bool:
         return (
-            oracle_utility is not None
+            utility is not None
+            and oracle_utility is not None
             and oracle_utility > 0.0
             and utility / oracle_utility < self.threshold
         )

@@ -10,10 +10,22 @@ churn trace share one copy of each stage and its invariants:
 * **simulate** (``experiments.simulate``) calls the stages back-to-back per
   churn batch;
 * **serve** (:mod:`repro.service.loop`) interleaves them: arrivals are
-  answered per request between stage boundaries, and defragmentation runs
-  through :meth:`TickEngine.defrag_steps` so the loop can stop it at a pass
-  boundary (every pass is feasibility-preserving, so stopping can never
-  strand an infeasible arrangement).
+  answered per request between stage boundaries, and repair and
+  defragmentation run through :meth:`TickEngine.optimize_steps` so the loop
+  can stop a local-search defrag sweep at a pass boundary (every pass is
+  feasibility-preserving, so stopping can never strand an infeasible
+  arrangement).
+
+**A defrag tick is the LP.**  When the defrag schedule decides without the
+post-repair utility (:attr:`~repro.service.defrag.DefragSchedule.
+reads_utility` false, e.g. :class:`~repro.service.defrag.PeriodicDefrag`)
+and the LP step is on, a defrag tick runs churn → arrivals → LP-packing
+re-solve: LP-packing builds its arrangement from the LP optimum alone, so
+the repair and the sweep that would precede it only fed its warm start.
+Repair and the sweep run after the LP only when it is not adopted (a
+switching penalty outweighs its gain, or the solve failed).  Every other
+tick keeps repair → sweep → LP.  :meth:`TickEngine.optimize_steps` is the
+one place this order is decided.
 
 Determinism contract: the engine's RNG is consumed *only* by ``serve``
 calls in arrival order; the defrag LP samples with ``seed + 100_003 +
@@ -33,7 +45,7 @@ gain.  With the default penalty of 0 the gate reduces to
 from __future__ import annotations
 
 import warnings
-from collections.abc import Generator, Iterable, Iterator
+from collections.abc import Collection, Generator, Iterable, Iterator
 
 import numpy as np
 
@@ -41,7 +53,7 @@ import numpy as np
 # the name stays because ``perfbench/spans.py`` wraps this module global for
 # its traced run and fails when it is missing.
 from repro.core.local_search import improve, iter_passes  # noqa: F401
-from repro.core.lp_packing import LPPacking
+from repro.core.lp_packing import LPPacking, LPPackingError
 from repro.core.online import BOUND_RTOL, OnlineGreedy, _OnlineAlgorithm
 from repro.core.repair import repair as targeted_repair
 from repro.model.arrangement import Arrangement
@@ -55,6 +67,10 @@ from repro.model.delta import (
 from repro.model.instance import IGEPAInstance
 from repro.service.clock import Clock, MonotonicClock
 from repro.service.defrag import DefragSchedule
+
+
+#: Move counters of one defragmentation sweep.
+_SWEEP_KEYS = ("adds", "refills", "upgrades", "evictions", "passes")
 
 
 class LPBoundError(RuntimeError):
@@ -84,8 +100,10 @@ class TickEngine:
             arrangement on net gain.  The benchmark LP is rebuilt as arrays
             for every defrag and every LP* oracle, from the tick's instance,
             and solved by :func:`~repro.solver.api.solve_lp` (HiGHS), its
-            simplex started from the arrangement the defrag sweep left
-            (:meth:`~repro.core.lp_packing.LPPacking.start_from`).
+            simplex started from the arrangement the LP would replace
+            (:meth:`~repro.core.lp_packing.LPPacking.start_from`): the
+            carried arrangement after arrivals on an LP-first defrag tick,
+            the swept one otherwise (see :meth:`optimize_steps`).
         defrag_lp_incremental: retired and ignored; passing it warns with
             :class:`DeprecationWarning`.
         max_passes: local-search pass cap for repair and defrag sweeps.
@@ -213,7 +231,7 @@ class TickEngine:
     # ------------------------------------------------------------------
     # Stage 4: defragmentation (+ revocation accounting)
     # ------------------------------------------------------------------
-    def should_defrag(self, tick: int, utility: float) -> bool:
+    def should_defrag(self, tick: int, utility: float | None) -> bool:
         return self.defrag.should_run(tick, utility, self.oracle_reference)
 
     def assignment_snapshot(
@@ -227,6 +245,15 @@ class TickEngine:
             for user_id in user_ids
             if user_id in self.instance.user_by_id
         }
+
+    def _switching_snapshot(
+        self, served_users: Iterable[int]
+    ) -> dict[int, frozenset[int]] | None:
+        """:meth:`assignment_snapshot` of ``served_users`` when a switching
+        penalty is set (None: re-seating is free, nothing to charge)."""
+        if self.switching_penalty > 0.0:
+            return self.assignment_snapshot(served_users)
+        return None
 
     def switching_pairs(
         self,
@@ -275,43 +302,76 @@ class TickEngine:
     ) -> float:
         """Defrag's LP step: LP-packing re-solve, adopted on net gain.
 
-        With a switching ``snapshot``, each candidate's utility is charged
-        ``switching_penalty`` per re-seated pair before comparison; the
-        final arrangement's spend is recorded in ``moves`` and accumulated
-        on the engine.  Mutates ``moves`` in place and returns the (possibly
-        adopted) utility.
+        ``utility`` is the live arrangement's, the one the LP arrangement
+        would replace.  With a switching ``snapshot``, each candidate's
+        utility is charged ``switching_penalty`` per re-seated pair before
+        comparison.  Records ``lp_utility`` and ``lp_adopted`` in ``moves``
+        and returns the (possibly adopted) utility; the caller charges the
+        final re-seating (:meth:`record_switching`).
+
+        A solve that fails (:class:`~repro.core.lp_packing.LPPackingError`)
+        adopts nothing and records ``lp_failed: True``: the live arrangement
+        is feasible, so the tick goes on with it.  A utility above the LP
+        optimum raises :class:`LPBoundError`, which stays fatal.
         """
         if self.defrag_lp:
-            penalty = self.switching_penalty
-            spend = (
-                penalty * self.switching_pairs(snapshot)
-                if snapshot is not None
-                else 0.0
-            )
-            # The post-sweep arrangement is a feasible vertex of the
-            # defrag LP, rebuilt or patched: HiGHS starts from it instead of
-            # from scratch.
+            moves["lp_adopted"] = False
+            # The live arrangement is a feasible vertex of the rebuilt
+            # defrag LP: HiGHS starts from it instead of from scratch.
             self.lp_resolver.start_from(self.arrangement)
-            lp_result = self.lp_resolver.solve(
-                result.instance, seed=self.seed + 100_003 + tick
-            )
-            lp_spend = (
-                penalty * self.switching_pairs(snapshot, lp_result.arrangement)
-                if snapshot is not None
-                else 0.0
-            )
-            bound = lp_result.details["lp_objective"]
-            check_lp_bound(utility, bound, "swept")
-            check_lp_bound(lp_result.utility, bound, "LP-packing")
-            moves["lp_utility"] = lp_result.utility
-            moves["lp_adopted"] = lp_result.utility - lp_spend > utility - spend
-            if moves["lp_adopted"]:
-                self.arrangement = lp_result.arrangement
-                utility = lp_result.utility
-        if snapshot is not None:
-            self.record_switching(moves, snapshot)
+            try:
+                lp_result = self.lp_resolver.solve(
+                    result.instance, seed=self.seed + 100_003 + tick
+                )
+            except LPPackingError:
+                moves["lp_failed"] = True
+            else:
+                bound = lp_result.details["lp_objective"]
+                check_lp_bound(utility, bound, "pre-LP")
+                check_lp_bound(lp_result.utility, bound, "LP-packing")
+                spend = lp_spend = 0.0
+                if snapshot is not None:
+                    penalty = self.switching_penalty
+                    spend = penalty * self.switching_pairs(snapshot)
+                    lp_spend = penalty * self.switching_pairs(
+                        snapshot, lp_result.arrangement
+                    )
+                moves["lp_utility"] = lp_result.utility
+                moves["lp_adopted"] = lp_result.utility - lp_spend > utility - spend
+                if moves["lp_adopted"]:
+                    self.arrangement = lp_result.arrangement
+                    utility = lp_result.utility
         result.arrangement = self.arrangement
         return utility
+
+    def _sweep_steps(
+        self,
+        result: DeltaResult,
+        tick: int,
+        moves: dict,
+        snapshot: dict[int, frozenset[int]] | None,
+        *,
+        lp: bool,
+    ) -> Generator[dict, bool | None, tuple[dict, float]]:
+        """The full-scope sweep into ``moves``, then (``lp``) the LP step;
+        the re-seating against ``snapshot`` is charged at the end.  Yields
+        after every pass that moved something; ``True`` sent there stops
+        the sweep without the LP step."""
+        for counts in self.iter_defrag_passes(result):
+            for key, count in counts.items():
+                moves[key] += count
+            moves["passes"] += 1
+            if not any(counts.values()):
+                break
+            if (yield moves):
+                lp = False
+                break
+        utility = self.utility()
+        if lp:
+            utility = self.adopt_lp(result, tick, moves, utility, snapshot)
+        if snapshot is not None:
+            self.record_switching(moves, snapshot)
+        return moves, utility
 
     def defrag_steps(
         self,
@@ -331,32 +391,75 @@ class TickEngine:
         exactly the moves of one ``improve(max_passes=N)`` call.  Returns
         ``(moves, utility)`` for the (possibly LP-replaced) arrangement.
         """
-        snapshot = (
-            self.assignment_snapshot(served_users)
-            if self.switching_penalty > 0.0
-            else None
+        return self._sweep_steps(
+            result,
+            tick,
+            dict.fromkeys(_SWEEP_KEYS, 0),
+            self._switching_snapshot(served_users),
+            lp=True,
         )
-        moves = {"adds": 0, "refills": 0, "upgrades": 0, "evictions": 0, "passes": 0}
-        for counts in self.iter_defrag_passes(result):
-            for key, count in counts.items():
-                moves[key] += count
-            moves["passes"] += 1
-            if not any(counts.values()):
-                break
-            if (yield moves):
-                if snapshot is not None:
-                    self.record_switching(moves, snapshot)
-                return moves, self.utility()
-        return moves, self.adopt_lp(result, tick, moves, self.utility(), snapshot)
 
     def defragment(self, result: DeltaResult, tick: int) -> tuple[dict, float]:
         """:meth:`defrag_steps` run to the end: ``(moves, utility)``."""
-        steps = self.defrag_steps(result, tick)
-        while True:
-            try:
-                next(steps)
-            except StopIteration as done:
-                return done.value
+        return _run_to_end(self.defrag_steps(result, tick))
+
+    def optimize_steps(
+        self,
+        result: DeltaResult,
+        tick: int,
+        *,
+        served_users: Collection[int] = (),
+    ) -> Generator[dict, bool | None, tuple[dict | None, dict | None, float]]:
+        """This tick's repair and scheduled defragmentation, in one order.
+
+        * **LP first** — the schedule decides before repair
+          (``reads_utility`` false) and ``defrag_lp`` is on.  A defrag tick
+          runs the LP step at once, warm from the carried arrangement, and
+          adopts on net gain over it.  Only if it is not adopted do repair
+          and the sweep run, as a defrag without a second LP solve;
+          switching is then charged against the post-repair assignments.
+          A tick without a defrag is the repair alone.
+        * **Repair first** — otherwise: repair, then the schedule reads the
+          repaired utility, then :meth:`defrag_steps`.
+
+        Yields where the sweep does (:meth:`defrag_steps`); sending ``True``
+        stops the sweep there.  Returns ``(repair_moves, defrag_moves,
+        utility)``: ``repair_moves`` is None when the adopted LP made repair
+        moot, ``defrag_moves`` None when no defrag ran.
+        """
+        lp_first = self.defrag_lp and not self.defrag.reads_utility
+        if lp_first and self.should_defrag(tick, None):
+            snapshot = self._switching_snapshot(served_users)
+            moves = dict.fromkeys(_SWEEP_KEYS, 0)
+            utility = self.adopt_lp(result, tick, moves, self.utility(), snapshot)
+            if moves["lp_adopted"]:
+                if snapshot is not None:
+                    self.record_switching(moves, snapshot)
+                return None, moves, utility
+            repair_moves = self.repair(result)
+            moves, utility = yield from self._sweep_steps(
+                result, tick, moves, self._switching_snapshot(served_users), lp=False
+            )
+            if "lp_utility" in moves:
+                # The solved LP's optimum (cached) bounds the swept arrangement.
+                bound = self.lp_resolver.lp_optimum(result.instance)
+                check_lp_bound(utility, bound, "swept")
+            return repair_moves, moves, utility
+        repair_moves = self.repair(result)
+        utility = self.utility()
+        # An LP-first schedule has already said no to this tick.
+        if lp_first or not self.should_defrag(tick, utility):
+            return repair_moves, None, utility
+        moves, utility = yield from self.defrag_steps(
+            result, tick, served_users=served_users
+        )
+        return repair_moves, moves, utility
+
+    def optimize(
+        self, result: DeltaResult, tick: int
+    ) -> tuple[dict | None, dict | None, float]:
+        """:meth:`optimize_steps` run to the end."""
+        return _run_to_end(self.optimize_steps(result, tick))
 
     # ------------------------------------------------------------------
     # Stage 5: oracle + audits
@@ -396,3 +499,12 @@ class TickEngine:
 
     def utility(self) -> float:
         return self.arrangement.utility()
+
+
+def _run_to_end(steps: Generator):
+    """Run a steps generator without stopping it; return its value."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value

@@ -6,10 +6,12 @@ stack.  Requests (:class:`~repro.service.requests.ArrivalRequest` /
 micro-batcher cuts them into ticks; each tick
 
 1. **settles** the previous tick's background pipeline — if the new batch
-   arrived inside the defragmentation *grace window*, the running defrag is
-   superseded (a cooperative flag it honors at the next pass boundary;
-   every pass is feasibility-preserving, so cutting it short can never
-   strand an infeasible arrangement);
+   arrived inside the defragmentation *grace window*, a running sweep
+   defrag is superseded (a cooperative flag it honors at the next pass
+   boundary; every pass is feasibility-preserving, so cutting it short can
+   never strand an infeasible arrangement).  An LP-first defrag (see
+   :meth:`~repro.service.engine.TickEngine.optimize_steps`) is one step
+   with no pass boundary and always runs to the end;
 2. **coalesces** the batch's churn deltas and arrival registrations into
    one delta (:func:`~repro.model.delta.coalesce_deltas`) and applies it —
    every arrival is *registered* regardless of its admission outcome, so
@@ -19,10 +21,12 @@ micro-batcher cuts them into ticks; each tick
    with a per-request monotonic latency sample.  Requeued arrivals are the
    only ones not answered this tick; they re-enter admission ahead of
    newer arrivals next tick;
-4. hands targeted **repair**, scheduled **defragmentation** (with
-   switching-cost accounting for re-seated served users), the **oracle**
-   bound (the benchmark-LP optimum LP*) and the end-of-tick **audits** to a background task that
-   overlaps the next batch's ingress instead of blocking admission.
+4. hands targeted **repair** and scheduled **defragmentation**, in the
+   order :meth:`~repro.service.engine.TickEngine.optimize_steps` decides
+   (with switching-cost accounting for re-seated served users), the
+   **oracle** bound (the benchmark-LP optimum LP*) and the end-of-tick
+   **audits** to a background task that overlaps the next batch's ingress
+   instead of blocking admission.
 
 Admission never waits on optimization: the serve stage touches only the
 live arrangement, and the background pipeline is settled *before* the next
@@ -60,9 +64,13 @@ class ServiceConfig:
             before the batch flushes without the next request.
         admission: admission-control policy answering under burst.
         defrag_grace: if the next batch flushes within this many
-            decision-time seconds of the previous tick, that tick's
+            decision-time seconds of the previous tick, that tick's sweep
             defragmentation is superseded at its next pass boundary instead
-            of running to convergence (None: use ``max_wait``).
+            of running to convergence (None: use ``max_wait``).  Only a
+            sweep has pass boundaries: the repair-first defrag of a
+            schedule that reads utility or of an engine without the LP
+            step, and the fallback after an LP-first defrag that was not
+            adopted.  An adopted LP-first defrag always completes.
     """
 
     max_batch: int = 64
@@ -186,7 +194,8 @@ class ArrangementService:
 
         # Settle the previous tick's background pipeline before the new
         # delta touches the instance.  A batch landing inside the grace
-        # window supersedes a still-running defrag at its pass boundary.
+        # window supersedes a still-running defrag sweep at its pass
+        # boundary.
         await self._settle_background(
             supersede=(now - self._background_started) < self.config.grace
         )
@@ -334,25 +343,20 @@ class ArrangementService:
         self._supersede = False
 
     async def _pipeline(self, result, tick: int, partial: dict, final: bool) -> None:
-        """Repair → defrag (cooperatively cancellable) → oracle → audits."""
+        """Repair and defrag (a sweep is cooperatively cancellable; see
+        :meth:`TickEngine.optimize_steps`) → oracle → audits."""
         engine = self.engine
-        repair_moves = dict(engine.repair(result))
-        utility = engine.utility()
-        defragged = engine.should_defrag(tick, utility)
-        defrag_moves: dict | None = None
-        if defragged:
-            steps = engine.defrag_steps(
-                result, tick, served_users=self._served_users
-            )
-            stop = None
-            while True:
-                try:
-                    steps.send(stop)
-                except StopIteration as done:
-                    defrag_moves, utility = done.value
-                    break
-                await asyncio.sleep(0)  # cancellation point between passes
-                stop = self._supersede
+        steps = engine.optimize_steps(result, tick, served_users=self._served_users)
+        stop = None
+        while True:
+            try:
+                steps.send(stop)
+            except StopIteration as done:
+                repair_moves, defrag_moves, utility = done.value
+                break
+            await asyncio.sleep(0)  # cancellation point between sweep passes
+            stop = self._supersede
+        if defrag_moves is not None:
             defrag_moves["superseded"] = bool(stop)
         oracle_utility = None
         if engine.should_run_oracle(tick, tick if final else -1):
@@ -375,7 +379,7 @@ class ArrangementService:
                 num_events=result.instance.num_events,
                 num_pairs=len(engine.arrangement),
                 repair_moves=repair_moves,
-                defrag=defragged,
+                defrag=defrag_moves is not None,
                 defrag_moves=defrag_moves,
                 switching_pairs=(defrag_moves or {}).get("switching_pairs", 0),
                 switching_spend=(defrag_moves or {}).get("switching_spend", 0.0),

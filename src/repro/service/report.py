@@ -58,11 +58,12 @@ class ServeTickRecord:
             outcome counts among them.
         requeued: arrivals pushed to a later tick (not yet answered).
         num_users / num_events / num_pairs: platform sizes after the tick.
-        repair_moves: targeted-repair move counts (None: superseded before
-            repair ran — does not happen under cooperative supersession).
+        repair_moves: targeted-repair move counts (None: the tick's
+            LP-first defrag was adopted, so no repair ran).
         defrag: whether the defragmentation pass started this tick.
         defrag_moves: its accumulated move counts (``superseded: True``
-            when a newer churn batch cut it short at a pass boundary).
+            when a newer churn batch cut its sweep short at a pass
+            boundary; ``lp_failed: True`` when its LP solve failed).
         switching_pairs / switching_spend: revocation accounting of the
             tick's defrag (0 when no penalty is configured).
         utility: arrangement utility at the end of the tick's pipeline.

@@ -148,6 +148,43 @@ class TestSimulate:
         assert any(r.defrag for r in plain.records)
         assert untimed(retired) == untimed(plain)
 
+    def test_lp_first_ticks_record_no_repair(self):
+        """An adopted LP-first defrag ran no repair: its record says None,
+        and the table and the JSON report carry that through."""
+        report = simulate(_trace(), seed=0, defrag=PeriodicDefrag(2), oracle_every=2)
+        adopted = [
+            r for r in report.records if r.defrag and r.defrag_moves["lp_adopted"]
+        ]
+        assert adopted and all(r.repair_moves is None for r in adopted)
+        assert all(r.repair_moves is not None for r in report.records if not r.defrag)
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert [tick["repair_moves"] is None for tick in payload["ticks"]] == [
+            r.repair_moves is None for r in report.records
+        ]
+        table = format_simulation_table(report)
+        assert len(table.splitlines()) == CHURN.num_batches + 3
+
+    def test_failed_defrag_lp_falls_back_to_repair_and_sweep(self, monkeypatch):
+        from repro.core.lp_packing import LPPacking, LPPackingError
+
+        def failing(self, instance, seed=None):
+            raise LPPackingError("injected")
+
+        monkeypatch.setattr(LPPacking, "solve", failing)
+        trace = _trace()
+        report = simulate(
+            trace, seed=0, defrag=PeriodicDefrag(1), oracle_every=2, check_parity=True
+        )
+        assert len(report.records) == len(trace.deltas)
+        assert report.all_feasible and report.all_parity
+        for record, delta in zip(report.records, trace.deltas):
+            assert record.defrag_moves["lp_failed"]
+            assert not record.defrag_moves["lp_adopted"]
+            assert record.repair_moves is not None
+            assert record.defrag_moves["passes"] > 0
+            assert record.arrivals == len(delta.add_users)
+            assert 0 <= record.accepted <= record.arrivals
+
     def test_format_table(self):
         report = simulate(_trace(), seed=0, oracle_every=2)
         table = format_simulation_table(report)

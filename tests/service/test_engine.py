@@ -1,9 +1,12 @@
-"""TickEngine's defrag stage, its LP* oracle and option bounds.
+"""TickEngine's repair and defrag stages, its LP* oracle and option bounds.
 
-The defrag routine is the one copy of "sweep, then LP step" that
-``simulate`` runs to the end and the serving loop steps through; these
-tests pin it against the two primitives it is built from.  The oracle is
-the benchmark-LP optimum LP*, a hard upper bound on the engine's utility.
+``optimize_steps`` is the one copy of the tick's repair → defrag order that
+``simulate`` runs to the end and the serving loop steps through.  A defrag
+tick of a schedule that decides before repair is the LP step alone, with
+repair and the sweep as the fallback when the LP is not adopted; every
+other defrag is "repair, sweep, then LP step" (``defrag_steps``), pinned
+here against the two primitives it is built from.  The oracle is the
+benchmark-LP optimum LP*, a hard upper bound on the engine's utility.
 """
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import ExactILP, lp_upper_bound
 from repro.core.admissible import AdmissibleSetExplosion
 from repro.core.local_search import improve
+from repro.core.lp_packing import LPPacking, LPPackingError
 from repro.core.online import OnlineGreedy, OnlineRandom
 from repro.datagen import (
     INTEGRALITY_GAP_SEEDS,
@@ -25,7 +29,7 @@ from repro.datagen import (
 )
 from repro.experiments.simulate import simulate
 from repro.model import Arrangement, Delta, apply_delta
-from repro.service import LPBoundError, PeriodicDefrag, TickEngine
+from repro.service import LPBoundError, PeriodicDefrag, RetentionDefrag, TickEngine
 
 
 def churned_engine(seed=0, **options):
@@ -217,6 +221,185 @@ def tight_traces(draw):
     # Churn tends to close the gap; an empty first batch makes tick 0
     # defragment (and round) the tight instance itself.
     return ChurnTrace(trace.initial, [Delta(), *trace.deltas])
+
+
+def count_stage_calls(monkeypatch):
+    """Count the engine's targeted-repair and sweep calls by name."""
+    import repro.service.engine as module
+
+    calls = []
+    for name in ("targeted_repair", "iter_passes"):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestLPFirstTick:
+    """A periodic defrag tick with the LP step on is the LP alone."""
+
+    def test_adopted_lp_runs_no_repair_and_no_sweep(self, monkeypatch):
+        engine, result = churned_engine(defrag=PeriodicDefrag(1))
+        stages = count_stage_calls(monkeypatch)
+        solves = count_lp_solves(monkeypatch)
+        repair_moves, moves, utility = engine.optimize(result, 0)
+
+        assert repair_moves is None
+        assert moves["lp_adopted"] and moves["passes"] == 0
+        assert stages == [] and len(solves) == 1
+        assert utility == moves["lp_utility"] == engine.utility()
+        assert engine.arrangement.is_feasible()
+        assert result.arrangement is engine.arrangement
+        assert utility <= lp_upper_bound(engine.instance) * (1 + 1e-9)
+
+    def test_oracle_on_the_tick_is_a_cache_hit(self, monkeypatch):
+        engine, result = churned_engine(defrag=PeriodicDefrag(1))
+        solves = count_lp_solves(monkeypatch)
+        engine.optimize(result, 0)
+        bound = engine.oracle_solve(0)
+        assert len(solves) == 1
+        assert bound == pytest.approx(lp_upper_bound(engine.instance), rel=1e-9)
+
+    def test_off_tick_is_the_repair_alone(self, monkeypatch):
+        engine, result = churned_engine(defrag=PeriodicDefrag(2))
+        stages = count_stage_calls(monkeypatch)
+        solves = count_lp_solves(monkeypatch)
+        repair_moves, moves, utility = engine.optimize(result, 0)
+        assert moves is None and repair_moves is not None
+        assert stages == ["targeted_repair"]
+        assert not solves and utility == engine.utility()
+
+    def test_blocked_adoption_falls_back_to_repair_and_sweep(self, monkeypatch):
+        """A switching penalty that outweighs the LP's gain: repair and the
+        sweep run once each, the LP is not solved again, and the spend is
+        charged against the post-repair assignments, as a repair-first
+        defrag charges it."""
+        penalty = 1e6
+        engine, result = churned_engine(
+            defrag=PeriodicDefrag(1), switching_penalty=penalty
+        )
+        served = list(engine.instance.user_by_id)
+        twin, twin_result = churned_engine(switching_penalty=penalty)
+        stages = count_stage_calls(monkeypatch)
+        solves = count_lp_solves(monkeypatch)
+        steps = engine.optimize_steps(result, 0, served_users=served)
+        repair_moves, moves, utility = _finish(steps)
+
+        assert not moves["lp_adopted"] and "lp_utility" in moves
+        assert stages == ["targeted_repair", "iter_passes"]
+        assert len(solves) == 1
+        assert repair_moves is not None and moves["passes"] > 0
+
+        # The twin repairs, snapshots and sweeps by hand.
+        monkeypatch.undo()
+        pre_repair = twin.assignment_snapshot(served)
+        twin_repair = twin.repair(twin_result)
+        before = twin.assignment_snapshot(served)
+        sweep = improve(
+            twin_result.instance, twin.arrangement, max_passes=twin.max_passes
+        )
+        pairs = twin.switching_pairs(before)
+        # Repair re-seats served users, so the snapshot's timing shows.
+        assert twin.switching_pairs(pre_repair) > pairs
+        assert repair_moves == twin_repair
+        assert {key: moves[key] for key in sweep} == sweep
+        assert engine.arrangement.pairs == twin.arrangement.pairs
+        assert moves["switching_pairs"] == pairs == engine.switching_pairs_total
+        assert moves["switching_spend"] == penalty * pairs
+        assert utility == engine.utility() and engine.arrangement.is_feasible()
+
+    def test_failed_lp_falls_back_to_repair_and_sweep(self, monkeypatch):
+        def failing(self, instance, seed=None):
+            raise LPPackingError("injected")
+
+        monkeypatch.setattr(LPPacking, "solve", failing)
+        engine, result = churned_engine(defrag=PeriodicDefrag(1))
+        before = engine.arrangement.utility()
+        repair_moves, moves, utility = engine.optimize(result, 0)
+        assert moves["lp_failed"] and not moves["lp_adopted"]
+        assert "lp_utility" not in moves
+        assert repair_moves is not None and moves["passes"] > 0
+        assert engine.arrangement.is_feasible()
+        assert utility == engine.utility() >= before
+
+    def test_fallback_sweep_is_bounded_by_the_solved_lp(self, monkeypatch):
+        engine, result = churned_engine(
+            defrag=PeriodicDefrag(1), switching_penalty=1e6
+        )
+        bound = lp_upper_bound(engine.instance)
+        repair = engine.repair
+
+        def repair_then_inflate(result):
+            moves = repair(result)
+            monkeypatch.setattr(Arrangement, "utility", lambda self: bound * 1.001)
+            return moves
+
+        monkeypatch.setattr(engine, "repair", repair_then_inflate)
+        served = list(engine.instance.user_by_id)
+        with pytest.raises(LPBoundError, match="swept"):
+            _finish(engine.optimize_steps(result, 0, served_users=served))
+
+    def test_lp_bound_violation_stays_fatal(self, monkeypatch):
+        engine, result = churned_engine(defrag=PeriodicDefrag(1))
+        bound = lp_upper_bound(engine.instance)
+        monkeypatch.setattr(Arrangement, "utility", lambda self: bound * 1.001)
+        with pytest.raises(LPBoundError, match="pre-LP"):
+            engine.optimize(result, 0)
+
+
+class TestRepairFirstTick:
+    """Schedules that read the repaired utility, and defrags without the
+    LP step, keep repair → sweep → LP."""
+
+    def _order(self, engine, monkeypatch):
+        order = []
+        for name in ("repair", "iter_defrag_passes", "adopt_lp"):
+            original = getattr(engine, name)
+
+            def traced(*args, _name=name, _original=original, **kwargs):
+                order.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, traced)
+        return order
+
+    def test_retention_schedule(self, monkeypatch):
+        engine, result = churned_engine(defrag=RetentionDefrag(0.95))
+        engine.oracle_reference = 10.0 * lp_upper_bound(engine.instance)
+        order = self._order(engine, monkeypatch)
+        solves = count_lp_solves(monkeypatch)
+        repair_moves, moves, _utility = engine.optimize(result, 0)
+        assert order == ["repair", "iter_defrag_passes", "adopt_lp"]
+        assert repair_moves is not None and "lp_adopted" in moves
+        assert len(solves) == 1
+
+    def test_without_the_lp_step(self, monkeypatch):
+        engine, result = churned_engine(defrag=PeriodicDefrag(1), defrag_lp=False)
+        order = self._order(engine, monkeypatch)
+        solves = count_lp_solves(monkeypatch)
+        repair_moves, moves, _utility = engine.optimize(result, 0)
+        assert order == ["repair", "iter_defrag_passes", "adopt_lp"]
+        assert repair_moves is not None and "lp_adopted" not in moves
+        assert moves["passes"] > 0 and not solves
+
+    def test_schedules_declare_whether_they_read_utility(self):
+        from repro.service import DefragSchedule
+
+        assert not PeriodicDefrag.reads_utility
+        assert RetentionDefrag.reads_utility
+        assert DefragSchedule.reads_utility  # the safe default for subclasses
+
+
+def _finish(steps):
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
 
 
 class TestLPStarBoundsTheEngine:

@@ -160,7 +160,7 @@ class TestDeterminism:
 
 
 class TestDefragWarmStart:
-    """Every defrag LP starts from the post-sweep arrangement, and the
+    """Every defrag LP starts warm from the live arrangement, and the
     start changes no decision: the same trace served by a resolver that
     got no start gives the same report and the same final arrangement."""
 
@@ -213,9 +213,11 @@ class TestDefragWarmStart:
 class TestSupersession:
     def test_churn_racing_defrag_supersedes_at_pass_boundary(self):
         # With an unbounded grace window every follow-up batch lands
-        # "inside" the previous tick's defrag; any defrag that needs more
-        # than one improvement pass must be cut short cooperatively — and
-        # the arrangement it leaves behind must still pass every audit.
+        # "inside" the previous tick's defrag; any sweep defrag that needs
+        # more than one improvement pass must be cut short cooperatively —
+        # and the arrangement it leaves behind must still pass every audit.
+        # Without the LP step every periodic defrag is a sweep (an LP-first
+        # defrag has no pass boundary to stop at).
         trace = make_trace()
         report, responses = run(
             trace,
@@ -223,6 +225,7 @@ class TestSupersession:
                 max_batch=4, max_wait=0.5, defrag_grace=float("inf")
             ),
             defrag=PeriodicDefrag(1),
+            defrag_lp=False,
         )
         assert report.defrag_count > 0
         superseded = [
@@ -248,6 +251,55 @@ class TestSupersession:
         )
         assert report.defrag_count > 0
         assert report.superseded_defrags == 0
+
+
+class TestLPFirstDefrag:
+    def test_adopted_lp_records_no_repair(self):
+        from repro.experiments.reporting import format_serve_table
+
+        report, _ = run(
+            make_trace(),
+            config=ServiceConfig(max_batch=8, max_wait=1.0),
+            defrag=PeriodicDefrag(2),
+            oracle_every=3,
+        )
+        adopted = [
+            r for r in report.records if r.defrag and r.defrag_moves["lp_adopted"]
+        ]
+        assert adopted and all(r.repair_moves is None for r in adopted)
+        assert all(r.repair_moves is not None for r in report.records if not r.defrag)
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert [tick["repair_moves"] is None for tick in payload["ticks"]] == [
+            r.repair_moves is None for r in report.records
+        ]
+        table = format_serve_table(report)
+        assert len(table.splitlines()) == len(report.records) + 7
+
+    def test_failed_defrag_lp_keeps_every_tick_feasible(self, monkeypatch):
+        from repro.core.lp_packing import LPPacking, LPPackingError
+
+        def failing(self, instance, seed=None):
+            raise LPPackingError("injected")
+
+        monkeypatch.setattr(LPPacking, "solve", failing)
+        trace = make_trace()
+        report, responses = run(
+            trace,
+            config=ServiceConfig(max_batch=8, max_wait=1.0),
+            defrag=PeriodicDefrag(1),
+            oracle_every=3,
+        )
+        assert report.all_feasible and report.all_parity
+        assert report.defrag_count == len(report.records)
+        for record in report.records:
+            assert record.defrag_moves["lp_failed"]
+            assert not record.defrag_moves["lp_adopted"]
+            assert record.repair_moves is not None
+        answered = [response.user_id for response in responses]
+        arrivals = [
+            r.user.user_id for r in trace.requests if isinstance(r, ArrivalRequest)
+        ]
+        assert sorted(answered) == sorted(arrivals)
 
 
 class TestSwitchingCosts:
